@@ -186,18 +186,37 @@ def test_seventy_region_catalog_pip_and_transform(ray_session):
             geoid_sigmas=dict(base_cat.geoid_sigmas), version="pad128"))
 
 
-def test_fused_flagship_matches_unfused(ray_session):
-    """The single-actor fused flagship (read->geocode->cells->PIP->
-    transform per shard, the production-sink / scaling shape) must be
-    row-identical to the staged pipeline on every shared column."""
+def test_fused_flagship_matches_unfused(out):
+    """The text-carrying flagship (the fused per-shard actor with
+    carry_text=True) must equal the stages composed by hand per shard —
+    read PAGE_COLUMNS -> geocode -> keep geocoded -> cell index -> PIP
+    -> transform — on every column, in order, with the same types; the
+    text-free fused stream must equal it on the shared columns."""
     import pandas as pd
+    import pyarrow as pa
 
-    from vyperdatum_ray.pipelines.flagship import flagship_fused, flagship_pipeline
+    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.pipelines.flagship import (PAGE_COLUMNS, flagship_fused,
+                                                   load_catalog)
+    from vyperdatum_ray.stages.cellindex import cell_index_batch
+    from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
+    from vyperdatum_ray.stages.region_join import RegionJoiner
+    from vyperdatum_ray.stages.transform import DatumTransformer
 
-    f1 = (flagship_pipeline(SF).to_pandas()
-          .sort_values("url").reset_index(drop=True))
-    f2 = (flagship_fused(SF).to_pandas()
-          .sort_values("url").reset_index(drop=True))
-    common = [c for c in f2.columns if c in f1.columns]
+    cat = load_catalog(SF)
+    join, transform = RegionJoiner(catalog_ref=cat), DatumTransformer(catalog_ref=cat)
+    ref = pa.concat_tables([
+        transform(join(cell_index_batch(keep_geocoded(geocode_batch(
+            pq.read_table(p, columns=PAGE_COLUMNS))))))
+        for p in sorted(pages_paths(SF))
+    ]).to_pandas().sort_values("url").reset_index(drop=True)
+
+    got = out.sort_values("url").reset_index(drop=True)
+    assert list(got.columns) == list(ref.columns)
+    assert {"text", "lang", "warc_ts", "geocode_src", "tile_id", "z_out"} <= set(got.columns)
+    pd.testing.assert_frame_equal(got, ref)
+
+    fused = flagship_fused(SF).to_pandas().sort_values("url").reset_index(drop=True)
+    common = [c for c in fused.columns if c in ref.columns]
     assert {"url", "z_out", "unc", "region_index", "tile_id"} <= set(common)
-    pd.testing.assert_frame_equal(f1[common], f2[common])
+    pd.testing.assert_frame_equal(fused[common], ref[common])

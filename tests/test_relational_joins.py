@@ -959,6 +959,44 @@ def test_q10_q21_randomized_vs_duckdb(ray_session, tmp_path):
             check_dtype=False), f"q21 seed {seed}"
 
 
+def test_q9_supplier_nation_fk_gap_vs_duckdb(ray_session, tmp_path):
+    """A supplier whose s_nationkey is missing from `nation` drops its
+    lines, exactly as the oracle's inner join does, instead of raising."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from vyperdatum_ray.pipelines import relational as rel
+
+    d = tmp_path
+    pq.write_table(pa.table({
+        "l_partkey": pa.array([0, 0, 1, 0], pa.int64()),
+        "l_suppkey": pa.array([0, 1, 0, 1], pa.int64()),
+        "l_extendedprice": pa.array([10.0, 20.0, 30.0, 40.0], pa.float64()),
+        "l_discount": pa.array([0.01, 0.02, 0.0, 0.03], pa.float64()),
+        "l_shipdate": pa.array(pd.to_datetime(
+            ["1995-03-01", "1995-04-01", "1996-05-01", "1996-06-01"]),
+            pa.timestamp("us")),
+    }), d / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "p_partkey": pa.array([0, 1], pa.int64()),
+        "p_name": pa.array(["blue widget", "red bolt"], pa.string()),
+    }), d / "part.parquet")
+    pq.write_table(pa.table({
+        "s_suppkey": pa.array([0, 1], pa.int64()),
+        "s_nationkey": pa.array([0, 9], pa.int64()),  # 9: not in nation
+    }), d / "supplier.parquet")
+    pq.write_table(pa.table({
+        "n_nationkey": pa.array([0, 1], pa.int64()),
+        "n_name": pa.array(["NATION_3", "NATION_15"], pa.string()),
+    }), d / "nation.parquet")
+
+    got = rel.q_tpch_q9(str(d), salt_bits=1).reset_index(drop=True)
+    want = _ddb(str(d), rel.ORACLES["tpch_q9"]).reset_index(drop=True)
+    assert len(want) == 1
+    pd.testing.assert_frame_equal(
+        got, want.astype(got.dtypes.to_dict()), check_dtype=False)
+
+
 def test_part_family_randomized_vs_duckdb(ray_session, tmp_path):
     """Seeded randomized differential for the part-exchange family
     (q4/q9/q15/q17/q19/q20) — tiny domains force ties, FK gaps, empty

@@ -1,8 +1,9 @@
-"""Failure injection: an actor in the transform pool dies mid-run
-(process exit, as on a preempted node); Ray restarts it and re-executes
-the lost tasks, and the result is identical to a clean run — the
-at-least-once + deterministic-output contract the resumable sink and
-lineage layer rely on."""
+"""Failure injection: an actor in the fused flagship pool (the
+production sink's own per-shard actor) dies mid-run (process exit, as
+on a preempted node); Ray restarts it and re-executes the lost tasks,
+and the result is identical to a clean run — the at-least-once +
+deterministic-output contract the resumable sink and lineage layer
+rely on."""
 
 import os
 import tempfile
@@ -17,13 +18,15 @@ def test_actor_death_mid_run_recovers(ray_session):
     import pyarrow as pa
 
     import ray
-    from vyperdatum_ray.pipelines.flagship import JoinTransform, geocoded_pages, load_catalog
+    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.pipelines.flagship import FusedReadTransform, load_catalog
 
     catalog = load_catalog(SF)
     catalog_ref = ray.put(catalog)
     marker = os.path.join(tempfile.mkdtemp(), "died_once")
+    paths = sorted(pages_paths(SF))
 
-    class FlakyJoinTransform(JoinTransform):
+    class FlakyFusedReadTransform(FusedReadTransform):
         """Kills its worker process on the first batch of the first
         actor to reach it; every retry/other actor runs clean."""
 
@@ -37,13 +40,12 @@ def test_actor_death_mid_run_recovers(ray_session):
             return super().__call__(batch)
 
     def run(cls):
-        ds = geocoded_pages(SF).map_batches(
+        ds = ray.data.from_items(
+            [{"path": p} for p in paths], override_num_blocks=len(paths)
+        ).map_batches(
             cls,
-            fn_constructor_kwargs={
-                "catalog_ref": catalog_ref, "from_datum": "ellipse",
-                "to_datum": "mllw", "in_is_height": True, "out_is_height": False,
-            },
-            batch_format="pyarrow", batch_size=2048, concurrency=2, num_cpus=1,
+            fn_constructor_kwargs={"catalog_ref": catalog_ref},
+            batch_format="pyarrow", batch_size=1, concurrency=2, num_cpus=1,
             max_task_retries=-1, max_restarts=-1,
         )
         return (
@@ -51,8 +53,8 @@ def test_actor_death_mid_run_recovers(ray_session):
             .to_pandas().sort_values("url").reset_index(drop=True)
         )
 
-    clean = run(JoinTransform)
-    flaky = run(FlakyJoinTransform)
+    clean = run(FusedReadTransform)
+    flaky = run(FlakyFusedReadTransform)
     assert os.path.exists(marker), "the failure injection never fired"
     assert len(flaky) == len(clean)
     assert (flaky["url"] == clean["url"]).all()

@@ -512,8 +512,8 @@ def _roundtrip_transform_sql(fx: str, ctes: str, final: str) -> str:
     membership + transform run on the original geo coords (recovered ==
     originals under the 1e-7 quantization, same identity both sides).
     The emitted easting/northing are re-quantized to cm exactly as the
-    engine's ``FusedReadTransform._roundtrip_projected`` does: both
-    sides recompute the forward with their own libm, and a ~1-ULP
+    engine's ``FusedReadTransform._project`` does: both sides
+    recompute the forward with their own libm, and a ~1-ULP
     sin/cos/exp/ln divergence flips the 0.1 mm rounding for ~1e-6 of
     points (2 observed at sf0.1) — at cm the residual tie is ~1e-9."""
     from vyperdatum_ray.core.helmert import sql_rn

@@ -1,8 +1,11 @@
 """The flagship end-to-end pipeline (SURVEY.md §3.4):
 
 ``read_parquet(pages, columns pruned) -> geocode -> filter -> cell index
--> RegionJoiner (actor pool, STRtree PIP) -> DatumTransformer (actor
-pool, grid interpolation) -> tile-partitioned parquet``.
+-> RegionJoiner (STRtree PIP) -> DatumTransformer (grid interpolation)``,
+run as ONE fused actor call per input shard (``FusedReadTransform``).
+Every consumer (the checkpointed sink, the SQL-checkable queries and
+the text-carrying ``flagship`` query via ``carry_text=True``) shares
+this one shape.
 
 Everything streams: no full materialization; the ``html`` binary column
 is pruned at the read (at 10^12-doc scale the pipeline lives or dies on
@@ -10,8 +13,6 @@ that) unless a stage needs it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -33,16 +34,15 @@ def _pool_size() -> int:
     """Fixed actor-pool size for the single combined stateful stage:
     ~90% of the CPUs (headroom for read/write tasks). Fixed rather than
     autoscaling (1, n) — the ramp from 1 actor dominates wall time on
-    short jobs and wastes nothing on long ones. Ray fuses the upstream
-    stateless maps (geocode/cell-index) into this pool, so the pool
-    size IS the pipeline's parallelism: one pool at 90% beats two
-    half-size pools in series."""
+    short jobs and wastes nothing on long ones. Read, geocode and
+    cell-index run inside this pool's calls, so the pool size IS the
+    pipeline's parallelism: one pool at 90% beats two half-size pools
+    in series."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    frac = float(os.environ.get("VDR_POOL_FRAC", "0.9"))
-    return max(2, int(cpus * frac))
+    return max(2, int(cpus * 0.9))
 
 
 class JoinTransform:
@@ -80,137 +80,10 @@ def load_catalog(sf_dir: str) -> Catalog:
     return Catalog.from_dir(catalog_dir(sf_dir))
 
 
-def read_geocoded(
-    sf_dir: str,
-    paths: list[str] | None = None,
-    include_paths: bool = False,
-) -> ray.data.Dataset:
-    """Read + geocode fused into ONE task stage: the page text is parsed
-    where it is read and never crosses an object-store boundary — only
-    the slim (url, lat, lon[, path]) stream leaves the task.
-
-    Measured on this box (BASELINE.md round 3): vs the read-task ->
-    fused-actor shape (text crossing the store once), this DOUBLES
-    flagship throughput at 8 CPUs (3.7M -> 7.6M rows/s) and reaches
-    14.6M rows/s at 16 — store serialization of wide strings is real
-    CPU work, not just memory traffic. The trade: geocode no longer
-    runs in the transform actor pool, so the read tasks must be
-    numerous enough to fill the machine (one task per input shard —
-    exactly the production layout)."""
-    files = sorted(paths or pages_paths(sf_dir))
-    items = [{"path": p} for p in files]
-    pds = ray.data.from_items(items, override_num_blocks=len(items))
-    keep = ["url", "lat", "lon"] + (["path"] if include_paths else [])
-
-    def read_one(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(2)
-        outs = []
-        for p in batch.column("path").to_pylist():
-            t = pq.read_table(p, columns=["url", "text"])
-            g = keep_geocoded(geocode_batch(t))
-            if include_paths:
-                g = g.append_column("path", pa.array([p] * g.num_rows, pa.string()))
-            outs.append(g.select(keep))
-        return pa.concat_tables(outs)
-
-    return pds.map_batches(read_one, batch_format="pyarrow", batch_size=None)
-
-
-def geocoded_pages(
-    sf_dir: str,
-    columns: list[str] | None = None,
-    paths: list[str] | None = None,
-    include_paths: bool = False,
-    input_ds: ray.data.Dataset | None = None,
-    carry_text: bool = True,
-) -> ray.data.Dataset:
-    """pages -> geocode -> keep geocoded -> cell index.
-
-    ``paths`` restricts the read to specific input shards (resume prunes
-    completed shards here, at the read); ``include_paths`` carries the
-    source file as a ``path`` column for lineage tagging; ``input_ds``
-    substitutes a pre-built pages Dataset for the read.
-
-    ``carry_text=False`` projects the wide string columns (text, lang,
-    warc_ts, geocode_src) out right after the geocode filter, INSIDE the
-    fused actor chain: consumers that never emit text (the checkpointed
-    production sink, the scaling bench) then push only ~100 B/row
-    through the actor-output object-store boundary instead of dragging
-    the full page text across it — on this box that boundary is the
-    memory-bandwidth hot spot past ~16 cores (BASELINE.md round 3)."""
-    ds = input_ds if input_ds is not None else ray.data.read_parquet(
-        paths or pages_paths(sf_dir),
-        columns=columns or PAGE_COLUMNS,
-        include_paths=include_paths,
-    )
-    ds = ds.map_batches(geocode_batch, batch_format="pyarrow")
-    ds = ds.map_batches(keep_geocoded, batch_format="pyarrow")
-    if not carry_text:
-        keep = ["url", "lat", "lon"] + (["path"] if include_paths else [])
-        ds = ds.map_batches(lambda t, cols=tuple(keep): t.select(list(cols)),
-                            batch_format="pyarrow")
-    ds = ds.map_batches(cell_index_batch, batch_format="pyarrow")
-    return ds
-
-
-def flagship_pipeline(
-    sf_dir: str,
-    from_datum: str = "ellipse",
-    to_datum: str = "mllw",
-    catalog: Catalog | None = None,
-    batch_size: int = 16384,
-    paths: list[str] | None = None,
-    include_paths: bool = False,
-    in_is_height: bool = True,
-    out_is_height: bool = False,
-    input_ds: ray.data.Dataset | None = None,
-    carry_text: bool = True,
-    geocode_in_read: bool = False,
-) -> ray.data.Dataset:
-    """Full geocode + PIP join + datum transform stream; returns the lazy
-    Dataset (caller writes or aggregates). ``carry_text=False`` drops
-    the page text inside the fused chain for consumers whose output
-    schema never includes it (see geocoded_pages);
-    ``geocode_in_read=True`` additionally fuses geocode into the read
-    TASK so text never enters the object store at all (see
-    read_geocoded — the production checkpointed sink and the scaling
-    bench use this shape)."""
-    catalog = catalog or load_catalog(sf_dir)
-    catalog_ref = ray.put(catalog)
-    if geocode_in_read:
-        # input_ds, when given, is an ALREADY-geocoded slim stream
-        # (url, lat, lon, ...) produced by a read_geocoded-shaped stage
-        ds = input_ds if input_ds is not None else read_geocoded(
-            sf_dir, paths=paths, include_paths=include_paths)
-        ds = ds.map_batches(cell_index_batch, batch_format="pyarrow")
-    else:
-        ds = geocoded_pages(sf_dir, paths=paths, include_paths=include_paths,
-                            input_ds=input_ds, carry_text=carry_text)
-    ds = ds.map_batches(
-        JoinTransform,
-        fn_constructor_kwargs={
-            "catalog_ref": catalog_ref,
-            "from_datum": from_datum,
-            "to_datum": to_datum,
-            "in_is_height": in_is_height,
-            "out_is_height": out_is_height,
-        },
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=_pool_size(),
-        num_cpus=1,
-    )
-    return ds
-
-
 def synth_z_batch(batch: pa.Table) -> pa.Table:
     """Deterministic synthetic input depth from the parsed coordinates
     — the z source the itrf variant and its DuckDB oracle both compute
-    (round((lat - 35) * 2 + (lon + 75), 3)); lives here so the fused
-    and staged shapes share the bit-identical expression."""
+    (round((lat - 35) * 2 + (lon + 75), 3))."""
     lat = batch.column("lat").to_numpy(zero_copy_only=False)
     lon = batch.column("lon").to_numpy(zero_copy_only=False)
     z = np.round((lat - 35.0) * 2.0 + (lon + 75.0), 3)
@@ -220,19 +93,21 @@ def synth_z_batch(batch: pa.Table) -> pa.Table:
 class FusedReadTransform:
     """The WHOLE flagship per input shard in ONE actor call: parquet
     read -> geocode -> cell index -> PIP join -> datum transform,
-    emitting only the slim transformed stream. NOTHING crosses the
-    object store between stages — not even the (url, lat, lon) slim
-    stream that the geocode_in_read shape still ships from read tasks
-    into the transform actor pool.
+    emitting only the transformed stream. NOTHING crosses the object
+    store between stages — not even the (url, lat, lon) slim stream
+    that a read-task -> actor-pool shape ships into the transform pool.
 
     Measured on this box (BASELINE.md round 4): vs the read-task ->
     actor-pool shape, 16.4M -> 26.8M rows/s at 32 CPUs, 6.7M -> 13.4M
     at 8, 2.6-3.9M -> 5.3M at 4 (repeat=256 saturation runs) — the
     ~16M rows/s '32-CPU wall' was the task->actor store boundary, not
-    parse compute. This is the production sink shape
-    (state/lineage.py) and the scaling-bench shape; the text-carrying
-    flagship query keeps the unfused chain because its OUTPUT is the
-    text (M12 passthrough).
+    parse compute. This is the only flagship shape: the production
+    sink (state/lineage.py), the scaling bench and every query run it.
+
+    ``carry_text=True`` reads the page columns (``PAGE_COLUMNS``) and
+    keeps every column geocode appends, for the text-carrying
+    ``flagship`` query whose OUTPUT is the text (M12 passthrough);
+    otherwise only (url, lat, lon) leave the geocode step.
 
     ``inner`` replicates each shard's transformed rows in-place (the
     scaling bench's honest-extra-work knob; 1 in production)."""
@@ -242,7 +117,7 @@ class FusedReadTransform:
                  include_paths=False, inner=1,
                  z_col=None, out_frame=None, emit_xy=False, synth_z=False,
                  project_fwd=None, project_inv=None, project_code=None,
-                 with_cells=True):
+                 with_cells=True, carry_text=False):
         self.jt = JoinTransform(
             catalog_ref=catalog_ref, from_datum=from_datum, to_datum=to_datum,
             in_is_height=in_is_height, out_is_height=out_is_height,
@@ -258,6 +133,7 @@ class FusedReadTransform:
         self.project_inv = project_inv
         self.project_code = project_code
         self.with_cells = with_cells
+        self.carry_text = carry_text
 
     def _project(self, base: pa.Table) -> pa.Table:
         lon = base.column("lon").to_numpy(zero_copy_only=False)
@@ -290,8 +166,10 @@ class FusedReadTransform:
 
         outs = []
         for p in batch.column("path").to_pylist():
-            t = pq.read_table(p, columns=["url", "text"])
-            base = keep_geocoded(geocode_batch(t)).select(["url", "lat", "lon"])
+            cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
+            base = keep_geocoded(geocode_batch(pq.read_table(p, columns=cols)))
+            if not self.carry_text:
+                base = base.select(["url", "lat", "lon"])
             if self.synth_z:
                 base = synth_z_batch(base)
             if self.project_fwd is not None:
@@ -328,6 +206,7 @@ def flagship_fused(
     project_inv=None,
     project_code=None,
     with_cells: bool = True,
+    carry_text: bool = False,
 ) -> ray.data.Dataset:
     """Flagship as a single fused actor-pool stage over shard paths —
     see FusedReadTransform. One ~90%-CPU pool, one path row per task."""
@@ -346,8 +225,14 @@ def flagship_fused(
             "z_col": z_col, "out_frame": out_frame, "emit_xy": emit_xy,
             "synth_z": synth_z, "project_fwd": project_fwd,
             "project_inv": project_inv, "project_code": project_code,
-            "with_cells": with_cells,
+            "with_cells": with_cells, "carry_text": carry_text,
         },
         batch_format="pyarrow", batch_size=1,
         concurrency=_pool_size(), num_cpus=1,
     )
+
+
+def flagship_pipeline(sf_dir: str, catalog: Catalog | None = None) -> ray.data.Dataset:
+    """Full geocode + PIP join + datum transform stream carrying the
+    page text; returns the lazy Dataset (caller writes or aggregates)."""
+    return flagship_fused(sf_dir, catalog=catalog, carry_text=True)

@@ -17,7 +17,6 @@ from ray.data.aggregate import Max, Min, Sum
 from vyperdatum_ray.pipelines.flagship import (
     flagship_fused,
     flagship_pipeline,
-    geocoded_pages,
     load_catalog,
 )
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
@@ -226,43 +225,9 @@ def q_transform_stateplane(sf_dir: str, epsg: int = 3631) -> ray.data.Dataset:
     NAD83 with the from-scratch LCC 2SP kernel, then runs the normal
     PIP + datum transform. Output carries the projected input coords
     (exact passthrough) AND the recovered geographic ones."""
-    import pyarrow.compute as pc
-
-    from vyperdatum_ray.core.projection import lcc_inverse
     from vyperdatum_ray.fixtures import stateplane_dir
-    from vyperdatum_ray.pipelines.flagship import JoinTransform, _pool_size
 
-    catalog_ref = ray.put(load_catalog(sf_dir))
-
-    def unproject(batch: pa.Table) -> pa.Table:
-        e = batch.column("easting").to_numpy(zero_copy_only=False)
-        n = batch.column("northing").to_numpy(zero_copy_only=False)
-        rlon, rlat = lcc_inverse(e, n, epsg)
-        return pa.table({
-            "url": batch.column("url"),
-            "easting": batch.column("easting"),
-            "northing": batch.column("northing"),
-            "lon": pa.array(rlon, pa.float64()),
-            "lat": pa.array(rlat, pa.float64()),
-        })
-
-    ds = ray.data.read_parquet(stateplane_dir(sf_dir))
-    ds = ds.map_batches(unproject, batch_format="pyarrow")
-    ds = ds.map_batches(
-        JoinTransform,
-        fn_constructor_kwargs=dict(
-            catalog_ref=catalog_ref, from_datum="ellipse", to_datum="mllw",
-            in_is_height=True, out_is_height=False,
-        ),
-        batch_format="pyarrow", concurrency=_pool_size(), num_cpus=1,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(
-        ["url", "easting", "northing", "lon", "lat", "region", "region_index",
-         "z_out", "unc"])
+    return _transform_stateplane_input(sf_dir, stateplane_dir(sf_dir), epsg)
 
 
 def q_transform_stateplane_tm(sf_dir: str, epsg: int = 26957) -> ray.data.Dataset:
@@ -273,18 +238,29 @@ def q_transform_stateplane_tm(sf_dir: str, epsg: int = 26957) -> ray.data.Datase
     the engine inverse-projects with the from-scratch Krüger TM kernel
     parameterized by the zone's natural origin, then runs the normal
     PIP + datum transform."""
+    from vyperdatum_ray.fixtures import stateplane_tm_dir
+
+    return _transform_stateplane_input(sf_dir, stateplane_tm_dir(sf_dir), epsg)
+
+
+def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data.Dataset:
+    """Shared shape for the pre-projected state-plane inputs: read
+    (url, easting, northing) from ``in_dir``, inverse-project with the
+    zone's kernel (LCC or TM, picked by registry membership), then PIP
+    + datum transform in one actor pool."""
     import pyarrow.compute as pc
 
-    from vyperdatum_ray.core.projection import tm_inverse
-    from vyperdatum_ray.fixtures import stateplane_tm_dir
+    from vyperdatum_ray.core.projection import (STATE_PLANE_LCC, lcc_inverse,
+                                                tm_inverse)
     from vyperdatum_ray.pipelines.flagship import JoinTransform, _pool_size
 
+    inverse = lcc_inverse if epsg in STATE_PLANE_LCC else tm_inverse
     catalog_ref = ray.put(load_catalog(sf_dir))
 
     def unproject(batch: pa.Table) -> pa.Table:
         e = batch.column("easting").to_numpy(zero_copy_only=False)
         n = batch.column("northing").to_numpy(zero_copy_only=False)
-        rlon, rlat = tm_inverse(e, n, epsg)
+        rlon, rlat = inverse(e, n, epsg)
         return pa.table({
             "url": batch.column("url"),
             "easting": batch.column("easting"),
@@ -293,7 +269,7 @@ def q_transform_stateplane_tm(sf_dir: str, epsg: int = 26957) -> ray.data.Datase
             "lat": pa.array(rlat, pa.float64()),
         })
 
-    ds = ray.data.read_parquet(stateplane_tm_dir(sf_dir))
+    ds = ray.data.read_parquet(in_dir)
     ds = ds.map_batches(unproject, batch_format="pyarrow")
     ds = ds.map_batches(
         JoinTransform,
@@ -360,23 +336,14 @@ def q_external_region_transform(sf_dir: str) -> ray.data.Dataset:
     from vyperdatum_ray.catalog import Catalog
     from vyperdatum_ray.core.config import register_external_region
     from vyperdatum_ray.fixtures import fixture_dir, ensure_fixtures
-    from vyperdatum_ray.pipelines.flagship import JoinTransform, _pool_size
 
     ensure_fixtures(sf_dir)
     ext = Catalog.from_dir(os.path.join(fixture_dir(sf_dir), "external"))
     info = ext.regions[0]
     catalog = register_external_region(
         load_catalog(sf_dir), info, ext.grids, ext.sigmas[info.name])
-    catalog_ref = ray.put(catalog)
 
-    ds = _geo(sf_dir, GEO_SLIM).map_batches(
-        JoinTransform,
-        fn_constructor_kwargs=dict(
-            catalog_ref=catalog_ref, from_datum="ellipse", to_datum="mllw",
-            in_is_height=True, out_is_height=False,
-        ),
-        batch_format="pyarrow", concurrency=_pool_size(), num_cpus=1,
-    )
+    ds = flagship_fused(sf_dir, catalog=catalog, with_cells=False)
     ds = ds.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
         batch_format="pyarrow",

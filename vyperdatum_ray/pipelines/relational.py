@@ -2541,6 +2541,8 @@ def q_tpch_q9(sf_dir: str, name_like: str = "widget",
     agg = parts.groupby(["code", "yr"], as_index=False).agg(
         aux=("aux", "sum"))
     nmap = dict(zip(nation["n_nationkey"].astype(int), nation["n_name"]))
+    # a supplier nation missing from `nation` drops, as the inner join does
+    agg = agg[agg["code"].astype(int).isin(list(nmap))]
     out = pd.DataFrame({
         "nation": np.array([nmap[int(c)] for c in agg["code"]], object),
         "o_year": agg["yr"].to_numpy(np.int64),
