@@ -9,7 +9,8 @@ two-phase corpus run).
 A Dataset result streams straight to a partitioned parquet directory
 (never materialized on the driver); a DataFrame/Table result (the
 driver-sized aggregates) lands as one file. ``--list`` prints the
-registry. Prints one JSON line: {"name", "rows", "out"}.
+registry. Prints one JSON line: {"name", "rows", "out"}. A non-empty
+``--out`` is refused (exit code 2) rather than appended to.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ def main() -> int:
     ap.add_argument("--list", action="store_true",
                     help="print registered query names and exit")
     args = ap.parse_args()
+    if (not args.list and args.out and os.path.isdir(args.out)
+            and os.listdir(args.out)):
+        # a Dataset result appends part files: a stale directory would
+        # mix old rows into the result and its reported row count
+        print(f"--out {args.out!r} is not empty; pass an empty or new "
+              "directory", file=sys.stderr)
+        return 2
 
     sys.path.insert(0, os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))

@@ -3,7 +3,11 @@
 fallback at the NaN notch, -1 outside coverage, byte-identical text
 passthrough."""
 
+import dataclasses
+
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -220,3 +224,76 @@ def test_fused_flagship_matches_unfused(out):
     common = [c for c in fused.columns if c in ref.columns]
     assert {"url", "z_out", "unc", "region_index", "tile_id"} <= set(common)
     pd.testing.assert_frame_equal(fused[common], ref[common])
+
+
+# --- the fused flagship's per-worker catalog state cache never serves
+# stale state: it is keyed by catalog CONTENT, so a same-version catalog
+# with one shifted grid, and a different target datum, each get their
+# own state within one Ray session, and switching back reproduces the
+# first answer exactly.
+
+CACHE_COLS = ["url", "region_index", "z_out", "unc"]
+
+
+def _reference(cat, **transform_kw) -> pd.DataFrame:
+    """The flagship composed by hand on the driver for ``cat``."""
+    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.stages.cellindex import cell_index_batch
+    from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
+    from vyperdatum_ray.stages.region_join import RegionJoiner
+    from vyperdatum_ray.stages.transform import DatumTransformer
+
+    join = RegionJoiner(catalog_ref=cat)
+    transform = DatumTransformer(catalog_ref=cat, **transform_kw)
+    return _sorted(pa.concat_tables([
+        transform(join(cell_index_batch(keep_geocoded(geocode_batch(
+            pq.read_table(p, columns=["url", "text"]))))))
+        for p in sorted(pages_paths(SF))
+    ]).to_pandas())
+
+
+def _sorted(df: pd.DataFrame) -> pd.DataFrame:
+    return df[CACHE_COLS].sort_values("url").reset_index(drop=True)
+
+
+def _run(cat, **kw) -> pd.DataFrame:
+    from vyperdatum_ray.pipelines.flagship import flagship_fused
+
+    return _sorted(flagship_fused(SF, catalog=cat, **kw).to_pandas())
+
+
+def test_same_version_grid_swap_never_served_stale(ray_session):
+    from vyperdatum_ray.pipelines.flagship import load_catalog
+
+    cat = load_catalog(SF)
+    region = cat.regions[0].name
+    key = f"{region}/tss"
+    grids = dict(cat.grids)
+    grids[key] = dataclasses.replace(grids[key], values=grids[key].values + 1.0)
+    cat2 = dataclasses.replace(cat, grids=grids, _tree=None)
+    assert cat2.version == cat.version
+    assert cat2.content_key() != cat.content_key()
+
+    first = _run(cat)
+    second = _run(cat2)
+    third = _run(cat)
+
+    pd.testing.assert_frame_equal(second, _reference(cat2))
+    moved = (first["region_index"] == 0).to_numpy()
+    assert moved.sum() > 10
+    assert not np.allclose(second["z_out"].to_numpy()[moved],
+                           first["z_out"].to_numpy()[moved])
+    np.testing.assert_array_equal(second["z_out"].to_numpy()[~moved],
+                                  first["z_out"].to_numpy()[~moved])
+    pd.testing.assert_frame_equal(third, first)
+
+
+def test_target_datums_do_not_share_state(ray_session):
+    from vyperdatum_ray.pipelines.flagship import load_catalog
+
+    cat = load_catalog(SF)
+    mllw = _run(cat, to_datum="mllw")
+    mhw = _run(cat, to_datum="mhw")
+    pd.testing.assert_frame_equal(mhw, _reference(cat, to_datum="mhw"))
+    assert not mhw["z_out"].equals(mllw["z_out"])
+    pd.testing.assert_frame_equal(_run(cat, to_datum="mllw"), mllw)

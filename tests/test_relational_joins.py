@@ -1139,7 +1139,7 @@ def test_run_query_cli(tmp_path):
     out = tmp_path / "cli_q1"
     r = subprocess.run(
         [sys.executable, "scripts/run_query.py", "--name", "tpch_q1",
-         "--sf-dir", "/root/testdata/sf0.001", "--out", str(out)],
+         "--sf-dir", SF, "--out", str(out)],
         capture_output=True, text=True, cwd="/root/repo", timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
     rec = json.loads(r.stdout.strip().splitlines()[-1])
@@ -1148,6 +1148,34 @@ def test_run_query_cli(tmp_path):
     files = list(out.glob("*.parquet"))
     assert files and sum(
         pq.ParquetFile(f).metadata.num_rows for f in files) == 6
+
+
+def test_run_query_cli_refuses_nonempty_out(tmp_path):
+    """A Dataset result streams part files into ``--out``: a second run
+    into the same directory must be refused (exit 2) instead of mixing
+    the stale part files into the result and its reported row count."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path / "cli_flagship"
+    cmd = [sys.executable, "scripts/run_query.py", "--name", "flagship_fused",
+           "--sf-dir", SF, "--out", str(out)]
+    first = subprocess.run(cmd, capture_output=True, text=True, cwd=repo, timeout=300)
+    assert first.returncode == 0, first.stderr[-2000:]
+    rows = json.loads(first.stdout.strip().splitlines()[-1])["rows"]
+    on_disk = sum(pq.ParquetFile(f).metadata.num_rows for f in out.glob("*.parquet"))
+    assert rows == on_disk > 0
+
+    second = subprocess.run(cmd, capture_output=True, text=True, cwd=repo, timeout=300)
+    assert second.returncode == 2, second.stdout[-2000:]
+    assert "not empty" in second.stderr
+    assert sum(pq.ParquetFile(f).metadata.num_rows
+               for f in out.glob("*.parquet")) == rows
 
 
 def test_pareto_front_ties_and_dominance():

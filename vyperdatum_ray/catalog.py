@@ -4,8 +4,9 @@ The reference discovers its catalog by globbing a VDatum directory
 (polygon KMLs ``core.py:884-912``, GTX grids ``core.py:847-881``, sigma
 file ``core.py:915-969``) and mutates process-global state. Here the
 catalog is an immutable value object built once on the driver from
-parquet tables, broadcast to actor pools via ``ray.put`` (read
-zero-copy from the object store in every actor ``__init__``), and
+parquet tables, broadcast via ``ray.put`` (once per Ray session and
+catalog content; read zero-copy from the object store once per worker
+process, whose prepared state is cached keyed by ``content_key``), and
 fingerprinted with an MD5 version hash (reference ``core.py:1063-1147``)
 recorded in lineage checkpoints.
 
@@ -80,7 +81,7 @@ class Catalog:
             # different (ny, nx) interpolates differently and must not
             # fingerprint as the same grid
             h.update(np.array(g.values.shape, dtype=np.int64).tobytes())
-            h.update(np.ascontiguousarray(g.values).tobytes())
+            h.update(np.ascontiguousarray(g.values))  # no bytes copy
             out[key] = h.hexdigest()[:16]
         return out
 
@@ -98,6 +99,16 @@ class Catalog:
         h.update(json.dumps(self.sigmas, sort_keys=True).encode())
         h.update(json.dumps(self.geoid_sigmas, sort_keys=True).encode())
         return h.hexdigest()[:16]
+
+    def content_key(self) -> str:
+        """Identity of everything a transform reads: the version plus
+        the structure and per-grid fingerprints lineage trusts. The
+        version alone is not enough — ``register_external_region`` only
+        suffixes it, and same-version catalogs with swapped grids are
+        legal values."""
+        h = hashlib.md5(self.structure_fingerprint().encode())
+        h.update(json.dumps(self.grid_fingerprints(), sort_keys=True).encode())
+        return f"{self.version}:{h.hexdigest()[:16]}"
 
     def regions_for_bounds(self, x_min, y_min, x_max, y_max) -> list[str]:
         """Region candidate discovery for a data extent — semantics of the

@@ -2,10 +2,11 @@
 
 ``read_parquet(pages, columns pruned) -> geocode -> filter -> cell index
 -> RegionJoiner (STRtree PIP) -> DatumTransformer (grid interpolation)``,
-run as ONE fused actor call per input shard (``FusedReadTransform``).
-Every consumer (the checkpointed sink, the SQL-checkable queries and
-the text-carrying ``flagship`` query via ``carry_text=True``) shares
-this one shape.
+run as ONE task per input shard on warm workers (``_fused_shard``),
+with the catalog state (``FusedReadTransform``) cached per worker
+process, keyed by catalog content. Every consumer (the checkpointed
+sink, the SQL-checkable queries and the text-carrying ``flagship``
+query via ``carry_text=True``) shares this one shape.
 
 Everything streams: no full materialization; the ``html`` binary column
 is pruned at the read (at 10^12-doc scale the pipeline lives or dies on
@@ -13,6 +14,8 @@ that) unless a stage needs it.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -31,13 +34,12 @@ PAGE_COLUMNS = ["url", "warc_ts", "text", "lang"]  # html pruned at the read
 
 
 def _pool_size() -> int:
-    """Fixed actor-pool size for the single combined stateful stage:
-    ~90% of the CPUs (headroom for read/write tasks). Fixed rather than
-    autoscaling (1, n) — the ramp from 1 actor dominates wall time on
-    short jobs and wastes nothing on long ones. Read, geocode and
-    cell-index run inside this pool's calls, so the pool size IS the
-    pipeline's parallelism: one pool at 90% beats two half-size pools
-    in series."""
+    """The size a fixed actor pool would take on this cluster: ~90% of
+    the CPUs (headroom for read/write tasks). No engine stage uses an
+    actor pool any more (the flagship family runs one task per shard
+    on warm workers, catalog state cached per worker process); the
+    benchmark's do-nothing actor-stage probe still sizes its pool
+    with it."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
@@ -45,16 +47,71 @@ def _pool_size() -> int:
     return max(2, int(cpus * 0.9))
 
 
+# Per-worker-process catalog state: (state class, catalog content key,
+# params) -> built instance, least recently used first. Bounded so a
+# long session that sees many catalogs or parameter sets cannot grow it
+# without limit; an evicted entry is simply rebuilt from its ref.
+_STATE_CACHE_MAX = 8
+_state_cache: OrderedDict = OrderedDict()
+
+# Driver side: one ``ray.put`` per (Ray session, catalog content key),
+# so repeated jobs over one catalog reuse its object instead of
+# re-putting (and re-pinning) it on every call.
+_CATALOG_REFS_MAX = 4
+_catalog_refs: OrderedDict = OrderedDict()
+
+
+def _lru(cache: OrderedDict, key, build, cap: int):
+    """``cache[key]``, built by ``build()`` on a miss; entries past
+    ``cap`` are dropped least recently used first."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    while len(cache) > cap:
+        cache.popitem(last=False)
+    return value
+
+
+def _shard_kwargs(catalog: Catalog, **params) -> dict:
+    """``fn_kwargs`` for a cached-state task function (``_fused_shard``,
+    ``join_transform_batch``): the broadcast catalog, its content key
+    and the state's constructor parameters. The catalog is put once per
+    Ray session and content key. The key is the catalog's content,
+    never its version alone: same-version catalogs with different grids
+    exist (``register_external_region`` only suffixes the version, tests
+    swap grids under one version)."""
+    key = catalog.content_key()
+    session = None  # before ray.init: the put below auto-initializes
+    if ray.is_initialized():
+        ctx = ray.get_runtime_context()
+        session = (ctx.get_job_id(), ctx.get_node_id())
+    if any(s != session for s, _ in _catalog_refs):
+        _catalog_refs.clear()  # refs of an ended session are dead
+    ref = _lru(_catalog_refs, (session, key), lambda: ray.put(catalog),
+               _CATALOG_REFS_MAX)
+    return {"catalog_ref": ref, "catalog_key": key, "params": params}
+
+
+def _cached_state(cls, catalog_ref, catalog_key: str, params: dict):
+    """This worker process's ``cls(catalog_ref, **params)``, built (one
+    ``ray.get`` of the catalog, one STRtree, one grid set) on the first
+    task that needs it and reused by every later task with the same
+    catalog content and parameters."""
+    return _lru(_state_cache, (cls, catalog_key, tuple(sorted(params.items()))),
+                lambda: cls(catalog_ref, **params), _STATE_CACHE_MAX)
+
+
 class JoinTransform:
-    """RegionJoiner + DatumTransformer composed in one actor — one
-    STRtree + one grid set per worker, one actor pool instead of two
-    half-size pools with an extra object-store hop between them."""
+    """RegionJoiner + DatumTransformer composed in one state object —
+    one STRtree + one grid set per worker process, one call instead of
+    two stages with an extra object-store hop between them."""
 
     def __init__(self, catalog_ref, from_datum, to_datum, in_is_height, out_is_height,
                  z_col=None, out_frame=None, emit_xy=False):
-        # Each actor is scheduled at num_cpus=1; pyarrow's internal pool
-        # defaults to ALL cores, so N actors x N cores of kernel threads
-        # thrash the box. One compute thread per actor — but ONLY inside
+        # Each task is scheduled at num_cpus=1; pyarrow's internal pool
+        # defaults to ALL cores, so N workers x N cores of kernel threads
+        # thrash the box. One compute thread per worker — but ONLY inside
         # Ray workers: constructing this class on the driver (the
         # sampled accelerator does, for its tiny center set) must not
         # throttle the driver's Arrow pool for the rest of the session.
@@ -91,11 +148,13 @@ def synth_z_batch(batch: pa.Table) -> pa.Table:
 
 
 class FusedReadTransform:
-    """The WHOLE flagship per input shard in ONE actor call: parquet
-    read -> geocode -> cell index -> PIP join -> datum transform,
-    emitting only the transformed stream. NOTHING crosses the object
-    store between stages — not even the (url, lat, lon) slim stream
-    that a read-task -> actor-pool shape ships into the transform pool.
+    """The WHOLE flagship per input shard in ONE call: parquet read ->
+    geocode -> cell index -> PIP join -> datum transform, emitting only
+    the transformed stream. NOTHING crosses the object store between
+    stages — not even the (url, lat, lon) slim stream that a read-task
+    -> transform-stage shape ships between its stages. One instance per
+    worker process and catalog content holds the prepared catalog
+    state (``_cached_state``); ``_fused_shard`` calls it once per shard.
 
     Measured on this box (BASELINE.md round 4): vs the read-task ->
     actor-pool shape, 16.4M -> 26.8M rows/s at 32 CPUs, 6.7M -> 13.4M
@@ -188,6 +247,19 @@ class FusedReadTransform:
         return pa.concat_tables(outs)
 
 
+def _fused_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict) -> pa.Table:
+    """One shard through this worker's cached ``FusedReadTransform``."""
+    return _cached_state(FusedReadTransform, catalog_ref, catalog_key, params)(batch)
+
+
+def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
+                         params: dict) -> pa.Table:
+    """PIP + datum transform of a geographic batch through this
+    worker's cached ``JoinTransform`` (pre-projected inputs that skip
+    the fused read)."""
+    return _cached_state(JoinTransform, catalog_ref, catalog_key, params)(batch)
+
+
 def flagship_fused(
     sf_dir: str,
     catalog: Catalog | None = None,
@@ -208,27 +280,26 @@ def flagship_fused(
     with_cells: bool = True,
     carry_text: bool = False,
 ) -> ray.data.Dataset:
-    """Flagship as a single fused actor-pool stage over shard paths —
-    see FusedReadTransform. One ~90%-CPU pool, one path row per task."""
+    """Flagship as one fused stateless task per shard path — see
+    FusedReadTransform. Tasks run on warm, reused workers; each worker
+    process builds the catalog state once per catalog content and
+    parameter set and reuses it across tasks and jobs."""
     catalog = catalog or load_catalog(sf_dir)
-    catalog_ref = ray.put(catalog)
     files = sorted(paths or pages_paths(sf_dir))
     items = [{"path": p} for p in files]
     pds = ray.data.from_items(items, override_num_blocks=len(items))
     return pds.map_batches(
-        FusedReadTransform,
-        fn_constructor_kwargs={
-            "catalog_ref": catalog_ref, "from_datum": from_datum,
-            "to_datum": to_datum, "in_is_height": in_is_height,
-            "out_is_height": out_is_height,
-            "include_paths": include_paths, "inner": inner,
-            "z_col": z_col, "out_frame": out_frame, "emit_xy": emit_xy,
-            "synth_z": synth_z, "project_fwd": project_fwd,
-            "project_inv": project_inv, "project_code": project_code,
-            "with_cells": with_cells, "carry_text": carry_text,
-        },
-        batch_format="pyarrow", batch_size=1,
-        concurrency=_pool_size(), num_cpus=1,
+        _fused_shard,
+        fn_kwargs=_shard_kwargs(
+            catalog, from_datum=from_datum, to_datum=to_datum,
+            in_is_height=in_is_height, out_is_height=out_is_height,
+            include_paths=include_paths, inner=inner,
+            z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
+            synth_z=synth_z, project_fwd=project_fwd,
+            project_inv=project_inv, project_code=project_code,
+            with_cells=with_cells, carry_text=carry_text,
+        ),
+        batch_format="pyarrow", batch_size=1, num_cpus=1,
     )
 
 

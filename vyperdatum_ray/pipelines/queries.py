@@ -142,7 +142,7 @@ def q_region_counts(sf_dir: str) -> ray.data.Dataset:
 def q_datum_transform(sf_dir: str) -> ray.data.Dataset:
     import pyarrow.compute as pc
 
-    # fused single-actor shape: this query's output never carries text,
+    # fused per-shard task: this query's output never carries text,
     # so nothing needs to cross the object store between stages
     ds = flagship_fused(sf_dir)
     ds = ds.map_batches(
@@ -160,9 +160,9 @@ def q_datum_transform_itrf(sf_dir: str) -> ray.data.Dataset:
     ``new_z - (z - diffz)`` with diffz from the input->ITRF2014 hop.
     Input z is synthesized deterministically from the parsed lat/lon
     (both sides compute the identical expression,
-    ``flagship.synth_z_batch``). Runs on the fused single-actor shape
-    like the other text-free transform variants — the round-4 staged
-    chain was the last one paying the read->actor store hop."""
+    ``flagship.synth_z_batch``). Runs on the fused per-shard task like
+    the other text-free transform variants — the round-4 staged chain
+    was the last one paying the read->transform store hop."""
     import pyarrow.compute as pc
 
     ds = flagship_fused(sf_dir, z_col="z_in", out_frame="ITRF2014",
@@ -195,7 +195,7 @@ def _transform_roundtrip(sf_dir: str, fwd, inv, code: int) -> ray.data.Dataset:
     goldens do — inverse-projects with ``inv``, then runs the normal
     PIP + datum transform. Used by the UTM path and every registered
     state-plane roundtrip zone. Runs on the fused flagship stage (one
-    actor call per shard) with the projection as an in-call hook —
+    task per shard) with the projection as an in-call hook —
     fwd/inv are picklable module-level kernels; cell indexing is
     skipped (the roundtrip output never carries cells)."""
     import pyarrow.compute as pc
@@ -247,15 +247,15 @@ def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data
     """Shared shape for the pre-projected state-plane inputs: read
     (url, easting, northing) from ``in_dir``, inverse-project with the
     zone's kernel (LCC or TM, picked by registry membership), then PIP
-    + datum transform in one actor pool."""
+    + datum transform on the flagship's per-worker cached catalog state
+    (one task per block on warm workers, no per-call actor pool)."""
     import pyarrow.compute as pc
 
     from vyperdatum_ray.core.projection import (STATE_PLANE_LCC, lcc_inverse,
                                                 tm_inverse)
-    from vyperdatum_ray.pipelines.flagship import JoinTransform, _pool_size
+    from vyperdatum_ray.pipelines.flagship import _shard_kwargs, join_transform_batch
 
     inverse = lcc_inverse if epsg in STATE_PLANE_LCC else tm_inverse
-    catalog_ref = ray.put(load_catalog(sf_dir))
 
     def unproject(batch: pa.Table) -> pa.Table:
         e = batch.column("easting").to_numpy(zero_copy_only=False)
@@ -272,12 +272,12 @@ def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data
     ds = ray.data.read_parquet(in_dir)
     ds = ds.map_batches(unproject, batch_format="pyarrow")
     ds = ds.map_batches(
-        JoinTransform,
-        fn_constructor_kwargs=dict(
-            catalog_ref=catalog_ref, from_datum="ellipse", to_datum="mllw",
+        join_transform_batch,
+        fn_kwargs=_shard_kwargs(
+            load_catalog(sf_dir), from_datum="ellipse", to_datum="mllw",
             in_is_height=True, out_is_height=False,
         ),
-        batch_format="pyarrow", concurrency=_pool_size(), num_cpus=1,
+        batch_format="pyarrow", num_cpus=1,
     )
     ds = ds.map_batches(
         lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
@@ -507,7 +507,7 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
 
     Distributed shape: distinct-cell extraction is a groupby over
     (cx, cy) partials (bounded by area/d^2, not by row count); centers
-    run through the same PIP+transform actor pool; the tiny result is
+    run driver-side through the same PIP+transform kernels; the tiny result is
     broadcast (ray.put) and joined back to the stream with a vectorized
     searchsorted — no second shuffle. Cells are an absolute lattice
     (floor(coord/d)) rather than the reference's extent-relative bins —
@@ -515,7 +515,6 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     from vyperdatum_ray.pipelines.flagship import JoinTransform
 
     catalog = load_catalog(sf_dir)
-    catalog_ref = ray.put(catalog)
 
     def cell_key(lon: np.ndarray, lat: np.ndarray):
         cx = np.floor(lon / d).astype(np.int64)

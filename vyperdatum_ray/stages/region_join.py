@@ -1,8 +1,10 @@
 """RegionJoiner: the broadcast spatial join (SURVEY.md J1/J2, T1).
 
-A stateful actor-pool stage: the STR-packed tree of prepared region
-polygons is built ONCE per actor in ``__init__`` from the broadcast
-catalog (``ray.put`` on the driver, zero-copy ``ray.get`` here — the
+Per-worker cached state: the STR-packed tree of prepared region
+polygons is built ONCE per worker process and catalog content in
+``__init__`` from the broadcast catalog (``ray.put`` on the driver,
+zero-copy ``ray.get`` here; the flagship's tasks reuse the instance
+across shards and jobs, see ``pipelines/flagship._cached_state`` — the
 region catalog is tiny relative to the data, so the join needs no
 shuffle; cf. reference ``set_region_by_bounds``/per-region transform
 loop, core.py:86-158, 421-453, which re-opens polygon files per call).

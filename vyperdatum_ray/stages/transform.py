@@ -1,10 +1,11 @@
 """DatumTransformer: the per-region vertical-datum transform
 (SURVEY.md M1-M5, A3, T2/T3).
 
-A stateful actor-pool stage: separation grids, parsed per-region
-pipelines and composed per-region uncertainties are prepared ONCE per
-actor in ``__init__``; ``__call__`` is pure vectorized numpy per Arrow
-batch.
+Per-worker cached state: separation grids, parsed per-region pipelines
+and composed per-region uncertainties are prepared ONCE per worker
+process and catalog content in ``__init__`` (the flagship's tasks reuse
+the instance, see ``pipelines/flagship._cached_state``); ``__call__``
+is pure vectorized numpy per Arrow batch.
 
 Semantics re-expressed from ``reference/vyperdatum/core.py:357-462``:
 

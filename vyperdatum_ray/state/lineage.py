@@ -200,8 +200,10 @@ def run_flagship_checkpointed(
         )
 
     # fully-fused shard tasks: read -> geocode -> cells -> PIP ->
-    # transform in ONE actor call per shard, so neither page text NOR
-    # the slim geocoded stream ever crosses the object store (round-4
+    # transform in ONE task per shard on warm workers (catalog state
+    # cached per worker process, keyed by catalog content), so neither
+    # page text NOR the slim geocoded stream ever crosses the object
+    # store (round-4
     # measurement: 16.4M -> 26.8M rows/s at 32 CPUs vs the
     # geocode-in-read + separate transform-pool shape; BASELINE.md)
     ds = flagship_fused(sf_dir, catalog=catalog, paths=pending,
