@@ -7,6 +7,7 @@ import os
 import shutil
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -46,6 +47,40 @@ def test_first_run_commits_all_shards(first_run):
     assert rec["row_range"] == [0, rec["n_rows_in"]]
 
 
+def test_sink_partitions_match_fused_flagship(first_run):
+    """Each ``shard=<id>`` partition holds exactly the fused flagship's
+    rows for that input file, in the sink's 10 columns, order and
+    dtypes, and each record's cell_set/region_set are the partition's
+    distinct tile ids/regions. (Runs before the manifest test, which
+    rewrites the output with a perturbed catalog.)"""
+    import pyarrow.compute as pc
+
+    from vyperdatum_ray.pipelines.flagship import flagship_fused
+    from vyperdatum_ray.state.lineage import _shard_of, completed_shards
+
+    cols = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
+            "region_index", "z_out", "unc"]
+
+    out, metrics = first_run
+    fused = pa.concat_tables(list(flagship_fused(SF, include_paths=True)
+                                  .iter_batches(batch_format="pyarrow",
+                                                batch_size=None)))
+    recs = completed_shards(out, metrics["transform_version"])
+    assert len(recs) == metrics["n_shards_total"]
+    for shard, rec in recs.items():
+        part = pq.read_table(os.path.join(out, f"shard={shard}"))
+        expect = fused.filter(pc.equal(fused.column("path"), rec["input_file"]))
+        assert _shard_of(rec["input_file"]) == shard
+        assert part.schema.names == cols
+        assert part.schema == expect.select(cols).schema
+        pd.testing.assert_frame_equal(
+            part.sort_by("url").to_pandas(),
+            expect.select(cols).sort_by("url").to_pandas())
+        assert rec["n_rows_out"] == part.num_rows
+        assert rec["cell_set"] == sorted(pc.unique(part["tile_id"]).to_pylist())
+        assert rec["region_set"] == sorted(pc.unique(part["region"]).to_pylist())
+
+
 def test_noop_resume_skips_everything(first_run):
     from vyperdatum_ray.state.lineage import run_flagship_checkpointed
 
@@ -83,10 +118,10 @@ def test_resume_after_partial_write_is_exactly_once(first_run):
     partition is left PARTIALLY written — a duplicated output file
     (stale extra rows a naive append would keep), a truncated/corrupt
     parquet half-file, and a missing file — with no lineage record.
-    The resume's pre-clear + append path must produce exactly-once rows
-    byte-identical to the clean run (write_parquet(mode='overwrite')
-    would wipe FINISHED shards; append without pre-clear would
-    double-count — this pins the only correct combination)."""
+    The resume's pre-clear of pending partitions must produce
+    exactly-once rows byte-identical to the clean run (wiping the whole
+    output directory would lose FINISHED shards; writing without the
+    pre-clear would keep the stale extra rows and double-count)."""
     from vyperdatum_ray.state.lineage import run_flagship_checkpointed
 
     out, metrics = first_run
@@ -216,3 +251,100 @@ def test_manifest_written_and_grid_change_invalidates_exactly(first_run):
     cat3.regions[0] = dataclasses.replace(cat3.regions[0], name="RENAMED")
     cat3.version = "vNext2"
     assert completed_shards(out, cat3.version, catalog=cat3) == {}
+
+
+def _private_sf(tmp_path, monkeypatch, extra: dict | None = None) -> str:
+    """A throwaway sf dir holding copies of SF's pages (plus ``extra``
+    shards, name -> table) and sharing SF's catalog, so a test can break
+    or add input files without touching the shared fixtures."""
+    from vyperdatum_ray import fixtures
+
+    src = fixtures.ensure_fixtures(SF)
+    monkeypatch.setattr(fixtures, "DATA_ROOT", str(tmp_path))
+    sf = tmp_path / "sf"
+    (sf / "pages").mkdir(parents=True)
+    pages = [shutil.copy(p, sf / "pages") for p in src["pages"]]
+    for name, table in (extra or {}).items():
+        pages.append(str(sf / "pages" / f"{name}.parquet"))
+        pq.write_table(table, pages[-1])
+    with open(sf / "_MANIFEST.json", "w") as f:
+        json.dump({**src, "dir": str(sf), "pages": [str(p) for p in pages]}, f)
+    return str(sf)
+
+
+def test_crash_mid_run_keeps_finished_shards_and_resumes(
+        ray_session, tmp_path, monkeypatch):
+    """A shard task that raises fails the run; every record committed
+    before the failure describes a complete partition, the broken shard
+    has none, and the resume runs exactly the uncommitted shards into
+    output identical to a clean run. How many shards finish before the
+    failure depends on timing, so the test does not fix that number."""
+    from vyperdatum_ray.state.lineage import (completed_shards,
+                                              run_flagship_checkpointed)
+
+    sf = _private_sf(tmp_path, monkeypatch)
+    clean_out, out = str(tmp_path / "clean"), str(tmp_path / "out")
+    clean = run_flagship_checkpointed(sf, clean_out)
+    version = clean["transform_version"]
+
+    victim = os.path.join(sf, "pages", "part-0001.parquet")
+    data = open(victim, "rb").read()
+    with open(victim, "wb") as f:
+        f.write(data[: len(data) // 3])  # no footer: the read raises
+    with pytest.raises(Exception):
+        run_flagship_checkpointed(sf, out)
+
+    committed = completed_shards(out, version)
+    assert "part-0001" not in committed
+    before = {}
+    for shard, rec in committed.items():
+        part = os.path.join(out, f"shard={shard}", "part-0.parquet")
+        assert pq.ParquetFile(part).metadata.num_rows == rec["n_rows_out"]
+        before[shard] = os.stat(part).st_mtime_ns
+
+    with open(victim, "wb") as f:
+        f.write(data)
+    m = run_flagship_checkpointed(sf, out)
+    assert m["n_shards_skipped"] == len(committed)
+    assert m["n_shards_run"] == m["n_shards_total"] - len(committed)
+    for shard, mtime in before.items():  # finished shards were not rewritten
+        part = os.path.join(out, f"shard={shard}", "part-0.parquet")
+        assert os.stat(part).st_mtime_ns == mtime
+    pd.testing.assert_frame_equal(_read_output(out), _read_output(clean_out))
+
+
+def test_zero_output_shard_commits_empty_record(ray_session, tmp_path, monkeypatch):
+    """A shard whose pages geocode to nothing commits a record with no
+    output and writes no partition — alongside other shards and when it
+    is the only pending shard — and later calls skip it."""
+    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.state.lineage import (completed_shards, lineage_dir,
+                                              run_flagship_checkpointed)
+
+    n = 50
+    empty = pq.read_table(sorted(pages_paths(SF))[0]).slice(0, n)
+    empty = empty.set_column(0, "url", pa.array(
+        [f"https://host{i}.example/p/{i}" for i in range(n)], pa.string()))
+    empty = empty.set_column(empty.schema.get_field_index("text"), "text",
+                             pa.array([f"Document {i}." for i in range(n)], pa.string()))
+    sf = _private_sf(tmp_path, monkeypatch, {"part-0003": empty})
+    out = str(tmp_path / "out")
+
+    def check_empty_record(version):
+        rec = completed_shards(out, version)["part-0003"]
+        assert rec["n_rows_in"] == n
+        assert rec["n_rows_out"] == 0
+        assert rec["cell_set"] == [] and rec["region_set"] == []
+        assert not os.path.exists(os.path.join(out, "shard=part-0003"))
+
+    m = run_flagship_checkpointed(sf, out)
+    assert m["n_shards_run"] == m["n_shards_total"] == 4
+    check_empty_record(m["transform_version"])
+    assert run_flagship_checkpointed(sf, out)["n_shards_run"] == 0
+
+    # the empty shard alone pending: every pending shard has no output
+    os.remove(os.path.join(lineage_dir(out), "part-0003.json"))
+    m = run_flagship_checkpointed(sf, out)
+    assert (m["n_shards_run"], m["rows_in"], m["rows_out"]) == (1, n, 0)
+    check_empty_record(m["transform_version"])
+    assert run_flagship_checkpointed(sf, out)["n_shards_run"] == 0

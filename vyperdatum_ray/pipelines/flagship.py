@@ -15,6 +15,7 @@ that) unless a stage needs it.
 
 from __future__ import annotations
 
+import inspect
 from collections import OrderedDict
 
 import numpy as np
@@ -75,8 +76,9 @@ def _lru(cache: OrderedDict, key, build, cap: int):
 
 def _shard_kwargs(catalog: Catalog, **params) -> dict:
     """``fn_kwargs`` for a cached-state task function (``_fused_shard``,
-    ``join_transform_batch``): the broadcast catalog, its content key
-    and the state's constructor parameters. The catalog is put once per
+    ``join_transform_batch``, the sink's ``lineage._sink_shard``): the
+    broadcast catalog, its content key and the state's constructor
+    parameters. The catalog is put once per
     Ray session and content key. The key is the catalog's content,
     never its version alone: same-version catalogs with different grids
     exist (``register_external_region`` only suffixes the version, tests
@@ -260,6 +262,15 @@ def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
     return _cached_state(JoinTransform, catalog_ref, catalog_key, params)(batch)
 
 
+def _per_shard(fn, paths: list[str], fn_kwargs: dict) -> ray.data.Dataset:
+    """``fn`` as one one-CPU task per shard path: each task gets a
+    one-row ``path`` batch plus ``fn_kwargs``."""
+    items = [{"path": p} for p in paths]
+    pds = ray.data.from_items(items, override_num_blocks=len(items))
+    return pds.map_batches(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow",
+                           batch_size=1, num_cpus=1)
+
+
 def flagship_fused(
     sf_dir: str,
     catalog: Catalog | None = None,
@@ -285,12 +296,9 @@ def flagship_fused(
     process builds the catalog state once per catalog content and
     parameter set and reuses it across tasks and jobs."""
     catalog = catalog or load_catalog(sf_dir)
-    files = sorted(paths or pages_paths(sf_dir))
-    items = [{"path": p} for p in files]
-    pds = ray.data.from_items(items, override_num_blocks=len(items))
-    return pds.map_batches(
-        _fused_shard,
-        fn_kwargs=_shard_kwargs(
+    return _per_shard(
+        _fused_shard, sorted(paths or pages_paths(sf_dir)),
+        _shard_kwargs(
             catalog, from_datum=from_datum, to_datum=to_datum,
             in_is_height=in_is_height, out_is_height=out_is_height,
             include_paths=include_paths, inner=inner,
@@ -299,8 +307,18 @@ def flagship_fused(
             project_inv=project_inv, project_code=project_code,
             with_cells=with_cells, carry_text=carry_text,
         ),
-        batch_format="pyarrow", batch_size=1, num_cpus=1,
     )
+
+
+# ``flagship_fused``'s FusedReadTransform parameters at their defaults.
+# The production sink (state/lineage.py) builds its state with exactly
+# these, so it shares one per-worker ``_cached_state`` entry with a
+# default ``flagship_fused`` call instead of building a second one.
+FUSED_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(flagship_fused).parameters.items()
+    if name not in ("sf_dir", "catalog", "paths")
+}
 
 
 def flagship_pipeline(sf_dir: str, catalog: Catalog | None = None) -> ray.data.Dataset:

@@ -1539,10 +1539,11 @@ def q_tpch_q13(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         left = df.loc[df["side"] == 0, ["k"]]
         right = df.loc[df["side"] == 1, ["k", "aux"]].groupby(
-            "k", as_index=False).agg(aux=("aux", "sum"))
+            "k", as_index=False).agg(aux=("aux", "sum")).astype({"aux": "Int64"})
         m = left.merge(right, on="k", how="left")
-        # NaN = customer with no qualifying orders -> count 0
-        cc = np.nan_to_num(m["aux"].to_numpy(np.float64)).astype(np.int64)
+        # NA = customer with no qualifying orders -> count 0 (nullable
+        # Int64, so counts never round-trip through float64)
+        cc = m["aux"].fillna(0).to_numpy(np.int64)
         vals, dist = np.unique(cc, return_counts=True)
         return pd.DataFrame({"c_count": vals,
                              "p_dist": dist.astype(np.int64)})
@@ -2004,13 +2005,12 @@ def q_full_outer_join(sf_dir: str,
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         ev = df.loc[df["side"] == 1, ["k", "cnt"]].groupby(
-            "k", as_index=False).agg(cnt=("cnt", "sum"))
+            "k", as_index=False).agg(cnt=("cnt", "sum")).astype({"cnt": "Int64"})
         cu = df.loc[df["side"] == 0, ["k", "bal"]]
         m = ev.merge(cu, on="k", how="outer")
         return pd.DataFrame({
             "ukey": m["k"].to_numpy(np.int64),
-            "n_events": np.nan_to_num(
-                m["cnt"].to_numpy(np.float64)).astype(np.int64),
+            "n_events": m["cnt"].fillna(0).to_numpy(np.int64),
             "c_acctbal": m["bal"].to_numpy(np.float64),
         })
 
@@ -3641,13 +3641,12 @@ def q_gap_fill_resample(sf_dir: str) -> pd.DataFrame:
                       dtype=np.int64)
     types = np.sort(agg["event_type"].unique())
     grid = pd.MultiIndex.from_product(
-        [types, hours], names=["event_type", "hour"]).to_frame(index=False)
-    out = grid.merge(agg, on=["event_type", "hour"], how="left")
+        [types, hours], names=["event_type", "hour"])
+    n = agg.set_index(["event_type", "hour"])["n"].reindex(grid, fill_value=0)
     return pd.DataFrame({
-        "event_type": out["event_type"].to_numpy(object),
-        "hour": out["hour"].to_numpy(np.int64),
-        "n_events": np.nan_to_num(
-            out["n"].to_numpy(np.float64)).astype(np.int64),
+        "event_type": grid.get_level_values("event_type").to_numpy(object),
+        "hour": grid.get_level_values("hour").to_numpy(np.int64),
+        "n_events": n.to_numpy(np.int64),
     })
 
 

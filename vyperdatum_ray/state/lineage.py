@@ -2,22 +2,30 @@
 
 north_rule: "resumable from checkpoint with per-partition lineage +
 metrics". The unit of checkpointing is the INPUT SHARD (one pages
-parquet file): a shard is "done" iff its lineage record exists. A
-lineage record is committed atomically (tmp file + rename) only AFTER
-the shard's output partition is fully written, and records
+parquet file): a shard is "done" iff its lineage record exists, and
+records
 
-    {input_file, row_range, cell_set (distinct tile ids), n_rows_in,
-     n_rows_out, transform_version, engine_version}
+    {input_file, row_range, cell_set (distinct tile ids), region_set,
+     n_rows_in, n_rows_out, transform_version}
 
 (reference analogue: the transform-version fingerprint cache,
 core.py:766-792/1063-1147 — extended to per-partition provenance).
 
+The sink is the fused flagship task itself (``_sink_shard``): one task
+per pending shard reads, transforms and writes the shard's single
+output file ``shard=<id>/part-0.parquet`` (temp name + ``os.replace``),
+and returns the shard's lineage aggregates, computed from the very
+table it wrote. The driver commits each shard's record atomically (tmp
+file + rename) as that shard's summary arrives — always after the
+shard's file is in place — so a run that dies part-way keeps every
+shard that finished.
+
 Resume semantics (scalable at 10^12 docs): completed shards are pruned
 AT THE READ — the resumed Dataset simply never reads finished input
 files, so resume cost is proportional to the remaining work. Output is
-partitioned by shard id (one directory per shard), so a retried /
-resumed shard overwrites its own partition idempotently and never
-double-counts (Ray tasks are at-least-once).
+partitioned by shard id (one directory, one deterministic file per
+shard), so a retried / resumed shard overwrites its own partition
+idempotently and never double-counts (Ray tasks are at-least-once).
 
 A lineage record whose ``transform_version`` differs from the current
 catalog fingerprint is treated as stale and recomputed.
@@ -27,13 +35,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
+import uuid
 
-import numpy as np
 import pyarrow as pa
-
-import ray
-import ray.data
+import pyarrow.compute as pc
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "_catalog_manifest.json"  # _-prefix: not a shard record
@@ -142,6 +149,50 @@ def _commit_record(out_dir: str, rec: dict) -> None:
     os.replace(tmp, final)  # atomic commit
 
 
+# The sink's output schema; ``shard`` is the hive directory, not a column.
+OUTPUT_COLUMNS = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
+                  "region_index", "z_out", "unc"]
+
+
+def _sink_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict,
+                out_dir: str) -> pa.Table:
+    """One input shard end to end, in one task: the worker's cached
+    fused flagship, then ``shard=<id>/part-0.parquet``, then the shard's
+    one-row lineage summary. The file is written under a ``_``-prefixed
+    name unique to this attempt (readers skip ``_`` names) and renamed
+    into place, so a re-executed task (Ray tasks are at-least-once)
+    replaces its own file whole. A zero-row shard writes no file."""
+    import pyarrow.parquet as pq
+
+    from vyperdatum_ray.pipelines.flagship import (FusedReadTransform,
+                                                   _cached_state)
+
+    (path,) = batch.column("path").to_pylist()
+    shard = _shard_of(path)
+    out = _cached_state(FusedReadTransform, catalog_ref, catalog_key,
+                        params)(batch).select(OUTPUT_COLUMNS)
+    if out.num_rows:
+        part_dir = os.path.join(out_dir, f"shard={shard}")
+        os.makedirs(part_dir, exist_ok=True)
+        tmp = os.path.join(part_dir, f"_part-0.{uuid.uuid4().hex}.tmp")
+        pq.write_table(out, tmp)
+        os.replace(tmp, os.path.join(part_dir, "part-0.parquet"))
+
+    def distinct(name: str) -> pa.Array:
+        # typed list, so a zero-row shard's summary keeps the schema
+        col = out.column(name)
+        return pa.array([sorted(pc.unique(col).to_pylist())], pa.list_(col.type))
+
+    return pa.table({
+        "shard": [shard],
+        "input_file": [path],
+        "n_in": [pq.ParquetFile(path).metadata.num_rows],
+        "n_out": [out.num_rows],
+        "tiles": distinct("tile_id"),
+        "regions": distinct("region"),
+    })
+
+
 def run_flagship_checkpointed(
     sf_dir: str,
     out_dir: str,
@@ -152,7 +203,9 @@ def run_flagship_checkpointed(
     Call again after a failure (or after new input shards appear) and it
     processes only the pending shards.
     """
-    from vyperdatum_ray.pipelines.flagship import flagship_fused, load_catalog
+    from vyperdatum_ray.pipelines.flagship import (FUSED_DEFAULTS,
+                                                   _per_shard, _shard_kwargs,
+                                                   load_catalog)
     from vyperdatum_ray.fixtures import pages_paths
 
     t0 = time.perf_counter()
@@ -178,138 +231,40 @@ def run_flagship_checkpointed(
         "n_shards_run": len(pending),
         "transform_version": version,
     }
-    if not pending:
-        write_catalog_manifest(out_dir, catalog)
-        metrics["elapsed_s"] = round(time.perf_counter() - t0, 3)
-        _write_metrics(out_dir, metrics)
-        return metrics
 
     # Clear partitions of pending shards (idempotent re-run; a crashed
     # attempt may have left partial files without a lineage record).
-    import shutil
-
     for p in pending:
-        part_dir = os.path.join(out_dir, f"shard={_shard_of(p)}")
-        shutil.rmtree(part_dir, ignore_errors=True)
+        shutil.rmtree(os.path.join(out_dir, f"shard={_shard_of(p)}"),
+                      ignore_errors=True)
 
-    def tag_shard(batch: pa.Table) -> pa.Table:
-        paths = batch.column("path").to_pylist()
-        shards = [_shard_of(p) for p in paths]
-        return batch.drop_columns(["path"]).append_column(
-            "shard", pa.array(shards, pa.string())
-        )
-
-    # fully-fused shard tasks: read -> geocode -> cells -> PIP ->
-    # transform in ONE task per shard on warm workers (catalog state
-    # cached per worker process, keyed by catalog content), so neither
-    # page text NOR the slim geocoded stream ever crosses the object
-    # store (round-4
-    # measurement: 16.4M -> 26.8M rows/s at 32 CPUs vs the
-    # geocode-in-read + separate transform-pool shape; BASELINE.md)
-    ds = flagship_fused(sf_dir, catalog=catalog, paths=pending,
-                        include_paths=True)
-    ds = ds.map_batches(tag_shard, batch_format="pyarrow")
-    ds = ds.select_columns(
-        ["shard", "url", "lat", "lon", "h3_9", "s2_13", "tile_id",
-         "region", "region_index", "z_out", "unc"]
-    )
-    # append mode: completed shards' partitions are untouched; pending
-    # partitions were cleared above, so the write is shard-idempotent
-    ds.write_parquet(out_dir, partition_cols=["shard"])
-
-    # Per-shard lineage aggregates from the WRITTEN output — reading
-    # ONLY the pending partitions (resume cost stays proportional to
-    # the work actually done).
-    pending_files = []
-    for p in pending:
-        d = os.path.join(out_dir, f"shard={_shard_of(p)}")
-        if os.path.isdir(d):
-            pending_files += [
-                os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet")
-            ]
-    if not pending_files:
-        # every pending shard produced zero output rows (e.g. no
-        # geocodable pages) — still commit their (empty) lineage records
-        # so the resume converges instead of crashing forever
-        import pyarrow.parquet as pq
-
-        rows_in = 0
-        for p in pending:
-            n_in = pq.ParquetFile(p).metadata.num_rows
+    # One task per pending shard on warm workers (catalog state cached
+    # per worker process, keyed by catalog content) reads, transforms
+    # and writes its shard and returns the shard's lineage aggregates;
+    # nothing but that one summary row leaves the task. Each record is
+    # committed as its summary arrives — always after its partition is
+    # complete — so a run that dies part-way keeps every finished shard.
+    if pending:
+        rows_in = rows_out = 0
+        kwargs = {**_shard_kwargs(catalog, **FUSED_DEFAULTS), "out_dir": out_dir}
+        for s in _per_shard(_sink_shard, pending, kwargs).iter_rows():
             _commit_record(out_dir, {
-                "schema_version": SCHEMA_VERSION, "shard": _shard_of(p),
-                "input_file": p, "row_range": [0, n_in], "n_rows_in": n_in,
-                "n_rows_out": 0, "cell_set": [], "region_set": [],
+                "schema_version": SCHEMA_VERSION,
+                "shard": s["shard"],
+                "input_file": s["input_file"],
+                "row_range": [0, s["n_in"]],
+                "n_rows_in": s["n_in"],
+                "n_rows_out": s["n_out"],
+                "cell_set": s["tiles"],
+                "region_set": s["regions"],
                 "transform_version": version,
             })
-            rows_in += n_in
-        write_catalog_manifest(out_dir, catalog)
-        metrics.update(rows_in=rows_in, rows_out=0,
-                       elapsed_s=round(time.perf_counter() - t0, 3))
-        _write_metrics(out_dir, metrics)
-        return metrics
-    out = ray.data.read_parquet(pending_files, columns=["tile_id", "region"],
-                                include_paths=True)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        paths = batch.column("path").to_pylist()
-        sh = np.array(
-            [next(seg[6:] for seg in p.split(os.sep) if seg.startswith("shard="))
-             for p in paths],
-            dtype=object,
-        )
-        tid = batch.column("tile_id").to_numpy(zero_copy_only=False)
-        reg = batch.column("region").to_numpy(zero_copy_only=False)
-        rows = []
-        for s in np.unique(sh):
-            m = sh == s
-            rows.append({"shard": str(s), "n": int(m.sum()),
-                         "tiles": np.unique(tid[m]).tolist(),
-                         "regions": np.unique(reg[m]).tolist()})
-        return pa.Table.from_pylist(rows)
-
-    def merge(df):
-        tiles = sorted({t for lst in df["tiles"] for t in lst})
-        regions = sorted({r for lst in df["regions"] for r in lst})
-        return df.iloc[:1].assign(n=df["n"].sum())[["shard", "n"]].assign(
-            tiles=[tiles], regions=[regions]
-        )
-
-    agg = (
-        out.map_batches(partial, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
-    by_shard = {r["shard"]: r for _, r in agg.iterrows()}
-
-    import pyarrow.parquet as pq
-
-    rows_in = rows_out = 0
-    for p in pending:
-        shard = _shard_of(p)
-        n_in = pq.ParquetFile(p).metadata.num_rows
-        rec_row = by_shard.get(shard)
-        rec = {
-            "schema_version": SCHEMA_VERSION,
-            "shard": shard,
-            "input_file": p,
-            "row_range": [0, n_in],
-            "n_rows_in": n_in,
-            "n_rows_out": int(rec_row["n"]) if rec_row is not None else 0,
-            "cell_set": [int(t) for t in rec_row["tiles"]] if rec_row is not None else [],
-            "region_set": [str(r) for r in rec_row["regions"]] if rec_row is not None else [],
-            "transform_version": version,
-        }
-        _commit_record(out_dir, rec)
-        rows_in += n_in
-        rows_out += rec["n_rows_out"]
+            rows_in += s["n_in"]
+            rows_out += s["n_out"]
+        metrics.update(rows_in=rows_in, rows_out=rows_out)
 
     write_catalog_manifest(out_dir, catalog)
-    metrics.update(
-        rows_in=rows_in, rows_out=rows_out,
-        elapsed_s=round(time.perf_counter() - t0, 3),
-    )
+    metrics["elapsed_s"] = round(time.perf_counter() - t0, 3)
     _write_metrics(out_dir, metrics)
     return metrics
 
