@@ -7,6 +7,7 @@ Usage: python scripts/check_correctness.py [name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -14,7 +15,11 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-import os
+# The engine imports from this checkout, whatever the working directory:
+# the driver through sys.path, Ray's workers through PYTHONPATH.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO_ROOT)
+
 SF_DIR = os.environ.get("CHECK_SF_DIR", "/root/testdata/sf0.01")
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
@@ -79,12 +84,14 @@ def main(argv):
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        pythonpath = os.pathsep.join(
+            filter(None, [REPO_ROOT, os.environ.get("PYTHONPATH")]))
+        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": pythonpath}})
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as E
 
     E._SF001 = SF_DIR  # rebind the oracle fixture dir to the swept scale

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# The engine imports from this checkout, whatever the working directory:
+# the driver through sys.path, Ray's workers through PYTHONPATH.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, REPO_ROOT)
 
 
 def main() -> int:
@@ -26,12 +32,14 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
+        pythonpath = os.pathsep.join(
+            filter(None, [REPO_ROOT, os.environ.get("PYTHONPATH")]))
+        ray.init(address="local", include_dashboard=False, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": pythonpath}})
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     from vyperdatum_ray.state.corpus_lineage import run_corpus_checkpointed
 
     metrics = run_corpus_checkpointed(

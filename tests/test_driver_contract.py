@@ -3,12 +3,15 @@ every oracle key has a query, callables accept an sf_dir, entry() is
 wired, and no library module calls ray.init."""
 
 import inspect
+import os
 import subprocess
 import sys
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_oracle_keys_subset_of_queries():
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as E
 
     qs, os_ = E.queries(), E.oracle_sql()
@@ -18,7 +21,7 @@ def test_oracle_keys_subset_of_queries():
 
 
 def test_queries_take_sf_dir():
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     import __ray_entry__ as E
 
     for name, fn in E.queries().items():
@@ -29,7 +32,8 @@ def test_queries_take_sf_dir():
 def test_no_ray_init_in_library():
     """Only bench.py, scripts/ and the test fixture own a Ray session."""
     out = subprocess.run(
-        ["grep", "-rn", "ray.init(", "/root/repo/vyperdatum_ray", "/root/repo/__ray_entry__.py"],
+        ["grep", "-rn", "ray.init(", os.path.join(ROOT, "vyperdatum_ray"),
+         os.path.join(ROOT, "__ray_entry__.py")],
         capture_output=True, text=True,
     )
     assert out.stdout.strip() == "", out.stdout

@@ -119,3 +119,68 @@ def test_dhash_brightness_invariance_and_hamming_axioms(seed, shift):
     d = hamming64(a, b)
     assert d[0] == 0
     assert d[1] == d[2] <= 64
+
+
+# Geocoder inputs: pattern-shaped pieces whose numbers may be near
+# misses (integers, bare or signed fractions, empty), mixed with the
+# patterns' literal fragments, words and NULL.
+_num = st.one_of(
+    st.builds("{}.{}".format, st.integers(0, 999), st.integers(0, 99999)),
+    st.builds("-{}.{}".format, st.integers(0, 999), st.integers(0, 99999)),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["", ".5", "7.", "-"]),
+)
+_geo_piece = st.one_of(
+    st.sampled_from(["lat=", "&lon=", "?", "/@", ",", " N, ", " S, ", " E", " W",
+                     "0", "42", ".", "-", "harbor ", "site", " ", "\n"]),
+    _num,
+    st.builds("{}lat={}&lon={}".format, st.sampled_from(["?", "&", "/", ""]), _num, _num),
+    st.builds("/@{},{}".format, _num, _num),
+    st.builds("{} {}, {} {}".format, _num, st.sampled_from("NSE"), _num,
+              st.sampled_from("EWS")),
+)
+_geo_cell = st.one_of(st.none(), st.lists(_geo_piece, max_size=8).map("".join))
+
+
+def _geocode_without_prefilter(url, text):
+    """Reference geocoder: extract_regex over EVERY row of each source,
+    first match in the fixed precedence url_query > url_path > text."""
+    import pyarrow.compute as pc
+
+    from vyperdatum_ray.core.geocode import (_TEXT_NAMED, _URL_PATH_NAMED,
+                                             _URL_QUERY_NAMED)
+
+    n = len(url)
+    lat, lon, src = np.full(n, np.nan), np.full(n, np.nan), [None] * n
+    for col, pattern, name in ((url, _URL_QUERY_NAMED, "url_query"),
+                               (url, _URL_PATH_NAMED, "url_path"),
+                               (text, _TEXT_NAMED, "text")):
+        for i, m in enumerate(pc.extract_regex(col, pattern).to_pylist()):
+            if m is None or src[i] is not None:
+                continue
+            la, lo = float(m["lat"]), float(m["lon"])
+            if name == "text":
+                la = -la if m["ns"] == "S" else la
+                lo = -lo if m["ew"] == "W" else lo
+            lat[i], lon[i], src[i] = la, lo, name
+    return lat, lon, src
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_geo_cell, _geo_cell), min_size=1, max_size=24))
+def test_geocode_prefilter_is_lossless(rows):
+    """The prefilters (url substrings, one text regex) never drop a row
+    the full patterns would geocode, and a candidate the pattern rejects
+    falls through: geocode_arrays equals the prefilter-free reference
+    bit for bit."""
+    import pyarrow as pa
+
+    from vyperdatum_ray.core.geocode import geocode_arrays
+
+    url = pa.array([u for u, _ in rows], pa.string())
+    text = pa.array([t for _, t in rows], pa.string())
+    lat, lon, src = geocode_arrays(url, text)
+    rlat, rlon, rsrc = _geocode_without_prefilter(url, text)
+    assert lat.tobytes() == rlat.tobytes()
+    assert lon.tobytes() == rlon.tobytes()
+    assert src.to_pylist() == rsrc

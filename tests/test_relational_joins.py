@@ -1133,14 +1133,16 @@ def test_run_query_cli(tmp_path):
     kinds (Dataset stream and driver-sized frame) in a fresh
     process."""
     import json
+    import os
     import subprocess
     import sys
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = tmp_path / "cli_q1"
     r = subprocess.run(
         [sys.executable, "scripts/run_query.py", "--name", "tpch_q1",
          "--sf-dir", SF, "--out", str(out)],
-        capture_output=True, text=True, cwd="/root/repo", timeout=300)
+        capture_output=True, text=True, cwd=root, timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
     rec = json.loads(r.stdout.strip().splitlines()[-1])
     assert rec["rows"] == 6

@@ -21,7 +21,7 @@ def geocode_batch(batch: pa.Table) -> pa.Table:
     return (
         batch.append_column("lat", pa.array(lat, pa.float64()))
         .append_column("lon", pa.array(lon, pa.float64()))
-        .append_column("geocode_src", pa.array(src, pa.string()))
+        .append_column("geocode_src", src)
     )
 
 
