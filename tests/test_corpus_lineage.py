@@ -1,7 +1,8 @@
 """Two-phase corpus-curation resume (state/corpus_lineage.py): full-run
 equivalence with the adjudicated pipeline, shard-level phase-A resume
-after a crash that left partial candidate files, and bucket-level
-phase-B resume with phase A fully skipped."""
+after a crash that left partial candidate files, bucket-level
+phase-B resume with phase A fully skipped, the one-file-per-partition
+sink layout with its record counts, and an empty input corpus."""
 
 import glob
 import json
@@ -144,3 +145,86 @@ def test_stale_version_recomputes(ray_session, tmp_path, monkeypatch):
     monkeypatch.setattr(cl, "corpus_version", lambda *a: "corpus-v999-changed")
     m = cl.run_corpus_checkpointed(SF, out, n_shards=2, n_buckets=4)
     assert m["phaseA_run"] == 2 and m["phaseB_run"] == 4
+
+
+def _rows(paths):
+    import pyarrow.parquet as pq
+
+    return sum(pq.ParquetFile(p).metadata.num_rows for p in paths)
+
+
+def _recs(out, phase):
+    d = os.path.join(out, "_lineage", phase)
+    return {r["part"]: r for r in
+            (json.load(open(os.path.join(d, n))) for n in os.listdir(d))}
+
+
+def test_sink_layout_and_record_counts(ray_session, tmp_path):
+    """Each task writes one part-0.parquet per non-empty partition and
+    no temp file survives; every record's n_rows_out is its
+    partition's row count; phase B reads exactly the rows phase A
+    wrote, and never a stray temp file left in a candidate bucket."""
+    from vyperdatum_ray.state.corpus_lineage import run_corpus_checkpointed
+
+    out = str(tmp_path / "run")
+    run_corpus_checkpointed(SF, out, n_shards=4, n_buckets=16)
+    cand = glob.glob(os.path.join(out, "candidates", "shard=*", "bucket=*"))
+    final = glob.glob(os.path.join(out, "final", "bucket=*"))
+    assert cand and final
+    for d in cand + final:
+        assert os.listdir(d) == ["part-0.parquet"]
+    assert not glob.glob(os.path.join(out, "**", "_part-*"), recursive=True)
+
+    recs_a, recs_b = _recs(out, "phaseA"), _recs(out, "phaseB")
+    assert len(recs_a) == 4 and len(recs_b) == 16
+    for k in range(4):
+        files = glob.glob(os.path.join(out, "candidates", f"shard={k}", "*", "*"))
+        assert recs_a[f"shard{k}"]["n_rows_out"] == _rows(files)
+    for b in range(16):
+        cands = glob.glob(os.path.join(out, "candidates", "*", f"bucket={b}", "*"))
+        rec = recs_b[f"bucket{b}"]
+        assert rec["n_rows_in"] == _rows(cands)
+        assert rec["n_rows_out"] == _rows(
+            glob.glob(os.path.join(out, "final", f"bucket={b}", "*")))
+    total_a = sum(r["n_rows_out"] for r in recs_a.values())
+    assert total_a == sum(r["n_rows_in"] for r in recs_b.values()) > 0
+    base = _final(out)
+
+    # a stray temp file (a valid parquet copy) in a candidate bucket:
+    # phase B must not read it
+    src = glob.glob(os.path.join(out, "candidates", "shard=0", "bucket=*",
+                                 "part-0.parquet"))[0]
+    shutil.copy(src, os.path.join(os.path.dirname(src), "_part-0.stray.tmp"))
+    shutil.rmtree(os.path.join(out, "_lineage", "phaseB"))
+    m = run_corpus_checkpointed(SF, out, n_shards=4, n_buckets=16)
+    assert m["phaseA_run"] == 0 and m["phaseB_run"] == 16
+    assert total_a == sum(r["n_rows_in"] for r in _recs(out, "phaseB").values())
+    pd.testing.assert_frame_equal(_final(out), base)
+
+
+def test_empty_corpus_commits_empty_records(ray_session, tmp_path):
+    """A zero-row documents table runs no work: every shard and bucket
+    commits a record with no output, no data file is written, and a
+    second call is a no-op."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from vyperdatum_ray.state.corpus_lineage import run_corpus_checkpointed
+
+    sf = str(tmp_path / "in")
+    os.makedirs(sf)
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.int64()),
+                             "text": pa.array([], pa.string())}),
+                   os.path.join(sf, "documents.parquet"))
+    out = str(tmp_path / "run")
+    m = run_corpus_checkpointed(sf, out, n_shards=4, n_buckets=16)
+    assert (m["phaseA_run"], m["phaseB_run"]) == (4, 16)
+    assert (m["rows_in"], m["rows_out"]) == (0, 0)
+    recs = {**_recs(out, "phaseA"), **_recs(out, "phaseB")}
+    assert len(recs) == 20
+    assert all(r["n_rows_out"] == 0 for r in recs.values())
+    assert not glob.glob(os.path.join(out, "candidates", "**", "*"), recursive=True)
+    assert not glob.glob(os.path.join(out, "final", "**", "*"), recursive=True)
+
+    m2 = run_corpus_checkpointed(sf, out, n_shards=4, n_buckets=16)
+    assert (m2["phaseA_run"], m2["phaseB_run"], m2["rows_out"]) == (0, 0, 0)

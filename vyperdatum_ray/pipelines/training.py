@@ -337,21 +337,22 @@ CP_MIN_TOK, CP_MAX_TOK, CP_MIN_W = 10, 5000, 500
 
 
 class CurateStage:
-    """One fused actor-pool pass over the raw pages: language ID +
-    quality signals + decontamination membership, emitting only the
-    surviving (doc_id, text, n_tok) stream. Stateful pieces — the
-    LangId stopword sets and the broadcast probe n-gram vocabulary —
-    are built once per actor; everything per batch is Arrow/numpy
-    kernels (the same ones the adjudicated langid / quality_score /
-    contamination_check queries use)."""
+    """One fused pass over the raw pages: language ID + quality
+    signals + decontamination membership, emitting only the surviving
+    (doc_id, text, n_tok) stream. It is built inside each stateless
+    task (``q_corpus_pipeline``, and phase A of
+    state/corpus_lineage.py): its state is the broadcast probe n-gram
+    vocabulary (plasma-cached per worker) plus µs-built LangId stopword
+    sets; everything per batch is Arrow/numpy kernels (the same ones
+    the adjudicated langid / quality_score / contamination_check
+    queries use)."""
 
     def __init__(self, probe_ref):
         from vyperdatum_ray.pipelines.textops import LangId
 
-        # NOTE: no pa.set_cpu_count here — this class also runs inside
-        # stateless tasks on shared long-lived workers, where that
-        # process-global setting would leak to every later query; the
-        # actor-scoped subclass in state/corpus_lineage.py sets it.
+        # NOTE: no pa.set_cpu_count here — the tasks run on shared
+        # long-lived workers, where that process-global setting would
+        # leak to every later query.
         self.langid = LangId()
         self.probe = ray.get(probe_ref)
 
@@ -387,7 +388,7 @@ def q_corpus_pipeline(sf_dir: str,
     against the probe set (no shared 8-gram, probe docs excluded),
     exact-deduplicated (min doc_id per identical text), and assigned a
     deterministic train/val/test split. Shapes: one broadcast (probe
-    vocabulary), one actor-pool scan fused into the read, and one
+    vocabulary), one stateless-task scan fused into the read, and one
     bounded-salt shuffle for the dedup (the only all-to-all; it carries
     surviving text once — at larger scale swap the key to a 128-bit
     content hash exactly as dedup_exact's docstring describes)."""

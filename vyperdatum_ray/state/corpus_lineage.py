@@ -8,26 +8,29 @@ one cross-shard boundary:
 
 - **Phase A — curate, resumable per INPUT SHARD** (a doc_id range of
   the documents table; with multi-file input a shard would be one
-  file). Each shard independently runs the langid/quality/
-  decontamination scan and writes its survivors as *candidate*
-  partitions ``candidates/shard=K/bucket=B/`` carrying only
-  ``(doc_id, n_tok, h_lo, h_hi)`` — a 128-bit content hash, never the
-  text — plus an atomic lineage record. The probe n-gram vocabulary is
-  computed once and PERSISTED (``_probe.parquet``), so a resumed run
-  reuses it instead of rescanning the corpus.
+  file). One task per pending shard reads its range, runs the langid/
+  quality/decontamination scan and writes its survivors as *candidate*
+  partitions ``candidates/shard=K/bucket=B/part-0.parquet`` carrying
+  only ``(doc_id, n_tok, h_lo, h_hi)`` — a 128-bit content hash, never
+  the text. The probe n-gram vocabulary is computed once and PERSISTED
+  (``_probe.parquet``), so a resumed run reuses it instead of
+  rescanning the corpus.
 - **Phase B — dedup + split, resumable per HASH BUCKET.** Exact dedup
   is partitionable by content hash: bucket ``h_lo % n_buckets``'s
   result depends only on bucket-B candidate rows across all shards,
-  never on other buckets. Each pending bucket reads its candidate
-  files, keeps the min doc_id per 128-bit hash, assigns the
-  deterministic train/val/test split, writes ``final/bucket=B/`` and
-  commits its lineage record.
+  never on other buckets, and phase A already laid those rows out one
+  directory per (shard, bucket). One task per pending bucket reads its
+  candidate files, keeps the min doc_id per 128-bit hash, assigns the
+  deterministic train/val/test split and writes
+  ``final/bucket=B/part-0.parquet``.
 
-Both phases follow the lineage.py protocol: pre-clear pending
-partitions (a crashed attempt may have left partial files without a
-record), append-write, then atomically commit the record — so re-runs
-are exactly-once per partition and resume cost is proportional to the
-remaining work. Any phase-A recompute drops ALL phase-B records (a
+Both phases follow the lineage.py sink protocol and share its helpers:
+pre-clear pending partitions (a crashed attempt may have left partial
+files without a record), each task writes its own files
+(``write_partition``: temp name, then ``os.replace``) and returns its
+row count, and the driver commits the record atomically as that count
+arrives — so re-runs are exactly-once per partition and resume cost is
+proportional to the remaining work. Any phase-A recompute drops ALL phase-B records (a
 bucket's input spans every shard), while a crash inside phase B
 resumes bucket-granular with phase A fully skipped. Dedup keys on the 128-bit hash rather than exact text
 (collision odds ~2^-64 per pair; the adjudicated q_corpus_pipeline
@@ -37,6 +40,7 @@ keeps the exact-compare semantics for the oracle gate).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -48,9 +52,9 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
-from vyperdatum_ray.state.lineage import lineage_dir
+from vyperdatum_ray.state.lineage import (lineage_dir, read_json, read_records,
+                                          write_json_atomic, write_partition)
 
 CORPUS_SCHEMA_VERSION = 1
 
@@ -104,39 +108,9 @@ def _manifest_path(out_dir: str) -> str:
     return os.path.join(lineage_dir(out_dir), CORPUS_MANIFEST_NAME)
 
 
-def _load_manifest(out_dir: str) -> dict | None:
-    try:
-        with open(_manifest_path(out_dir)) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _write_manifest(out_dir: str, inputs: dict[str, str]) -> None:
-    os.makedirs(lineage_dir(out_dir), exist_ok=True)
-    final = _manifest_path(out_dir)
-    tmp = final + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"schema_version": CORPUS_SCHEMA_VERSION,
-                   "inputs": inputs}, f, indent=1, sort_keys=True)
-    os.replace(tmp, final)
-
-
 def _records(ldir: str, version: str) -> dict[str, dict]:
-    done: dict[str, dict] = {}
-    if not os.path.isdir(ldir):
-        return done
-    for name in os.listdir(ldir):
-        if not name.endswith(".json") or name.startswith("_"):
-            continue
-        try:
-            with open(os.path.join(ldir, name)) as f:
-                rec = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if rec.get("transform_version") == version:
-            done[rec["part"]] = rec
-    return done
+    return {r["part"]: r for r in read_records(ldir)
+            if r.get("transform_version") == version}
 
 
 def _persisted_probe(sf_dir: str, out_dir: str, version: str) -> "ray.ObjectRef":
@@ -157,6 +131,63 @@ def _persisted_probe(sf_dir: str, out_dir: str, version: str) -> "ray.ObjectRef"
     return ref
 
 
+@ray.remote(num_cpus=1)
+def _curate_shard(doc_path: str, k: int, lo: int, hi: int, probe: list,
+                  n_buckets: int, shard_dir: str) -> tuple[int, int]:
+    """Phase A for shard ``k`` (doc_ids ``[lo, hi)``): curate, hash, and
+    write one candidate file per non-empty bucket. ``probe`` wraps the
+    probe vocabulary's ref so Ray hands the ref, not its value, to
+    ``CurateStage`` (which reads it from the worker's object store)."""
+    import polars as pl
+
+    from vyperdatum_ray.pipelines.textops import _hash_utf8_fast
+    from vyperdatum_ray.pipelines.training import CurateStage
+
+    t = pq.read_table(doc_path, columns=["doc_id", "text"],
+                      filters=[("doc_id", ">=", lo), ("doc_id", "<", hi)])
+    kept = CurateStage(probe[0])(t)
+    text = kept.column("text").combine_chunks()
+    h_lo = _hash_utf8_fast(text)
+    h_hi = pl.from_arrow(text).hash(seed=43).to_numpy().astype(np.uint64)
+    cand = pa.table({
+        "doc_id": kept.column("doc_id"),
+        "n_tok": kept.column("n_tok"),
+        "h_lo": pa.array(h_lo.astype(np.int64)),
+        "h_hi": pa.array(h_hi.astype(np.int64)),
+    })
+    bucket = (h_lo % np.uint64(n_buckets)).astype(np.int64)
+    for b in np.unique(bucket):
+        write_partition(os.path.join(shard_dir, f"bucket={b}"),
+                        cand.filter(pa.array(bucket == b)))
+    return k, cand.num_rows
+
+
+@ray.remote(num_cpus=1)
+def _dedup_bucket(b: int, files: list[str], bucket_dir: str) -> tuple[int, int, int]:
+    """Phase B for bucket ``b``: the min doc_id per 128-bit hash over
+    the bucket's candidate files, then its deterministic split; returns
+    ``(b, candidate rows read, rows written)``. Files
+    are read one at a time: ``pq.read_table`` over a LIST of paths
+    hive-infers ``shard``/``bucket`` columns from the directories."""
+    from vyperdatum_ray.pipelines.training import SPLIT_MULT, _hash32
+
+    df = pa.concat_tables(pq.read_table(f) for f in files).to_pandas()
+    g = df.sort_values("doc_id").drop_duplicates(["h_lo", "h_hi"])
+    ids = g["doc_id"].to_numpy().astype(np.int64)
+    draw = (_hash32(ids, SPLIT_MULT) % np.uint64(1000)).astype(np.int64)
+    g["split"] = np.where(draw < 980, "train", np.where(draw < 990, "val", "test"))
+    write_partition(bucket_dir, pa.Table.from_pandas(
+        g[["doc_id", "n_tok", "split"]], preserve_index=False))
+    return b, len(df), len(g)
+
+
+def _as_completed(refs: list):
+    """Each task's result as soon as it finishes, in finishing order."""
+    while refs:
+        done, refs = ray.wait(refs, num_returns=1)
+        yield ray.get(done[0])
+
+
 def run_corpus_checkpointed(
     sf_dir: str,
     out_dir: str,
@@ -165,10 +196,6 @@ def run_corpus_checkpointed(
 ) -> dict:
     """Run the curation pipeline resumably; call again after a crash
     and only pending shards (phase A) / buckets (phase B) recompute."""
-    from vyperdatum_ray.pipelines.textops import _hash_utf8_fast
-    from vyperdatum_ray.pipelines.training import (SPLIT_MULT, CurateStage,
-                                                   _hash32)
-
     t0 = time.perf_counter()
     version = corpus_version(n_shards, n_buckets)
     os.makedirs(out_dir, exist_ok=True)
@@ -183,23 +210,24 @@ def run_corpus_checkpointed(
     id_col = meta.schema.names.index("doc_id")
     stats = [meta.row_group(i).column(id_col).statistics
              for i in range(meta.num_row_groups)]
-    if all(s is not None and s.min is not None and s.max is not None
-           for s in stats):
+    if not n_docs:
+        # an empty corpus has no id range (its one row group carries no
+        # statistics): every shard owns the empty range, and no task runs
+        id_lo = id_hi = 0
+    elif all(s is not None and s.min is not None and s.max is not None
+             for s in stats):
         id_lo = min(s.min for s in stats)
         id_hi = max(s.max for s in stats) + 1
     else:
         # statistics disabled by the writer: one cheap id-column scan
         ids = pq.read_table(doc_path, columns=["doc_id"]).column("doc_id")
-        import pyarrow.compute as _pc
-
-        id_lo = _pc.min(ids).as_py()
-        id_hi = _pc.max(ids).as_py() + 1
+        id_lo = pc.min(ids).as_py()
+        id_hi = pc.max(ids).as_py() + 1
     # Integer bound arithmetic (Python ints): np.linspace goes through
     # float64 and mis-rounds ids above 2^53, which would drop the
     # lowest documents from every shard.
     span = id_hi - id_lo
-    bounds = np.array([id_lo + span * i // n_shards
-                       for i in range(n_shards + 1)], dtype=np.int64)
+    bounds = [id_lo + span * i // n_shards for i in range(n_shards + 1)]
 
     cand_dir = os.path.join(out_dir, "candidates")
     final_dir = os.path.join(out_dir, "final")
@@ -213,7 +241,7 @@ def run_corpus_checkpointed(
     # consistently; a dir from a pre-manifest run is honored as-is and
     # gains the manifest now.
     fps = input_fingerprints(doc_path)
-    man = _load_manifest(out_dir)
+    man = read_json(_manifest_path(out_dir))
     if man is not None and man.get("inputs") != fps:
         shutil.rmtree(ldir_a, ignore_errors=True)
         shutil.rmtree(ldir_b, ignore_errors=True)
@@ -221,7 +249,8 @@ def run_corpus_checkpointed(
         for p in os.listdir(out_dir):
             if p.startswith("_probe.") and p.endswith(".parquet"):
                 os.unlink(os.path.join(out_dir, p))
-    _write_manifest(out_dir, fps)
+    write_json_atomic(_manifest_path(out_dir), {
+        "schema_version": CORPUS_SCHEMA_VERSION, "inputs": fps})
 
     # ---------------------------------------------------- phase A ---
     done_a = _records(ldir_a, version)
@@ -238,77 +267,22 @@ def run_corpus_checkpointed(
         # commits but before this point could otherwise leave valid-
         # looking phase-B records over stale candidates.
         shutil.rmtree(ldir_b, ignore_errors=True)
-        probe_ref = _persisted_probe(sf_dir, out_dir, version)
         for k in pending_a:
             shutil.rmtree(os.path.join(cand_dir, f"shard={k}"), ignore_errors=True)
-
-        def read_shard(batch: pa.Table) -> pa.Table:
-            outs = []
-            for k in batch.column("k").to_pylist():
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                t = pq.read_table(
-                    doc_path, columns=["doc_id", "text"],
-                    filters=[("doc_id", ">=", lo), ("doc_id", "<", hi)])
-                outs.append(t.append_column(
-                    "shard", pa.array(np.full(t.num_rows, k), pa.int64())))
-            return pa.concat_tables(outs)
-
-        def to_candidates(t: pa.Table) -> pa.Table:
-            col = t.column("text")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            import polars as pl
-
-            h_lo = _hash_utf8_fast(col)
-            h_hi = pl.from_arrow(col).hash(seed=43).to_numpy().astype(np.uint64)
-            return pa.table({
-                "doc_id": t.column("doc_id"),
-                "n_tok": t.column("n_tok"),
-                "shard": t.column("shard"),
-                "h_lo": pa.array(h_lo.astype(np.int64)),
-                "h_hi": pa.array(h_hi.astype(np.int64)),
-                "bucket": pa.array((h_lo % np.uint64(n_buckets)).astype(np.int64)),
-            })
-
-        class CurateKeepShard(CurateStage):
-            def __init__(self, probe_ref):
-                super().__init__(probe_ref)
-                # actor-scoped (this pool's workers die with the pool):
-                # one Arrow thread per 1-CPU actor
-                pa.set_cpu_count(1)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                shard = t.column("shard")
-                kept = super().__call__(t.drop_columns(["shard"]))
-                idx = pc.index_in(kept.column("doc_id"), t.column("doc_id"))
-                return kept.append_column("shard", shard.take(idx))
-
-        (ray.data.from_items([{"k": k} for k in pending_a],
-                             override_num_blocks=len(pending_a))
-         .map_batches(read_shard, batch_format="pyarrow", batch_size=1)
-         .map_batches(CurateKeepShard,
-                      fn_constructor_kwargs=dict(probe_ref=probe_ref),
-                      batch_format="pyarrow",
-                      concurrency=min(8, len(pending_a)), num_cpus=1)
-         .map_batches(to_candidates, batch_format="pyarrow")
-         .write_parquet(cand_dir, partition_cols=["shard", "bucket"]))
-
-        for k in pending_a:
-            sdir = os.path.join(cand_dir, f"shard={k}")
-            n_out = 0
-            if os.path.isdir(sdir):
-                for root, _dirs, files in os.walk(sdir):
-                    for f in files:
-                        if f.endswith(".parquet"):
-                            n_out += pq.ParquetFile(os.path.join(root, f)) \
-                                .metadata.num_rows
-            _commit_record_in(ldir_a, {
+        results = [(k, 0) for k in pending_a]
+        if n_docs:
+            probe = [_persisted_probe(sf_dir, out_dir, version)]
+            results = _as_completed([_curate_shard.remote(
+                doc_path, k, bounds[k], bounds[k + 1], probe, n_buckets,
+                os.path.join(cand_dir, f"shard={k}")) for k in pending_a])
+        for k, n_out in results:
+            write_json_atomic(os.path.join(ldir_a, f"shard{k}.json"), {
                 "schema_version": CORPUS_SCHEMA_VERSION, "part": f"shard{k}",
                 # id_range is the doc_id VALUE range this shard owns —
                 # with sparse ids its width is not a row count, so no
                 # n_rows_in is claimed (n_rows_out is measured output)
                 "shard": f"shard{k}",
-                "id_range": [int(bounds[k]), int(bounds[k + 1])],
+                "id_range": [bounds[k], bounds[k + 1]],
                 "n_rows_out": n_out,
                 "transform_version": version,
             })
@@ -316,60 +290,27 @@ def run_corpus_checkpointed(
     done_b = _records(ldir_b, version)
     pending_b = [b for b in range(n_buckets) if f"bucket{b}" not in done_b]
     metrics["phaseB_skipped"] = n_buckets - len(pending_b)
-    if pending_b:
-        for b in pending_b:
-            shutil.rmtree(os.path.join(final_dir, f"bucket={b}"), ignore_errors=True)
-        files_by_bucket: dict[int, list[str]] = {b: [] for b in pending_b}
+    files_by_bucket: dict[int, list[str]] = {b: [] for b in pending_b}
+    for b in pending_b:
+        shutil.rmtree(os.path.join(final_dir, f"bucket={b}"), ignore_errors=True)
         for k in range(n_shards):
-            for b in pending_b:
-                d = os.path.join(cand_dir, f"shard={k}", f"bucket={b}")
-                if os.path.isdir(d):
-                    files_by_bucket[b] += [
-                        os.path.join(d, f) for f in os.listdir(d)
-                        if f.endswith(".parquet")]
-        all_files = [f for fs in files_by_bucket.values() for f in fs]
-        if all_files:
-            def dedup_split(df):
-                df = df.sort_values("doc_id")
-                g = df.groupby(["h_lo", "h_hi"], as_index=False).agg(
-                    doc_id=("doc_id", "first"), n_tok=("n_tok", "first"),
-                    bucket=("bucket", "first"))
-                ids = g["doc_id"].to_numpy().astype(np.int64)
-                b = (_hash32(ids, SPLIT_MULT) % np.uint64(1000)).astype(np.int64)
-                g["split"] = np.where(b < 980, "train",
-                                      np.where(b < 990, "val", "test"))
-                return g[["doc_id", "n_tok", "bucket", "split"]]
-
-            def rebucket(t: pa.Table) -> pa.Table:
-                # ray.data.read_parquet hive-infers shard=/bucket= path
-                # columns (as strings, and not uniformly across blocks)
-                # — drop them and recover the bucket from h_lo instead
-                t = t.drop_columns([c for c in ("shard", "bucket")
-                                    if c in t.column_names])
-                h = t.column("h_lo").to_numpy(zero_copy_only=False) \
-                    .astype(np.uint64)
-                return t.append_column(
-                    "bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64)))
-
-            (ray.data.read_parquet(all_files)
-             .map_batches(rebucket, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(dedup_split, batch_format="pandas")
-             .write_parquet(final_dir, partition_cols=["bucket"]))
-        for b in pending_b:
-            bdir = os.path.join(final_dir, f"bucket={b}")
-            n_out = 0
-            if os.path.isdir(bdir):
-                for f in os.listdir(bdir):
-                    if f.endswith(".parquet"):
-                        n_out += pq.ParquetFile(os.path.join(bdir, f)) \
-                            .metadata.num_rows
-            _commit_record_in(ldir_b, {
-                "schema_version": CORPUS_SCHEMA_VERSION, "part": f"bucket{b}",
-                "n_candidate_files": len(files_by_bucket[b]),
-                "n_rows_out": n_out,
-                "transform_version": version,
-            })
+            d = os.path.join(cand_dir, f"shard={k}", f"bucket={b}")
+            if os.path.isdir(d):
+                files_by_bucket[b] += [
+                    os.path.join(d, f) for f in sorted(os.listdir(d))
+                    if f.endswith(".parquet") and not f.startswith("_")]
+    # a bucket without candidates has nothing to dedup: no task, no file
+    empty = [(b, 0, 0) for b, fs in files_by_bucket.items() if not fs]
+    tasks = [_dedup_bucket.remote(b, fs, os.path.join(final_dir, f"bucket={b}"))
+             for b, fs in files_by_bucket.items() if fs]
+    for b, n_in, n_out in itertools.chain(empty, _as_completed(tasks)):
+        write_json_atomic(os.path.join(ldir_b, f"bucket{b}.json"), {
+            "schema_version": CORPUS_SCHEMA_VERSION, "part": f"bucket{b}",
+            "n_candidate_files": len(files_by_bucket[b]),
+            "n_rows_in": n_in,
+            "n_rows_out": n_out,
+            "transform_version": version,
+        })
 
     rows_out = sum(r["n_rows_out"] for r in _records(ldir_b, version).values())
     metrics.update(
@@ -380,12 +321,3 @@ def run_corpus_checkpointed(
     with open(os.path.join(lineage_dir(out_dir), "_corpus_metrics.jsonl"), "a") as f:
         f.write(json.dumps({"ts": time.time(), **metrics}) + "\n")
     return metrics
-
-
-def _commit_record_in(ldir: str, rec: dict) -> None:
-    os.makedirs(ldir, exist_ok=True)
-    final = os.path.join(ldir, f"{rec['part']}.json")
-    tmp = final + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(rec, f, indent=1, sort_keys=True)
-    os.replace(tmp, final)

@@ -13,12 +13,13 @@ core.py:766-792/1063-1147 — extended to per-partition provenance).
 
 The sink is the fused flagship task itself (``_sink_shard``): one task
 per pending shard reads, transforms and writes the shard's single
-output file ``shard=<id>/part-0.parquet`` (temp name + ``os.replace``),
-and returns the shard's lineage aggregates, computed from the very
-table it wrote. The driver commits each shard's record atomically (tmp
-file + rename) as that shard's summary arrives — always after the
-shard's file is in place — so a run that dies part-way keeps every
-shard that finished.
+output file ``shard=<id>/part-0.parquet`` (``write_partition``), and
+returns the shard's lineage aggregates, computed from the very table it
+wrote. The driver commits each shard's record atomically
+(``write_json_atomic``) as that shard's summary arrives — always after
+the shard's file is in place — so a run that dies part-way keeps every
+shard that finished. The corpus run (state/corpus_lineage.py) follows
+the same protocol through the same helpers.
 
 Resume semantics (scalable at 10^12 docs): completed shards are pruned
 AT THE READ — the resumed Dataset simply never reads finished input
@@ -60,23 +61,57 @@ def write_catalog_manifest(out_dir: str, catalog) -> dict:
         "structure": catalog.structure_fingerprint(),
         "grids": catalog.grid_fingerprints(),
     }
-    ldir = lineage_dir(out_dir)
-    os.makedirs(ldir, exist_ok=True)
-    final = os.path.join(ldir, MANIFEST_NAME)
-    tmp = final + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(man, f, indent=1, sort_keys=True)
-    os.replace(tmp, final)
+    write_json_atomic(os.path.join(lineage_dir(out_dir), MANIFEST_NAME), man)
     return man
 
 
 def load_catalog_manifest(out_dir: str) -> dict | None:
-    path = os.path.join(lineage_dir(out_dir), MANIFEST_NAME)
+    return read_json(os.path.join(lineage_dir(out_dir), MANIFEST_NAME))
+
+
+def write_json_atomic(path: str, obj: dict) -> None:
+    """Commit ``obj`` to ``path`` atomically: a temp file, then
+    ``os.replace``, so a reader sees the old file or the new one whole."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + f".tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def read_json(path: str) -> dict | None:
+    """``path``'s JSON, or None when it is missing or corrupt."""
     try:
         with open(path) as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
+
+
+def read_records(ldir: str) -> list[dict]:
+    """Every committed record in ``ldir``. ``_``-prefixed files
+    (manifests) are not records; a partial or corrupt record is skipped,
+    so its partition recomputes."""
+    if not os.path.isdir(ldir):
+        return []
+    recs = (read_json(os.path.join(ldir, name)) for name in os.listdir(ldir)
+            if name.endswith(".json") and not name.startswith("_"))
+    return [r for r in recs if r is not None]
+
+
+def write_partition(part_dir: str, table: pa.Table) -> None:
+    """``part_dir/part-0.parquet``, written under a ``_``-prefixed name
+    unique to this attempt (readers skip ``_`` names) and renamed into
+    place, so a re-executed task (Ray tasks are at-least-once) replaces
+    its own file whole. A zero-row table writes nothing."""
+    import pyarrow.parquet as pq
+
+    if not table.num_rows:
+        return
+    os.makedirs(part_dir, exist_ok=True)
+    tmp = os.path.join(part_dir, f"_part-0.{uuid.uuid4().hex}.tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(part_dir, "part-0.parquet"))
 
 
 def _shard_of(path: str) -> str:
@@ -106,10 +141,7 @@ def completed_shards(out_dir: str, transform_version: str,
       change grid geometry rows, which alters the structure-adjacent
       grid key set and is caught by the fingerprint diff only if the
       key set changed; otherwise run with a fresh out_dir."""
-    ldir = lineage_dir(out_dir)
     done: dict[str, dict] = {}
-    if not os.path.isdir(ldir):
-        return done
     fine = None  # (old_version, changed_region_set) when fine-grained applies
     if catalog is not None:
         man = load_catalog_manifest(out_dir)
@@ -120,15 +152,7 @@ def completed_shards(out_dir: str, transform_version: str,
                        for k in set(cur) | set(old)
                        if cur.get(k) != old.get(k)}
             fine = (man.get("catalog_version"), changed)
-    for name in os.listdir(ldir):
-        if not name.endswith(".json") or name.startswith("_") \
-                or name == MANIFEST_NAME:
-            continue
-        try:
-            with open(os.path.join(ldir, name)) as f:
-                rec = json.load(f)
-        except (OSError, json.JSONDecodeError):
-            continue  # partial/corrupt record -> recompute that shard
+    for rec in read_records(lineage_dir(out_dir)):
         if rec.get("transform_version") == transform_version:
             done[rec["shard"]] = rec
         elif (fine is not None
@@ -140,13 +164,7 @@ def completed_shards(out_dir: str, transform_version: str,
 
 
 def _commit_record(out_dir: str, rec: dict) -> None:
-    ldir = lineage_dir(out_dir)
-    os.makedirs(ldir, exist_ok=True)
-    final = os.path.join(ldir, f"{rec['shard']}.json")
-    tmp = final + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(rec, f, indent=1, sort_keys=True)
-    os.replace(tmp, final)  # atomic commit
+    write_json_atomic(os.path.join(lineage_dir(out_dir), f"{rec['shard']}.json"), rec)
 
 
 # The sink's output schema; ``shard`` is the hive directory, not a column.
@@ -158,10 +176,8 @@ def _sink_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict,
                 out_dir: str) -> pa.Table:
     """One input shard end to end, in one task: the worker's cached
     fused flagship, then ``shard=<id>/part-0.parquet``, then the shard's
-    one-row lineage summary. The file is written under a ``_``-prefixed
-    name unique to this attempt (readers skip ``_`` names) and renamed
-    into place, so a re-executed task (Ray tasks are at-least-once)
-    replaces its own file whole. A zero-row shard writes no file."""
+    one-row lineage summary (``write_partition``: a zero-row shard
+    writes no file)."""
     import pyarrow.parquet as pq
 
     from vyperdatum_ray.pipelines.flagship import (FusedReadTransform,
@@ -171,12 +187,7 @@ def _sink_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict,
     shard = _shard_of(path)
     out = _cached_state(FusedReadTransform, catalog_ref, catalog_key,
                         params)(batch).select(OUTPUT_COLUMNS)
-    if out.num_rows:
-        part_dir = os.path.join(out_dir, f"shard={shard}")
-        os.makedirs(part_dir, exist_ok=True)
-        tmp = os.path.join(part_dir, f"_part-0.{uuid.uuid4().hex}.tmp")
-        pq.write_table(out, tmp)
-        os.replace(tmp, os.path.join(part_dir, "part-0.parquet"))
+    write_partition(os.path.join(out_dir, f"shard={shard}"), out)
 
     def distinct(name: str) -> pa.Array:
         # typed list, so a zero-row shard's summary keeps the schema
