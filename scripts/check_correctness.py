@@ -2,7 +2,10 @@
 ``queries()`` entry at sf0.01 and compare against ``oracle_sql()`` via
 DuckDB — row count, schema, and order-insensitive value equality.
 
-Usage: python scripts/check_correctness.py [name ...]
+Usage: python scripts/check_correctness.py [name | @set ...]
+
+``@flagship`` names every query that runs the flagship's region join and
+datum transform (``flagship.flagship_fused`` or ``join_transform_batch``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,29 @@ sys.path.insert(0, REPO_ROOT)
 
 SF_DIR = os.environ.get("CHECK_SF_DIR", "/root/testdata/sf0.01")
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+NAMED_SETS = {
+    "flagship": """flagship flagship_fused region_join region_counts datum_transform
+        datum_transform_itrf transform_projected external_region_transform
+        transform_summary datum_transform_inv datum_transform_navd88
+        datum_transform_mhw hot_tiles knn_grid_node gridded_points
+        transform_stateplane transform_stateplane_tm transform_stateplane_md
+        transform_stateplane_nj sampled_transform spatial_order region_median
+        knn_grid_nodes""".split(),
+}
+
+
+def expand(names: list[str]) -> set[str]:
+    """Query names, with each ``@set`` replaced by its members."""
+    out = set()
+    for name in names:
+        if name.startswith("@"):
+            if name[1:] not in NAMED_SETS:
+                raise SystemExit(f"unknown set {name}; known: "
+                                 + " ".join("@" + k for k in NAMED_SETS))
+            out.update(NAMED_SETS[name[1:]])
+        else:
+            out.add(name)
+    return out
 
 
 def to_pandas(res) -> pd.DataFrame:
@@ -97,7 +123,10 @@ def main(argv):
     E._SF001 = SF_DIR  # rebind the oracle fixture dir to the swept scale
     qs = E.queries()
     oracles = E.oracle_sql()
-    only = set(argv) or set(qs)
+    only = expand(argv) or set(qs)
+    missing = sorted(only - set(qs))
+    if missing:
+        raise SystemExit(f"not in queries(): {' '.join(missing)}")
 
     con = duckdb.connect()
     for t in TABLES:

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the pure core math: bilinear
 interpolation bounds/exactness, pipeline-algebra involutions, cell-id
-determinism and containment."""
+determinism and containment, and the vectorized region join and datum
+transform against the per-region loops they replaced."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vyperdatum_ray.core.grid import SeparationGrid
 from vyperdatum_ray.core.pipeline_algebra import (
@@ -184,3 +185,243 @@ def test_geocode_prefilter_is_lossless(rows):
     assert lat.tobytes() == rlat.tobytes()
     assert lon.tobytes() == rlon.tobytes()
     assert src.to_pylist() == rsrc
+
+
+# ------------------------------------------------ region join + transform
+# The vectorized RegionJoiner / DatumTransformer against the per-region
+# loops they replaced, bit for bit, on random catalogs.
+
+_TRANSFORM_PARAMS = [
+    {},
+    # output frame differs from the input (and from some geoid frames)
+    dict(out_frame="ITRF2014", emit_xy=True, z_col="z_in"),
+    dict(out_frame="ITRF2008", emit_xy=True, z_col="z_in", out_is_height=True),
+    dict(from_datum="mllw", to_datum="ellipse", in_is_height=False,
+         out_is_height=True, z_col="z_in"),
+    dict(from_datum="navd88", to_datum="mhw", emit_xy=True, z_col="z_in"),
+]
+
+
+def _random_grid(rng, x0, y0, x1, y1):
+    nx, ny = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+    dx, dy = (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1)
+    values = np.round(rng.normal(0.0, 2.0, (ny, nx)), 3)
+    if rng.random() < 0.4:  # a NaN notch: nodata nodes
+        values[rng.integers(0, ny), rng.integers(0, nx)] = np.nan
+    return SeparationGrid(x0, y0, dx, dy, values)
+
+
+def _random_catalog(rng, n_regions: int):
+    """Overlapping star-shaped (mostly concave) regions with 3-11
+    vertices on a 0.01-degree lattice, a few geoid frames, per-region
+    grids that cover part of each region (some NaN-notched, some stored
+    under the ``.tif`` fallback key, now and then one missing so its
+    region is skipped) and two geoids."""
+    from vyperdatum_ray.catalog import Catalog, RegionInfo
+    from vyperdatum_ray.core.geometry import Polygon
+
+    grids = {g: _random_grid(rng, -76.6, 33.6, float(rng.uniform(-74.2, -73.4)), 36.4)
+             for g in ("g0", "g1")}
+    regions, sigmas = [], {}
+    for i in range(n_regions):
+        cx, cy = rng.uniform(-76.0, -74.0), rng.uniform(34.0, 36.0)
+        k = int(rng.integers(3, 12))
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        rad = rng.uniform(0.1, 0.7, k)
+        verts = np.round(np.stack([cx + rad * np.cos(ang), cy + rad * np.sin(ang)], 1), 2)
+        name = f"R{i}"
+        poly = Polygon(verts)
+        regions.append(RegionInfo(
+            name=name, ord=i, geoid_name=str(rng.choice(["g0", "g1"])),
+            geoid_frame=str(rng.choice(["NAD83(2011)", "NAD83(2011)", "ITRF2014", "ITRF2008"])),
+            polygon=poly))
+        for surface in ("tss", "mllw", "mhw"):
+            if rng.random() < 0.04:
+                continue  # unresolvable grid: the region is skipped
+            x0, y0, x1, y1 = np.round(np.array(poly.bounds) + rng.uniform(-0.2, 0.2, 4), 2)
+            key = f"{name}/{surface}" + (".tif" if rng.random() < 0.1 else "")
+            grids[key] = _random_grid(rng, x0, y0, max(x1, x0 + 0.05), max(y1, y0 + 0.05))
+        sigmas[name] = {s: float(np.round(rng.uniform(0, 0.05), 3))
+                        for s in ("tss", "mhhw", "mhw", "mlw", "mllw", "dtl", "mtl")}
+    return Catalog(regions=regions, grids=grids, sigmas=sigmas,
+                   geoid_sigmas={"g0": 0.015, "g1": 0.021})
+
+
+def _random_points(rng, catalog, n_random: int, specials: bool):
+    """Random points on the polygons' lattice plus, with ``specials``,
+    points exactly on polygon vertices and bbox edges, on grid extents
+    and node lines, and non-finite coordinates."""
+    xs = list(np.round(rng.uniform(-76.8, -73.2, n_random), 2))
+    ys = list(np.round(rng.uniform(33.2, 36.8, n_random), 2))
+    if specials:
+        for r in catalog.regions:
+            p = r.polygon
+            v = p.vertices[rng.integers(0, len(p.vertices))]
+            my = np.round((p.min_y + p.max_y) / 2, 2)
+            mx = np.round((p.min_x + p.max_x) / 2, 2)
+            xs += [v[0], p.min_x, p.max_x, mx, mx]
+            ys += [v[1], my, my, p.min_y, p.max_y]
+        for g in catalog.grids.values():
+            xs += [g.origin_x, g.origin_x + (g.nx - 1) * g.dx, g.origin_x + g.dx]
+            ys += [g.origin_y, g.origin_y + (g.ny - 1) * g.dy, g.origin_y + 2 * g.dy]
+        xs += [np.nan, -75.0, np.inf]
+        ys += [35.0, np.nan, 35.0]
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+
+
+def _reference_join(catalog, batch):
+    """The per-region RegionJoiner loop (without the batch-wide bbox
+    prune that blanked a whole batch holding a NaN coordinate)."""
+    import pyarrow as pa
+
+    from vyperdatum_ray.stages.region_join import mask_column_names
+
+    x = batch.column("lon").to_numpy(zero_copy_only=False)
+    y = batch.column("lat").to_numpy(zero_copy_only=False)
+    memb = np.zeros((len(x), len(catalog.regions)), dtype=bool)
+    for gi, r in enumerate(catalog.regions):
+        g = r.polygon
+        cand = (x >= g.min_x) & (x <= g.max_x) & (y >= g.min_y) & (y <= g.max_y)
+        if cand.any():
+            idx = np.nonzero(cand)[0]
+            memb[idx, gi] = g.contains(x[idx], y[idx])
+    n_words = max(1, -(-memb.shape[1] // 64))
+    mask = np.zeros((n_words, len(x)), dtype=np.uint64)
+    pip_idx = np.full(len(x), -1, dtype=np.int8)
+    for i in range(memb.shape[1]):
+        col = memb[:, i]
+        mask[i >> 6] |= col.astype(np.uint64) << np.uint64(i & 63)
+        pip_idx[col] = i  # later catalog order overwrites
+    out = batch
+    for w, name in enumerate(mask_column_names(memb.shape[1])):
+        out = out.append_column(name, pa.array(mask[w], pa.uint64()))
+    return out.append_column("pip_region_index", pa.array(pip_idx, pa.int8()))
+
+
+def _reference_transform(t, batch):
+    """The per-region DatumTransformer loop over ``t``'s per-region
+    state: every member region in catalog order, later finite results
+    overwriting earlier ones."""
+    import pyarrow as pa
+
+    from vyperdatum_ray.core.helmert import frame_hop
+    from vyperdatum_ray.stages.region_join import membership_words
+
+    lon = batch.column("lon").to_numpy(zero_copy_only=False)
+    lat = batch.column("lat").to_numpy(zero_copy_only=False)
+    mask_words = membership_words(batch)
+    n = len(lon)
+    if t.z_col is not None:
+        z_in = batch.column(t.z_col).to_numpy(zero_copy_only=False).astype(np.float64)
+    else:
+        z_in = np.zeros(n, dtype=np.float64)
+    if not t.in_is_height:
+        z_in = z_in * -1.0
+    ans_z = np.full(n, np.nan, dtype=np.float64)
+    ans_unc = np.full(n, np.nan, dtype=np.float64)
+    ans_region = np.full(n, -1, dtype=np.int8)
+    ans_x = np.full(n, np.nan, dtype=np.float64)
+    ans_y = np.full(n, np.nan, dtype=np.float64)
+    out_hop = None
+    for i, steps in enumerate(t.region_steps):
+        if steps is None:
+            continue
+        member = (mask_words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1) == 1
+        if not member.any():
+            continue
+        idx = np.nonzero(member)[0]
+        gframe = t.region_frames[i]
+        if gframe != t.input_frame:
+            rlon, rlat, z = frame_hop(lon[idx], lat[idx], z_in[idx], gframe)
+        else:
+            rlon, rlat = lon[idx], lat[idx]
+            z = z_in[idx].copy()
+        for grid, sign in steps:
+            z = z + sign * grid.interpolate(rlon, rlat)
+        if t.out_frame != t.input_frame and t.out_frame != gframe:
+            if out_hop is None:
+                out_hop = frame_hop(lon, lat, z_in, t.out_frame)
+            z = z - (z_in[idx] - out_hop[2][idx])
+        valid = np.isfinite(z)
+        w = idx[valid]
+        ans_z[w] = t.flip * z[valid]
+        ans_unc[w] = t.region_unc[i]
+        ans_region[w] = i
+        if t.out_frame == t.input_frame:
+            ans_x[w], ans_y[w] = lon[w], lat[w]
+        elif t.out_frame == gframe:
+            ans_x[w], ans_y[w] = rlon[valid], rlat[valid]
+        else:
+            ans_x[w], ans_y[w] = out_hop[0][w], out_hop[1][w]
+    ans_z = np.round(ans_z, 3)
+    region_str = np.where(ans_region >= 0, t.region_names[np.maximum(ans_region, 0)], "")
+    out = (batch.append_column(t.out_col, pa.array(ans_z, pa.float64()))
+           .append_column("unc", pa.array(ans_unc, pa.float64()))
+           .append_column("region_index", pa.array(ans_region, pa.int8()))
+           .append_column("region", pa.array(region_str, pa.string())))
+    if t.emit_xy:
+        out = (out.append_column("x_out", pa.array(ans_x, pa.float64()))
+                  .append_column("y_out", pa.array(ans_y, pa.float64())))
+    return out
+
+
+def test_grid_stack_matches_each_grid_across_blocks():
+    """A stacked evaluation spanning several kernel blocks equals each
+    grid's own ``interpolate`` bit for bit: offsets, shapes and the
+    block seams are exact."""
+    from vyperdatum_ray.core.grid import BLOCK, GridStack
+
+    rng = np.random.default_rng(11)
+    grids = [_random_grid(rng, x0, 34.0 + k, x0 + rng.uniform(0.3, 2.0), 35.5 + k)
+             for k, x0 in enumerate(rng.uniform(-76.5, -74.5, 6))]
+    n = 3 * BLOCK + 5
+    gid = rng.integers(0, len(grids), n)
+    lon = np.round(rng.uniform(-77.0, -72.0, n), 3)
+    lat = np.round(rng.uniform(33.5, 41.5, n), 3)
+    got = GridStack.of(grids).interpolate(gid, lon, lat)
+    want = np.empty(n)
+    for k, g in enumerate(grids):
+        want[gid == k] = g.interpolate(lon[gid == k], lat[gid == k])
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).any() and np.isinf(got).any()
+
+
+def _assert_same_bytes(got, want):
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        a, b = got.column(name), want.column(name)
+        assert a.type == b.type, name
+        if name == "region":
+            assert a.to_pylist() == b.to_pylist(), name
+        else:
+            a = a.to_numpy(zero_copy_only=False)
+            assert a.tobytes() == b.to_numpy(zero_copy_only=False).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_regions=st.one_of(st.integers(1, 9), st.just(65)),
+    n_random=st.integers(0, 120),
+    specials=st.booleans(),
+    params=st.sampled_from(_TRANSFORM_PARAMS),
+)
+@example(seed=1, n_regions=65, n_random=200, specials=True, params=_TRANSFORM_PARAMS[1])
+@example(seed=2, n_regions=5, n_random=0, specials=False, params=_TRANSFORM_PARAMS[0])
+def test_vectorized_join_and_transform_match_per_region_loops(
+        seed, n_regions, n_random, specials, params):
+    import pyarrow as pa
+
+    from vyperdatum_ray.stages.region_join import RegionJoiner
+    from vyperdatum_ray.stages.transform import DatumTransformer
+
+    rng = np.random.default_rng(seed)
+    catalog = _random_catalog(rng, n_regions)
+    lon, lat = _random_points(rng, catalog, n_random, specials)
+    batch = pa.table({"lon": pa.array(lon, pa.float64()),
+                      "lat": pa.array(lat, pa.float64()),
+                      "z_in": pa.array(np.round(rng.normal(0, 5, len(lon)), 3), pa.float64())})
+    joined = RegionJoiner(catalog)(batch)
+    _assert_same_bytes(joined, _reference_join(catalog, batch))
+    transformer = DatumTransformer(catalog, **params)
+    _assert_same_bytes(transformer(joined), _reference_transform(transformer, joined))

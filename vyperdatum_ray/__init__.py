@@ -9,7 +9,8 @@ A from-scratch re-expression of the capabilities of
   into lat/lon,
 * index points into S2 level-13 and H3-style res-9 hex cells,
 * point-in-polygon join against VDatum-style regional boundary polygons
-  (STR-packed rtree of prepared polygons held in actor pools),
+  (per-region bbox and edge tables cached per worker process; every
+  (point, region) pair is tested at once),
 * bilinear grid interpolation of separation surfaces composed into
   regional datum pipelines (``ellipse -> geoid -> tss -> mllw`` etc.,
   semantics of ``reference/vyperdatum/pipeline.py:20-94`` and

@@ -1,5 +1,5 @@
-"""Planar geometry: polygons, vectorized point-in-polygon, and an
-STR-packed bounding-box tree.
+"""Planar geometry: polygons, vectorized point-in-polygon, and a
+region-membership index over (point, polygon) pairs.
 
 From-scratch replacement for the reference's OGR feature scans and
 ``Intersect`` tests (``reference/vyperdatum/core.py:86-158``); no GEOS /
@@ -137,71 +137,53 @@ def polygon_from_wkb(buf: bytes) -> Polygon:
 
 
 class STRtree:
-    """Sort-Tile-Recursive packed bbox tree over geometries.
+    """Region-membership index over a catalog's polygons (VDatum scale,
+    ~52 regions, reference ``vdatum_validation.py:1334-1382``): a
+    per-geometry bbox table and a padded edge table, queried by array
+    operations over every (point, geometry) pair at once.
 
-    With VDatum-scale catalogs (~52 regions,
-    reference ``vdatum_validation.py:1334-1382``) this is deliberately a
-    flat packed structure: leaves are grouped into tiles of
-    ``node_capacity`` and queries prune by group bbox, then test leaf
-    bboxes vectorized. O(sqrt(R)) groups; exact PIP runs only on bbox
-    survivors.
+    Each ring is padded to the longest by repeating its last vertex: a
+    padded edge has zero length, so it never flips the even-odd count,
+    and every geometry walks the same number of edges.
     """
 
-    def __init__(self, geoms: list[Polygon], node_capacity: int = 8) -> None:
+    def __init__(self, geoms: list[Polygon]) -> None:
         self.geoms = list(geoms)
         n = len(self.geoms)
-        bounds = np.array([g.bounds for g in self.geoms], dtype=np.float64).reshape(n, 4)
-        cx = (bounds[:, 0] + bounds[:, 2]) / 2
-        cy = (bounds[:, 1] + bounds[:, 3]) / 2
-        # STR packing: sort by center x, slice into vertical strips, sort
-        # each strip by center y, chunk into nodes.
-        nslices = max(1, int(np.ceil(np.sqrt(max(1, n) / node_capacity))))
-        per_slice = int(np.ceil(n / nslices))
-        order_x = np.argsort(cx, kind="stable")
-        leaf_order = []
-        for s in range(nslices):
-            strip = order_x[s * per_slice : (s + 1) * per_slice]
-            leaf_order.extend(strip[np.argsort(cy[strip], kind="stable")])
-        self.leaf_order = np.array(leaf_order, dtype=np.int64)
-        self.leaf_bounds = bounds[self.leaf_order]
-        self.node_slices = [
-            slice(i, min(i + node_capacity, n)) for i in range(0, n, node_capacity)
-        ]
-        self.node_bounds = np.array(
-            [
-                [
-                    self.leaf_bounds[s, 0].min(),
-                    self.leaf_bounds[s, 1].min(),
-                    self.leaf_bounds[s, 2].max(),
-                    self.leaf_bounds[s, 3].max(),
-                ]
-                for s in self.node_slices
-            ],
-            dtype=np.float64,
-        ).reshape(len(self.node_slices), 4)
-
-    def query_bbox(self, x_min, y_min, x_max, y_max) -> list[int]:
-        """Original indices of geometries whose bbox overlaps the query
-        rectangle, in insertion (catalog) order."""
-        hits: list[int] = []
-        for node, s in zip(self.node_bounds, self.node_slices):
-            if node[0] > x_max or node[2] < x_min or node[1] > y_max or node[3] < y_min:
-                continue
-            lb = self.leaf_bounds[s]
-            m = (lb[:, 0] <= x_max) & (lb[:, 2] >= x_min) & (lb[:, 1] <= y_max) & (lb[:, 3] >= y_min)
-            hits.extend(int(i) for i in self.leaf_order[s][m])
-        return sorted(hits)
+        self.bounds = np.array([g.bounds for g in self.geoms], dtype=np.float64).reshape(n, 4)
+        n_vert = max([len(g.vertices) for g in self.geoms], default=0)
+        rings = np.empty((n, n_vert, 2), dtype=np.float64)
+        for i, g in enumerate(self.geoms):
+            v = g.vertices
+            rings[i, :len(v)] = v
+            rings[i, len(v):] = v[-1]
+        # (n_vert, 4, n): edge k of geometry g runs from vertex k-1 to
+        # vertex k (edge 0 closes the ring, as ``points_in_polygon``
+        # walks it), stored as x1, y1, x2, y2 rows per edge
+        self.edges = np.concatenate(
+            [np.roll(rings, 1, axis=1), rings], axis=2).transpose(1, 2, 0).copy()
 
     def query_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Boolean membership matrix (n_points, n_geoms): bbox prune per
-        geometry, exact PIP on survivors."""
+        """Boolean membership matrix (n_points, n_geoms): a per-point
+        bbox test against every geometry, then one even-odd edge walk
+        over all surviving (geometry, point) pairs. A NaN coordinate
+        fails every bbox test, so it is a member of nothing."""
         x = np.asarray(x, np.float64)
         y = np.asarray(y, np.float64)
-        out = np.zeros((x.shape[0], len(self.geoms)), dtype=bool)
-        for gi in self.query_bbox(x.min(), y.min(), x.max(), y.max()) if x.size else []:
-            g = self.geoms[gi]
-            cand = (x >= g.min_x) & (x <= g.max_x) & (y >= g.min_y) & (y <= g.max_y)
-            if cand.any():
-                idx = np.nonzero(cand)[0]
-                out[idx, gi] = g.contains(x[idx], y[idx])
-        return out
+        b = self.bounds[:, :, None]
+        member = (x >= b[:, 0]) & (x <= b[:, 2]) & (y >= b[:, 1]) & (y <= b[:, 3])
+        gi, pt = np.divmod(np.flatnonzero(member), len(x))  # geometry-major
+        count = np.bincount(gi, minlength=len(self.geoms))  # edges fill by repeat
+        px, py = x[pt], y[pt]
+        inside = np.zeros(pt.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x1, y1, x2, y2 in self.edges:
+                x1, y1 = np.repeat(x1, count), np.repeat(y1, count)
+                x2, y2 = np.repeat(x2, count), np.repeat(y2, count)
+                # the expression of ``points_in_polygon``; a horizontal
+                # (or padded) edge has cond False, so its NaN xi is moot
+                cond = (y1 > py) != (y2 > py)
+                xi = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+                inside ^= cond & (px < xi)
+        member[gi, pt] = inside
+        return member.T

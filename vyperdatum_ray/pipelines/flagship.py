@@ -1,7 +1,7 @@
 """The flagship end-to-end pipeline (SURVEY.md §3.4):
 
 ``read_parquet(pages, columns pruned) -> geocode -> filter -> cell index
--> RegionJoiner (STRtree PIP) -> DatumTransformer (grid interpolation)``,
+-> RegionJoiner (PIP) -> DatumTransformer (grid interpolation)``,
 run as ONE task per input shard on warm workers (``_fused_shard``),
 with the catalog state (``FusedReadTransform``) cached per worker
 process, keyed by catalog content. Every consumer (the checkpointed
@@ -97,17 +97,18 @@ def _shard_kwargs(catalog: Catalog, **params) -> dict:
 
 def _cached_state(cls, catalog_ref, catalog_key: str, params: dict):
     """This worker process's ``cls(catalog_ref, **params)``, built (one
-    ``ray.get`` of the catalog, one STRtree, one grid set) on the first
-    task that needs it and reused by every later task with the same
-    catalog content and parameters."""
+    ``ray.get`` of the catalog, one region-membership index, one grid
+    stack) on the first task that needs it and reused by every later
+    task with the same catalog content and parameters."""
     return _lru(_state_cache, (cls, catalog_key, tuple(sorted(params.items()))),
                 lambda: cls(catalog_ref, **params), _STATE_CACHE_MAX)
 
 
 class JoinTransform:
     """RegionJoiner + DatumTransformer composed in one state object —
-    one STRtree + one grid set per worker process, one call instead of
-    two stages with an extra object-store hop between them."""
+    one region-membership index + one grid stack per worker process, one
+    call instead of two stages with an extra object-store hop between
+    them."""
 
     def __init__(self, catalog_ref, from_datum, to_datum, in_is_height, out_is_height,
                  z_col=None, out_frame=None, emit_xy=False):

@@ -1,13 +1,16 @@
 """RegionJoiner: the broadcast spatial join (SURVEY.md J1/J2, T1).
 
-Per-worker cached state: the STR-packed tree of prepared region
-polygons is built ONCE per worker process and catalog content in
-``__init__`` from the broadcast catalog (``ray.put`` on the driver,
-zero-copy ``ray.get`` here; the flagship's tasks reuse the instance
-across shards and jobs, see ``pipelines/flagship._cached_state`` — the
-region catalog is tiny relative to the data, so the join needs no
-shuffle; cf. reference ``set_region_by_bounds``/per-region transform
-loop, core.py:86-158, 421-453, which re-opens polygon files per call).
+Per-worker cached state: the region-membership index
+(``core/geometry.STRtree``: per-region bbox and padded edge tables) is
+built ONCE per worker process and catalog content in ``__init__`` from
+the broadcast catalog (one ``ray.put`` per session, zero-copy
+``ray.get`` here; the flagship's tasks reuse the instance across shards
+and jobs, see ``pipelines/flagship._cached_state`` — the region catalog
+is tiny relative to the data, so the join needs no shuffle; cf.
+reference ``set_region_by_bounds``/per-region transform loop,
+core.py:86-158, 421-453, which re-opens polygon files per call).
+``__call__`` tests every row against every region at once, with no
+loop over regions.
 
 Emits ``region_mask`` — a uint64 bitmask of catalog-order region
 memberships per point (explicit point-in-polygon, as the north_star
@@ -64,15 +67,18 @@ class RegionJoiner:
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        memb = self.tree.query_points(lon, lat)  # (n, R) bool
-        n_words = max(1, -(-memb.shape[1] // 64))
-        mask = np.zeros((n_words, len(lon)), dtype=np.uint64)
-        pip_idx = np.full(len(lon), -1, dtype=np.int8)
-        for i in range(memb.shape[1]):
-            col = memb[:, i]
-            mask[i >> 6] |= col.astype(np.uint64) << np.uint64(i & 63)
-            pip_idx[col] = i  # later catalog order overwrites
+        member = self.tree.query_points(lon, lat)  # (n, R) bool
+        n_regions = member.shape[1]
+        names = mask_column_names(n_regions)
+        # pad to whole words: bit i of word w is region 64 * w + i
+        bits = np.zeros((len(lon), 64 * len(names)), dtype=bool)
+        bits[:, :n_regions] = member
+        mask = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        # the highest member region (later catalog order overwrites):
+        # the max of 1-based region numbers, 0 for no region, minus one
+        number = np.arange(1, n_regions + 1, dtype=np.uint8)
+        pip_idx = (member * number).max(axis=1, initial=0).astype(np.int8) - np.int8(1)
         out = batch
-        for w, name in enumerate(mask_column_names(memb.shape[1])):
-            out = out.append_column(name, pa.array(mask[w], pa.uint64()))
+        for w, name in enumerate(names):
+            out = out.append_column(name, pa.array(mask[:, w], pa.uint64()))
         return out.append_column("pip_region_index", pa.array(pip_idx, pa.int8()))

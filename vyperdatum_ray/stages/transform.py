@@ -1,30 +1,34 @@
 """DatumTransformer: the per-region vertical-datum transform
 (SURVEY.md M1-M5, A3, T2/T3).
 
-Per-worker cached state: separation grids, parsed per-region pipelines
-and composed per-region uncertainties are prepared ONCE per worker
-process and catalog content in ``__init__`` (the flagship's tasks reuse
-the instance, see ``pipelines/flagship._cached_state``); ``__call__``
-is pure vectorized numpy per Arrow batch.
+Per-worker cached state: separation grids (flattened into one
+``core/grid.GridStack``), parsed per-region pipelines (as a table of
+grid ids and signs per step) and composed per-region uncertainties are
+prepared ONCE per worker process and catalog content in ``__init__``
+(the flagship's tasks reuse the instance, see
+``pipelines/flagship._cached_state``); ``__call__`` is pure vectorized
+numpy per Arrow batch, over the batch's (row, region) membership pairs:
+no Python loop over regions.
 
 Semantics re-expressed from ``reference/vyperdatum/core.py:357-462``:
 
 * input z sign-flipped when the input CRS is a depth
   (``core.py:397-399``); output flip = +1 height / -1 depth
   (``core.py:400-403``),
-* per region, in catalog order: optional 3-D horizontal hop to the
-  region's geoid frame (``core.py:426-429`` — the real NAD83<->ITRF
-  14-param Helmert of ``core/helmert.py``, so z gains the frame
-  separation before the grid steps), run the composed grid-shift
-  pipeline (forward: z - grid, inverse: z + grid, cf.
-  ``raster.py:278-285``),
+* per (row, region) pair: optional 3-D horizontal hop to the region's
+  geoid frame (``core.py:426-429`` — the real NAD83<->ITRF 14-param
+  Helmert of ``core/helmert.py``, so z gains the frame separation
+  before the grid steps), then the composed grid-shift pipeline
+  (forward: z - grid, inverse: z + grid, cf. ``raster.py:278-285``),
+  one bilinear evaluation per step over all pairs,
 * when the OUTPUT horizontal frame differs from both the input frame
   and the region's geoid frame, the reference's 3-D z-correction
   ``new_z - (z - diffz)`` applies, with diffz from the input->output
   frame hop (``core.py:438-444``),
-* points outside a grid evaluate to +inf; only finite results are
-  written into the answer arrays so later regions overwrite earlier
-  ones ONLY where they are valid (``core.py:445-453``),
+* points outside a grid evaluate to +inf; the last member region in
+  catalog order with a finite result wins, computed over (row, region)
+  pairs — the reference's catalog-order overwrite of valid results
+  (``core.py:445-453``),
 * per-region scalar uncertainty stamped on valid rows
   (``core.py:313-355``), region_index = catalog position (int8, -1
   outside all coverage, ``core.py:415``),
@@ -38,6 +42,7 @@ import pyarrow as pa
 
 import ray
 
+from vyperdatum_ray.core.grid import GridStack
 from vyperdatum_ray.core.helmert import frame_hop
 from vyperdatum_ray.core.pipeline_algebra import get_regional_pipeline, parse_pipeline
 from vyperdatum_ray.core.uncertainty import compose_uncertainty
@@ -101,12 +106,40 @@ class DatumTransformer:
             self.region_frames.append(r.geoid_frame)
         self.region_names = np.array([r.name for r in self.catalog.regions], dtype=object)
 
+        # The same state as per-region arrays, gathered per (row, region)
+        # pair in ``__call__``: every distinct step grid in one stack, a
+        # (steps, R) table of grid ids and signs, each region's position
+        # in ``hop_frames`` (-1: no hop) and whether it takes the
+        # output-frame z-correction.
+        stack: dict[int, int] = {}  # id(grid) -> stack position
+        grids = []
+        # every region expands the same datum-pair template, so every
+        # resolved region has the same number of steps
+        n_steps = max([len(st) for st in self.region_steps if st], default=0)
+        self.resolved = np.array([st is not None for st in self.region_steps], dtype=np.uint8)
+        self.step_grid = np.zeros((n_steps, len(self.region_steps)), dtype=np.int64)
+        self.step_sign = np.zeros((n_steps, len(self.region_steps)), dtype=np.float64)
+        for i, st in enumerate(self.region_steps):
+            for j, (grid, sign) in enumerate(st or ()):
+                if id(grid) not in stack:
+                    stack[id(grid)] = len(grids)
+                    grids.append(grid)
+                self.step_grid[j, i] = stack[id(grid)]
+                self.step_sign[j, i] = sign
+        self.grids = GridStack.of(grids)
+        self.hop_frames = sorted({f for f in self.region_frames if f != self.input_frame})
+        self.hop_code = np.array(
+            [self.hop_frames.index(f) if f in self.hop_frames else -1
+             for f in self.region_frames], dtype=np.int64)
+        self.out_corr = np.array(
+            [self.out_frame not in (self.input_frame, f) for f in self.region_frames], dtype=bool)
+        self.unc = np.array(self.region_unc, dtype=np.float64)
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         from vyperdatum_ray.stages.region_join import membership_words
 
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
-        mask_words = membership_words(batch)  # 1 word per 64 regions
         n = len(lon)
         if self.z_col is not None:
             z_in = batch.column(self.z_col).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -115,52 +148,47 @@ class DatumTransformer:
         if not self.in_is_height:
             z_in = z_in * -1.0  # depth -> height (core.py:397-399)
 
+        # (row, region) member pairs, row first, then region ascending;
+        # regions with an unresolvable grid are skipped (core.py:430-433)
+        words = np.stack(membership_words(batch), axis=1).astype("<u8")
+        n_regions = len(self.resolved)
+        bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_regions, bitorder="little")
+        bits &= self.resolved
+        pr, pg = np.divmod(np.flatnonzero(bits), n_regions)
+
+        px, py, z = lon[pr], lat[pr], z_in[pr]
+        hop = self.hop_code[pg]
+        for code, f in enumerate(self.hop_frames):
+            sel = np.nonzero(hop == code)[0]
+            if len(sel):
+                # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
+                # move ~1 m and z gains the frame separation
+                px[sel], py[sel], z[sel] = frame_hop(px[sel], py[sel], z[sel], f)
+        for grid_id, sign in zip(self.step_grid, self.step_sign):
+            z = z + sign[pg] * self.grids.interpolate(grid_id[pg], px, py)
+        out_hop = None
+        k = np.nonzero(self.out_corr[pg])[0]
+        if len(k):
+            # output frame differs from input AND geoid frame: 3-D
+            # z-correction new_z - (z - diffz) (core.py:438-444)
+            out_hop = frame_hop(lon, lat, z_in, self.out_frame)
+            z[k] = z[k] - (z_in[pr[k]] - out_hop[2][pr[k]])
+
+        # Each row's answer is its last pair (highest catalog order) with
+        # a finite z: the overwrite rule of core.py:445-453. isfinite,
+        # not the reference's ~isinf: two out-of-coverage step grids with
+        # opposite signs compose to inf - inf = NaN, equally "no coverage".
+        ok = np.nonzero(np.isfinite(z))[0]
+        ok_rows = pr[ok]
+        last = np.ones(len(ok), dtype=bool)
+        last[:-1] = ok_rows[1:] != ok_rows[:-1]
+        win, w = ok[last], ok_rows[last]
         ans_z = np.full(n, np.nan, dtype=np.float64)
         ans_unc = np.full(n, np.nan, dtype=np.float64)
         ans_region = np.full(n, -1, dtype=np.int8)
-        out_hop = None  # lazily computed input->output frame hop
-        if self.emit_xy:
-            ans_x = np.full(n, np.nan, dtype=np.float64)
-            ans_y = np.full(n, np.nan, dtype=np.float64)
-
-        for i, steps in enumerate(self.region_steps):
-            if steps is None:
-                continue
-            member = (mask_words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1) == 1
-            if not member.any():
-                continue
-            idx = np.nonzero(member)[0]
-            gframe = self.region_frames[i]
-            if gframe != self.input_frame:
-                # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
-                # move ~1 m and z gains the frame separation
-                rlon, rlat, z = frame_hop(lon[idx], lat[idx], z_in[idx], gframe)
-            else:
-                rlon, rlat = lon[idx], lat[idx]
-                z = z_in[idx].copy()
-            for grid, sign in steps:
-                z = z + sign * grid.interpolate(rlon, rlat)
-            if self.out_frame != self.input_frame and self.out_frame != gframe:
-                # output frame differs from input AND geoid frame: 3-D
-                # z-correction new_z - (z - diffz) (core.py:438-444)
-                if out_hop is None:
-                    out_hop = frame_hop(lon, lat, z_in, self.out_frame)
-                z = z - (z_in[idx] - out_hop[2][idx])
-            # ~isinf in the reference (core.py:445-446); isfinite here
-            # because two out-of-coverage step grids with opposite signs
-            # compose to inf - inf = NaN, which is equally "no coverage".
-            valid = np.isfinite(z)
-            w = idx[valid]
-            ans_z[w] = self.flip * z[valid]
-            ans_unc[w] = self.region_unc[i]
-            ans_region[w] = i
-            if self.emit_xy:
-                if self.out_frame == self.input_frame:
-                    ans_x[w], ans_y[w] = lon[w], lat[w]
-                elif self.out_frame == gframe:
-                    ans_x[w], ans_y[w] = rlon[valid], rlat[valid]
-                else:
-                    ans_x[w], ans_y[w] = out_hop[0][w], out_hop[1][w]
+        ans_z[w] = self.flip * z[win]
+        ans_unc[w] = self.unc[pg[win]]
+        ans_region[w] = pg[win]
 
         ans_z = np.round(ans_z, 3)  # core.py:462
         covered = ans_region >= 0
@@ -172,6 +200,17 @@ class DatumTransformer:
             .append_column("region", pa.array(region_str, pa.string()))
         )
         if self.emit_xy:
+            ans_x = np.full(n, np.nan, dtype=np.float64)
+            ans_y = np.full(n, np.nan, dtype=np.float64)
+            if self.out_frame == self.input_frame:
+                ans_x[w], ans_y[w] = lon[w], lat[w]
+            else:
+                # the region's hopped lon/lat when its geoid frame is
+                # the output frame, the input->output hop otherwise
+                ans_x[w], ans_y[w] = px[win], py[win]
+                far = w[self.out_corr[pg[win]]]
+                if len(far):  # then out_hop was computed above
+                    ans_x[far], ans_y[far] = out_hop[0][far], out_hop[1][far]
             out = (out.append_column("x_out", pa.array(ans_x, pa.float64()))
                       .append_column("y_out", pa.array(ans_y, pa.float64())))
         return out
