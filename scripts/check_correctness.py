@@ -5,7 +5,9 @@ DuckDB — row count, schema, and order-insensitive value equality.
 Usage: python scripts/check_correctness.py [name | @set ...]
 
 ``@flagship`` names every query that runs the flagship's region join and
-datum transform (``flagship.flagship_fused`` or ``join_transform_batch``).
+datum transform (``flagship.flagship_fused`` or ``join_transform_batch``);
+``@exchange`` names every query on the salted exchange
+(``pipelines/exchange.exchange``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ NAMED_SETS = {
         transform_stateplane transform_stateplane_tm transform_stateplane_md
         transform_stateplane_nj sampled_transform spatial_order region_median
         knn_grid_nodes""".split(),
+    "exchange": """sessionize asof_join session_join tpch_q3 shuffle_join tpch_q4
+        tpch_q5 tpch_q7 tpch_q8 tpch_q9 tpch_q10 tpch_q11 tpch_q12 tpch_q13
+        tpch_q15 tpch_q16 tpch_q17 tpch_q18 tpch_q19 tpch_q20 tpch_q21 tpch_q22
+        semi_anti_join bloom_semi_join min_cost_supplier running_total
+        full_outer_join event_lag_delta funnel_conversion gap_fill_resample
+        repeat_buyers lapsed_buyers price_band_join""".split(),
 }
 
 

@@ -1,10 +1,12 @@
-"""Salted repartition joins (pipelines/relational.py q_tpch_q5/q12):
-path- and width-independence. The multi-join reshape must produce the
-same rows whether the customer side is broadcast or exchanged, and at
-any forced salt width (every copy of a key shares its salt group)."""
+"""The relational queries on the salted exchange (pipelines/exchange.py):
+path- and width-independence plus semantics edge cases. The multi-join
+reshape must produce the same rows whether the customer side is
+broadcast or exchanged, and at any forced salt width (every copy of a
+key shares its salt group)."""
 
 import numpy as np
 import pandas as pd
+import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -13,56 +15,84 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns)).reset_index(drop=True)
 
 
-def test_q5_exchange_path_matches_broadcast(ray_session):
-    from vyperdatum_ray.pipelines.relational import q_tpch_q5
+def _at_width(monkeypatch, bits, fn, *args, **kw):
+    """``fn(*args, **kw)`` with every exchange forced to 2^bits salt
+    groups: test tables sit far below the byte target, so the floor is
+    the width."""
+    from vyperdatum_ray.pipelines import exchange
 
-    fast = q_tpch_q5(SF)                        # customer fits the budget
-    slow = q_tpch_q5(SF, broadcast_budget=0)    # forced 2-exchange path
+    with monkeypatch.context() as m:
+        m.setattr(exchange, "JOIN_FLOOR", bits)
+        return fn(*args, **kw)
+
+
+def _width_independent(monkeypatch, fn, bits=1):
+    """Canonical default-width output of ``fn(SF)``, asserted equal to
+    the output at a forced width."""
+    def run():
+        out = fn(SF)
+        return _canon(out if isinstance(out, pd.DataFrame) else out.to_pandas())
+
+    base = run()
+    pd.testing.assert_frame_equal(base, _at_width(monkeypatch, bits, run))
+    return base
+
+
+def test_q5_exchange_path_matches_broadcast(ray_session, monkeypatch):
+    from vyperdatum_ray.pipelines import relational
+
+    fast = relational.q_tpch_q5(SF)             # customer fits the budget
+    monkeypatch.setattr(relational, "Q5_BROADCAST_CUST_BYTES", 0)
+    slow = relational.q_tpch_q5(SF)             # forced 2-exchange path
     pd.testing.assert_frame_equal(_canon(fast), _canon(slow))
     assert len(fast) >= 1
     assert (fast["revenue"].to_numpy() > 0).all()
 
 
-def test_q5_salt_width_independence(ray_session):
-    from vyperdatum_ray.pipelines.relational import q_tpch_q5
+def test_q5_salt_width_independence(ray_session, monkeypatch):
+    from vyperdatum_ray.pipelines import relational
 
-    base = _canon(q_tpch_q5(SF))
+    base = _canon(relational.q_tpch_q5(SF))
+    monkeypatch.setattr(relational, "Q5_BROADCAST_CUST_BYTES", 0)
     for bits in (1, 3):
-        forced = _canon(q_tpch_q5(SF, salt_bits=bits, broadcast_budget=0))
+        forced = _canon(_at_width(monkeypatch, bits, relational.q_tpch_q5, SF))
         pd.testing.assert_frame_equal(base, forced)
 
 
-def test_q12_salt_width_independence(ray_session):
+@pytest.mark.parametrize("name", [
+    "sessionize", "asof_join", "session_join", "tpch_q3", "shuffle_join",
+    "bloom_semi_join", "gap_fill_resample", "repeat_buyers", "lapsed_buyers",
+    "price_band_join"])
+def test_exchange_query_width_independence(ray_session, monkeypatch, name):
+    """Every other query on the exchange: identical rows at width 1."""
+    import __ray_entry__ as E
+
+    assert len(_width_independent(monkeypatch, E.queries()[name])) > 0
+
+
+def test_shuffle_join_matches_oracle(ray_session):
+    """The big-big repartition join finishes and matches its DuckDB
+    oracle."""
+    from scripts.check_correctness import compare
+    from vyperdatum_ray.pipelines.relational import ORACLES, q_shuffle_join
+
+    got = q_shuffle_join(SF)
+    want = _ddb(SF, ORACLES["shuffle_join"])
+    assert compare("shuffle_join", got, want) == []
+    assert len(got) == 5 and got["n_items"].sum() > 0
+
+
+def test_q12_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q12
 
-    base = _canon(q_tpch_q12(SF))
-    forced = _canon(q_tpch_q12(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q12)
     assert (base["high_line_count"] + base["low_line_count"] > 0).all()
 
 
-def test_join_salt_bits_widens_with_target():
-    """The width grows as the per-group byte target shrinks (the
-    100-TB guarantee: group payloads stay block-sized at any scale)."""
-    from vyperdatum_ray.pipelines import relational, textops
-
-    path = f"{SF}/lineitem.parquet"
-    cols = ("l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")
-    default = relational._join_salt_bits(path, cols)
-    total, _ = textops._footer_stats(path, list(cols))
-    tiny_target = max(total // 256, 1)
-    wide = relational._join_salt_bits(path, cols, target_bytes=tiny_target)
-    assert wide > default
-    # the per-group expectation at the derived width meets the target
-    assert (total >> wide) <= tiny_target
-
-
-def test_semi_anti_join_salt_width_independence(ray_session):
+def test_semi_anti_join_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_semi_anti_join
 
-    base = _canon(q_semi_anti_join(SF))
-    forced = _canon(q_semi_anti_join(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_semi_anti_join)
     # both join classes are exercised by the fixture: some order has a
     # >90-day-late line (semi) and some order has no lines (anti)
     assert base["n_late"].sum() > 0
@@ -118,12 +148,10 @@ def test_empty_match_dtype_parity(ray_session, tmp_path):
                 name, c, mine[c].dtype, theirs[c].dtype)
 
 
-def test_q18_salt_width_and_threshold(ray_session):
+def test_q18_salt_width_and_threshold(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q18
 
-    base = _canon(q_tpch_q18(SF))
-    forced = _canon(q_tpch_q18(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q18)
     # HAVING actually prunes: every surviving order clears the bar
     assert (base["total_qty"] > 200.0).all()
     assert 0 < len(base) <= 100
@@ -173,15 +201,13 @@ def test_embedding_centroid_matches_numpy(ray_session):
         assert (out.loc[out["label"] == lbl, "n_vecs"] == len(grp)).all()
 
 
-def test_q13_left_join_zero_fill(ray_session):
+def test_q13_left_join_zero_fill(ray_session, monkeypatch):
     """Customers with no qualifying orders appear as a c_count=0
     bucket — the left-outer semantics an inner join would drop — and
     the distribution is salt-width independent."""
     from vyperdatum_ray.pipelines.relational import q_tpch_q13
 
-    base = _canon(q_tpch_q13(SF))
-    forced = _canon(q_tpch_q13(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q13)
     assert (base.loc[base["c_count"] == 0, "custdist"] > 0).all()
     assert len(base.loc[base["c_count"] == 0]) == 1
     # every customer lands in exactly one bucket
@@ -190,14 +216,12 @@ def test_q13_left_join_zero_fill(ray_session):
     assert int(base["custdist"].sum()) == n_cust
 
 
-def test_q16_two_level_distinct(ray_session):
+def test_q16_two_level_distinct(ray_session, monkeypatch):
     """supplier_cnt never exceeds the global supplier count, and the
     two-level distinct exchange is width-independent."""
     from vyperdatum_ray.pipelines.relational import q_tpch_q16
 
-    base = _canon(q_tpch_q16(SF))
-    forced = _canon(q_tpch_q16(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q16)
     assert len(base) > 0
     import pyarrow.parquet as pq
     n_supp = pq.read_metadata(f"{SF}/supplier.parquet").num_rows
@@ -205,16 +229,14 @@ def test_q16_two_level_distinct(ray_session):
     assert (base["supplier_cnt"] <= n_supp).all()
 
 
-def test_q22_threshold_is_exact(ray_session):
+def test_q22_threshold_is_exact(ray_session, monkeypatch):
     """The broadcast scalar threshold keeps exactly the customers a
     single-process integer-cents reference keeps."""
     import pyarrow.parquet as pq
 
     from vyperdatum_ray.pipelines.relational import q_tpch_q22
 
-    base = _canon(q_tpch_q22(SF))
-    forced = _canon(q_tpch_q22(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q22)
 
     cust = pq.read_table(f"{SF}/customer.parquet").to_pandas()
     orders = pq.read_table(f"{SF}/orders.parquet").to_pandas()
@@ -232,7 +254,7 @@ def test_q22_threshold_is_exact(ray_session):
         got, ref.astype({"numcust": np.int64}))
 
 
-def test_min_cost_supplier_argmin_tiebreak(ray_session):
+def test_min_cost_supplier_argmin_tiebreak(ray_session, monkeypatch):
     """The per-part argmin is total: at the minimum price the smallest
     suppkey wins, across any salt width, and the enrich name matches
     the supplier dimension row."""
@@ -240,9 +262,7 @@ def test_min_cost_supplier_argmin_tiebreak(ray_session):
 
     from vyperdatum_ray.pipelines.relational import q_min_cost_supplier
 
-    base = _canon(q_min_cost_supplier(SF).to_pandas())
-    forced = _canon(q_min_cost_supplier(SF, salt_bits=1).to_pandas())
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_min_cost_supplier)
 
     line = pq.read_table(f"{SF}/lineitem.parquet").to_pandas()
     ic = np.rint(line["l_extendedprice"].to_numpy() * 100.0).astype(np.int64)
@@ -258,7 +278,7 @@ def test_min_cost_supplier_argmin_tiebreak(ray_session):
     assert (sm["best_supplier"] == sm["s_name"]).all()
 
 
-def test_running_total_window(ray_session):
+def test_running_total_window(ray_session, monkeypatch):
     """The distributed per-key cumulative window matches a
     single-process pandas cumsum reference at any salt width, and the
     per-segment offset subtraction is exact for NEGATIVE amounts too
@@ -267,9 +287,7 @@ def test_running_total_window(ray_session):
 
     from vyperdatum_ray.pipelines.relational import q_running_total
 
-    base = _canon(q_running_total(SF).to_pandas())
-    forced = _canon(q_running_total(SF, salt_bits=1).to_pandas())
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_running_total)
 
     o = pq.read_table(f"{SF}/orders.parquet").to_pandas()
     o["cents"] = np.rint(o["o_totalprice"].to_numpy() * 100).astype(np.int64)
@@ -279,7 +297,7 @@ def test_running_total_window(ray_session):
     assert (m["running_spend"] == m["run"]).all()
 
 
-def test_running_total_negative_amounts(ray_session, tmp_path):
+def test_running_total_negative_amounts(ray_session, tmp_path, monkeypatch):
     import datetime
 
     import pyarrow as pa
@@ -297,7 +315,7 @@ def test_running_total_negative_amounts(ray_session, tmp_path):
                                  pa.float64()),
         "o_orderdate": pa.array(ts, pa.timestamp("us")),
     }), d / "orders.parquet")
-    out = q_running_total(str(d), salt_bits=1).to_pandas().sort_values(
+    out = _at_width(monkeypatch, 1, q_running_total, str(d)).to_pandas().sort_values(
         "o_orderkey").reset_index(drop=True)
     assert out["running_spend"].tolist() == [
         10.0, -15.5, -11.5, -1.0, -3.0, 0.0]
@@ -314,7 +332,7 @@ def test_supplier_list_agg_sorted(ray_session):
         assert len(names) == row.n_suppliers
 
 
-def test_full_outer_join_all_three_match_classes(ray_session, tmp_path):
+def test_full_outer_join_all_three_match_classes(ray_session, tmp_path, monkeypatch):
     """Matched, events-only (NULL balance), and customer-only
     (zero count) keys all survive the same exchange pass."""
     import pyarrow as pa
@@ -331,7 +349,7 @@ def test_full_outer_join_all_three_match_classes(ray_session, tmp_path):
         "c_custkey": pa.array([1, 2, 3], pa.int64()),
         "c_acctbal": pa.array([10.5, -3.25, 0.0], pa.float64()),
     }), d / "customer.parquet")
-    out = q_full_outer_join(str(d), salt_bits=1).to_pandas().sort_values(
+    out = _at_width(monkeypatch, 1, q_full_outer_join, str(d)).to_pandas().sort_values(
         "ukey").reset_index(drop=True)
     assert out["ukey"].tolist() == [1, 2, 3, 5, 99]
     assert out["n_events"].tolist() == [2, 0, 0, 3, 1]
@@ -339,18 +357,16 @@ def test_full_outer_join_all_three_match_classes(ray_session, tmp_path):
     assert np.isnan(out["c_acctbal"].to_numpy()[3:]).all()
 
 
-def test_full_outer_join_salt_width_independence(ray_session):
+def test_full_outer_join_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_full_outer_join
 
-    base = _canon(q_full_outer_join(SF).to_pandas())
-    forced = _canon(q_full_outer_join(SF, salt_bits=1).to_pandas())
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_full_outer_join)
     # fixture customers without events keep a zero count
     assert (base["n_events"] == 0).any()
     assert (base["n_events"] > 0).any()
 
 
-def test_min_cost_supplier_drops_unknown_suppkey(ray_session, tmp_path):
+def test_min_cost_supplier_drops_unknown_suppkey(ray_session, tmp_path, monkeypatch):
     """A suppkey absent from the supplier dimension drops its part row
     (inner-join semantics), never misattributes a neighbour's name."""
     import pyarrow as pa
@@ -369,36 +385,30 @@ def test_min_cost_supplier_drops_unknown_suppkey(ray_session, tmp_path):
         "s_suppkey": pa.array([10], pa.int64()),
         "s_name": pa.array(["S10"], pa.string()),
     }), d / "supplier.parquet")
-    out = q_min_cost_supplier(str(d), salt_bits=1).to_pandas().sort_values(
+    out = _at_width(monkeypatch, 1, q_min_cost_supplier, str(d)).to_pandas().sort_values(
         "l_partkey").reset_index(drop=True)
     # part 1's argmin supplier (99) is unknown -> row drops; part 2 stays
     assert out["l_partkey"].tolist() == [2]
     assert out["best_supplier"].tolist() == ["S10"]
 
 
-def test_q17_salt_width_independence(ray_session):
+def test_q17_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q17
 
-    base = _canon(q_tpch_q17(SF))
-    forced = _canon(q_tpch_q17(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    _width_independent(monkeypatch, q_tpch_q17)
 
 
-def test_q15_salt_width_independence(ray_session):
+def test_q15_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q15
 
-    base = _canon(q_tpch_q15(SF))
-    forced = _canon(q_tpch_q15(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q15)
     assert len(base) >= 1
 
 
-def test_q10_salt_width_independence(ray_session):
+def test_q10_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q10
 
-    base = _canon(q_tpch_q10(SF))
-    forced = _canon(q_tpch_q10(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q10)
     assert len(base) >= 1
     # top-k is ordered by revenue desc before canonicalization
     raw = q_tpch_q10(SF)
@@ -406,7 +416,7 @@ def test_q10_salt_width_independence(ray_session):
     assert (rev[:-1] >= rev[1:]).all()
 
 
-def test_q10_missing_customer_frees_topk_slot(ray_session, tmp_path):
+def test_q10_missing_customer_frees_topk_slot(ray_session, tmp_path, monkeypatch):
     """A candidate whose custkey is absent from the customer table must
     not occupy a top-k slot (the oracle joins BEFORE the LIMIT)."""
     import pyarrow as pa
@@ -438,35 +448,29 @@ def test_q10_missing_customer_frees_topk_slot(ray_session, tmp_path):
         "n_nationkey": pa.array([0], pa.int64()),
         "n_name": pa.array(["N0"], pa.string()),
     }), d / "nation.parquet")
-    out = q_tpch_q10(str(d), k=1, salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_tpch_q10, str(d), k=1)
     assert out["c_custkey"].tolist() == [200]
     assert out["revenue"].tolist() == [50.0]
 
 
-def test_q4_salt_width_independence(ray_session):
+def test_q4_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q4
 
-    base = _canon(q_tpch_q4(SF))
-    forced = _canon(q_tpch_q4(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q4)
     assert (base["order_count"] > 0).all()
 
 
-def test_q9_salt_width_independence(ray_session):
+def test_q9_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q9
 
-    base = _canon(q_tpch_q9(SF))
-    forced = _canon(q_tpch_q9(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q9)
     assert len(base) > 0
 
 
-def test_q19_salt_width_independence(ray_session):
+def test_q19_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q19
 
-    base = _canon(q_tpch_q19(SF))
-    forced = _canon(q_tpch_q19(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    _width_independent(monkeypatch, q_tpch_q19)
 
 
 def test_q19_or_counts_overlapping_clauses_once(ray_session, tmp_path,
@@ -495,18 +499,16 @@ def test_q19_or_counts_overlapping_clauses_once(ray_session, tmp_path,
         "l_extendedprice": pa.array([10.0, 10.0, 10.0], pa.float64()),
         "l_discount": pa.array([0.0, 0.0, 0.0], pa.float64()),
     }), d / "lineitem.parquet")
-    out = rel.q_tpch_q19(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, rel.q_tpch_q19, str(d))
     # qty 15 hits both clauses (counts once), 25 hits clause 2, 40 none
     assert out["n_lines"].tolist() == [2]
     assert out["revenue"].tolist() == [20.0]
 
 
-def test_q11_salt_width_and_threshold(ray_session):
+def test_q11_salt_width_and_threshold(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q11
 
-    base = _canon(q_tpch_q11(SF))
-    forced = _canon(q_tpch_q11(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q11)
     # at sf0.001 the 0.1% threshold keeps a nonempty, strict subset
     loose = q_tpch_q11(SF, fraction_ppm=0)
     assert 0 < len(base) < len(loose)
@@ -523,17 +525,15 @@ def test_q11_empty_threshold_result_is_typed(ray_session):
     assert out["value"].dtype == np.float64
 
 
-def test_q21_salt_width_independence(ray_session):
+def test_q21_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q21
 
-    base = _canon(q_tpch_q21(SF))
-    forced = _canon(q_tpch_q21(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q21)
     assert len(base) > 0
     assert (base["numwait"] > 0).all()
 
 
-def test_q21_blames_only_sole_returner(ray_session, tmp_path):
+def test_q21_blames_only_sole_returner(ray_session, tmp_path, monkeypatch):
     """Order 1: supplier 10 returned, 20 didn't -> 10 waits. Order 2:
     both returned -> nobody waits (NOT EXISTS fails). Order 3: single
     supplier returned -> nobody waits (EXISTS fails)."""
@@ -557,39 +557,33 @@ def test_q21_blames_only_sole_returner(ray_session, tmp_path):
         "s_suppkey": pa.array([10, 20], pa.int64()),
         "s_name": pa.array(["S10", "S20"], pa.string()),
     }), d / "supplier.parquet")
-    out = q_tpch_q21(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_tpch_q21, str(d))
     assert out["s_suppkey"].tolist() == [10]
     assert out["numwait"].tolist() == [1]
 
 
-def test_q7_salt_width_independence(ray_session):
+def test_q7_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q7
 
-    base = _canon(q_tpch_q7(SF))
-    forced = _canon(q_tpch_q7(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q7)
     assert len(base) > 0
     # only the two cross (supp, cust) nation pairs appear
     pairs = set(zip(base["supp_nation"], base["cust_nation"]))
     assert pairs <= {("NATION_3", "NATION_15"), ("NATION_15", "NATION_3")}
 
 
-def test_q8_salt_width_independence(ray_session):
+def test_q8_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q8
 
-    base = _canon(q_tpch_q8(SF))
-    forced = _canon(q_tpch_q8(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q8)
     assert len(base) > 0
     assert ((base["mkt_share"] >= 0) & (base["mkt_share"] <= 1)).all()
 
 
-def test_event_lag_delta_salt_width_independence(ray_session):
+def test_event_lag_delta_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_event_lag_delta
 
-    base = _canon(q_event_lag_delta(SF).to_pandas())
-    forced = _canon(q_event_lag_delta(SF, salt_bits=1).to_pandas())
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_event_lag_delta)
     # exactly one NaN delta (first event) and one NaN gap (last event)
     # per user
     n_users = base["user_id"].nunique()
@@ -597,7 +591,7 @@ def test_event_lag_delta_salt_width_independence(ray_session):
     assert int(base["next_gap_us"].isna().sum()) == n_users
 
 
-def test_event_lag_delta_partition_edges(ray_session, tmp_path):
+def test_event_lag_delta_partition_edges(ray_session, tmp_path, monkeypatch):
     """Shifts must mask at user boundaries: user 1's first delta and
     last gap are NULL even when another user's rows are adjacent in
     the lexsort."""
@@ -616,7 +610,7 @@ def test_event_lag_delta_partition_edges(ray_session, tmp_path):
         "user_id": pa.array([7, 7, 8], pa.int64()),
         "value": pa.array([10.0, 13.5, 99.0], pa.float64()),
     }), d / "events.parquet")
-    out = q_event_lag_delta(str(d), salt_bits=1).to_pandas().sort_values(
+    out = _at_width(monkeypatch, 1, q_event_lag_delta, str(d)).to_pandas().sort_values(
         "event_id").reset_index(drop=True)
     assert np.isnan(out["value_delta"].iloc[0])        # user 7 first
     assert out["value_delta"].iloc[1] == 3.5
@@ -626,7 +620,7 @@ def test_event_lag_delta_partition_edges(ray_session, tmp_path):
     assert np.isnan(out["next_gap_us"].iloc[2])        # user 8 last
 
 
-def test_funnel_conversion_ordering_matters(ray_session, tmp_path):
+def test_funnel_conversion_ordering_matters(ray_session, tmp_path, monkeypatch):
     """A purchase BEFORE the user's first signup must not convert;
     a purchase after it must, even with partials split across salt
     groups."""
@@ -649,17 +643,15 @@ def test_funnel_conversion_ordering_matters(ray_session, tmp_path):
             ["signup", "purchase", "signup", "purchase", "purchase"],
             pa.string()),
     }), d / "events.parquet")
-    out = q_funnel_conversion(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_funnel_conversion, str(d))
     assert out["n_signup"].tolist() == [2]
     assert out["n_converted"].tolist() == [1]
 
 
-def test_funnel_salt_width_independence(ray_session):
+def test_funnel_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_funnel_conversion
 
-    base = q_funnel_conversion(SF)
-    forced = q_funnel_conversion(SF, salt_bits=1)
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_funnel_conversion)
     assert int(base["n_signup"].iloc[0]) >= int(base["n_converted"].iloc[0])
 
 
@@ -673,16 +665,14 @@ def test_q8_bloom_path_matches_direct(ray_session):
     pd.testing.assert_frame_equal(direct, bloomed)
 
 
-def test_q20_salt_width_independence(ray_session):
+def test_q20_salt_width_independence(ray_session, monkeypatch):
     from vyperdatum_ray.pipelines.relational import q_tpch_q20
 
-    base = _canon(q_tpch_q20(SF))
-    forced = _canon(q_tpch_q20(SF, salt_bits=1))
-    pd.testing.assert_frame_equal(base, forced)
+    base = _width_independent(monkeypatch, q_tpch_q20)
     assert len(base) > 0
 
 
-def test_q20_majority_is_strict(ray_session, tmp_path):
+def test_q20_majority_is_strict(ray_session, tmp_path, monkeypatch):
     """Exactly the fair-share multiple is NOT enough; a supplier over
     2x fair share for ANY one part qualifies once."""
     import pyarrow as pa
@@ -710,7 +700,7 @@ def test_q20_majority_is_strict(ray_session, tmp_path):
         "s_suppkey": pa.array([5, 6, 7], pa.int64()),
         "s_name": pa.array(["S5", "S6", "S7"], pa.string()),
     }), d / "supplier.parquet")
-    out = q_tpch_q20(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_tpch_q20, str(d))
     assert out["s_suppkey"].tolist() == [5]
     assert out["s_name"].tolist() == ["S5"]
 
@@ -753,7 +743,7 @@ def test_gap_fill_resample_zero_fills(ray_session, tmp_path):
     assert out["n_events"].sum() == 3
 
 
-def test_new_queries_empty_inputs_are_typed(ray_session, tmp_path):
+def test_new_queries_empty_inputs_are_typed(ray_session, tmp_path, monkeypatch):
     """Every session-4 query must survive EMPTY input tables and
     return its typed empty frame (the pd.Series positional-dtype trap
     lived exactly in these guards)."""
@@ -816,21 +806,21 @@ def test_new_queries_empty_inputs_are_typed(ray_session, tmp_path):
     }), d / "events.parquet")
 
     sd = str(d)
-    assert len(rel.q_tpch_q4(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q9(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q10(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q15(sd, salt_bits=1)) == 0
-    out17 = rel.q_tpch_q17(sd, salt_bits=1)
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q4, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q9, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q10, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q15, sd)) == 0
+    out17 = _at_width(monkeypatch, 1, rel.q_tpch_q17, sd)
     assert len(out17) == 1 and np.isnan(out17["avg_yearly"].iloc[0])
-    out19 = rel.q_tpch_q19(sd, salt_bits=1)
+    out19 = _at_width(monkeypatch, 1, rel.q_tpch_q19, sd)
     assert out19["n_lines"].tolist() == [0]
-    assert len(rel.q_tpch_q20(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q21(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q7(sd, salt_bits=1)) == 0
-    assert len(rel.q_tpch_q8(sd, salt_bits=1)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q20, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q21, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q7, sd)) == 0
+    assert len(_at_width(monkeypatch, 1, rel.q_tpch_q8, sd)) == 0
     assert len(rel.q_gap_fill_resample(sd)) == 0
-    assert len(rel.q_event_lag_delta(sd, salt_bits=1).to_pandas()) == 0
-    fc = rel.q_funnel_conversion(sd, salt_bits=1)
+    assert len(_at_width(monkeypatch, 1, rel.q_event_lag_delta, sd).to_pandas()) == 0
+    fc = _at_width(monkeypatch, 1, rel.q_funnel_conversion, sd)
     assert fc["n_signup"].tolist() == [0]
 
 
@@ -857,7 +847,7 @@ def test_top_price_ties_keeps_all_tied_rows(ray_session, tmp_path):
     assert out["price_rank"].tolist() == [1, 2, 2, 3, 3]
 
 
-def test_repeat_buyers_requires_both_years(ray_session, tmp_path):
+def test_repeat_buyers_requires_both_years(ray_session, tmp_path, monkeypatch):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -871,12 +861,12 @@ def test_repeat_buyers_requires_both_years(ray_session, tmp_path):
         "o_custkey": pa.array([1, 1, 2, 3, 3], pa.int64()),
         "o_orderdate": pa.array(od, pa.timestamp("us")),
     }), d / "orders.parquet")
-    out = q_repeat_buyers(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_repeat_buyers, str(d))
     # cust 1: both years -> in; cust 2: only 1996; cust 3: 1997+1998
     assert out["c_custkey"].tolist() == [1]
 
     from vyperdatum_ray.pipelines.relational import q_lapsed_buyers
-    lapsed = q_lapsed_buyers(str(d), salt_bits=1)
+    lapsed = _at_width(monkeypatch, 1, q_lapsed_buyers, str(d))
     assert lapsed["c_custkey"].tolist() == [2]
 
 
@@ -893,7 +883,7 @@ def _ddb(sf_dir, sql):
     return con.execute(sql).df()
 
 
-def test_q10_q21_randomized_vs_duckdb(ray_session, tmp_path):
+def test_q10_q21_randomized_vs_duckdb(ray_session, tmp_path, monkeypatch):
     """Seeded randomized differential test on TINY key spaces so FK
     gaps, revenue ties and empty salt groups all occur by chance."""
     import pyarrow as pa
@@ -944,14 +934,14 @@ def test_q10_q21_randomized_vs_duckdb(ray_session, tmp_path):
             "s_name": pa.array(["S0", "S1", "S2"], pa.string()),
         }), d / "supplier.parquet")
 
-        got = q_tpch_q10(str(d), salt_bits=2)
+        got = _at_width(monkeypatch, 2, q_tpch_q10, str(d))
         want = _ddb(str(d), ORACLES["tpch_q10"])
         pd.testing.assert_frame_equal(
             got.reset_index(drop=True),
             want.astype(got.dtypes.to_dict()).reset_index(drop=True),
             check_dtype=False), f"q10 seed {seed}"
 
-        got21 = q_tpch_q21(str(d), salt_bits=2)
+        got21 = _at_width(monkeypatch, 2, q_tpch_q21, str(d))
         want21 = _ddb(str(d), ORACLES["tpch_q21"])
         pd.testing.assert_frame_equal(
             got21.reset_index(drop=True),
@@ -959,7 +949,7 @@ def test_q10_q21_randomized_vs_duckdb(ray_session, tmp_path):
             check_dtype=False), f"q21 seed {seed}"
 
 
-def test_q9_supplier_nation_fk_gap_vs_duckdb(ray_session, tmp_path):
+def test_q9_supplier_nation_fk_gap_vs_duckdb(ray_session, tmp_path, monkeypatch):
     """A supplier whose s_nationkey is missing from `nation` drops its
     lines, exactly as the oracle's inner join does, instead of raising."""
     import pyarrow as pa
@@ -990,14 +980,14 @@ def test_q9_supplier_nation_fk_gap_vs_duckdb(ray_session, tmp_path):
         "n_name": pa.array(["NATION_3", "NATION_15"], pa.string()),
     }), d / "nation.parquet")
 
-    got = rel.q_tpch_q9(str(d), salt_bits=1).reset_index(drop=True)
+    got = _at_width(monkeypatch, 1, rel.q_tpch_q9, str(d)).reset_index(drop=True)
     want = _ddb(str(d), rel.ORACLES["tpch_q9"]).reset_index(drop=True)
     assert len(want) == 1
     pd.testing.assert_frame_equal(
         got, want.astype(got.dtypes.to_dict()), check_dtype=False)
 
 
-def test_part_family_randomized_vs_duckdb(ray_session, tmp_path):
+def test_part_family_randomized_vs_duckdb(ray_session, tmp_path, monkeypatch):
     """Seeded randomized differential for the part-exchange family
     (q4/q9/q15/q17/q19/q20) — tiny domains force ties, FK gaps, empty
     clauses and all-NULL aggregates."""
@@ -1078,14 +1068,14 @@ def test_part_family_randomized_vs_duckdb(ray_session, tmp_path):
 
         sd = str(d)
         for name, fn in [
-            ("tpch_q4", lambda s: rel.q_tpch_q4(s, salt_bits=2)),
-            ("tpch_q9", lambda s: rel.q_tpch_q9(s, salt_bits=2)),
-            ("tpch_q15", lambda s: rel.q_tpch_q15(s, salt_bits=2)),
-            ("tpch_q17", lambda s: rel.q_tpch_q17(s, salt_bits=2)),
-            ("tpch_q19", lambda s: rel.q_tpch_q19(s, salt_bits=2)),
-            ("tpch_q20", lambda s: rel.q_tpch_q20(s, salt_bits=2)),
-            ("tpch_q7", lambda s: rel.q_tpch_q7(s, salt_bits=2)),
-            ("tpch_q8", lambda s: rel.q_tpch_q8(s, salt_bits=2)),
+            ("tpch_q4", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q4, s)),
+            ("tpch_q9", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q9, s)),
+            ("tpch_q15", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q15, s)),
+            ("tpch_q17", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q17, s)),
+            ("tpch_q19", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q19, s)),
+            ("tpch_q20", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q20, s)),
+            ("tpch_q7", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q7, s)),
+            ("tpch_q8", lambda s: _at_width(monkeypatch, 2, rel.q_tpch_q8, s)),
         ]:
             got = fn(sd).reset_index(drop=True)
             want = _ddb(sd, rel.ORACLES[name]).reset_index(drop=True)
@@ -1107,7 +1097,7 @@ def test_sharded_table_directory_layout(ray_session, tmp_path):
     import pyarrow.parquet as pq
 
     from vyperdatum_ray.pipelines.relational import q_repeat_buyers
-    from vyperdatum_ray.pipelines.textops import _footer_stats
+    from vyperdatum_ray.pipelines.exchange import footer_stats
 
     d = tmp_path / "sharded"
     (d / "orders.parquet").mkdir(parents=True)
@@ -1122,9 +1112,9 @@ def test_sharded_table_directory_layout(ray_session, tmp_path):
         "o_orderdate": pa.array(od2, pa.timestamp("us")),
     }), d / "orders.parquet" / "part-1.parquet")
 
-    nbytes, rows = _footer_stats(str(d / "orders.parquet"))
+    nbytes, rows = footer_stats(str(d / "orders.parquet"))
     assert rows == 4 and nbytes > 0
-    out = q_repeat_buyers(str(d))        # salt_bits=None -> estimator
+    out = q_repeat_buyers(str(d))        # width from the footer estimator
     assert out["c_custkey"].tolist() == [1]
 
 
@@ -1380,7 +1370,7 @@ def test_whole_family_randomized_vs_duckdb(ray_session, tmp_path):
                 raise AssertionError(f"{name} seed {seed}: {e}") from e
 
 
-def test_price_band_join_boundary_and_brute(ray_session, tmp_path):
+def test_price_band_join_boundary_and_brute(ray_session, tmp_path, monkeypatch):
     """Band join: pairs straddling a bucket boundary and exact-band
     ties must appear exactly once; randomized brute-force check."""
     import itertools
@@ -1403,7 +1393,7 @@ def test_price_band_join_boundary_and_brute(ray_session, tmp_path):
         "p_partkey": pa.array(np.arange(len(cents), dtype=np.int64)),
         "p_retailprice": pa.array(cents / 100.0, pa.float64()),
     }), d / "part.parquet")
-    out = q_price_band_join(str(d), salt_bits=1)
+    out = _at_width(monkeypatch, 1, q_price_band_join, str(d)).to_pandas()
     got = set(zip(out["pk_a"], out["pk_b"]))
     want = set()
     for i, j in itertools.combinations(range(len(cents)), 2):

@@ -353,31 +353,6 @@ def test_neardup_jaccard_byte_budget_forces_exchange_path(ray_session):
     np.testing.assert_allclose(f["jaccard"], s["jaccard"])
 
 
-def test_dedup_salt_bits_scale_with_corpus_bytes():
-    """The salt width must widen once expected per-group payload
-    exceeds the target — the 100-TB parameter-scaling guarantee."""
-    from vyperdatum_ray.pipelines.textops import (DEDUP_SALT_BITS_CAP,
-                                                  DEDUP_SALT_BITS_FLOOR,
-                                                  _footer_stats,
-                                                  dedup_salt_bits)
-
-    path = f"{SF}/documents.parquet"
-    total, rows = _footer_stats(path, ("doc_id", "text"))
-    assert total > 0 and rows > 0
-    # sf-scale corpora keep the round-4 floor (bench parity)
-    assert dedup_salt_bits(path, ("doc_id", "text")) == DEDUP_SALT_BITS_FLOOR
-    # shrink the target so this corpus "looks" 100-TB-sized: width grows
-    tiny = dedup_salt_bits(path, ("doc_id", "text"),
-                           target_bytes=max(total >> 14, 1))
-    assert tiny > DEDUP_SALT_BITS_FLOOR
-    # zero target widens until the shifted payload itself vanishes,
-    # never past the group-count cap
-    zero = dedup_salt_bits(path, ("doc_id", "text"), target_bytes=0)
-    assert tiny <= zero <= DEDUP_SALT_BITS_CAP and (total >> zero) == 0
-    # per-group expectation is met at the chosen width
-    assert (total >> tiny) <= max(total >> 14, 1)
-
-
 def test_dedup_results_invariant_to_salt_width(ray_session):
     """Correctness must not depend on the auto-scaled shuffle width:
     every copy of a key shares its hash prefix at ANY width."""

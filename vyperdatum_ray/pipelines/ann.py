@@ -707,9 +707,9 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 16,
     # budget (the 100-TB case) it falls through to the streaming
     # re-scan — the memory-safe shape — so this is a bounded cache,
     # not a corpus materialization.
-    from vyperdatum_ray.pipelines.textops import _footer_stats
+    from vyperdatum_ray.pipelines.exchange import footer_stats
 
-    emb_bytes, _ = _footer_stats(f"{sf_dir}/embeddings.parquet")
+    emb_bytes, _ = footer_stats(f"{sf_dir}/embeddings.parquet")
     ds_emb = _emb(sf_dir)
     if emb_bytes <= ITER_CACHE_BYTES:
         ds_emb = ds_emb.materialize()

@@ -837,9 +837,9 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     # fit the bounded iterative-cache budget, else stream twice (the
     # memory-safe 100-TB shape)
     from vyperdatum_ray.pipelines.ann import ITER_CACHE_BYTES
-    from vyperdatum_ray.pipelines.textops import _footer_stats
+    from vyperdatum_ray.pipelines.exchange import footer_stats
 
-    url_bytes, n_rows = _footer_stats(pages_paths(sf_dir), ["url"])
+    url_bytes, n_rows = footer_stats(pages_paths(sf_dir), ["url"])
     if url_bytes + 24 * n_rows <= ITER_CACHE_BYTES:
         prepped = prepped.materialize()
 

@@ -29,9 +29,34 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from vyperdatum_ray.core.nputil import isin_sorted
+from vyperdatum_ray.pipelines.exchange import collect, exchange, footer_stats
+
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+
+
+def _size(sf_dir: str, name: str, *columns) -> tuple[str, tuple]:
+    """An exchange's ``size``: the footer bytes of ``columns`` of one
+    table set its salt width."""
+    return f"{sf_dir}/{name}.parquet", columns
+
+
+def _np(t: pa.Table, name: str) -> np.ndarray:
+    return t.column(name).to_numpy(zero_copy_only=False)
+
+
+def _cents(x: np.ndarray) -> np.ndarray:
+    """2-decimal money or quantity as exact int64 hundredths."""
+    return np.rint(x * 100.0).astype(np.int64)
+
+
+def _rev(t: pa.Table, keep=slice(None)) -> np.ndarray:
+    """Line revenue price x (1 - discount) in exact int64 cents x
+    cents: its sums are partition-order independent."""
+    return (_cents(_np(t, "l_extendedprice")[keep])
+            * (100 - _cents(_np(t, "l_discount")[keep])))
 
 
 def q_tpch_q1(sf_dir: str) -> ray.data.Dataset:
@@ -272,26 +297,20 @@ FROM events GROUP BY user_id, hour, event_type""",
 }
 
 
-USER_SALT_K = 1024  # bounded shuffle-key cardinality for per-user ops
+def _per_user(sf_dir: str, columns, fn, keep=None) -> ray.data.Dataset:
+    """Per-user stateful ops on one salted exchange keyed by user_id:
+    every row of a user lands in one group, and ``fn`` handles the
+    group's many users fully vectorized (never one Python call per
+    user, the high-cardinality map_groups anti-pattern). ``keep`` is an
+    optional row filter applied in the leg's map task."""
+    def leg(t: pa.Table) -> pa.Table:
+        if keep is not None:
+            t = t.filter(keep(t))
+        return t.append_column("k", t.column("user_id"))
 
-
-def _salted_by_user(ds: ray.data.Dataset, fn, k: int = USER_SALT_K) -> ray.data.Dataset:
-    """Per-user stateful ops at bounded shuffle granularity: group by
-    ``hash(user_id) % k`` (k bounded groups — NOT one Python call per
-    user, the high-cardinality map_groups anti-pattern), and let ``fn``
-    handle the many users inside one group fully vectorized. All rows of
-    one user share a salt, so per-user semantics are exact."""
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        salt = (uid * np.uint64(2654435761)) % np.uint64(k)
-        return batch.append_column("u_salt", pa.array(salt, pa.uint64()))
-
-    def run(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns=["u_salt"]))
-
-    ds = ds.map_batches(add_salt, batch_format="pyarrow")
-    return ds.groupby("u_salt").map_groups(run, batch_format="pandas")
+    return exchange([(_t(sf_dir, "events", columns), leg)],
+                    lambda df: fn(df.drop(columns="k")),
+                    _size(sf_dir, "events", *columns))
 
 
 def _session_ids(df: pd.DataFrame, gap: np.timedelta64) -> tuple[pd.DataFrame, np.ndarray]:
@@ -315,8 +334,8 @@ def _session_ids(df: pd.DataFrame, gap: np.timedelta64) -> tuple[pd.DataFrame, n
 
 
 def q_sessionize(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
-    """Gap-based sessionization (streaming-shaped stateful op): shuffle
-    by a bounded user-hash salt, sort each group by (user_id, ts), and
+    """Gap-based sessionization (streaming-shaped stateful op): a salted
+    user_id exchange, sort each group by (user_id, ts), and
     compute session breaks vectorized with np.diff + user-boundary
     masks; a new session starts after a >gap silence. Session ids are
     0-based per user."""
@@ -330,8 +349,7 @@ def q_sessionize(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
             n_events=("ts", "size"), start_ts=("ts", "min"), end_ts=("ts", "max")
         )
 
-    ds = _t(sf_dir, "events", ["ts", "user_id"])
-    return _salted_by_user(ds, sessions)
+    return _per_user(sf_dir, ["ts", "user_id"], sessions)
 
 
 ORACLES["sessionize"] = """
@@ -360,8 +378,8 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
     once; ORDERS STREAMS through a map_batches filter (never
     materialized on the driver) and only the filtered orderkey set — the
     small surviving side — is collected and broadcast; lineitem streams
-    against it. (The no-small-side alternative is Dataset.join, the
-    ``shuffle_join`` path.)"""
+    against it. (The no-small-side alternative is a two-leg salted
+    exchange, the ``shuffle_join`` shape.)"""
     cutoff = datetime.datetime(1995, 3, 15)
 
     cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
@@ -369,18 +387,14 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
     building_ref = ray.put(building)
     cutoff_scalar = pa.scalar(cutoff, type=pa.timestamp("us"))
 
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
-
     # stateless per-block tasks, not actor pools: the only "state" is a
     # broadcast ref, and ray.get of an in-plasma object is cached
     # zero-copy per worker process — the actor pools' startup latency
     # (~2 s per pool per query) was the dominant cost of this query
     def filter_orders(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.less(batch.column("o_orderdate"), cutoff_scalar))
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(ck, ray.get(building_ref))
-        return pa.table({"o_orderkey": pa.array(
-            batch.column("o_orderkey").to_numpy(zero_copy_only=False)[keep])})
+        keep = isin_sorted(_np(batch, "o_custkey"), ray.get(building_ref))
+        return pa.table({"o_orderkey": pa.array(_np(batch, "o_orderkey")[keep])})
 
     odf = (
         _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
@@ -395,40 +409,31 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
 
     def revenue_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.greater(batch.column("l_shipdate"), cutoff_scalar))
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(ok, ray.get(okeys_ref))
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
-        ip = np.rint(price * 100.0).astype(np.int64)
-        idisc = np.rint(disc * 100.0).astype(np.int64)
-        df = pd.DataFrame({"l_orderkey": ok[keep], "rev": ip * (100 - idisc)})
-        g = df.groupby("l_orderkey", as_index=False).agg(p_rev=("rev", "sum"))
-        g["salt"] = g["l_orderkey"] % 64
+        ok = _np(batch, "l_orderkey")
+        keep = isin_sorted(ok, ray.get(okeys_ref))
+        g = pd.DataFrame({"k": ok[keep], "rev": _rev(batch, keep)}).groupby(
+            "k", as_index=False).agg(rev=("rev", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
         # an orderkey lands wholly in its salt group, so the per-group
         # top-10 (same ordering as the global one) cannot miss a global
         # top-10 row
-        g = df.groupby("l_orderkey", as_index=False).agg(rev=("p_rev", "sum"))
-        g = g.sort_values(["rev", "l_orderkey"], ascending=[False, True]).head(10)
-        return g
+        g = df.groupby("k", as_index=False).agg(rev=("rev", "sum"))
+        return g.sort_values(["rev", "k"], ascending=[False, True]).head(10)
 
-    ds = _t(sf_dir, "lineitem",
-            ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
-    # ONE bounded-salt exchange replaces the high-cardinality
+    # ONE salted exchange replaces the high-cardinality
     # groupby(l_orderkey) + full sort pair (two wide ops whose fixed
     # shuffle cost dominated this query): per-salt groups sum + keep a
-    # local top-10, the driver merges the <=640 candidates.
-    cand = (ds.map_batches(revenue_partial, batch_format="pyarrow")
-            .groupby("salt").map_groups(local_topk, batch_format="pandas")
-            ).to_pandas()
-    if cand.empty:
-        return pd.DataFrame({"l_orderkey": pd.Series([], dtype=np.int64),
-                             "revenue": pd.Series([], dtype=np.float64)})
-    cand = cand.sort_values(["rev", "l_orderkey"], ascending=[False, True]).head(10)
-    return pd.DataFrame({"l_orderkey": cand["l_orderkey"].to_numpy(),
-                         "revenue": cand["rev"].to_numpy() / 10000.0})
+    # local top-10, the driver merges the few candidates.
+    cand = collect(exchange(
+        [(_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice",
+                                  "l_discount", "l_shipdate"]), revenue_partial)],
+        local_topk, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
+                          "l_discount")))
+    cand = cand.sort_values(["rev", "k"], ascending=[False, True]).head(10)
+    return pd.DataFrame({"l_orderkey": cand["k"].to_numpy(np.int64),
+                         "revenue": cand["rev"].to_numpy(np.int64) / 10000.0})
 
 
 ORACLES["tpch_q3"] = """
@@ -557,7 +562,7 @@ QUALIFY rank <= 3"""
 def q_asof_join(sf_dir: str) -> ray.data.Dataset:
     """Stream-to-stream as-of join: each purchase event matched to the
     same user's most recent click at-or-before it. Ray Data has no asof
-    join operator; the composition is a bounded user-hash-salt shuffle +
+    join operator; the composition is a salted user_id exchange +
     one vectorized ``pd.merge_asof(by=user_id)`` per group (C kernel
     across ALL the group's users — no per-user Python calls). The
     documented partitioning assumption is that all rows of a user share
@@ -581,13 +586,10 @@ def q_asof_join(sf_dir: str) -> ray.data.Dataset:
         m = m[m["click_ts"].notna()]
         return m[["user_id", "purchase_ts", "click_ts"]]
 
-    ds = _t(sf_dir, "events", ["ts", "user_id", "event_type"])
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t.column("event_type"),
-                                    value_set=pa.array(["purchase", "click"]))),
-        batch_format="pyarrow",
-    )
-    return _salted_by_user(ds, asof_group)
+    return _per_user(
+        sf_dir, ["ts", "user_id", "event_type"], asof_group,
+        keep=lambda t: pc.is_in(t.column("event_type"),
+                                value_set=pa.array(["purchase", "click"])))
 
 
 ORACLES["asof_join"] = """
@@ -644,41 +646,37 @@ def q_region_median(sf_dir: str) -> ray.data.Dataset:
 ORACLES_MEDIAN_NOTE = "region_median oracle lives in oracle.py (needs the transform CTEs)"
 
 
-def q_shuffle_join(sf_dir: str) -> ray.data.Dataset:
-    """Big-big shuffle hash join via the native Dataset.join (both
-    sides hash-partitioned on the key — the path for joins where no
-    side fits a broadcast): lineitem |> orders on orderkey, then
-    revenue per order priority."""
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = li.join(orders, join_type="inner", num_partitions=16,
-                     on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        ip = np.rint(price * 100.0).astype(np.int64)
-        idisc = np.rint(disc * 100.0).astype(np.int64)
-        df = pd.DataFrame({
-            "o_orderpriority": batch.column("o_orderpriority").to_numpy(zero_copy_only=False),
-            "rev": ip * (100 - idisc),
-        })
-        g = df.groupby("o_orderpriority", as_index=False).agg(
-            p_n=("rev", "size"), p_rev=("rev", "sum"))
+def q_shuffle_join(sf_dir: str) -> pd.DataFrame:
+    """Big-big repartition join, the shape for joins where no side fits
+    a broadcast: lineitem |> orders on orderkey as one two-leg salted
+    exchange (lineitem ships one (orderkey, cents, count) partial per
+    block), then revenue per order priority. Each group emits
+    (priority, count, cents) partials over the five-priority domain and
+    the driver sums them."""
+    def line_leg(batch: pa.Table) -> pa.Table:
+        g = pd.DataFrame({"k": _np(batch, "l_orderkey"), "rev": _rev(batch)}).groupby(
+            "k", as_index=False).agg(rev=("rev", "sum"), n=("rev", "size"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = joined.map_batches(partial, batch_format="pyarrow").groupby(
-        "o_orderpriority"
-    ).aggregate(Sum("p_n", alias_name="n_items"), Sum("p_rev", alias_name="r_rev"))
+    def orders_leg(batch: pa.Table) -> pa.Table:
+        return pa.table({"k": batch.column("o_orderkey"),
+                         "pri": batch.column("o_orderpriority")})
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "o_orderpriority": batch.column("o_orderpriority"),
-            "n_items": batch.column("n_items"),
-            "revenue": batch.column("r_rev").to_numpy() / 10000.0,
-        })
+    def join(lines: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        g = lines.merge(orders, on="k").groupby("pri", as_index=False).agg(
+            n=("n", "sum"), rev=("rev", "sum"))
+        return g.astype({"n": np.int64, "rev": np.int64})
 
-    return out.map_batches(finalize, batch_format="pyarrow")
+    parts = collect(exchange(
+        [(_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
+          line_leg),
+         (_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]), orders_leg)],
+        join, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
+                    "l_discount")))
+    agg = parts.groupby("pri", as_index=False).agg(n=("n", "sum"), rev=("rev", "sum"))
+    return pd.DataFrame({"o_orderpriority": agg["pri"].to_numpy(object),
+                         "n_items": agg["n"].to_numpy(np.int64),
+                         "revenue": agg["rev"].to_numpy(np.int64) / 10000.0})
 
 
 ORACLES["shuffle_join"] = """
@@ -692,7 +690,7 @@ GROUP BY o_orderpriority"""
 def q_session_join(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
     """Interval join: each 'error' event joined to its containing
     session (sessions = gap-based intervals over ALL the user's
-    events). Same bounded-salt shuffle + cross-user vectorized session
+    events). Same salted user_id exchange + cross-user vectorized session
     ids as q_sessionize — no per-user Python calls."""
     gap = np.timedelta64(gap_minutes * 60, "s")
 
@@ -705,8 +703,7 @@ def q_session_join(sf_dir: str, gap_minutes: int = 30) -> ray.data.Dataset:
             "session_id": sid[err],
         })
 
-    ds = _t(sf_dir, "events", ["ts", "user_id", "event_type"])
-    return _salted_by_user(ds, err_sessions)
+    return _per_user(sf_dir, ["ts", "user_id", "event_type"], err_sessions)
 
 
 ORACLES["session_join"] = """
@@ -727,37 +724,6 @@ sess AS (
 SELECT user_id, ts, session_id FROM sess WHERE event_type = 'error'"""
 
 
-# ---- salted repartition joins (the multi-join reshape) --------------
-# Native ``Dataset.join`` spawns a per-join aggregator-actor pool, and
-# two of them in one DAG deadlock at small CPU counts (see
-# q_neardup_jaccard's exchange path and CLAUDE.md). Multi-join queries
-# are instead expressed as UNION + bounded-salt groupby "repartition
-# joins": both legs emit rows keyed by ``salt = key % 2^bits`` (every
-# copy of a key lands in one group), a single groupby(salt) co-locates
-# them, and a vectorized pandas merge inside each group performs the
-# equi-join. The shuffle carries int partials only — never text — and
-# the salt width auto-scales with corpus size via
-# ``textops.dedup_salt_bits`` so each map_groups task stays
-# block-sized at 100 TB.
-
-
-def _join_salt_bits(path: str, columns, floor: int = 4,
-                    target_bytes: int | None = None) -> int:
-    """Salt width for an int-partial repartition join. Same
-    footer-derived widening as ``textops.dedup_salt_bits``, but with a
-    LOWER floor: the text dedups' 10-bit floor exists for payloads
-    that carry documents, while these joins shuffle ~32 B/row of ints
-    — at bench scale 1024 near-empty groups would cost 2048 map_groups
-    Python calls per query for nothing. The width still widens past
-    the floor until the expected per-group payload fits a block."""
-    from vyperdatum_ray.pipelines.textops import (
-        DEDUP_TARGET_GROUP_BYTES, dedup_salt_bits)
-
-    if target_bytes is None:
-        target_bytes = DEDUP_TARGET_GROUP_BYTES
-    return dedup_salt_bits(path, list(columns), target_bytes, floor=floor)
-
-
 def _dim_pandas(sf_dir: str, name: str, columns=None) -> pd.DataFrame:
     """Driver-side read of a broadcast-sized dimension table: a plain
     pyarrow read, not a Ray dataset execution — collecting it to the
@@ -768,18 +734,6 @@ def _dim_pandas(sf_dir: str, name: str, columns=None) -> pd.DataFrame:
     return pq.read_table(f"{sf_dir}/{name}.parquet", columns=columns).to_pandas()
 
 
-def _leg(salt, k, side: int, code, aux) -> pa.Table:
-    """One repartition-join leg block in the shared union schema."""
-    n = len(k)
-    return pa.table({
-        "salt": pa.array(np.asarray(salt, np.int64), pa.int64()),
-        "k": pa.array(np.asarray(k, np.int64), pa.int64()),
-        "side": pa.array(np.full(n, side, np.int8), pa.int8()),
-        "code": pa.array(np.broadcast_to(np.asarray(code, np.int8), n), pa.int8()),
-        "aux": pa.array(np.broadcast_to(np.asarray(aux, np.int64), n), pa.int64()),
-    })
-
-
 # driver budget for Q5's (custkey -> nation code) broadcast fast path,
 # in estimated customer-table bytes from parquet footers — the same
 # bytes-not-ids discipline as textops' BROADCAST_CAND_CAP. Past it the
@@ -787,31 +741,24 @@ def _leg(salt, k, side: int, code, aux) -> pa.Table:
 Q5_BROADCAST_CUST_BYTES = 256 << 20
 
 
-def q_tpch_q5(sf_dir: str, salt_bits: int | None = None,
-              broadcast_budget: int | None = None) -> pd.DataFrame:
+def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q5 (local-supplier revenue by nation): the full
     multi-join reshape. region|>nation is a driver-side tiny join;
     supplier (the one genuinely small big-table side, 1/6000th of
     lineitem) is broadcast as sorted key + int8 nation-code arrays;
     the orders|>lineitem large-large join (with the
     c_nationkey = s_nationkey local-supplier equality riding along as
-    an int8 code match) is a salted repartition join (see module note
-    above). The customer|>orders step is a broadcast lookup while the
+    an int8 code match) is a salted repartition exchange. The
+    customer|>orders step is a broadcast lookup while the
     footer-estimated customer bytes fit ``Q5_BROADCAST_CUST_BYTES``,
-    and a second salted repartition join past it — a test forces the
-    exchange path and asserts identical output. Revenue is summed in
-    integer cents x cents for partition-order-independent parity."""
-    from vyperdatum_ray.pipelines.textops import _footer_stats
-
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"))
-    n_salt = 1 << salt_bits
-    if broadcast_budget is None:
-        broadcast_budget = Q5_BROADCAST_CUST_BYTES
-    cust_bytes, _ = _footer_stats(f"{sf_dir}/customer.parquet",
-                                  ["c_custkey", "c_nationkey"])
+    and a second exchange past it, whose output is the orders leg of
+    the first — a test forces that path and asserts identical output.
+    Revenue is summed in integer cents x cents for
+    partition-order-independent parity."""
+    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey",
+                 "l_extendedprice", "l_discount")
+    cust_bytes, _ = footer_stats(f"{sf_dir}/customer.parquet",
+                                 ["c_custkey", "c_nationkey"])
 
     nation = _dim_pandas(sf_dir, "nation")
     region = _dim_pandas(sf_dir, "region")
@@ -829,62 +776,31 @@ def q_tpch_q5(sf_dir: str, salt_bits: int | None = None,
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
 
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
-
-    def cust_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        nk = batch.column("c_nationkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(nk, nat_keys)
-        code = np.searchsorted(nat_keys, nk[keep]).astype(np.int8)
-        ck = ck[keep]
-        return _leg(ck % n_salt, ck, 0, code, 0)
-
-    def orders_leg(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.and_(
+    def in_window(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.and_(
             pc.greater_equal(batch.column("o_orderdate"), lo),
             pc.less(batch.column("o_orderdate"), hi)))
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return _leg(ck % n_salt, ck, 1, -1, ok)
-
-    def join_custkey(df: pd.DataFrame) -> pa.Table:
-        left = df.loc[df["side"] == 0, ["k", "code"]]
-        right = df.loc[df["side"] == 1, ["k", "aux"]]
-        m = right.merge(left, on="k")
-        ok = m["aux"].to_numpy(np.int64)
-        # emit ARROW in the exact leg layout: the downstream union with
-        # the arrow line_leg blocks must not mix block types (Ray's
-        # sort-boundary sampler asserts on a pandas/arrow mix)
-        return _leg(ok % n_salt, ok, 0, m["code"].to_numpy(np.int8), 0)
 
     def line_leg(batch: pa.Table) -> pa.Table:
         skeys, scodes = ray.get(supp_ref)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(sk, skeys)
-        code = scodes[np.searchsorted(skeys, sk[keep])]
-        ip = np.rint(batch.column("l_extendedprice")
-                     .to_numpy(zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount")
-                        .to_numpy(zero_copy_only=False)[keep] * 100.0).astype(np.int64)
+        sk = _np(batch, "l_suppkey")
+        keep = isin_sorted(sk, skeys)
         g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(zero_copy_only=False)[keep],
-            "code": code, "rev": ip * (100 - idisc),
+            "k": _np(batch, "l_orderkey")[keep],
+            "code": scodes[np.searchsorted(skeys, sk[keep])],
+            "rev": _rev(batch, keep),
         }).groupby(["k", "code"], as_index=False).agg(rev=("rev", "sum"))
-        return _leg(g["k"].to_numpy(np.int64) % n_salt,
-                    g["k"].to_numpy(np.int64), 1,
-                    g["code"].to_numpy(np.int8), g["rev"].to_numpy(np.int64))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def join_orderkey(df: pd.DataFrame) -> pd.DataFrame:
-        left = df.loc[df["side"] == 0, ["k", "code"]]
-        right = df.loc[df["side"] == 1, ["k", "code", "aux"]]
+    def join_orderkey(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
         # inner merge on (orderkey, nation code): the code equality IS
         # the c_nationkey = s_nationkey local-supplier condition
-        m = right.merge(left, on=["k", "code"])
-        g = m.groupby("code", as_index=False).agg(p_rev=("aux", "sum"))
+        m = lines.merge(orders, on=["k", "code"])
+        g = m.groupby("code", as_index=False).agg(p_rev=("rev", "sum"))
         return g.astype({"code": np.int8, "p_rev": np.int64})
 
-    orders_cols = ["o_orderkey", "o_custkey", "o_orderdate"]
-    if cust_bytes <= broadcast_budget:
+    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    if cust_bytes <= Q5_BROADCAST_CUST_BYTES:
         # fast path: one exchange — the ASIA (custkey -> code) map is
         # broadcast once and orders resolve their nation code inline
         cmap = _dim_pandas(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -893,35 +809,42 @@ def q_tpch_q5(sf_dir: str, salt_bits: int | None = None,
             nat_keys, cmap["c_nationkey"].to_numpy(np.int64)).astype(np.int8)
         cust_ref = ray.put((cmap["c_custkey"].to_numpy(np.int64), c_code))
 
-        def orders_leg_bcast(batch: pa.Table) -> pa.Table:
-            batch = batch.filter(pc.and_(
-                pc.greater_equal(batch.column("o_orderdate"), lo),
-                pc.less(batch.column("o_orderdate"), hi)))
+        def orders_leg(batch: pa.Table) -> pa.Table:
+            batch = in_window(batch)
             ckeys, ccodes = ray.get(cust_ref)
-            ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-            ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-            keep = _member_sorted(ck, ckeys)
-            code = ccodes[np.searchsorted(ckeys, ck[keep])]
-            ok = ok[keep]
-            return _leg(ok % n_salt, ok, 0, code, 0)
+            ck = _np(batch, "o_custkey")
+            keep = isin_sorted(ck, ckeys)
+            return pa.table({"k": _np(batch, "o_orderkey")[keep],
+                             "code": ccodes[np.searchsorted(ckeys, ck[keep])]})
 
-        ok_nation = _t(sf_dir, "orders", orders_cols).map_batches(
-            orders_leg_bcast, batch_format="pyarrow")
+        ok_nation = (orders, orders_leg)
     else:
-        cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-            cust_leg, batch_format="pyarrow")
-        orders = _t(sf_dir, "orders", orders_cols).map_batches(
-            orders_leg, batch_format="pyarrow")
-        ok_nation = cust.union(orders).groupby("salt").map_groups(
-            join_custkey, batch_format="pandas")
+        def cust_leg(batch: pa.Table) -> pa.Table:
+            nk = _np(batch, "c_nationkey")
+            keep = isin_sorted(nk, nat_keys)
+            return pa.table({
+                "k": _np(batch, "c_custkey")[keep],
+                "code": np.searchsorted(nat_keys, nk[keep]).astype(np.int8)})
 
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    agg = ok_nation.union(line).groupby("salt").map_groups(
-        join_orderkey, batch_format="pandas"
-    ).groupby("code").aggregate(Sum("p_rev", alias_name="rev")).to_pandas()
+        def custkey_leg(batch: pa.Table) -> pa.Table:
+            batch = in_window(batch)
+            return pa.table({"k": batch.column("o_custkey"),
+                             "ok": batch.column("o_orderkey")})
 
+        def join_custkey(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+            m = orders.merge(cust, on="k")
+            return pd.DataFrame({"k": m["ok"].to_numpy(np.int64),
+                                 "code": m["code"].to_numpy(np.int8)})
+
+        ok_nation = (exchange(
+            [(_t(sf_dir, "customer", ["c_custkey", "c_nationkey"]), cust_leg),
+             (orders, custkey_leg)], join_custkey, size), None)
+
+    parts = collect(exchange(
+        [ok_nation, (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
+                                             "l_extendedprice", "l_discount"]),
+                     line_leg)], join_orderkey, size))
+    agg = parts.groupby("code", as_index=False).agg(rev=("p_rev", "sum"))
     out = pd.DataFrame({
         "n_name": [nat_names[c] for c in agg["code"]],
         "revenue": agg["rev"].to_numpy(np.int64) / 10000.0,
@@ -944,73 +867,44 @@ WHERE r_name = 'ASIA'
 GROUP BY n_name ORDER BY revenue DESC, n_name"""
 
 
-def q_tpch_q12(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q12(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q12-style priority line counts, adapted to the fixture's
     columns (no l_shipmode/commitdate here): per l_returnflag, how many
     1996-shipped lines belong to high-priority (1-URGENT/2-HIGH)
-    orders vs the rest. Orders carry only (orderkey, is_high int8)
-    through the salted repartition join — the shape where NEITHER side
-    fits a broadcast and the shuffle payload is a few ints per row."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet", ("l_orderkey", "l_returnflag"))
-    n_salt = 1 << salt_bits
-
+    orders vs the rest. Orders carry only (orderkey, is_high) through
+    the salted repartition exchange — the shape where NEITHER side fits
+    a broadcast and the shuffle payload is a few ints per row."""
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
 
     def orders_leg(batch: pa.Table) -> pa.Table:
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        pri = batch.column("o_orderpriority").to_numpy(zero_copy_only=False)
-        is_high = np.isin(pri, ("1-URGENT", "2-HIGH")).astype(np.int8)
-        return pa.table({
-            "salt": pa.array(ok % n_salt, pa.int64()),
-            "k": pa.array(ok, pa.int64()),
-            "side": pa.array(np.zeros(len(ok), np.int8), pa.int8()),
-            "flag": pa.array(np.full(len(ok), "", object), pa.string()),
-            "aux": pa.array(is_high.astype(np.int64), pa.int64()),
-        })
+        pri = _np(batch, "o_orderpriority")
+        return pa.table({"k": batch.column("o_orderkey"), "hi": np.isin(
+            pri, ("1-URGENT", "2-HIGH")).astype(np.int64)})
 
     def line_leg(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("l_shipdate"), lo),
             pc.less(batch.column("l_shipdate"), hi)))
-        g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(zero_copy_only=False),
-            "flag": batch.column("l_returnflag").to_numpy(zero_copy_only=False),
-        }).groupby(["k", "flag"], as_index=False).size()
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(len(k), np.int8), pa.int8()),
-            "flag": pa.array(g["flag"].to_numpy(object), pa.string()),
-            "aux": pa.array(g["size"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "l_orderkey"),
+                          "flag": _np(batch, "l_returnflag")}).groupby(
+            ["k", "flag"], as_index=False).size()
+        return pa.table({"k": g["k"].to_numpy(np.int64),
+                         "flag": pa.array(g["flag"].to_numpy(object), pa.string()),
+                         "n": g["size"].to_numpy(np.int64)})
 
-    def join_counts(df: pd.DataFrame) -> pd.DataFrame:
-        left = df.loc[df["side"] == 0, ["k", "aux"]].rename(columns={"aux": "hi"})
-        right = df.loc[df["side"] == 1, ["k", "flag", "aux"]]
-        m = right.merge(left, on="k")
-        g = m.groupby(["flag", "hi"], as_index=False).agg(p_n=("aux", "sum"))
+    def join_counts(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        g = lines.merge(orders, on="k").groupby(["flag", "hi"], as_index=False).agg(
+            p_n=("n", "sum"))
         return g.astype({"hi": np.int64, "p_n": np.int64})
 
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    agg = orders.union(line).groupby("salt").map_groups(
-        join_counts, batch_format="pandas"
-    ).groupby(["flag", "hi"]).aggregate(Sum("p_n", alias_name="n")).to_pandas()
-
-    # <= 6 (flag, hi) rows: driver-side pivot to the Q12 output shape.
-    # A no-match aggregate comes back as a COLUMNLESS empty frame, so
-    # pivot on a typed empty instead of KeyError-ing on 'n'.
-    if agg.empty:
-        agg = pd.DataFrame({"flag": pd.array([], dtype=object),
-                            "hi": np.array([], np.int64),
-                            "n": np.array([], np.int64)})
-    piv = agg.pivot_table(index="flag", columns="hi", values="n",
+    agg = collect(exchange(
+        [(_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]), orders_leg),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]),
+          line_leg)],
+        join_counts, _size(sf_dir, "lineitem", "l_orderkey", "l_returnflag")))
+    # <= 6 (flag, hi) rows: driver-side pivot to the Q12 output shape
+    piv = agg.pivot_table(index="flag", columns="hi", values="p_n",
                           aggfunc="sum", fill_value=0)
     flags = sorted(piv.index)
     # explicit int64 arrays: an empty flags list would otherwise give
@@ -1099,7 +993,7 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
   AND l_shipdate < TIMESTAMP '1996-04-01'"""
 
 
-def q_semi_anti_join(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_semi_anti_join(sf_dir: str) -> pd.DataFrame:
     """Distributed semi-join AND anti-join in one pass: per order
     priority, how many orders have ANY line shipped more than 90 days
     after the order date (EXISTS), and how many have no lines at all
@@ -1110,47 +1004,25 @@ def q_semi_anti_join(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     left merge (no matching max). Dates travel as whole-day int64
     (the fixture timestamps are day-aligned) so the 90-day comparison
     survives pandas' int->float merge upcast exactly."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet", ("l_orderkey", "l_shipdate"))
-    n_salt = 1 << salt_bits
-    US_PER_DAY = 86_400_000_000
+    def days(batch: pa.Table, name: str) -> np.ndarray:
+        return pc.cast(batch.column(name), pa.int64()).to_numpy(
+            zero_copy_only=False) // 86_400_000_000
 
     def orders_leg(batch: pa.Table) -> pa.Table:
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        od = pc.cast(batch.column("o_orderdate"), pa.int64()).to_numpy(
-            zero_copy_only=False) // US_PER_DAY
-        return pa.table({
-            "salt": pa.array(ok % n_salt, pa.int64()),
-            "k": pa.array(ok, pa.int64()),
-            "side": pa.array(np.zeros(len(ok), np.int8), pa.int8()),
-            "flag": batch.column("o_orderpriority"),
-            "aux": pa.array(od, pa.int64()),
-        })
+        return pa.table({"k": batch.column("o_orderkey"),
+                         "flag": batch.column("o_orderpriority"),
+                         "odate": days(batch, "o_orderdate")})
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        sd = pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy(
-            zero_copy_only=False) // US_PER_DAY
-        g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(zero_copy_only=False),
-            "ship": sd,
-        }).groupby("k", as_index=False).agg(ship=("ship", "max"))
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(len(k), np.int8), pa.int8()),
-            "flag": pa.array(np.full(len(k), "", object), pa.string()),
-            "aux": pa.array(g["ship"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "l_orderkey"),
+                          "ship": days(batch, "l_shipdate")}).groupby(
+            "k", as_index=False).agg(ship=("ship", "max"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        left = df.loc[df["side"] == 0, ["k", "flag", "aux"]].rename(
-            columns={"aux": "odate"})
+    def reduce_group(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
         # max of per-block maxes: an orderkey's lines may span blocks
-        right = df.loc[df["side"] == 1, ["k", "aux"]].groupby(
-            "k", as_index=False).agg(ship=("aux", "max"))
-        m = left.merge(right, on="k", how="left")
+        right = lines.groupby("k", as_index=False).agg(ship=("ship", "max"))
+        m = orders.merge(right, on="k", how="left")
         ship = m["ship"].to_numpy(np.float64)      # NaN = no lines
         has_lines = ~np.isnan(ship)
         late = has_lines & (ship > (m["odate"].to_numpy(np.int64) + 90))
@@ -1162,17 +1034,14 @@ def q_semi_anti_join(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
         return g.astype({"p_n": np.int64, "p_late": np.int64,
                          "p_none": np.int64})
 
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    agg = orders.union(line).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas"
-    ).groupby("flag").aggregate(
-        Sum("p_n", alias_name="n_orders"),
-        Sum("p_late", alias_name="n_late"),
-        Sum("p_none", alias_name="n_no_lines")).to_pandas()
-
+    parts = collect(exchange(
+        [(_t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]),
+          orders_leg),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]), line_leg)],
+        reduce_group, _size(sf_dir, "lineitem", "l_orderkey", "l_shipdate")))
+    agg = parts.groupby("flag", as_index=False).agg(
+        n_orders=("p_n", "sum"), n_late=("p_late", "sum"),
+        n_no_lines=("p_none", "sum"))
     agg = agg.rename(columns={"flag": "o_orderpriority"})
     agg = agg.sort_values("o_orderpriority").reset_index(drop=True)
     return agg.astype({"n_orders": np.int64, "n_late": np.int64,
@@ -1192,8 +1061,7 @@ SELECT o_orderpriority,
 FROM orders GROUP BY o_orderpriority ORDER BY o_orderpriority"""
 
 
-def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0,
-               salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0) -> pd.DataFrame:
     """TPC-H Q18 (large-volume orders): HAVING over a high-cardinality
     groupby, then an enrich-join for only the survivors. Per-orderkey
     quantity sums reduce vectorized inside bounded-salt groups (never
@@ -1205,44 +1073,29 @@ def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0,
     with a per-block top-100, the driver merges <=100 x blocks
     candidates, and only the final 100 rows' customers are named via a
     streamed broadcast filter. Quantities sum in integer hundredths."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet", ("l_orderkey", "l_quantity"))
-    n_salt = 1 << salt_bits
     ithr = int(round(threshold_qty * 100))
 
     def qty_partial(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(zero_copy_only=False),
-            "q": np.rint(batch.column("l_quantity")
-                         .to_numpy(zero_copy_only=False) * 100.0
-                         ).astype(np.int64),
-        }).groupby("k", as_index=False).agg(q=("q", "sum"))
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "q": pa.array(g["q"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "l_orderkey"),
+                          "q": _cents(_np(batch, "l_quantity"))}).groupby(
+            "k", as_index=False).agg(q=("q", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     def having_filter(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("k", as_index=False).agg(q=("q", "sum"))
-        g = g[g["q"] > ithr]
-        return g.astype({"k": np.int64, "q": np.int64})
+        return g[g["q"] > ithr].astype({"k": np.int64, "q": np.int64})
 
-    surv = (_t(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-            .map_batches(qty_partial, batch_format="pyarrow")
-            .groupby("salt").map_groups(having_filter, batch_format="pandas")
-            ).to_pandas().sort_values("k")
+    surv = collect(exchange(
+        [(_t(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]), qty_partial)],
+        having_filter, _size(sf_dir, "lineitem", "l_orderkey", "l_quantity"))
+    ).sort_values("k")
     surv_ref = ray.put((surv["k"].to_numpy(np.int64),
                         surv["q"].to_numpy(np.int64)))
 
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
-
     def orders_top(batch: pa.Table) -> pa.Table:
         skeys, sq = ray.get(surv_ref)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(ok, skeys)
+        ok = _np(batch, "o_orderkey")
+        keep = isin_sorted(ok, skeys)
         batch = batch.filter(pa.array(keep))
         ok = ok[keep]
         df = pd.DataFrame({
@@ -1272,8 +1125,7 @@ def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0,
     wanted_ref = ray.put(wanted)
 
     def name_filter(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        keep = _member_sorted(ck, ray.get(wanted_ref))
+        keep = isin_sorted(_np(batch, "c_custkey"), ray.get(wanted_ref))
         return batch.filter(pa.array(keep))
 
     names = (_t(sf_dir, "customer", ["c_custkey", "c_name"])
@@ -1399,8 +1251,7 @@ def _build_bloom(sf_dir: str, table: str, columns, keys_fn,
     return ray.put(bloom), m_bits
 
 
-def q_bloom_semi_join(sf_dir: str, salt_bits: int | None = None,
-                      m_bits: int | None = None) -> pd.DataFrame:
+def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None) -> pd.DataFrame:
     """Semi-join pushdown via a DISTRIBUTED-built Bloom filter:
     revenue and count of lineitems belonging to high-priority 1996
     orders. The build side's orderkeys never collect to the driver —
@@ -1412,12 +1263,6 @@ def q_bloom_semi_join(sf_dir: str, salt_bits: int | None = None,
     enter the exact salted verify exchange, where the orders leg's
     true keys eliminate the FPs. Exact by construction — the bloom
     only cuts exchange traffic; result is oracle-hash-identical."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_extendedprice", "l_discount"))
-    n_salt = 1 << salt_bits
-
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1997, 1, 1), type=pa.timestamp("us"))
     PRI = ("1-URGENT", "2-HIGH")
@@ -1427,9 +1272,7 @@ def q_bloom_semi_join(sf_dir: str, salt_bits: int | None = None,
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("o_orderdate"), lo),
             pc.less(batch.column("o_orderdate"), hi)))
-        pri = batch.column("o_orderpriority").to_numpy(zero_copy_only=False)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return ok[np.isin(pri, PRI)]
+        return _np(batch, "o_orderkey")[np.isin(_np(batch, "o_orderpriority"), PRI)]
 
     # build sizing + distributed position-range build live in
     # ``_build_bloom`` (shared with Q8's partkey pushdown)
@@ -1437,58 +1280,27 @@ def q_bloom_semi_join(sf_dir: str, salt_bits: int | None = None,
         sf_dir, "orders", orders_cols, orders_keys, m_bits)
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
+        ok = _np(batch, "l_orderkey")
         keep = _bloom_test(ok, ray.get(bloom_ref), m_bits)
-        ip = np.rint(batch.column("l_extendedprice")
-                     .to_numpy(zero_copy_only=False)[keep] * 100.0
-                     ).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount")
-                        .to_numpy(zero_copy_only=False)[keep] * 100.0
-                        ).astype(np.int64)
-        g = pd.DataFrame({
-            "k": ok[keep], "rev": ip * (100 - idisc),
-        }).groupby("k", as_index=False).agg(rev=("rev", "sum"),
-                                            n=("rev", "size"))
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(len(k), np.int8), pa.int8()),
-            "rev": pa.array(g["rev"].to_numpy(np.int64), pa.int64()),
-            "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": ok[keep], "rev": _rev(batch, keep)}).groupby(
+            "k", as_index=False).agg(rev=("rev", "sum"), n=("rev", "size"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def orders_leg(batch: pa.Table) -> pa.Table:
-        k = orders_keys(batch).astype(np.int64)
-        z = np.zeros(len(k), np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.zeros(len(k), np.int8), pa.int8()),
-            "rev": pa.array(z, pa.int64()),
-            "n": pa.array(z, pa.int64()),
-        })
+    def verify(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        m = lines.merge(orders, on="k")
+        return pd.DataFrame({"p_rev": np.array([m["rev"].sum()], np.int64),
+                             "p_n": np.array([m["n"].sum()], np.int64)})
 
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        true_keys = df.loc[df["side"] == 0, ["k"]]
-        m = df.loc[df["side"] == 1].merge(true_keys, on="k")
-        return pd.DataFrame({
-            "p_rev": np.array([m["rev"].sum()], np.int64),
-            "p_n": np.array([m["n"].sum()], np.int64),
-        })
-
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_extendedprice", "l_discount"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    orders = _t(sf_dir, "orders", orders_cols).map_batches(
-        orders_leg, batch_format="pyarrow")
-    agg = orders.union(line).groupby("salt").map_groups(
-        verify, batch_format="pandas").aggregate(
-        Sum("p_rev", alias_name="rev"), Sum("p_n", alias_name="n"))
-
-    n = int(agg["n"])
+    parts = collect(exchange(
+        [(_t(sf_dir, "orders", orders_cols),
+          lambda b: pa.table({"k": orders_keys(b).astype(np.int64)})),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
+          line_leg)],
+        verify, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
+                      "l_discount")))
+    n = int(parts["p_n"].sum())
     return pd.DataFrame({
-        "revenue": [agg["rev"] / 10000.0 if n else np.nan],
+        "revenue": [int(parts["p_rev"].sum()) / 10000.0 if n else np.nan],
         "n_items": [n],
     })
 
@@ -1506,58 +1318,39 @@ WHERE l_orderkey IN (
     AND o_orderdate < TIMESTAMP '1997-01-01')"""
 
 
-def q_tpch_q13(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q13(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q13 (customer order-count distribution): the LEFT OUTER
     join shape, join-free. Customers who placed NO qualifying (urgent)
     orders must still appear with c_count = 0 — the classic left-join
     zero-fill that an inner repartition join silently drops. Orders
     pre-count per custkey INSIDE each block (the exchange carries one
     (custkey, count) partial per block, never order rows); the customer
-    leg rides the same salted union, and the in-group reduce left-merges
-    counts onto the full customer slice with NaN->0. Each group emits a
-    PARTIAL histogram (c_count, p_dist), so what leaves the exchange is
-    bounded by n_salt x |distinct counts| tiny int rows — summed on the
-    driver (a Ray aggregate here would Sort the map_groups' near-empty
-    blocks for more than the rest of the query costs; see the Q16
-    lesson in BASELINE.md)."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet", ("o_custkey", "o_orderpriority"))
-    n_salt = 1 << salt_bits
-
+    leg rides the same salted exchange, and the in-group reduce
+    left-merges counts onto the full customer slice with NaN->0. Each
+    group emits a PARTIAL histogram (c_count, p_dist), so what leaves
+    the exchange is bounded by groups x |distinct counts| tiny int rows
+    — summed on the driver (a Ray aggregate here would Sort the
+    map_groups' near-empty blocks for more than the rest of the query
+    costs; see the Q16 lesson in BASELINE.md)."""
     def orders_leg(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.starts_with(batch.column("o_orderpriority"), "1"))
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        keys, counts = np.unique(ck, return_counts=True)
-        return _leg(keys % n_salt, keys, 1, 0, counts.astype(np.int64))
+        batch = batch.filter(pc.starts_with(batch.column("o_orderpriority"), "1"))
+        keys, counts = np.unique(_np(batch, "o_custkey"), return_counts=True)
+        return pa.table({"k": keys, "n": counts.astype(np.int64)})
 
-    def cust_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return _leg(ck % n_salt, ck, 0, 0, np.zeros(len(ck), np.int64))
-
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        left = df.loc[df["side"] == 0, ["k"]]
-        right = df.loc[df["side"] == 1, ["k", "aux"]].groupby(
-            "k", as_index=False).agg(aux=("aux", "sum")).astype({"aux": "Int64"})
-        m = left.merge(right, on="k", how="left")
+    def reduce_group(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        right = orders.groupby("k", as_index=False).agg(n=("n", "sum")).astype(
+            {"n": "Int64"})
         # NA = customer with no qualifying orders -> count 0 (nullable
         # Int64, so counts never round-trip through float64)
-        cc = m["aux"].fillna(0).to_numpy(np.int64)
+        cc = cust.merge(right, on="k", how="left")["n"].fillna(0).to_numpy(np.int64)
         vals, dist = np.unique(cc, return_counts=True)
-        return pd.DataFrame({"c_count": vals,
-                             "p_dist": dist.astype(np.int64)})
+        return pd.DataFrame({"c_count": vals, "p_dist": dist.astype(np.int64)})
 
-    orders = _t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    cust = _t(sf_dir, "customer", ["c_custkey"]
-              ).map_batches(cust_leg, batch_format="pyarrow")
-    parts = cust.union(orders).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").to_pandas()
-
-    if parts.empty:                     # empty input -> columnless frame
-        return pd.DataFrame({"c_count": pd.Series([], dtype=np.int64),
-                             "custdist": pd.Series([], dtype=np.int64)})
+    parts = collect(exchange(
+        [(_t(sf_dir, "customer", ["c_custkey"]),
+          lambda b: pa.table({"k": b.column("c_custkey")})),
+         (_t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), orders_leg)],
+        reduce_group, _size(sf_dir, "orders", "o_custkey", "o_orderpriority")))
     agg = parts.groupby("c_count", as_index=False).agg(
         custdist=("p_dist", "sum"))
     agg = agg.sort_values(["custdist", "c_count"],
@@ -1577,7 +1370,7 @@ GROUP BY c_count ORDER BY custdist DESC, c_count DESC"""
 Q16_SIZES = (1, 5, 9, 13, 17, 21, 25, 29)
 
 
-def q_tpch_q16(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q16(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q16 (supplier count per part attribute; adapted — the
     fixtures have no partsupp, so lineitem supplies the part->supplier
     pairs). COUNT(DISTINCT) per group as a two-level distinct exchange:
@@ -1586,7 +1379,7 @@ def q_tpch_q16(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     row per partkey) and emits the matched DISTINCT
     (brand, type, size, suppkey) quads; the same suppkey can reach a
     given attribute group from different partkeys in DIFFERENT salt
-    groups, so a second bounded exchange hashes the ATTRIBUTE TRIPLE
+    groups, so a second exchange keys on a hash of the ATTRIBUTE TRIPLE
     (deterministic fixed-key siphash) — every copy of a quad lands in
     the same group, where one vectorized dedup + size() emits the
     FINAL per-attribute supplier count directly (no third string-key
@@ -1594,60 +1387,29 @@ def q_tpch_q16(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     more than both exchanges combined). Per-group payload stays
     bounded: quads per attribute triple cap at supplier cardinality,
     and the hash spreads triples across the salted width."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet", ("l_partkey", "l_suppkey"))
-    n_salt = 1 << salt_bits
+    size = _size(sf_dir, "lineitem", "l_partkey", "l_suppkey")
     sizes = np.array(Q16_SIZES, np.int64)
 
     def part_leg(batch: pa.Table) -> pa.Table:
-        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)
-        brand = batch.column("p_brand").to_numpy(zero_copy_only=False)
-        ptype = batch.column("p_type").to_numpy(zero_copy_only=False)
-        size = batch.column("p_size").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        keep = (brand != "Brand#11") & np.isin(size, sizes)
-        pk = pk[keep]
-        return pa.table({
-            "salt": pa.array(pk % n_salt, pa.int64()),
-            "k": pa.array(pk, pa.int64()),
-            "side": pa.array(np.zeros(len(pk), np.int8), pa.int8()),
-            "brand": pa.array(brand[keep], pa.string()),
-            "ptype": pa.array(ptype[keep], pa.string()),
-            "size": pa.array(size[keep], pa.int64()),
-            "suppkey": pa.array(np.zeros(len(pk), np.int64), pa.int64()),
-        })
+        psize = _np(batch, "p_size").astype(np.int64)
+        keep = (_np(batch, "p_brand") != "Brand#11") & np.isin(psize, sizes)
+        t = batch.filter(pa.array(keep))
+        return pa.table({"k": t.column("p_partkey"), "brand": t.column("p_brand"),
+                         "ptype": t.column("p_type"), "size": psize[keep]})
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(zero_copy_only=False),
-            "suppkey": batch.column("l_suppkey").to_numpy(
-                zero_copy_only=False),
-        }).drop_duplicates()
-        k = g["k"].to_numpy(np.int64)
-        n = len(k)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-            "brand": pa.array(np.full(n, "", object), pa.string()),
-            "ptype": pa.array(np.full(n, "", object), pa.string()),
-            "size": pa.array(np.zeros(n, np.int64), pa.int64()),
-            "suppkey": pa.array(g["suppkey"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "l_partkey"),
+                          "suppkey": _np(batch, "l_suppkey")}).drop_duplicates()
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def attach_attrs(df: pd.DataFrame) -> pd.DataFrame:
-        parts = df.loc[df["side"] == 0, ["k", "brand", "ptype", "size"]]
-        pairs = df.loc[df["side"] == 1, ["k", "suppkey"]].drop_duplicates()
-        m = pairs.merge(parts, on="k")       # inner: unfiltered parts drop
+    def attach_attrs(parts: pd.DataFrame, pairs: pd.DataFrame) -> pd.DataFrame:
+        m = pairs.drop_duplicates().merge(parts, on="k")   # unfiltered parts drop
         quads = m[["brand", "ptype", "size", "suppkey"]].drop_duplicates()
         # deterministic ATTRIBUTE-TRIPLE hash (fixed siphash key, no
         # PYTHONHASHSEED): co-locates every copy of a quad
         h = pd.util.hash_pandas_object(
-            quads[["brand", "ptype", "size"]], index=False).to_numpy()
-        quads = quads.assign(
-            salt2=(h % np.uint64(n_salt)).astype(np.int64))
-        return quads
+            quads[["brand", "ptype", "size"]], index=False).to_numpy(np.uint64)
+        return quads.assign(k=h.view(np.int64))
 
     def count_group(df: pd.DataFrame) -> pd.DataFrame:
         quads = df[["brand", "ptype", "size", "suppkey"]].drop_duplicates()
@@ -1655,23 +1417,14 @@ def q_tpch_q16(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
             supplier_cnt=("suppkey", "size"))
         return g.astype({"size": np.int64, "supplier_cnt": np.int64})
 
-    part = _t(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]
-              ).map_batches(line_leg, batch_format="pyarrow")
+    quads = exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]), part_leg),
+         (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]), line_leg)],
+        attach_attrs, size)
     # the count_group output IS the (result-sized, attribute-domain-
     # bounded) answer — collecting it is the query's return contract
-    agg = part.union(line).groupby("salt").map_groups(
-        attach_attrs, batch_format="pandas").groupby("salt2").map_groups(
-        count_group, batch_format="pandas").to_pandas()
-
-    agg = agg.rename(columns={"brand": "p_brand", "ptype": "p_type",
-                              "size": "p_size"})
-    if agg.empty:
-        return pd.DataFrame({"p_brand": pd.Series([], dtype=object),
-                             "p_type": pd.Series([], dtype=object),
-                             "p_size": pd.Series([], dtype=np.int64),
-                             "supplier_cnt": pd.Series([], dtype=np.int64)})
+    agg = collect(exchange([(quads, None)], count_group, size)).rename(
+        columns={"brand": "p_brand", "ptype": "p_type", "size": "p_size"})
     agg = agg.sort_values(
         ["supplier_cnt", "p_brand", "p_type", "p_size"],
         ascending=[False, True, True, True]).reset_index(drop=True)
@@ -1687,7 +1440,7 @@ GROUP BY p_brand, p_type, p_size
 ORDER BY supplier_cnt DESC, p_brand, p_type, p_size"""
 
 
-def q_tpch_q22(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q22 (global-customer-insight; adapted to the fixture
     schema — mktsegment plays the country-code role and the anti side
     is urgent orders): a SCALAR SUBQUERY broadcast composed with an
@@ -1699,19 +1452,10 @@ def q_tpch_q22(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     enter the salted anti-join exchange against per-block-deduped
     urgent-order custkeys; survivors reduce to per-segment
     (count, cents) partials."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet", ("o_custkey", "o_orderpriority"))
-    n_salt = 1 << salt_bits
-
     def bal_partial(batch: pa.Table) -> pa.Table:
-        cents = np.rint(batch.column("c_acctbal").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
+        cents = _cents(_np(batch, "c_acctbal"))
         pos = cents > 0
-        return pa.table({
-            "p_n": pa.array([int(pos.sum())], pa.int64()),
-            "p_cents": pa.array([int(cents[pos].sum())], pa.int64()),
-        })
+        return pa.table({"p_n": [int(pos.sum())], "p_cents": [int(cents[pos].sum())]})
 
     cust_cols = ["c_custkey", "c_mktsegment", "c_acctbal"]
     stats = _t(sf_dir, "customer", ["c_acctbal"]).map_batches(
@@ -1721,54 +1465,29 @@ def q_tpch_q22(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     total_cents = int(stats["cents"] or 0)
 
     def cust_leg(batch: pa.Table) -> pa.Table:
-        cents = np.rint(batch.column("c_acctbal").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
+        cents = _cents(_np(batch, "c_acctbal"))
         keep = cents * n_pos > total_cents
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)[keep]
-        return pa.table({
-            "salt": pa.array(ck % n_salt, pa.int64()),
-            "k": pa.array(ck, pa.int64()),
-            "side": pa.array(np.zeros(len(ck), np.int8), pa.int8()),
-            "seg": batch.column("c_mktsegment").filter(pa.array(keep)),
-            "cents": pa.array(cents[keep], pa.int64()),
-        })
+        t = batch.filter(pa.array(keep))
+        return pa.table({"k": t.column("c_custkey"), "seg": t.column("c_mktsegment"),
+                         "cents": cents[keep]})
 
     def orders_leg(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.starts_with(batch.column("o_orderpriority"), "1"))
-        ck = np.unique(batch.column("o_custkey").to_numpy(
-            zero_copy_only=False))
-        n = len(ck)
-        return pa.table({
-            "salt": pa.array(ck % n_salt, pa.int64()),
-            "k": pa.array(ck, pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-            "seg": pa.array(np.full(n, "", object), pa.string()),
-            "cents": pa.array(np.zeros(n, np.int64), pa.int64()),
-        })
+        batch = batch.filter(pc.starts_with(batch.column("o_orderpriority"), "1"))
+        return pa.table({"k": np.unique(_np(batch, "o_custkey"))})
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        left = df.loc[df["side"] == 0, ["k", "seg", "cents"]]
-        anti = ~left["k"].isin(df.loc[df["side"] == 1, "k"])
-        g = left[anti].groupby("seg", as_index=False).agg(
+    def reduce_group(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        g = cust[~cust["k"].isin(orders["k"])].groupby("seg", as_index=False).agg(
             p_n=("k", "size"), p_cents=("cents", "sum"))
         return g.astype({"p_n": np.int64, "p_cents": np.int64})
 
-    cust = _t(sf_dir, "customer", cust_cols).map_batches(
-        cust_leg, batch_format="pyarrow")
-    orders = _t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    # per-group partials are (segment, count, cents) — n_salt x the tiny
+    # per-group partials are (segment, count, cents) — groups x the tiny
     # segment domain — so the final sum is a driver-side pandas groupby,
     # not a Ray aggregate over the map_groups' near-empty blocks (the
     # Q16 lesson in BASELINE.md)
-    parts = cust.union(orders).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").to_pandas()
-
-    if parts.empty:
-        return pd.DataFrame({"c_mktsegment": pd.Series([], dtype=object),
-                             "numcust": pd.Series([], dtype=np.int64),
-                             "totacctbal": pd.Series([], dtype=np.float64)})
+    parts = collect(exchange(
+        [(_t(sf_dir, "customer", cust_cols), cust_leg),
+         (_t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), orders_leg)],
+        reduce_group, _size(sf_dir, "orders", "o_custkey", "o_orderpriority")))
     agg = parts.groupby("seg", as_index=False).agg(
         numcust=("p_n", "sum"), cents=("p_cents", "sum"))
     out = pd.DataFrame({
@@ -1793,8 +1512,7 @@ WHERE CAST(round(c_acctbal*100, 0) AS BIGINT) * s.n_pos > s.total_cents
 GROUP BY c_mktsegment ORDER BY c_mktsegment"""
 
 
-def q_min_cost_supplier(sf_dir: str,
-                        salt_bits: int | None = None) -> ray.data.Dataset:
+def q_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
     """Per-part cheapest supplier (TPC-H Q2's argmin-join core over the
     fixture schema): ARGMIN per group with a deterministic tie-break,
     then a broadcast dimension enrich. Each lineitem block reduces to
@@ -1806,32 +1524,17 @@ def q_min_cost_supplier(sf_dir: str,
     names attach inside the reduce from one ray.put broadcast of the
     (sorted suppkey -> name) dimension arrays; the result streams out
     as a Dataset at part-table cardinality — never a driver collect."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_suppkey", "l_extendedprice"))
-    n_salt = 1 << salt_bits
-
     supp = _dim_pandas(sf_dir, "supplier", ["s_suppkey", "s_name"]
                        ).sort_values("s_suppkey")
     supp_ref = ray.put((supp["s_suppkey"].to_numpy(np.int64),
                         supp["s_name"].to_numpy(object)))
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        ic = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
         g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(zero_copy_only=False),
-            "ic": ic,
-            "sk": batch.column("l_suppkey").to_numpy(zero_copy_only=False),
+            "k": _np(batch, "l_partkey"), "ic": _cents(_np(batch, "l_extendedprice")),
+            "sk": _np(batch, "l_suppkey"),
         }).sort_values(["k", "ic", "sk"]).drop_duplicates("k")
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "ic": pa.array(g["ic"].to_numpy(np.int64), pa.int64()),
-            "sk": pa.array(g["sk"].to_numpy(np.int64), pa.int64()),
-        })
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         best = df.sort_values(["k", "ic", "sk"]).drop_duplicates("k")
@@ -1850,11 +1553,9 @@ def q_min_cost_supplier(sf_dir: str,
             "best_supplier": snames[idx],
         })
 
-    return _t(sf_dir, "lineitem",
-              ["l_partkey", "l_suppkey", "l_extendedprice"]
-              ).map_batches(line_leg, batch_format="pyarrow"
-                            ).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas")
+    cols = ["l_partkey", "l_suppkey", "l_extendedprice"]
+    return exchange([(_t(sf_dir, "lineitem", cols), line_leg)], reduce_group,
+                    _size(sf_dir, "lineitem", *cols))
 
 
 ORACLES["min_cost_supplier"] = """
@@ -1869,8 +1570,7 @@ FROM r JOIN supplier ON s_suppkey = r.l_suppkey
 WHERE rn = 1 ORDER BY l_partkey"""
 
 
-def q_running_total(sf_dir: str,
-                    salt_bits: int | None = None) -> ray.data.Dataset:
+def q_running_total(sf_dir: str) -> ray.data.Dataset:
     """Per-key ordered cumulative window (SUM OVER PARTITION BY
     custkey ORDER BY orderdate, orderkey): each customer's running
     spend after every order. The partition key is high-cardinality, so
@@ -1881,25 +1581,15 @@ def q_running_total(sf_dir: str,
     Python. Cents stay integers until the final /100, so the running
     values are exact at any partition order. Emits at orders
     cardinality and streams out as a Dataset."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet",
-            ("o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"))
-    n_salt = 1 << salt_bits
-
     def leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
         return pa.table({
-            "salt": pa.array(ck % n_salt, pa.int64()),
-            "ck": pa.array(ck, pa.int64()),
-            "ok": batch.column("o_orderkey"),
+            "k": batch.column("o_custkey"), "ok": batch.column("o_orderkey"),
             "od": pc.cast(batch.column("o_orderdate"), pa.int64()),
-            "cents": pa.array(np.rint(batch.column("o_totalprice").to_numpy(
-                zero_copy_only=False) * 100.0).astype(np.int64), pa.int64()),
+            "cents": _cents(_np(batch, "o_totalprice")),
         })
 
     def window(df: pd.DataFrame) -> pd.DataFrame:
-        ck = df["ck"].to_numpy(np.int64)
+        ck = df["k"].to_numpy(np.int64)
         ok = df["ok"].to_numpy(np.int64)
         od = df["od"].to_numpy(np.int64)
         cents = df["cents"].to_numpy(np.int64)
@@ -1917,11 +1607,9 @@ def q_running_total(sf_dir: str,
             "running_spend": run / 100.0,
         })
 
-    return _t(sf_dir, "orders",
-              ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
-              ).map_batches(leg, batch_format="pyarrow"
-                            ).groupby("salt").map_groups(
-        window, batch_format="pandas")
+    cols = ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
+    return exchange([(_t(sf_dir, "orders", cols), leg)], window,
+                    _size(sf_dir, "orders", *cols))
 
 
 ORACLES["running_total"] = """
@@ -1964,8 +1652,7 @@ SELECT CAST(s_nationkey AS BIGINT) AS s_nationkey,
 FROM supplier GROUP BY s_nationkey ORDER BY s_nationkey"""
 
 
-def q_full_outer_join(sf_dir: str,
-                      salt_bits: int | None = None) -> ray.data.Dataset:
+def q_full_outer_join(sf_dir: str) -> ray.data.Dataset:
     """FULL OUTER join (events activity x customer balance on
     user_id = custkey): keys may exist on either side alone — matched
     rows carry both payloads, events-only keys get a NULL balance,
@@ -1976,50 +1663,25 @@ def q_full_outer_join(sf_dir: str,
     inner case — no second anti-join sweep. The balance travels as the
     raw float64 (pure passthrough, no cents roundtrip) for bit parity
     with the SQL side."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/events.parquet", ("user_id",))
-    n_salt = 1 << salt_bits
-
     def events_leg(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        keys, counts = np.unique(uid, return_counts=True)
-        n = len(keys)
-        return pa.table({
-            "salt": pa.array(keys % n_salt, pa.int64()),
-            "k": pa.array(keys, pa.int64()),
-            "side": pa.array(np.ones(n, np.int8), pa.int8()),
-            "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-            "bal": pa.array(np.full(n, np.nan), pa.float64()),
-        })
+        keys, counts = np.unique(_np(batch, "user_id"), return_counts=True)
+        return pa.table({"k": keys, "cnt": counts.astype(np.int64)})
 
-    def cust_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "salt": pa.array(ck % n_salt, pa.int64()),
-            "k": pa.array(ck, pa.int64()),
-            "side": pa.array(np.zeros(len(ck), np.int8), pa.int8()),
-            "cnt": pa.array(np.zeros(len(ck), np.int64), pa.int64()),
-            "bal": batch.column("c_acctbal"),
-        })
-
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        ev = df.loc[df["side"] == 1, ["k", "cnt"]].groupby(
-            "k", as_index=False).agg(cnt=("cnt", "sum")).astype({"cnt": "Int64"})
-        cu = df.loc[df["side"] == 0, ["k", "bal"]]
-        m = ev.merge(cu, on="k", how="outer")
+    def reduce_group(events: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        ev = events.groupby("k", as_index=False).agg(cnt=("cnt", "sum")).astype(
+            {"cnt": "Int64"})
+        m = ev.merge(cust, on="k", how="outer")
         return pd.DataFrame({
             "ukey": m["k"].to_numpy(np.int64),
             "n_events": m["cnt"].fillna(0).to_numpy(np.int64),
             "c_acctbal": m["bal"].to_numpy(np.float64),
         })
 
-    events = _t(sf_dir, "events", ["user_id"]
-                ).map_batches(events_leg, batch_format="pyarrow")
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_acctbal"]
-              ).map_batches(cust_leg, batch_format="pyarrow")
-    return events.union(cust).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas")
+    return exchange(
+        [(_t(sf_dir, "events", ["user_id"]), events_leg),
+         (_t(sf_dir, "customer", ["c_custkey", "c_acctbal"]),
+          lambda b: pa.table({"k": b.column("c_custkey"), "bal": b.column("c_acctbal")}))],
+        reduce_group, _size(sf_dir, "events", "user_id"))
 
 
 ORACLES["full_outer_join"] = """
@@ -2032,7 +1694,7 @@ FROM e FULL OUTER JOIN customer c ON e.user_id = c.c_custkey
 ORDER BY ukey"""
 
 
-def q_tpch_q17(sf_dir: str, salt_bits: int | None = None,
+def q_tpch_q17(sf_dir: str,
                bloom_min_probe_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q17 (small-quantity-order revenue; adapted — brand filter
     only, the fixtures have no container): a CORRELATED scalar
@@ -2044,20 +1706,8 @@ def q_tpch_q17(sf_dir: str, salt_bits: int | None = None,
     test in pure int64 — no division on either side) and the matched
     price sum all happen vectorized. Only (sum, count) partials leave
     the groups; an empty match returns the SQL NULL as NaN."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_quantity", "l_extendedprice"))
-    n_salt = 1 << salt_bits
-
     def part_keys(batch: pa.Table) -> np.ndarray:
-        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)
-        brand = batch.column("p_brand").to_numpy(zero_copy_only=False)
-        return pk[brand == "Brand#23"]
-
-    def part_leg(batch: pa.Table) -> pa.Table:
-        pk = part_keys(batch)
-        return _leg(pk % n_salt, pk, 0, 0, np.zeros(len(pk), np.int64))
+        return _np(batch, "p_partkey")[_np(batch, "p_brand") == "Brand#23"]
 
     # bytes-gated partkey bloom pushdown (see _part_bloom)
     bloom_ref, m_bits = _part_bloom(
@@ -2067,32 +1717,19 @@ def q_tpch_q17(sf_dir: str, salt_bits: int | None = None,
     def line_leg(batch: pa.Table) -> pa.Table:
         if bloom_ref is not None:
             batch = batch.filter(pa.array(_bloom_test(
-                batch.column("l_partkey").to_numpy(zero_copy_only=False),
-                ray.get(bloom_ref), m_bits)))
-        k = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        qty = np.rint(batch.column("l_quantity").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        price = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(len(k), np.int8), pa.int8()),
-            "code": pa.array(np.zeros(len(k), np.int8), pa.int8()),
-            "aux": pa.array(qty, pa.int64()),
-            "price": pa.array(price, pa.int64()),
-        })
+                _np(batch, "l_partkey"), ray.get(bloom_ref), m_bits)))
+        return pa.table({"k": batch.column("l_partkey"),
+                         "qty": _cents(_np(batch, "l_quantity")),
+                         "price": _cents(_np(batch, "l_extendedprice"))})
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        pset = df.loc[df["side"] == 0, "k"].to_numpy(np.int64)
-        lines = df.loc[df["side"] == 1, ["k", "aux", "price"]]
-        lines = lines[lines["k"].isin(pset)]
+    def reduce_group(part: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        lines = lines[lines["k"].isin(part["k"].to_numpy(np.int64))]
         if lines.empty:
             return pd.DataFrame({"p_cents": np.array([0], np.int64),
                                  "p_n": np.array([0], np.int64)})
-        tot = lines.groupby("k").agg(tq=("aux", "sum"), nq=("aux", "size"))
+        tot = lines.groupby("k").agg(tq=("qty", "sum"), nq=("qty", "size"))
         m = lines.join(tot, on="k")
-        keep = m["aux"].to_numpy(np.int64) * 5 * m["nq"].to_numpy(np.int64) \
+        keep = m["qty"].to_numpy(np.int64) * 5 * m["nq"].to_numpy(np.int64) \
             < m["tq"].to_numpy(np.int64)
         return pd.DataFrame({
             "p_cents": np.array([m["price"].to_numpy(np.int64)[keep].sum()],
@@ -2100,24 +1737,16 @@ def q_tpch_q17(sf_dir: str, salt_bits: int | None = None,
             "p_n": np.array([int(keep.sum())], np.int64),
         })
 
-    part = _t(sf_dir, "part", ["p_partkey", "p_brand"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    # the part leg lacks the line leg's price column: give it one so
-    # the union schemas line up
-    part = part.map_batches(
-        lambda t: t.append_column("price", pa.array(
-            np.zeros(t.num_rows, np.int64), pa.int64())),
-        batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_partkey", "l_quantity", "l_extendedprice"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    agg = part.union(line).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").aggregate(
-        Sum("p_cents", alias_name="cents"), Sum("p_n", alias_name="n"))
-
-    n = int(agg["n"] or 0)
+    parts = collect(exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_brand"]),
+          lambda b: pa.table({"k": part_keys(b)})),
+         (_t(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]),
+          line_leg)],
+        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_quantity",
+                            "l_extendedprice")))
+    n = int(parts["p_n"].sum())
     return pd.DataFrame({
-        "avg_yearly": [int(agg["cents"] or 0) / 100.0 / 7.0 if n else np.nan],
+        "avg_yearly": [int(parts["p_cents"].sum()) / 100.0 / 7.0 if n else np.nan],
     })
 
 
@@ -2132,7 +1761,7 @@ FROM lineitem JOIN pt ON p_partkey = l_partkey
 WHERE CAST(round(l_quantity*100, 0) AS BIGINT) * 5 * nq < tq"""
 
 
-def q_tpch_q15(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q15 (top supplier): revenue per supplier over a ship-date
     window, then the suppliers whose revenue EQUALS the global max —
     the HAVING-=-scalar-max shape. Per-block (suppkey, cents-revenue)
@@ -2143,12 +1772,6 @@ def q_tpch_q15(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     re-execution rule in CLAUDE.md); the max compare is int64 cents so
     ties are exact, and only the winners collect for the broadcast
     name enrich."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"))
-    n_salt = 1 << salt_bits
-
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 7, 1), type=pa.timestamp("us"))
 
@@ -2156,30 +1779,17 @@ def q_tpch_q15(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("l_shipdate"), lo),
             pc.less(batch.column("l_shipdate"), hi)))
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        g = pd.DataFrame({
-            "k": batch.column("l_suppkey").to_numpy(zero_copy_only=False),
-            "r": ip * (100 - idisc),
-        }).groupby("k", as_index=False).agg(r=("r", "sum"))
-        k = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "r": pa.array(g["r"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "l_suppkey"), "r": _rev(batch)}).groupby(
+            "k", as_index=False).agg(r=("r", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("k", as_index=False).agg(r=("r", "sum"))
         return g.astype({"k": np.int64, "r": np.int64})
 
-    tot = (_t(sf_dir, "lineitem",
-              ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"])
-           .map_batches(rev_partial, batch_format="pyarrow")
-           .groupby("salt").map_groups(totals, batch_format="pandas")
-           ).materialize()
+    cols = ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
+    tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals,
+                   _size(sf_dir, "lineitem", *cols)).materialize()
     from ray.data.aggregate import Max
     mx = tot.aggregate(Max("r", alias_name="mx"))["mx"]
     if mx is None:
@@ -2211,8 +1821,7 @@ FROM rev JOIN supplier ON s_suppkey = l_suppkey
 WHERE r = (SELECT max(r) FROM rev) ORDER BY s_suppkey"""
 
 
-def q_tpch_q10(sf_dir: str, k: int = 20,
-               salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
     """TPC-H Q10 (returned-item revenue; adapted to the fixture
     schema): large-large join -> per-key rollup -> global top-k ->
     survivor-only enrich. Returned ('R') line revenue joins its
@@ -2220,7 +1829,7 @@ def q_tpch_q10(sf_dir: str, k: int = 20,
     cents partial per (orderkey, block); a second bounded exchange
     totals per custkey and each group emits only its LOCAL top-k
     (distributive: a group's #k+1 can never make the global top-k),
-    so the driver merges n_salt * k candidate rows. The oracle joins
+    so the driver merges groups x k candidate rows. The oracle joins
     customer BEFORE the LIMIT, so a custkey absent from the dimension
     must not hold a top-k slot another candidate would win (the q18
     lesson): customer keys ride the SAME salt2 exchange as a
@@ -2228,12 +1837,8 @@ def q_tpch_q10(sf_dir: str, k: int = 20,
     truncation. Only the k winners' names are fetched — a distributed
     membership filter over customer, never a full dimension
     broadcast; nation is a tiny driver-side dim."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"))
-    n_salt = 1 << salt_bits
-
+    size = _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
+                 "l_discount", "l_returnflag")
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 7, 1), type=pa.timestamp("us"))
 
@@ -2241,93 +1846,61 @@ def q_tpch_q10(sf_dir: str, k: int = 20,
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("o_orderdate"), lo),
             pc.less(batch.column("o_orderdate"), hi)))
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        return _leg(ok % n_salt, ok, 0, 0, ck)
+        return pa.table({"k": batch.column("o_orderkey"),
+                         "ck": batch.column("o_custkey")})
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.equal(batch.column("l_returnflag"), "R"))
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(zero_copy_only=False),
-            "r": ip * (100 - idisc),
-        }).groupby("k", as_index=False).agg(r=("r", "sum"))
-        kk = g["k"].to_numpy(np.int64)
-        return _leg(kk % n_salt, kk, 1, 0, g["r"].to_numpy(np.int64))
+        batch = batch.filter(pc.equal(batch.column("l_returnflag"), "R"))
+        g = pd.DataFrame({"k": _np(batch, "l_orderkey"), "r": _rev(batch)}).groupby(
+            "k", as_index=False).agg(r=("r", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def join_orders(df: pd.DataFrame) -> pa.Table:
-        orders = df.loc[df["side"] == 0, ["k", "aux"]].rename(
-            columns={"aux": "ck"})
-        lines = df.loc[df["side"] == 1, ["k", "aux"]].groupby(
-            "k", as_index=False).agg(r=("aux", "sum"))
-        m = orders.merge(lines, on="k")
-        g = m.groupby("ck", as_index=False).agg(r=("r", "sum"))
-        ck = g["ck"].to_numpy(np.int64)
-        # emit ARROW in the cust_keys_leg layout: the downstream union
-        # must not mix pandas/arrow block types (the q5 lesson)
-        return pa.table({
-            "salt2": pa.array(ck % n_salt, pa.int64()),
-            "ck": pa.array(ck, pa.int64()),
-            "r": pa.array(g["r"].to_numpy(np.int64), pa.int64()),
-            "cust": pa.array(np.zeros(len(ck), np.int8), pa.int8()),
-        })
-
-    def cust_keys_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "salt2": pa.array(ck % n_salt, pa.int64()),
-            "ck": pa.array(ck, pa.int64()),
-            "r": pa.array(np.zeros(len(ck), np.int64), pa.int64()),
-            "cust": pa.array(np.ones(len(ck), np.int8), pa.int8()),
-        })
-
-    def topk_group(df: pd.DataFrame) -> pd.DataFrame:
-        known = np.unique(df.loc[df["cust"] == 1, "ck"].to_numpy(np.int64))
-        g = df[df["cust"] == 0].groupby("ck", as_index=False).agg(
+    def join_orders(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        lines = lines.groupby("k", as_index=False).agg(r=("r", "sum"))
+        g = orders.merge(lines, on="k").groupby("ck", as_index=False).agg(
             r=("r", "sum"))
-        from vyperdatum_ray.core.nputil import isin_sorted
-        g = g[isin_sorted(g["ck"].to_numpy(np.int64), known)]
-        g = g.sort_values(["r", "ck"], ascending=[False, True]).head(k)
-        return g.astype({"ck": np.int64, "r": np.int64})
+        # re-keyed on custkey: the leg of the top-k exchange
+        return pd.DataFrame({"k": g["ck"].to_numpy(np.int64),
+                             "r": g["r"].to_numpy(np.int64)})
 
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    cust_keys = _t(sf_dir, "customer", ["c_custkey"]
-                   ).map_batches(cust_keys_leg, batch_format="pyarrow")
-    cand = (orders.union(line).groupby("salt").map_groups(
-        join_orders, batch_format="pandas").union(cust_keys)
-        .groupby("salt2").map_groups(
-        topk_group, batch_format="pandas")).to_pandas()
+    def topk_group(rev: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        known = np.unique(cust["k"].to_numpy(np.int64))
+        g = rev.groupby("k", as_index=False).agg(r=("r", "sum"))
+        g = g[isin_sorted(g["k"].to_numpy(np.int64), known)]
+        g = g.sort_values(["r", "k"], ascending=[False, True]).head(k)
+        return g.astype({"k": np.int64, "r": np.int64})
 
+    by_cust = exchange(
+        [(_t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+          orders_leg),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount",
+                                  "l_returnflag"]), line_leg)],
+        join_orders, size)
+    cand = collect(exchange(
+        [(by_cust, None), (_t(sf_dir, "customer", ["c_custkey"]),
+                           lambda b: pa.table({"k": b.column("c_custkey")}))],
+        topk_group, size))
     if cand.empty:
         return pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64),
                              "c_name": pd.Series([], dtype=object),
                              "n_name": pd.Series([], dtype=object),
                              "revenue": pd.Series([], dtype=np.float64)})
-    # enrich every candidate (n_salt * k rows, still tiny) BEFORE the
+    # enrich every candidate (groups * k rows, still tiny) BEFORE the
     # final limit — the oracle's join runs pre-LIMIT, so a candidate
     # whose customer row is missing must not hold a top-k slot it
     # would lose to the next candidate (the q18 lesson)
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
-    wanted_ref = ray.put(np.unique(cand["ck"].to_numpy(np.int64)))
+    wanted_ref = ray.put(np.unique(cand["k"].to_numpy(np.int64)))
 
     def name_filter(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(_member_sorted(ck, ray.get(wanted_ref))))
+        return batch.filter(pa.array(isin_sorted(_np(batch, "c_custkey"),
+                                                 ray.get(wanted_ref))))
 
     names = (_t(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
              .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
-    out = cand.merge(names, left_on="ck", right_on="c_custkey").merge(
+    out = cand.merge(names, left_on="k", right_on="c_custkey").merge(
         nation, left_on="c_nationkey", right_on="n_nationkey")
-    out = out.sort_values(["r", "ck"], ascending=[False, True]).head(k)
+    out = out.sort_values(["r", "k"], ascending=[False, True]).head(k)
     return pd.DataFrame({
         "c_custkey": out["c_custkey"].astype(np.int64).to_numpy(),
         "c_name": out["c_name"].to_numpy(object),
@@ -2351,7 +1924,7 @@ FROM rev JOIN customer ON c_custkey = o_custkey
 ORDER BY r DESC, c_custkey LIMIT 20"""
 
 
-def q_tpch_q4(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q4 (order-priority checking; adapted — the EXISTS probe
     is ``l_returnflag = 'R'``, the fixtures lack commit/receipt
     dates): the correlated-EXISTS semi-join rollup. Orders in the
@@ -2365,12 +1938,6 @@ def q_tpch_q4(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
     from a separate distinct scan of the dictionary-encoded priority
     column, never from the exchange (strings stay out of the
     shuffle)."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet",
-            ("o_orderkey", "o_orderpriority", "o_orderdate"))
-    n_salt = 1 << salt_bits
-
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 4, 1), type=pa.timestamp("us"))
 
@@ -2378,36 +1945,28 @@ def q_tpch_q4(sf_dir: str, salt_bits: int | None = None) -> pd.DataFrame:
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("o_orderdate"), lo),
             pc.less(batch.column("o_orderdate"), hi)))
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        code = pc.cast(pc.utf8_slice_codeunits(
-            batch.column("o_orderpriority"), 0, 1), pa.int8()).to_numpy(
-            zero_copy_only=False)
-        return _leg(ok % n_salt, ok, 0, code, 0)
+        return pa.table({"k": batch.column("o_orderkey"), "code": pc.cast(
+            pc.utf8_slice_codeunits(batch.column("o_orderpriority"), 0, 1),
+            pa.int8())})
 
     def line_leg(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.equal(batch.column("l_returnflag"), "R"))
-        ok = np.unique(
-            batch.column("l_orderkey").to_numpy(zero_copy_only=False))
-        return _leg(ok % n_salt, ok, 1, 0, 0)
+        return pa.table({"k": np.unique(_np(batch, "l_orderkey"))})
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        probe = np.unique(df.loc[df["side"] == 1, "k"].to_numpy(np.int64))
-        orders = df[df["side"] == 0]
-        keep = isin_sorted(orders["k"].to_numpy(np.int64), probe)
+    def reduce_group(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        keep = isin_sorted(orders["k"].to_numpy(np.int64),
+                           np.unique(lines["k"].to_numpy(np.int64)))
         codes, counts = np.unique(
             orders["code"].to_numpy(np.int8)[keep], return_counts=True)
         return pd.DataFrame({"code": codes.astype(np.int64),
                              "n": counts.astype(np.int64)})
 
-    orders = _t(sf_dir, "orders",
-                ["o_orderkey", "o_orderpriority", "o_orderdate"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    parts = orders.union(line).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").to_pandas()
-
+    parts = collect(exchange(
+        [(_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_orderdate"]),
+          orders_leg),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]), line_leg)],
+        reduce_group, _size(sf_dir, "orders", "o_orderkey", "o_orderpriority",
+                            "o_orderdate")))
     if parts.empty:
         return pd.DataFrame({"o_orderpriority": pd.Series([], dtype=object),
                              "order_count": pd.Series([], dtype=np.int64)})
@@ -2439,7 +1998,6 @@ GROUP BY o_orderpriority ORDER BY o_orderpriority"""
 
 
 def q_tpch_q9(sf_dir: str, name_like: str = "widget",
-              salt_bits: int | None = None,
               bloom_min_probe_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q9 (product-type profit by nation and year; adapted —
     profit is line revenue, the fixtures lack partsupp supply cost,
@@ -2451,13 +2009,6 @@ def q_tpch_q9(sf_dir: str, name_like: str = "widget",
     cents) line partials. Groups emit (nation code, year, cents)
     partials — a <=25x|years| domain summed on the driver (Q13
     lesson). Money stays int64 cents x cents end to end."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_suppkey", "l_extendedprice", "l_discount",
-             "l_shipdate"))
-    n_salt = 1 << salt_bits
-
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
     supp = _dim_pandas(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]
                        ).sort_values("s_suppkey")
@@ -2465,20 +2016,8 @@ def q_tpch_q9(sf_dir: str, name_like: str = "widget",
                         supp["s_nationkey"].to_numpy(np.int64).astype(np.int8)))
 
     def part_keys(batch: pa.Table) -> np.ndarray:
-        batch = batch.filter(pc.match_substring(
-            batch.column("p_name"), name_like))
-        return batch.column("p_partkey").to_numpy(zero_copy_only=False)
-
-    def part_leg(batch: pa.Table) -> pa.Table:
-        pk = part_keys(batch)
-        return pa.table({
-            "salt": pa.array(pk % n_salt, pa.int64()),
-            "k": pa.array(pk, pa.int64()),
-            "side": pa.array(np.zeros(len(pk), np.int8), pa.int8()),
-            "code": pa.array(np.zeros(len(pk), np.int8), pa.int8()),
-            "yr": pa.array(np.zeros(len(pk), np.int64), pa.int64()),
-            "aux": pa.array(np.zeros(len(pk), np.int64), pa.int64()),
-        })
+        return _np(batch.filter(pc.match_substring(batch.column("p_name"), name_like)),
+                   "p_partkey")
 
     # bytes-gated partkey bloom pushdown (see _part_bloom)
     bloom_ref, m_bits = _part_bloom(
@@ -2486,67 +2025,43 @@ def q_tpch_q9(sf_dir: str, name_like: str = "widget",
         ["l_partkey", "l_extendedprice"], bloom_min_probe_bytes)
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
         if bloom_ref is not None:
             batch = batch.filter(pa.array(_bloom_test(
-                batch.column("l_partkey").to_numpy(zero_copy_only=False),
-                ray.get(bloom_ref), m_bits)))
+                _np(batch, "l_partkey"), ray.get(bloom_ref), m_bits)))
         skeys, scodes = ray.get(supp_ref)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
+        sk = _np(batch, "l_suppkey")
         keep = isin_sorted(sk, skeys)
-        code = scodes[np.searchsorted(skeys, sk[keep])]
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        yr = pc.year(batch.column("l_shipdate")).to_numpy(
-            zero_copy_only=False)[keep].astype(np.int64)
         g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(
-                zero_copy_only=False)[keep],
-            "code": code, "yr": yr, "aux": ip * (100 - idisc),
-        }).groupby(["k", "code", "yr"], as_index=False).agg(
-            aux=("aux", "sum"))
-        kk = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(kk % n_salt, pa.int64()),
-            "k": pa.array(kk, pa.int64()),
-            "side": pa.array(np.ones(len(kk), np.int8), pa.int8()),
-            "code": pa.array(g["code"].to_numpy(np.int8), pa.int8()),
-            "yr": pa.array(g["yr"].to_numpy(np.int64), pa.int64()),
-            "aux": pa.array(g["aux"].to_numpy(np.int64), pa.int64()),
-        })
+            "k": _np(batch, "l_partkey")[keep],
+            "code": scodes[np.searchsorted(skeys, sk[keep])],
+            "yr": pc.year(batch.column("l_shipdate")).to_numpy(
+                zero_copy_only=False)[keep].astype(np.int64),
+            "rev": _rev(batch, keep),
+        }).groupby(["k", "code", "yr"], as_index=False).agg(rev=("rev", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        pset = np.unique(df.loc[df["side"] == 0, "k"].to_numpy(np.int64))
-        lines = df[df["side"] == 1]
-        keep = isin_sorted(lines["k"].to_numpy(np.int64), pset)
+    def reduce_group(part: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        keep = isin_sorted(lines["k"].to_numpy(np.int64),
+                           np.unique(part["k"].to_numpy(np.int64)))
         g = lines[keep].groupby(["code", "yr"], as_index=False).agg(
-            aux=("aux", "sum"))
-        return g.astype({"code": np.int64, "yr": np.int64, "aux": np.int64})
+            rev=("rev", "sum"))
+        return g.astype({"code": np.int64, "yr": np.int64, "rev": np.int64})
 
-    part = _t(sf_dir, "part", ["p_partkey", "p_name"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount",
-               "l_shipdate"]).map_batches(line_leg, batch_format="pyarrow")
-    parts = part.union(line).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").to_pandas()
-
-    if parts.empty:
-        return pd.DataFrame({"nation": pd.Series([], dtype=object),
-                             "o_year": pd.Series([], dtype=np.int64),
-                             "sum_profit": pd.Series([], dtype=np.float64)})
-    agg = parts.groupby(["code", "yr"], as_index=False).agg(
-        aux=("aux", "sum"))
+    parts = collect(exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_name"]),
+          lambda b: pa.table({"k": part_keys(b)})),
+         (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice",
+                                  "l_discount", "l_shipdate"]), line_leg)],
+        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_suppkey",
+                            "l_extendedprice", "l_discount", "l_shipdate")))
+    agg = parts.groupby(["code", "yr"], as_index=False).agg(rev=("rev", "sum"))
     nmap = dict(zip(nation["n_nationkey"].astype(int), nation["n_name"]))
     # a supplier nation missing from `nation` drops, as the inner join does
     agg = agg[agg["code"].astype(int).isin(list(nmap))]
     out = pd.DataFrame({
         "nation": np.array([nmap[int(c)] for c in agg["code"]], object),
         "o_year": agg["yr"].to_numpy(np.int64),
-        "sum_profit": agg["aux"].to_numpy(np.int64) / 10000.0,
+        "sum_profit": agg["rev"].to_numpy(np.int64) / 10000.0,
     })
     return out.sort_values(["nation", "o_year"],
                            ascending=[True, False]).reset_index(drop=True)
@@ -2573,7 +2088,7 @@ Q19_CLAUSES = (("Brand#12", 15, 1.0, 11.0),
                ("Brand#34", 35, 20.0, 30.0))
 
 
-def q_tpch_q19(sf_dir: str, salt_bits: int | None = None,
+def q_tpch_q19(sf_dir: str,
                bloom_min_probe_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q19 (discounted revenue under disjunctive predicates;
     adapted — no container/shipmode in the fixtures, the three OR'd
@@ -2589,95 +2104,54 @@ def q_tpch_q19(sf_dir: str, salt_bits: int | None = None,
     semantics, not first-wins): the part leg emits one row per
     matching clause and the in-group merge de-duplicates matched
     LINES, not clause pairs, exactly as SQL's OR does."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_quantity", "l_extendedprice", "l_discount"))
-    n_salt = 1 << salt_bits
-
     brands = np.array([c[0] for c in Q19_CLAUSES], object)
     sizecap = np.array([c[1] for c in Q19_CLAUSES], np.int64)
     qlo = np.array([np.rint(c[2] * 100) for c in Q19_CLAUSES], np.int64)
     qhi = np.array([np.rint(c[3] * 100) for c in Q19_CLAUSES], np.int64)
 
     def part_leg(batch: pa.Table) -> pa.Table:
-        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)
-        brand = batch.column("p_brand").to_numpy(zero_copy_only=False)
-        size = batch.column("p_size").to_numpy(zero_copy_only=False)
-        out_k, out_c = [], []
-        for ci in range(len(Q19_CLAUSES)):
-            keep = (brand == brands[ci]) & (size <= sizecap[ci])
-            out_k.append(pk[keep])
-            out_c.append(np.full(int(keep.sum()), ci, np.int8))
-        kk = np.concatenate(out_k)
-        return _leg(kk % n_salt, kk, 0, np.concatenate(out_c), 0)
-
-    def part_keys(batch: pa.Table) -> np.ndarray:
-        t = part_leg(batch)
-        return t.column("k").to_numpy(zero_copy_only=False)
+        pk, brand, size = (_np(batch, c) for c in ("p_partkey", "p_brand", "p_size"))
+        hits = [(brand == brands[ci]) & (size <= sizecap[ci])
+                for ci in range(len(Q19_CLAUSES))]
+        return pa.table({
+            "k": np.concatenate([pk[h] for h in hits]),
+            "code": np.concatenate([np.full(int(h.sum()), ci, np.int8)
+                                    for ci, h in enumerate(hits)])})
 
     # bytes-gated partkey bloom pushdown (see _part_bloom)
     bloom_ref, m_bits = _part_bloom(
-        sf_dir, part_keys, ["p_partkey", "p_brand", "p_size"],
+        sf_dir, lambda b: _np(part_leg(b), "k"), ["p_partkey", "p_brand", "p_size"],
         ["l_partkey", "l_extendedprice"], bloom_min_probe_bytes)
 
     def line_leg(batch: pa.Table) -> pa.Table:
         if bloom_ref is not None:
             batch = batch.filter(pa.array(_bloom_test(
-                batch.column("l_partkey").to_numpy(zero_copy_only=False),
-                ray.get(bloom_ref), m_bits)))
-        k = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        qty = np.rint(batch.column("l_quantity").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        return pa.table({
-            "salt": pa.array(k % n_salt, pa.int64()),
-            "k": pa.array(k, pa.int64()),
-            "side": pa.array(np.ones(len(k), np.int8), pa.int8()),
-            "code": pa.array(np.zeros(len(k), np.int8), pa.int8()),
-            "aux": pa.array(qty, pa.int64()),
-            "rev": pa.array(ip * (100 - idisc), pa.int64()),
-        })
+                _np(batch, "l_partkey"), ray.get(bloom_ref), m_bits)))
+        return pa.table({"k": batch.column("l_partkey"),
+                         "qty": _cents(_np(batch, "l_quantity")), "rev": _rev(batch)})
 
-    def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        parts = df.loc[df["side"] == 0, ["k", "code"]]
-        lines = df.loc[df["side"] == 1, ["k", "aux", "rev"]].reset_index(
-            drop=True)
+    def reduce_group(parts: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
         lines["lid"] = np.arange(len(lines), dtype=np.int64)
         m = lines.merge(parts, on="k")
-        if m.empty:
-            return pd.DataFrame({"cents": np.array([0], np.int64),
-                                 "n": np.array([0], np.int64)})
         ci = m["code"].to_numpy(np.int8).astype(np.int64)
-        q = m["aux"].to_numpy(np.int64)
+        q = m["qty"].to_numpy(np.int64)
         hit = (q >= qlo[ci]) & (q <= qhi[ci])
         # a line may hit via several clauses; OR counts it once — dedup
         # on the pre-merge line id, not the merge's fresh RangeIndex
         lid = m["lid"].to_numpy(np.int64)[hit]
-        first = ~pd.Index(lid).duplicated()
-        rev = m["rev"].to_numpy(np.int64)[hit][first]
+        rev = m["rev"].to_numpy(np.int64)[hit][~pd.Index(lid).duplicated()]
         return pd.DataFrame({"cents": np.array([rev.sum()], np.int64),
                              "n": np.array([len(rev)], np.int64)})
 
-    part = _t(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    part = part.map_batches(
-        lambda t: t.append_column("rev", pa.array(
-            np.zeros(t.num_rows, np.int64), pa.int64())),
-        batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    parts = part.union(line).groupby("salt").map_groups(
-        reduce_group, batch_format="pandas").to_pandas()
-
-    cents = int(parts["cents"].sum()) if not parts.empty else 0
-    n = int(parts["n"].sum()) if not parts.empty else 0
+    parts = collect(exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]), part_leg),
+         (_t(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice",
+                                  "l_discount"]), line_leg)],
+        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_quantity",
+                            "l_extendedprice", "l_discount")))
+    n = int(parts["n"].sum())
     return pd.DataFrame({
-        "revenue": [cents / 10000.0 if n else np.nan],
+        "revenue": [int(parts["cents"].sum()) / 10000.0 if n else np.nan],
         "n_lines": np.array([n], np.int64),
     })
 
@@ -2697,8 +2171,7 @@ WHERE (p_brand = 'Brand#12' AND p_size <= 15
 
 
 def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
-               fraction_ppm: int = 1000,
-               salt_bits: int | None = None) -> pd.DataFrame:
+               fraction_ppm: int = 1000) -> pd.DataFrame:
     """TPC-H Q11 (important stock; adapted — part "value" is its
     shipped line revenue from one nation's suppliers, the fixtures
     lack partsupp). The GROUP BY + global-scalar-threshold shape:
@@ -2709,12 +2182,6 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
     ``value_cents * 1_000_000 > total_cents * fraction_ppm`` — so no
     float division can disagree at a tie. Supplier is the tiny
     broadcast side (sorted keys of the chosen nation)."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_suppkey", "l_extendedprice", "l_discount"))
-    n_salt = 1 << salt_bits
-
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
     nk = nation.loc[nation["n_name"] == nation_name, "n_nationkey"]
     supp = _dim_pandas(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
@@ -2722,35 +2189,19 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
     skeys_ref = ray.put(np.sort(supp["s_suppkey"].to_numpy(np.int64)))
 
     def partial(batch: pa.Table) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        skeys = ray.get(skeys_ref)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-        keep = isin_sorted(sk, skeys)
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(
-                zero_copy_only=False)[keep],
-            "v": ip * (100 - idisc),
-        }).groupby("k", as_index=False).agg(v=("v", "sum"))
-        kk = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(kk % n_salt, pa.int64()),
-            "k": pa.array(kk, pa.int64()),
-            "v": pa.array(g["v"].to_numpy(np.int64), pa.int64()),
-        })
+        keep = isin_sorted(_np(batch, "l_suppkey"), ray.get(skeys_ref))
+        g = pd.DataFrame({"k": _np(batch, "l_partkey")[keep],
+                          "v": _rev(batch, keep)}).groupby(
+            "k", as_index=False).agg(v=("v", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("k", as_index=False).agg(v=("v", "sum"))
         return g.astype({"k": np.int64, "v": np.int64})
 
-    tot = (_t(sf_dir, "lineitem",
-              ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("salt").map_groups(totals, batch_format="pandas")
-           ).materialize()
+    cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
+    tot = exchange([(_t(sf_dir, "lineitem", cols), partial)], totals,
+                   _size(sf_dir, "lineitem", *cols)).materialize()
     total = tot.aggregate(Sum("v", alias_name="t"))["t"]
     if total is None:
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
@@ -2783,8 +2234,7 @@ FROM v WHERE val * 1000000 > (SELECT sum(val) FROM v) * 1000
 ORDER BY val DESC, p_partkey"""
 
 
-def q_tpch_q21(sf_dir: str, k: int = 100,
-               salt_bits: int | None = None) -> pd.DataFrame:
+def q_tpch_q21(sf_dir: str, k: int = 100) -> pd.DataFrame:
     """TPC-H Q21 (suppliers who kept orders waiting; adapted — the
     "late" predicate is ``l_returnflag = 'R'``, the fixtures lack
     commit/receipt dates, and no nation filter so every SF has rows):
@@ -2798,107 +2248,63 @@ def q_tpch_q21(sf_dir: str, k: int = 100,
     suppkey exchange totals per supplier WITH a supplier-membership
     leg riding along (the Q10 lesson: enrich-drops must happen before
     the local top-k truncation) and emits its local top-k; the driver
-    merges n_salt x k candidates and fetches only the winners' names
+    merges groups x k candidates and fetches only the winners' names
     via a distributed membership filter."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_suppkey", "l_returnflag"))
-    n_salt = 1 << salt_bits
-
-    def orders_leg(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.equal(batch.column("o_orderstatus"), "F"))
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return _leg(ok % n_salt, ok, 0, 0, 0)
+    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey", "l_returnflag")
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-        isr = pc.equal(batch.column("l_returnflag"), "R").to_numpy(
-            zero_copy_only=False).astype(np.int8)
-        g = pd.DataFrame({"k": ok, "aux": sk, "code": isr}).groupby(
-            ["k", "aux"], as_index=False).agg(code=("code", "max"))
-        kk = g["k"].to_numpy(np.int64)
-        return _leg(kk % n_salt, kk, 1,
-                    g["code"].to_numpy(np.int8), g["aux"].to_numpy(np.int64))
+        g = pd.DataFrame({
+            "k": _np(batch, "l_orderkey"), "sk": _np(batch, "l_suppkey"),
+            "isr": pc.equal(batch.column("l_returnflag"), "R").to_numpy(
+                zero_copy_only=False).astype(np.int8),
+        }).groupby(["k", "sk"], as_index=False).agg(isr=("isr", "max"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def waits_group(df: pd.DataFrame) -> pd.DataFrame:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        fset = np.unique(df.loc[df["side"] == 0, "k"].to_numpy(np.int64))
-        lines = df[df["side"] == 1]
-        keep = isin_sorted(lines["k"].to_numpy(np.int64), fset)
-        l = lines[keep].groupby(["k", "aux"], as_index=False).agg(
-            code=("code", "max"))
-        per = l.groupby("k").agg(nsupp=("aux", "size"), nr=("code", "sum"))
+    def waits_group(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        keep = isin_sorted(lines["k"].to_numpy(np.int64),
+                           np.unique(orders["k"].to_numpy(np.int64)))
+        l = lines[keep].groupby(["k", "sk"], as_index=False).agg(isr=("isr", "max"))
+        per = l.groupby("k").agg(nsupp=("sk", "size"), nr=("isr", "sum"))
         m = l.join(per, on="k")
-        win = (m["code"].to_numpy(np.int8) == 1) \
+        win = (m["isr"].to_numpy(np.int8) == 1) \
             & (m["nsupp"].to_numpy(np.int64) >= 2) \
             & (m["nr"].to_numpy(np.int64) == 1)
-        sk, cnt = np.unique(m["aux"].to_numpy(np.int64)[win],
-                            return_counts=True)
-        return pd.DataFrame({
-            "salt2": sk % n_salt, "sk": sk,
-            "w": cnt.astype(np.int64),
-            "memb": np.zeros(len(sk), np.int8),
-        })
+        sk, cnt = np.unique(m["sk"].to_numpy(np.int64)[win], return_counts=True)
+        # re-keyed on suppkey: the leg of the top-k exchange
+        return pd.DataFrame({"k": sk, "w": cnt.astype(np.int64)})
 
-    def memb_leg(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "salt2": pa.array(sk % n_salt, pa.int64()),
-            "sk": pa.array(sk, pa.int64()),
-            "w": pa.array(np.zeros(len(sk), np.int64), pa.int64()),
-            "memb": pa.array(np.ones(len(sk), np.int8), pa.int8()),
-        })
+    def topk_group(waits: pd.DataFrame, memb: pd.DataFrame) -> pd.DataFrame:
+        known = np.unique(memb["k"].to_numpy(np.int64))
+        g = waits.groupby("k", as_index=False).agg(w=("w", "sum"))
+        g = g[isin_sorted(g["k"].to_numpy(np.int64), known)]
+        g = g.sort_values(["w", "k"], ascending=[False, True]).head(k)
+        return g.astype({"k": np.int64, "w": np.int64})
 
-    def topk_group(df: pd.DataFrame) -> pd.DataFrame:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        known = np.unique(df.loc[df["memb"] == 1, "sk"].to_numpy(np.int64))
-        g = df[df["memb"] == 0].groupby("sk", as_index=False).agg(
-            w=("w", "sum"))
-        g = g[isin_sorted(g["sk"].to_numpy(np.int64), known)]
-        g = g.sort_values(["w", "sk"], ascending=[False, True]).head(k)
-        return g.astype({"sk": np.int64, "w": np.int64})
-
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_suppkey", "l_returnflag"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    memb = _t(sf_dir, "supplier", ["s_suppkey"]
-              ).map_batches(memb_leg, batch_format="pyarrow")
-
-    def waits_group_arrow(df: pd.DataFrame) -> pa.Table:
-        out = waits_group(df)
-        return pa.table({
-            "salt2": pa.array(out["salt2"].to_numpy(np.int64), pa.int64()),
-            "sk": pa.array(out["sk"].to_numpy(np.int64), pa.int64()),
-            "w": pa.array(out["w"].to_numpy(np.int64), pa.int64()),
-            "memb": pa.array(out["memb"].to_numpy(np.int8), pa.int8()),
-        })
-
-    cand = (orders.union(line).groupby("salt").map_groups(
-        waits_group_arrow, batch_format="pandas").union(memb)
-        .groupby("salt2").map_groups(
-        topk_group, batch_format="pandas")).to_pandas()
-
+    waits = exchange(
+        [(_t(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]),
+          lambda b: pa.table({"k": _np(b.filter(pc.equal(
+              b.column("o_orderstatus"), "F")), "o_orderkey")})),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"]),
+          line_leg)], waits_group, size)
+    cand = collect(exchange(
+        [(waits, None), (_t(sf_dir, "supplier", ["s_suppkey"]),
+                         lambda b: pa.table({"k": b.column("s_suppkey")}))],
+        topk_group, size))
     if cand.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object),
                              "numwait": pd.Series([], dtype=np.int64)})
-    cand = cand.sort_values(["w", "sk"], ascending=[False, True]).head(k)
-
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
-    wanted_ref = ray.put(np.unique(cand["sk"].to_numpy(np.int64)))
+    cand = cand.sort_values(["w", "k"], ascending=[False, True]).head(k)
+    wanted_ref = ray.put(np.unique(cand["k"].to_numpy(np.int64)))
 
     def name_filter(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(_member_sorted(sk, ray.get(wanted_ref))))
+        return batch.filter(pa.array(isin_sorted(_np(batch, "s_suppkey"),
+                                                 ray.get(wanted_ref))))
 
     names = (_t(sf_dir, "supplier", ["s_suppkey", "s_name"])
              .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
-    out = cand.merge(names, left_on="sk", right_on="s_suppkey")
-    out = out.sort_values(["w", "sk"], ascending=[False, True])
+    out = cand.merge(names, left_on="k", right_on="s_suppkey")
+    out = out.sort_values(["w", "k"], ascending=[False, True])
     return pd.DataFrame({
         "s_suppkey": out["s_suppkey"].astype(np.int64).to_numpy(),
         "s_name": out["s_name"].to_numpy(object),
@@ -2922,33 +2328,13 @@ GROUP BY l.l_suppkey, s_name
 ORDER BY numwait DESC, s_suppkey LIMIT 100"""
 
 
-def _leg6(salt, k, side: int, code, yr, aux) -> pa.Table:
-    """One leg block of the 6-column exchange schema used by the
-    queries that must carry a (code, year, cents) triple through a
-    repartition join (Q7/Q8/Q9)."""
-    n = len(k)
-    return pa.table({
-        "salt": pa.array(np.asarray(salt, np.int64), pa.int64()),
-        "k": pa.array(np.asarray(k, np.int64), pa.int64()),
-        "side": pa.array(np.full(n, side, np.int8), pa.int8()),
-        "code": pa.array(np.broadcast_to(
-            np.asarray(code, np.int8), n), pa.int8()),
-        "yr": pa.array(np.broadcast_to(
-            np.asarray(yr, np.int64), n), pa.int64()),
-        "aux": pa.array(np.broadcast_to(
-            np.asarray(aux, np.int64), n), pa.int64()),
-    })
-
-
 def q_tpch_q7(sf_dir: str, nation_a: str = "NATION_3",
-              nation_b: str = "NATION_15",
-              salt_bits: int | None = None) -> pd.DataFrame:
+              nation_b: str = "NATION_15") -> pd.DataFrame:
     """TPC-H Q7 (volume shipping between two nations): TWO chained
-    salted repartition joins, no broadcast of any big-table side.
+    salted repartition exchanges, no broadcast of any big-table side.
     Exchange 1 keys on custkey — the two-nation customer leg joins the
-    orders leg and re-emits an ORDERKEY-keyed leg carrying the
-    customer-nation code (an arrow block in the 6-column leg layout,
-    so the downstream union never mixes block types). Exchange 2 keys
+    orders leg and re-emits ORDERKEY-keyed rows carrying the
+    customer-nation code, which are a leg of exchange 2. Exchange 2 keys
     on orderkey — the lineitem leg arrives with its supplier-nation
     code resolved from the tiny supplier broadcast and its revenue
     pre-aggregated per (orderkey, supp code, year) in int64 cents.
@@ -2956,13 +2342,8 @@ def q_tpch_q7(sf_dir: str, nation_a: str = "NATION_3",
     <=2 x 2 x years partial summed on the driver (Q13 lesson).
     Native ``Dataset.join`` is deliberately NOT used twice in one DAG
     (the 2-join aggregator-pool deadlock, CLAUDE.md)."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
-             "l_shipdate"))
-    n_salt = 1 << salt_bits
-
+    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey", "l_extendedprice",
+                 "l_discount", "l_shipdate")
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
     nk = {name: int(nation.loc[nation["n_name"] == name,
                                "n_nationkey"].iloc[0])
@@ -2979,89 +2360,60 @@ def q_tpch_q7(sf_dir: str, nation_a: str = "NATION_3",
     hi = pa.scalar(datetime.datetime(1998, 1, 1), type=pa.timestamp("us"))
 
     def cust_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        cn = batch.column("c_nationkey").to_numpy(zero_copy_only=False)
+        cn = _np(batch, "c_nationkey")
         keep = np.isin(cn, pair)
-        return _leg6(ck[keep] % n_salt, ck[keep], 0,
-                     cn[keep].astype(np.int8), 0, 0)
+        return pa.table({"k": _np(batch, "c_custkey")[keep],
+                         "ccode": cn[keep].astype(np.int8)})
 
-    def orders_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return _leg6(ck % n_salt, ck, 1, 0, 0, ok)
-
-    def join_custkey(df: pd.DataFrame) -> pa.Table:
-        cust = df.loc[df["side"] == 0, ["k", "code"]]
-        orders = df.loc[df["side"] == 1, ["k", "aux"]]
+    def join_custkey(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
         m = orders.merge(cust, on="k")
-        ok = m["aux"].to_numpy(np.int64)
-        # re-key on orderkey for exchange 2; side 0 = "order w/ cust code"
-        return _leg6(ok % n_salt, ok, 0, m["code"].to_numpy(np.int8), 0, 0)
+        return pd.DataFrame({"k": m["ok"].to_numpy(np.int64),
+                             "ccode": m["ccode"].to_numpy(np.int8)})
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
         skeys, scodes = ray.get(supp_ref)
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("l_shipdate"), lo),
             pc.less(batch.column("l_shipdate"), hi)))
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
+        sk = _np(batch, "l_suppkey")
         keep = isin_sorted(sk, skeys)
-        code = scodes[np.searchsorted(skeys, sk[keep])]
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        yr = pc.year(batch.column("l_shipdate")).to_numpy(
-            zero_copy_only=False)[keep].astype(np.int64)
         g = pd.DataFrame({
-            "k": batch.column("l_orderkey").to_numpy(
-                zero_copy_only=False)[keep],
-            "code": code, "yr": yr, "aux": ip * (100 - idisc),
-        }).groupby(["k", "code", "yr"], as_index=False).agg(
-            aux=("aux", "sum"))
-        return _leg6(g["k"].to_numpy(np.int64) % n_salt,
-                     g["k"].to_numpy(np.int64), 1,
-                     g["code"].to_numpy(np.int8),
-                     g["yr"].to_numpy(np.int64),
-                     g["aux"].to_numpy(np.int64))
+            "k": _np(batch, "l_orderkey")[keep],
+            "code": scodes[np.searchsorted(skeys, sk[keep])],
+            "yr": pc.year(batch.column("l_shipdate")).to_numpy(
+                zero_copy_only=False)[keep].astype(np.int64),
+            "rev": _rev(batch, keep),
+        }).groupby(["k", "code", "yr"], as_index=False).agg(rev=("rev", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def join_orderkey(df: pd.DataFrame) -> pd.DataFrame:
-        orders = df.loc[df["side"] == 0, ["k", "code"]].rename(
-            columns={"code": "ccode"})
-        lines = df.loc[df["side"] == 1, ["k", "code", "yr", "aux"]]
+    def join_orderkey(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
         m = lines.merge(orders, on="k")
         m = m[m["code"].to_numpy(np.int8) != m["ccode"].to_numpy(np.int8)]
         g = m.groupby(["code", "ccode", "yr"], as_index=False).agg(
-            aux=("aux", "sum"))
+            rev=("rev", "sum"))
         return g.astype({"code": np.int64, "ccode": np.int64,
-                         "yr": np.int64, "aux": np.int64})
+                         "yr": np.int64, "rev": np.int64})
 
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]
-              ).map_batches(cust_leg, batch_format="pyarrow")
-    orders = _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
-               "l_shipdate"]).map_batches(line_leg, batch_format="pyarrow")
-    parts = (cust.union(orders).groupby("salt").map_groups(
-        join_custkey, batch_format="pandas").union(line)
-        .groupby("salt").map_groups(
-        join_orderkey, batch_format="pandas")).to_pandas()
-
-    if parts.empty:
-        return pd.DataFrame({"supp_nation": pd.Series([], dtype=object),
-                             "cust_nation": pd.Series([], dtype=object),
-                             "l_year": pd.Series([], dtype=np.int64),
-                             "revenue": pd.Series([], dtype=np.float64)})
+    orders_by_cust = exchange(
+        [(_t(sf_dir, "customer", ["c_custkey", "c_nationkey"]), cust_leg),
+         (_t(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+          lambda b: pa.table({"k": b.column("o_custkey"),
+                              "ok": b.column("o_orderkey")}))],
+        join_custkey, size)
+    parts = collect(exchange(
+        [(orders_by_cust, None),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
+                                  "l_discount", "l_shipdate"]), line_leg)],
+        join_orderkey, size))
     agg = parts.groupby(["code", "ccode", "yr"], as_index=False).agg(
-        aux=("aux", "sum"))
+        rev=("rev", "sum"))
     out = pd.DataFrame({
         "supp_nation": np.array(
             [names[int(c)] for c in agg["code"]], object),
         "cust_nation": np.array(
             [names[int(c)] for c in agg["ccode"]], object),
         "l_year": agg["yr"].to_numpy(np.int64),
-        "revenue": agg["aux"].to_numpy(np.int64) / 10000.0,
+        "revenue": agg["rev"].to_numpy(np.int64) / 10000.0,
     })
     return out.sort_values(["supp_nation", "cust_nation", "l_year"]
                            ).reset_index(drop=True)
@@ -3100,11 +2452,9 @@ def _part_bloom(sf_dir: str, part_keys_fn, part_columns, probe_columns,
     ``(None, 0)`` below the gate — the exchange's in-group membership
     test keeps the result exact either way (the bloom only cuts
     shuffle traffic; its ~2% false positives die in-group)."""
-    from vyperdatum_ray.pipelines.textops import _footer_stats
-
     if bloom_min_probe_bytes is None:
         bloom_min_probe_bytes = PART_BLOOM_MIN_PROBE_BYTES
-    probe_bytes, _ = _footer_stats(f"{sf_dir}/lineitem.parquet",
+    probe_bytes, _ = footer_stats(f"{sf_dir}/lineitem.parquet",
                                    list(probe_columns))
     if probe_bytes < bloom_min_probe_bytes:
         return None, 0
@@ -3113,7 +2463,6 @@ def _part_bloom(sf_dir: str, part_keys_fn, part_columns, probe_columns,
 
 def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
               region_name: str = "AMERICA", part_type: str = "PROMO",
-              salt_bits: int | None = None,
               bloom_min_probe_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q8 (national market share; adapted to the fixture
     schema): a THREE-exchange chain, the deepest reshape in the
@@ -3127,13 +2476,8 @@ def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
     supp-code, cents) partials — a <=25 x years domain summed on the
     driver, where the share divides two exact int64 sums in float64
     (identical doubles in DuckDB's BIGINT/BIGINT division)."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
-             "l_discount"))
-    n_salt = 1 << salt_bits
-
+    size = _size(sf_dir, "lineitem", "l_orderkey", "l_partkey", "l_suppkey",
+                 "l_extendedprice", "l_discount")
     nation = _dim_pandas(sf_dir, "nation",
                          ["n_nationkey", "n_name", "n_regionkey"])
     region = _dim_pandas(sf_dir, "region")
@@ -3153,12 +2497,8 @@ def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
     hi = pa.scalar(datetime.datetime(1998, 1, 1), type=pa.timestamp("us"))
 
     def part_keys(batch: pa.Table) -> np.ndarray:
-        batch = batch.filter(pc.equal(batch.column("p_type"), part_type))
-        return batch.column("p_partkey").to_numpy(zero_copy_only=False)
-
-    def part_leg(batch: pa.Table) -> pa.Table:
-        pk = part_keys(batch)
-        return _leg6(pk % n_salt, pk, 0, 0, 0, 0)
+        return _np(batch.filter(pc.equal(batch.column("p_type"), part_type)),
+                   "p_partkey")
 
     # bloom pushdown on the part predicate: only ~1/|p_type| of the
     # line partials survive exchange A's in-group membership test, so
@@ -3173,117 +2513,68 @@ def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
         ["l_partkey", "l_extendedprice"], bloom_min_probe_bytes)
 
     def line_leg(batch: pa.Table) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
         if bloom_ref is not None:
-            bkeep = _bloom_test(
-                batch.column("l_partkey").to_numpy(zero_copy_only=False),
-                ray.get(bloom_ref), m_bits)
-            batch = batch.filter(pa.array(bkeep))
+            batch = batch.filter(pa.array(_bloom_test(
+                _np(batch, "l_partkey"), ray.get(bloom_ref), m_bits)))
         skeys, scodes = ray.get(supp_ref)
-        sk = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
+        sk = _np(batch, "l_suppkey")
         keep = isin_sorted(sk, skeys)
-        code = scodes[np.searchsorted(skeys, sk[keep])]
-        ip = np.rint(batch.column("l_extendedprice").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
-        idisc = np.rint(batch.column("l_discount").to_numpy(
-            zero_copy_only=False)[keep] * 100.0).astype(np.int64)
         g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(
-                zero_copy_only=False)[keep],
-            "ok": batch.column("l_orderkey").to_numpy(
-                zero_copy_only=False)[keep],
-            "code": code, "aux": ip * (100 - idisc),
-        }).groupby(["k", "ok", "code"], as_index=False).agg(
-            aux=("aux", "sum"))
-        return pa.table({
-            "salt": pa.array(g["k"].to_numpy(np.int64) % n_salt, pa.int64()),
-            "k": pa.array(g["k"].to_numpy(np.int64), pa.int64()),
-            "side": pa.array(np.ones(len(g), np.int8), pa.int8()),
-            "code": pa.array(g["code"].to_numpy(np.int8), pa.int8()),
-            "yr": pa.array(g["ok"].to_numpy(np.int64), pa.int64()),
-            "aux": pa.array(g["aux"].to_numpy(np.int64), pa.int64()),
-        })
+            "k": _np(batch, "l_partkey")[keep],
+            "ok": _np(batch, "l_orderkey")[keep],
+            "code": scodes[np.searchsorted(skeys, sk[keep])],
+            "rev": _rev(batch, keep),
+        }).groupby(["k", "ok", "code"], as_index=False).agg(rev=("rev", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def join_partkey(df: pd.DataFrame) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        pset = np.unique(df.loc[df["side"] == 0, "k"].to_numpy(np.int64))
-        lines = df[df["side"] == 1]
-        keep = isin_sorted(lines["k"].to_numpy(np.int64), pset)
-        lines = lines[keep]
-        # re-key on the orderkey smuggled through `yr`; side 1 = line
-        ok = lines["yr"].to_numpy(np.int64)
-        return _leg6(ok % n_salt, ok, 1,
-                     lines["code"].to_numpy(np.int8), 0,
-                     lines["aux"].to_numpy(np.int64))
-
-    def cust_leg(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        cn = batch.column("c_nationkey").to_numpy(zero_copy_only=False)
-        keep = np.isin(cn, region_nations)
-        return _leg6(ck[keep] % n_salt, ck[keep], 0, 0, 0, 0)
+    def join_partkey(part: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        lines = lines[isin_sorted(lines["k"].to_numpy(np.int64),
+                                  np.unique(part["k"].to_numpy(np.int64)))]
+        # re-keyed on orderkey: the line leg of exchange C
+        return pd.DataFrame({"k": lines["ok"].to_numpy(np.int64),
+                             "code": lines["code"].to_numpy(np.int8),
+                             "rev": lines["rev"].to_numpy(np.int64)})
 
     def orders_leg(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.and_(
             pc.greater_equal(batch.column("o_orderdate"), lo),
             pc.less(batch.column("o_orderdate"), hi)))
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        yr = pc.year(batch.column("o_orderdate")).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "salt": pa.array(ck % n_salt, pa.int64()),
-            "k": pa.array(ck, pa.int64()),
-            "side": pa.array(np.ones(len(ck), np.int8), pa.int8()),
-            "code": pa.array(np.zeros(len(ck), np.int8), pa.int8()),
-            "yr": pa.array(yr, pa.int64()),
-            "aux": pa.array(ok, pa.int64()),
-        })
+        return pa.table({"k": batch.column("o_custkey"), "ok": batch.column("o_orderkey"),
+                         "yr": pc.year(batch.column("o_orderdate")).to_numpy(
+                             zero_copy_only=False).astype(np.int64)})
 
-    def join_custkey(df: pd.DataFrame) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        cset = np.unique(df.loc[df["side"] == 0, "k"].to_numpy(np.int64))
-        orders = df[df["side"] == 1]
-        keep = isin_sorted(orders["k"].to_numpy(np.int64), cset)
-        orders = orders[keep]
-        ok = orders["aux"].to_numpy(np.int64)
-        # side 0 = "order in region, with year"
-        return _leg6(ok % n_salt, ok, 0, 0,
-                     orders["yr"].to_numpy(np.int64), 0)
+    def join_custkey(cust: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        orders = orders[isin_sorted(orders["k"].to_numpy(np.int64),
+                                    np.unique(cust["k"].to_numpy(np.int64)))]
+        # re-keyed on orderkey: the order-in-region leg of exchange C
+        return pd.DataFrame({"k": orders["ok"].to_numpy(np.int64),
+                             "yr": orders["yr"].to_numpy(np.int64)})
 
-    def join_orderkey(df: pd.DataFrame) -> pd.DataFrame:
-        orders = df.loc[df["side"] == 0, ["k", "yr"]]
-        lines = df.loc[df["side"] == 1, ["k", "code", "aux"]]
-        m = lines.merge(orders, on="k")
-        g = m.groupby(["yr", "code"], as_index=False).agg(aux=("aux", "sum"))
-        return g.astype({"yr": np.int64, "code": np.int64, "aux": np.int64})
+    def join_orderkey(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        g = lines.merge(orders, on="k").groupby(["yr", "code"], as_index=False).agg(
+            rev=("rev", "sum"))
+        return g.astype({"yr": np.int64, "code": np.int64, "rev": np.int64})
 
-    part = _t(sf_dir, "part", ["p_partkey", "p_type"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem",
-              ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice",
-               "l_discount"]).map_batches(line_leg, batch_format="pyarrow")
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]
-              ).map_batches(cust_leg, batch_format="pyarrow")
-    orders = _t(sf_dir, "orders",
-                ["o_orderkey", "o_custkey", "o_orderdate"]
-                ).map_batches(orders_leg, batch_format="pyarrow")
-
-    line_by_order = part.union(line).groupby("salt").map_groups(
-        join_partkey, batch_format="pandas")
-    order_in_region = cust.union(orders).groupby("salt").map_groups(
-        join_custkey, batch_format="pandas")
-    parts = line_by_order.union(order_in_region).groupby("salt").map_groups(
-        join_orderkey, batch_format="pandas").to_pandas()
-
-    if parts.empty:
-        return pd.DataFrame({"o_year": pd.Series([], dtype=np.int64),
-                             "mkt_share": pd.Series([], dtype=np.float64)})
-    agg = parts.groupby(["yr", "code"], as_index=False).agg(
-        aux=("aux", "sum"))
+    line_by_order = exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_type"]),
+          lambda b: pa.table({"k": part_keys(b)})),
+         (_t(sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_suppkey",
+                                  "l_extendedprice", "l_discount"]), line_leg)],
+        join_partkey, size)
+    order_in_region = exchange(
+        [(_t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+          lambda b: pa.table({"k": _np(b, "c_custkey")[
+              np.isin(_np(b, "c_nationkey"), region_nations)]})),
+         (_t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+          orders_leg)],
+        join_custkey, size)
+    parts = collect(exchange([(order_in_region, None), (line_by_order, None)],
+                             join_orderkey, size))
+    agg = parts.groupby(["yr", "code"], as_index=False).agg(rev=("rev", "sum"))
     years = np.sort(agg["yr"].unique())
     tgt = np.array([agg.loc[(agg["yr"] == y) & (agg["code"] == target_nk),
-                            "aux"].sum() for y in years], np.int64)
-    tot = np.array([agg.loc[agg["yr"] == y, "aux"].sum() for y in years],
+                            "rev"].sum() for y in years], np.int64)
+    tot = np.array([agg.loc[agg["yr"] == y, "rev"].sum() for y in years],
                    np.int64)
     return pd.DataFrame({
         "o_year": years.astype(np.int64),
@@ -3314,8 +2605,7 @@ SELECT o_year,
 FROM base GROUP BY o_year ORDER BY o_year"""
 
 
-def q_event_lag_delta(sf_dir: str,
-                      salt_bits: int | None = None) -> ray.data.Dataset:
+def q_event_lag_delta(sf_dir: str) -> ray.data.Dataset:
     """LAG/LEAD window over the event stream (PARTITION BY user_id
     ORDER BY ts, event_id): each event's value delta vs the user's
     previous event and the time gap to the next one — the
@@ -3327,48 +2617,35 @@ def q_event_lag_delta(sf_dir: str,
     emit SQL NULL as NaN; the delta subtracts two raw float64s (a
     single IEEE op, bit-identical to DuckDB's LAG subtraction) and
     the gap is exact integer microseconds."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/events.parquet",
-            ("event_id", "ts", "user_id", "value"))
-    n_salt = 1 << salt_bits
-
     def leg(batch: pa.Table) -> pa.Table:
-        uk = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "salt": pa.array(uk % n_salt, pa.int64()),
-            "uk": pa.array(uk, pa.int64()),
-            "eid": batch.column("event_id"),
-            "tsu": pc.cast(batch.column("ts"), pa.int64()),
-            "v": batch.column("value"),
-        })
+        return pa.table({"k": batch.column("user_id"), "eid": batch.column("event_id"),
+                         "tsu": pc.cast(batch.column("ts"), pa.int64()),
+                         "v": batch.column("value")})
 
     def window(df: pd.DataFrame) -> pd.DataFrame:
-        uk = df["uk"].to_numpy(np.int64)
+        uk = df["k"].to_numpy(np.int64)
         eid = df["eid"].to_numpy(np.int64)
         tsu = df["tsu"].to_numpy(np.int64)
         v = df["v"].to_numpy(np.float64)
         order = np.lexsort((eid, tsu, uk))
         uk, eid, tsu, v = uk[order], eid[order], tsu[order], v[order]
-        first = np.r_[True, uk[1:] != uk[:-1]]       # partition starts
-        last = np.r_[uk[1:] != uk[:-1], True]        # partition ends
-        delta = np.empty(len(v), np.float64)
-        delta[0] = np.nan
+        first = np.ones(len(uk), bool)               # partition starts
+        first[1:] = uk[1:] != uk[:-1]
+        last = np.roll(first, -1)                    # partition ends
+        delta = np.full(len(v), np.nan)
         delta[1:] = v[1:] - v[:-1]
         delta[first] = np.nan
         gap = np.full(len(v), np.nan)
-        if len(v) > 1:
-            gap[:-1] = (tsu[1:] - tsu[:-1]).astype(np.float64)
+        gap[:-1] = (tsu[1:] - tsu[:-1]).astype(np.float64)
         gap[last] = np.nan
         return pd.DataFrame({
             "event_id": eid, "user_id": uk,
             "value_delta": delta, "next_gap_us": gap,
         })
 
-    return _t(sf_dir, "events", ["event_id", "ts", "user_id", "value"]
-              ).map_batches(leg, batch_format="pyarrow"
-                            ).groupby("salt").map_groups(
-        window, batch_format="pandas")
+    cols = ["event_id", "ts", "user_id", "value"]
+    return exchange([(_t(sf_dir, "events", cols), leg)], window,
+                    _size(sf_dir, "events", *cols))
 
 
 ORACLES["event_lag_delta"] = """
@@ -3381,8 +2658,7 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
 ORDER BY event_id"""
 
 
-def q_funnel_conversion(sf_dir: str,
-                        salt_bits: int | None = None) -> pd.DataFrame:
+def q_funnel_conversion(sf_dir: str) -> pd.DataFrame:
     """Ordered funnel conversion over the event stream: of the users
     who ever signed up, how many later purchased (strictly after
     their FIRST signup)? The sequence predicate collapses to an
@@ -3393,40 +2669,29 @@ def q_funnel_conversion(sf_dir: str,
     emit (n_signup, n_converted) count pairs; the driver sums
     (Q13 lesson). Nothing user-cardinality-sized leaves the exchange
     as strings or rows — two int64 timestamps per user per block."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/events.parquet", ("user_id", "ts", "event_type"))
-    n_salt = 1 << salt_bits
-    NONE = np.int64(np.iinfo(np.int64).min)
+    NONE, LAST = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
     def leg(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
-        uk = batch.column("user_id").to_numpy(zero_copy_only=False)
-        tsu = pc.cast(batch.column("ts"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        s = et == "signup"
-        p = et == "purchase"
+        et = _np(batch, "event_type")
+        uk = _np(batch, "user_id")
+        tsu = pc.cast(batch.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
+        s, p = et == "signup", et == "purchase"
         gs = pd.DataFrame({"uk": uk[s], "v": tsu[s]}).groupby(
             "uk", as_index=False).agg(v=("v", "min"))
         gp = pd.DataFrame({"uk": uk[p], "v": tsu[p]}).groupby(
             "uk", as_index=False).agg(v=("v", "max"))
-        u = np.concatenate([gs["uk"].to_numpy(np.int64),
-                            gp["uk"].to_numpy(np.int64)])
         return pa.table({
-            "salt": pa.array(u % n_salt, pa.int64()),
-            "uk": pa.array(u, pa.int64()),
-            "mins": pa.array(np.concatenate(
-                [gs["v"].to_numpy(np.int64),
-                 np.full(len(gp), np.iinfo(np.int64).max, np.int64)]),
-                pa.int64()),
-            "maxp": pa.array(np.concatenate(
-                [np.full(len(gs), NONE, np.int64),
-                 gp["v"].to_numpy(np.int64)]), pa.int64()),
+            "k": np.concatenate([gs["uk"].to_numpy(np.int64),
+                                 gp["uk"].to_numpy(np.int64)]),
+            "mins": np.concatenate([gs["v"].to_numpy(np.int64),
+                                    np.full(len(gp), LAST, np.int64)]),
+            "maxp": np.concatenate([np.full(len(gs), NONE, np.int64),
+                                    gp["v"].to_numpy(np.int64)]),
         })
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("uk").agg(mins=("mins", "min"), maxp=("maxp", "max"))
-        signed = g["mins"].to_numpy(np.int64) < np.iinfo(np.int64).max
+        g = df.groupby("k").agg(mins=("mins", "min"), maxp=("maxp", "max"))
+        signed = g["mins"].to_numpy(np.int64) < LAST
         conv = signed & (g["maxp"].to_numpy(np.int64)
                          > g["mins"].to_numpy(np.int64))
         return pd.DataFrame({
@@ -3434,14 +2699,12 @@ def q_funnel_conversion(sf_dir: str,
             "n_converted": np.array([int(conv.sum())], np.int64),
         })
 
-    parts = (_t(sf_dir, "events", ["user_id", "ts", "event_type"])
-             .map_batches(leg, batch_format="pyarrow")
-             .groupby("salt").map_groups(reduce_group,
-                                         batch_format="pandas")).to_pandas()
-    n_s = int(parts["n_signup"].sum()) if not parts.empty else 0
-    n_c = int(parts["n_converted"].sum()) if not parts.empty else 0
-    return pd.DataFrame({"n_signup": np.array([n_s], np.int64),
-                         "n_converted": np.array([n_c], np.int64)})
+    cols = ["user_id", "ts", "event_type"]
+    parts = collect(exchange([(_t(sf_dir, "events", cols), leg)], reduce_group,
+                             _size(sf_dir, "events", *cols)))
+    return pd.DataFrame({
+        "n_signup": np.array([int(parts["n_signup"].sum())], np.int64),
+        "n_converted": np.array([int(parts["n_converted"].sum())], np.int64)})
 
 
 ORACLES["funnel_conversion"] = """
@@ -3455,7 +2718,6 @@ SELECT (SELECT CAST(count(*) AS BIGINT) FROM s) AS n_signup,
 
 
 def q_tpch_q20(sf_dir: str, name_like: str = "widget",
-               salt_bits: int | None = None,
                bloom_min_probe_bytes: int | None = None) -> pd.DataFrame:
     """TPC-H Q20 (suppliers with excess stock; adapted — "excess" is
     shipping MORE THAN HALF of a part's total shipped quantity, the
@@ -3469,20 +2731,11 @@ def q_tpch_q20(sf_dir: str, name_like: str = "widget",
     exchange de-duplicates across parts and carries the supplier-name
     membership leg (Q10 lesson), and the driver collects only the
     supplier-bounded winner set."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/lineitem.parquet",
-            ("l_partkey", "l_suppkey", "l_quantity"))
-    n_salt = 1 << salt_bits
+    size = _size(sf_dir, "lineitem", "l_partkey", "l_suppkey", "l_quantity")
 
     def part_keys(batch: pa.Table) -> np.ndarray:
-        batch = batch.filter(pc.match_substring(
-            batch.column("p_name"), name_like))
-        return batch.column("p_partkey").to_numpy(zero_copy_only=False)
-
-    def part_leg(batch: pa.Table) -> pa.Table:
-        pk = part_keys(batch)
-        return _leg(pk % n_salt, pk, 0, 0, np.zeros(len(pk), np.int64))
+        return _np(batch.filter(pc.match_substring(batch.column("p_name"), name_like)),
+                   "p_partkey")
 
     # bytes-gated partkey bloom pushdown (see _part_bloom)
     bloom_ref, m_bits = _part_bloom(
@@ -3492,81 +2745,44 @@ def q_tpch_q20(sf_dir: str, name_like: str = "widget",
     def line_leg(batch: pa.Table) -> pa.Table:
         if bloom_ref is not None:
             batch = batch.filter(pa.array(_bloom_test(
-                batch.column("l_partkey").to_numpy(zero_copy_only=False),
-                ray.get(bloom_ref), m_bits)))
-        qty = np.rint(batch.column("l_quantity").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
-        g = pd.DataFrame({
-            "k": batch.column("l_partkey").to_numpy(zero_copy_only=False),
-            "sk": batch.column("l_suppkey").to_numpy(zero_copy_only=False),
-            "q": qty,
-        }).groupby(["k", "sk"], as_index=False).agg(q=("q", "sum"))
-        kk = g["k"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(kk % n_salt, pa.int64()),
-            "k": pa.array(kk, pa.int64()),
-            "side": pa.array(np.ones(len(kk), np.int8), pa.int8()),
-            "code": pa.array(np.zeros(len(kk), np.int8), pa.int8()),
-            "aux": pa.array(g["sk"].to_numpy(np.int64), pa.int64()),
-            "q": pa.array(g["q"].to_numpy(np.int64), pa.int64()),
-        })
+                _np(batch, "l_partkey"), ray.get(bloom_ref), m_bits)))
+        g = pd.DataFrame({"k": _np(batch, "l_partkey"), "sk": _np(batch, "l_suppkey"),
+                          "q": _cents(_np(batch, "l_quantity"))}).groupby(
+            ["k", "sk"], as_index=False).agg(q=("q", "sum"))
+        return pa.Table.from_pandas(g, preserve_index=False)
 
-    def majority_group(df: pd.DataFrame) -> pa.Table:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        pset = np.unique(df.loc[df["side"] == 0, "k"].to_numpy(np.int64))
-        lines = df[df["side"] == 1]
-        keep = isin_sorted(lines["k"].to_numpy(np.int64), pset)
-        l = lines[keep].groupby(["k", "aux"], as_index=False).agg(
-            q=("q", "sum"))
+    def majority_group(part: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        keep = isin_sorted(lines["k"].to_numpy(np.int64),
+                           np.unique(part["k"].to_numpy(np.int64)))
+        l = lines[keep].groupby(["k", "sk"], as_index=False).agg(q=("q", "sum"))
         tot = l.groupby("k")["q"].transform("sum").to_numpy(np.int64)
         ns = l.groupby("k")["q"].transform("size").to_numpy(np.int64)
         win = l["q"].to_numpy(np.int64) * ns > 2 * tot
-        sk = np.unique(l["aux"].to_numpy(np.int64)[win])
-        return pa.table({
-            "salt2": pa.array(sk % n_salt, pa.int64()),
-            "sk": pa.array(sk, pa.int64()),
-            "memb": pa.array(np.zeros(len(sk), np.int8), pa.int8()),
-        })
+        # re-keyed on suppkey: the leg of the distinct exchange
+        return pd.DataFrame({"k": np.unique(l["sk"].to_numpy(np.int64)[win])})
 
-    def memb_leg(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "salt2": pa.array(sk % n_salt, pa.int64()),
-            "sk": pa.array(sk, pa.int64()),
-            "memb": pa.array(np.ones(len(sk), np.int8), pa.int8()),
-        })
+    def distinct_group(winners: pd.DataFrame, memb: pd.DataFrame) -> pd.DataFrame:
+        sk = np.unique(winners["k"].to_numpy(np.int64))
+        return pd.DataFrame({"sk": sk[isin_sorted(
+            sk, np.unique(memb["k"].to_numpy(np.int64)))]})
 
-    def distinct_group(df: pd.DataFrame) -> pd.DataFrame:
-        from vyperdatum_ray.core.nputil import isin_sorted
-        known = np.unique(df.loc[df["memb"] == 1, "sk"].to_numpy(np.int64))
-        sk = np.unique(df.loc[df["memb"] == 0, "sk"].to_numpy(np.int64))
-        sk = sk[isin_sorted(sk, known)]
-        return pd.DataFrame({"sk": sk})
-
-    part = _t(sf_dir, "part", ["p_partkey", "p_name"]
-              ).map_batches(part_leg, batch_format="pyarrow")
-    part = part.map_batches(
-        lambda t: t.append_column("q", pa.array(
-            np.zeros(t.num_rows, np.int64), pa.int64())),
-        batch_format="pyarrow")
-    line = _t(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"]
-              ).map_batches(line_leg, batch_format="pyarrow")
-    memb = _t(sf_dir, "supplier", ["s_suppkey"]
-              ).map_batches(memb_leg, batch_format="pyarrow")
-    winners = (part.union(line).groupby("salt").map_groups(
-        majority_group, batch_format="pandas").union(memb)
-        .groupby("salt2").map_groups(
-        distinct_group, batch_format="pandas")).to_pandas()
-
+    majority = exchange(
+        [(_t(sf_dir, "part", ["p_partkey", "p_name"]),
+          lambda b: pa.table({"k": part_keys(b)})),
+         (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"]),
+          line_leg)], majority_group, size)
+    winners = collect(exchange(
+        [(majority, None), (_t(sf_dir, "supplier", ["s_suppkey"]),
+                            lambda b: pa.table({"k": b.column("s_suppkey")}))],
+        distinct_group, size))
     if winners.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object)})
-    from vyperdatum_ray.core.nputil import isin_sorted as _member_sorted
     wanted_ref = ray.put(np.unique(winners["sk"].to_numpy(np.int64)))
 
     def name_filter(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(_member_sorted(sk, ray.get(wanted_ref))))
+        return batch.filter(pa.array(isin_sorted(_np(batch, "s_suppkey"),
+                                                 ray.get(wanted_ref))))
 
     names = (_t(sf_dir, "supplier", ["s_suppkey", "s_name"])
              .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
@@ -3599,38 +2815,33 @@ def q_gap_fill_resample(sf_dir: str) -> pd.DataFrame:
     monitoring rollup needs). Blocks pre-reduce to (type, epoch-hour,
     count) partials; the partial domain is |types| x |hours|, bounded
     by wall-clock (one decade ~ 9e4 hours) — but the PARTIAL count
-    grows with block count, so a bounded salt exchange on the hour
+    grows with block count, so a salted exchange keyed on the hour
     finishes the sums and only the final |types| x |hours| totals
     reach the driver for the dense grid reindex + zero-fill. The
     min/max span rides the same totals — no second pass. Type strings
     leave blocks only as per-block-distinct partial keys, never per
     event."""
-    n_salt = 64
-
     def partial(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
         hr = pc.cast(batch.column("ts"), pa.int64()).to_numpy(
             zero_copy_only=False) // 3_600_000_000
-        g = pd.DataFrame({"event_type": et, "hour": hr}).groupby(
-            ["event_type", "hour"], as_index=False).size()
+        g = pd.DataFrame({"event_type": _np(batch, "event_type"), "k": hr}).groupby(
+            ["event_type", "k"], as_index=False).size()
         return pa.table({
-            "salt": pa.array(g["hour"].to_numpy(np.int64) % n_salt,
-                             pa.int64()),
-            "event_type": pa.array(g["event_type"].to_numpy(object),
-                                   pa.string()),
-            "hour": pa.array(g["hour"].to_numpy(np.int64), pa.int64()),
-            "p_n": pa.array(g["size"].to_numpy(np.int64), pa.int64()),
+            "k": g["k"].to_numpy(np.int64),
+            "event_type": pa.array(g["event_type"].to_numpy(object), pa.string()),
+            "p_n": g["size"].to_numpy(np.int64),
         })
 
     def totals(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["event_type", "hour"], as_index=False).agg(
+        g = df.groupby(["event_type", "k"], as_index=False).agg(
             p_n=("p_n", "sum"))
-        return g.astype({"hour": np.int64, "p_n": np.int64})
+        return pd.DataFrame({"event_type": g["event_type"],
+                             "hour": g["k"].to_numpy(np.int64),
+                             "p_n": g["p_n"].to_numpy(np.int64)})
 
-    parts = (_t(sf_dir, "events", ["ts", "event_type"])
-             .map_batches(partial, batch_format="pyarrow")
-             .groupby("salt").map_groups(totals, batch_format="pandas")
-             ).to_pandas()
+    parts = collect(exchange(
+        [(_t(sf_dir, "events", ["ts", "event_type"]), partial)], totals,
+        _size(sf_dir, "events", "ts", "event_type")))
     if parts.empty:
         return pd.DataFrame({"event_type": pd.Series([], dtype=object),
                              "hour": pd.Series([], dtype=np.int64),
@@ -3754,49 +2965,38 @@ FROM r WHERE price_rank <= 3
 ORDER BY o_orderpriority, price_rank, o_orderkey"""
 
 
-def q_repeat_buyers(sf_dir: str,
-                    salt_bits: int | None = None) -> pd.DataFrame:
-    """INTERSECT of two filtered projections: customers who placed
-    orders in BOTH 1996 and 1997. Blocks pre-reduce each custkey to a
-    2-bit year mask; a bounded salt exchange ORs the masks (set
-    intersection as an associative bitwise reduce — no row-level
-    distinct shuffle) and each group emits only its both-years keys,
-    a customer-bounded result."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet", ("o_custkey", "o_orderdate"))
-    n_salt = 1 << salt_bits
+def _year_mask_custs(sf_dir: str, mask: int) -> pd.DataFrame:
+    """Customers whose 1996/1997 order-year mask (bit 1 = 1996, bit 2 =
+    1997) equals ``mask``. Blocks pre-reduce each custkey to its mask;
+    a salted exchange ORs the masks (set algebra as an associative
+    bitwise reduce — no row-level distinct shuffle) and each group
+    emits only its matching keys, a customer-bounded result."""
+    def or_reduce(x: pd.Series) -> int:
+        return np.bitwise_or.reduce(x.to_numpy(np.int64))
 
     def leg(batch: pa.Table) -> pa.Table:
-        yr = pc.year(batch.column("o_orderdate")).to_numpy(
-            zero_copy_only=False)
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        m = np.where(yr == 1996, 1, np.where(yr == 1997, 2, 0)).astype(
-            np.int64)
+        yr = pc.year(batch.column("o_orderdate")).to_numpy(zero_copy_only=False)
+        m = np.where(yr == 1996, 1, np.where(yr == 1997, 2, 0)).astype(np.int64)
         keep = m > 0
-        g = pd.DataFrame({"ck": ck[keep], "m": m[keep]}).groupby(
-            "ck", as_index=False).agg(m=("m", lambda x: np.bitwise_or.reduce(
-                x.to_numpy(np.int64))))
-        kk = g["ck"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(kk % n_salt, pa.int64()),
-            "ck": pa.array(kk, pa.int64()),
-            "m": pa.array(g["m"].to_numpy(np.int64), pa.int64()),
-        })
+        g = pd.DataFrame({"k": _np(batch, "o_custkey")[keep], "m": m[keep]}).groupby(
+            "k", as_index=False).agg(m=("m", or_reduce))
+        return pa.table({"k": g["k"].to_numpy(np.int64),
+                         "m": g["m"].to_numpy(np.int64)})
 
-    def both(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("ck", as_index=False).agg(
-            m=("m", lambda x: np.bitwise_or.reduce(x.to_numpy(np.int64))))
-        return pd.DataFrame({
-            "c_custkey": g.loc[g["m"] == 3, "ck"].to_numpy(np.int64)})
+    def pick(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("k", as_index=False).agg(m=("m", or_reduce))
+        return pd.DataFrame({"c_custkey": g.loc[g["m"] == mask, "k"].to_numpy(np.int64)})
 
-    out = (_t(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-           .map_batches(leg, batch_format="pyarrow")
-           .groupby("salt").map_groups(both, batch_format="pandas")
-           ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64)})
+    out = collect(exchange(
+        [(_t(sf_dir, "orders", ["o_custkey", "o_orderdate"]), leg)], pick,
+        _size(sf_dir, "orders", "o_custkey", "o_orderdate")))
     return out.sort_values("c_custkey").reset_index(drop=True)
+
+
+def q_repeat_buyers(sf_dir: str) -> pd.DataFrame:
+    """INTERSECT of two filtered projections: customers who placed
+    orders in BOTH 1996 and 1997 (year mask 1996|1997)."""
+    return _year_mask_custs(sf_dir, 3)
 
 
 ORACLES["repeat_buyers"] = """
@@ -3808,46 +3008,10 @@ WHERE EXTRACT(year FROM o_orderdate) = 1997
 ORDER BY c_custkey"""
 
 
-def q_lapsed_buyers(sf_dir: str,
-                    salt_bits: int | None = None) -> pd.DataFrame:
+def q_lapsed_buyers(sf_dir: str) -> pd.DataFrame:
     """EXCEPT of two filtered projections: customers who ordered in
-    1996 but NOT in 1997 — same associative year-mask reduce as
-    ``repeat_buyers`` (the 2-bit OR), selecting mask == 1996-only."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/orders.parquet", ("o_custkey", "o_orderdate"))
-    n_salt = 1 << salt_bits
-
-    def leg(batch: pa.Table) -> pa.Table:
-        yr = pc.year(batch.column("o_orderdate")).to_numpy(
-            zero_copy_only=False)
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        m = np.where(yr == 1996, 1, np.where(yr == 1997, 2, 0)).astype(
-            np.int64)
-        keep = m > 0
-        g = pd.DataFrame({"ck": ck[keep], "m": m[keep]}).groupby(
-            "ck", as_index=False).agg(m=("m", lambda x: np.bitwise_or.reduce(
-                x.to_numpy(np.int64))))
-        kk = g["ck"].to_numpy(np.int64)
-        return pa.table({
-            "salt": pa.array(kk % n_salt, pa.int64()),
-            "ck": pa.array(kk, pa.int64()),
-            "m": pa.array(g["m"].to_numpy(np.int64), pa.int64()),
-        })
-
-    def only_96(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("ck", as_index=False).agg(
-            m=("m", lambda x: np.bitwise_or.reduce(x.to_numpy(np.int64))))
-        return pd.DataFrame({
-            "c_custkey": g.loc[g["m"] == 1, "ck"].to_numpy(np.int64)})
-
-    out = (_t(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-           .map_batches(leg, batch_format="pyarrow")
-           .groupby("salt").map_groups(only_96, batch_format="pandas")
-           ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64)})
-    return out.sort_values("c_custkey").reset_index(drop=True)
+    1996 but NOT in 1997 (year mask 1996 only)."""
+    return _year_mask_custs(sf_dir, 1)
 
 
 ORACLES["lapsed_buyers"] = """
@@ -3926,8 +3090,7 @@ WHERE NOT EXISTS (SELECT 1 FROM p b
 ORDER BY a.p_partkey"""
 
 
-def q_price_band_join(sf_dir: str, band_cents: int = 100,
-                      salt_bits: int | None = None) -> pd.DataFrame:
+def q_price_band_join(sf_dir: str, band_cents: int = 100) -> ray.data.Dataset:
     """Numeric BAND self-join (range join on a value, not time —
     the temporal variants are ``asof_join`` / ``session_join``): all
     part pairs whose retail prices differ by <= $1. The classic
@@ -3936,24 +3099,18 @@ def q_price_band_join(sf_dir: str, band_cents: int = 100,
     co-locates exactly once — same-bucket pairs as (real, real),
     cross-boundary pairs as (ghost-from-below, real) — and no
     all-pairs comparison ever happens (per-bucket work is |bucket|^2
-    only within the band width). Buckets ride a bounded salt
-    exchange; in-group pairing is a vectorized sort + searchsorted
-    window expansion, no Python loop over rows."""
-    if salt_bits is None:
-        salt_bits = _join_salt_bits(
-            f"{sf_dir}/part.parquet", ("p_partkey", "p_retailprice"))
-    n_salt = 1 << salt_bits
-
+    only within the band width). Buckets ride a salted exchange; in-group
+    pairing is a vectorized sort + searchsorted window expansion, no
+    Python loop over rows. The pair set grows roughly quadratically with
+    price density, so it streams out as a Dataset, never a driver
+    collect."""
     def leg(batch: pa.Table) -> pa.Table:
-        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)
-        cents = np.rint(batch.column("p_retailprice").to_numpy(
-            zero_copy_only=False) * 100.0).astype(np.int64)
+        pk = _np(batch, "p_partkey")
+        cents = _cents(_np(batch, "p_retailprice"))
         b = cents // band_cents
         # real copy in its own bucket + ghost copy in the next
-        bb = np.concatenate([b, b + 1])
         return pa.table({
-            "salt": pa.array(bb % n_salt, pa.int64()),
-            "bucket": pa.array(bb, pa.int64()),
+            "k": np.concatenate([b, b + 1]),
             "pk": pa.array(np.concatenate([pk, pk]), pa.int64()),
             "cents": pa.array(np.concatenate([cents, cents]), pa.int64()),
             "ghost": pa.array(np.concatenate(
@@ -3963,7 +3120,7 @@ def q_price_band_join(sf_dir: str, band_cents: int = 100,
 
     def pair_group(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
-        for b, g in df.groupby("bucket"):
+        for b, g in df.groupby("k"):
             reals = g[g["ghost"] == 0].sort_values(["cents", "pk"])
             if reals.empty:
                 continue
@@ -4014,15 +3171,9 @@ def q_price_band_join(sf_dir: str, band_cents: int = 100,
             "price_diff": (db[keep] - da[keep]) / 100.0,
         })
 
-    out = (_t(sf_dir, "part", ["p_partkey", "p_retailprice"])
-           .map_batches(leg, batch_format="pyarrow")
-           .groupby("salt").map_groups(pair_group, batch_format="pandas")
-           ).to_pandas()
-    if out.empty:
-        return pd.DataFrame({"pk_a": pd.Series([], dtype=np.int64),
-                             "pk_b": pd.Series([], dtype=np.int64),
-                             "price_diff": pd.Series([], dtype=np.float64)})
-    return out.sort_values(["pk_a", "pk_b"]).reset_index(drop=True)
+    cols = ["p_partkey", "p_retailprice"]
+    return exchange([(_t(sf_dir, "part", cols), leg)], pair_group,
+                    _size(sf_dir, "part", *cols))
 
 
 ORACLES["price_band_join"] = """

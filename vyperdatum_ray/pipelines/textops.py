@@ -21,6 +21,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from vyperdatum_ray.core.helmert import sql_rn
+from vyperdatum_ray.pipelines import exchange
 
 NORMALIZE_PATTERN = r"[0-9]+(\.[0-9]+)?"  # digits (incl. decimals) -> '#'
 
@@ -40,84 +41,6 @@ def _hash_utf8_fast(arr) -> np.ndarray:
     return pl.from_arrow(arr).hash(seed=42).to_numpy().astype(np.uint64)
 
 
-# ---- auto-scaled shuffle-salt widths --------------------------------
-# The bounded-salt dedups partition on a hash PREFIX, so each
-# map_groups task materializes ~1/2^bits of the shuffled payload in one
-# pandas frame. A fixed width dies at corpus scale (1/1024 of 100 TB is
-# ~100 GB per task), so the width is derived from parquet FOOTER
-# metadata — the same discipline as training._pack_shard_bits — by
-# widening past the round-4 floor until the expected per-group payload
-# fits a target block size. Correctness is width-independent: every
-# copy of a key shares its full hash, hence its prefix group, at any
-# width (tests force tiny targets and assert identical output).
-DEDUP_SALT_BITS_FLOOR = 10            # the round-4 fixed width
-DEDUP_SALT_BITS_CAP = 26              # 64M groups; Ray groupby key space
-DEDUP_TARGET_GROUP_BYTES = 128 << 20  # per-map_groups-task payload goal
-_FOOTER_SAMPLE_FILES = 64
-
-
-def _footer_stats(paths, columns=None) -> tuple[int, int]:
-    """(estimated uncompressed bytes of ``columns``, estimated rows)
-    across ``paths`` from parquet footers only. The first
-    ``_FOOTER_SAMPLE_FILES`` footers (sorted order, deterministic) are
-    read and extrapolated by file count, so driver cost is O(1) in
-    corpus size — production layouts would serve the same numbers from
-    a table catalog."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    if isinstance(paths, (str, bytes)):
-        paths = [paths]
-    # a "table" may be a DIRECTORY of row-group files (the sharded
-    # layout every 100-TB table actually has; ray.data.read_parquet
-    # accepts it transparently) — expand those to their footers
-    expanded = []
-    for p in paths:
-        if isinstance(p, str) and os.path.isdir(p):
-            expanded.extend(glob.glob(os.path.join(p, "**", "*.parquet"),
-                                      recursive=True))
-        else:
-            expanded.append(p)
-    paths = sorted(expanded)
-    if not paths:
-        return 0, 0
-    sample = paths[:_FOOTER_SAMPLE_FILES]
-    total = 0
-    rows = 0
-    for p in sample:
-        md = pq.ParquetFile(p).metadata
-        rows += md.num_rows
-        for rg in range(md.num_row_groups):
-            g = md.row_group(rg)
-            for ci in range(g.num_columns):
-                col = g.column(ci)
-                if columns is None or col.path_in_schema in columns:
-                    total += col.total_uncompressed_size
-    scale = len(paths)
-    n = max(len(sample), 1)
-    return total * scale // n, rows * scale // n
-
-
-def dedup_salt_bits(paths, columns=None,
-                    target_bytes: int = DEDUP_TARGET_GROUP_BYTES,
-                    floor: int = DEDUP_SALT_BITS_FLOOR) -> int:
-    """Salt width for a bounded-salt dedup whose shuffle payload is the
-    uncompressed bytes of ``columns`` in ``paths``: the smallest width
-    >= ``floor`` with expected per-group payload <= ``target_bytes``.
-    The text dedups use the default floor; int-partial repartition
-    joins (relational._join_salt_bits) pass a lower one. Deliberately
-    uncached: the footer sample is O(64) metadata reads, and a
-    path-keyed cache would serve stale widths after an in-place
-    fixture/corpus rewrite in a long-lived process."""
-    total, _ = _footer_stats(paths, list(columns) if columns else None)
-    bits = floor
-    while (total >> bits) > target_bytes and bits < DEDUP_SALT_BITS_CAP:
-        bits += 1
-    return bits
-
-
 def q_dedup_exact(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset:
     """Exact dedup of documents by full text: hash-partition, then keep
     min doc_id per distinct text (group-internal exact comparison, so
@@ -128,11 +51,11 @@ def q_dedup_exact(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset
     Python call per document; inside each group the real per-text
     reduction is one vectorized pandas groupby. All copies of a text
     share its hash, hence its prefix group, so the reduction is exact.
-    The width auto-scales with corpus text bytes (``dedup_salt_bits``)
+    The width auto-scales with corpus text bytes (``exchange.salt_bits``)
     so each group's materialized slice stays block-sized at 100 TB."""
     if salt_bits is None:
-        salt_bits = dedup_salt_bits(f"{sf_dir}/documents.parquet",
-                                    ("doc_id", "text"))
+        salt_bits = exchange.salt_bits(f"{sf_dir}/documents.parquet",
+                                       ("doc_id", "text"), exchange.TEXT_FLOOR)
 
     def add_hash(batch: pa.Table) -> pa.Table:
         h = _hash_utf8_fast(batch.column("text"))
@@ -156,7 +79,8 @@ def q_dedup_normalized(sf_dir: str, salt_bits: int | None = None) -> ray.data.Da
     from vyperdatum_ray.fixtures import pages_paths
 
     if salt_bits is None:
-        salt_bits = dedup_salt_bits(pages_paths(sf_dir), ("url", "text"))
+        salt_bits = exchange.salt_bits(
+            pages_paths(sf_dir), ("url", "text"), exchange.TEXT_FLOOR)
     shift = np.uint64(64 - salt_bits)
 
     def add_key(batch: pa.Table) -> pa.Table:
@@ -328,7 +252,7 @@ def q_line_dedup(sf_dir: str, min_count: int = 3,
         # pass-1 groups carry (line, partial_count) rows, not documents
         # — but the distinct-line payload still tracks text bytes, so
         # the same byte-derived width applies.
-        salt_bits = dedup_salt_bits(paths, ("text",))
+        salt_bits = exchange.salt_bits(paths, ("text",), exchange.TEXT_FLOOR)
     salt_shift = np.uint64(64 - salt_bits)
 
     def line_partials(batch: pa.Table) -> pa.Table:
@@ -1104,7 +1028,7 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
 
     if byte_budget is None:
         byte_budget = BROADCAST_SHINGLE_BUDGET_BYTES
-    text_bytes, n_docs_total = _footer_stats(
+    text_bytes, n_docs_total = exchange.footer_stats(
         f"{sf_dir}/documents.parquet", ("text",))
     mean_doc_bytes = text_bytes / max(n_docs_total, 1)
     est_shingle_bytes = len(cand_ids) * mean_doc_bytes * 16.0
@@ -2479,7 +2403,8 @@ def q_url_dedup(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset:
     from vyperdatum_ray.fixtures import pages_paths
 
     if salt_bits is None:
-        salt_bits = dedup_salt_bits(pages_paths(sf_dir), ("url",))
+        salt_bits = exchange.salt_bits(pages_paths(sf_dir), ("url",),
+                                       exchange.TEXT_FLOOR)
 
     def prep(batch: pa.Table) -> pa.Table:
         canon = _canonical_urls(batch.column("url"))

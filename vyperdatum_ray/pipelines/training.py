@@ -392,9 +392,8 @@ def q_corpus_pipeline(sf_dir: str,
     bounded-salt shuffle for the dedup (the only all-to-all; it carries
     surviving text once — at larger scale swap the key to a 128-bit
     content hash exactly as dedup_exact's docstring describes)."""
-    from vyperdatum_ray.pipelines.textops import (_hash_utf8_fast,
-                                                  contam_probe_ref,
-                                                  dedup_salt_bits)
+    from vyperdatum_ray.pipelines import exchange
+    from vyperdatum_ray.pipelines.textops import _hash_utf8_fast, contam_probe_ref
 
     probe_ref = contam_probe_ref(sf_dir, input_ds=input_ds)
     docs = input_ds if input_ds is not None else _docs(sf_dir, ["doc_id", "text"])
@@ -402,13 +401,12 @@ def q_corpus_pipeline(sf_dir: str,
         if input_ds is None:
             # width from the RAW corpus footer (curation only shrinks
             # the dedup shuffle payload, so this over-provisions safely)
-            salt_bits = dedup_salt_bits(f"{sf_dir}/documents.parquet",
-                                        ("doc_id", "text"))
+            salt_bits = exchange.salt_bits(f"{sf_dir}/documents.parquet",
+                                           ("doc_id", "text"), exchange.TEXT_FLOOR)
         else:
             # an injected input_ds has no footer: callers at scale pass
             # the width explicitly; the floor covers test corpora
-            from vyperdatum_ray.pipelines.textops import DEDUP_SALT_BITS_FLOOR
-            salt_bits = DEDUP_SALT_BITS_FLOOR
+            salt_bits = exchange.TEXT_FLOOR
     salt_shift = np.uint64(64 - salt_bits)
     # stateless tasks: CurateStage's "state" is the broadcast probe
     # ref (plasma-cached per worker) plus the µs-built LangId arrays —
