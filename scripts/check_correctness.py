@@ -6,8 +6,9 @@ Usage: python scripts/check_correctness.py [name | @set ...]
 
 ``@flagship`` names every query that runs the flagship's region join and
 datum transform (``flagship.flagship_fused`` or ``join_transform_batch``);
-``@exchange`` names every query on the salted exchange
-(``pipelines/exchange.exchange``).
+``@exchange`` names every relational query on the salted exchange
+(``pipelines/exchange.exchange``); ``@text`` names the text, corpus,
+image and embedding queries on it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ NAMED_SETS = {
         semi_anti_join bloom_semi_join min_cost_supplier running_total
         full_outer_join event_lag_delta funnel_conversion gap_fill_resample
         repeat_buyers lapsed_buyers price_band_join""".split(),
+    "text": """dedup_exact dedup_normalized line_dedup url_dedup minhash_pairs
+        simhash_neardup neardup_jaccard neardup_clusters_text corpus_pipeline
+        seq_pack image_neardup neardup_embedding_lsh""".split(),
 }
 
 

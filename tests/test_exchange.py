@@ -131,36 +131,39 @@ def test_forced_width_independence(ray_session, tmp_path, monkeypatch, bits):
 def test_salt_bits_widen_with_bytes(monkeypatch):
     """The width is the floor until the footer-estimated payload per
     group passes the byte target, then widens until it fits (the
-    100-TB guarantee), never past the cap — for both the text-dedup
-    and the int-join floor."""
+    100-TB guarantee), never past the cap — for a text payload and an
+    int-join payload alike, at the one floor."""
     from vyperdatum_ray.pipelines import exchange as ex
 
-    for path, cols, floor in (
-            (f"{SF}/documents.parquet", ("doc_id", "text"), ex.TEXT_FLOOR),
+    floor = ex.JOIN_FLOOR
+    for path, cols in (
+            (f"{SF}/documents.parquet", ("doc_id", "text")),
             (f"{SF}/lineitem.parquet", ("l_orderkey", "l_suppkey",
-                                        "l_extendedprice", "l_discount"),
-             ex.JOIN_FLOOR)):
+                                        "l_extendedprice", "l_discount"))):
         total, rows = ex.footer_stats(path, cols)
         assert total > 0 and rows > 0
         # sf-scale tables keep the floor
-        assert ex.salt_bits(path, cols, floor) == floor
+        assert ex.salt_bits(path, cols) == floor
         # shrink the target so this table "looks" 100-TB-sized
         target = max(total >> (floor + 4), 1)
         monkeypatch.setattr(ex, "TARGET_GROUP_BYTES", target)
-        wide = ex.salt_bits(path, cols, floor)
+        wide = ex.salt_bits(path, cols)
         assert wide > floor and (total >> wide) <= target
         # a zero target widens until the payload vanishes, never past the cap
         monkeypatch.setattr(ex, "TARGET_GROUP_BYTES", 0)
-        zero = ex.salt_bits(path, cols, floor)
+        zero = ex.salt_bits(path, cols)
         assert wide <= zero <= ex.SALT_BITS_CAP and (total >> zero) == 0
         monkeypatch.undo()
 
 
 def test_exchange_set_names_registry_queries():
-    """``check_correctness.py @exchange`` names real queries()."""
+    """``check_correctness.py @exchange`` and ``@text`` name real
+    queries()."""
     import __ray_entry__ as E
     from scripts.check_correctness import expand
 
     names = expand(["@exchange"])
     assert "shuffle_join" in names and "tpch_q8" in names
     assert names <= set(E.queries())
+    text = expand(["@text"])
+    assert len(text) == 12 and "seq_pack" in text and text <= set(E.queries())

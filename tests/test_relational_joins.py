@@ -62,7 +62,12 @@ def test_q5_salt_width_independence(ray_session, monkeypatch):
 @pytest.mark.parametrize("name", [
     "sessionize", "asof_join", "session_join", "tpch_q3", "shuffle_join",
     "bloom_semi_join", "gap_fill_resample", "repeat_buyers", "lapsed_buyers",
-    "price_band_join"])
+    "price_band_join",
+    # the text, corpus, image and embedding queries (``@text``)
+    "dedup_exact", "dedup_normalized", "line_dedup", "url_dedup",
+    "minhash_pairs", "simhash_neardup", "neardup_jaccard",
+    "neardup_clusters_text", "corpus_pipeline", "seq_pack", "image_neardup",
+    "neardup_embedding_lsh"])
 def test_exchange_query_width_independence(ray_session, monkeypatch, name):
     """Every other query on the exchange: identical rows at width 1."""
     import __ray_entry__ as E

@@ -2,6 +2,8 @@
 MinHash-LSH recall against exact Jaccard, SimHash locality, exact-dedup
 counts, and IVF recall against brute force."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
@@ -353,19 +355,23 @@ def test_neardup_jaccard_byte_budget_forces_exchange_path(ray_session):
     np.testing.assert_allclose(f["jaccard"], s["jaccard"])
 
 
-def test_dedup_results_invariant_to_salt_width(ray_session):
-    """Correctness must not depend on the auto-scaled shuffle width:
-    every copy of a key shares its hash prefix at ANY width."""
+def test_dedup_results_invariant_to_salt_width(ray_session, monkeypatch):
+    """Correctness must not depend on the footer-derived shuffle width:
+    every copy of a key shares its salt at ANY width (forced here by
+    raising the exchange floor)."""
+    from vyperdatum_ray.pipelines import exchange
     from vyperdatum_ray.pipelines.textops import (q_dedup_exact,
                                                   q_url_dedup)
 
     base = q_dedup_exact(SF).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    wide = q_dedup_exact(SF, salt_bits=15).to_pandas() \
+    ub = q_url_dedup(SF).to_pandas().sort_values("url_canonical").reset_index(drop=True)
+    monkeypatch.setattr(exchange, "JOIN_FLOOR", 15)
+    wide = q_dedup_exact(SF).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert base.equals(wide)
 
-    ub = q_url_dedup(SF).to_pandas().sort_values("url_canonical").reset_index(drop=True)
-    uw = q_url_dedup(SF, salt_bits=16).to_pandas() \
+    monkeypatch.setattr(exchange, "JOIN_FLOOR", 16)
+    uw = q_url_dedup(SF).to_pandas() \
         .sort_values("url_canonical").reset_index(drop=True)
     assert ub.equals(uw)
 
@@ -433,6 +439,75 @@ def test_line_dedup_removes_only_corpus_hot_lines(ray_session):
     assert not out["clean_text"].str.contains("cookies|rights reserved", regex=True).any()
     # contact lines survive (unique, not boilerplate)
     assert out["clean_text"].str.contains("Contact curator").sum() == len(out) // 8
+
+
+def _private_sf(tmp_path, monkeypatch, pages: list, docs=None) -> str:
+    """A throwaway sf dir whose pages shards are the tables ``pages`` and
+    whose documents table is ``docs`` (default: a copy of SF's), with
+    ``fixtures.DATA_ROOT`` pointed at it so the shared fixtures stay
+    untouched."""
+    import json
+    import shutil
+
+    from vyperdatum_ray import fixtures
+
+    src = fixtures.ensure_fixtures(SF)
+    monkeypatch.setattr(fixtures, "DATA_ROOT", str(tmp_path))
+    sf = tmp_path / "sf"
+    (sf / "pages").mkdir(parents=True)
+    paths = []
+    for i, t in enumerate(pages):
+        paths.append(str(sf / "pages" / f"part-{i:04d}.parquet"))
+        pq.write_table(t, paths[-1])
+    if docs is None:
+        shutil.copy(f"{SF}/documents.parquet", sf / "documents.parquet")
+    else:
+        pq.write_table(docs, sf / "documents.parquet")
+    with open(sf / "_MANIFEST.json", "w") as f:
+        json.dump({**src, "dir": str(sf), "pages": paths}, f)
+    return str(sf)
+
+
+def test_line_dedup_all_boilerplate_corpus(ray_session, tmp_path, monkeypatch):
+    """A corpus where every page is the same two lines: only two salt
+    groups get rows, so most shuffle partitions of the hot-line pass
+    come back without a group. Every page loses both lines."""
+    import pyarrow as pa
+    from vyperdatum_ray.pipelines.textops import q_line_dedup
+
+    pages = [pa.table({"url": [f"https://example.com/{f}/{i}" for i in range(50)],
+                       "text": ["Accept cookies\nAll rights reserved"] * 50})
+             for f in range(4)]
+    sf = _private_sf(tmp_path, monkeypatch, pages)
+    out = q_line_dedup(sf).to_pandas()
+    assert len(out) == 200 and out["url"].nunique() == 200
+    assert (out["n_removed"] == 2).all() and (out["clean_text"] == "").all()
+
+
+_EMPTY_CORPUS_QUERIES = ["line_dedup", "neardup_jaccard", "corpus_pipeline",
+                         "seq_pack", "dedup_exact", "dedup_normalized",
+                         "url_dedup", "minhash_pairs", "simhash_neardup"]
+
+
+@pytest.mark.parametrize("name", _EMPTY_CORPUS_QUERIES)
+def test_empty_corpus_output_is_typed(ray_session, tmp_path, monkeypatch, name):
+    """A zero-row documents table and a zero-row pages shard give zero
+    rows with the columns and dtypes of the query's output on a real
+    corpus, neither a crash nor a columnless frame."""
+    import __ray_entry__ as E
+    from vyperdatum_ray import fixtures
+    from vyperdatum_ray.pipelines.exchange import collect
+
+    small = os.path.join(os.path.dirname(SF), "sf0.001")
+    want = collect(E.queries()[name](small))
+    assert len(want) > 0
+    page_schema = pq.read_schema(fixtures.pages_paths(small)[0])
+    doc_schema = pq.read_schema(f"{small}/documents.parquet")
+    sf = _private_sf(tmp_path, monkeypatch, [page_schema.empty_table()],
+                     docs=doc_schema.empty_table())
+    got = collect(E.queries()[name](sf))
+    assert len(got) == 0
+    assert dict(got.dtypes) == dict(want.dtypes)
 
 
 def test_contamination_flags_probe_docs_and_true_overlaps(ray_session):

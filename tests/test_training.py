@@ -104,7 +104,8 @@ def test_corpus_pipeline_every_gate_fires(ray_session):
     }
     t = pa.table({"doc_id": pa.array(list(rows), pa.int64()),
                   "text": pa.array(list(rows.values()), pa.string())})
-    out = q_corpus_pipeline("unused", input_ds=ray.data.from_arrow(t)) \
+    # the dedup exchange sizes from SF's documents footer, whatever input_ds is
+    out = q_corpus_pipeline(SF, input_ds=ray.data.from_arrow(t)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert out["doc_id"].tolist() == [1, 2]
     assert (out["n_tok"] == 24).all()

@@ -13,11 +13,17 @@ int partials, never text.
 The salt width comes from parquet FOOTER metadata, the skew-aware sizing
 of FP-Hadoop (VLDB 2015): the smallest width at or above a floor whose
 expected per-group payload fits ``TARGET_GROUP_BYTES``, so each reduce
-task stays block-sized at 100 TB. Int-partial joins use ``JOIN_FLOOR``
-(their rows are ~32 B: at bench scale 1024 near-empty groups would cost
-2048 map_groups Python calls for nothing); the text dedups in textops use
-``TEXT_FLOOR``, because their payload carries documents. Correctness is
+task stays block-sized at 100 TB. Every exchange, relational or text,
+starts at the one floor ``JOIN_FLOOR``: below the byte target a wider
+salt only adds near-empty groups, each one more map_groups Python call
+(at sf0.1 on 4 CPUs, dedup_exact took 1.7–2.1 s at the old 1024-way text
+width and 0.3–0.8 s at 16 groups). Correctness is
 width-independent: every copy of a key shares its salt at any width.
+
+One family stays off this primitive: ann's label propagation and
+cluster assignment (``_lp_components``, ``_clusters_distributed``). Their
+legs are per-round (node, label) state derived from other datasets, so
+there is no footer to size them from; they keep a fixed 1024-way salt.
 """
 
 from __future__ import annotations
@@ -33,8 +39,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-JOIN_FLOOR = 4                    # int-partial repartition joins
-TEXT_FLOOR = 10                   # text dedups (the round-4 fixed width)
+JOIN_FLOOR = 4                    # width below the byte target
 SALT_BITS_CAP = 26                # 64M groups; Ray groupby key space
 TARGET_GROUP_BYTES = 128 << 20    # per-map_groups-task payload goal
 _FOOTER_SAMPLE_FILES = 64
@@ -87,15 +92,15 @@ def footer_stats(paths, columns=None) -> tuple[int, int]:
     return total * scale // n, rows * scale // n
 
 
-def salt_bits(paths, columns, floor: int) -> int:
+def salt_bits(paths, columns) -> int:
     """Salt width for an exchange whose shuffle payload is the
     uncompressed bytes of ``columns`` in ``paths``: the smallest width
-    >= ``floor`` with expected per-group payload <= ``TARGET_GROUP_BYTES``.
+    >= ``JOIN_FLOOR`` with expected per-group payload <= ``TARGET_GROUP_BYTES``.
     Deliberately uncached: the footer sample is O(64) metadata reads,
     and a path-keyed cache would serve stale widths after an in-place
     fixture/corpus rewrite in a long-lived process."""
     total, _ = footer_stats(paths, list(columns) if columns else None)
-    bits = floor
+    bits = JOIN_FLOOR
     while (total >> bits) > TARGET_GROUP_BYTES and bits < SALT_BITS_CAP:
         bits += 1
     return bits
@@ -122,7 +127,7 @@ def exchange(legs, reduce, size) -> ray.data.Dataset:
     group, where ``reduce(frame_0, frame_1, ...)`` gets one pandas frame
     per leg (that leg's columns only, possibly empty) and returns a
     DataFrame. ``size = (paths, columns)`` names the payload whose
-    footer bytes set the salt width (``salt_bits`` at ``JOIN_FLOOR``).
+    footer bytes set the salt width (``salt_bits``).
 
     Each leg's schema is learned by running ``fn`` on zero rows in the
     driver, and the reduce's by running it on those empties, so both
@@ -131,7 +136,7 @@ def exchange(legs, reduce, size) -> ray.data.Dataset:
     leg still hands ``reduce`` that leg's typed empty frame, and the
     output is Arrow blocks of one schema, fit to be a leg of the next
     exchange."""
-    mask = pa.scalar((1 << salt_bits(*size, JOIN_FLOOR)) - 1, pa.int64())
+    mask = pa.scalar((1 << salt_bits(*size)) - 1, pa.int64())
     empties = [_zero_rows(ds) if fn is None else fn(_zero_rows(ds))
                for ds, fn in legs]
     fields: dict[str, pa.DataType] = {}
@@ -183,3 +188,30 @@ def collect(ds: ray.data.Dataset) -> pd.DataFrame:
     if len(df.columns) == 0 and ds in _EMPTY:
         return _EMPTY[ds].to_pandas()
     return df
+
+
+def map_typed(ds: ray.data.Dataset, fn) -> ray.data.Dataset:
+    """``ds.map_batches(fn)`` over Arrow batches that stays typed like an
+    exchange output: ``fn`` runs once on ``ds``'s zero rows in the
+    driver, so ``collect`` keeps the columns when no block has a row (a
+    map over an empty read yields no blocks at all)."""
+    out = ds.map_batches(fn, batch_format="pyarrow")
+    _EMPTY[out] = _schema(fn(_zero_rows(ds))).empty_table()
+    return out
+
+
+def materialize(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """``ds.materialize()`` that stays an exchange output: still a leg
+    of the next exchange and collected typed when it has no rows."""
+    out = ds.materialize()
+    if ds in _EMPTY:
+        _EMPTY[out] = _EMPTY[ds]
+    return out
+
+
+def from_arrow(t: pa.Table) -> ray.data.Dataset:
+    """``ray.data.from_arrow(t)`` that collects typed when ``t`` has no
+    rows."""
+    out = ray.data.from_arrow(t)
+    _EMPTY[out] = t.schema.empty_table()
+    return out

@@ -243,13 +243,14 @@ _BAND_COMBOS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
     """Perceptual image near-duplicate detection over REAL pixels: the
     P6 PPM payloads decode with the from-scratch numpy decoder, hash to
-    64-bit dHashes in an actor-pool stage (per-item binary decode is
-    the canonical actor-pool work shape), and pair up through a banded
+    64-bit dHashes in the exchange leg's stateless map tasks (no
+    per-call actor pool, see CLAUDE.md), and pair up through a banded
     exact-match exchange: each hash emits its 28 two-byte band combos,
-    a bounded groupby over (combo, value) forms candidate buckets
-    carrying the full hashes, and pairs verify ``hamming <=
-    max_hamming`` in-bucket (vectorized popcount) — no broadcast of any
-    id->hash map. Recall at hamming <= 6 is exact by pigeonhole (see
+    an exchange keyed by the packed (combo, value) forms candidate
+    buckets carrying the full hashes, pairs verify ``hamming <=
+    max_hamming`` in-bucket (vectorized popcount), and the shared
+    ``textops._dedup_pair_ds`` drops cross-combo repeats — no broadcast
+    of any id->hash map. Recall at hamming <= 6 is exact by pigeonhole (see
     ``_BAND_COMBOS``). Undecodable payloads are EXCLUDED (hashing them
     to a sentinel would pair every corrupt row with every other).
     Rows-only (perceptual hashing isn't SQL); tests assert banded
@@ -257,46 +258,43 @@ def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
     import pandas as pd
 
     from vyperdatum_ray.fixtures import ensure_image_fixtures
+    from vyperdatum_ray.pipelines import exchange
+    from vyperdatum_ray.pipelines.textops import _dedup_pair_ds
 
     path = ensure_image_fixtures(sf_dir)
 
-    class PHash:
-        def __init__(self):
-            pa_set = getattr(pa, "set_cpu_count", None)
-            if pa_set:
-                pa_set(1)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            all_ids = t.column("img_id").to_numpy(zero_copy_only=False)
-            ids, hashes = [], []
-            for i, buf in enumerate(t.column("payload").to_pylist()):
-                img = decode_ppm(buf)
-                if img is not None:
-                    ids.append(all_ids[i])
-                    hashes.append(dhash64(img))
-            h = np.array(hashes, dtype=np.uint64)
-            ids = np.array(ids, dtype=np.int64)
-            bands = h.view(np.uint8).reshape(len(h), 8).astype(np.int64)
-            n = len(ids)
-            combo_ids, vals = [], []
-            for c, (bi, bj) in enumerate(_BAND_COMBOS):
-                combo_ids.append(np.full(n, c, np.int64))
-                vals.append(bands[:, bi] * 256 + bands[:, bj])
-            k = len(_BAND_COMBOS)
-            return pa.table({
-                "band": pa.array(np.concatenate(combo_ids)),
-                "val": pa.array(np.concatenate(vals)),
-                "img_id": pa.array(np.tile(ids, k)),
-                "phash": pa.array(np.tile(h, k).view(np.int64)),
-            })
+    def phash_bands(t: pa.Table) -> pa.Table:
+        """The leg: one row per (decodable image, band combo), keyed by
+        the packed (combo, value) bucket."""
+        all_ids = t.column("img_id").to_numpy(zero_copy_only=False)
+        ids, hashes = [], []
+        for i, buf in enumerate(t.column("payload").to_pylist()):
+            img = decode_ppm(buf)
+            if img is not None:
+                ids.append(all_ids[i])
+                hashes.append(dhash64(img))
+        h = np.array(hashes, dtype=np.uint64)
+        ids = np.array(ids, dtype=np.int64)
+        bands = h.view(np.uint8).reshape(len(h), 8).astype(np.int64)
+        n = len(ids)
+        combo_ids, vals = [], []
+        for c, (bi, bj) in enumerate(_BAND_COMBOS):
+            combo_ids.append(np.full(n, c, np.int64))
+            vals.append(bands[:, bi] * 256 + bands[:, bj])
+        k = len(_BAND_COMBOS)
+        band, val = np.concatenate(combo_ids), np.concatenate(vals)
+        return pa.table({
+            "k": pa.array((band << 16) | val),  # val < 2^16
+            "img_id": pa.array(np.tile(ids, k)),
+            "phash": pa.array(np.tile(h, k).view(np.int64)),
+        })
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized bucket detection (the textops._pairs_grouped run
         # pattern, carrying hashes): one packed-key sort per salt group,
         # contiguous-slice runs instead of a pandas groupby object per
         # (band, val) bucket
-        key = ((df["band"].to_numpy().astype(np.int64) << 16)
-               | df["val"].to_numpy().astype(np.int64))  # val < 2^16
+        key = df["k"].to_numpy(np.int64)
         all_ids = df["img_id"].to_numpy().astype(np.int64)
         all_hs = df["phash"].to_numpy().view(np.uint64)
         order = np.argsort(key, kind="stable")
@@ -343,30 +341,7 @@ def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
                              "id_b": np.concatenate(out_b),
                              "hamming": np.concatenate(out_h)})
 
-    def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"])
-
-    def add_salts(t: pa.Table) -> pa.Table:
-        # bounded shuffle keys: 8 bands x 16 val-salts for the bucket
-        # stage; 64 pair-salts for the cross-band dedup
-        v = t.column("val").to_numpy(zero_copy_only=False)
-        return t.append_column("vsalt", pa.array(v % 16, pa.int64()))
-
-    cand = (ray.data.read_parquet(path)
-            .map_batches(PHash, batch_format="pyarrow", batch_size=1024,
-                         concurrency=(1, 4), num_cpus=1)
-            .map_batches(add_salts, batch_format="pyarrow")
-            .groupby(["band", "vsalt"])
-            .map_groups(bucket_pairs, batch_format="pandas"))
-
-    def add_pair_salt(t: pa.Table) -> pa.Table:
-        a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.uint64)
-        b = t.column("id_b").to_numpy(zero_copy_only=False).astype(np.uint64)
-        salt = ((a * np.uint64(2654435761)) ^ b) & np.uint64(63)
-        return t.append_column("pair_salt", pa.array(salt.astype(np.int64)))
-
-    return (cand.map_batches(add_pair_salt, batch_format="pyarrow")
-            .groupby("pair_salt")
-            .map_groups(dedup_pairs, batch_format="pandas")
-            .map_batches(lambda t: t.select(["id_a", "id_b", "hamming"]),
-                         batch_format="pyarrow"))
+    size = (path, ("payload",))
+    cand = exchange.exchange([(ray.data.read_parquet(path), phash_bands)],
+                             bucket_pairs, size)
+    return _dedup_pair_ds(cand, size)

@@ -2,9 +2,13 @@
 tables: exact + normalized dedup, MinHash-LSH near-dup, SimHash,
 rolling-hash fingerprints, token counting, quality scoring, language ID.
 
-Vectorized per batch; the only shuffle is the hash-keyed groupby of the
-dedup reducers (the hash column is computed per batch first, so the
-shuffle moves ids + 8-byte hashes, never full text when avoidable).
+Vectorized per batch. Every shuffle (the dedups, the LSH bucket and
+pair-dedup stages, neardup_jaccard's text fetch) is one
+``exchange.exchange``: each leg keys its rows by an int64 ``k`` (a text
+hash, a (band, value) bucket, a mixed id pair) in its own map task, and
+the reduce compares the real values inside each salt group, so key
+collisions cannot merge distinct texts or buckets. The salt width comes
+from the corpus footer bytes.
 """
 
 from __future__ import annotations
@@ -41,66 +45,57 @@ def _hash_utf8_fast(arr) -> np.ndarray:
     return pl.from_arrow(arr).hash(seed=42).to_numpy().astype(np.uint64)
 
 
-def q_dedup_exact(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset:
-    """Exact dedup of documents by full text: hash-partition, then keep
-    min doc_id per distinct text (group-internal exact comparison, so
-    hash collisions cannot merge distinct texts).
+def _docs_size(sf_dir: str) -> tuple:
+    """The ``size`` of every exchange over documents: their text footer."""
+    return (f"{sf_dir}/documents.parquet", ("doc_id", "text"))
 
-    Shuffle granularity is a hash PREFIX (2^salt_bits bounded groups),
-    not the full hash — one Ray group per distinct text would cost a
-    Python call per document; inside each group the real per-text
-    reduction is one vectorized pandas groupby. All copies of a text
-    share its hash, hence its prefix group, so the reduction is exact.
-    The width auto-scales with corpus text bytes (``exchange.salt_bits``)
-    so each group's materialized slice stays block-sized at 100 TB."""
-    if salt_bits is None:
-        salt_bits = exchange.salt_bits(f"{sf_dir}/documents.parquet",
-                                       ("doc_id", "text"), exchange.TEXT_FLOOR)
 
-    def add_hash(batch: pa.Table) -> pa.Table:
-        h = _hash_utf8_fast(batch.column("text"))
-        return batch.append_column(
-            "hash_salt", pa.array(h >> np.uint64(64 - salt_bits), pa.uint64())
-        )
+def _hash_key(arr) -> pa.Array:
+    """The int64 exchange key of a text column: its 64-bit hash."""
+    return pa.array(_hash_utf8_fast(arr).view(np.int64))
+
+
+def q_dedup_exact(sf_dir: str) -> ray.data.Dataset:
+    """Exact dedup of documents by full text: keep min doc_id per
+    distinct text. One exchange keyed by the text hash: every copy of a
+    text shares its hash, hence its salt group, and inside each group
+    the per-text reduction is one vectorized pandas groupby on the text
+    itself, so hash collisions cannot merge distinct texts."""
+
+    def key(batch: pa.Table) -> pa.Table:
+        return pa.table({"k": _hash_key(batch.column("text")),
+                         "doc_id": batch.column("doc_id"),
+                         "text": batch.column("text")})
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("text", as_index=False).agg(doc_id=("doc_id", "min"), n_dups=("doc_id", "size"))
         return g[["doc_id", "n_dups"]]
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(add_hash, batch_format="pyarrow")
-    return ds.groupby("hash_salt").map_groups(reduce_group, batch_format="pandas")
+    return exchange.exchange(
+        [(_docs(sf_dir, ["doc_id", "text"]), key)], reduce_group,
+        _docs_size(sf_dir))
 
 
-def q_dedup_normalized(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset:
+def q_dedup_normalized(sf_dir: str) -> ray.data.Dataset:
     """Template dedup of pages: strip numbers from text, dedupe on the
     normalized key (the pages corpus is template-generated, so this
-    collapses it to the handful of real templates). Salt width
-    auto-scales with corpus bytes like q_dedup_exact."""
+    collapses it to the handful of real templates). Same exchange as
+    q_dedup_exact, keyed by the normalized text's hash."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    if salt_bits is None:
-        salt_bits = exchange.salt_bits(
-            pages_paths(sf_dir), ("url", "text"), exchange.TEXT_FLOOR)
-    shift = np.uint64(64 - salt_bits)
-
-    def add_key(batch: pa.Table) -> pa.Table:
+    def key(batch: pa.Table) -> pa.Table:
         norm = pc.replace_substring_regex(batch.column("text"), NORMALIZE_PATTERN, "#")
-        salt = _hash_utf8_fast(norm) >> shift
-        return pa.table(
-            {
-                "url": batch.column("url"),
-                "norm_text": norm,
-                "key_salt": pa.array(salt, pa.uint64()),
-            }
-        )
+        return pa.table({"k": _hash_key(norm), "url": batch.column("url"),
+                         "norm_text": norm})
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("norm_text", as_index=False).agg(url=("url", "min"), n_dups=("url", "size"))
         return g[["url", "n_dups"]]
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "text"])
-    ds = ds.map_batches(add_key, batch_format="pyarrow")
-    return ds.groupby("key_salt").map_groups(reduce_group, batch_format="pandas")
+    paths = pages_paths(sf_dir)
+    return exchange.exchange(
+        [(ray.data.read_parquet(paths, columns=["url", "text"]), key)],
+        reduce_group, (paths, ("url", "text")))
 
 
 CONTAM_N = 8          # n-gram width for decontamination
@@ -148,10 +143,8 @@ def contam_probe_ref(sf_dir: str, input_ds: ray.data.Dataset | None = None):
         return pa.table({"g": pc.unique(grams)})
 
     ds = input_ds if input_ds is not None else _docs(sf_dir, ["doc_id", "text"])
-    probe_tbl = pa.concat_tables(ray.get(
-        ds.map_batches(probe_partial, batch_format="pyarrow", batch_size=None)
-        .to_arrow_refs()))
-    return ray.put(pc.unique(probe_tbl.column("g").combine_chunks()))
+    grams = exchange.collect(exchange.map_typed(ds, probe_partial))["g"]
+    return ray.put(pc.unique(pa.array(grams, pa.string())))
 
 
 def q_contamination_check(sf_dir: str) -> ray.data.Dataset:
@@ -222,8 +215,7 @@ def q_pii_redact(sf_dir: str) -> ray.data.Dataset:
     return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
 
 
-def q_line_dedup(sf_dir: str, min_count: int = 3,
-                 salt_bits: int | None = None) -> ray.data.Dataset:
+def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
     """C4-style corpus-level line dedup over pages: any LINE occurring
     >= min_count times across the whole corpus (boilerplate — cookie
     banners, footers) is removed from every document; output is the
@@ -232,9 +224,9 @@ def q_line_dedup(sf_dir: str, min_count: int = 3,
     Two passes, both streaming:
     1. count lines — per-batch PARTIAL counts via Arrow hash aggregate
        (repeated-in-batch boilerplate collapses before the shuffle),
-       then a bounded-salt groupby (2^salt_bits groups on a hash
-       prefix) sums partials with an exact per-TEXT pandas reduction —
-       hash collisions cannot merge distinct lines.
+       then an exchange keyed by the line hash sums partials with an
+       exact per-TEXT pandas reduction — hash collisions cannot merge
+       distinct lines.
     2. the hot-line set (count >= min_count) is collected and
        broadcast — bounded by the DISTINCT boilerplate vocabulary, not
        the corpus (C4's removal set) — and a stateless second scan
@@ -244,44 +236,28 @@ def q_line_dedup(sf_dir: str, min_count: int = 3,
     At a scale where the distinct hot-line set itself outgrows a
     broadcast, pass 2 becomes a line-hash repartition join (same
     union + bounded-salt groupby shape as neardup_jaccard's exchange
-    path); the broadcast form is the common case."""
+    path); the broadcast form is the common case. The pass-1 groups
+    carry (line, partial count) rows, whose distinct-line payload tracks
+    the text bytes that size the exchange."""
     from vyperdatum_ray.fixtures import pages_paths
 
     paths = pages_paths(sf_dir)
-    if salt_bits is None:
-        # pass-1 groups carry (line, partial_count) rows, not documents
-        # — but the distinct-line payload still tracks text bytes, so
-        # the same byte-derived width applies.
-        salt_bits = exchange.salt_bits(paths, ("text",), exchange.TEXT_FLOOR)
-    salt_shift = np.uint64(64 - salt_bits)
 
     def line_partials(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(pc.split_pattern(batch.column("text"), "\n"))
         part = pa.table({"line": flat}).group_by("line").aggregate([("line", "count")])
         lines = part.column("line").combine_chunks()
-        salt = _hash_utf8_fast(lines) >> salt_shift
-        return pa.table({
-            "line": lines,
-            "n": pc.cast(part.column("line_count"), pa.int64()),
-            "line_salt": pa.array(salt, pa.uint64()),
-        })
+        return pa.table({"k": _hash_key(lines), "line": lines,
+                         "n": pc.cast(part.column("line_count"), pa.int64())})
 
-    def reduce_hot(df: pd.DataFrame) -> pa.Table:
+    def reduce_hot(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("line", as_index=False)["n"].sum()
-        g = g[g["n"] >= min_count]
-        # explicit Arrow schema: an all-filtered (empty) group must not
-        # degrade 'line' to a null-typed column and split block schemas
-        return pa.table({"line": pa.array(g["line"], pa.string()),
-                         "n": pa.array(g["n"].to_numpy(np.int64), pa.int64())})
+        return g[g["n"] >= min_count]
 
-    hot = (
-        ray.data.read_parquet(paths, columns=["text"])
-        .map_batches(line_partials, batch_format="pyarrow", batch_size=None)
-        .groupby("line_salt")
-        .map_groups(reduce_hot, batch_format="pandas")
-    )
-    hot_lines = pa.concat_tables(ray.get(hot.to_arrow_refs())).column("line").combine_chunks()
-    hot_ref = ray.put(hot_lines)
+    hot = exchange.exchange(
+        [(ray.data.read_parquet(paths, columns=["text"]), line_partials)],
+        reduce_hot, (paths, ("text",)))
+    hot_ref = ray.put(pa.array(exchange.collect(hot)["line"], pa.string()))
 
     def clean(batch: pa.Table) -> pa.Table:
         hot_arr = ray.get(hot_ref)
@@ -307,8 +283,8 @@ def q_line_dedup(sf_dir: str, min_count: int = 3,
             "n_removed": pa.array(n_tot - n_kept, pa.int64()),
         })
 
-    return (ray.data.read_parquet(paths, columns=["url", "text"])
-            .map_batches(clean, batch_format="pyarrow", batch_size=None))
+    return exchange.map_typed(
+        ray.data.read_parquet(paths, columns=["url", "text"]), clean)
 
 
 NEARDUP_CLUSTER_PAIR_CAP = 2_000_000  # driver union-find edge budget
@@ -700,16 +676,29 @@ class MinHasher:
 
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _band_key(t: pa.Table, value_col: str) -> pa.Table:
+    """``t`` keyed for the LSH bucket exchange: ``k`` mixes the band
+    into its value, so every row of one (band_id, value) bucket shares
+    a key (a collision across buckets only shares a salt group)."""
+    v = t.column(value_col).to_numpy(zero_copy_only=False).astype(np.uint64)
+    b = t.column("band_id").to_numpy(zero_copy_only=False).astype(np.uint64)
+    return t.append_column("k", pa.array((v ^ (b * _GOLDEN)).view(np.int64)))
+
+
 def _pairs_grouped(df: pd.DataFrame, value_col: str) -> pd.DataFrame:
-    """Candidate pairs from one salted LSH group: vectorized
-    equal-value run detection, mega-bucket guard (> 64 ids), sorted
-    (id_a < id_b) pair emission. Shared by the MinHash and SimHash
-    banding variants."""
+    """Candidate pairs from one salt group of LSH rows: vectorized
+    equal-(band_id, value) run detection, mega-bucket guard (> 64 ids),
+    sorted (id_a < id_b) pair emission. Shared by the MinHash and
+    SimHash banding variants."""
     bv = df[value_col].to_numpy().astype(np.uint64)
+    band = df["band_id"].to_numpy()
     ids = df["id"].to_numpy()
-    order = np.argsort(bv, kind="stable")
-    bv, ids = bv[order], ids[order]
-    starts = np.flatnonzero(np.r_[True, bv[1:] != bv[:-1]])
+    order = np.lexsort((bv, band))
+    bv, band, ids = bv[order], band[order], ids[order]
+    starts = np.flatnonzero(np.r_[True, (bv[1:] != bv[:-1]) | (band[1:] != band[:-1])])
     ends = np.r_[starts[1:], len(bv)]
     a_parts, b_parts = [], []
     for st, en in zip(starts, ends):
@@ -727,21 +716,22 @@ def _pairs_grouped(df: pd.DataFrame, value_col: str) -> pd.DataFrame:
                          "id_b": np.concatenate(b_parts)})
 
 
-def _dedup_pair_ds(cand: ray.data.Dataset) -> ray.data.Dataset:
-    """Global (id_a, id_b) pair dedup at bounded salt granularity (64
-    groups)."""
+def _dedup_pair_ds(cand: ray.data.Dataset, size) -> ray.data.Dataset:
+    """Global (id_a, id_b) pair dedup of an exchange's output ``cand``:
+    one exchange keyed by the mixed id pair, keeping the first row of
+    each pair with all of ``cand``'s other columns. ``size`` is the
+    ``(paths, columns)`` footer the pair set derives from."""
 
-    def add_pair_salt(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy().astype(np.uint64)
-        b = batch.column("id_b").to_numpy().astype(np.uint64)
-        salt = (a * np.uint64(2654435761) ^ b) & np.uint64(63)
-        return batch.append_column("pair_salt", pa.array(salt, pa.uint64()))
+    def key(t: pa.Table) -> pa.Table:
+        a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.uint64)
+        b = t.column("id_b").to_numpy(zero_copy_only=False).astype(np.uint64)
+        return t.append_column(
+            "k", pa.array(((a * np.uint64(2654435761)) ^ b).view(np.int64)))
 
     def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(subset=["id_a", "id_b"])[["id_a", "id_b"]]
+        return df.drop_duplicates(subset=["id_a", "id_b"]).drop(columns="k")
 
-    cand = cand.map_batches(add_pair_salt, batch_format="pyarrow")
-    return cand.groupby("pair_salt").map_groups(dedup_pairs, batch_format="pandas")
+    return exchange.exchange([(cand, key)], dedup_pairs, size)
 
 
 class MinHashStage:
@@ -805,36 +795,18 @@ def _minhash_explode(batch: pa.Table) -> pa.Table:
 
 def _minhash_candidates_raw(sf_dir: str) -> ray.data.Dataset:
     """Pre-dedup MinHash-LSH candidate pairs: shingle -> minhash ->
-    band explode -> groupby(band) -> pairs. A pair colliding in several
-    bands appears once per band; callers dedup either distributed
-    (`_dedup_pair_ds`, the standalone query) or driver-side on the
-    collected bounded pair list (the jaccard fast path — saves a full
-    Ray sort)."""
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        _minhash_explode,
-        batch_format="pyarrow",
-        batch_size=None,  # one task per read block — full-width parallelism
-    )
-
-    # Group at a SALT granularity, not per bucket: a per-bucket
-    # map_groups costs one Python/pandas call per bucket (O(n_docs)
-    # calls — 80k at sf0.1, which dominated wall time). Instead group by
-    # (band_id, band_hash prefix) — ~1k bounded groups — and detect
-    # equal-hash runs vectorized inside each group. Raise PREFIX_BITS to
-    # keep group sizes bounded as the corpus grows.
-    PREFIX_BITS = 6
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        bh = batch.column("band_hash").to_numpy()
-        return batch.append_column(
-            "bh_salt", pa.array(bh >> np.uint64(64 - PREFIX_BITS), pa.uint64())
-        )
-
-    return (
-        ds.map_batches(add_salt, batch_format="pyarrow")
-        .groupby(["band_id", "bh_salt"])
-        .map_groups(lambda df: _pairs_grouped(df, "band_hash"), batch_format="pandas")
-    )
+    band explode, then one exchange keyed by the (band, hash) bucket
+    whose reduce finds equal-bucket runs vectorized (never one Python
+    call per bucket: 80k of them at sf0.1 dominated wall time) -> pairs.
+    A pair colliding in several bands appears once per band; callers
+    dedup either distributed (`_dedup_pair_ds`, the standalone query)
+    or driver-side on the collected bounded pair list (the jaccard fast
+    path — saves a full Ray sort). The band rows are sized by the text
+    bytes they are computed from, which over-provisions the width."""
+    return exchange.exchange(
+        [(_docs(sf_dir, ["doc_id", "text"]),
+          lambda t: _band_key(_minhash_explode(t), "band_hash"))],
+        lambda df: _pairs_grouped(df, "band_hash"), _docs_size(sf_dir))
 
 
 def q_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -845,7 +817,7 @@ def q_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
     Mega-buckets (> 64 ids sharing a band hash — template spam at web
     scale) are dropped, the standard LSH guard against the O(n^2) pair
     explosion a hot bucket would cause."""
-    return _dedup_pair_ds(_minhash_candidates_raw(sf_dir))
+    return _dedup_pair_ds(_minhash_candidates_raw(sf_dir), _docs_size(sf_dir))
 
 
 class SimHashStage:
@@ -987,7 +959,7 @@ BROADCAST_SHINGLE_BUDGET_BYTES = 4 << 30
 BROADCAST_CAND_CAP = 2_000_000
 
 
-def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
+def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
                       byte_budget: int | None = None) -> ray.data.Dataset:
     """n-gram Jaccard near-dup: MinHash-LSH candidate pairs verified
     with exact 5-gram Jaccard >= tau (candidate recall from LSH, final
@@ -998,32 +970,27 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
     enough to broadcast (the normal case — LSH precision bounds it),
     the candidate docs' texts are broadcast and pairs verify in a
     stateless map. Otherwise the candidate ids pre-filter the doc
-    stream and the texts are HASH-JOINED back via a repartition join
-    expressed as union + bounded-salt groupby (both pair SIDES fetch
-    text in one doc-keyed exchange, pairs reassemble in a second
-    pair-keyed exchange). The groupby form deliberately avoids
-    ``Dataset.join``: its per-join aggregator-actor pool
+    stream and the texts are HASH-JOINED back through two chained
+    ``exchange.exchange`` calls (both pair SIDES fetch text in one
+    doc-keyed exchange, pairs reassemble in a second pair-keyed one),
+    never ``Dataset.join``: its per-join aggregator-actor pool
     starves/deadlocks the 2-joins-in-one-DAG shape at small CPU
     counts."""
     # bounded candidate pairs, still one-row-per-band-collision: the
     # fast path dedups them driver-side on the collected list (saves a
     # full Ray sort); the exchange path dedups distributed below
-    raw = _minhash_candidates_raw(sf_dir).materialize()
+    raw = exchange.materialize(_minhash_candidates_raw(sf_dir))
     docs = _docs(sf_dir, ["doc_id", "text"])
-    ksalt = np.uint64(k_salt)
+    size = _docs_size(sf_dir)
 
     def id_partial(t: pa.Table) -> pa.Table:
         both = pa.chunked_array([t.column("id_a"), t.column("id_b")]).combine_chunks()
         return pa.table({"id": pc.unique(both)})
 
     # collect ONLY the candidate id set (bounded by LSH output) and
-    # broadcast it to pre-filter the doc stream; an all-empty block
-    # set can collect as a COLUMNLESS frame (the q3 lesson) — guard it
-    _cdf = raw.map_batches(id_partial, batch_format="pyarrow").to_pandas()
-    cand_ids = np.unique(
-        _cdf["id"].to_numpy() if "id" in _cdf.columns
-        else np.empty(0, np.int64)
-    ).astype(np.int64)
+    # broadcast it to pre-filter the doc stream
+    cand_ids = np.unique(exchange.collect(exchange.map_typed(raw, id_partial))["id"]
+                         .to_numpy(np.int64))
     cand_ids_ref = ray.put(cand_ids)
 
     if byte_budget is None:
@@ -1061,18 +1028,16 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
 
         import polars as pl
 
-        sh_tbl = pa.concat_tables(
-            ray.get(docs.map_batches(shingle_partial, batch_format="pyarrow")
-                    .to_arrow_refs()))
-        sh = pl.from_arrow(sh_tbl)
-        pairs_pd = raw.to_pandas()
+        sh = pl.from_pandas(exchange.collect(exchange.map_typed(docs, shingle_partial)))
+        pairs_pd = exchange.collect(raw)
         a = pairs_pd["id_a"].to_numpy(np.int64)
         b = pairs_pd["id_b"].to_numpy(np.int64)
         # driver-side (id_a, id_b) dedup of the bounded collected list —
         # lexsort-based so it is exact for any int64 id range
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
-        keep_u = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
+        keep_u = np.ones(len(a), bool)
+        keep_u[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
         a, b = a[keep_u], b[keep_u]
         pairs = pl.DataFrame({"p": np.arange(len(a), dtype=np.int64),
                               "a": a, "b": b})
@@ -1095,97 +1060,66 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
         union = la + lb - inter_full
         jac = np.where(union > 0, inter_full / np.maximum(union, 1), 1.0)
         keep = jac >= tau
-        return ray.data.from_arrow(pa.table({
+        return exchange.from_arrow(pa.table({
             "id_a": pa.array(a[keep], pa.int64()),
             "id_b": pa.array(b[keep], pa.int64()),
             "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
         }))
 
-    cand = _dedup_pair_ds(raw)  # exchange path: distributed pair dedup
+    cand = _dedup_pair_ds(raw, size)  # exchange path: distributed pair dedup
 
     def requests(t: pa.Table) -> pa.Table:
-        """Two doc-keyed fetch requests per candidate pair (slot 0 = a,
-        slot 1 = b); pair_id packs (id_a, id_b) in UINT64 — int64 would
-        sign-corrupt at id >= 2^31, exactly the large-corpus regime this
-        exchange path exists for — and ids must fit 32 bits to pack."""
+        """Two doc-keyed fetch requests per candidate pair, one per
+        side; ``pair`` packs (id_a, id_b) into 64 bits, so ids must fit
+        32 bits (the int64 view of the pack is only a key)."""
         a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.int64)
         b = t.column("id_b").to_numpy(zero_copy_only=False).astype(np.int64)
         if len(a) and int(max(a.max(), b.max())) >> 32:
             raise ValueError(
                 "neardup_jaccard exchange path packs (id_a, id_b) into 64 "
                 "bits: doc ids must be < 2^32")
-        pair = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
-        n = len(a)
-        return pa.table({
-            "key": pa.array(np.concatenate([a, b]), pa.int64()),
-            "pair_id": pa.array(np.concatenate([pair, pair]), pa.uint64()),
-            "slot": pa.array(np.r_[np.zeros(n, np.int8), np.ones(n, np.int8)], pa.int8()),
-            "text": pa.array([None] * (2 * n), pa.string()),
-        })
+        pair = ((a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)).view(np.int64)
+        return pa.table({"k": pa.array(np.concatenate([a, b]), pa.int64()),
+                         "pair": pa.array(np.concatenate([pair, pair]), pa.int64())})
 
     def doc_side(t: pa.Table) -> pa.Table:
         """Doc rows filtered to the broadcast candidate-id set: texts of
-        docs in no candidate pair never enter the shuffle. Stateless
-        TASK map (not a size-capped actor pool): the per-task
-        ``ray.get`` of the broadcast ref is a local object-store hit,
-        and tasks scale to all CPUs."""
+        docs in no candidate pair never enter the shuffle. The per-task
+        ``ray.get`` of the broadcast ref is a local object-store hit."""
         from vyperdatum_ray.core.nputil import isin_sorted
 
-        cand = ray.get(cand_ids_ref)
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(isin_sorted(ids, cand)))
-        n = t.num_rows
-        return pa.table({
-            "key": pa.array(
-                t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)),
-            "pair_id": pa.array(np.zeros(n, np.uint64), pa.uint64()),
-            "slot": pa.array(np.full(n, -1, np.int8), pa.int8()),
-            "text": t.column("text"),
-        })
+        t = t.filter(pa.array(isin_sorted(ids, ray.get(cand_ids_ref))))
+        return pa.table({"k": t.column("doc_id").cast(pa.int64()),
+                         "text": t.column("text")})
 
-    def add_key_salt(t: pa.Table) -> pa.Table:
-        k = t.column("key").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("salt", pa.array((k * np.uint64(2654435761)) % ksalt,
-                                                pa.uint64()))
-
-    def resolve_texts(df: pd.DataFrame) -> pd.DataFrame:
-        """One doc-keyed group: map every request row to its text
-        (vectorized reindex over the group's doc rows)."""
-        d = df[df["slot"] < 0]
-        r = df[df["slot"] >= 0]
-        if r.empty:
-            return pd.DataFrame({"pair_id": pd.Series(dtype=np.uint64),
-                                 "slot": pd.Series(dtype=np.int8),
-                                 "text": pd.Series(dtype=object)})
-        lut = pd.Series(d["text"].to_numpy(), index=d["key"].to_numpy())
-        return pd.DataFrame({
-            "pair_id": r["pair_id"].to_numpy(),
-            "slot": r["slot"].to_numpy(),
-            "text": lut.reindex(r["key"].to_numpy()).to_numpy(),
-        })
-
-    def add_pair_salt(t: pa.Table) -> pa.Table:
-        p = t.column("pair_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("psalt", pa.array((p * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58),
-                                                 pa.uint64()))
+    def resolve_texts(d: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
+        """One doc-keyed group: each request row gets its doc's text
+        (vectorized reindex over the group's doc rows), re-keyed by its
+        pair for the second exchange."""
+        lut = pd.Series(d["text"].to_numpy(), index=d["k"].to_numpy())
+        return pd.DataFrame({"k": r["pair"].to_numpy(np.int64),
+                             "doc": r["k"].to_numpy(np.int64),
+                             "text": lut.reindex(r["k"].to_numpy()).to_numpy()})
 
     def score_pairs(df: pd.DataFrame) -> pd.DataFrame:
         """One pair-keyed group: shingle each UNIQUE doc once (a doc in
         many candidate pairs — template spam — is the common case),
-        then exact Jaccard for all pairs in one packed-key-sort pass."""
-        pair = df["pair_id"].to_numpy().astype(np.uint64)
-        slot = df["slot"].to_numpy()
-        doc_key = np.where(slot == 0, pair >> np.uint64(32),
-                           pair & np.uint64(0xFFFFFFFF))
-        uniq, uidx, inv = np.unique(doc_key, return_index=True, return_inverse=True)
+        then exact Jaccard for all pairs in one packed-key-sort pass.
+        A row is its pair's a side when its doc is the pair's high
+        half (id_a < id_b, so never both)."""
+        pair = df["k"].to_numpy(np.int64).view(np.uint64)
+        doc = df["doc"].to_numpy(np.int64)
+        is_a = doc.astype(np.uint64) == pair >> np.uint64(32)
+        uniq, uidx, inv = np.unique(doc, return_index=True, return_inverse=True)
         texts = df["text"].to_numpy()
         flat, counts = _shingle_hashes_batch(list(texts[uidx]), 5)
         offs = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offs[1:])
-        a = pd.DataFrame({"pair_id": pair[slot == 0], "ia": inv[slot == 0]})
-        b = pd.DataFrame({"pair_id": pair[slot == 1], "ib": inv[slot == 1]})
-        m = a.merge(b, on="pair_id")
-        mp = m["pair_id"].to_numpy().astype(np.uint64)
+        a = pd.DataFrame({"pair": pair[is_a], "ia": inv[is_a]})
+        b = pd.DataFrame({"pair": pair[~is_a], "ib": inv[~is_a]})
+        m = a.merge(b, on="pair")
+        mp = m["pair"].to_numpy().astype(np.uint64)
         jac = _jaccard_pairs_flat(flat, offs,
                                   m["ia"].to_numpy(np.int64),
                                   m["ib"].to_numpy(np.int64))
@@ -1196,19 +1130,16 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5, k_salt: int = 256,
             "jaccard": np.round(jac[keep], 6),
         })
 
-    u = docs.map_batches(doc_side, batch_format="pyarrow").union(
-        cand.map_batches(requests, batch_format="pyarrow"))
-    u = u.map_batches(add_key_salt, batch_format="pyarrow")
-    resolved = u.groupby("salt").map_groups(resolve_texts, batch_format="pandas")
-    resolved = resolved.map_batches(add_pair_salt, batch_format="pyarrow")
-    return resolved.groupby("psalt").map_groups(score_pairs, batch_format="pandas")
+    resolved = exchange.exchange([(docs, doc_side), (cand, requests)],
+                                 resolve_texts, size)
+    return exchange.exchange([(resolved, None)], score_pairs, size)
 
 
 def q_simhash_neardup(sf_dir: str, bits_per_band: int = 16) -> ray.data.Dataset:
     """SimHash near-dup candidates: split the 64-bit simhash into
     64/bits_per_band bands; docs sharing any band value are candidates
     (catches hamming-distance <= bands-1 neighbors deterministically).
-    Same bounded-salt grouping as MinHash-LSH."""
+    Same (band, value)-keyed exchange as MinHash-LSH."""
     n_bands = 64 // bits_per_band
     mask = np.uint64((1 << bits_per_band) - 1)
 
@@ -1225,12 +1156,12 @@ def q_simhash_neardup(sf_dir: str, bits_per_band: int = 16) -> ray.data.Dataset:
             "id": pa.array(np.repeat(ids, n_bands), pa.int64()),
         })
 
-    ds = q_simhash(sf_dir).map_batches(explode, batch_format="pyarrow")
-
-    cand = ds.groupby(["band_id", "band_val"]).map_groups(
-        lambda df: _pairs_grouped(df, "band_val"), batch_format="pandas"
-    )
-    return _dedup_pair_ds(cand)
+    size = _docs_size(sf_dir)
+    cand = exchange.exchange(
+        [(_docs(sf_dir, ["doc_id", "text"]),
+          lambda t: _band_key(explode(_simhash_stage_cached()(t)), "band_val"))],
+        lambda df: _pairs_grouped(df, "band_val"), size)
+    return _dedup_pair_ds(cand, size)
 
 
 def _host_of(url_col) -> pa.Array:
@@ -2392,37 +2323,29 @@ def _canonical_urls(url_col) -> np.ndarray:
     return (m[0].str.lower().fillna(s) + m[1].fillna("")).to_numpy()
 
 
-def q_url_dedup(sf_dir: str, salt_bits: int | None = None) -> ray.data.Dataset:
+def q_url_dedup(sf_dir: str) -> ray.data.Dataset:
     """Dedup pages by CANONICAL url (lowercased scheme+host, query and
     fragment stripped): one row per canonical url with the min raw url
-    and the variant count. Same bounded-salt discipline as dedup_exact:
-    the shuffle key is a 2^salt_bits hash prefix of the canonical url;
-    the exact per-canonical reduction happens vectorized inside each
-    salt group. Width auto-scales with the URL-column bytes only — the
-    group payload here is urls, never document text."""
+    and the variant count. Same exchange as dedup_exact, keyed by the
+    canonical url's hash, with the exact per-canonical reduction
+    vectorized inside each salt group. Sized by the url-column bytes
+    only — the payload here is urls, never document text."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    if salt_bits is None:
-        salt_bits = exchange.salt_bits(pages_paths(sf_dir), ("url",),
-                                       exchange.TEXT_FLOOR)
-
     def prep(batch: pa.Table) -> pa.Table:
-        canon = _canonical_urls(batch.column("url"))
-        h = _hash_utf8_fast(pa.array(canon, pa.string()))
-        return pa.table({
-            "url": batch.column("url"),
-            "url_canonical": pa.array(canon, pa.string()),
-            "salt": pa.array(h >> np.uint64(64 - salt_bits), pa.uint64()),
-        })
+        canon = pa.array(_canonical_urls(batch.column("url")), pa.string())
+        return pa.table({"k": _hash_key(canon), "url": batch.column("url"),
+                         "url_canonical": canon})
 
     def reduce_group(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("url_canonical", as_index=False).agg(
             url=("url", "min"), n_variants=("url", "size"))
         return g[["url_canonical", "url", "n_variants"]]
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url"])
-    ds = ds.map_batches(prep, batch_format="pyarrow")
-    return ds.groupby("salt").map_groups(reduce_group, batch_format="pandas")
+    paths = pages_paths(sf_dir)
+    return exchange.exchange(
+        [(ray.data.read_parquet(paths, columns=["url"]), prep)],
+        reduce_group, (paths, ("url",)))
 
 
 def url_dedup_oracle_sql(fx: str) -> str:

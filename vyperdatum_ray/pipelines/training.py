@@ -18,7 +18,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from vyperdatum_ray.pipelines.textops import SAMPLE_MOD, _docs
+from vyperdatum_ray.pipelines import exchange
+from vyperdatum_ray.pipelines.textops import (SAMPLE_MOD, _docs, _docs_size,
+                                              _hash_key)
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 # Distinct odd multipliers per purpose (xxhash32 primes) so the split,
@@ -28,7 +30,6 @@ DRAW_MULT = np.uint64(3266489917)
 
 SEQ_LEN = 2048          # tokens per packed training sequence
 PACK_SHARD_BITS = 8     # 256 docs per prefix-sum shard (floor; auto-widens)
-_PACK_SALT_GROUPS = 1024
 PACK_MAX_DRIVER_SHARDS = 1 << 20  # driver offset-table cap (~16 MB)
 
 
@@ -129,21 +130,23 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
        or corpora past 2^20 x 2^bits docs) a SECOND prefix level runs:
        super-shard totals (shard >> 10) cumsum on the driver — 1024x
        smaller — and each super's shards get their offsets vectorized
-       inside a salted groupby; the per-shard offset table then never
-       exists in one place.
-    3. docs stream through a bounded-salt groupby (shard % 1024) where
-       each group sorts by doc_id and computes its shards' local
-       cumsums vectorized; in the two-level path the shard offsets
-       arrive in the SAME salt groups as union rows (a repartition
-       join) instead of a broadcast.
+       in an exchange keyed by super; the per-shard offset table then
+       never exists in one place.
+    3. docs stream through an exchange keyed by shard, where each group
+       sorts by doc_id and computes its shards' local cumsums
+       vectorized; in the two-level path the shard offsets are the
+       exchange's second leg (a repartition join) instead of a
+       broadcast.
 
-    The shuffle carries only (doc_id, shard, n_tok) int rows — text
-    never leaves pass 1's fused read tasks."""
+    The shuffles carry only (shard, doc_id, n_tok) int rows, one per
+    document, sized by the doc_id footer bytes — text never leaves the
+    fused read tasks."""
     from ray.data.aggregate import Sum
 
     docs = _docs(sf_dir, ["doc_id", "text"])
     if shard_bits is None:
         shard_bits = _pack_shard_bits(docs.count())  # metadata-only count
+    size = (f"{sf_dir}/documents.parquet", ("doc_id",))
 
     def shard_partial(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -162,31 +165,26 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
     n_shards = totals_ds.count()
 
     def prep(t: pa.Table) -> pa.Table:
+        """The doc leg: (doc_id, n_tok) keyed by the doc's shard."""
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ntok = _n_tok(t.column("text"))
-        shard = ids >> shard_bits
         return pa.table({
+            "k": pa.array(ids >> shard_bits, pa.int64()),
             "doc_id": pa.array(ids, pa.int64()),
-            "n_tok": pa.array(ntok, pa.int64()),
-            "shard": pa.array(shard, pa.int64()),
-            "salt": pa.array(shard % _PACK_SALT_GROUPS, pa.int64()),
+            "n_tok": pa.array(_n_tok(t.column("text")), pa.int64()),
         })
 
-    prepped = docs.map_batches(prep, batch_format="pyarrow")
-
     def _rebase(df, shard_keys: np.ndarray, shard_offs: np.ndarray):
-        """Sort one salt group by doc_id, exclusive-cumsum within each
-        shard segment, rebase to the shard's global offset."""
+        """Sort one group's doc rows by doc_id, exclusive-cumsum within
+        each shard segment, rebase to the shard's global offset."""
         import pandas as pd
 
         df = df.sort_values("doc_id")
         ntok = df["n_tok"].to_numpy()
-        shard = df["shard"].to_numpy()
+        shard = df["k"].to_numpy()
         cs = np.cumsum(ntok) - ntok  # exclusive cumsum over the group
-        # shard is nondecreasing after the doc_id sort
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(shard) != 0) + 1])
-        seg_len = np.diff(np.concatenate([starts, [len(shard)]]))
-        base = np.repeat(cs[starts], seg_len)
+        # shard is nondecreasing after the doc_id sort: each row's
+        # segment starts at the first row of its shard
+        base = cs[np.searchsorted(shard, shard)]
         glob = cs - base + shard_offs[np.searchsorted(shard_keys, shard)]
         return pd.DataFrame({
             "doc_id": df["doc_id"].to_numpy(),
@@ -196,10 +194,12 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         })
 
     if n_shards <= max_driver_shards:
-        # one-level: driver cumsum + one broadcast (the common case)
-        totals = totals_ds.to_pandas().sort_values("shard")
-        shards = totals["shard"].to_numpy()
-        tok = totals["tok"].to_numpy()
+        # one-level: driver cumsum + one broadcast (the common case);
+        # an empty corpus has no totals and collects columnless
+        totals = totals_ds.to_pandas().reindex(columns=["shard", "tok"]) \
+            .sort_values("shard")
+        shards = totals["shard"].to_numpy(np.int64)
+        tok = totals["tok"].to_numpy(np.int64)
         offs = np.concatenate([[0], np.cumsum(tok)[:-1]]).astype(np.int64)
         off_ref = ray.put((shards, offs))
 
@@ -207,8 +207,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
             g_shards, g_offs = ray.get(off_ref)
             return _rebase(df, g_shards, g_offs)
 
-        return prepped.groupby("salt").map_groups(
-            pack_group, batch_format="pandas")
+        return exchange.exchange([(docs, prep)], pack_group, size)
 
     # --- two-level prefix: driver holds only SUPER-shard offsets ---
     SUPER_BITS = 10  # 1024 shards per super-shard
@@ -230,14 +229,16 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         .astype(np.int64)
     sup_ref = ray.put((sup_keys, sup_offs))
 
-    def add_super_salt(t: pa.Table) -> pa.Table:
+    def super_key(t: pa.Table) -> pa.Table:
         sh = t.column("shard").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "ssalt", pa.array((sh >> SUPER_BITS) % _PACK_SALT_GROUPS, pa.int64()))
+        return pa.table({"k": pa.array(sh >> SUPER_BITS, pa.int64()),
+                         "shard": pa.array(sh, pa.int64()),
+                         "tok": t.column("tok").cast(pa.int64())})
 
     def shard_offsets_group(df):
-        # all shards of each super land in one salt group (salted on
-        # super): exclusive cumsum per super, rebased to its offset
+        # all shards of each super land in one group (keyed by super):
+        # exclusive cumsum per super, rebased to its offset, re-keyed
+        # by shard for the pack exchange
         import pandas as pd
 
         g_sup, g_offs = ray.get(sup_ref)
@@ -246,38 +247,20 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         tk = df["tok"].to_numpy()
         sup_of = sh >> SUPER_BITS
         cs = np.cumsum(tk) - tk
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(sup_of) != 0) + 1])
-        seg_len = np.diff(np.concatenate([starts, [len(sh)]]))
-        base = np.repeat(cs[starts], seg_len)
+        base = cs[np.searchsorted(sup_of, sup_of)]
         off = cs - base + g_offs[np.searchsorted(g_sup, sup_of)]
-        return pd.DataFrame({"shard": sh, "off": off})
+        return pd.DataFrame({"k": sh, "off": off})
 
-    shard_offs_ds = (
-        totals_ds.map_batches(add_super_salt, batch_format="pyarrow")
-        .groupby("ssalt").map_groups(shard_offsets_group, batch_format="pandas")
-    )
+    shard_offs_ds = exchange.exchange([(totals_ds, super_key)],
+                                      shard_offsets_group, size)
 
-    # route shard offsets into the SAME salt groups as the doc rows
-    # (union + salted groupby = repartition join; no broadcast)
-    def off_rows(t: pa.Table) -> pa.Table:
-        sh = t.column("shard").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "doc_id": pa.array(np.full(len(sh), -1), pa.int64()),
-            "n_tok": t.column("off"),  # offset rides the n_tok column
-            "shard": pa.array(sh, pa.int64()),
-            "salt": pa.array(sh % _PACK_SALT_GROUPS, pa.int64()),
-        })
+    def pack_group_joined(d, offmap):
+        offmap = offmap.sort_values("k")
+        return _rebase(d, offmap["k"].to_numpy(np.int64),
+                       offmap["off"].to_numpy(np.int64))
 
-    def pack_group_joined(df):
-        is_off = df["doc_id"].to_numpy() == -1
-        offmap = df[is_off]
-        keys = offmap["shard"].to_numpy(np.int64)
-        offs_ = offmap["n_tok"].to_numpy(np.int64)
-        o = np.argsort(keys)
-        return _rebase(df[~is_off], keys[o], offs_[o])
-
-    u = prepped.union(shard_offs_ds.map_batches(off_rows, batch_format="pyarrow"))
-    return u.groupby("salt").map_groups(pack_group_joined, batch_format="pandas")
+    return exchange.exchange([(docs, prep), (shard_offs_ds, None)],
+                             pack_group_joined, size)
 
 
 SEQ_PACK_ORACLE = r"""
@@ -381,7 +364,7 @@ class CurateStage:
 
 def q_corpus_pipeline(sf_dir: str,
                       input_ds: ray.data.Dataset | None = None,
-                      salt_bits: int | None = None) -> ray.data.Dataset:
+                      ) -> ray.data.Dataset:
     """The webtext flagship: raw pages -> curated, split training
     corpus in one streaming pipeline — English-only (LangId), quality-
     gated (10..5000 tokens, alpha density >= 0.5), decontaminated
@@ -389,38 +372,22 @@ def q_corpus_pipeline(sf_dir: str,
     exact-deduplicated (min doc_id per identical text), and assigned a
     deterministic train/val/test split. Shapes: one broadcast (probe
     vocabulary), one stateless-task scan fused into the read, and one
-    bounded-salt shuffle for the dedup (the only all-to-all; it carries
-    surviving text once — at larger scale swap the key to a 128-bit
-    content hash exactly as dedup_exact's docstring describes)."""
-    from vyperdatum_ray.pipelines import exchange
-    from vyperdatum_ray.pipelines.textops import _hash_utf8_fast, contam_probe_ref
+    exchange keyed by the text hash for the dedup (the only all-to-all;
+    it carries surviving text once). The exchange is sized from the RAW
+    ``documents.parquet`` footer, also when ``input_ds`` replaces the
+    read: curation only shrinks the payload, so this over-provisions
+    safely."""
+    from vyperdatum_ray.pipelines.textops import contam_probe_ref
 
     probe_ref = contam_probe_ref(sf_dir, input_ds=input_ds)
     docs = input_ds if input_ds is not None else _docs(sf_dir, ["doc_id", "text"])
-    if salt_bits is None:
-        if input_ds is None:
-            # width from the RAW corpus footer (curation only shrinks
-            # the dedup shuffle payload, so this over-provisions safely)
-            salt_bits = exchange.salt_bits(f"{sf_dir}/documents.parquet",
-                                           ("doc_id", "text"), exchange.TEXT_FLOOR)
-        else:
-            # an injected input_ds has no footer: callers at scale pass
-            # the width explicitly; the floor covers test corpora
-            salt_bits = exchange.TEXT_FLOOR
-    salt_shift = np.uint64(64 - salt_bits)
-    # stateless tasks: CurateStage's "state" is the broadcast probe
-    # ref (plasma-cached per worker) plus the µs-built LangId arrays —
-    # a model-loading curate stage would be an actor pool instead
-    ds = docs.map_batches(
-        lambda t: CurateStage(probe_ref)(t), batch_format="pyarrow",
-    )
 
-    def add_salt(t: pa.Table) -> pa.Table:
-        col = t.column("text")
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        salt = _hash_utf8_fast(col) >> salt_shift  # bounded groups
-        return t.append_column("hash_salt", pa.array(salt, pa.uint64()))
+    def curate(t: pa.Table) -> pa.Table:
+        # stateless tasks: CurateStage's "state" is the broadcast probe
+        # ref (plasma-cached per worker) plus the µs-built LangId
+        # arrays — a model-loading curate stage would be an actor pool
+        kept = CurateStage(probe_ref)(t)
+        return kept.append_column("k", _hash_key(kept.column("text")))
 
     def dedup_split(df):
         df = df.sort_values("doc_id")
@@ -432,9 +399,7 @@ def q_corpus_pipeline(sf_dir: str,
                               np.where(bucket < 990, "val", "test"))
         return g[["doc_id", "n_tok", "split"]]
 
-    return (ds.map_batches(add_salt, batch_format="pyarrow")
-            .groupby("hash_salt")
-            .map_groups(dedup_split, batch_format="pandas"))
+    return exchange.exchange([(docs, curate)], dedup_split, _docs_size(sf_dir))
 
 
 def corpus_pipeline_oracle_sql() -> str:
