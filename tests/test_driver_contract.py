@@ -37,3 +37,15 @@ def test_no_ray_init_in_library():
         capture_output=True, text=True,
     )
     assert out.stdout.strip() == "", out.stdout
+
+
+def test_reads_go_through_the_exchange_helper():
+    """Every engine read is ``exchange.read``, which sizes its blocks
+    (one per row group) and records what the exchange sizes from."""
+    out = subprocess.run(
+        ["grep", "-rlnF", "--include=*.py", "ray.data.read_parquet(",
+         os.path.join(ROOT, "vyperdatum_ray")],
+        capture_output=True, text=True,
+    )
+    found = {os.path.relpath(p, ROOT) for p in out.stdout.split()}
+    assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found

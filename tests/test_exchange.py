@@ -1,6 +1,6 @@
-"""The salted-exchange primitive (pipelines/exchange.py): footer-derived
-width, leg tagging and per-leg frames, zero-row legs, chaining, and
-width independence."""
+"""The salted-exchange primitive (pipelines/exchange.py): one read block
+per row group, the width from the legs' blocks, leg tagging and per-leg
+frames, zero-row legs, chaining, and width independence."""
 
 import numpy as np
 import pandas as pd
@@ -51,8 +51,8 @@ def _canon(df):
 def test_two_legs_with_one_sided_keys(ray_session, tmp_path):
     from vyperdatum_ray.pipelines.exchange import collect, exchange
 
-    legs, path = _legs(tmp_path, [1, 2, 3, 3], [2, 3, 4, 40])
-    got = _canon(collect(exchange(legs, _outer_join(), (path, None))))
+    legs, _ = _legs(tmp_path, [1, 2, 3, 3], [2, 3, 4, 40])
+    got = _canon(collect(exchange(legs, _outer_join())))
     want = pd.DataFrame({"k": [1, 2, 3, 3, 4, 40],
                          "a": [10, 20, 30, 30, -1, -1],
                          "b": ["", "b2", "b3", "b3", "b4", "b40"]})
@@ -64,13 +64,13 @@ def test_zero_row_leg(ray_session, tmp_path):
     rows; with every leg empty the collect is typed, not columnless."""
     from vyperdatum_ray.pipelines.exchange import collect, exchange
 
-    legs, path = _legs(tmp_path, [1, 2, 5], [])
-    got = _canon(collect(exchange(legs, _outer_join(), (path, None))))
+    legs, _ = _legs(tmp_path, [1, 2, 5], [])
+    got = _canon(collect(exchange(legs, _outer_join())))
     want = pd.DataFrame({"k": [1, 2, 5], "a": [10, 20, 50], "b": ["", "", ""]})
     pd.testing.assert_frame_equal(got, _canon(want))
 
-    legs, path = _legs(tmp_path, [], [])
-    empty = collect(exchange(legs, _outer_join(), (path, None)))
+    legs, _ = _legs(tmp_path, [], [])
+    empty = collect(exchange(legs, _outer_join()))
     assert len(empty) == 0 and list(empty.columns) == ["k", "a", "b"]
     assert empty["k"].dtype == np.int64 and empty["a"].dtype == np.int64
 
@@ -88,7 +88,7 @@ def test_chained_exchange_stays_arrow(ray_session, tmp_path):
         return pd.DataFrame({"k": m["a"].to_numpy(np.int64),     # 20, 30
                              "src": m["k"].to_numpy(np.int64)})
 
-    first = exchange(legs, rekey, (path, None))
+    first = exchange(legs, rekey)
     kinds = first.map_batches(lambda b: pa.table({"t": [type(b).__name__]}),
                               batch_format=None).to_pandas()["t"]
     assert set(kinds) == {"Table"}
@@ -102,7 +102,7 @@ def test_chained_exchange_stays_arrow(ray_session, tmp_path):
     other = ray.data.read_parquet(path)
     second = collect(exchange(
         [(first, None), (other, lambda t: pa.table({"k": t.column("a")}))],
-        count, (path, None)))
+        count))
     want = pd.DataFrame({"k": [20, 30], "src": [2, 3], "n_other": [1, 1]})
     pd.testing.assert_frame_equal(_canon(second), want)
 
@@ -114,46 +114,137 @@ def test_forced_width_independence(ray_session, tmp_path, monkeypatch, bits):
     from vyperdatum_ray.pipelines import exchange as ex
 
     keys = list(range(-5, 40, 3))
-    legs, path = _legs(tmp_path, keys, keys[::2])
-    base = _canon(ex.collect(ex.exchange(legs, _outer_join(), (path, None))))
+    legs, _ = _legs(tmp_path, keys, keys[::2])
+    base = _canon(ex.collect(ex.exchange(legs, _outer_join())))
 
     def groups(a, b):
         return pd.DataFrame({"n": [1], "lo": [int((a["k"] & ((1 << bits) - 1)).min())
                                               if len(a) else -1]})
 
     monkeypatch.setattr(ex, "JOIN_FLOOR", bits)
-    forced = _canon(ex.collect(ex.exchange(legs, _outer_join(), (path, None))))
+    forced = _canon(ex.collect(ex.exchange(legs, _outer_join())))
     pd.testing.assert_frame_equal(base, forced)
-    per = ex.collect(ex.exchange(legs, groups, (path, None)))
+    per = ex.collect(ex.exchange(legs, groups))
     assert int(per["n"].sum()) == len({k % (1 << bits) for k in keys})
 
 
-def test_salt_bits_widen_with_bytes(monkeypatch):
-    """The width is the floor until the footer-estimated payload per
-    group passes the byte target, then widens until it fits (the
-    100-TB guarantee), never past the cap — for a text payload and an
-    int-join payload alike, at the one floor."""
+def _row_group_files(d, n_files, n_groups, keys=(0,)):
+    """``n_files`` parquet files of ``n_groups`` row groups each, every
+    row group holding all of ``keys`` in column ``ka``."""
+    t = pa.table({"ka": pa.array(list(keys) * n_groups, pa.int64())})
+    paths = []
+    for i in range(n_files):
+        paths.append(str(d / f"part-{i:03d}.parquet"))
+        pq.write_table(t, paths[-1], row_group_size=len(keys))
+        assert pq.ParquetFile(paths[-1]).metadata.num_row_groups == n_groups
+    return paths
+
+
+def test_read_takes_one_block_per_row_group(ray_session, tmp_path):
+    """3 files x 4 row groups read as 12 blocks, recorded and real; a
+    zero-row file (no row group) still reads as one block."""
     from vyperdatum_ray.pipelines import exchange as ex
 
-    floor = ex.JOIN_FLOOR
-    for path, cols in (
-            (f"{SF}/documents.parquet", ("doc_id", "text")),
-            (f"{SF}/lineitem.parquet", ("l_orderkey", "l_suppkey",
-                                        "l_extendedprice", "l_discount"))):
-        total, rows = ex.footer_stats(path, cols)
-        assert total > 0 and rows > 0
-        # sf-scale tables keep the floor
-        assert ex.salt_bits(path, cols) == floor
-        # shrink the target so this table "looks" 100-TB-sized
-        target = max(total >> (floor + 4), 1)
-        monkeypatch.setattr(ex, "TARGET_GROUP_BYTES", target)
-        wide = ex.salt_bits(path, cols)
-        assert wide > floor and (total >> wide) <= target
-        # a zero target widens until the payload vanishes, never past the cap
-        monkeypatch.setattr(ex, "TARGET_GROUP_BYTES", 0)
-        zero = ex.salt_bits(path, cols)
-        assert wide <= zero <= ex.SALT_BITS_CAP and (total >> zero) == 0
-        monkeypatch.undo()
+    paths = _row_group_files(tmp_path, 3, 4, keys=(1, 2))
+    assert ex.row_groups(paths) == 12
+    nbytes, rows = ex.footer_stats(paths)
+    assert rows == 24 and nbytes > 0
+    ds = ex.read(paths)
+    assert ex._blocks(ds) == 12
+    assert ex.materialize(ds).num_blocks() == 12
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.ParquetWriter(empty, pa.schema([("ka", pa.int64())])).close()
+    assert pq.ParquetFile(empty).metadata.num_row_groups == 0
+    assert ex.row_groups([empty]) == 1
+    ds = ex.read(empty)
+    assert ex._blocks(ds) == 1 and ex.collect(ds).columns.tolist() == ["ka"]
+
+
+def test_row_groups_extrapolate_past_the_footer_sample(tmp_path):
+    """Past ``_FOOTER_SAMPLE_FILES`` files the row-group count is the
+    sample's, scaled by file count: 64 two-group files then 6
+    one-group files estimate 2 x 70, not the true 134."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    assert ex._FOOTER_SAMPLE_FILES == 64
+    two = _row_group_files(tmp_path, 64, 2)
+    d = tmp_path / "z"                # sorts after every "part-" file
+    d.mkdir()
+    one = _row_group_files(d, 6, 1)
+    assert ex.row_groups(two + one) == 140
+    assert ex.row_groups(str(tmp_path)) == 140    # a directory expands
+    assert ex.row_groups(one) == 6
+
+
+def test_read_schema_drops_pandas_metadata(ray_session):
+    """The helper's read schema is the footer's projected to the read
+    columns, without the ``pandas`` key (which makes Ray log a failed
+    schema hash per block); the recorded zero-row table is the
+    dataset's own schema."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    path = f"{SF}/lineitem.parquet"
+    assert b"pandas" in pq.read_schema(path).metadata
+    cols = ["l_orderkey", "l_shipdate", "l_returnflag"]
+    ds = ex.read(path, cols)
+    zero = ex._zero_rows(ds)
+    assert zero.column_names == cols and not zero.schema.metadata
+    assert ds.schema().base_schema == zero.schema
+    assert not (ds.schema().base_schema.metadata or {}).get(b"pandas")
+    assert ex.collect(ds).shape[1] == 3
+
+
+_POW2 = [0] + [1 << i for i in range(30)]
+
+
+def _width(legs) -> int:
+    """The salt width of ``exchange(legs)`` whose legs all key on
+    ``_POW2``: at width w its keys fall into w + 1 salts (2^0 ...
+    2^(w-1) and 0), one reduce call each."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    def one(*frames):
+        return pd.DataFrame({"n": [1]})
+
+    return int(ex.collect(ex.exchange(legs, one))["n"].sum()) - 1
+
+
+def test_width_from_leg_blocks(ray_session, tmp_path, monkeypatch):
+    """width = clamp(ceil(log2(sum of leg blocks)), JOIN_FLOOR,
+    SALT_BITS_CAP): a read counts its row groups, an exchange output
+    the sum over its legs, a ``materialize``d leg its input's, a lazy
+    map one."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    twelve = ex.read(_row_group_files(tmp_path / "a", 3, 4, _POW2))
+    five = ex.read(_row_group_files(tmp_path / "b", 1, 5, _POW2))
+    key = lambda t: pa.table({"k": t.column("ka")})  # noqa: E731
+    assert _width([(twelve, key)]) == ex.JOIN_FLOOR == 4    # 12 blocks
+    monkeypatch.setattr(ex, "JOIN_FLOOR", 1)
+    assert _width([(twelve, key)]) == 4                     # ceil(log2 12)
+    assert _width([(five, key)]) == 3
+    assert _width([(twelve, key), (five, key)]) == 5        # 17 blocks
+    first = ex.exchange([(twelve, key)], lambda d: d)
+    assert ex._blocks(first) == 12
+    assert _width([(first, None), (five, key)]) == 5        # 12 + 5
+    assert _width([(ex.materialize(first), None)]) == 4
+    lazy = twelve.map_batches(key, batch_format="pyarrow")
+    assert ex._blocks(lazy) == 1
+    assert _width([(lazy, None)]) == 1
+
+
+def test_width_stops_at_the_cap(ray_session, tmp_path, monkeypatch):
+    """A block count far past any real corpus (10^12 documents in
+    128-row groups) widens the salt only to ``SALT_BITS_CAP``."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    ds = ex.read(_row_group_files(tmp_path, 1, 1, _POW2))
+    monkeypatch.setattr(ex, "_blocks", lambda ds: 10**12 // 128)
+    assert _width([(ds, lambda t: pa.table({"k": t.column("ka")}))]) \
+        == ex.SALT_BITS_CAP == 26
 
 
 def test_exchange_set_names_registry_queries():

@@ -8,6 +8,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from scripts.check_correctness import NAMED_SETS
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -16,9 +18,9 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _at_width(monkeypatch, bits, fn, *args, **kw):
-    """``fn(*args, **kw)`` with every exchange forced to 2^bits salt
-    groups: test tables sit far below the byte target, so the floor is
-    the width."""
+    """``fn(*args, **kw)`` with every exchange's floor forced to 2^bits
+    salt groups: each test table reads as one block, so the floor is the
+    width of a one- or two-leg exchange."""
     from vyperdatum_ray.pipelines import exchange
 
     with monkeypatch.context() as m:
@@ -26,16 +28,25 @@ def _at_width(monkeypatch, bits, fn, *args, **kw):
         return fn(*args, **kw)
 
 
-def _width_independent(monkeypatch, fn, bits=1):
-    """Canonical default-width output of ``fn(SF)``, asserted equal to
-    the output at a forced width."""
+def _independent(monkeypatch, fn, attr, value):
+    """Canonical default output of ``fn(SF)``, asserted equal to the
+    output with ``exchange.<attr>`` forced to ``value``."""
+    from vyperdatum_ray.pipelines import exchange
+
     def run():
         out = fn(SF)
         return _canon(out if isinstance(out, pd.DataFrame) else out.to_pandas())
 
     base = run()
-    pd.testing.assert_frame_equal(base, _at_width(monkeypatch, bits, run))
+    with monkeypatch.context() as m:
+        m.setattr(exchange, attr, value)
+        pd.testing.assert_frame_equal(base, run())
     return base
+
+
+def _width_independent(monkeypatch, fn, bits=1):
+    """``_independent`` at a forced width."""
+    return _independent(monkeypatch, fn, "JOIN_FLOOR", bits)
 
 
 def test_q5_exchange_path_matches_broadcast(ray_session, monkeypatch):
@@ -59,7 +70,7 @@ def test_q5_salt_width_independence(ray_session, monkeypatch):
         pd.testing.assert_frame_equal(base, forced)
 
 
-@pytest.mark.parametrize("name", [
+_WIDTH_ONE = [
     "sessionize", "asof_join", "session_join", "tpch_q3", "shuffle_join",
     "bloom_semi_join", "gap_fill_resample", "repeat_buyers", "lapsed_buyers",
     "price_band_join",
@@ -67,12 +78,27 @@ def test_q5_salt_width_independence(ray_session, monkeypatch):
     "dedup_exact", "dedup_normalized", "line_dedup", "url_dedup",
     "minhash_pairs", "simhash_neardup", "neardup_jaccard",
     "neardup_clusters_text", "corpus_pipeline", "seq_pack", "image_neardup",
-    "neardup_embedding_lsh"])
-def test_exchange_query_width_independence(ray_session, monkeypatch, name):
-    """Every other query on the exchange: identical rows at width 1."""
+    "neardup_embedding_lsh"]
+
+
+@pytest.mark.parametrize("name,split", [
+    *(pytest.param(n, False, id=n) for n in _WIDTH_ONE),
+    *(pytest.param(n, True, id=f"{n}-8_blocks")
+      for n in NAMED_SETS["exchange"] + NAMED_SETS["text"])])
+def test_exchange_query_width_independence(ray_session, monkeypatch, name,
+                                           split):
+    """Every other query on the exchange: identical rows at width 1; and
+    every ``@exchange`` and ``@text`` query: identical rows with each
+    read forced to 8 blocks. Every sf0.001 table is one row group, so
+    the default reads one block per table: the forced split is what
+    puts several map blocks and sort partitions under each exchange."""
     import __ray_entry__ as E
 
-    assert len(_width_independent(monkeypatch, E.queries()[name])) > 0
+    if split:
+        _independent(monkeypatch, E.queries()[name], "row_groups",
+                     lambda paths: 8)
+    else:
+        assert len(_width_independent(monkeypatch, E.queries()[name])) > 0
 
 
 def test_shuffle_join_matches_oracle(ray_session):
@@ -1119,7 +1145,7 @@ def test_sharded_table_directory_layout(ray_session, tmp_path):
 
     nbytes, rows = footer_stats(str(d / "orders.parquet"))
     assert rows == 4 and nbytes > 0
-    out = q_repeat_buyers(str(d))        # width from the footer estimator
+    out = q_repeat_buyers(str(d))        # a directory read: one block per row group
     assert out["c_custkey"].tolist() == [1]
 
 

@@ -356,7 +356,7 @@ def test_neardup_jaccard_byte_budget_forces_exchange_path(ray_session):
 
 
 def test_dedup_results_invariant_to_salt_width(ray_session, monkeypatch):
-    """Correctness must not depend on the footer-derived shuffle width:
+    """Correctness must not depend on the block-derived shuffle width:
     every copy of a key shares its salt at ANY width (forced here by
     raising the exchange floor)."""
     from vyperdatum_ray.pipelines import exchange

@@ -20,12 +20,14 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from vyperdatum_ray.pipelines import exchange
+
 K = 10
 N_QUERIES = 10
 
 
 def _emb(sf_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
+    return exchange.read(f"{sf_dir}/embeddings.parquet")
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
@@ -663,14 +665,12 @@ def q_neardup_embedding_lsh(sf_dir: str, tau: float = 0.4) -> ray.data.Dataset:
         return pd.DataFrame({"id_a": np.concatenate(a_parts),
                              "id_b": np.concatenate(b_parts)})
 
-    from vyperdatum_ray.pipelines import exchange
     from vyperdatum_ray.pipelines.textops import _band_key, _dedup_pair_ds
 
-    size = (f"{sf_dir}/embeddings.parquet", None)
     cand = exchange.exchange(
         [(_emb(sf_dir), lambda t: _band_key(CodeStage(planes_ref)(t), "bucket"))],
-        score_group, size)
-    out = _dedup_pair_ds(cand, size)
+        score_group)
+    out = _dedup_pair_ds(cand)
     return out.map_batches(
         lambda t: pa.table({"vec_id_a": t.column("id_a"), "vec_id_b": t.column("id_b")}),
         batch_format="pyarrow",
@@ -710,9 +710,7 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 16,
     # budget (the 100-TB case) it falls through to the streaming
     # re-scan — the memory-safe shape — so this is a bounded cache,
     # not a corpus materialization.
-    from vyperdatum_ray.pipelines.exchange import footer_stats
-
-    emb_bytes, _ = footer_stats(f"{sf_dir}/embeddings.parquet")
+    emb_bytes, _ = exchange.footer_stats(f"{sf_dir}/embeddings.parquet")
     ds_emb = _emb(sf_dir)
     if emb_bytes <= ITER_CACHE_BYTES:
         ds_emb = ds_emb.materialize()

@@ -10,20 +10,27 @@ one group, and a vectorized pandas reduce inside each group performs the
 join. Legs pre-reduce inside their own map task, so the shuffle carries
 int partials, never text.
 
-The salt width comes from parquet FOOTER metadata, the skew-aware sizing
-of FP-Hadoop (VLDB 2015): the smallest width at or above a floor whose
-expected per-group payload fits ``TARGET_GROUP_BYTES``, so each reduce
-task stays block-sized at 100 TB. Every exchange, relational or text,
-starts at the one floor ``JOIN_FLOOR``: below the byte target a wider
-salt only adds near-empty groups, each one more map_groups Python call
-(at sf0.1 on 4 CPUs, dedup_exact took 1.7–2.1 s at the old 1024-way text
-width and 0.3–0.8 s at 16 groups). Correctness is
-width-independent: every copy of a key shares its salt at any width.
+Partitions are sized from the data (FP-Hadoop, VLDB 2015), by one
+decision. Every engine read goes through ``read``, which asks Ray for
+one block per parquet row group, counted from the footers; Ray's
+default split cut each one-row-group pages file into 6 blocks, and a
+sort-based groupby keeps its input's block count, so each exchange over
+24 pages files sorted 144 map x 144 reduce partitions. An exchange then
+takes its salt width from its legs' blocks, ``ceil(log2(sum of leg
+blocks))`` clamped to [``JOIN_FLOOR``, ``SALT_BITS_CAP``], so salt
+groups and the sort's reduce partitions are one count. A byte target
+per block was measured and dropped: at sf0.1 on 4 CPUs it put all
+~120 MiB of pages in one block and url_dedup took 32 s, against 13 s at
+one block per row group. The floor keeps 16 groups at least; wider
+salts than the blocks only add near-empty groups, each one more
+map_groups Python call (dedup_exact took 1.7–2.1 s at a 1024-way width
+and 0.3–0.8 s at 16 groups). Correctness is width-independent: every
+copy of a key shares its salt at any width.
 
 One family stays off this primitive: ann's label propagation and
 cluster assignment (``_lp_components``, ``_clusters_distributed``). Their
 legs are per-round (node, label) state derived from other datasets, so
-there is no footer to size them from; they keep a fixed 1024-way salt.
+there is no read to size them from; they keep a fixed 1024-way salt.
 """
 
 from __future__ import annotations
@@ -38,28 +45,21 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
-JOIN_FLOOR = 4                    # width below the byte target
+JOIN_FLOOR = 4                    # the narrowest salt: 16 groups
 SALT_BITS_CAP = 26                # 64M groups; Ray groupby key space
-TARGET_GROUP_BYTES = 128 << 20    # per-map_groups-task payload goal
 _FOOTER_SAMPLE_FILES = 64
 
-# exchange output -> its zero-row table, so an exchange's output can be
-# a leg of the next (and collect typed) without executing it to learn
-# its schema. Entries are written once, never mutated, and keyed by the
-# Dataset object, so they go when it does.
-_EMPTY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# dataset -> (its zero-row table, its block count), so a read or an
+# exchange output can be a leg of the next (and collect typed) without
+# executing it to learn its schema, and sizes the next exchange's salt.
+# Entries are written once, never mutated, and keyed by the Dataset
+# object, so they go when it does.
+_META: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def footer_stats(paths, columns=None) -> tuple[int, int]:
-    """(estimated uncompressed bytes of ``columns``, estimated rows)
-    across ``paths`` from parquet footers only. The first
-    ``_FOOTER_SAMPLE_FILES`` footers (sorted order, deterministic) are
-    read and extrapolated by file count, so driver cost is O(1) in
-    corpus size — production layouts would serve the same numbers from
-    a table catalog."""
-    import pyarrow.parquet as pq
-
+def _files(paths) -> list:
     if isinstance(paths, (str, bytes)):
         paths = [paths]
     # a "table" may be a DIRECTORY of row-group files (the sharded
@@ -72,44 +72,84 @@ def footer_stats(paths, columns=None) -> tuple[int, int]:
                                       recursive=True))
         else:
             expanded.append(p)
-    paths = sorted(expanded)
-    if not paths:
-        return 0, 0
-    sample = paths[:_FOOTER_SAMPLE_FILES]
-    total = 0
-    rows = 0
+    return sorted(expanded)
+
+
+def _footers(files, columns=None) -> tuple[int, int, int]:
+    """(uncompressed bytes of ``columns``, rows, row groups) across
+    ``files`` from parquet footers only. The first
+    ``_FOOTER_SAMPLE_FILES`` footers (sorted order, deterministic) are
+    read and extrapolated by file count, so driver cost is O(1) in
+    corpus size — production layouts would serve the same numbers from
+    a table catalog. Deliberately uncached: a path-keyed cache would
+    serve stale figures after an in-place fixture/corpus rewrite in a
+    long-lived process."""
+    import pyarrow.parquet as pq
+
+    sample = files[:_FOOTER_SAMPLE_FILES]
+    total = rows = groups = 0
     for p in sample:
         md = pq.ParquetFile(p).metadata
         rows += md.num_rows
+        groups += md.num_row_groups
         for rg in range(md.num_row_groups):
             g = md.row_group(rg)
             for ci in range(g.num_columns):
                 col = g.column(ci)
                 if columns is None or col.path_in_schema in columns:
                     total += col.total_uncompressed_size
-    scale = len(paths)
+    scale = len(files)
     n = max(len(sample), 1)
-    return total * scale // n, rows * scale // n
+    return total * scale // n, rows * scale // n, groups * scale // n
 
 
-def salt_bits(paths, columns) -> int:
-    """Salt width for an exchange whose shuffle payload is the
-    uncompressed bytes of ``columns`` in ``paths``: the smallest width
-    >= ``JOIN_FLOOR`` with expected per-group payload <= ``TARGET_GROUP_BYTES``.
-    Deliberately uncached: the footer sample is O(64) metadata reads,
-    and a path-keyed cache would serve stale widths after an in-place
-    fixture/corpus rewrite in a long-lived process."""
-    total, _ = footer_stats(paths, list(columns) if columns else None)
-    bits = JOIN_FLOOR
-    while (total >> bits) > TARGET_GROUP_BYTES and bits < SALT_BITS_CAP:
-        bits += 1
-    return bits
+def footer_stats(paths, columns=None) -> tuple[int, int]:
+    """(estimated uncompressed bytes of ``columns``, estimated rows)
+    across ``paths``, from the sampled footer walk."""
+    return _footers(_files(paths), columns)[:2]
+
+
+def row_groups(paths) -> int:
+    """The block count of a read of ``paths``: its row groups, from the
+    sampled footer walk, never below 1."""
+    return max(_footers(_files(paths))[2], 1)
+
+
+def read(paths, columns=None) -> ray.data.Dataset:
+    """``ray.data.read_parquet`` with one block per row group, the
+    engine's only read. Its schema is the first footer's, projected to
+    ``columns`` and stripped of metadata (the ``pandas`` key made Ray
+    log a failed schema hash per block and skip its same-schema fast
+    path); the zero-row table and block count are recorded so the read
+    is typed and sized as an exchange leg without executing it."""
+    import pyarrow.parquet as pq
+
+    schema = pq.read_schema(_files(paths)[0]).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    n = row_groups(paths)
+    ds = ray.data.read_parquet(paths, columns=columns, schema=schema,
+                               override_num_blocks=n)
+    _META[ds] = (schema.empty_table(), n)
+    return ds
 
 
 def _zero_rows(ds: ray.data.Dataset) -> pa.Table:
-    if ds in _EMPTY:
-        return _EMPTY[ds]
+    if ds in _META:
+        return _META[ds][0]
     return ds.schema().base_schema.empty_table()
+
+
+def _blocks(ds: ray.data.Dataset) -> int:
+    """A leg's block count: recorded for a read, an exchange output and
+    what ``map_typed``/``materialize`` keep of them; a materialized
+    dataset knows its own; anything else (a caller's lazy dataset)
+    counts as one."""
+    if ds in _META:
+        return _META[ds][1]
+    if isinstance(ds, MaterializedDataset):
+        return ds.num_blocks()
+    return 1
 
 
 def _schema(t: pa.Table) -> pa.Schema:
@@ -119,15 +159,16 @@ def _schema(t: pa.Table) -> pa.Schema:
                       for f in t.schema]).remove_metadata()
 
 
-def exchange(legs, reduce, size) -> ray.data.Dataset:
+def exchange(legs, reduce) -> ray.data.Dataset:
     """Salted repartition exchange over ``legs``, a list of
     ``(dataset, fn)`` pairs: ``fn(batch) -> pa.Table`` (or ``None`` for
     the identity) runs in the leg's own map task and returns rows with
     an int64 key ``k``. Rows of one ``k`` from every leg meet in one
     group, where ``reduce(frame_0, frame_1, ...)`` gets one pandas frame
     per leg (that leg's columns only, possibly empty) and returns a
-    DataFrame. ``size = (paths, columns)`` names the payload whose
-    footer bytes set the salt width (``salt_bits``).
+    DataFrame. The salt width is ``ceil(log2(sum of leg blocks))``,
+    clamped to [``JOIN_FLOOR``, ``SALT_BITS_CAP``]; the output counts the
+    same blocks, since the sort keeps its input's block count.
 
     Each leg's schema is learned by running ``fn`` on zero rows in the
     driver, and the reduce's by running it on those empties, so both
@@ -136,7 +177,9 @@ def exchange(legs, reduce, size) -> ray.data.Dataset:
     leg still hands ``reduce`` that leg's typed empty frame, and the
     output is Arrow blocks of one schema, fit to be a leg of the next
     exchange."""
-    mask = pa.scalar((1 << salt_bits(*size)) - 1, pa.int64())
+    blocks = sum(_blocks(ds) for ds, _ in legs)
+    bits = min(max((blocks - 1).bit_length(), JOIN_FLOOR), SALT_BITS_CAP)
+    mask = pa.scalar((1 << bits) - 1, pa.int64())
     empties = [_zero_rows(ds) if fn is None else fn(_zero_rows(ds))
                for ds, fn in legs]
     fields: dict[str, pa.DataType] = {}
@@ -176,7 +219,7 @@ def exchange(legs, reduce, size) -> ray.data.Dataset:
               for i, (ds, fn) in enumerate(legs)]
     out = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
     out = out.groupby("salt").map_groups(group, batch_format="pyarrow")
-    _EMPTY[out] = out_schema.empty_table()
+    _META[out] = (out_schema.empty_table(), blocks)
     return out
 
 
@@ -185,8 +228,8 @@ def collect(ds: ray.data.Dataset) -> pd.DataFrame:
     dtypes when no group produced a row (a groupby with no groups
     yields no blocks, which collect as a columnless frame)."""
     df = ds.to_pandas()
-    if len(df.columns) == 0 and ds in _EMPTY:
-        return _EMPTY[ds].to_pandas()
+    if len(df.columns) == 0 and ds in _META:
+        return _META[ds][0].to_pandas()
     return df
 
 
@@ -196,7 +239,7 @@ def map_typed(ds: ray.data.Dataset, fn) -> ray.data.Dataset:
     driver, so ``collect`` keeps the columns when no block has a row (a
     map over an empty read yields no blocks at all)."""
     out = ds.map_batches(fn, batch_format="pyarrow")
-    _EMPTY[out] = _schema(fn(_zero_rows(ds))).empty_table()
+    _META[out] = (_schema(fn(_zero_rows(ds))).empty_table(), _blocks(ds))
     return out
 
 
@@ -204,8 +247,8 @@ def materialize(ds: ray.data.Dataset) -> ray.data.Dataset:
     """``ds.materialize()`` that stays an exchange output: still a leg
     of the next exchange and collected typed when it has no rows."""
     out = ds.materialize()
-    if ds in _EMPTY:
-        _EMPTY[out] = _EMPTY[ds]
+    if ds in _META:
+        _META[out] = _META[ds]
     return out
 
 
@@ -213,5 +256,5 @@ def from_arrow(t: pa.Table) -> ray.data.Dataset:
     """``ray.data.from_arrow(t)`` that collects typed when ``t`` has no
     rows."""
     out = ray.data.from_arrow(t)
-    _EMPTY[out] = t.schema.empty_table()
+    _META[out] = (t.schema.empty_table(), 1)
     return out

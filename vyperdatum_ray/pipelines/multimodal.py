@@ -19,6 +19,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from vyperdatum_ray.pipelines import exchange
+
 FEATURE_DIM = 8
 
 
@@ -134,7 +136,7 @@ def q_multimodal_decode(sf_dir: str) -> ray.data.Dataset:
     are wide, so batch x concurrency must fit worker heaps."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "html"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
     return ds.map_batches(
         FakeDecoder,
         batch_format="pyarrow",
@@ -157,7 +159,7 @@ def q_html_extract(sf_dir: str) -> ray.data.Dataset:
         text = pc.replace_substring_regex(html, "<[^>]*>", "")
         return pa.table({"url": batch.column("url"), "extracted": text})
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "html"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
     return ds.map_batches(extract, batch_format="pyarrow", batch_size=2048)
 
 
@@ -199,7 +201,7 @@ class FrameSampler:
 def q_frame_sample(sf_dir: str) -> ray.data.Dataset:
     from vyperdatum_ray.fixtures import pages_paths
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "html"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
     return ds.map_batches(
         FrameSampler, batch_format="pyarrow", batch_size=1024,
         concurrency=(1, 4), num_cpus=1,
@@ -258,7 +260,6 @@ def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
     import pandas as pd
 
     from vyperdatum_ray.fixtures import ensure_image_fixtures
-    from vyperdatum_ray.pipelines import exchange
     from vyperdatum_ray.pipelines.textops import _dedup_pair_ds
 
     path = ensure_image_fixtures(sf_dir)
@@ -341,7 +342,5 @@ def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
                              "id_b": np.concatenate(out_b),
                              "hamming": np.concatenate(out_h)})
 
-    size = (path, ("payload",))
-    cand = exchange.exchange([(ray.data.read_parquet(path), phash_bands)],
-                             bucket_pairs, size)
-    return _dedup_pair_ds(cand, size)
+    cand = exchange.exchange([(exchange.read(path), phash_bands)], bucket_pairs)
+    return _dedup_pair_ds(cand)

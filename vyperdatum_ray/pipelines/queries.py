@@ -14,6 +14,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
+from vyperdatum_ray.pipelines import exchange
 from vyperdatum_ray.pipelines.flagship import (
     flagship_fused,
     flagship_pipeline,
@@ -33,7 +34,7 @@ def _geo(sf_dir: str, project: list[str] | None = None) -> ray.data.Dataset:
     from vyperdatum_ray.fixtures import pages_paths
 
     read_cols = ["url", "warc_ts", "text", "lang"]
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=read_cols)
+    ds = exchange.read(pages_paths(sf_dir), read_cols)
     ds = ds.map_batches(geocode_batch, batch_format="pyarrow")
     ds = ds.map_batches(keep_geocoded, batch_format="pyarrow")
     if project is not None:
@@ -269,7 +270,7 @@ def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data
             "lat": pa.array(rlat, pa.float64()),
         })
 
-    ds = ray.data.read_parquet(in_dir)
+    ds = exchange.read(in_dir)
     ds = ds.map_batches(unproject, batch_format="pyarrow")
     ds = ds.map_batches(
         join_transform_batch,
@@ -812,7 +813,7 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "text"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
     if shard_shift is None:
         # footer row count upper-bounds the geocoded subset
         shard_shift = _morton_shard_shift(ds.count())
@@ -837,9 +838,8 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     # fit the bounded iterative-cache budget, else stream twice (the
     # memory-safe 100-TB shape)
     from vyperdatum_ray.pipelines.ann import ITER_CACHE_BYTES
-    from vyperdatum_ray.pipelines.exchange import footer_stats
 
-    url_bytes, n_rows = footer_stats(pages_paths(sf_dir), ["url"])
+    url_bytes, n_rows = exchange.footer_stats(pages_paths(sf_dir), ["url"])
     if url_bytes + 24 * n_rows <= ITER_CACHE_BYTES:
         prepped = prepped.materialize()
 

@@ -45,6 +45,7 @@ from vyperdatum_ray.catalog import Catalog, INPUT_FRAME
 from vyperdatum_ray.core.pipeline_algebra import get_regional_pipeline, parse_pipeline
 from vyperdatum_ray.core.uncertainty import compose_uncertainty
 from vyperdatum_ray.fixtures import catalog_dir, ensure_fixtures
+from vyperdatum_ray.pipelines import exchange
 
 
 def raster_meta(sf_dir: str) -> dict:
@@ -55,7 +56,7 @@ def raster_meta(sf_dir: str) -> dict:
 
 def raster_cells(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
     fx = catalog_dir(sf_dir)
-    return ray.data.read_parquet(os.path.join(fx, "raster_cells.parquet"), columns=columns)
+    return exchange.read(os.path.join(fx, "raster_cells.parquet"), columns)
 
 
 def _candidates(catalog: Catalog, meta: dict) -> list[int]:

@@ -30,17 +30,11 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from vyperdatum_ray.core.nputil import isin_sorted
-from vyperdatum_ray.pipelines.exchange import collect, exchange, footer_stats
+from vyperdatum_ray.pipelines.exchange import collect, exchange, footer_stats, read
 
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
-
-
-def _size(sf_dir: str, name: str, *columns) -> tuple[str, tuple]:
-    """An exchange's ``size``: the footer bytes of ``columns`` of one
-    table set its salt width."""
-    return f"{sf_dir}/{name}.parquet", columns
+    return read(f"{sf_dir}/{name}.parquet", columns)
 
 
 def _np(t: pa.Table, name: str) -> np.ndarray:
@@ -309,8 +303,7 @@ def _per_user(sf_dir: str, columns, fn, keep=None) -> ray.data.Dataset:
         return t.append_column("k", t.column("user_id"))
 
     return exchange([(_t(sf_dir, "events", columns), leg)],
-                    lambda df: fn(df.drop(columns="k")),
-                    _size(sf_dir, "events", *columns))
+                    lambda df: fn(df.drop(columns="k")))
 
 
 def _session_ids(df: pd.DataFrame, gap: np.timedelta64) -> tuple[pd.DataFrame, np.ndarray]:
@@ -429,8 +422,7 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
     cand = collect(exchange(
         [(_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice",
                                   "l_discount", "l_shipdate"]), revenue_partial)],
-        local_topk, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
-                          "l_discount")))
+        local_topk))
     cand = cand.sort_values(["rev", "k"], ascending=[False, True]).head(10)
     return pd.DataFrame({"l_orderkey": cand["k"].to_numpy(np.int64),
                          "revenue": cand["rev"].to_numpy(np.int64) / 10000.0})
@@ -671,8 +663,7 @@ def q_shuffle_join(sf_dir: str) -> pd.DataFrame:
         [(_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
           line_leg),
          (_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]), orders_leg)],
-        join, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
-                    "l_discount")))
+        join))
     agg = parts.groupby("pri", as_index=False).agg(n=("n", "sum"), rev=("rev", "sum"))
     return pd.DataFrame({"o_orderpriority": agg["pri"].to_numpy(object),
                          "n_items": agg["n"].to_numpy(np.int64),
@@ -755,8 +746,6 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
     the first — a test forces that path and asserts identical output.
     Revenue is summed in integer cents x cents for
     partition-order-independent parity."""
-    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey",
-                 "l_extendedprice", "l_discount")
     cust_bytes, _ = footer_stats(f"{sf_dir}/customer.parquet",
                                  ["c_custkey", "c_nationkey"])
 
@@ -838,12 +827,12 @@ def q_tpch_q5(sf_dir: str) -> pd.DataFrame:
 
         ok_nation = (exchange(
             [(_t(sf_dir, "customer", ["c_custkey", "c_nationkey"]), cust_leg),
-             (orders, custkey_leg)], join_custkey, size), None)
+             (orders, custkey_leg)], join_custkey), None)
 
     parts = collect(exchange(
         [ok_nation, (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey",
                                              "l_extendedprice", "l_discount"]),
-                     line_leg)], join_orderkey, size))
+                     line_leg)], join_orderkey))
     agg = parts.groupby("code", as_index=False).agg(rev=("p_rev", "sum"))
     out = pd.DataFrame({
         "n_name": [nat_names[c] for c in agg["code"]],
@@ -902,7 +891,7 @@ def q_tpch_q12(sf_dir: str) -> pd.DataFrame:
         [(_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]), orders_leg),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_shipdate"]),
           line_leg)],
-        join_counts, _size(sf_dir, "lineitem", "l_orderkey", "l_returnflag")))
+        join_counts))
     # <= 6 (flag, hi) rows: driver-side pivot to the Q12 output shape
     piv = agg.pivot_table(index="flag", columns="hi", values="p_n",
                           aggfunc="sum", fill_value=0)
@@ -1038,7 +1027,7 @@ def q_semi_anti_join(sf_dir: str) -> pd.DataFrame:
         [(_t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]),
           orders_leg),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]), line_leg)],
-        reduce_group, _size(sf_dir, "lineitem", "l_orderkey", "l_shipdate")))
+        reduce_group))
     agg = parts.groupby("flag", as_index=False).agg(
         n_orders=("p_n", "sum"), n_late=("p_late", "sum"),
         n_no_lines=("p_none", "sum"))
@@ -1087,8 +1076,7 @@ def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0) -> pd.DataFrame:
 
     surv = collect(exchange(
         [(_t(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]), qty_partial)],
-        having_filter, _size(sf_dir, "lineitem", "l_orderkey", "l_quantity"))
-    ).sort_values("k")
+        having_filter)).sort_values("k")
     surv_ref = ray.put((surv["k"].to_numpy(np.int64),
                         surv["q"].to_numpy(np.int64)))
 
@@ -1296,8 +1284,7 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None) -> pd.DataFrame:
           lambda b: pa.table({"k": orders_keys(b).astype(np.int64)})),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]),
           line_leg)],
-        verify, _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
-                      "l_discount")))
+        verify))
     n = int(parts["p_n"].sum())
     return pd.DataFrame({
         "revenue": [int(parts["p_rev"].sum()) / 10000.0 if n else np.nan],
@@ -1350,7 +1337,7 @@ def q_tpch_q13(sf_dir: str) -> pd.DataFrame:
         [(_t(sf_dir, "customer", ["c_custkey"]),
           lambda b: pa.table({"k": b.column("c_custkey")})),
          (_t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), orders_leg)],
-        reduce_group, _size(sf_dir, "orders", "o_custkey", "o_orderpriority")))
+        reduce_group))
     agg = parts.groupby("c_count", as_index=False).agg(
         custdist=("p_dist", "sum"))
     agg = agg.sort_values(["custdist", "c_count"],
@@ -1387,7 +1374,6 @@ def q_tpch_q16(sf_dir: str) -> pd.DataFrame:
     more than both exchanges combined). Per-group payload stays
     bounded: quads per attribute triple cap at supplier cardinality,
     and the hash spreads triples across the salted width."""
-    size = _size(sf_dir, "lineitem", "l_partkey", "l_suppkey")
     sizes = np.array(Q16_SIZES, np.int64)
 
     def part_leg(batch: pa.Table) -> pa.Table:
@@ -1420,10 +1406,10 @@ def q_tpch_q16(sf_dir: str) -> pd.DataFrame:
     quads = exchange(
         [(_t(sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]), part_leg),
          (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]), line_leg)],
-        attach_attrs, size)
+        attach_attrs)
     # the count_group output IS the (result-sized, attribute-domain-
     # bounded) answer — collecting it is the query's return contract
-    agg = collect(exchange([(quads, None)], count_group, size)).rename(
+    agg = collect(exchange([(quads, None)], count_group)).rename(
         columns={"brand": "p_brand", "ptype": "p_type", "size": "p_size"})
     agg = agg.sort_values(
         ["supplier_cnt", "p_brand", "p_type", "p_size"],
@@ -1487,7 +1473,7 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
     parts = collect(exchange(
         [(_t(sf_dir, "customer", cust_cols), cust_leg),
          (_t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), orders_leg)],
-        reduce_group, _size(sf_dir, "orders", "o_custkey", "o_orderpriority")))
+        reduce_group))
     agg = parts.groupby("seg", as_index=False).agg(
         numcust=("p_n", "sum"), cents=("p_cents", "sum"))
     out = pd.DataFrame({
@@ -1554,8 +1540,7 @@ def q_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
         })
 
     cols = ["l_partkey", "l_suppkey", "l_extendedprice"]
-    return exchange([(_t(sf_dir, "lineitem", cols), line_leg)], reduce_group,
-                    _size(sf_dir, "lineitem", *cols))
+    return exchange([(_t(sf_dir, "lineitem", cols), line_leg)], reduce_group)
 
 
 ORACLES["min_cost_supplier"] = """
@@ -1608,8 +1593,7 @@ def q_running_total(sf_dir: str) -> ray.data.Dataset:
         })
 
     cols = ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]
-    return exchange([(_t(sf_dir, "orders", cols), leg)], window,
-                    _size(sf_dir, "orders", *cols))
+    return exchange([(_t(sf_dir, "orders", cols), leg)], window)
 
 
 ORACLES["running_total"] = """
@@ -1681,7 +1665,7 @@ def q_full_outer_join(sf_dir: str) -> ray.data.Dataset:
         [(_t(sf_dir, "events", ["user_id"]), events_leg),
          (_t(sf_dir, "customer", ["c_custkey", "c_acctbal"]),
           lambda b: pa.table({"k": b.column("c_custkey"), "bal": b.column("c_acctbal")}))],
-        reduce_group, _size(sf_dir, "events", "user_id"))
+        reduce_group)
 
 
 ORACLES["full_outer_join"] = """
@@ -1742,8 +1726,7 @@ def q_tpch_q17(sf_dir: str,
           lambda b: pa.table({"k": part_keys(b)})),
          (_t(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]),
           line_leg)],
-        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_quantity",
-                            "l_extendedprice")))
+        reduce_group))
     n = int(parts["p_n"].sum())
     return pd.DataFrame({
         "avg_yearly": [int(parts["p_cents"].sum()) / 100.0 / 7.0 if n else np.nan],
@@ -1788,8 +1771,7 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
         return g.astype({"k": np.int64, "r": np.int64})
 
     cols = ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals,
-                   _size(sf_dir, "lineitem", *cols)).materialize()
+    tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals).materialize()
     from ray.data.aggregate import Max
     mx = tot.aggregate(Max("r", alias_name="mx"))["mx"]
     if mx is None:
@@ -1837,8 +1819,6 @@ def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
     truncation. Only the k winners' names are fetched — a distributed
     membership filter over customer, never a full dimension
     broadcast; nation is a tiny driver-side dim."""
-    size = _size(sf_dir, "lineitem", "l_orderkey", "l_extendedprice",
-                 "l_discount", "l_returnflag")
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
     hi = pa.scalar(datetime.datetime(1996, 7, 1), type=pa.timestamp("us"))
 
@@ -1875,11 +1855,11 @@ def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
           orders_leg),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount",
                                   "l_returnflag"]), line_leg)],
-        join_orders, size)
+        join_orders)
     cand = collect(exchange(
         [(by_cust, None), (_t(sf_dir, "customer", ["c_custkey"]),
                            lambda b: pa.table({"k": b.column("c_custkey")}))],
-        topk_group, size))
+        topk_group))
     if cand.empty:
         return pd.DataFrame({"c_custkey": pd.Series([], dtype=np.int64),
                              "c_name": pd.Series([], dtype=object),
@@ -1965,8 +1945,7 @@ def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
         [(_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_orderdate"]),
           orders_leg),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]), line_leg)],
-        reduce_group, _size(sf_dir, "orders", "o_orderkey", "o_orderpriority",
-                            "o_orderdate")))
+        reduce_group))
     if parts.empty:
         return pd.DataFrame({"o_orderpriority": pd.Series([], dtype=object),
                              "order_count": pd.Series([], dtype=np.int64)})
@@ -2052,8 +2031,7 @@ def q_tpch_q9(sf_dir: str, name_like: str = "widget",
           lambda b: pa.table({"k": part_keys(b)})),
          (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice",
                                   "l_discount", "l_shipdate"]), line_leg)],
-        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_suppkey",
-                            "l_extendedprice", "l_discount", "l_shipdate")))
+        reduce_group))
     agg = parts.groupby(["code", "yr"], as_index=False).agg(rev=("rev", "sum"))
     nmap = dict(zip(nation["n_nationkey"].astype(int), nation["n_name"]))
     # a supplier nation missing from `nation` drops, as the inner join does
@@ -2147,8 +2125,7 @@ def q_tpch_q19(sf_dir: str,
         [(_t(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]), part_leg),
          (_t(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice",
                                   "l_discount"]), line_leg)],
-        reduce_group, _size(sf_dir, "lineitem", "l_partkey", "l_quantity",
-                            "l_extendedprice", "l_discount")))
+        reduce_group))
     n = int(parts["n"].sum())
     return pd.DataFrame({
         "revenue": [int(parts["cents"].sum()) / 10000.0 if n else np.nan],
@@ -2200,8 +2177,7 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
         return g.astype({"k": np.int64, "v": np.int64})
 
     cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    tot = exchange([(_t(sf_dir, "lineitem", cols), partial)], totals,
-                   _size(sf_dir, "lineitem", *cols)).materialize()
+    tot = exchange([(_t(sf_dir, "lineitem", cols), partial)], totals).materialize()
     total = tot.aggregate(Sum("v", alias_name="t"))["t"]
     if total is None:
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
@@ -2250,7 +2226,6 @@ def q_tpch_q21(sf_dir: str, k: int = 100) -> pd.DataFrame:
     the local top-k truncation) and emits its local top-k; the driver
     merges groups x k candidates and fetches only the winners' names
     via a distributed membership filter."""
-    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey", "l_returnflag")
 
     def line_leg(batch: pa.Table) -> pa.Table:
         g = pd.DataFrame({
@@ -2285,11 +2260,11 @@ def q_tpch_q21(sf_dir: str, k: int = 100) -> pd.DataFrame:
           lambda b: pa.table({"k": _np(b.filter(pc.equal(
               b.column("o_orderstatus"), "F")), "o_orderkey")})),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"]),
-          line_leg)], waits_group, size)
+          line_leg)], waits_group)
     cand = collect(exchange(
         [(waits, None), (_t(sf_dir, "supplier", ["s_suppkey"]),
                          lambda b: pa.table({"k": b.column("s_suppkey")}))],
-        topk_group, size))
+        topk_group))
     if cand.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object),
@@ -2342,8 +2317,6 @@ def q_tpch_q7(sf_dir: str, nation_a: str = "NATION_3",
     <=2 x 2 x years partial summed on the driver (Q13 lesson).
     Native ``Dataset.join`` is deliberately NOT used twice in one DAG
     (the 2-join aggregator-pool deadlock, CLAUDE.md)."""
-    size = _size(sf_dir, "lineitem", "l_orderkey", "l_suppkey", "l_extendedprice",
-                 "l_discount", "l_shipdate")
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
     nk = {name: int(nation.loc[nation["n_name"] == name,
                                "n_nationkey"].iloc[0])
@@ -2399,12 +2372,12 @@ def q_tpch_q7(sf_dir: str, nation_a: str = "NATION_3",
          (_t(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
           lambda b: pa.table({"k": b.column("o_custkey"),
                               "ok": b.column("o_orderkey")}))],
-        join_custkey, size)
+        join_custkey)
     parts = collect(exchange(
         [(orders_by_cust, None),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
                                   "l_discount", "l_shipdate"]), line_leg)],
-        join_orderkey, size))
+        join_orderkey))
     agg = parts.groupby(["code", "ccode", "yr"], as_index=False).agg(
         rev=("rev", "sum"))
     out = pd.DataFrame({
@@ -2476,8 +2449,6 @@ def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
     supp-code, cents) partials — a <=25 x years domain summed on the
     driver, where the share divides two exact int64 sums in float64
     (identical doubles in DuckDB's BIGINT/BIGINT division)."""
-    size = _size(sf_dir, "lineitem", "l_orderkey", "l_partkey", "l_suppkey",
-                 "l_extendedprice", "l_discount")
     nation = _dim_pandas(sf_dir, "nation",
                          ["n_nationkey", "n_name", "n_regionkey"])
     region = _dim_pandas(sf_dir, "region")
@@ -2560,16 +2531,16 @@ def q_tpch_q8(sf_dir: str, target_nation: str = "NATION_3",
           lambda b: pa.table({"k": part_keys(b)})),
          (_t(sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_suppkey",
                                   "l_extendedprice", "l_discount"]), line_leg)],
-        join_partkey, size)
+        join_partkey)
     order_in_region = exchange(
         [(_t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
           lambda b: pa.table({"k": _np(b, "c_custkey")[
               np.isin(_np(b, "c_nationkey"), region_nations)]})),
          (_t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
           orders_leg)],
-        join_custkey, size)
+        join_custkey)
     parts = collect(exchange([(order_in_region, None), (line_by_order, None)],
-                             join_orderkey, size))
+                             join_orderkey))
     agg = parts.groupby(["yr", "code"], as_index=False).agg(rev=("rev", "sum"))
     years = np.sort(agg["yr"].unique())
     tgt = np.array([agg.loc[(agg["yr"] == y) & (agg["code"] == target_nk),
@@ -2644,8 +2615,7 @@ def q_event_lag_delta(sf_dir: str) -> ray.data.Dataset:
         })
 
     cols = ["event_id", "ts", "user_id", "value"]
-    return exchange([(_t(sf_dir, "events", cols), leg)], window,
-                    _size(sf_dir, "events", *cols))
+    return exchange([(_t(sf_dir, "events", cols), leg)], window)
 
 
 ORACLES["event_lag_delta"] = """
@@ -2700,8 +2670,7 @@ def q_funnel_conversion(sf_dir: str) -> pd.DataFrame:
         })
 
     cols = ["user_id", "ts", "event_type"]
-    parts = collect(exchange([(_t(sf_dir, "events", cols), leg)], reduce_group,
-                             _size(sf_dir, "events", *cols)))
+    parts = collect(exchange([(_t(sf_dir, "events", cols), leg)], reduce_group))
     return pd.DataFrame({
         "n_signup": np.array([int(parts["n_signup"].sum())], np.int64),
         "n_converted": np.array([int(parts["n_converted"].sum())], np.int64)})
@@ -2731,7 +2700,6 @@ def q_tpch_q20(sf_dir: str, name_like: str = "widget",
     exchange de-duplicates across parts and carries the supplier-name
     membership leg (Q10 lesson), and the driver collects only the
     supplier-bounded winner set."""
-    size = _size(sf_dir, "lineitem", "l_partkey", "l_suppkey", "l_quantity")
 
     def part_keys(batch: pa.Table) -> np.ndarray:
         return _np(batch.filter(pc.match_substring(batch.column("p_name"), name_like)),
@@ -2770,11 +2738,11 @@ def q_tpch_q20(sf_dir: str, name_like: str = "widget",
         [(_t(sf_dir, "part", ["p_partkey", "p_name"]),
           lambda b: pa.table({"k": part_keys(b)})),
          (_t(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"]),
-          line_leg)], majority_group, size)
+          line_leg)], majority_group)
     winners = collect(exchange(
         [(majority, None), (_t(sf_dir, "supplier", ["s_suppkey"]),
                             lambda b: pa.table({"k": b.column("s_suppkey")}))],
-        distinct_group, size))
+        distinct_group))
     if winners.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object)})
@@ -2840,8 +2808,7 @@ def q_gap_fill_resample(sf_dir: str) -> pd.DataFrame:
                              "p_n": g["p_n"].to_numpy(np.int64)})
 
     parts = collect(exchange(
-        [(_t(sf_dir, "events", ["ts", "event_type"]), partial)], totals,
-        _size(sf_dir, "events", "ts", "event_type")))
+        [(_t(sf_dir, "events", ["ts", "event_type"]), partial)], totals))
     if parts.empty:
         return pd.DataFrame({"event_type": pd.Series([], dtype=object),
                              "hour": pd.Series([], dtype=np.int64),
@@ -2988,8 +2955,7 @@ def _year_mask_custs(sf_dir: str, mask: int) -> pd.DataFrame:
         return pd.DataFrame({"c_custkey": g.loc[g["m"] == mask, "k"].to_numpy(np.int64)})
 
     out = collect(exchange(
-        [(_t(sf_dir, "orders", ["o_custkey", "o_orderdate"]), leg)], pick,
-        _size(sf_dir, "orders", "o_custkey", "o_orderdate")))
+        [(_t(sf_dir, "orders", ["o_custkey", "o_orderdate"]), leg)], pick))
     return out.sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -3172,8 +3138,7 @@ def q_price_band_join(sf_dir: str, band_cents: int = 100) -> ray.data.Dataset:
         })
 
     cols = ["p_partkey", "p_retailprice"]
-    return exchange([(_t(sf_dir, "part", cols), leg)], pair_group,
-                    _size(sf_dir, "part", *cols))
+    return exchange([(_t(sf_dir, "part", cols), leg)], pair_group)
 
 
 ORACLES["price_band_join"] = """

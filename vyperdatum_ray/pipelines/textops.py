@@ -7,8 +7,9 @@ pair-dedup stages, neardup_jaccard's text fetch) is one
 ``exchange.exchange``: each leg keys its rows by an int64 ``k`` (a text
 hash, a (band, value) bucket, a mixed id pair) in its own map task, and
 the reduce compares the real values inside each salt group, so key
-collisions cannot merge distinct texts or buckets. The salt width comes
-from the corpus footer bytes.
+collisions cannot merge distinct texts or buckets. Every read goes
+through ``exchange.read`` (one block per row group), and each exchange
+takes its salt width from its legs' blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ NORMALIZE_PATTERN = r"[0-9]+(\.[0-9]+)?"  # digits (incl. decimals) -> '#'
 
 
 def _docs(sf_dir: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return exchange.read(f"{sf_dir}/documents.parquet", columns)
 
 
 def _hash_utf8_fast(arr) -> np.ndarray:
@@ -43,11 +44,6 @@ def _hash_utf8_fast(arr) -> np.ndarray:
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     return pl.from_arrow(arr).hash(seed=42).to_numpy().astype(np.uint64)
-
-
-def _docs_size(sf_dir: str) -> tuple:
-    """The ``size`` of every exchange over documents: their text footer."""
-    return (f"{sf_dir}/documents.parquet", ("doc_id", "text"))
 
 
 def _hash_key(arr) -> pa.Array:
@@ -72,8 +68,7 @@ def q_dedup_exact(sf_dir: str) -> ray.data.Dataset:
         return g[["doc_id", "n_dups"]]
 
     return exchange.exchange(
-        [(_docs(sf_dir, ["doc_id", "text"]), key)], reduce_group,
-        _docs_size(sf_dir))
+        [(_docs(sf_dir, ["doc_id", "text"]), key)], reduce_group)
 
 
 def q_dedup_normalized(sf_dir: str) -> ray.data.Dataset:
@@ -94,8 +89,8 @@ def q_dedup_normalized(sf_dir: str) -> ray.data.Dataset:
 
     paths = pages_paths(sf_dir)
     return exchange.exchange(
-        [(ray.data.read_parquet(paths, columns=["url", "text"]), key)],
-        reduce_group, (paths, ("url", "text")))
+        [(exchange.read(paths, ["url", "text"]), key)],
+        reduce_group)
 
 
 CONTAM_N = 8          # n-gram width for decontamination
@@ -211,7 +206,7 @@ def q_pii_redact(sf_dir: str) -> ray.data.Dataset:
             "redacted": red,
         })
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "text"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
     return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
 
 
@@ -237,8 +232,8 @@ def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
     broadcast, pass 2 becomes a line-hash repartition join (same
     union + bounded-salt groupby shape as neardup_jaccard's exchange
     path); the broadcast form is the common case. The pass-1 groups
-    carry (line, partial count) rows, whose distinct-line payload tracks
-    the text bytes that size the exchange."""
+    carry (line, partial count) rows, one partial per distinct line per
+    read block."""
     from vyperdatum_ray.fixtures import pages_paths
 
     paths = pages_paths(sf_dir)
@@ -255,8 +250,8 @@ def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
         return g[g["n"] >= min_count]
 
     hot = exchange.exchange(
-        [(ray.data.read_parquet(paths, columns=["text"]), line_partials)],
-        reduce_hot, (paths, ("text",)))
+        [(exchange.read(paths, ["text"]), line_partials)],
+        reduce_hot)
     hot_ref = ray.put(pa.array(exchange.collect(hot)["line"], pa.string()))
 
     def clean(batch: pa.Table) -> pa.Table:
@@ -284,7 +279,7 @@ def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
         })
 
     return exchange.map_typed(
-        ray.data.read_parquet(paths, columns=["url", "text"]), clean)
+        exchange.read(paths, ["url", "text"]), clean)
 
 
 NEARDUP_CLUSTER_PAIR_CAP = 2_000_000  # driver union-find edge budget
@@ -716,11 +711,10 @@ def _pairs_grouped(df: pd.DataFrame, value_col: str) -> pd.DataFrame:
                          "id_b": np.concatenate(b_parts)})
 
 
-def _dedup_pair_ds(cand: ray.data.Dataset, size) -> ray.data.Dataset:
+def _dedup_pair_ds(cand: ray.data.Dataset) -> ray.data.Dataset:
     """Global (id_a, id_b) pair dedup of an exchange's output ``cand``:
     one exchange keyed by the mixed id pair, keeping the first row of
-    each pair with all of ``cand``'s other columns. ``size`` is the
-    ``(paths, columns)`` footer the pair set derives from."""
+    each pair with all of ``cand``'s other columns."""
 
     def key(t: pa.Table) -> pa.Table:
         a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -731,7 +725,7 @@ def _dedup_pair_ds(cand: ray.data.Dataset, size) -> ray.data.Dataset:
     def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(subset=["id_a", "id_b"]).drop(columns="k")
 
-    return exchange.exchange([(cand, key)], dedup_pairs, size)
+    return exchange.exchange([(cand, key)], dedup_pairs)
 
 
 class MinHashStage:
@@ -801,12 +795,11 @@ def _minhash_candidates_raw(sf_dir: str) -> ray.data.Dataset:
     A pair colliding in several bands appears once per band; callers
     dedup either distributed (`_dedup_pair_ds`, the standalone query)
     or driver-side on the collected bounded pair list (the jaccard fast
-    path — saves a full Ray sort). The band rows are sized by the text
-    bytes they are computed from, which over-provisions the width."""
+    path — saves a full Ray sort)."""
     return exchange.exchange(
         [(_docs(sf_dir, ["doc_id", "text"]),
           lambda t: _band_key(_minhash_explode(t), "band_hash"))],
-        lambda df: _pairs_grouped(df, "band_hash"), _docs_size(sf_dir))
+        lambda df: _pairs_grouped(df, "band_hash"))
 
 
 def q_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
@@ -817,7 +810,7 @@ def q_minhash_pairs(sf_dir: str) -> ray.data.Dataset:
     Mega-buckets (> 64 ids sharing a band hash — template spam at web
     scale) are dropped, the standard LSH guard against the O(n^2) pair
     explosion a hot bucket would cause."""
-    return _dedup_pair_ds(_minhash_candidates_raw(sf_dir), _docs_size(sf_dir))
+    return _dedup_pair_ds(_minhash_candidates_raw(sf_dir))
 
 
 class SimHashStage:
@@ -899,7 +892,7 @@ def q_html_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "html"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
     return ds.map_batches(f, batch_format="pyarrow")
 
 
@@ -981,7 +974,6 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
     # full Ray sort); the exchange path dedups distributed below
     raw = exchange.materialize(_minhash_candidates_raw(sf_dir))
     docs = _docs(sf_dir, ["doc_id", "text"])
-    size = _docs_size(sf_dir)
 
     def id_partial(t: pa.Table) -> pa.Table:
         both = pa.chunked_array([t.column("id_a"), t.column("id_b")]).combine_chunks()
@@ -1066,7 +1058,7 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
             "jaccard": pa.array(np.round(jac[keep], 6), pa.float64()),
         }))
 
-    cand = _dedup_pair_ds(raw, size)  # exchange path: distributed pair dedup
+    cand = _dedup_pair_ds(raw)  # exchange path: distributed pair dedup
 
     def requests(t: pa.Table) -> pa.Table:
         """Two doc-keyed fetch requests per candidate pair, one per
@@ -1131,8 +1123,8 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
         })
 
     resolved = exchange.exchange([(docs, doc_side), (cand, requests)],
-                                 resolve_texts, size)
-    return exchange.exchange([(resolved, None)], score_pairs, size)
+                                 resolve_texts)
+    return exchange.exchange([(resolved, None)], score_pairs)
 
 
 def q_simhash_neardup(sf_dir: str, bits_per_band: int = 16) -> ray.data.Dataset:
@@ -1156,12 +1148,11 @@ def q_simhash_neardup(sf_dir: str, bits_per_band: int = 16) -> ray.data.Dataset:
             "id": pa.array(np.repeat(ids, n_bands), pa.int64()),
         })
 
-    size = _docs_size(sf_dir)
     cand = exchange.exchange(
         [(_docs(sf_dir, ["doc_id", "text"]),
           lambda t: _band_key(explode(_simhash_stage_cached()(t)), "band_val"))],
-        lambda df: _pairs_grouped(df, "band_val"), size)
-    return _dedup_pair_ds(cand, size)
+        lambda df: _pairs_grouped(df, "band_val"))
+    return _dedup_pair_ds(cand)
 
 
 def _host_of(url_col) -> pa.Array:
@@ -1184,7 +1175,7 @@ def q_distinct_hosts(sf_dir: str) -> pd.DataFrame:
         hosts = _host_of(batch.column("url"))
         return pa.table({"host": pc.unique(hosts)})
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url"])
+    ds = exchange.read(pages_paths(sf_dir), ["url"])
     n = ds.map_batches(partial, batch_format="pyarrow").groupby("host").count().count()
     return pd.DataFrame([{"n_hosts": n}])
 
@@ -1221,7 +1212,7 @@ def q_approx_distinct_hosts(sf_dir: str) -> pd.DataFrame:
 
     from ray.data.aggregate import Max
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url"])
+    ds = exchange.read(pages_paths(sf_dir), ["url"])
     regs = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("register")
@@ -1252,7 +1243,7 @@ def q_top_hosts(sf_dir: str, k: int = 20) -> ray.data.Dataset:
         return pa.table({"host": vc.field("values"),
                          "p_n": pc.cast(vc.field("counts"), pa.int64())})
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url"])
+    ds = exchange.read(pages_paths(sf_dir), ["url"])
     out = ds.map_batches(partial, batch_format="pyarrow").groupby("host").aggregate(
         Sum("p_n", alias_name="n_pages"))
     return out.sort(["n_pages", "host"], descending=[True, False]).limit(k)
@@ -1303,7 +1294,7 @@ def q_top_hosts_sketch(sf_dir: str, k: int = 20) -> pd.DataFrame:
                              "host": np.asarray(names)[order]})
         return pa.Table.from_pandas(pd.concat([cells, cand]), preserve_index=False)
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url"])
+    ds = exchange.read(pages_paths(sf_dir), ["url"])
     merged = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby(["cell", "host"])
@@ -2288,7 +2279,7 @@ def q_domain_quality(sf_dir: str, k: int = 20) -> ray.data.Dataset:
             "mean_quality_permille": pa.array(w // np.maximum(n, 1), pa.int64()),
         })
 
-    ds = ray.data.read_parquet(pages_paths(sf_dir), columns=["url", "text"])
+    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
     out = (ds.map_batches(partial, batch_format="pyarrow")
            .groupby("host")
            .aggregate(Sum("p_n", alias_name="n_pages"),
@@ -2344,8 +2335,8 @@ def q_url_dedup(sf_dir: str) -> ray.data.Dataset:
 
     paths = pages_paths(sf_dir)
     return exchange.exchange(
-        [(ray.data.read_parquet(paths, columns=["url"]), prep)],
-        reduce_group, (paths, ("url",)))
+        [(exchange.read(paths, ["url"]), prep)],
+        reduce_group)
 
 
 def url_dedup_oracle_sql(fx: str) -> str:

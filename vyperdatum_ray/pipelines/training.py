@@ -19,8 +19,7 @@ import ray
 import ray.data
 
 from vyperdatum_ray.pipelines import exchange
-from vyperdatum_ray.pipelines.textops import (SAMPLE_MOD, _docs, _docs_size,
-                                              _hash_key)
+from vyperdatum_ray.pipelines.textops import SAMPLE_MOD, _docs, _hash_key
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 # Distinct odd multipliers per purpose (xxhash32 primes) so the split,
@@ -139,14 +138,12 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
        broadcast.
 
     The shuffles carry only (shard, doc_id, n_tok) int rows, one per
-    document, sized by the doc_id footer bytes — text never leaves the
-    fused read tasks."""
+    document — text never leaves the fused read tasks."""
     from ray.data.aggregate import Sum
 
     docs = _docs(sf_dir, ["doc_id", "text"])
     if shard_bits is None:
         shard_bits = _pack_shard_bits(docs.count())  # metadata-only count
-    size = (f"{sf_dir}/documents.parquet", ("doc_id",))
 
     def shard_partial(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -207,7 +204,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
             g_shards, g_offs = ray.get(off_ref)
             return _rebase(df, g_shards, g_offs)
 
-        return exchange.exchange([(docs, prep)], pack_group, size)
+        return exchange.exchange([(docs, prep)], pack_group)
 
     # --- two-level prefix: driver holds only SUPER-shard offsets ---
     SUPER_BITS = 10  # 1024 shards per super-shard
@@ -252,7 +249,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         return pd.DataFrame({"k": sh, "off": off})
 
     shard_offs_ds = exchange.exchange([(totals_ds, super_key)],
-                                      shard_offsets_group, size)
+                                      shard_offsets_group)
 
     def pack_group_joined(d, offmap):
         offmap = offmap.sort_values("k")
@@ -260,7 +257,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
                        offmap["off"].to_numpy(np.int64))
 
     return exchange.exchange([(docs, prep), (shard_offs_ds, None)],
-                             pack_group_joined, size)
+                             pack_group_joined)
 
 
 SEQ_PACK_ORACLE = r"""
@@ -373,10 +370,9 @@ def q_corpus_pipeline(sf_dir: str,
     deterministic train/val/test split. Shapes: one broadcast (probe
     vocabulary), one stateless-task scan fused into the read, and one
     exchange keyed by the text hash for the dedup (the only all-to-all;
-    it carries surviving text once). The exchange is sized from the RAW
-    ``documents.parquet`` footer, also when ``input_ds`` replaces the
-    read: curation only shrinks the payload, so this over-provisions
-    safely."""
+    it carries surviving text once). Its salt width comes from the
+    read's blocks; a caller's lazy ``input_ds`` counts as one block, so the
+    exchange runs at the floor width."""
     from vyperdatum_ray.pipelines.textops import contam_probe_ref
 
     probe_ref = contam_probe_ref(sf_dir, input_ds=input_ds)
@@ -399,7 +395,7 @@ def q_corpus_pipeline(sf_dir: str,
                               np.where(bucket < 990, "val", "test"))
         return g[["doc_id", "n_tok", "split"]]
 
-    return exchange.exchange([(docs, curate)], dedup_split, _docs_size(sf_dir))
+    return exchange.exchange([(docs, curate)], dedup_split)
 
 
 def corpus_pipeline_oracle_sql() -> str:
