@@ -49,3 +49,17 @@ def test_reads_go_through_the_exchange_helper():
     )
     found = {os.path.relpath(p, ROOT) for p in out.stdout.split()}
     assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found
+
+
+def test_checkpointed_writers_dispatch_plain_tasks():
+    """Both checkpointed writers (the flagship sink and the corpus run)
+    return metrics plus files, so they dispatch ``ray.remote`` tasks:
+    nothing under ``vyperdatum_ray/state/`` names Ray Data or the
+    flagship's Dataset builder."""
+    out = subprocess.run(
+        ["grep", "-rnF", "--include=*.py", "-e", "ray.data", "-e", "_per_shard",
+         "-e", ".map_batches(", "-e", ".iter_rows(",
+         os.path.join(ROOT, "vyperdatum_ray", "state")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1 and not out.stdout, out.stdout

@@ -69,3 +69,56 @@ def test_nearest_and_knn_nodes():
     assert np.all(np.diff(kd, axis=1) >= 0)
     assert kx[0, 0] == ix[0] and ky[0, 0] == iy[0]
     assert kx.shape == (2, 4)
+
+
+def test_catalog_load_groups_every_grids_rows(tmp_path):
+    """``Catalog.from_dir`` on a many-grid catalog whose value rows are
+    interleaved across grids, with duplicate nodes (the later row wins)
+    and one grid without value rows: every grid equals what a per-key
+    mask over ``grid_values.parquet`` selects."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from vyperdatum_ray.catalog import Catalog
+    from vyperdatum_ray.fixtures import ensure_fixtures
+
+    src = ensure_fixtures("/root/testdata/sf0.001")["catalog_dir"]
+    for name in ("region_catalog.parquet", "region_edges.parquet",
+                 "sigma.parquet", "sigma_geoid.parquet"):
+        shutil.copy(f"{src}/{name}", tmp_path / name)
+    meta = pq.read_table(f"{src}/grid_meta.parquet")
+    vals = pq.read_table(f"{src}/grid_values.parquet")
+    rng = np.random.default_rng(7)
+    metas, parts = [], []
+    for copy in range(8):  # 8 x the fixture's grids, renamed
+        metas.append(meta.set_column(0, "grid_key", pa.array(
+            [f"{k}#{copy}" for k in meta["grid_key"].to_pylist()])))
+        parts.append(pa.table({
+            "grid_key": [f"{k}#{copy}" for k in vals["grid_key"].to_pylist()],
+            "ix": vals["ix"], "iy": vals["iy"],
+            "v": pa.array(vals["v"].to_numpy() + copy)}))
+    long = pa.concat_tables(parts)
+    dup = long.slice(0, 500)  # the same nodes again, other values
+    dup = dup.set_column(3, "v", pa.array(dup["v"].to_numpy() + 0.5))
+    long = pa.concat_tables([long, dup])
+    long = long.take(rng.permutation(long.num_rows))
+    empty = metas[0].slice(0, 1).set_column(0, "grid_key", pa.array(["NOVALUES/x"]))
+    meta_all = pa.concat_tables(metas + [empty])
+    pq.write_table(meta_all, tmp_path / "grid_meta.parquet")
+    pq.write_table(long, tmp_path / "grid_values.parquet", row_group_size=50_000)
+
+    cat = Catalog.from_dir(str(tmp_path))
+    gk = np.asarray(long["grid_key"])
+    assert len(cat.grids) == meta_all.num_rows
+    for m in meta_all.to_pylist():
+        sel = gk == m["grid_key"]
+        want = grid_from_long(m["origin_x"], m["origin_y"], m["dx"], m["dy"],
+                              int(m["nx"]), int(m["ny"]), np.asarray(long["ix"])[sel],
+                              np.asarray(long["iy"])[sel], np.asarray(long["v"])[sel])
+        got = cat.grids[m["grid_key"]]
+        assert (got.origin_x, got.origin_y, got.dx, got.dy) == (
+            want.origin_x, want.origin_y, want.dx, want.dy)
+        np.testing.assert_array_equal(got.values, want.values)
+    assert np.isnan(cat.grids["NOVALUES/x"].values).all()

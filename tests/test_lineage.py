@@ -274,18 +274,21 @@ def _private_sf(tmp_path, monkeypatch, extra: dict | None = None) -> str:
 
 def test_crash_mid_run_keeps_finished_shards_and_resumes(
         ray_session, tmp_path, monkeypatch):
-    """A shard task that raises fails the run; every record committed
-    before the failure describes a complete partition, the broken shard
-    has none, and the resume runs exactly the uncommitted shards into
-    output identical to a clean run. How many shards finish before the
-    failure depends on timing, so the test does not fix that number."""
+    """A shard task that raises fails the run, but only after the tasks
+    still in flight have finished: with one corrupt shard of 4, exactly
+    the other 3 are committed, each record describes a complete
+    partition, and no partition lacks its record. The resume runs only
+    the broken shard into output identical to a clean run."""
+    from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.state.lineage import (completed_shards,
                                               run_flagship_checkpointed)
 
-    sf = _private_sf(tmp_path, monkeypatch)
+    extra = pq.read_table(sorted(pages_paths(SF))[0]).slice(0, 2_000)
+    sf = _private_sf(tmp_path, monkeypatch, {"part-0003": extra})
     clean_out, out = str(tmp_path / "clean"), str(tmp_path / "out")
     clean = run_flagship_checkpointed(sf, clean_out)
     version = clean["transform_version"]
+    assert clean["n_shards_total"] == 4
 
     victim = os.path.join(sf, "pages", "part-0001.parquet")
     data = open(victim, "rb").read()
@@ -295,7 +298,9 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
         run_flagship_checkpointed(sf, out)
 
     committed = completed_shards(out, version)
-    assert "part-0001" not in committed
+    assert set(committed) == {"part-0000", "part-0002", "part-0003"}
+    assert sorted(d for d in os.listdir(out) if d.startswith("shard=")) == [
+        f"shard={s}" for s in sorted(committed)]
     before = {}
     for shard, rec in committed.items():
         part = os.path.join(out, f"shard={shard}", "part-0.parquet")
@@ -305,12 +310,68 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
     with open(victim, "wb") as f:
         f.write(data)
     m = run_flagship_checkpointed(sf, out)
-    assert m["n_shards_skipped"] == len(committed)
-    assert m["n_shards_run"] == m["n_shards_total"] - len(committed)
+    assert (m["n_shards_skipped"], m["n_shards_run"]) == (3, 1)
     for shard, mtime in before.items():  # finished shards were not rewritten
         part = os.path.join(out, f"shard={shard}", "part-0.parquet")
         assert os.stat(part).st_mtime_ns == mtime
     pd.testing.assert_frame_equal(_read_output(out), _read_output(clean_out))
+
+
+def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):
+    """Each record's ``n_no_geocode``/``n_no_region``/``n_no_coverage``
+    and the run's summed metrics line equal a driver-side pass of the
+    stage functions over the same shards: rows that do not geocode,
+    geocoded rows outside every region polygon, and rows inside a region
+    that no grid covers. The fixture catalog covers every region fully,
+    so a second catalog blanks one region's grids to make the last
+    count non-zero."""
+    import copy
+
+    import numpy as np
+
+    from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
+    from vyperdatum_ray.pipelines.flagship import load_catalog
+    from vyperdatum_ray.stages.cellindex import cell_index_batch
+    from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
+    from vyperdatum_ray.stages.region_join import RegionJoiner
+    from vyperdatum_ray.stages.transform import DatumTransformer
+    from vyperdatum_ray.state.lineage import (DROP_COUNTERS, completed_shards,
+                                              run_flagship_checkpointed)
+
+    sf = "/root/testdata/sf0.001"
+    ensure_fixtures(sf)
+    catalog = load_catalog(sf)
+    blanked = copy.deepcopy(catalog)
+    for key, grid in blanked.grids.items():
+        if key.startswith(f"{blanked.regions[0].name}/"):
+            grid.values[:] = np.nan
+
+    for i, cat in enumerate((catalog, blanked)):
+        joiner, transformer = RegionJoiner(cat), DatumTransformer(cat)
+        want = {}
+        for p in sorted(pages_paths(sf)):
+            t = pq.read_table(p, columns=["url", "text"])
+            g = keep_geocoded(geocode_batch(t)).select(["url", "lat", "lon"])
+            joined = joiner(cell_index_batch(g))
+            pip = joined.column("pip_region_index").to_numpy()
+            region = transformer(joined).column("region_index").to_numpy()
+            want[os.path.splitext(os.path.basename(p))[0]] = {
+                "n_no_geocode": t.num_rows - g.num_rows,
+                "n_no_region": int((pip < 0).sum()),
+                "n_no_coverage": int(((pip >= 0) & (region < 0)).sum()),
+            }
+
+        out = str(tmp_path / f"out{i}")
+        m = run_flagship_checkpointed(sf, out, catalog=cat)
+        recs = completed_shards(out, m["transform_version"])
+        assert {s: {k: r[k] for k in DROP_COUNTERS} for s, r in recs.items()} == want
+        line = json.loads(open(os.path.join(out, "_lineage", "_metrics.jsonl"))
+                          .read().splitlines()[-1])
+        for k in DROP_COUNTERS:
+            assert line[k] == m[k] == sum(w[k] for w in want.values())
+        assert line["n_no_geocode"] == line["rows_in"] - line["rows_out"] > 0
+        assert line["n_no_region"] > 0
+    assert line["n_no_coverage"] > 0  # the blanked region's rows
 
 
 def test_zero_output_shard_commits_empty_record(ray_session, tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from vyperdatum_ray.core.geometry import Polygon, STRtree, polygon_from_wkb
@@ -137,13 +138,19 @@ class Catalog:
 
         meta = pq.read_table(os.path.join(path, "grid_meta.parquet")).to_pylist()
         vals = pq.read_table(os.path.join(path, "grid_values.parquet"))
-        gk = np.asarray(vals["grid_key"])
         ix = np.asarray(vals["ix"])
         iy = np.asarray(vals["iy"])
         v = np.asarray(vals["v"])
+        # Each grid's value rows, in file order, from one stable sort of
+        # the dictionary-encoded keys (not one full key compare per grid).
+        keys = pc.dictionary_encode(vals["grid_key"].combine_chunks())
+        codes = keys.indices.to_numpy()
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(keys.dictionary)))
+        rows = dict(zip(keys.dictionary.to_pylist(), np.split(order, ends[:-1])))
         grids: dict[str, SeparationGrid] = {}
         for m in meta:
-            sel = gk == m["grid_key"]
+            sel = rows.get(m["grid_key"], order[:0])
             grids[m["grid_key"]] = grid_from_long(
                 m["origin_x"], m["origin_y"], m["dx"], m["dy"],
                 int(m["nx"]), int(m["ny"]), ix[sel], iy[sel], v[sel],

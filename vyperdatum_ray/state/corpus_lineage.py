@@ -29,8 +29,10 @@ pre-clear pending partitions (a crashed attempt may have left partial
 files without a record), each task writes its own files
 (``write_partition``: temp name, then ``os.replace``) and returns its
 row count, and the driver commits the record atomically as that count
-arrives — so re-runs are exactly-once per partition and resume cost is
-proportional to the remaining work. Any phase-A recompute drops ALL phase-B records (a
+arrives (``as_completed``: a bounded window of tasks in flight, and a
+failed task drains the others before its error is raised) — so re-runs
+are exactly-once per partition and resume cost is proportional to the
+remaining work. Any phase-A recompute drops ALL phase-B records (a
 bucket's input spans every shard), while a crash inside phase B
 resumes bucket-granular with phase A fully skipped. Dedup keys on the 128-bit hash rather than exact text
 (collision odds ~2^-64 per pair; the adjudicated q_corpus_pipeline
@@ -45,6 +47,7 @@ import json
 import os
 import shutil
 import time
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -53,8 +56,9 @@ import pyarrow.parquet as pq
 
 import ray
 
-from vyperdatum_ray.state.lineage import (lineage_dir, read_json, read_records,
-                                          write_json_atomic, write_partition)
+from vyperdatum_ray.state.lineage import (as_completed, lineage_dir, read_json,
+                                          read_records, write_json_atomic,
+                                          write_partition)
 
 CORPUS_SCHEMA_VERSION = 1
 
@@ -181,13 +185,6 @@ def _dedup_bucket(b: int, files: list[str], bucket_dir: str) -> tuple[int, int, 
     return b, len(df), len(g)
 
 
-def _as_completed(refs: list):
-    """Each task's result as soon as it finishes, in finishing order."""
-    while refs:
-        done, refs = ray.wait(refs, num_returns=1)
-        yield ray.get(done[0])
-
-
 def run_corpus_checkpointed(
     sf_dir: str,
     out_dir: str,
@@ -272,9 +269,10 @@ def run_corpus_checkpointed(
         results = [(k, 0) for k in pending_a]
         if n_docs:
             probe = [_persisted_probe(sf_dir, out_dir, version)]
-            results = _as_completed([_curate_shard.remote(
-                doc_path, k, bounds[k], bounds[k + 1], probe, n_buckets,
-                os.path.join(cand_dir, f"shard={k}")) for k in pending_a])
+            results = as_completed(partial(
+                _curate_shard.remote, doc_path, k, bounds[k], bounds[k + 1],
+                probe, n_buckets, os.path.join(cand_dir, f"shard={k}"))
+                for k in pending_a)
         for k, n_out in results:
             write_json_atomic(os.path.join(ldir_a, f"shard{k}.json"), {
                 "schema_version": CORPUS_SCHEMA_VERSION, "part": f"shard{k}",
@@ -301,9 +299,9 @@ def run_corpus_checkpointed(
                     if f.endswith(".parquet") and not f.startswith("_")]
     # a bucket without candidates has nothing to dedup: no task, no file
     empty = [(b, 0, 0) for b, fs in files_by_bucket.items() if not fs]
-    tasks = [_dedup_bucket.remote(b, fs, os.path.join(final_dir, f"bucket={b}"))
-             for b, fs in files_by_bucket.items() if fs]
-    for b, n_in, n_out in itertools.chain(empty, _as_completed(tasks)):
+    tasks = (partial(_dedup_bucket.remote, b, fs, os.path.join(final_dir, f"bucket={b}"))
+             for b, fs in files_by_bucket.items() if fs)
+    for b, n_in, n_out in itertools.chain(empty, as_completed(tasks)):
         write_json_atomic(os.path.join(ldir_b, f"bucket{b}.json"), {
             "schema_version": CORPUS_SCHEMA_VERSION, "part": f"bucket{b}",
             "n_candidate_files": len(files_by_bucket[b]),

@@ -11,18 +11,21 @@ records
 (reference analogue: the transform-version fingerprint cache,
 core.py:766-792/1063-1147 — extended to per-partition provenance).
 
-The sink is the fused flagship task itself (``_sink_shard``): one task
-per pending shard reads, transforms and writes the shard's single
-output file ``shard=<id>/part-0.parquet`` (``write_partition``), and
-returns the shard's lineage aggregates, computed from the very table it
-wrote. The driver commits each shard's record atomically
-(``write_json_atomic``) as that shard's summary arrives — always after
-the shard's file is in place — so a run that dies part-way keeps every
-shard that finished. The corpus run (state/corpus_lineage.py) follows
-the same protocol through the same helpers.
+The sink is the fused flagship run as one plain Ray task per pending
+shard (``_sink_shard``, a ``ray.remote`` function, not a Dataset
+stage: the result is files plus one summary per shard, so nothing needs
+a streaming executor). Each task reads, transforms and writes the
+shard's single output file ``shard=<id>/part-0.parquet``
+(``write_partition``) and returns the shard's lineage record, computed
+from the very table it wrote, drop counters included. The driver
+commits each record atomically (``write_json_atomic``) as it arrives
+(``as_completed``) — always after the shard's file is in place — so a
+run that dies part-way keeps every shard that finished. The corpus run
+(state/corpus_lineage.py) follows the same protocol through the same
+helpers.
 
 Resume semantics (scalable at 10^12 docs): completed shards are pruned
-AT THE READ — the resumed Dataset simply never reads finished input
+AT THE READ — the resumed run simply never reads finished input
 files, so resume cost is proportional to the remaining work. Output is
 partitioned by shard id (one directory, one deterministic file per
 shard), so a retried / resumed shard overwrites its own partition
@@ -34,14 +37,18 @@ catalog fingerprint is treated as stale and recomputed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import shutil
 import time
 import uuid
+from functools import partial
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+import ray
 
 SCHEMA_VERSION = 1
 MANIFEST_NAME = "_catalog_manifest.json"  # _-prefix: not a shard record
@@ -114,6 +121,35 @@ def write_partition(part_dir: str, table: pa.Table) -> None:
     os.replace(tmp, os.path.join(part_dir, "part-0.parquet"))
 
 
+def as_completed(submits):
+    """Run zero-argument task submitters (each returns one ObjectRef)
+    and yield each result as its task finishes, in finishing order.
+
+    At most twice the cluster's CPUs are in flight, so the driver's
+    pending task specs stay bounded however many partitions a run has.
+    When a task raises, no further task starts: the ones in flight are
+    drained and their results still yielded (the caller commits every
+    partition that finished, and no task of the failed run writes after
+    it returns), then the first error is raised."""
+    window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    submits = iter(submits)
+    in_flight, error = [], None
+    while True:
+        if error is None:
+            in_flight += [s() for s in itertools.islice(submits, window - len(in_flight))]
+        if not in_flight:
+            break
+        done, in_flight = ray.wait(in_flight, num_returns=1)
+        try:
+            result = ray.get(done[0])
+        except ray.exceptions.RayError as e:
+            error = error or e
+            continue
+        yield result
+    if error is not None:
+        raise error
+
+
 def _shard_of(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -170,38 +206,54 @@ def _commit_record(out_dir: str, rec: dict) -> None:
 # The sink's output schema; ``shard`` is the hive directory, not a column.
 OUTPUT_COLUMNS = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
                   "region_index", "z_out", "unc"]
+# A record's dropped-row counts, which a run's metrics line sums.
+DROP_COUNTERS = ("n_no_geocode", "n_no_region", "n_no_coverage")
 
 
-def _sink_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict,
-                out_dir: str) -> pa.Table:
+@ray.remote(num_cpus=1)
+def _sink_shard(path: str, catalog: list, catalog_key: str, params: dict,
+                out_dir: str) -> dict:
     """One input shard end to end, in one task: the worker's cached
     fused flagship, then ``shard=<id>/part-0.parquet``, then the shard's
-    one-row lineage summary (``write_partition``: a zero-row shard
-    writes no file)."""
+    lineage record (``write_partition``: a zero-row shard writes no
+    file). ``catalog`` wraps the catalog's ref so the task gets the ref,
+    not a Catalog unpickled per task: ``_cached_state`` fetches it once
+    per worker process.
+
+    The drop counters: ``n_no_geocode`` rows did not geocode (the fused
+    output keeps every geocoded row), ``n_no_region`` geocoded outside
+    every region polygon, and ``n_no_coverage`` fell inside a region
+    but no grid had a value there."""
+    import numpy as np
     import pyarrow.parquet as pq
 
     from vyperdatum_ray.pipelines.flagship import (FusedReadTransform,
                                                    _cached_state)
 
-    (path,) = batch.column("path").to_pylist()
+    full = _cached_state(FusedReadTransform, catalog[0], catalog_key,
+                         params)(pa.table({"path": [path]}))
+    pip = full.column("pip_region_index").to_numpy()
+    region = full.column("region_index").to_numpy()
+    out = full.select(OUTPUT_COLUMNS)
     shard = _shard_of(path)
-    out = _cached_state(FusedReadTransform, catalog_ref, catalog_key,
-                        params)(batch).select(OUTPUT_COLUMNS)
     write_partition(os.path.join(out_dir, f"shard={shard}"), out)
 
-    def distinct(name: str) -> pa.Array:
-        # typed list, so a zero-row shard's summary keeps the schema
-        col = out.column(name)
-        return pa.array([sorted(pc.unique(col).to_pylist())], pa.list_(col.type))
+    def distinct(name: str) -> list:
+        return sorted(pc.unique(out.column(name)).to_pylist())
 
-    return pa.table({
-        "shard": [shard],
-        "input_file": [path],
-        "n_in": [pq.ParquetFile(path).metadata.num_rows],
-        "n_out": [out.num_rows],
-        "tiles": distinct("tile_id"),
-        "regions": distinct("region"),
-    })
+    n_in = pq.ParquetFile(path).metadata.num_rows
+    return {
+        "shard": shard,
+        "input_file": path,
+        "row_range": [0, n_in],
+        "n_rows_in": n_in,
+        "n_rows_out": out.num_rows,
+        "cell_set": distinct("tile_id"),
+        "region_set": distinct("region"),
+        "n_no_geocode": n_in - out.num_rows,
+        "n_no_region": int(np.count_nonzero(pip < 0)),
+        "n_no_coverage": int(np.count_nonzero((pip >= 0) & (region < 0))),
+    }
 
 
 def run_flagship_checkpointed(
@@ -215,8 +267,7 @@ def run_flagship_checkpointed(
     processes only the pending shards.
     """
     from vyperdatum_ray.pipelines.flagship import (FUSED_DEFAULTS,
-                                                   _per_shard, _shard_kwargs,
-                                                   load_catalog)
+                                                   _shard_kwargs, load_catalog)
     from vyperdatum_ray.fixtures import pages_paths
 
     t0 = time.perf_counter()
@@ -251,28 +302,25 @@ def run_flagship_checkpointed(
 
     # One task per pending shard on warm workers (catalog state cached
     # per worker process, keyed by catalog content) reads, transforms
-    # and writes its shard and returns the shard's lineage aggregates;
-    # nothing but that one summary row leaves the task. Each record is
-    # committed as its summary arrives — always after its partition is
-    # complete — so a run that dies part-way keeps every finished shard.
+    # and writes its shard and returns the shard's lineage record;
+    # nothing else leaves the task. Each record is committed as it
+    # arrives — always after its partition is complete — so a run that
+    # dies part-way keeps every finished shard.
     if pending:
+        kw = _shard_kwargs(catalog, **FUSED_DEFAULTS)
         rows_in = rows_out = 0
-        kwargs = {**_shard_kwargs(catalog, **FUSED_DEFAULTS), "out_dir": out_dir}
-        for s in _per_shard(_sink_shard, pending, kwargs).iter_rows():
-            _commit_record(out_dir, {
-                "schema_version": SCHEMA_VERSION,
-                "shard": s["shard"],
-                "input_file": s["input_file"],
-                "row_range": [0, s["n_in"]],
-                "n_rows_in": s["n_in"],
-                "n_rows_out": s["n_out"],
-                "cell_set": s["tiles"],
-                "region_set": s["regions"],
-                "transform_version": version,
-            })
-            rows_in += s["n_in"]
-            rows_out += s["n_out"]
-        metrics.update(rows_in=rows_in, rows_out=rows_out)
+        drops = dict.fromkeys(DROP_COUNTERS, 0)
+        for rec in as_completed(
+                partial(_sink_shard.remote, p, [kw["catalog_ref"]],
+                        kw["catalog_key"], kw["params"], out_dir)
+                for p in pending):
+            _commit_record(out_dir, {"schema_version": SCHEMA_VERSION, **rec,
+                                     "transform_version": version})
+            rows_in += rec["n_rows_in"]
+            rows_out += rec["n_rows_out"]
+            for k in drops:
+                drops[k] += rec[k]
+        metrics.update(rows_in=rows_in, rows_out=rows_out, **drops)
 
     write_catalog_manifest(out_dir, catalog)
     metrics["elapsed_s"] = round(time.perf_counter() - t0, 3)
