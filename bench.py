@@ -191,6 +191,8 @@ def run_once(num_cpus: int, queries: list[str]) -> dict:
 
 
 SCALING_REPEAT = int(os.environ.get("GRAFT_SCALING_REPEAT", "256"))
+# Shard tasks per CPU in one scaling window (see scaling_one).
+SCALING_WINDOW_ROUNDS = 8
 # N and 4N parallelism levels for the scaling criterion. 4 -> 16 by
 # default: this container's memory bandwidth saturates near ~16-20
 # cores for the string-heavy geocode stage, so 8 -> 32 conflates Ray
@@ -230,11 +232,17 @@ def scaling_one(num_cpus: int, repeat: int) -> dict:
     # wall was the task->actor object-store boundary (16.4 -> 26.8M
     # rows/s at 32 CPUs; BASELINE.md).
     paths = sorted(pages_paths(SF_DIR)) * max(1, repeat // inner)
-    ds = flagship_fused(SF_DIR, catalog=catalog, paths=paths, inner=inner)
-    # count() executes the full pipeline but consumes via block metadata
-    # — no driver-side batch pull (the 100 TB pattern is a distributed
-    # sink, never iter_batches to one process)
-    n = ds.count()
+    # flagship_fused holds its output in the object store until the
+    # Dataset is dropped (48.4 MB per sf0.1 pass, ~12 GB for the whole
+    # repeat), so the paths run in windows of 8 rounds of the cluster's
+    # CPUs, each counted and dropped before the next. Both levels then
+    # pay the same tail share. count() reads block metadata: no
+    # driver-side batch pull (the 100 TB pattern is a distributed sink,
+    # never iter_batches to one process)
+    window = SCALING_WINDOW_ROUNDS * num_cpus
+    n = sum(flagship_fused(SF_DIR, catalog=catalog, paths=paths[i:i + window],
+                           inner=inner).count()
+            for i in range(0, len(paths), window))
     sec = time.perf_counter() - t0
     n_in = _pages_rows(SF_DIR) * repeat
     ray.shutdown()

@@ -63,3 +63,15 @@ def test_checkpointed_writers_dispatch_plain_tasks():
         capture_output=True, text=True,
     )
     assert out.returncode == 1 and not out.stdout, out.stdout
+
+
+def test_flagship_family_dispatches_plain_tasks():
+    """``flagship_fused`` submits one ``ray.remote`` task per shard and
+    wraps their refs in a materialized Dataset: ``pipelines/flagship.py``
+    builds no per-job streaming pipeline."""
+    out = subprocess.run(
+        ["grep", "-nF", "-e", "from_items", "-e", "_per_shard", "-e", ".map_batches(",
+         os.path.join(ROOT, "vyperdatum_ray", "pipelines", "flagship.py")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1 and not out.stdout, out.stdout

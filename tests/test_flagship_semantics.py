@@ -4,6 +4,7 @@ fallback at the NaN notch, -1 outside coverage, byte-identical text
 passthrough."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pandas as pd
@@ -297,3 +298,26 @@ def test_target_datums_do_not_share_state(ray_session):
     pd.testing.assert_frame_equal(mhw, _reference(cat, to_datum="mhw"))
     assert not mhw["z_out"].equals(mllw["z_out"])
     pd.testing.assert_frame_equal(_run(cat, to_datum="mllw"), mllw)
+
+
+def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, monkeypatch):
+    """One block per shard, in sorted path order whatever order
+    ``paths`` lists them in; ``paths=[]`` means no shard, not every
+    shard: zero rows and no task submitted."""
+    from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
+    from vyperdatum_ray.pipelines import flagship
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")  # 3 shards
+    ensure_fixtures(sf)
+    paths = sorted(pages_paths(sf))
+    ds = flagship.flagship_fused(sf, paths=paths[::-1], include_paths=True)
+    assert ds.num_blocks() == len(paths) == 3
+    got = ds.to_pandas()["path"]
+    assert got.is_monotonic_increasing and set(got) == set(paths)
+
+    class NoTask:
+        def remote(self, *args):
+            raise AssertionError("a shard task was submitted")
+
+    monkeypatch.setattr(flagship, "_fused_shard", NoTask())
+    assert flagship.flagship_fused(SF, paths=[]).count() == 0

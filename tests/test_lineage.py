@@ -317,6 +317,20 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
     pd.testing.assert_frame_equal(_read_output(out), _read_output(clean_out))
 
 
+def _blank_first_region(catalog):
+    """A copy of ``catalog`` whose first region's grids hold no value
+    anywhere: every point that region wins falls in a coverage hole."""
+    import copy
+
+    import numpy as np
+
+    blanked = copy.deepcopy(catalog)
+    for key, grid in blanked.grids.items():
+        if key.startswith(f"{blanked.regions[0].name}/"):
+            grid.values[:] = np.nan
+    return blanked
+
+
 def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):
     """Each record's ``n_no_geocode``/``n_no_region``/``n_no_coverage``
     and the run's summed metrics line equal a driver-side pass of the
@@ -325,10 +339,6 @@ def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):
     that no grid covers. The fixture catalog covers every region fully,
     so a second catalog blanks one region's grids to make the last
     count non-zero."""
-    import copy
-
-    import numpy as np
-
     from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
     from vyperdatum_ray.pipelines.flagship import load_catalog
     from vyperdatum_ray.stages.cellindex import cell_index_batch
@@ -341,12 +351,8 @@ def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):
     sf = "/root/testdata/sf0.001"
     ensure_fixtures(sf)
     catalog = load_catalog(sf)
-    blanked = copy.deepcopy(catalog)
-    for key, grid in blanked.grids.items():
-        if key.startswith(f"{blanked.regions[0].name}/"):
-            grid.values[:] = np.nan
 
-    for i, cat in enumerate((catalog, blanked)):
+    for i, cat in enumerate((catalog, _blank_first_region(catalog))):
         joiner, transformer = RegionJoiner(cat), DatumTransformer(cat)
         want = {}
         for p in sorted(pages_paths(sf)):
@@ -372,6 +378,38 @@ def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):
         assert line["n_no_geocode"] == line["rows_in"] - line["rows_out"] > 0
         assert line["n_no_region"] > 0
     assert line["n_no_coverage"] > 0  # the blanked region's rows
+
+
+def test_coverage_hole_transforms_without_warnings():
+    """The datum transform over a region with no grid values composes
+    its out-of-coverage steps to ``inf - inf = NaN``, which the
+    ``np.isfinite`` rule drops as no coverage. That arithmetic must not
+    log a ``RuntimeWarning`` for every batch that touches the hole."""
+    import warnings
+
+    import numpy as np
+
+    from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
+    from vyperdatum_ray.pipelines.flagship import load_catalog
+    from vyperdatum_ray.stages.cellindex import cell_index_batch
+    from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
+    from vyperdatum_ray.stages.region_join import RegionJoiner
+    from vyperdatum_ray.stages.transform import DatumTransformer
+
+    ensure_fixtures(SF)
+    blanked = _blank_first_region(load_catalog(SF))
+    joiner, transformer = RegionJoiner(blanked), DatumTransformer(blanked)
+    holes = 0
+    for p in sorted(pages_paths(SF)):
+        g = cell_index_batch(keep_geocoded(geocode_batch(
+            pq.read_table(p, columns=["url", "text"]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = transformer(joiner(g))
+        pip = out.column("pip_region_index").to_numpy()
+        region = out.column("region_index").to_numpy()
+        holes += int(np.count_nonzero((pip >= 0) & (region < 0)))
+    assert holes > 0  # the blanked region's rows reached the transform
 
 
 def test_zero_output_shard_commits_empty_record(ray_session, tmp_path, monkeypatch):

@@ -111,3 +111,35 @@ def test_sampled_path_negative_coordinates(catalog):
     assert r[0] >= 0 and np.isfinite(zs[0])
     assert r[1] == -1 and np.isnan(zs[1])
     assert r[2] >= 0 and np.isfinite(zs[2])
+
+
+def test_same_version_grid_swap_not_served_stale(catalog):
+    """A catalog whose one grid is shifted by 1 m under the same version
+    moves exactly the points that region wins by 1 m, in both the exact
+    and the sampled path, and the first catalog still gives its own
+    answer afterwards: nothing built for one catalog serves the other."""
+    import dataclasses
+
+    from vyperdatum_ray.points import transform_points
+
+    region = catalog.regions[0].name
+    key = f"{region}/tss"
+    grids = dict(catalog.grids)
+    grids[key] = dataclasses.replace(grids[key], values=grids[key].values + 1.0)
+    swapped = dataclasses.replace(catalog, grids=grids, _tree=None)
+    assert swapped.version == catalog.version
+
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-75.5, -74.9, 300)
+    y = rng.uniform(34.7, 35.3, 300)
+    for kw in ({}, {"sample_distance": 0.01}):
+        _, _, z1, _, r1 = transform_points(catalog, x, y, **kw)
+        _, _, z2, _, r2 = transform_points(swapped, x, y, **kw)
+        _, _, z3, _, r3 = transform_points(catalog, x, y, **kw)
+        np.testing.assert_array_equal(r2, r1)
+        moved = r1 == 0
+        assert moved.sum() > 10
+        np.testing.assert_allclose(np.abs(z2[moved] - z1[moved]), 1.0, atol=2e-3)
+        np.testing.assert_array_equal(z2[~moved], z1[~moved])
+        np.testing.assert_array_equal(z3, z1)
+        np.testing.assert_array_equal(r3, r1)

@@ -1,65 +1,51 @@
 """Failure injection: a worker running the fused flagship's per-shard
-work dies mid-run (process exit, as on a preempted node), both in a
-Dataset stage (the Dataset-returning flagship family) and in the
-checkpointed sink's own remote task; Ray re-executes the lost task on
-another worker, whose cached catalog state is rebuilt from the
+work dies mid-run (process exit, as on a preempted node), both in the
+Dataset-returning flagship family's shard task (``_fused_shard``) and
+in the checkpointed sink's own remote task; Ray re-executes the lost
+task on another worker, whose cached catalog state is rebuilt from the
 broadcast ref when it has none, and the result is identical to a clean
 run — the at-least-once + deterministic-output contract the resumable
 sink and lineage layer rely on."""
 
 import os
-import tempfile
-
-import numpy as np
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
 
-def test_worker_death_mid_run_recovers(ray_session):
-    import pyarrow as pa
+def test_flagship_worker_death_recovers(ray_session, tmp_path, monkeypatch):
+    """The first ``_fused_shard`` attempt kills its worker process;
+    ``flagship_fused`` still completes, under the task's own retry
+    policy, and returns a frame identical to a clean run, rows in the
+    same order."""
+    import pandas as pd
 
     import ray
-    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.fixtures import ensure_fixtures
     from vyperdatum_ray.pipelines import flagship
 
-    catalog = flagship.load_catalog(SF)
-    fn_kwargs = flagship._shard_kwargs(catalog)
-    marker = os.path.join(tempfile.mkdtemp(), "died_once")
-    paths = sorted(pages_paths(SF))
+    # sf0.01 has 3 shards: the kill lands beside live tasks
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    ensure_fixtures(sf)
+    clean = flagship.flagship_fused(sf).to_pandas()
 
-    def flaky_fused_shard(batch: pa.Table, **kwargs) -> pa.Table:
-        """Kills its worker process on the first shard to reach it;
-        every retry/other task runs clean."""
+    marker = str(tmp_path / "died_once")
+    task = flagship._fused_shard
+    body = task._function
+
+    def flaky_fused_shard(*args):
         try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL)
-            os.close(fd)
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             os._exit(1)  # simulated node/process loss
         except FileExistsError:
             pass
-        return flagship._fused_shard(batch, **kwargs)
+        return body(*args)
 
-    def run(fn):
-        ds = ray.data.from_items(
-            [{"path": p} for p in paths], override_num_blocks=len(paths)
-        ).map_batches(
-            fn, fn_kwargs=fn_kwargs,
-            batch_format="pyarrow", batch_size=1, num_cpus=1, max_retries=-1,
-        )
-        return (
-            ds.select_columns(["url", "z_out", "unc", "region_index"])
-            .to_pandas().sort_values("url").reset_index(drop=True)
-        )
-
-    clean = run(flagship._fused_shard)
-    flaky = run(flaky_fused_shard)
+    # the real task's resources and retry policy
+    monkeypatch.setattr(flagship, "_fused_shard",
+                        ray.remote(**task._default_options)(flaky_fused_shard))
+    flaky = flagship.flagship_fused(sf).to_pandas()
     assert os.path.exists(marker), "the failure injection never fired"
-    assert len(flaky) == len(clean)
-    assert (flaky["url"] == clean["url"]).all()
-    np.testing.assert_array_equal(flaky["z_out"].to_numpy(), clean["z_out"].to_numpy())
-    np.testing.assert_array_equal(
-        flaky["region_index"].to_numpy(), clean["region_index"].to_numpy()
-    )
+    pd.testing.assert_frame_equal(flaky, clean)
 
 
 def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):

@@ -2,15 +2,22 @@
 
 ``read_parquet(pages, columns pruned) -> geocode -> filter -> cell index
 -> RegionJoiner (PIP) -> DatumTransformer (grid interpolation)``,
-run as ONE task per input shard on warm workers (``_fused_shard``),
-with the catalog state (``FusedReadTransform``) cached per worker
-process, keyed by catalog content. Every consumer (the checkpointed
-sink, the SQL-checkable queries and the text-carrying ``flagship``
-query via ``carry_text=True``) shares this one shape.
+run as ONE plain Ray task per input shard on warm workers
+(``_fused_shard``), with the catalog state (``FusedReadTransform``)
+cached per worker process, keyed by catalog content. Every consumer
+(the checkpointed sink, the SQL-checkable queries and the
+text-carrying ``flagship`` query via ``carry_text=True``) shares this
+one shape.
 
-Everything streams: no full materialization; the ``html`` binary column
-is pruned at the read (at 10^12-doc scale the pipeline lives or dies on
-that) unless a stage needs it.
+``flagship_fused`` returns a materialized Dataset: one block per shard,
+in path order, held in the object store until the Dataset is dropped
+(48.4 MB at sf0.1, 96.9 MB with ``carry_text``). No streaming pipeline is
+built per job: one costs about 0.12 CPU s on 4 CPUs, as much as a
+small job's own work. Every registry query collects its output anyway;
+a run too large to hold goes through the checkpointed sink
+(state/lineage.py), which writes each shard from its task. The
+``html`` binary column is pruned at the read (at 10^12-doc scale the
+pipeline lives or dies on that) unless a stage needs it.
 """
 
 from __future__ import annotations
@@ -75,14 +82,14 @@ def _lru(cache: OrderedDict, key, build, cap: int):
 
 
 def _shard_kwargs(catalog: Catalog, **params) -> dict:
-    """``fn_kwargs`` for a cached-state task function (``_fused_shard``,
-    ``join_transform_batch``) and the arguments of the sink's remote
-    ``lineage._sink_shard``: the broadcast catalog, its content key and
-    the state's constructor parameters. The catalog is put once per
-    Ray session and content key. The key is the catalog's content,
-    never its version alone: same-version catalogs with different grids
-    exist (``register_external_region`` only suffixes the version, tests
-    swap grids under one version)."""
+    """``fn_kwargs`` for a cached-state map function
+    (``join_transform_batch``) and the arguments of the remote shard
+    tasks (``_fused_shard``, ``lineage._sink_shard``): the broadcast
+    catalog, its content key and the state's constructor parameters.
+    The catalog is put once per Ray session and content key. The key is
+    the catalog's content, never its version alone: same-version
+    catalogs with different grids exist (``register_external_region``
+    only suffixes the version, tests swap grids under one version)."""
     key = catalog.content_key()
     session = None  # before ray.init: the put below auto-initializes
     if ray.is_initialized():
@@ -250,9 +257,21 @@ class FusedReadTransform:
         return pa.concat_tables(outs)
 
 
-def _fused_shard(batch: pa.Table, catalog_ref, catalog_key: str, params: dict) -> pa.Table:
-    """One shard through this worker's cached ``FusedReadTransform``."""
-    return _cached_state(FusedReadTransform, catalog_ref, catalog_key, params)(batch)
+@ray.remote(num_cpus=1)
+def _fused_shard(path: str, catalog: list, catalog_key: str, params: dict) -> pa.Table:
+    """One shard through this worker's cached ``FusedReadTransform``,
+    as a plain Ray task with the sink's argument shape
+    (``lineage._sink_shard``): ``catalog`` wraps the catalog's ref so
+    the task gets the ref, and ``_cached_state`` fetches it once per
+    worker process.
+
+    Retry policy: Ray's task default, the same as ``_sink_shard``. A
+    task whose worker process dies is re-run up to 3 times
+    (``max_retries=3``); an exception raised by the shard's own code is
+    not retried. The output is deterministic, so a re-run shard
+    returns the same table."""
+    return _cached_state(FusedReadTransform, catalog[0], catalog_key,
+                         params)(pa.table({"path": [path]}))
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
@@ -261,20 +280,6 @@ def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
     worker's cached ``JoinTransform`` (pre-projected inputs that skip
     the fused read)."""
     return _cached_state(JoinTransform, catalog_ref, catalog_key, params)(batch)
-
-
-def _per_shard(fn, paths: list[str], fn_kwargs: dict) -> ray.data.Dataset:
-    """``fn`` as one one-CPU task per shard path: each task gets a
-    one-row ``path`` batch plus ``fn_kwargs``. Only the Dataset-returning
-    flagship family (``flagship_fused``, ``flagship_pipeline``) uses it;
-    the checkpointed sink, whose result is files plus one record per
-    shard, runs plain ``ray.remote`` tasks instead
-    (``lineage._sink_shard``): a Dataset built per job costs about
-    0.12 CPU s on 4 CPUs, as much as a small sink job's own work."""
-    items = [{"path": p} for p in paths]
-    pds = ray.data.from_items(items, override_num_blocks=len(items))
-    return pds.map_batches(fn, fn_kwargs=fn_kwargs, batch_format="pyarrow",
-                           batch_size=1, num_cpus=1)
 
 
 def flagship_fused(
@@ -296,24 +301,36 @@ def flagship_fused(
     project_code=None,
     with_cells: bool = True,
     carry_text: bool = False,
-) -> ray.data.Dataset:
-    """Flagship as one fused stateless task per shard path — see
-    FusedReadTransform. Tasks run on warm, reused workers; each worker
-    process builds the catalog state once per catalog content and
-    parameter set and reuses it across tasks and jobs."""
+) -> ray.data.MaterializedDataset:
+    """Flagship as one fused task per shard path — see
+    FusedReadTransform — returned as a materialized Dataset.
+
+    ``paths`` defaults to every pages shard of ``sf_dir``; an empty list
+    runs no task and gives zero rows. One ``_fused_shard`` task per
+    sorted path runs on warm, reused workers; each worker process
+    builds the catalog state once per catalog content and parameter
+    set and reuses it across tasks and jobs. The call returns when
+    every shard is done, with one block per shard in path order.
+
+    The output stays in the object store until the Dataset is dropped:
+    48.4 MB at sf0.1, 96.9 MB with ``carry_text``. Every registry query
+    collects it anyway, and the count-only consumers drop it at once.
+    A corpus too large to hold runs through the checkpointed sink
+    (``lineage.run_flagship_checkpointed``), or in windows of paths."""
     catalog = catalog or load_catalog(sf_dir)
-    return _per_shard(
-        _fused_shard, sorted(paths or pages_paths(sf_dir)),
-        _shard_kwargs(
-            catalog, from_datum=from_datum, to_datum=to_datum,
-            in_is_height=in_is_height, out_is_height=out_is_height,
-            include_paths=include_paths, inner=inner,
-            z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
-            synth_z=synth_z, project_fwd=project_fwd,
-            project_inv=project_inv, project_code=project_code,
-            with_cells=with_cells, carry_text=carry_text,
-        ),
+    kw = _shard_kwargs(
+        catalog, from_datum=from_datum, to_datum=to_datum,
+        in_is_height=in_is_height, out_is_height=out_is_height,
+        include_paths=include_paths, inner=inner,
+        z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
+        synth_z=synth_z, project_fwd=project_fwd,
+        project_inv=project_inv, project_code=project_code,
+        with_cells=with_cells, carry_text=carry_text,
     )
+    paths = sorted(pages_paths(sf_dir) if paths is None else paths)
+    return ray.data.from_arrow_refs([
+        _fused_shard.remote(p, [kw["catalog_ref"]], kw["catalog_key"], kw["params"])
+        for p in paths])
 
 
 # ``flagship_fused``'s FusedReadTransform parameters at their defaults.
@@ -327,7 +344,8 @@ FUSED_DEFAULTS = {
 }
 
 
-def flagship_pipeline(sf_dir: str, catalog: Catalog | None = None) -> ray.data.Dataset:
-    """Full geocode + PIP join + datum transform stream carrying the
-    page text; returns the lazy Dataset (caller writes or aggregates)."""
+def flagship_pipeline(sf_dir: str,
+                      catalog: Catalog | None = None) -> ray.data.MaterializedDataset:
+    """Full geocode + PIP join + datum transform carrying the page
+    text; returns ``flagship_fused``'s materialized Dataset."""
     return flagship_fused(sf_dir, catalog=catalog, carry_text=True)

@@ -164,8 +164,12 @@ class DatumTransformer:
                 # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
                 # move ~1 m and z gains the frame separation
                 px[sel], py[sel], z[sel] = frame_hop(px[sel], py[sel], z[sel], f)
-        for grid_id, sign in zip(self.step_grid, self.step_sign):
-            z = z + sign[pg] * self.grids.interpolate(grid_id[pg], px, py)
+        # a point outside a step grid reads +inf, and two such steps of
+        # opposite sign add to NaN: no coverage, which the isfinite rule
+        # below drops, so it is not worth a warning per batch
+        with np.errstate(invalid="ignore"):
+            for grid_id, sign in zip(self.step_grid, self.step_sign):
+                z = z + sign[pg] * self.grids.interpolate(grid_id[pg], px, py)
         out_hop = None
         k = np.nonzero(self.out_corr[pg])[0]
         if len(k):
