@@ -1,0 +1,122 @@
+"""Dump the flagship family's outputs from this tree, or compare two dumps.
+
+    python scripts/flagship_frames.py dump --sf-dir <sf_dir> --out <dir>
+    python scripts/flagship_frames.py compare <dir_a> <dir_b>
+
+``dump`` starts a local 4-CPU Ray session and writes one parquet file per
+output into ``--out``: ``flagship_fused`` under each parameter set of
+``PARAMS``, ``flagship_pipeline``, and every ``shard=*/part-0.parquet``
+of the checkpointed sink (``run_flagship_checkpointed``). It imports the
+engine of the tree the script sits in, so a dump from a checkout of
+another commit (``git archive``, not a worktree) gives that commit's
+outputs. ``compare`` checks that both dumps hold the same files and that
+each pair is frame-identical (same columns, types and exact values,
+in the same row order); it prints one line per file and exits non-zero on
+any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import os
+import shutil
+import sys
+import tempfile
+
+# the driver imports this tree's engine through sys.path, Ray's workers
+# through PYTHONPATH
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+# flagship_fused parameter sets: the defaults, other datum pairs, a
+# depth input, the output-frame correction with emitted x/y, the page
+# text carried through and a synthesized z.
+PARAMS = {
+    "default": {},
+    "navd88": dict(from_datum="navd88", to_datum="mllw"),
+    "itrf_out_xy": dict(z_col="z_in", out_frame="ITRF2014", emit_xy=True, synth_z=True),
+    "depth_to_mhw": dict(from_datum="mllw", to_datum="mhw", in_is_height=False,
+                         z_col="z_in", synth_z=True),
+    "emit_xy": dict(emit_xy=True),
+    "carry_text": dict(carry_text=True),
+    "synth_z": dict(z_col="z_in", synth_z=True),
+}
+
+
+def dump(sf_dir: str, out: str) -> None:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from vyperdatum_ray.fixtures import ensure_fixtures
+    from vyperdatum_ray.pipelines.flagship import flagship_fused, flagship_pipeline
+    from vyperdatum_ray.state.lineage import run_flagship_checkpointed
+
+    ensure_fixtures(sf_dir)
+    os.makedirs(out, exist_ok=True)
+    pythonpath = os.pathsep.join(filter(None, [ROOT, os.environ.get("PYTHONPATH")]))
+    ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR",
+             runtime_env={"env_vars": {"PYTHONPATH": pythonpath}})
+    try:
+        outputs = {f"fused_{name}": flagship_fused(sf_dir, **kw) for name, kw in PARAMS.items()}
+        outputs["pipeline"] = flagship_pipeline(sf_dir)
+        for name, ds in outputs.items():
+            pq.write_table(pa.concat_tables(ray.get(ds.to_arrow_refs())),
+                           os.path.join(out, f"{name}.parquet"))
+        sink = tempfile.mkdtemp(prefix="flagship_frames_")
+        try:
+            run_flagship_checkpointed(sf_dir, sink)
+            for part in sorted(glob.glob(os.path.join(sink, "shard=*", "part-0.parquet"))):
+                shard = os.path.basename(os.path.dirname(part))
+                shutil.copy(part, os.path.join(out, f"sink_{shard}.parquet"))
+        finally:
+            shutil.rmtree(sink, ignore_errors=True)
+    finally:
+        ray.shutdown()
+
+
+def compare(a: str, b: str) -> int:
+    import pandas as pd
+    import pyarrow.parquet as pq
+
+    names_a = sorted(os.listdir(a))
+    names_b = sorted(os.listdir(b))
+    failures = 0 if names_a else 1
+    if names_a != names_b:
+        print(f"DIFF file sets: {sorted(set(names_a) ^ set(names_b))}")
+        failures += 1
+    for name in sorted(set(names_a) & set(names_b)):
+        # each file is opened by itself: a list of files would
+        # hive-infer the sink's shard=<id> names as a column
+        ta = pq.ParquetFile(os.path.join(a, name)).read()
+        tb = pq.ParquetFile(os.path.join(b, name)).read()
+        try:
+            assert ta.schema.equals(tb.schema), "schemas differ"
+            pd.testing.assert_frame_equal(ta.to_pandas(), tb.to_pandas(), check_exact=True)
+            print(f"ok   {name} ({ta.num_rows} rows)")
+        except AssertionError as e:
+            print(f"DIFF {name}: {str(e).splitlines()[0] if str(e) else 'differs'}")
+            failures += 1
+    print(f"{failures} failures")
+    return failures
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("--sf-dir", required=True)
+    d.add_argument("--out", required=True)
+    c = sub.add_parser("compare")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = ap.parse_args()
+    if args.cmd == "dump":
+        dump(args.sf_dir, args.out)
+    else:
+        sys.exit(1 if compare(args.a, args.b) else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -79,3 +79,46 @@ def test_tile_id_formula():
     )
     theirs = con.execute(sql).fetchnumpy()["tid"]
     assert np.array_equal(mine, theirs)
+
+
+def _s2_two_bit_ids(lon, lat, level):
+    """S2 ids with the Hilbert position walked one level (2 bits) at a
+    time from the module's projection and 2-bit tables."""
+    from vyperdatum_ray.core import cells as C
+
+    face, u, v = C._xyz_to_face_uv(*C._lonlat_to_xyz(lon, lat))
+    i, j = C._st_to_ij(C._uv_to_st(u)), C._st_to_ij(C._uv_to_st(v))
+    n = np.zeros(i.shape, dtype=np.uint64)
+    bits = (face & C._S2_SWAP).astype(np.uint64)
+    for k in range(29, 29 - level, -1):
+        pos = C._IJ_TO_POS[bits, (((i >> k) & 1) * 2 + ((j >> k) & 1)).astype(np.uint64)]
+        n = (n << np.uint64(2)) | pos
+        bits = bits ^ C._POS_TO_ORIENTATION[pos]
+    shift = np.uint64(61 - 2 * level)
+    return ((face.astype(np.uint64) << np.uint64(61)) | (n << shift)
+            | (np.uint64(1) << (shift - np.uint64(1))))
+
+
+def test_s2_table_walk_matches_two_bit_walk_at_every_level():
+    """The 4-levels-per-step table walk gives the 2-bit walk's ids at
+    every level 0-30 (whole steps, remainders of 1-3 levels), on all six
+    cube faces, their edges and corners, and both poles."""
+    rng = np.random.default_rng(4)
+    corner = np.degrees(np.arctan(1 / np.sqrt(2)))  # cube-corner latitude
+    lon = [0.0, 90.0, 180.0, -90.0, 0.0, 0.0, 45.0, -45.0, 135.0, -135.0]
+    lat = [0.0, 0.0, 0.0, 0.0, 90.0, -90.0, 0.0, 0.0, 0.0, 0.0]
+    for lo in (45.0, 135.0, -45.0, -135.0):  # the eight cube corners
+        lon += [lo, lo]
+        lat += [corner, -corner]
+    for lo in (0.0, 90.0, 180.0, -90.0):  # polar-face edges
+        lon += [lo, lo]
+        lat += [45.0, -45.0]
+    lon = np.concatenate([lon, rng.uniform(-180, 180, 20000), np.nextafter(lon, 1e3)])
+    lat = np.concatenate([lat, np.degrees(np.arcsin(rng.uniform(-1, 1, 20000))),
+                          np.nextafter(lat, -1e3)])
+    faces = set()
+    for level in range(31):
+        got = s2_cell_id(lon, lat, level)
+        assert np.array_equal(got, _s2_two_bit_ids(lon, lat, level)), level
+        faces |= set((got >> np.uint64(61)).tolist())
+    assert faces == set(range(6))

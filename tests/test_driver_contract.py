@@ -39,6 +39,28 @@ def test_no_ray_init_in_library():
     assert out.stdout.strip() == "", out.stdout
 
 
+def test_join_transform_starts_no_ray():
+    """Building the flagship's state in a process with no Ray session
+    (a driver-side caller) starts no Ray instance and leaves Arrow's
+    thread pool alone."""
+    code = (
+        "import pyarrow as pa, ray\n"
+        "from vyperdatum_ray.catalog import Catalog\n"
+        "from vyperdatum_ray.pipelines.flagship import JoinTransform\n"
+        "pa.set_cpu_count(3)\n"
+        "JoinTransform(Catalog(regions=[], grids={}, sigmas={}, geoid_sigmas={}),\n"
+        "              'ellipse', 'mllw', True, False)\n"
+        "assert not ray.is_initialized()\n"
+        "assert pa.cpu_count() == 3, pa.cpu_count()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    env.pop("RAY_ADDRESS", None)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=ROOT, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "Started a local Ray instance" not in out.stderr
+
+
 def test_reads_go_through_the_exchange_helper():
     """Every engine read is ``exchange.read``, which sizes its blocks
     (one per row group) and records what the exchange sizes from."""

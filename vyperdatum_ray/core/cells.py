@@ -6,7 +6,10 @@ All vectorized numpy, built from public specifications:
   projection + quadratic s/t transform + Hilbert curve position, per the
   public S2 geometry library docs). Ids are bit-compatible with the
   published scheme: 3 face bits, 2 bits per level Hilbert position,
-  trailing lsb marker.
+  trailing lsb marker. The Hilbert position advances four levels per
+  step through a 1024-entry (orientation, i nibble, j nibble) table
+  built from the 2-bit tables, as the S2 library's lookup does; levels
+  past the last whole step take the 2-bit loop.
 * ``hex_cell_id`` is an H3-*style* hierarchical hexagon index written
   from scratch: axial hex binning on the plate-carree plane with
   resolution-scaled cell size calibrated so res 9 matches H3 res 9's
@@ -71,6 +74,26 @@ _IJ_TO_POS = np.array(
 _POS_TO_ORIENTATION = np.array([_S2_SWAP, 0, 0, _S2_INVERT | _S2_SWAP], dtype=np.uint64)
 
 _MAX_LEVEL = 30
+_LOOKUP_BITS = 4  # levels per step of the table walk
+
+
+def _lookup_pos() -> np.ndarray:
+    """The S2 library's 4-level lookup, built from the 2-bit tables:
+    entry ``(orientation << 8) | (i_nibble << 4) | j_nibble`` holds
+    ``(8 position bits << 2) | orientation after the 4 levels``."""
+    ij_to_pos = _IJ_TO_POS.astype(np.int64)
+    flip = _POS_TO_ORIENTATION.astype(np.int64)
+    index = np.arange(4 << (2 * _LOOKUP_BITS))
+    bits, i, j = index >> 8, (index >> 4) & 15, index & 15
+    pos = np.zeros_like(index)
+    for k in range(_LOOKUP_BITS - 1, -1, -1):
+        p = ij_to_pos[bits, ((i >> k) & 1) * 2 + ((j >> k) & 1)]
+        pos = (pos << 2) | p
+        bits = bits ^ flip[p]
+    return (pos << 2) | bits
+
+
+_LOOKUP_POS = _lookup_pos()
 
 
 def _lonlat_to_xyz(lon: np.ndarray, lat: np.ndarray):
@@ -128,9 +151,19 @@ def s2_cell_id(lon: np.ndarray, lat: np.ndarray, level: int = 13) -> np.ndarray:
     i = _st_to_ij(_uv_to_st(u))
     j = _st_to_ij(_uv_to_st(v))
 
-    n = np.zeros(i.shape, dtype=np.uint64)
-    bits = (face & _S2_SWAP).astype(np.uint64)  # initial orientation per face
-    for k in range(_MAX_LEVEL - 1, _MAX_LEVEL - 1 - level, -1):
+    # Hilbert position, four levels per table step (int64: 60 bits at
+    # level 30), then the remaining levels two bits at a time
+    n = np.zeros(i.shape, dtype=np.int64)
+    bits = face & _S2_SWAP  # initial orientation per face
+    k = _MAX_LEVEL
+    for _ in range(level // _LOOKUP_BITS):
+        k -= _LOOKUP_BITS
+        entry = _LOOKUP_POS[(bits << 8) | (((i >> k) & 15) << 4) | ((j >> k) & 15)]
+        n = (n << 8) | (entry >> 2)
+        bits = entry & 3
+    n = n.astype(np.uint64)
+    bits = bits.astype(np.uint64)
+    for k in range(k - 1, _MAX_LEVEL - 1 - level, -1):
         ij = (((i >> k) & 1) * 2 + ((j >> k) & 1)).astype(np.uint64)
         pos = _IJ_TO_POS[bits, ij]
         n = (n << np.uint64(2)) | pos

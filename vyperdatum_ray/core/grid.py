@@ -21,8 +21,9 @@ bit-identical float64 results:
     v   = (1-fx)*(1-fy)*v00 + fx*(1-fy)*v10 + (1-fx)*fy*v01 + fx*fy*v11
 
 That expression lives in one kernel, ``bilinear``. ``GridStack`` feeds
-it many grids at once (one evaluation per pipeline step over every
-(point, region) pair); ``SeparationGrid.interpolate`` feeds it one.
+it many grids at once (every pipeline step of a batch's (point, region)
+pairs, one block of pairs per call); ``SeparationGrid.interpolate``
+feeds it one.
 Grids have at least two nodes per axis (one bilinear cell).
 """
 
@@ -170,17 +171,20 @@ class GridStack:
         )
 
     def interpolate(self, gid: np.ndarray, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-        """Grid ``gid[i]`` sampled at ``(lon[i], lat[i])``, in blocks of
-        ``BLOCK`` points."""
-        out = np.empty(len(gid), dtype=np.float64)
-        for lo in range(0, len(gid), BLOCK):
-            hi = lo + BLOCK
-            out[lo:hi] = bilinear(self.values, *np.take(self.params, gid[lo:hi], axis=1),
-                                  lon[lo:hi], lat[lo:hi])
+        """Grid ``gid[..., i]`` sampled at ``(lon[i], lat[i])``: one grid
+        per point for an (n,) ``gid``, one per row and point for an
+        (S, n) one (a point's S pipeline steps in one kernel call), in
+        blocks of about ``BLOCK`` samples."""
+        out = np.empty(gid.shape, dtype=np.float64)
+        width = max(1, BLOCK * len(lon) // max(gid.size, 1))
+        for lo in range(0, len(lon), width):
+            hi = lo + width
+            out[..., lo:hi] = bilinear(self.values, *np.take(self.params, gid[..., lo:hi], axis=1),
+                                       lon[lo:hi], lat[lo:hi])
         return out
 
 
-# Points per ``GridStack.interpolate`` kernel call. Bounds the kernel's
+# Samples per ``GridStack.interpolate`` kernel call. Bounds the kernel's
 # ~20 live temporaries to ~64 KiB each, so memory per call does not grow
 # with the batch. One call over ~15k points (~2 MiB of temporaries per
 # step) made glibc trim and re-fault its heap every step: ~40k minor

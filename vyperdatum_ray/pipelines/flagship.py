@@ -125,10 +125,9 @@ class JoinTransform:
         # Ray workers: constructing this class on the driver (the
         # sampled accelerator does, for its tiny center set) must not
         # throttle the driver's Arrow pool for the rest of the session.
-        try:
-            in_worker = ray.get_runtime_context().worker.mode == ray.WORKER_MODE
-        except Exception:
-            in_worker = False
+        # (With no Ray session, ``get_runtime_context`` would start one.)
+        in_worker = (ray.is_initialized()
+                     and ray.get_runtime_context().worker.mode == ray.WORKER_MODE)
         if in_worker:
             pa.set_cpu_count(1)
             pa.set_io_thread_count(2)
@@ -165,6 +164,9 @@ class FusedReadTransform:
     -> transform-stage shape ships between its stages. One instance per
     worker process and catalog content holds the prepared catalog
     state (``_cached_state``); ``_fused_shard`` calls it once per shard.
+    A shard is one file, read with ``pq.ParquetFile(path).read``: the
+    table ``pq.read_table(path)`` gives, without its dataset discovery
+    (and, like it, without hive-inferred columns).
 
     Measured on this box (BASELINE.md round 4): vs the read-task ->
     actor-pool shape, 16.4M -> 26.8M rows/s at 32 CPUs, 6.7M -> 13.4M
@@ -236,7 +238,7 @@ class FusedReadTransform:
         outs = []
         for p in batch.column("path").to_pylist():
             cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
-            base = keep_geocoded(geocode_batch(pq.read_table(p, columns=cols)))
+            base = keep_geocoded(geocode_batch(pq.ParquetFile(p).read(columns=cols)))
             if not self.carry_text:
                 base = base.select(["url", "lat", "lon"])
             if self.synth_z:

@@ -7,8 +7,11 @@ grid ids and signs per step) and composed per-region uncertainties are
 prepared ONCE per worker process and catalog content in ``__init__``
 (the flagship's tasks reuse the instance, see
 ``pipelines/flagship._cached_state``); ``__call__`` is pure vectorized
-numpy per Arrow batch, over the batch's (row, region) membership pairs:
-no Python loop over regions.
+numpy per Arrow batch, winner first: each round evaluates one
+(row, region) membership pair per still-open row, starting from the
+row's last member region in catalog order, so the work scales with
+rows, not with pairs. No Python loop over regions; the rounds are
+bounded by the largest membership count of a row.
 
 Semantics re-expressed from ``reference/vyperdatum/core.py:357-462``:
 
@@ -20,15 +23,18 @@ Semantics re-expressed from ``reference/vyperdatum/core.py:357-462``:
   Helmert of ``core/helmert.py``, so z gains the frame separation
   before the grid steps), then the composed grid-shift pipeline
   (forward: z - grid, inverse: z + grid, cf. ``raster.py:278-285``),
-  one bilinear evaluation per step over all pairs,
+  every step's grid sampled in one kernel call per block of the
+  round's pairs, then added step by step in pipeline order,
 * when the OUTPUT horizontal frame differs from both the input frame
   and the region's geoid frame, the reference's 3-D z-correction
   ``new_z - (z - diffz)`` applies, with diffz from the input->output
   frame hop (``core.py:438-444``),
 * points outside a grid evaluate to +inf; the last member region in
-  catalog order with a finite result wins, computed over (row, region)
-  pairs — the reference's catalog-order overwrite of valid results
-  (``core.py:445-453``),
+  catalog order with a finite result wins — the reference's
+  catalog-order overwrite of valid results (``core.py:445-453``). A
+  row's last pair is tried first, and a row whose z is not finite
+  falls back to its previous pair in the next round, so only the
+  pairs at or after each row's winner are evaluated,
 * per-region scalar uncertainty stamped on valid rows
   (``core.py:313-355``), region_index = catalog position (int8, -1
   outside all coverage, ``core.py:415``),
@@ -46,6 +52,21 @@ from vyperdatum_ray.core.grid import GridStack
 from vyperdatum_ray.core.helmert import frame_hop
 from vyperdatum_ray.core.pipeline_algebra import get_regional_pipeline, parse_pipeline
 from vyperdatum_ray.core.uncertainty import compose_uncertainty
+from vyperdatum_ray.stages.region_join import mask_column_names, membership_words
+
+
+def last_member(words: np.ndarray) -> np.ndarray:
+    """Each row's highest set bit over its (n, W) uint64 membership
+    words (bit i of word w is region 64 * w + i), -1 for a row with
+    none. A 32-bit half converts to float64 exactly, and ``frexp``'s
+    exponent is its highest set bit plus one (0 for zero)."""
+    last = np.full(len(words), -1, dtype=np.int64)
+    for w in range(words.shape[1]):  # later words hold later regions
+        hi = np.frexp((words[:, w] >> np.uint64(32)).astype(np.float64))[1]
+        lo = np.frexp((words[:, w] & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+        top = np.where(hi > 0, hi + 31, lo - 1)
+        last = np.where(top >= 0, top + 64 * w, last)
+    return last
 
 
 class DatumTransformer:
@@ -105,6 +126,8 @@ class DatumTransformer:
             )
             self.region_frames.append(r.geoid_frame)
         self.region_names = np.array([r.name for r in self.catalog.regions], dtype=object)
+        # each region's name, then "" for a row no region covers
+        self.region_strings = pa.array([*self.region_names, ""], pa.string())
 
         # The same state as per-region arrays, gathered per (row, region)
         # pair in ``__call__``: every distinct step grid in one stack, a
@@ -116,7 +139,11 @@ class DatumTransformer:
         # every region expands the same datum-pair template, so every
         # resolved region has the same number of steps
         n_steps = max([len(st) for st in self.region_steps if st], default=0)
-        self.resolved = np.array([st is not None for st in self.region_steps], dtype=np.uint8)
+        # membership bits of the regions whose grids all resolved, one
+        # uint64 word per 64 regions as in ``region_join``'s mask columns
+        resolved = np.zeros(64 * len(mask_column_names(len(self.region_steps))), dtype=bool)
+        resolved[:len(self.region_steps)] = [st is not None for st in self.region_steps]
+        self.resolved_words = np.packbits(resolved, bitorder="little").view("<u8")
         self.step_grid = np.zeros((n_steps, len(self.region_steps)), dtype=np.int64)
         self.step_sign = np.zeros((n_steps, len(self.region_steps)), dtype=np.float64)
         for i, st in enumerate(self.region_steps):
@@ -136,8 +163,6 @@ class DatumTransformer:
         self.unc = np.array(self.region_unc, dtype=np.float64)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from vyperdatum_ray.stages.region_join import membership_words
-
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
         n = len(lon)
@@ -148,73 +173,81 @@ class DatumTransformer:
         if not self.in_is_height:
             z_in = z_in * -1.0  # depth -> height (core.py:397-399)
 
-        # (row, region) member pairs, row first, then region ascending;
-        # regions with an unresolvable grid are skipped (core.py:430-433)
-        words = np.stack(membership_words(batch), axis=1).astype("<u8")
-        n_regions = len(self.resolved)
-        bits = np.unpackbits(words.view(np.uint8), axis=1, count=n_regions, bitorder="little")
-        bits &= self.resolved
-        pr, pg = np.divmod(np.flatnonzero(bits), n_regions)
-
-        px, py, z = lon[pr], lat[pr], z_in[pr]
-        hop = self.hop_code[pg]
-        for code, f in enumerate(self.hop_frames):
-            sel = np.nonzero(hop == code)[0]
-            if len(sel):
-                # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
-                # move ~1 m and z gains the frame separation
-                px[sel], py[sel], z[sel] = frame_hop(px[sel], py[sel], z[sel], f)
-        # a point outside a step grid reads +inf, and two such steps of
-        # opposite sign add to NaN: no coverage, which the isfinite rule
-        # below drops, so it is not worth a warning per batch
-        with np.errstate(invalid="ignore"):
-            for grid_id, sign in zip(self.step_grid, self.step_sign):
-                z = z + sign[pg] * self.grids.interpolate(grid_id[pg], px, py)
-        out_hop = None
-        k = np.nonzero(self.out_corr[pg])[0]
-        if len(k):
-            # output frame differs from input AND geoid frame: 3-D
-            # z-correction new_z - (z - diffz) (core.py:438-444)
-            out_hop = frame_hop(lon, lat, z_in, self.out_frame)
-            z[k] = z[k] - (z_in[pr[k]] - out_hop[2][pr[k]])
-
-        # Each row's answer is its last pair (highest catalog order) with
-        # a finite z: the overwrite rule of core.py:445-453. isfinite,
-        # not the reference's ~isinf: two out-of-coverage step grids with
-        # opposite signs compose to inf - inf = NaN, equally "no coverage".
-        ok = np.nonzero(np.isfinite(z))[0]
-        ok_rows = pr[ok]
-        last = np.ones(len(ok), dtype=bool)
-        last[:-1] = ok_rows[1:] != ok_rows[:-1]
-        win, w = ok[last], ok_rows[last]
+        # Winner first (core.py:445-453): each round evaluates every open
+        # row's last remaining member region; a row whose z is not
+        # finite drops that member and is open in the next round. A
+        # pair's arithmetic does not depend on the other pairs in its
+        # round, so this is the answer of evaluating every pair and
+        # keeping each row's last finite one. isfinite, not the
+        # reference's ~isinf: two out-of-coverage step grids with
+        # opposite signs compose to inf - inf = NaN, equally "no
+        # coverage". Regions with an unresolvable grid are never
+        # members (core.py:430-433).
+        words = np.stack(membership_words(batch), axis=1) & self.resolved_words
         ans_z = np.full(n, np.nan, dtype=np.float64)
         ans_unc = np.full(n, np.nan, dtype=np.float64)
         ans_region = np.full(n, -1, dtype=np.int8)
-        ans_z[w] = self.flip * z[win]
-        ans_unc[w] = self.unc[pg[win]]
-        ans_region[w] = pg[win]
+        ans_x = np.full(n, np.nan, dtype=np.float64)
+        ans_y = np.full(n, np.nan, dtype=np.float64)
+        out_hop = None
+        rows = np.arange(n)
+        while len(rows):
+            regs = last_member(words[rows])
+            has = regs >= 0
+            rows, regs = rows[has], regs[has]
+            if not len(rows):
+                break
+            px, py, z = lon[rows], lat[rows], z_in[rows]
+            hop = self.hop_code[regs]
+            for code, f in enumerate(self.hop_frames):
+                sel = np.nonzero(hop == code)[0]
+                if len(sel):
+                    # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
+                    # move ~1 m and z gains the frame separation
+                    px[sel], py[sel], z[sel] = frame_hop(px[sel], py[sel], z[sel], f)
+            # a point outside a step grid reads +inf, and two such steps
+            # of opposite sign add to NaN: no coverage, which the
+            # isfinite test below drops, so it is not worth a warning
+            steps = self.grids.interpolate(self.step_grid[:, regs], px, py)
+            with np.errstate(invalid="ignore"):
+                for sign, grid_z in zip(self.step_sign[:, regs], steps):
+                    z = z + sign * grid_z
+            far = self.out_corr[regs]
+            k = np.nonzero(far)[0]
+            if len(k):
+                # output frame differs from input AND geoid frame: 3-D
+                # z-correction new_z - (z - diffz) (core.py:438-444)
+                if out_hop is None:
+                    out_hop = frame_hop(lon, lat, z_in, self.out_frame)
+                z[k] = z[k] - (z_in[rows[k]] - out_hop[2][rows[k]])
+
+            ok = np.isfinite(z)
+            w = rows[ok]
+            ans_z[w] = self.flip * z[ok]
+            ans_unc[w] = self.unc[regs[ok]]
+            ans_region[w] = regs[ok]
+            if self.emit_xy and self.out_frame != self.input_frame:
+                # the region's hopped lon/lat when its geoid frame is
+                # the output frame, the input->output hop otherwise
+                ans_x[w], ans_y[w] = px[ok], py[ok]
+                wf = w[far[ok]]
+                if len(wf):  # then out_hop was computed above
+                    ans_x[wf], ans_y[wf] = out_hop[0][wf], out_hop[1][wf]
+            rows, regs = rows[~ok], regs[~ok]
+            words[rows, regs >> 6] &= ~(np.uint64(1) << (regs & 63).astype(np.uint64))
 
         ans_z = np.round(ans_z, 3)  # core.py:462
         covered = ans_region >= 0
-        region_str = np.where(covered, self.region_names[np.maximum(ans_region, 0)], "")
         out = (
             batch.append_column(self.out_col, pa.array(ans_z, pa.float64()))
             .append_column("unc", pa.array(ans_unc, pa.float64()))
             .append_column("region_index", pa.array(ans_region, pa.int8()))
-            .append_column("region", pa.array(region_str, pa.string()))
+            .append_column("region", self.region_strings.take(
+                np.where(covered, ans_region, len(self.region_names))))
         )
         if self.emit_xy:
-            ans_x = np.full(n, np.nan, dtype=np.float64)
-            ans_y = np.full(n, np.nan, dtype=np.float64)
             if self.out_frame == self.input_frame:
-                ans_x[w], ans_y[w] = lon[w], lat[w]
-            else:
-                # the region's hopped lon/lat when its geoid frame is
-                # the output frame, the input->output hop otherwise
-                ans_x[w], ans_y[w] = px[win], py[win]
-                far = w[self.out_corr[pg[win]]]
-                if len(far):  # then out_hop was computed above
-                    ans_x[far], ans_y[far] = out_hop[0][far], out_hop[1][far]
+                ans_x[covered], ans_y[covered] = lon[covered], lat[covered]
             out = (out.append_column("x_out", pa.array(ans_x, pa.float64()))
                       .append_column("y_out", pa.array(ans_y, pa.float64())))
         return out
