@@ -8,7 +8,8 @@ Usage: python scripts/check_correctness.py [name | @set ...]
 datum transform (``flagship.flagship_fused`` or ``join_transform_batch``);
 ``@exchange`` names every relational query on the salted exchange
 (``pipelines/exchange.exchange``); ``@text`` names the text, corpus,
-image and embedding queries on it.
+image and embedding queries on it; ``@raster`` names the raster-path
+queries (``pipelines/raster.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ NAMED_SETS = {
     "text": """dedup_exact dedup_normalized line_dedup url_dedup minhash_pairs
         simhash_neardup neardup_jaccard neardup_clusters_text corpus_pipeline
         seq_pack image_neardup neardup_embedding_lsh""".split(),
+    "raster": """raster_valid_counts raster_sep raster_transform raster_tile_manifest
+        raster_coverage zonal_stats""".split(),
 }
 
 

@@ -5,8 +5,13 @@
 
 ``dump`` starts a local 4-CPU Ray session and writes one parquet file per
 output into ``--out``: ``flagship_fused`` under each parameter set of
-``PARAMS``, ``flagship_pipeline``, and every ``shard=*/part-0.parquet``
-of the checkpointed sink (``run_flagship_checkpointed``). It imports the
+``PARAMS``, ``flagship_pipeline``, every ``shard=*/part-0.parquet`` of the
+checkpointed sink (``run_flagship_checkpointed``), the raster path
+(``raster_transform`` with and without the outside-coverage fallback,
+``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``) and the
+points API (``transform_points`` exact and sampled, on ``points()``). The
+raster outputs are sorted by their key columns (``RASTER_KEYS``); the
+points keep their input order. It imports the
 engine of the tree the script sits in, so a dump from a checkout of
 another commit (``git archive``, not a worktree) gives that commit's
 outputs. ``compare`` checks that both dumps hold the same files and that
@@ -43,6 +48,35 @@ PARAMS = {
     "synth_z": dict(z_col="z_in", synth_z=True),
 }
 
+# the raster outputs' key columns: their row order is not defined
+RASTER_KEYS = {
+    "raster_outside": ["row", "col"],
+    "raster_inside": ["row", "col"],
+    "raster_sep": ["row", "col"],
+    "zonal_stats": ["region_index"],
+    "raster_valid_counts": ["region"],
+}
+
+
+def points(catalog):
+    """A fixed point set for the points API: 20,000 seeded uniform
+    points with a z over the union of the catalog's grid extents,
+    widened by 0.1 deg so some fall outside every grid, then three
+    NaN-coordinate points."""
+    import numpy as np
+
+    xs, ys = [], []
+    for g in catalog.grids.values():
+        xs += [g.origin_x, g.origin_x + g.values.shape[1] * g.dx]
+        ys += [g.origin_y, g.origin_y + g.values.shape[0] * g.dy]
+    rng = np.random.default_rng(20_000)
+    x = rng.uniform(min(xs) - 0.1, max(xs) + 0.1, 20_000)
+    y = rng.uniform(min(ys) - 0.1, max(ys) + 0.1, 20_000)
+    z = rng.uniform(-5.0, 5.0, 20_000)
+    nan = [np.nan, 0.0, np.nan]
+    return (np.concatenate([x, nan]), np.concatenate([y, nan[::-1]]),
+            np.concatenate([z, [1.0, 2.0, 3.0]]))
+
 
 def dump(sf_dir: str, out: str) -> None:
     import pyarrow as pa
@@ -50,7 +84,10 @@ def dump(sf_dir: str, out: str) -> None:
     import ray
 
     from vyperdatum_ray.fixtures import ensure_fixtures
-    from vyperdatum_ray.pipelines.flagship import flagship_fused, flagship_pipeline
+    from vyperdatum_ray.pipelines import raster
+    from vyperdatum_ray.pipelines.flagship import (flagship_fused, flagship_pipeline,
+                                                   load_catalog)
+    from vyperdatum_ray.points import transform_points
     from vyperdatum_ray.state.lineage import run_flagship_checkpointed
 
     ensure_fixtures(sf_dir)
@@ -72,6 +109,23 @@ def dump(sf_dir: str, out: str) -> None:
                 shutil.copy(part, os.path.join(out, f"sink_{shard}.parquet"))
         finally:
             shutil.rmtree(sink, ignore_errors=True)
+        frames = {
+            "raster_outside": raster.raster_transform(sf_dir, allow_outside=True),
+            "raster_inside": raster.raster_transform(sf_dir, allow_outside=False),
+            "raster_sep": raster.q_raster_sep(sf_dir),
+            "zonal_stats": raster.q_zonal_stats(sf_dir),
+            "raster_valid_counts": raster.q_raster_valid_counts(sf_dir),
+        }
+        for name, ds in frames.items():
+            df = ds.to_pandas().sort_values(RASTER_KEYS[name], kind="stable")
+            pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                           os.path.join(out, f"{name}.parquet"))
+        catalog = load_catalog(sf_dir)
+        x, y, z = points(catalog)
+        for name, d in (("points_exact", None), ("points_sampled", 0.01)):
+            cols = transform_points(catalog, x, y, z, sample_distance=d)
+            pq.write_table(pa.table(dict(zip(["x", "y", "z", "unc", "region_index"], cols))),
+                           os.path.join(out, f"{name}.parquet"))
     finally:
         ray.shutdown()
 

@@ -302,18 +302,28 @@ def test_target_datums_do_not_share_state(ray_session):
 
 def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, monkeypatch):
     """One block per shard, in sorted path order whatever order
-    ``paths`` lists them in; ``paths=[]`` means no shard, not every
+    ``paths`` lists them in: block k is the k-th sorted path's own
+    output (``paths=[p]``); ``paths=[]`` means no shard, not every
     shard: zero rows and no task submitted."""
+    import ray
     from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
     from vyperdatum_ray.pipelines import flagship
 
     sf = os.path.join(os.path.dirname(SF), "sf0.01")  # 3 shards
     ensure_fixtures(sf)
     paths = sorted(pages_paths(sf))
-    ds = flagship.flagship_fused(sf, paths=paths[::-1], include_paths=True)
+    ds = flagship.flagship_fused(sf, paths=paths[::-1])
     assert ds.num_blocks() == len(paths) == 3
-    got = ds.to_pandas()["path"]
-    assert got.is_monotonic_increasing and set(got) == set(paths)
+    blocks = ray.get(ds.to_arrow_refs())
+    assert len(blocks) == len(paths)
+    urls = set()
+    for block, p in zip(blocks, paths):
+        (own,) = ray.get(flagship.flagship_fused(sf, paths=[p]).to_arrow_refs())
+        assert own.num_rows > 0 and block.schema == own.schema
+        pd.testing.assert_frame_equal(block.to_pandas(), own.to_pandas())
+        # every shard holds its own pages, so the order is observable
+        assert urls.isdisjoint(own.column("url").to_pylist())
+        urls.update(own.column("url").to_pylist())
 
     class NoTask:
         def remote(self, *args):
@@ -321,3 +331,17 @@ def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, mon
 
     monkeypatch.setattr(flagship, "_fused_shard", NoTask())
     assert flagship.flagship_fused(SF, paths=[]).count() == 0
+
+
+def test_region_median_partials_carry_no_pandas_schema_metadata(ray_session):
+    """The region-median map output's schema has no ``pandas`` metadata
+    key, which made Ray log ``Failed to hash the schemas``."""
+    import ray
+    from vyperdatum_ray.pipelines.flagship import flagship_fused
+    from vyperdatum_ray.pipelines.relational import _median_partial
+
+    ds = flagship_fused(SF).map_batches(_median_partial, batch_format="pyarrow").materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    assert blocks and sum(b.num_rows for b in blocks) > 0
+    for b in blocks:
+        assert b"pandas" not in (b.schema.metadata or {})

@@ -55,6 +55,7 @@ def test_sink_partitions_match_fused_flagship(first_run):
     rewrites the output with a perturbed catalog.)"""
     import pyarrow.compute as pc
 
+    import ray
     from vyperdatum_ray.pipelines.flagship import flagship_fused
     from vyperdatum_ray.state.lineage import _shard_of, completed_shards
 
@@ -62,14 +63,12 @@ def test_sink_partitions_match_fused_flagship(first_run):
             "region_index", "z_out", "unc"]
 
     out, metrics = first_run
-    fused = pa.concat_tables(list(flagship_fused(SF, include_paths=True)
-                                  .iter_batches(batch_format="pyarrow",
-                                                batch_size=None)))
     recs = completed_shards(out, metrics["transform_version"])
     assert len(recs) == metrics["n_shards_total"]
     for shard, rec in recs.items():
         part = pq.read_table(os.path.join(out, f"shard={shard}"))
-        expect = fused.filter(pc.equal(fused.column("path"), rec["input_file"]))
+        expect = pa.concat_tables(ray.get(
+            flagship_fused(SF, paths=[rec["input_file"]]).to_arrow_refs()))
         assert _shard_of(rec["input_file"]) == shard
         assert part.schema.names == cols
         assert part.schema == expect.select(cols).schema

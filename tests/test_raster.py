@@ -2,8 +2,10 @@
 stack order, CATZOC-D outside-coverage fallback, nodata handling and the
 per-tile manifest — all over the deterministic sf0.001 fixture raster."""
 
+import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pyarrow.parquet as pq
@@ -123,3 +125,94 @@ def test_write_raster_tiles_resumable_layout(ray_session, tmp_path):
     assert len(dirs) == len(manifest)
     got = pq.read_table(str(tmp_path / "tiles")).num_rows
     assert got == sum(manifest.values())
+
+
+def _reference_seps(catalog, cands, from_datum, to_datum, lon, lat):
+    """The raster path's former private copy of the regional pipeline,
+    kept as the reference: per candidate, the pipeline parsed and its
+    grid keys resolved, the geoid-frame hop of the cell centers at
+    z = 0, then one ``SeparationGrid.interpolate`` per step added with
+    its sign. ``{cand_pos: (sep, valid, unc)}``; a candidate with an
+    unresolvable grid is absent (skipped)."""
+    from vyperdatum_ray.catalog import INPUT_FRAME
+    from vyperdatum_ray.core.helmert import frame_hop
+    from vyperdatum_ray.core.pipeline_algebra import (get_regional_pipeline,
+                                                      parse_pipeline, resolve_grid_key)
+    from vyperdatum_ray.core.uncertainty import compose_uncertainty
+
+    out = {}
+    for pos, i in enumerate(cands):
+        r = catalog.regions[i]
+        resolved = [(resolve_grid_key(s.grid_key, catalog.grids), s.sign)
+                    for s in parse_pipeline(
+                        get_regional_pipeline(from_datum, to_datum, r.name, r.geoid_name))]
+        if any(k is None for k, _ in resolved):
+            continue
+        if r.geoid_frame != INPUT_FRAME:
+            slon, slat, sep = frame_hop(lon, lat, np.zeros(len(lon)), r.geoid_frame)
+        else:
+            slon, slat, sep = lon, lat, np.zeros(len(lon), dtype=np.float64)
+        with np.errstate(invalid="ignore"):
+            for key, sign in resolved:
+                sep = sep + sign * catalog.grids[key].interpolate(slon, slat)
+        unc = compose_uncertainty(from_datum, to_datum, catalog.sigmas.get(r.name, {}),
+                                  catalog.geoid_sigmas.get(r.geoid_name, 0.0))
+        out[pos] = (sep, np.isfinite(sep), unc)
+    return out
+
+
+@pytest.mark.parametrize("drop_grid", [None, "SYNcoastB_8301/tss"])
+@pytest.mark.parametrize("pair", [("ellipse", "mllw"), ("navd88", "mhw"),
+                                  ("ellipse", "ellipse")])
+def test_separation_matches_reference(fx_dir, cells, pair, drop_grid):
+    """The raster separation runs on the transform's own state
+    (``DatumTransformer.separation``) and equals the former per-step
+    loop bit for bit, per candidate: separation, validity and
+    uncertainty, the same candidates skipped. Covers the ITRF-framed
+    candidate (hop), three datum pairs (one the zero-step null
+    pipeline) and a catalog missing one candidate's grid, under
+    warnings-as-errors: an inf - inf coverage hole is not worth a
+    warning."""
+    from vyperdatum_ray.catalog import INPUT_FRAME, Catalog
+    from vyperdatum_ray.pipelines.raster import _candidates, _cell_lonlat, _seps, raster_meta
+    from vyperdatum_ray.stages.transform import DatumTransformer
+
+    catalog = Catalog.from_dir(fx_dir)
+    if drop_grid:
+        catalog = dataclasses.replace(
+            catalog, grids={k: g for k, g in catalog.grids.items() if k != drop_grid})
+    meta = raster_meta(SF)
+    cands = _candidates(catalog, meta)
+    assert any(catalog.regions[i].geoid_frame != INPUT_FRAME for i in cands)
+    lon, lat = _cell_lonlat(meta, cells["row"].to_numpy(), cells["col"].to_numpy())
+
+    ref = _reference_seps(catalog, cands, *pair, lon, lat)
+    dt = DatumTransformer(catalog, *pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {pos: (sep, valid) for pos, sep, valid in _seps(dt, cands, lon, lat)}
+    assert sorted(got) == sorted(ref)
+    if drop_grid and pair[0] != pair[1]:
+        assert 1 not in got  # SYNcoastB is the skipped candidate
+    else:
+        assert sorted(got) == list(range(len(cands)))
+    for pos, (sep, valid) in got.items():
+        assert np.array_equal(sep, ref[pos][0], equal_nan=True)
+        assert np.array_equal(valid, ref[pos][1])
+        assert dt.unc[cands[pos]] == ref[pos][2]
+    if pair[0] != pair[1]:
+        # the fixture's cells include inf - inf = NaN coverage holes
+        assert np.isnan(np.concatenate([s for s, _ in got.values()])).any()
+
+
+def test_zonal_partials_carry_no_pandas_schema_metadata(ray_session):
+    """The zonal-stats map output's schema has no ``pandas`` metadata
+    key, which made Ray log ``Failed to hash the schemas``."""
+    import ray
+    from vyperdatum_ray.pipelines.raster import _zonal_partial, raster_transform
+
+    ds = raster_transform(SF).map_batches(_zonal_partial, batch_format="pyarrow").materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    assert blocks and sum(b.num_rows for b in blocks) > 0
+    for b in blocks:
+        assert b"pandas" not in (b.schema.metadata or {})

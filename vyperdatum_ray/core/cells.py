@@ -334,3 +334,21 @@ def tile_id(lon: np.ndarray, lat: np.ndarray, tile_deg: float = TILE_DEG) -> np.
     ty = np.floor((np.asarray(lat, np.float64) + 90.0) / tile_deg).astype(np.int64)
     tx = np.floor((np.asarray(lon, np.float64) + 180.0) / tile_deg).astype(np.int64)
     return ty * _TILE_STRIDE + tx
+
+
+def sample_cells(lon: np.ndarray, lat: np.ndarray, d: float):
+    """Each point's cell on the absolute sample-distance lattice
+    ``floor(v / d)`` (the O2 accelerator's bins): ``(cx, cy, key)``.
+    ``key`` packs the pair into one sortable int64, each index offset
+    by 2^20 so that negative (southern/western) indices pack too."""
+    cx = np.floor(lon / d).astype(np.int64)
+    cy = np.floor(lat / d).astype(np.int64)
+    return cx, cy, (cx + (1 << 20)) * (1 << 21) + (cy + (1 << 20))
+
+
+def sample_cell_centers(key: np.ndarray, d: float):
+    """``(cx, cy, lon, lat)`` of packed ``sample_cells`` keys: the cell
+    indices and the cell centers ``(c + 0.5) * d``."""
+    cx = key // (1 << 21) - (1 << 20)
+    cy = key % (1 << 21) - (1 << 20)
+    return cx, cy, (cx + 0.5) * d, (cy + 0.5) * d

@@ -83,8 +83,9 @@ def _lru(cache: OrderedDict, key, build, cap: int):
 
 def _shard_kwargs(catalog: Catalog, **params) -> dict:
     """``fn_kwargs`` for a cached-state map function
-    (``join_transform_batch``) and the arguments of the remote shard
-    tasks (``_fused_shard``, ``lineage._sink_shard``): the broadcast
+    (``join_transform_batch``, the raster path's ``DatumTransformer``
+    maps) and the arguments of the remote shard tasks (``_fused_shard``,
+    ``lineage._sink_shard``): the broadcast
     catalog, its content key and the state's constructor parameters.
     The catalog is put once per Ray session and content key. The key is
     the catalog's content, never its version alone: same-version
@@ -163,8 +164,9 @@ class FusedReadTransform:
     stages — not even the (url, lat, lon) slim stream that a read-task
     -> transform-stage shape ships between its stages. One instance per
     worker process and catalog content holds the prepared catalog
-    state (``_cached_state``); ``_fused_shard`` calls it once per shard.
-    A shard is one file, read with ``pq.ParquetFile(path).read``: the
+    state (``_cached_state``); ``_fused_shard`` and ``lineage._sink_shard``
+    call it once per shard, with the shard's path. A shard is one file,
+    read with ``pq.ParquetFile(path).read``: the
     table ``pq.read_table(path)`` gives, without its dataset discovery
     (and, like it, without hive-inferred columns).
 
@@ -185,7 +187,7 @@ class FusedReadTransform:
 
     def __init__(self, catalog_ref, from_datum="ellipse", to_datum="mllw",
                  in_is_height=True, out_is_height=False,
-                 include_paths=False, inner=1,
+                 inner=1,
                  z_col=None, out_frame=None, emit_xy=False, synth_z=False,
                  project_fwd=None, project_inv=None, project_code=None,
                  with_cells=True, carry_text=False):
@@ -194,7 +196,6 @@ class FusedReadTransform:
             in_is_height=in_is_height, out_is_height=out_is_height,
             z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
         )
-        self.include_paths = include_paths
         self.inner = inner
         self.synth_z = synth_z
         # projected-input roundtrip hook (M1): fwd defines the projected
@@ -232,31 +233,25 @@ class FusedReadTransform:
                 out = out.append_column(name, base.column(name))
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, path: str) -> pa.Table:
         import pyarrow.parquet as pq
 
-        outs = []
-        for p in batch.column("path").to_pylist():
-            cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
-            base = keep_geocoded(geocode_batch(pq.ParquetFile(p).read(columns=cols)))
-            if not self.carry_text:
-                base = base.select(["url", "lat", "lon"])
-            if self.synth_z:
-                base = synth_z_batch(base)
-            if self.project_fwd is not None:
-                base = self._project(base)
-            # replication happens BEFORE the transform so every emitted
-            # row carries full cell-index + PIP + transform work (the
-            # read/geocode amortization matches the old scaling shape;
-            # replicating the TRANSFORMED table would make the inner
-            # copies zero-cost metadata and fake the throughput)
-            for _ in range(self.inner):
-                g = self.jt(cell_index_batch(base) if self.with_cells else base)
-                if self.include_paths:
-                    g = g.append_column(
-                        "path", pa.array([p] * g.num_rows, pa.string()))
-                outs.append(g)
-        return pa.concat_tables(outs)
+        cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
+        base = keep_geocoded(geocode_batch(pq.ParquetFile(path).read(columns=cols)))
+        if not self.carry_text:
+            base = base.select(["url", "lat", "lon"])
+        if self.synth_z:
+            base = synth_z_batch(base)
+        if self.project_fwd is not None:
+            base = self._project(base)
+        # replication happens BEFORE the transform so every emitted row
+        # carries full cell-index + PIP + transform work (the read/geocode
+        # amortization matches the old scaling shape; replicating the
+        # TRANSFORMED table would make the inner copies zero-cost
+        # metadata and fake the throughput)
+        return pa.concat_tables([
+            self.jt(cell_index_batch(base) if self.with_cells else base)
+            for _ in range(self.inner)])
 
 
 @ray.remote(num_cpus=1)
@@ -272,8 +267,7 @@ def _fused_shard(path: str, catalog: list, catalog_key: str, params: dict) -> pa
     (``max_retries=3``); an exception raised by the shard's own code is
     not retried. The output is deterministic, so a re-run shard
     returns the same table."""
-    return _cached_state(FusedReadTransform, catalog[0], catalog_key,
-                         params)(pa.table({"path": [path]}))
+    return _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
@@ -288,7 +282,6 @@ def flagship_fused(
     sf_dir: str,
     catalog: Catalog | None = None,
     paths: list[str] | None = None,
-    include_paths: bool = False,
     inner: int = 1,
     from_datum: str = "ellipse",
     to_datum: str = "mllw",
@@ -322,8 +315,7 @@ def flagship_fused(
     catalog = catalog or load_catalog(sf_dir)
     kw = _shard_kwargs(
         catalog, from_datum=from_datum, to_datum=to_datum,
-        in_is_height=in_is_height, out_is_height=out_is_height,
-        include_paths=include_paths, inner=inner,
+        in_is_height=in_is_height, out_is_height=out_is_height, inner=inner,
         z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
         synth_z=synth_z, project_fwd=project_fwd,
         project_inv=project_inv, project_code=project_code,

@@ -14,6 +14,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
+from vyperdatum_ray.core.cells import sample_cell_centers, sample_cells
 from vyperdatum_ray.pipelines import exchange
 from vyperdatum_ray.pipelines.flagship import (
     flagship_fused,
@@ -370,7 +371,7 @@ def q_transform_summary(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("region", as_index=False).agg(
             partial_n=("z_out", "size"), partial_z=("z_out", "sum"), partial_unc=("unc", "sum")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
     ds = flagship_fused(sf_dir).map_batches(partial, batch_format="pyarrow")
     out = ds.groupby("region").aggregate(
@@ -517,15 +518,9 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
 
     catalog = load_catalog(sf_dir)
 
-    def cell_key(lon: np.ndarray, lat: np.ndarray):
-        cx = np.floor(lon / d).astype(np.int64)
-        cy = np.floor(lat / d).astype(np.int64)
-        return cx, cy
-
     def to_cells(batch: pa.Table) -> pa.Table:
-        cx, cy = cell_key(batch.column("lon").to_numpy(zero_copy_only=False),
-                          batch.column("lat").to_numpy(zero_copy_only=False))
-        key = np.unique((cx + (1 << 20)) * (1 << 21) + (cy + (1 << 20)))
+        key = np.unique(sample_cells(batch.column("lon").to_numpy(zero_copy_only=False),
+                                     batch.column("lat").to_numpy(zero_copy_only=False), d)[2])
         return pa.table({"cell_key": pa.array(key, pa.int64())})
 
     geo = _geo(sf_dir, GEO_SLIM)
@@ -533,16 +528,14 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     cells = cells.groupby("cell_key").count()
 
     def add_centers(batch: pa.Table) -> pa.Table:
-        key = batch.column("cell_key").to_numpy()
-        cx = key // (1 << 21) - (1 << 20)
-        cy = key % (1 << 21) - (1 << 20)
+        cx, cy, lon, lat = sample_cell_centers(batch.column("cell_key").to_numpy(), d)
         return pa.table(
             {
                 "cell_key": batch.column("cell_key"),
                 "cx": pa.array(cx, pa.int64()),
                 "cy": pa.array(cy, pa.int64()),
-                "lon": pa.array((cx + 0.5) * d, pa.float64()),
-                "lat": pa.array((cy + 0.5) * d, pa.float64()),
+                "lon": pa.array(lon, pa.float64()),
+                "lat": pa.array(lat, pa.float64()),
             }
         )
 
@@ -576,8 +569,7 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
         def __call__(self, batch: pa.Table) -> pa.Table:
             lon = batch.column("lon").to_numpy(zero_copy_only=False)
             lat = batch.column("lat").to_numpy(zero_copy_only=False)
-            cx, cy = cell_key(lon, lat)
-            key = (cx + (1 << 20)) * (1 << 21) + (cy + (1 << 20))
+            cx, cy, key = sample_cells(lon, lat, d)
             pos = np.searchsorted(self.keys, key)
             pos = np.clip(pos, 0, len(self.keys) - 1)
             t = pa.table(
@@ -665,7 +657,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
         })
         g = df.groupby("region_index", as_index=False).agg(
             p_n=("z_out", "size"), p_z=("z_out", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
     out = ds.map_batches(partial, batch_format="pyarrow").groupby(
         "region_index").aggregate(
@@ -739,7 +731,7 @@ def q_gridded_points(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby(["row", "col"], as_index=False).agg(
             p_n=("z", "size"), p_z=("z", "sum")
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
     ds = flagship_fused(sf_dir).map_batches(partial, batch_format="pyarrow")
     out = ds.groupby(["row", "col"]).aggregate(

@@ -8,8 +8,11 @@ Semantics re-expressed from ``reference/vyperdatum/raster.py``:
 * per-candidate regional separation = the composed pipeline's grid
   shifts sampled at every cell center and summed with their step signs
   (``raster.py:237-286`` — our bilinear interpolator replaces
-  ``gdal.Warp``); a cell is valid for a region iff every step grid
-  covers it,
+  ``gdal.Warp``), after the region's geoid-frame hop; a cell is valid
+  for a region iff every step grid covers it. The points path's own
+  kernel computes it (``DatumTransformer.separation`` at z = 0, one call
+  per candidate over the whole batch), so the pipeline parse, grid-key
+  resolution, hop and uncertainty live in ``stages/transform.py`` only,
 * regional seps are stacked in ascending global valid-count order so
   the region with the most valid cells wins overlaps
   (``raster.py:229-233``); ``region_index`` = position in the
@@ -24,8 +27,12 @@ Semantics re-expressed from ``reference/vyperdatum/raster.py``:
 
 Distribution shape: pass 1 is a cheap streaming aggregate (per-batch
 partial valid counts -> tiny groupby) that fixes the global stack
-order; pass 2 is an actor-pool ``map_batches`` holding the grids and
-the stack order. Both passes stream; nothing materializes the raster.
+order; pass 2 is a stateless-task ``map_batches`` carrying the stack
+order. Both passes read the worker's cached ``DatumTransformer``
+(``flagship._cached_state``, one per catalog content and datum pair,
+from the catalog the driver puts once per Ray session); the driver
+loads the catalog once per job. Both passes stream; nothing
+materializes the raster.
 """
 
 from __future__ import annotations
@@ -41,11 +48,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from vyperdatum_ray.catalog import Catalog, INPUT_FRAME
-from vyperdatum_ray.core.pipeline_algebra import get_regional_pipeline, parse_pipeline
-from vyperdatum_ray.core.uncertainty import compose_uncertainty
+from vyperdatum_ray.catalog import Catalog
 from vyperdatum_ray.fixtures import catalog_dir, ensure_fixtures
 from vyperdatum_ray.pipelines import exchange
+from vyperdatum_ray.pipelines.flagship import _cached_state, _shard_kwargs, load_catalog
+from vyperdatum_ray.stages.transform import DatumTransformer
 
 
 def raster_meta(sf_dir: str) -> dict:
@@ -68,121 +75,88 @@ def _candidates(catalog: Catalog, meta: dict) -> list[int]:
     return [i for i, r in enumerate(catalog.regions) if r.name in names]
 
 
-class _RegionalSep:
-    """Shared per-batch kernel: per-candidate-region separation +
-    validity at cell centers. Prepared once per actor."""
-
-    def __init__(self, catalog: Catalog, meta: dict,
-                 from_datum: str = "ellipse", to_datum: str = "mllw"):
-        self.meta = meta
-        self.cands = _candidates(catalog, meta)
-        self.steps = []  # per candidate: list[(grid, sign)] | None
-        self.unc = []
-        self.frames = []
-        self.names = []
-        for i in self.cands:
-            r = catalog.regions[i]
-            pipeline = get_regional_pipeline(from_datum, to_datum, r.name, r.geoid_name)
-            if pipeline is None:  # same-datum null transform -> zero sep
-                self.steps.append([])
-            else:
-                from vyperdatum_ray.core.pipeline_algebra import resolve_grid_key
-
-                parsed = parse_pipeline(pipeline)
-                resolved = [(resolve_grid_key(s.grid_key, catalog.grids), s.sign)
-                            for s in parsed]
-                if any(k is None for k, _ in resolved):
-                    self.steps.append(None)  # invalid pipeline: region skipped
-                else:
-                    self.steps.append([(catalog.grids[k], sign) for k, sign in resolved])
-            self.unc.append(
-                compose_uncertainty(from_datum, to_datum,
-                                    catalog.sigmas.get(r.name, {}),
-                                    catalog.geoid_sigmas.get(r.geoid_name, 0.0))
-            )
-            self.frames.append(r.geoid_frame)
-            self.names.append(r.name)
-
-    def cell_lonlat(self, row: np.ndarray, col: np.ndarray):
-        m = self.meta
-        lon = m["origin_x"] + (col.astype(np.float64) + 0.5) * m["dx"]
-        lat = m["origin_y"] + (row.astype(np.float64) + 0.5) * m["dy"]
-        return lon, lat
-
-    def seps(self, lon: np.ndarray, lat: np.ndarray):
-        """Yield (cand_pos, sep, valid) per candidate region with a
-        usable pipeline."""
-        for pos, steps in enumerate(self.steps):
-            if steps is None:
-                continue
-            frame = self.frames[pos]
-            if frame != INPUT_FRAME:
-                # real 3-D Helmert hop of the cell centers (z = 0): the
-                # separation starts at the frame dz, as in the points path
-                from vyperdatum_ray.core.helmert import frame_hop
-
-                slon, slat, sep0 = frame_hop(lon, lat, np.zeros(len(lon)), frame)
-                sep = sep0
-            else:
-                slon, slat = lon, lat
-                sep = np.zeros(len(lon), dtype=np.float64)
-            for grid, sign in steps:
-                sep = sep + sign * grid.interpolate(slon, slat)
-            # outside one grid -> +/-inf; outside two with opposite step
-            # signs -> inf - inf = NaN. Both mean "no coverage".
-            valid = np.isfinite(sep)
-            yield pos, sep, valid
+def _cell_lonlat(meta: dict, row: np.ndarray, col: np.ndarray):
+    lon = meta["origin_x"] + (col.astype(np.float64) + 0.5) * meta["dx"]
+    lat = meta["origin_y"] + (row.astype(np.float64) + 0.5) * meta["dy"]
+    return lon, lat
 
 
-def _load_state(sf_dir: str, from_datum: str, to_datum: str) -> _RegionalSep:
-    return _RegionalSep(
-        Catalog.from_dir(catalog_dir(sf_dir)), raster_meta(sf_dir), from_datum, to_datum
-    )
+def _seps(dt: DatumTransformer, cands: list[int], lon: np.ndarray, lat: np.ndarray,
+          order=None):
+    """Yield (cand_pos, sep, valid) for each candidate position of
+    ``order`` (default: every candidate, in list order) whose pipeline
+    resolved: the region's separation at z = 0 through the transform's
+    own kernel (geoid-frame hop, then the signed grid steps), one call
+    over the whole batch per candidate. Outside a step grid the sum is
+    +/-inf, or NaN for two opposite-sign steps: both are not valid."""
+    zeros = np.zeros(len(lon))
+    for pos in range(len(cands)) if order is None else order:
+        i = cands[pos]
+        if dt.region_steps[i] is None:  # unresolvable grid: region skipped
+            continue
+        sep = dt.separation(np.full(len(lon), i), lon, lat, zeros)[2]
+        yield pos, sep, np.isfinite(sep)
+
+
+def _job(sf_dir: str, catalog: Catalog, from_datum: str, to_datum: str):
+    """A raster job's driver-side inputs: the raster metadata, the
+    candidate regions and the arguments of the worker's cached
+    ``DatumTransformer`` (``flagship._cached_state``). Each job loads
+    its catalog once; the catalog is put once per Ray session."""
+    meta = raster_meta(sf_dir)
+    return (meta, _candidates(catalog, meta),
+            _shard_kwargs(catalog, from_datum=from_datum, to_datum=to_datum))
+
+
+def _valid_counts(sf_dir: str, catalog: Catalog) -> ray.data.Dataset:
+    meta, cands, kw = _job(sf_dir, catalog, "ellipse", "mllw")
+    names = [catalog.regions[i].name for i in cands]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        dt = _cached_state(DatumTransformer, **kw)
+        lon, lat = _cell_lonlat(meta, batch.column("row").to_numpy(),
+                                batch.column("col").to_numpy())
+        regions, counts = [], []
+        for pos, _sep, valid in _seps(dt, cands, lon, lat):
+            regions.append(names[pos])
+            counts.append(int(valid.sum()))
+        return pa.table({"region": pa.array(regions, pa.string()),
+                         "partial_n": pa.array(counts, pa.int64())})
+
+    ds = raster_cells(sf_dir, ["row", "col"]).map_batches(partial, batch_format="pyarrow")
+    return ds.groupby("region").aggregate(Sum("partial_n", alias_name="n_valid"))
 
 
 def q_raster_valid_counts(sf_dir: str) -> ray.data.Dataset:
     """Per-region valid-cell counts (A2): per-batch partials -> tiny
     groupby-sum. This is pass 1 of the raster transform."""
-    state_ref = ray.put(_load_state(sf_dir, "ellipse", "mllw"))
-
-    class Partial:
-        def __init__(self, state_ref):
-            self.state = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lon, lat = self.state.cell_lonlat(
-                batch.column("row").to_numpy(), batch.column("col").to_numpy()
-            )
-            regions, counts = [], []
-            for pos, _sep, valid in self.state.seps(lon, lat):
-                regions.append(self.state.names[pos])
-                counts.append(int(valid.sum()))
-            return pa.table({"region": pa.array(regions, pa.string()),
-                             "partial_n": pa.array(counts, pa.int64())})
-
-    ds = raster_cells(sf_dir, ["row", "col"]).map_batches(
-        lambda t: Partial(state_ref=state_ref)(t), batch_format="pyarrow",
-    )
-    return ds.groupby("region").aggregate(Sum("partial_n", alias_name="n_valid"))
+    return _valid_counts(sf_dir, load_catalog(sf_dir))
 
 
-def _stack_order(sf_dir: str, from_datum: str, to_datum: str) -> list[int]:
+def _stack_order(sf_dir: str, from_datum: str, to_datum: str,
+                 catalog: Catalog | None = None) -> list[int]:
     """Ascending-valid-count candidate positions (J3). Stable ties keep
     catalog order, so on equal counts the later catalog region wins."""
-    counts_df = q_raster_valid_counts(sf_dir).to_pandas()
-    state = _load_state(sf_dir, from_datum, to_datum)
+    catalog = catalog or load_catalog(sf_dir)
+    counts_df = _valid_counts(sf_dir, catalog).to_pandas()
+    cands = _candidates(catalog, raster_meta(sf_dir))
+    steps = DatumTransformer(catalog, from_datum, to_datum).region_steps
     by_name = dict(zip(counts_df["region"], counts_df["n_valid"]))
-    positions = [p for p, s in enumerate(state.steps) if s is not None]
-    counts = np.array([by_name.get(state.names[p], 0) for p in positions], dtype=np.int64)
+    positions = [p for p, i in enumerate(cands) if steps[i] is not None]
+    counts = np.array([by_name.get(catalog.regions[cands[p]].name, 0) for p in positions],
+                      dtype=np.int64)
     return [positions[i] for i in np.argsort(counts, kind="stable")]
 
 
 class RasterSepApply:
     """Pass 2: stacked separation + apply_sep per cell batch."""
 
-    def __init__(self, state_ref, stack_order, allow_outside: bool = False,
-                 in_is_height: bool = True, out_is_height: bool = False):
-        self.state = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
+    def __init__(self, kw: dict, meta: dict, cands: list[int], stack_order: list[int],
+                 allow_outside: bool = False, in_is_height: bool = True,
+                 out_is_height: bool = False):
+        self.dt = _cached_state(DatumTransformer, **kw)
+        self.meta = meta
+        self.cands = cands
         self.stack_order = stack_order
         self.allow_outside = allow_outside
         self.in_is_height = in_is_height
@@ -193,11 +167,9 @@ class RasterSepApply:
         sep = np.full(n, np.nan)
         unc = np.full(n, np.nan)
         ridx = np.full(n, -1, dtype=np.int32)
-        per = {pos: (s, v) for pos, s, v in self.state.seps(lon, lat)}
-        for pos in self.stack_order:
-            s, v = per[pos]
+        for pos, s, v in _seps(self.dt, self.cands, lon, lat, self.stack_order):
             sep[v] = s[v]
-            unc[v] = self.state.unc[pos]
+            unc[v] = self.dt.unc[self.cands[pos]]
             ridx[v] = pos  # candidate-list position (raster.py:233)
         return sep, unc, ridx
 
@@ -207,7 +179,7 @@ class RasterSepApply:
         elev = batch.column("elevation").to_numpy(zero_copy_only=False)
         src_unc = batch.column("uncertainty").to_numpy(zero_copy_only=False)
         contrib = batch.column("contributor").to_numpy(zero_copy_only=False)
-        lon, lat = self.state.cell_lonlat(row, col)
+        lon, lat = _cell_lonlat(self.meta, row, col)
         sep, runc, ridx = self.stacked(lon, lat)
 
         elev_nodata = np.isnan(elev)
@@ -235,7 +207,7 @@ class RasterSepApply:
         out_unc[elev_nodata] = np.nan
         out_contrib[elev_nodata] = np.nan
 
-        tile = self.state.meta["tile"]
+        tile = self.meta["tile"]
         tile_id = (row.astype(np.int64) // tile) * 4096 + col.astype(np.int64) // tile
         return pa.table(
             {
@@ -253,21 +225,16 @@ class RasterSepApply:
 def raster_transform(sf_dir: str, allow_outside: bool = False,
                      from_datum: str = "ellipse", to_datum: str = "mllw") -> ray.data.Dataset:
     ensure_fixtures(sf_dir)
-    meta = raster_meta(sf_dir)
-    order = _stack_order(sf_dir, from_datum, to_datum)
-    state_ref = ray.put(_load_state(sf_dir, from_datum, to_datum))
-    # stateless tasks: the per-"actor" state is one ray.get of the
-    # broadcast grid state (plasma-cached per worker) plus scalars —
-    # cheaper rebuilt per task than paying an actor pool's startup
-    kwargs = {
-        "state_ref": state_ref,
-        "stack_order": order,
-        "allow_outside": allow_outside,
-        "in_is_height": bool(meta["in_is_height"]),
-        "out_is_height": bool(meta["out_is_height"]),
-    }
+    catalog = load_catalog(sf_dir)
+    meta, cands, kw = _job(sf_dir, catalog, from_datum, to_datum)
+    order = _stack_order(sf_dir, from_datum, to_datum, catalog)
+    # stateless tasks over this worker's cached DatumTransformer: one
+    # per catalog content and datum pair, as the flagship's
+    args = dict(kw=kw, meta=meta, cands=cands, stack_order=order,
+                allow_outside=allow_outside, in_is_height=bool(meta["in_is_height"]),
+                out_is_height=bool(meta["out_is_height"]))
     return raster_cells(sf_dir).map_batches(
-        lambda t: RasterSepApply(**kwargs)(t),
+        lambda t: RasterSepApply(**args)(t),
         batch_format="pyarrow", batch_size=65536,
     )
 
@@ -275,14 +242,15 @@ def raster_transform(sf_dir: str, allow_outside: bool = False,
 def q_raster_sep(sf_dir: str) -> ray.data.Dataset:
     """Stacked separation surface: covered cells only (row, col, sep,
     sep_unc, region_index)."""
-    order = _stack_order(sf_dir, "ellipse", "mllw")
-    state_ref = ray.put(_load_state(sf_dir, "ellipse", "mllw"))
+    catalog = load_catalog(sf_dir)
+    meta, cands, kw = _job(sf_dir, catalog, "ellipse", "mllw")
+    order = _stack_order(sf_dir, "ellipse", "mllw", catalog)
 
     class SepOnly(RasterSepApply):
         def __call__(self, batch: pa.Table) -> pa.Table:
             row = batch.column("row").to_numpy()
             col = batch.column("col").to_numpy()
-            lon, lat = self.state.cell_lonlat(row, col)
+            lon, lat = _cell_lonlat(self.meta, row, col)
             sep, unc, ridx = self.stacked(lon, lat)
             t = pa.table(
                 {
@@ -298,7 +266,7 @@ def q_raster_sep(sf_dir: str) -> ray.data.Dataset:
             return t.filter(pc.greater_equal(t.column("region_index"), 0))
 
     return raster_cells(sf_dir, ["row", "col"]).map_batches(
-        lambda t: SepOnly(state_ref=state_ref, stack_order=order)(t),
+        lambda t: SepOnly(kw, meta, cands, order)(t),
         batch_format="pyarrow", batch_size=65536,
     )
 
@@ -363,7 +331,7 @@ def write_raster_tiles(sf_dir: str, out_dir: str, allow_outside: bool = True) ->
         GEOGRAPHIC_WKT, build_compound_wkt, vertical_datum_to_wkt,
     )
 
-    catalog = Catalog.from_dir(catalog_dir(sf_dir))
+    catalog = load_catalog(sf_dir)
     meta = raster_meta(sf_dir)
     x0, y0 = meta["origin_x"], meta["origin_y"]
     bbox = (x0, y0, x0 + meta["ncols"] * meta["dx"], y0 + meta["nrows"] * meta["dy"])
@@ -388,28 +356,33 @@ def q_raster_coverage(sf_dir: str) -> pd.DataFrame:
     )
 
 
+def _zonal_partial(batch: pa.Table) -> pa.Table:
+    """``q_zonal_stats``' per-batch (region_index, p_n, p_min, p_max,
+    p_sum) partials of covered, finite cells. Without the ``pandas``
+    schema metadata: Ray fails to hash a schema carrying it and logs so
+    for every block."""
+    import pyarrow.compute as pc
+
+    t = batch.filter(
+        pc.and_(pc.greater_equal(batch.column("region_index"), 0),
+                pc.is_finite(batch.column("z")))
+    )
+    df = t.select(["region_index", "z"]).to_pandas()
+    g = df.groupby("region_index", as_index=False).agg(
+        p_n=("z", "size"), p_min=("z", "min"), p_max=("z", "max"), p_sum=("z", "sum")
+    )
+    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+
+
 def q_zonal_stats(sf_dir: str) -> ray.data.Dataset:
     """Zonal statistics: per-region n / min / max / sum of transformed
     depth over the raster (covered cells). Two-phase: vectorized
     per-batch partials, tiny groupby merge — min/max/sum are all
     associative so the merge is exact."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     ds = raster_transform(sf_dir, allow_outside=False)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(
-            pc.and_(pc.greater_equal(batch.column("region_index"), 0),
-                    pc.is_finite(batch.column("z")))
-        )
-        df = t.select(["region_index", "z"]).to_pandas()
-        g = df.groupby("region_index", as_index=False).agg(
-            p_n=("z", "size"), p_min=("z", "min"), p_max=("z", "max"), p_sum=("z", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby("region_index").aggregate(
+    out = ds.map_batches(_zonal_partial, batch_format="pyarrow").groupby("region_index").aggregate(
         Sum("p_n", alias_name="n_cells"),
         Min("p_min", alias_name="min_z"),
         Max("p_max", alias_name="max_z"),

@@ -591,6 +591,19 @@ SELECT p.user_id, p.purchase_ts, c.click_ts
 FROM p ASOF JOIN c ON p.user_id = c.user_id AND p.purchase_ts >= c.click_ts"""
 
 
+def _median_partial(batch: pa.Table) -> pa.Table:
+    """``q_region_median``'s per-batch (region_index, zmm, p_n)
+    histogram. Without the ``pandas`` schema metadata: Ray fails to
+    hash a schema carrying it and logs so for every block."""
+    t = batch.filter(pc.greater_equal(batch.column("region_index"), 0))
+    r = t.column("region_index").to_numpy(zero_copy_only=False).astype(np.int64)
+    zmm = np.round(t.column("z_out").to_numpy(zero_copy_only=False) * 1000.0).astype(np.int64)
+    df = pd.DataFrame({"region_index": r, "zmm": zmm})
+    g = df.groupby(["region_index", "zmm"], as_index=False).size()
+    g = g.rename(columns={"size": "p_n"})
+    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+
+
 def q_region_median(sf_dir: str) -> ray.data.Dataset:
     """Exact per-region median of the transformed depth via bounded
     histogram partials: z is a 3-decimal quantity, so per-batch
@@ -599,18 +612,9 @@ def q_region_median(sf_dir: str) -> ray.data.Dataset:
     (the scalable exact-quantile trick for fixed-precision values)."""
     from vyperdatum_ray.pipelines.flagship import flagship_fused
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater_equal(batch.column("region_index"), 0))
-        r = t.column("region_index").to_numpy(zero_copy_only=False).astype(np.int64)
-        zmm = np.round(t.column("z_out").to_numpy(zero_copy_only=False) * 1000.0).astype(np.int64)
-        df = pd.DataFrame({"region_index": r, "zmm": zmm})
-        g = df.groupby(["region_index", "zmm"], as_index=False).size()
-        g = g.rename(columns={"size": "p_n"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    # text-free flagship consumer -> the fused stage (one actor call
-    # per shard, no staged-chain object-store hops)
-    ds = flagship_fused(sf_dir).map_batches(partial, batch_format="pyarrow")
+    # text-free flagship consumer -> the fused stage (one task per
+    # shard, no staged-chain object-store hops)
+    ds = flagship_fused(sf_dir).map_batches(_median_partial, batch_format="pyarrow")
 
     # ONE exchange, not two: the per-batch partials go straight to a
     # bounded groupby(region) whose group merges its (zmm, count) rows

@@ -11,9 +11,9 @@ Semantics:
 * results: ``(x, y, z, unc, region_index)`` with z rounded to 3
   (core.py:462) and region_index int8 with -1 outside coverage.
 
-Small inputs run through the same actor classes directly (no Ray
-session needed); pass ``use_ray=True`` to run the full Dataset
-pipeline for large arrays.
+The arrays run in-process through the flagship's own region join and
+datum transform (``flagship.JoinTransform``, built per call); no Ray
+session is needed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from vyperdatum_ray.catalog import Catalog
+from vyperdatum_ray.core.cells import sample_cell_centers, sample_cells
 
 
 def transform_points(
@@ -74,15 +75,10 @@ def transform_points(
             # O2: transform distinct coarse-cell centers (z = 0), then
             # per point: cell separation + the point's own z, exactly
             # the reference's sample_array binning which adds input z to
-            # the sampled sep (points.py:86). Bias offsets keep the key
-            # packing valid for negative cell indices (southern/western
-            # hemispheres).
-            cx = np.floor(vx / sample_distance).astype(np.int64) + (1 << 20)
-            cy = np.floor(vy / sample_distance).astype(np.int64) + (1 << 20)
-            key = cx * (1 << 21) + cy
-            ukey, inv = np.unique(key, return_inverse=True)
-            ux = (ukey // (1 << 21) - (1 << 20) + 0.5) * sample_distance
-            uy = (ukey % (1 << 21) - (1 << 20) + 0.5) * sample_distance
+            # the sampled sep (points.py:86).
+            ukey, inv = np.unique(sample_cells(vx, vy, sample_distance)[2],
+                                  return_inverse=True)
+            _, _, ux, uy = sample_cell_centers(ukey, sample_distance)
             uz, uunc, uregion = _transform_arrays(
                 catalog, ux, uy, np.zeros(len(ux)), from_datum, to_datum,
                 in_is_height, out_is_height,
@@ -108,20 +104,16 @@ def _transform_arrays(catalog, x, y, z, from_datum, to_datum,
                       in_is_height, out_is_height):
     import pyarrow as pa
 
-    from vyperdatum_ray.stages.region_join import RegionJoiner
-    from vyperdatum_ray.stages.transform import DatumTransformer
+    from vyperdatum_ray.pipelines.flagship import JoinTransform
 
-    batch = pa.table({
+    out = JoinTransform(
+        catalog, from_datum=from_datum, to_datum=to_datum, in_is_height=in_is_height,
+        out_is_height=out_is_height, z_col="z_in",
+    )(pa.table({
         "lon": pa.array(x, pa.float64()),
         "lat": pa.array(y, pa.float64()),
         "z_in": pa.array(z, pa.float64()),
-    })
-    join = RegionJoiner(catalog_ref=catalog)
-    transform = DatumTransformer(
-        catalog_ref=catalog, from_datum=from_datum, to_datum=to_datum,
-        in_is_height=in_is_height, out_is_height=out_is_height, z_col="z_in",
-    )
-    out = transform(join(batch))
+    }))
     return (
         out.column("z_out").to_numpy(zero_copy_only=False),
         out.column("unc").to_numpy(zero_copy_only=False),

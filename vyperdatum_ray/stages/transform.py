@@ -18,13 +18,16 @@ Semantics re-expressed from ``reference/vyperdatum/core.py:357-462``:
 * input z sign-flipped when the input CRS is a depth
   (``core.py:397-399``); output flip = +1 height / -1 depth
   (``core.py:400-403``),
-* per (row, region) pair: optional 3-D horizontal hop to the region's
-  geoid frame (``core.py:426-429`` — the real NAD83<->ITRF 14-param
-  Helmert of ``core/helmert.py``, so z gains the frame separation
-  before the grid steps), then the composed grid-shift pipeline
-  (forward: z - grid, inverse: z + grid, cf. ``raster.py:278-285``),
-  every step's grid sampled in one kernel call per block of the
-  round's pairs, then added step by step in pipeline order,
+* per (row, region) pair (``separation``): optional 3-D horizontal hop
+  to the region's geoid frame (``core.py:426-429`` — the real
+  NAD83<->ITRF 14-param Helmert of ``core/helmert.py``, so z gains the
+  frame separation before the grid steps), then the composed
+  grid-shift pipeline (forward: z - grid, inverse: z + grid, cf.
+  ``raster.py:278-285``), every step's grid sampled in one kernel call
+  per block of the round's pairs, then added step by step in pipeline
+  order. The raster path (``pipelines/raster.py``) calls the same
+  method at z = 0 for its per-region separations: this class is the
+  engine's only owner of the regional pipeline state,
 * when the OUTPUT horizontal frame differs from both the input frame
   and the region's geoid frame, the reference's 3-D z-correction
   ``new_z - (z - diffz)`` applies, with diffz from the input->output
@@ -50,7 +53,8 @@ import ray
 
 from vyperdatum_ray.core.grid import GridStack
 from vyperdatum_ray.core.helmert import frame_hop
-from vyperdatum_ray.core.pipeline_algebra import get_regional_pipeline, parse_pipeline
+from vyperdatum_ray.core.pipeline_algebra import (get_regional_pipeline, parse_pipeline,
+                                                  resolve_grid_key)
 from vyperdatum_ray.core.uncertainty import compose_uncertainty
 from vyperdatum_ray.stages.region_join import mask_column_names, membership_words
 
@@ -100,8 +104,6 @@ class DatumTransformer:
         self.region_steps = []
         self.region_unc = []
         self.region_frames = []
-        from vyperdatum_ray.core.pipeline_algebra import resolve_grid_key
-
         for r in self.catalog.regions:
             pipeline = get_regional_pipeline(from_datum, to_datum, r.name, r.geoid_name)
             steps = parse_pipeline(pipeline)
@@ -162,6 +164,30 @@ class DatumTransformer:
             [self.out_frame not in (self.input_frame, f) for f in self.region_frames], dtype=bool)
         self.unc = np.array(self.region_unc, dtype=np.float64)
 
+    def separation(self, regs: np.ndarray, lon: np.ndarray, lat: np.ndarray,
+                   z: np.ndarray):
+        """Region ``regs[i]``'s pipeline applied to point ``i``: the
+        optional hop to the region's geoid frame, then every grid step
+        added in pipeline order. Returns the hopped ``(lon, lat)`` and
+        the new z; the inputs are not modified. A point outside a step
+        grid reads +inf, and two such steps of opposite sign add to
+        NaN: both mean no coverage, which every caller tests with
+        ``isfinite``, so neither is worth a warning."""
+        hop = self.hop_code[regs]
+        if (hop >= 0).any():
+            lon, lat, z = lon.copy(), lat.copy(), z.copy()
+            for code, f in enumerate(self.hop_frames):
+                sel = np.nonzero(hop == code)[0]
+                if len(sel):
+                    # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
+                    # move ~1 m and z gains the frame separation
+                    lon[sel], lat[sel], z[sel] = frame_hop(lon[sel], lat[sel], z[sel], f)
+        steps = self.grids.interpolate(self.step_grid[:, regs], lon, lat)
+        with np.errstate(invalid="ignore"):
+            for sign, grid_z in zip(self.step_sign[:, regs], steps):
+                z = z + sign * grid_z
+        return lon, lat, z
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch.column("lon").to_numpy(zero_copy_only=False)
         lat = batch.column("lat").to_numpy(zero_copy_only=False)
@@ -197,21 +223,7 @@ class DatumTransformer:
             rows, regs = rows[has], regs[has]
             if not len(rows):
                 break
-            px, py, z = lon[rows], lat[rows], z_in[rows]
-            hop = self.hop_code[regs]
-            for code, f in enumerate(self.hop_frames):
-                sel = np.nonzero(hop == code)[0]
-                if len(sel):
-                    # real 3-D NAD83->ITRF hop (core.py:426-429): lon/lat
-                    # move ~1 m and z gains the frame separation
-                    px[sel], py[sel], z[sel] = frame_hop(px[sel], py[sel], z[sel], f)
-            # a point outside a step grid reads +inf, and two such steps
-            # of opposite sign add to NaN: no coverage, which the
-            # isfinite test below drops, so it is not worth a warning
-            steps = self.grids.interpolate(self.step_grid[:, regs], px, py)
-            with np.errstate(invalid="ignore"):
-                for sign, grid_z in zip(self.step_sign[:, regs], steps):
-                    z = z + sign * grid_z
+            px, py, z = self.separation(regs, lon[rows], lat[rows], z_in[rows])
             far = self.out_corr[regs]
             k = np.nonzero(far)[0]
             if len(k):

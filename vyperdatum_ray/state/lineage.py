@@ -230,8 +230,7 @@ def _sink_shard(path: str, catalog: list, catalog_key: str, params: dict,
     from vyperdatum_ray.pipelines.flagship import (FusedReadTransform,
                                                    _cached_state)
 
-    full = _cached_state(FusedReadTransform, catalog[0], catalog_key,
-                         params)(pa.table({"path": [path]}))
+    full = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
     pip = full.column("pip_region_index").to_numpy()
     region = full.column("region_index").to_numpy()
     out = full.select(OUTPUT_COLUMNS)
