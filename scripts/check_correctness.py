@@ -36,7 +36,7 @@ NAMED_SETS = {
         datum_transform_mhw hot_tiles knn_grid_node gridded_points
         transform_stateplane transform_stateplane_tm transform_stateplane_md
         transform_stateplane_nj sampled_transform spatial_order region_median
-        knn_grid_nodes""".split(),
+        knn_grid_nodes tile_counts""".split(),
     "exchange": """sessionize asof_join session_join tpch_q3 shuffle_join tpch_q4
         tpch_q5 tpch_q7 tpch_q8 tpch_q9 tpch_q10 tpch_q11 tpch_q12 tpch_q13
         tpch_q15 tpch_q16 tpch_q17 tpch_q18 tpch_q19 tpch_q20 tpch_q21 tpch_q22

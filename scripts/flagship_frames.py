@@ -8,10 +8,12 @@ output into ``--out``: ``flagship_fused`` under each parameter set of
 ``PARAMS``, ``flagship_pipeline``, every ``shard=*/part-0.parquet`` of the
 checkpointed sink (``run_flagship_checkpointed``), the raster path
 (``raster_transform`` with and without the outside-coverage fallback,
-``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``) and the
-points API (``transform_points`` exact and sampled, on ``points()``). The
-raster outputs are sorted by their key columns (``RASTER_KEYS``); the
-points keep their input order. It imports the
+``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``), the
+registry queries of ``QUERY_KEYS`` (the flagship family's row-level
+filters and its per-shard aggregates) and the points API
+(``transform_points`` exact and sampled, on ``points()``). The raster
+and query outputs are sorted by their key columns (``RASTER_KEYS``,
+``QUERY_KEYS``); the points keep their input order. It imports the
 engine of the tree the script sits in, so a dump from a checkout of
 another commit (``git archive``, not a worktree) gives that commit's
 outputs. ``compare`` checks that both dumps hold the same files and that
@@ -57,6 +59,27 @@ RASTER_KEYS = {
     "raster_valid_counts": ["region"],
 }
 
+# registry queries on the flagship's shard task and their key columns
+QUERY_KEYS = {
+    "region_join": ["url"],
+    "datum_transform": ["url"],
+    "datum_transform_itrf": ["url"],
+    "datum_transform_inv": ["url"],
+    "datum_transform_navd88": ["url"],
+    "datum_transform_mhw": ["url"],
+    "transform_projected": ["url"],
+    "transform_stateplane_md": ["url"],
+    "transform_stateplane_nj": ["url"],
+    "external_region_transform": ["url"],
+    "csv_roundtrip": ["region_index"],
+    "tile_counts": ["tile_id"],
+    "hot_tiles": ["tile_id"],
+    "region_counts": ["region"],
+    "transform_summary": ["region"],
+    "gridded_points": ["row", "col"],
+    "region_median": ["region_index"],
+}
+
 
 def points(catalog):
     """A fixed point set for the points API: 20,000 seeded uniform
@@ -83,6 +106,7 @@ def dump(sf_dir: str, out: str) -> None:
     import pyarrow.parquet as pq
     import ray
 
+    import __ray_entry__
     from vyperdatum_ray.fixtures import ensure_fixtures
     from vyperdatum_ray.pipelines import raster
     from vyperdatum_ray.pipelines.flagship import (flagship_fused, flagship_pipeline,
@@ -116,8 +140,11 @@ def dump(sf_dir: str, out: str) -> None:
             "zonal_stats": raster.q_zonal_stats(sf_dir),
             "raster_valid_counts": raster.q_raster_valid_counts(sf_dir),
         }
+        queries = __ray_entry__.queries()
+        keys = {**RASTER_KEYS, **QUERY_KEYS}
+        frames.update((name, queries[name](sf_dir)) for name in QUERY_KEYS)
         for name, ds in frames.items():
-            df = ds.to_pandas().sort_values(RASTER_KEYS[name], kind="stable")
+            df = ds.to_pandas().sort_values(keys[name], kind="stable")
             pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                            os.path.join(out, f"{name}.parquet"))
         catalog = load_catalog(sf_dir)

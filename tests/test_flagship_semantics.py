@@ -334,14 +334,63 @@ def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, mon
 
 
 def test_region_median_partials_carry_no_pandas_schema_metadata(ray_session):
-    """The region-median map output's schema has no ``pandas`` metadata
-    key, which made Ray log ``Failed to hash the schemas``."""
+    """The region-median partial, computed in each shard task and
+    returned through the object store to the driver's fold, has no
+    ``pandas`` metadata key, which made Ray log ``Failed to hash the
+    schemas`` when a Ray block carried it."""
     import ray
-    from vyperdatum_ray.pipelines.flagship import flagship_fused
+    from vyperdatum_ray.pipelines.flagship import shard_tasks
     from vyperdatum_ray.pipelines.relational import _median_partial
 
-    ds = flagship_fused(SF).map_batches(_median_partial, batch_format="pyarrow").materialize()
-    blocks = ray.get(ds.to_arrow_refs())
-    assert blocks and sum(b.num_rows for b in blocks) > 0
-    for b in blocks:
-        assert b"pandas" not in (b.schema.metadata or {})
+    parts = ray.get([submit() for submit in shard_tasks(SF, post=_median_partial)])
+    assert parts and sum(p.num_rows for p in parts) > 0
+    for p in parts:
+        assert b"pandas" not in (p.schema.metadata or {})
+
+
+_SHARD_AGGREGATES = ["tile_counts", "hot_tiles", "region_counts", "transform_summary",
+                     "gridded_points", "region_median"]
+
+
+@pytest.mark.parametrize("shards", ["one_empty_shard", "no_shard"])
+@pytest.mark.parametrize("name", _SHARD_AGGREGATES)
+def test_empty_input_aggregate_is_typed(ray_session, tmp_path, monkeypatch, name, shards):
+    """The flagship aggregates merged on the driver over a zero-row
+    pages shard, and over no shard at all (no partial to merge), give
+    zero rows with the columns and dtypes of the query's output on
+    sf0.001, neither a crash nor a columnless frame."""
+    from test_textops import _private_sf
+
+    import __ray_entry__ as E
+    from vyperdatum_ray import fixtures
+    from vyperdatum_ray.pipelines.exchange import collect
+
+    want = collect(E.queries()[name](SF))
+    assert len(want) > 0
+    empty = pq.read_schema(fixtures.pages_paths(SF)[0]).empty_table()
+    sf = _private_sf(tmp_path, monkeypatch, [empty] if shards == "one_empty_shard" else [])
+    got = collect(E.queries()[name](sf))
+    assert len(got) == 0
+    assert list(got.columns) == list(want.columns)
+    assert dict(got.dtypes) == dict(want.dtypes)
+
+
+@pytest.mark.parametrize("name", _SHARD_AGGREGATES)
+def test_empty_shard_beside_a_full_one_merges(ray_session, tmp_path, monkeypatch, name):
+    """A zero-row pages shard's partial merges with a covered shard's:
+    the aggregate over (empty, full) equals the one over (full) alone.
+    Both run on private sf dirs, whose fixtures (the raster lattice of
+    ``gridded_points``) are their own, not sf0.001's."""
+    from test_textops import _private_sf
+
+    import __ray_entry__ as E
+    from vyperdatum_ray import fixtures
+    from vyperdatum_ray.pipelines.exchange import collect
+
+    (path,) = fixtures.pages_paths(SF)
+    full = pq.read_table(path)
+    q = E.queries()[name]
+    want = collect(q(_private_sf(tmp_path / "full", monkeypatch, [full])))
+    assert len(want) > 0
+    got = collect(q(_private_sf(tmp_path / "both", monkeypatch, [full.schema.empty_table(), full])))
+    pd.testing.assert_frame_equal(got, want)

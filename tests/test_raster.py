@@ -55,6 +55,42 @@ def test_valid_counts_drive_stack_order(ray_session, fx_dir):
     assert ordered_counts == sorted(ordered_counts)
 
 
+def test_stack_order_counts_under_the_jobs_datum_pair(ray_session, fx_dir, cells):
+    """A catalog whose candidates' valid counts cross between two datum
+    pairs: SYNcoastA's tss grid loses its western half, which only the
+    ellipse -> mllw pipeline reads (tss cancels out of mllw -> mhw). So
+    SYNcoastA has fewer valid cells than SYNcoastB under ellipse -> mllw
+    and more under mllw -> mhw, and each job stacks by its own pair's
+    counts."""
+    from vyperdatum_ray.catalog import Catalog
+    from vyperdatum_ray.pipelines.raster import (_candidates, _cell_lonlat, _seps,
+                                                 _stack_order, raster_meta)
+    from vyperdatum_ray.stages.transform import DatumTransformer
+
+    catalog = Catalog.from_dir(fx_dir)
+    key = "SYNcoastA_8301/tss"
+    values = catalog.grids[key].values.copy()
+    values[:, : values.shape[1] // 2] = np.nan
+    catalog = dataclasses.replace(catalog, grids={
+        **catalog.grids, key: dataclasses.replace(catalog.grids[key], values=values)})
+    meta = raster_meta(SF)
+    cands = _candidates(catalog, meta)
+    lon, lat = _cell_lonlat(meta, cells["row"].to_numpy(), cells["col"].to_numpy())
+
+    def counts(pair):
+        return {pos: int(v.sum())
+                for pos, _, v in _seps(DatumTransformer(catalog, *pair), cands, lon, lat)}
+
+    pairs = [("ellipse", "mllw"), ("mllw", "mhw")]
+    a, b = (cands.index(catalog.region_names.index(n))
+            for n in ("SYNcoastA_8301", "SYNcoastB_8301"))
+    by_pair = {pair: counts(pair) for pair in pairs}
+    assert by_pair[pairs[0]][a] < by_pair[pairs[0]][b]
+    assert by_pair[pairs[1]][a] > by_pair[pairs[1]][b]
+    for pair, c in by_pair.items():
+        assert _stack_order(SF, *pair, catalog=catalog) == sorted(c, key=c.get), pair
+
+
 def test_nodata_cells_dropped_everything_else_kept(transformed, cells):
     n_finite = int(np.isfinite(cells["elevation"]).sum())
     out = transformed[np.isfinite(transformed["z"])]

@@ -1,10 +1,10 @@
 """Failure injection: a worker running the fused flagship's per-shard
-work dies mid-run (process exit, as on a preempted node), both in the
-Dataset-returning flagship family's shard task (``_fused_shard``) and
-in the checkpointed sink's own remote task; Ray re-executes the lost
-task on another worker, whose cached catalog state is rebuilt from the
-broadcast ref when it has none, and the result is identical to a clean
-run — the at-least-once + deterministic-output contract the resumable
+task (``flagship._fused_shard``) dies mid-run (process exit, as on a
+preempted node), both under the Dataset-returning flagship family and
+under the checkpointed sink, which runs the same task with its write as
+the task's ``post``; Ray re-executes the lost task on another worker,
+whose cached catalog state is rebuilt from the broadcast ref when it
+has none, and the result is identical to a clean run — the at-least-once + deterministic-output contract the resumable
 sink and lineage layer rely on."""
 
 import os
@@ -49,9 +49,11 @@ def test_flagship_worker_death_recovers(ray_session, tmp_path, monkeypatch):
 
 
 def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):
-    """The first ``_sink_shard`` attempt kills its worker process; the
-    checkpointed run still completes, commits every shard's record
-    exactly once and writes output frame-identical to a clean run."""
+    """The first shard-task attempt of the checkpointed run
+    (``flagship._fused_shard``, which the sink looks up when it runs)
+    kills its worker process; the run still completes, commits every
+    shard's record exactly once and writes output frame-identical to a
+    clean run."""
     from collections import Counter
 
     import pandas as pd
@@ -59,6 +61,7 @@ def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):
 
     import ray
     from vyperdatum_ray.fixtures import ensure_fixtures
+    from vyperdatum_ray.pipelines import flagship
     from vyperdatum_ray.state import lineage
 
     sf = "/root/testdata/sf0.01"  # 3 shards: the kill lands beside live tasks
@@ -67,10 +70,10 @@ def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):
     clean = lineage.run_flagship_checkpointed(sf, clean_out)
 
     marker = str(tmp_path / "died_once")
-    body = lineage._sink_shard._function
+    task = flagship._fused_shard
+    body = task._function
 
-    @ray.remote(num_cpus=1)
-    def flaky_sink_shard(*args):
+    def flaky_fused_shard(*args):
         try:
             os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             os._exit(1)  # simulated node/process loss
@@ -85,7 +88,8 @@ def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):
         commits[rec["shard"]] += 1
         commit(out_dir, rec)
 
-    monkeypatch.setattr(lineage, "_sink_shard", flaky_sink_shard)
+    monkeypatch.setattr(flagship, "_fused_shard",
+                        ray.remote(**task._default_options)(flaky_fused_shard))
     monkeypatch.setattr(lineage, "_commit_record", counting_commit)
     m = lineage.run_flagship_checkpointed(sf, out)
     assert os.path.exists(marker), "the failure injection never fired"

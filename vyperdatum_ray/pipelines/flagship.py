@@ -4,19 +4,24 @@
 -> RegionJoiner (PIP) -> DatumTransformer (grid interpolation)``,
 run as ONE plain Ray task per input shard on warm workers
 (``_fused_shard``), with the catalog state (``FusedReadTransform``)
-cached per worker process, keyed by catalog content. Every consumer
-(the checkpointed sink, the SQL-checkable queries and the
-text-carrying ``flagship`` query via ``carry_text=True``) shares this
-one shape.
+cached per worker process, keyed by catalog content. ``_fused_shard`` is
+the only task body that runs it; every consumer passes its own per-shard
+work as ``post(path, table)``, run on the shard's table inside the task:
+
+* the checkpointed sink (state/lineage.py) writes the shard's partition
+  and returns its lineage record;
+* a row-level query filters and projects the shard's rows;
+* an aggregate query returns the shard's partial, and the driver folds
+  each partial into one row per key as its task finishes
+  (``shard_partials``).
 
 ``flagship_fused`` returns a materialized Dataset: one block per shard,
 in path order, held in the object store until the Dataset is dropped
-(48.4 MB at sf0.1, 96.9 MB with ``carry_text``). No streaming pipeline is
-built per job: one costs about 0.12 CPU s on 4 CPUs, as much as a
-small job's own work. Every registry query collects its output anyway;
-a run too large to hold goes through the checkpointed sink
-(state/lineage.py), which writes each shard from its task. The
-``html`` binary column is pruned at the read (at 10^12-doc scale the
+(48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no ``post``). No
+streaming pipeline is built per job: one costs about 0.12 CPU s on 4
+CPUs, as much as a small job's own work. A run too large to hold goes
+through the checkpointed sink, which writes each shard from its task.
+The ``html`` binary column is pruned at the read (at 10^12-doc scale the
 pipeline lives or dies on that) unless a stage needs it.
 """
 
@@ -24,8 +29,10 @@ from __future__ import annotations
 
 import inspect
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -84,9 +91,8 @@ def _lru(cache: OrderedDict, key, build, cap: int):
 def _shard_kwargs(catalog: Catalog, **params) -> dict:
     """``fn_kwargs`` for a cached-state map function
     (``join_transform_batch``, the raster path's ``DatumTransformer``
-    maps) and the arguments of the remote shard tasks (``_fused_shard``,
-    ``lineage._sink_shard``): the broadcast
-    catalog, its content key and the state's constructor parameters.
+    maps) and the arguments of the shard task (``_fused_shard``): the
+    broadcast catalog, its content key and the state's constructor parameters.
     The catalog is put once per Ray session and content key. The key is
     the catalog's content, never its version alone: same-version
     catalogs with different grids exist (``register_external_region``
@@ -164,8 +170,8 @@ class FusedReadTransform:
     stages — not even the (url, lat, lon) slim stream that a read-task
     -> transform-stage shape ships between its stages. One instance per
     worker process and catalog content holds the prepared catalog
-    state (``_cached_state``); ``_fused_shard`` and ``lineage._sink_shard``
-    call it once per shard, with the shard's path. A shard is one file,
+    state (``_cached_state``); ``_fused_shard`` calls it once per shard,
+    with the shard's path. A shard is one file,
     read with ``pq.ParquetFile(path).read``: the
     table ``pq.read_table(path)`` gives, without its dataset discovery
     (and, like it, without hive-inferred columns).
@@ -255,19 +261,19 @@ class FusedReadTransform:
 
 
 @ray.remote(num_cpus=1)
-def _fused_shard(path: str, catalog: list, catalog_key: str, params: dict) -> pa.Table:
+def _fused_shard(path: str, catalog: list, catalog_key: str, params: dict,
+                 post=None):
     """One shard through this worker's cached ``FusedReadTransform``,
-    as a plain Ray task with the sink's argument shape
-    (``lineage._sink_shard``): ``catalog`` wraps the catalog's ref so
-    the task gets the ref, and ``_cached_state`` fetches it once per
-    worker process.
+    then ``post(path, table)`` on its table (``None``: the table
+    itself). ``catalog`` wraps the catalog's ref so the task gets the
+    ref, and ``_cached_state`` fetches it once per worker process.
 
-    Retry policy: Ray's task default, the same as ``_sink_shard``. A
-    task whose worker process dies is re-run up to 3 times
-    (``max_retries=3``); an exception raised by the shard's own code is
-    not retried. The output is deterministic, so a re-run shard
-    returns the same table."""
-    return _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
+    Retry policy: Ray's task default. A task whose worker process dies
+    is re-run up to 3 times (``max_retries=3``); an exception raised by
+    the shard's own code is not retried. The output is deterministic,
+    so a re-run shard returns the same result."""
+    table = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
+    return table if post is None else post(path, table)
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
@@ -282,6 +288,7 @@ def flagship_fused(
     sf_dir: str,
     catalog: Catalog | None = None,
     paths: list[str] | None = None,
+    post=None,
     inner: int = 1,
     from_datum: str = "ellipse",
     to_datum: str = "mllw",
@@ -298,43 +305,77 @@ def flagship_fused(
     carry_text: bool = False,
 ) -> ray.data.MaterializedDataset:
     """Flagship as one fused task per shard path — see
-    FusedReadTransform — returned as a materialized Dataset.
+    FusedReadTransform — returned as a materialized Dataset of each
+    shard's ``post(path, table)`` (``post=None``: the table).
 
-    ``paths`` defaults to every pages shard of ``sf_dir``; an empty list
-    runs no task and gives zero rows. One ``_fused_shard`` task per
-    sorted path runs on warm, reused workers; each worker process
-    builds the catalog state once per catalog content and parameter
-    set and reuses it across tasks and jobs. The call returns when
-    every shard is done, with one block per shard in path order.
-
-    The output stays in the object store until the Dataset is dropped:
-    48.4 MB at sf0.1, 96.9 MB with ``carry_text``. Every registry query
-    collects it anyway, and the count-only consumers drop it at once.
-    A corpus too large to hold runs through the checkpointed sink
+    One block per shard, in path order: ``shard_tasks``, each submitted,
+    with the blocks wrapped by ``ray.data.from_arrow_refs``. The output
+    stays in the object store until the Dataset is dropped: 48.4 MB at
+    sf0.1, 96.9 MB with ``carry_text`` and no ``post``. Every registry
+    query collects it anyway, and the count-only consumers drop it at
+    once. A corpus too large to hold runs through the checkpointed sink
     (``lineage.run_flagship_checkpointed``), or in windows of paths."""
-    catalog = catalog or load_catalog(sf_dir)
-    kw = _shard_kwargs(
-        catalog, from_datum=from_datum, to_datum=to_datum,
-        in_is_height=in_is_height, out_is_height=out_is_height, inner=inner,
-        z_col=z_col, out_frame=out_frame, emit_xy=emit_xy,
-        synth_z=synth_z, project_fwd=project_fwd,
-        project_inv=project_inv, project_code=project_code,
-        with_cells=with_cells, carry_text=carry_text,
-    )
+    params = {k: v for k, v in locals().items()
+              if k not in ("sf_dir", "catalog", "paths", "post")}
+    return ray.data.from_arrow_refs(
+        [submit() for submit in shard_tasks(sf_dir, catalog, paths, post, **params)])
+
+
+def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
+                paths: list[str] | None = None, post=None, **params) -> list:
+    """One zero-argument submitter per shard, in sorted path order:
+    each submits the shard's ``_fused_shard`` task and returns the ref
+    to its ``post(path, table)``. The tasks run on warm, reused workers
+    that build the catalog state once per catalog content and parameter
+    set (``params``: ``flagship_fused``'s, defaults in
+    ``FUSED_DEFAULTS``). ``paths`` defaults to every pages shard of
+    ``sf_dir``; an empty list gives no submitter. ``post`` must be
+    picklable: a module-level function (or a ``functools.partial`` of
+    one) travels by name. The task is looked up at call time, so a
+    patched ``_fused_shard`` takes."""
+    kw = _shard_kwargs(catalog or load_catalog(sf_dir), **{**FUSED_DEFAULTS, **params})
     paths = sorted(pages_paths(sf_dir) if paths is None else paths)
-    return ray.data.from_arrow_refs([
-        _fused_shard.remote(p, [kw["catalog_ref"]], kw["catalog_key"], kw["params"])
-        for p in paths])
+    return [partial(_fused_shard.remote, p, [kw["catalog_ref"]], kw["catalog_key"],
+                    kw["params"], post)
+            for p in paths]
+
+
+def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
+                   **params) -> pd.DataFrame:
+    """An aggregate query's per-shard partials, summed per key on the
+    driver. ``post(path, table)`` returns, inside each shard task, a
+    table of ``dtypes``' columns (column -> numpy dtype) with one row
+    per key in ``keys``; every other column is summed.
+
+    The driver folds each partial into the running sums as its task
+    finishes (``lineage.as_completed``, at most twice the cluster's CPUs
+    in flight), so it holds the running sums, one row per key, plus the
+    partials of the tasks in flight, whatever the number of shards. A
+    hot key adds one partial row per shard, so no reducer can be skewed
+    (FP-Hadoop's intermediate reduce). Nothing bounds the number of keys
+    (ROADMAP item 2). The summed columns are counts or 3-decimal
+    quantities that the queries round to 3 decimals, so the finishing
+    order does not change the result. One row per key, ascending; with
+    no covered row, zero rows of ``dtypes``."""
+    from vyperdatum_ray.state.lineage import as_completed
+
+    acc = pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+    for part in as_completed(shard_tasks(sf_dir, post=post, **params)):
+        if part.num_rows:
+            part = part.to_pandas()
+            acc = pd.concat([acc, part], ignore_index=True) if len(acc) else part
+            acc = acc.groupby(keys, as_index=False).sum()
+    return acc
 
 
 # ``flagship_fused``'s FusedReadTransform parameters at their defaults.
-# The production sink (state/lineage.py) builds its state with exactly
-# these, so it shares one per-worker ``_cached_state`` entry with a
-# default ``flagship_fused`` call instead of building a second one.
+# ``shard_tasks`` fills every unset one from these, so the sink and
+# every default-parameter query share one per-worker ``_cached_state``
+# entry with a default ``flagship_fused`` call.
 FUSED_DEFAULTS = {
     name: p.default
     for name, p in inspect.signature(flagship_fused).parameters.items()
-    if name not in ("sf_dir", "catalog", "paths")
+    if name not in ("sf_dir", "catalog", "paths", "post")
 }
 
 

@@ -1,14 +1,24 @@
 """Geospatial query implementations (the SQL-checkable surface of the
-flagship pipeline). Each function takes ``sf_dir`` and returns a lazy
+flagship pipeline). Each function takes ``sf_dir`` and returns a
 ``ray.data.Dataset`` whose columns match the DuckDB oracle in
 ``vyperdatum_ray/oracle.py`` name-for-name and bit-for-bit.
+
+A query on the flagship does its own work inside the flagship's shard
+task (``flagship.flagship_fused``'s ``post``): a row-level query filters
+and projects each shard's rows there, and an aggregate query computes
+each shard's partial there and the driver folds the partials per key
+(``flagship.shard_partials``). Neither builds a second pipeline over
+the flagship's output.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -20,6 +30,7 @@ from vyperdatum_ray.pipelines.flagship import (
     flagship_fused,
     flagship_pipeline,
     load_catalog,
+    shard_partials,
 )
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 
@@ -72,21 +83,44 @@ def q_cell_index(sf_dir: str) -> ray.data.Dataset:
     return ds.select_columns(["url", "h3_9", "s2_13", "tile_id"])
 
 
+def _covered(path: str, t: pa.Table, columns: list[str]) -> pa.Table:
+    """A row-level query's ``post``: the shard's rows that the transform
+    placed in a region (``region_index >= 0``), projected to
+    ``columns``."""
+    return t.filter(pc.greater_equal(t.column("region_index"), 0)).select(columns)
+
+
+def _covered_rows(sf_dir: str, columns: list[str], **params) -> ray.data.Dataset:
+    return flagship_fused(sf_dir, post=partial(_covered, columns=columns), **params)
+
+
+def _tile_partial(path: str, t: pa.Table) -> pa.Table:
+    """Rows per tile of one shard (``tile_counts``/``hot_tiles``)."""
+    tid, cnt = np.unique(t.column("tile_id").to_numpy(), return_counts=True)
+    return pa.table({"tile_id": pa.array(tid, pa.int64()),
+                     "partial_n": pa.array(cnt, pa.int64())})
+
+
+def _tile_rows(sf_dir: str) -> pd.DataFrame:
+    """(tile_id, n_rows) over every geocoded page, ascending tile_id:
+    each shard task's tile counts, summed on the driver."""
+    df = shard_partials(sf_dir, _tile_partial, ["tile_id"],
+                        {"tile_id": np.int64, "partial_n": np.int64})
+    return df.rename(columns={"partial_n": "n_rows"})
+
+
+def _tile_table(df: pd.DataFrame) -> ray.data.Dataset:
+    return exchange.from_arrow(pa.table({
+        "tile_id": pa.array(df["tile_id"], pa.int64()),
+        "n_rows": pa.array(df["n_rows"], pa.int64())}))
+
+
 def q_tile_counts(sf_dir: str) -> ray.data.Dataset:
-    """Per-tile row counts (O5 tile manifest). Two-phase aggregation:
-    vectorized per-batch partial counts (combiner — this is what keeps
-    skewed hot tiles from melting the shuffle, A5), then a small
-    groupby-sum over partials."""
-    from vyperdatum_ray.stages.cellindex import cell_index_batch
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tid, cnt = np.unique(batch.column("tile_id").to_numpy(), return_counts=True)
-        return pa.table({"tile_id": tid, "partial_n": cnt.astype(np.int64)})
-
-    ds = _geo(sf_dir, GEO_SLIM).map_batches(cell_index_batch, batch_format="pyarrow")
-    ds = ds.map_batches(partial, batch_format="pyarrow")
-    out = ds.groupby("tile_id").aggregate(Sum("partial_n", alias_name="n_rows"))
-    return out
+    """Per-tile row counts (O5 tile manifest): per-shard partial counts
+    inside the shard task, folded per tile on the driver — a hot tile
+    adds one partial row per shard, so skew cannot melt a reducer
+    (A5)."""
+    return _tile_table(_tile_rows(sf_dir))
 
 
 def q_extent(sf_dir: str) -> pd.DataFrame:
@@ -104,54 +138,49 @@ def q_extent(sf_dir: str) -> pd.DataFrame:
     )
 
 
-def _fused_pip_named(sf_dir: str) -> ray.data.Dataset:
-    """Fused flagship stream with ``region`` renamed from the raw PIP
-    index. The fused output's own ``region`` column names the
-    TRANSFORM-selected ``region_index`` (catalog-order overwrite within
-    grid coverage), which differs from the J2 PIP assignment these
-    queries report — so rebuild the name from ``pip_region_index``."""
-    catalog = load_catalog(sf_dir)
-    names = np.array([""] + catalog.region_names, dtype=object)
+def _pip_names(sf_dir: str) -> np.ndarray:
+    """Region name by ``pip_region_index + 1`` ("" for no region). The
+    fused output's own ``region`` column names the TRANSFORM-selected
+    ``region_index`` (catalog-order overwrite within grid coverage),
+    which differs from the J2 PIP assignment the region queries report,
+    so they name the PIP index instead."""
+    return np.array([""] + load_catalog(sf_dir).region_names, dtype=object)
 
-    def name_pip(batch: pa.Table) -> pa.Table:
-        idx = batch.column("pip_region_index").to_numpy(zero_copy_only=False)
-        named = pa.array(names[idx.astype(np.int64) + 1], pa.string())
-        return batch.drop_columns(["region"]).append_column("region", named)
 
-    # text-free flagship consumer -> fused stage (CLAUDE.md rule);
-    # with_cells=False: these queries never read the S2/H3/tile columns
-    return flagship_fused(sf_dir, with_cells=False).map_batches(
-        name_pip, batch_format="pyarrow")
+def _pip_named(path: str, t: pa.Table, names: np.ndarray) -> pa.Table:
+    idx = t.column("pip_region_index")
+    named = names[idx.to_numpy(zero_copy_only=False).astype(np.int64) + 1]
+    return pa.table({"url": t.column("url"), "region": pa.array(named, pa.string()),
+                     "pip_region_index": idx})
 
 
 def q_region_join(sf_dir: str) -> ray.data.Dataset:
-    return _fused_pip_named(sf_dir).select_columns(
-        ["url", "region", "pip_region_index"])
+    # with_cells=False: the region queries never read the S2/H3/tile columns
+    return flagship_fused(sf_dir, post=partial(_pip_named, names=_pip_names(sf_dir)),
+                          with_cells=False)
+
+
+def _pip_partial(path: str, t: pa.Table) -> pa.Table:
+    """Rows per PIP region of one shard, outside every region dropped."""
+    idx = t.column("pip_region_index").to_numpy(zero_copy_only=False)
+    reg, cnt = np.unique(idx[idx >= 0], return_counts=True)
+    return pa.table({"pip_region_index": pa.array(reg, pa.int64()),
+                     "partial_n": pa.array(cnt, pa.int64())})
 
 
 def q_region_counts(sf_dir: str) -> ray.data.Dataset:
-    def partial(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        t = batch.filter(pc.greater_equal(batch.column("pip_region_index"), 0))
-        reg, cnt = np.unique(t.column("region").to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.table({"region": pa.array(reg, pa.string()), "partial_n": cnt.astype(np.int64)})
-
-    ds = _fused_pip_named(sf_dir).map_batches(partial, batch_format="pyarrow")
-    return ds.groupby("region").aggregate(Sum("partial_n", alias_name="n_points"))
+    df = shard_partials(sf_dir, _pip_partial, ["pip_region_index"],
+                        {"pip_region_index": np.int64, "partial_n": np.int64},
+                        with_cells=False)
+    names = _pip_names(sf_dir)[df["pip_region_index"].to_numpy(np.int64) + 1]
+    return exchange.from_arrow(pa.table({
+        "region": pa.array(names, pa.string()),
+        "n_points": pa.array(df["partial_n"], pa.int64())}))
 
 
 def q_datum_transform(sf_dir: str) -> ray.data.Dataset:
-    import pyarrow.compute as pc
-
-    # fused per-shard task: this query's output never carries text,
-    # so nothing needs to cross the object store between stages
-    ds = flagship_fused(sf_dir)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["url", "lat", "lon", "region", "region_index", "z_out", "unc"])
+    return _covered_rows(
+        sf_dir, ["url", "lat", "lon", "region", "region_index", "z_out", "unc"])
 
 
 def q_datum_transform_itrf(sf_dir: str) -> ray.data.Dataset:
@@ -165,16 +194,9 @@ def q_datum_transform_itrf(sf_dir: str) -> ray.data.Dataset:
     ``flagship.synth_z_batch``). Runs on the fused per-shard task like
     the other text-free transform variants — the round-4 staged chain
     was the last one paying the read->transform store hop."""
-    import pyarrow.compute as pc
-
-    ds = flagship_fused(sf_dir, z_col="z_in", out_frame="ITRF2014",
-                        emit_xy=True, synth_z=True)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(
-        ["url", "region", "region_index", "x_out", "y_out", "z_out", "unc"])
+    return _covered_rows(
+        sf_dir, ["url", "region", "region_index", "x_out", "y_out", "z_out", "unc"],
+        z_col="z_in", out_frame="ITRF2014", emit_xy=True, synth_z=True)
 
 
 def q_transform_projected(sf_dir: str, zone: int = 18) -> ray.data.Dataset:
@@ -200,19 +222,10 @@ def _transform_roundtrip(sf_dir: str, fwd, inv, code: int) -> ray.data.Dataset:
     task per shard) with the projection as an in-call hook —
     fwd/inv are picklable module-level kernels; cell indexing is
     skipped (the roundtrip output never carries cells)."""
-    import pyarrow.compute as pc
-
-    from vyperdatum_ray.pipelines.flagship import flagship_fused
-
-    ds = flagship_fused(sf_dir, project_fwd=fwd, project_inv=inv,
-                        project_code=code, with_cells=False)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(
-        ["url", "easting", "northing", "lon", "lat", "region", "region_index",
-         "z_out", "unc"])
+    return _covered_rows(
+        sf_dir, ["url", "easting", "northing", "lon", "lat", "region", "region_index",
+                 "z_out", "unc"],
+        project_fwd=fwd, project_inv=inv, project_code=code, with_cells=False)
 
 
 def q_transform_stateplane(sf_dir: str, epsg: int = 3631) -> ray.data.Dataset:
@@ -251,8 +264,6 @@ def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data
     zone's kernel (LCC or TM, picked by registry membership), then PIP
     + datum transform on the flagship's per-worker cached catalog state
     (one task per block on warm workers, no per-call actor pool)."""
-    import pyarrow.compute as pc
-
     from vyperdatum_ray.core.projection import (STATE_PLANE_LCC, lcc_inverse,
                                                 tm_inverse)
     from vyperdatum_ray.pipelines.flagship import _shard_kwargs, join_transform_batch
@@ -333,8 +344,6 @@ def q_external_region_transform(sf_dir: str) -> ray.data.Dataset:
     is pure data."""
     import os
 
-    import pyarrow.compute as pc
-
     from vyperdatum_ray.catalog import Catalog
     from vyperdatum_ray.core.config import register_external_region
     from vyperdatum_ray.fixtures import fixture_dir, ensure_fixtures
@@ -345,12 +354,8 @@ def q_external_region_transform(sf_dir: str) -> ray.data.Dataset:
     catalog = register_external_region(
         load_catalog(sf_dir), info, ext.grids, ext.sigmas[info.name])
 
-    ds = flagship_fused(sf_dir, catalog=catalog, with_cells=False)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["url", "region", "region_index", "z_out", "unc"])
+    return _covered_rows(sf_dir, ["url", "region", "region_index", "z_out", "unc"],
+                         catalog=catalog, with_cells=False)
 
 
 def q_flagship(sf_dir: str) -> ray.data.Dataset:
@@ -359,38 +364,34 @@ def q_flagship(sf_dir: str) -> ray.data.Dataset:
     return flagship_pipeline(sf_dir)
 
 
+def _region_sums(path: str, t: pa.Table) -> pa.Table:
+    """One shard's per-region count, z_out sum and unc sum over the
+    rows the transform placed in a region."""
+    t = t.filter(pc.greater_equal(t.column("region_index"), 0))
+    df = t.select(["region", "z_out", "unc"]).to_pandas()
+    g = df.groupby("region", as_index=False).agg(
+        partial_n=("z_out", "size"), partial_z=("z_out", "sum"), partial_unc=("unc", "sum"))
+    # explicit types: pandas gives an empty shard's region column no
+    # type, which arrow would read as null
+    return pa.table({"region": pa.array(g["region"], pa.string()),
+                     "partial_n": pa.array(g["partial_n"], pa.int64()),
+                     "partial_z": pa.array(g["partial_z"], pa.float64()),
+                     "partial_unc": pa.array(g["partial_unc"], pa.float64())})
+
+
 def q_transform_summary(sf_dir: str) -> ray.data.Dataset:
     """Per-region sums of the transform output. z_out/unc are 3-decimal
     quantities, so sums rounded to 3 decimals are distribution-order
     independent (see oracle.py docstring)."""
-    import pyarrow.compute as pc
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater_equal(batch.column("region_index"), 0))
-        df = t.select(["region", "z_out", "unc"]).to_pandas()
-        g = df.groupby("region", as_index=False).agg(
-            partial_n=("z_out", "size"), partial_z=("z_out", "sum"), partial_unc=("unc", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
-    ds = flagship_fused(sf_dir).map_batches(partial, batch_format="pyarrow")
-    out = ds.groupby("region").aggregate(
-        Sum("partial_n", alias_name="n_points"),
-        Sum("partial_z", alias_name="sum_z_raw"),
-        Sum("partial_unc", alias_name="sum_unc_raw"),
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region": batch.column("region"),
-                "n_points": batch.column("n_points"),
-                "sum_z": pa.array(np.round(batch.column("sum_z_raw").to_numpy(), 3)),
-                "sum_unc": pa.array(np.round(batch.column("sum_unc_raw").to_numpy(), 3)),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = shard_partials(sf_dir, _region_sums, ["region"],
+                       {"region": object, "partial_n": np.int64,
+                        "partial_z": np.float64, "partial_unc": np.float64})
+    return exchange.from_arrow(pa.table({
+        "region": pa.array(g["region"], pa.string()),
+        "n_points": pa.array(g["partial_n"], pa.int64()),
+        "sum_z": pa.array(np.round(g["partial_z"].to_numpy(np.float64), 3)),
+        "sum_unc": pa.array(np.round(g["partial_unc"].to_numpy(np.float64), 3)),
+    }))
 
 
 def q_datum_transform_inv(sf_dir: str) -> ray.data.Dataset:
@@ -398,84 +399,33 @@ def q_datum_transform_inv(sf_dir: str) -> ray.data.Dataset:
     surface (depth convention), output ellipsoid height. Pipeline =
     reversed ellipse->mllw with every step's sign toggled
     (reference pipeline.py:145-168, test_vypercrs.py:73-88)."""
-    import pyarrow.compute as pc
-
-    ds = flagship_fused(
-        sf_dir, from_datum="mllw", to_datum="ellipse",
-        in_is_height=False, out_is_height=True,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["url", "region", "region_index", "z_out", "unc"])
+    return _covered_rows(sf_dir, ["url", "region", "region_index", "z_out", "unc"],
+                         from_datum="mllw", to_datum="ellipse",
+                         in_is_height=False, out_is_height=True)
 
 
 def q_datum_transform_navd88(sf_dir: str) -> ray.data.Dataset:
     """navd88 -> mllw (the common NOAA chart-datum conversion): the
     shared geoid step cancels as the common prefix (F1), leaving
     tss-inverse + mllw-forward; no geoid sigma in the uncertainty."""
-    import pyarrow.compute as pc
-
-    ds = flagship_fused(sf_dir, from_datum="navd88", to_datum="mllw")
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["url", "region", "region_index", "z_out", "unc"])
+    return _covered_rows(sf_dir, ["url", "region", "region_index", "z_out", "unc"],
+                         from_datum="navd88", to_datum="mllw")
 
 
 def q_datum_transform_mhw(sf_dir: str) -> ray.data.Dataset:
     """ellipse -> mhw ('noaa chart height' family target): same 3-step
     shape as mllw but the mhw surface and mhw sigma."""
-    import pyarrow.compute as pc
-
-    ds = flagship_fused(sf_dir, to_datum="mhw")
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(["url", "region", "region_index", "z_out", "unc"])
+    return _covered_rows(sf_dir, ["url", "region", "region_index", "z_out", "unc"],
+                         to_datum="mhw")
 
 
-def q_hot_tiles(sf_dir: str, salt_k: int = 8, min_rows: int = 200) -> ray.data.Dataset:
-    """Hot-cell detection via the salted two-phase aggregate (A5,
-    north_rule skew handling): phase 1 groups by (tile_id, salt) where
-    salt = hash(url) % k — a hot coastal tile's rows spread over k
-    reducers instead of melting one — phase 2 sums the k partials per
-    tile and keeps tiles over the threshold. (Per-batch combiners
-    already shrink the shuffle; the salt bounds the worst case when a
-    single key exceeds one reducer's capacity.)"""
-    from vyperdatum_ray.pipelines.textops import _hash_utf8_fast
-    from vyperdatum_ray.stages.cellindex import cell_index_batch
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tid = batch.column("tile_id").to_numpy()
-        salt = _hash_utf8_fast(batch.column("url")) % np.uint64(salt_k)
-        key = tid.astype(np.uint64) * np.uint64(salt_k) + salt
-        k, cnt = np.unique(key, return_counts=True)
-        return pa.table({"tile_salt": pa.array(k, pa.uint64()),
-                         "partial_n": pa.array(cnt.astype(np.int64), pa.int64())})
-
-    ds = _geo(sf_dir, GEO_SLIM).map_batches(cell_index_batch, batch_format="pyarrow")
-    ds = ds.map_batches(partial, batch_format="pyarrow")
-    salted = ds.groupby("tile_salt").aggregate(Sum("partial_n", alias_name="n_salted"))
-
-    def unsalt(batch: pa.Table) -> pa.Table:
-        key = batch.column("tile_salt").to_numpy()
-        return pa.table({
-            "tile_id": pa.array((key // np.uint64(salt_k)).astype(np.int64), pa.int64()),
-            "partial_n": batch.column("n_salted"),
-        })
-
-    out = salted.map_batches(unsalt, batch_format="pyarrow")
-    out = out.groupby("tile_id").aggregate(Sum("partial_n", alias_name="n_rows"))
-    import pyarrow.compute as pc
-
-    return out.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("n_rows"), min_rows)),
-        batch_format="pyarrow",
-    )
+def q_hot_tiles(sf_dir: str, min_rows: int = 200) -> ray.data.Dataset:
+    """Hot-cell detection (A5, north_rule skew handling): tiles with at
+    least ``min_rows`` geocoded pages. The per-shard tile counts of
+    ``tile_counts`` are merged on the driver, so a hot coastal tile
+    adds one partial row per shard and never melts a reducer."""
+    df = _tile_rows(sf_dir)
+    return _tile_table(df[df["n_rows"] >= min_rows])
 
 
 def q_uncertainty_table(sf_dir: str) -> pd.DataFrame:
@@ -582,8 +532,6 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
                     "region_index": pa.array(self.ridx[pos], pa.int32()),
                 }
             )
-            import pyarrow.compute as pc
-
             return t.filter(pc.greater_equal(t.column("region_index"), 0))
 
     return geo.map_batches(
@@ -622,14 +570,7 @@ def export_points_csv(sf_dir: str, out_dir: str) -> str:
     """S2 CSV point sink (reference points.py:104-118 np.savetxt):
     distributed ``write_csv`` of (lon, lat, z, unc, region_index) for
     covered points — one file per block, resumable per part."""
-    import pyarrow.compute as pc
-
-    ds = flagship_fused(sf_dir)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    ).select_columns(["lon", "lat", "z_out", "unc", "region_index"])
-    ds.write_csv(out_dir)
+    _covered_rows(sf_dir, ["lon", "lat", "z_out", "unc", "region_index"]).write_csv(out_dir)
     return out_dir
 
 
@@ -648,7 +589,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
     export_points_csv(sf_dir, out_dir)
     ds = ray.data.read_csv(out_dir)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def region_sums(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
             "region_index": batch.column("region_index").to_numpy(zero_copy_only=False).astype(np.int64),
             # explicit float64: a part file whose z_out values are all
@@ -659,7 +600,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
             p_n=("z_out", "size"), p_z=("z_out", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
+    out = ds.map_batches(region_sums, batch_format="pyarrow").groupby(
         "region_index").aggregate(
         Sum("p_n", alias_name="n_points"), Sum("p_z", alias_name="r_z"))
 
@@ -705,50 +646,39 @@ def q_knn_grid_nodes(sf_dir: str, k: int = 4) -> ray.data.Dataset:
     )
 
 
+def _grid_partial(path: str, t: pa.Table, meta: dict) -> pa.Table:
+    """One shard's per-cell count and z sum on the raster lattice
+    ``meta``, over covered points inside it."""
+    t = t.filter(pc.greater_equal(t.column("region_index"), 0))
+    lon = t.column("lon").to_numpy(zero_copy_only=False)
+    lat = t.column("lat").to_numpy(zero_copy_only=False)
+    z = t.column("z_out").to_numpy(zero_copy_only=False)
+    col = np.floor((lon - meta["origin_x"]) / meta["dx"])
+    row = np.floor((lat - meta["origin_y"]) / meta["dy"])
+    inside = (col >= 0) & (col < meta["ncols"]) & (row >= 0) & (row < meta["nrows"])
+    df = pd.DataFrame({"row": row[inside].astype(np.int64),
+                       "col": col[inside].astype(np.int64), "z": z[inside]})
+    g = df.groupby(["row", "col"], as_index=False).agg(p_n=("z", "size"), p_z=("z", "sum"))
+    return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+
+
 def q_gridded_points(sf_dir: str) -> ray.data.Dataset:
     """Vector -> raster: rasterize the transformed points onto the
     fixture raster's cell lattice (row/col per point, per-cell count +
-    z sum). Two-phase: per-batch partial sums, then a small groupby."""
-    import pyarrow.compute as pc
-
+    z sum). Per-shard partial sums in the shard task, folded per cell on
+    the driver."""
     from vyperdatum_ray.pipelines.raster import raster_meta
 
-    meta = raster_meta(sf_dir)
-    x0, y0, dx, dy = meta["origin_x"], meta["origin_y"], meta["dx"], meta["dy"]
-    ncols, nrows = meta["ncols"], meta["nrows"]
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.greater_equal(batch.column("region_index"), 0))
-        lon = t.column("lon").to_numpy(zero_copy_only=False)
-        lat = t.column("lat").to_numpy(zero_copy_only=False)
-        z = t.column("z_out").to_numpy(zero_copy_only=False)
-        col = np.floor((lon - x0) / dx)
-        row = np.floor((lat - y0) / dy)
-        inside = (col >= 0) & (col < ncols) & (row >= 0) & (row < nrows)
-        col = col[inside].astype(np.int64)
-        row = row[inside].astype(np.int64)
-        df = pd.DataFrame({"row": row, "col": col, "z": z[inside]})
-        g = df.groupby(["row", "col"], as_index=False).agg(
-            p_n=("z", "size"), p_z=("z", "sum")
-        )
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
-
-    ds = flagship_fused(sf_dir).map_batches(partial, batch_format="pyarrow")
-    out = ds.groupby(["row", "col"]).aggregate(
-        Sum("p_n", alias_name="n_points"), Sum("p_z", alias_name="r_z")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "row": batch.column("row"),
-                "col": batch.column("col"),
-                "n_points": batch.column("n_points"),
-                "sum_z": pa.array(np.round(batch.column("r_z").to_numpy(), 3)),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = shard_partials(sf_dir, partial(_grid_partial, meta=raster_meta(sf_dir)),
+                       ["row", "col"],
+                       {"row": np.int64, "col": np.int64, "p_n": np.int64,
+                        "p_z": np.float64})
+    return exchange.from_arrow(pa.table({
+        "row": pa.array(g["row"], pa.int64()),
+        "col": pa.array(g["col"], pa.int64()),
+        "n_points": pa.array(g["p_n"], pa.int64()),
+        "sum_z": pa.array(np.round(g["p_z"].to_numpy(np.float64), 3)),
+    }))
 
 
 # Morton (z-order) spatial ordering: 16 bits per axis over the fixture
@@ -847,17 +777,17 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     shards = totals["shard"].to_numpy()
     offs = np.concatenate([[0], np.cumsum(totals["n"].to_numpy())[:-1]]) \
         .astype(np.int64)
-    off_ref = ray.put((shards, offs))
 
+    # the offset table is bounded (<= 2^20 shards, ``_morton_shard_shift``),
+    # so it rides in the closure: no object-store fetch per group
     def rank_group(df: pd.DataFrame) -> pd.DataFrame:
-        g_shards, g_offs = ray.get(off_ref)
         df = df.sort_values(["morton", "url"]).reset_index(drop=True)
         sh = df["shard"].to_numpy()
         # shard is nondecreasing after the morton sort (it is a prefix)
         starts = np.concatenate([[0], np.flatnonzero(np.diff(sh) != 0) + 1])
         seg_len = np.diff(np.concatenate([starts, [len(sh)]]))
         local = np.arange(len(sh), dtype=np.int64) - np.repeat(starts, seg_len)
-        base = g_offs[np.searchsorted(g_shards, sh)]
+        base = offs[np.searchsorted(shards, sh)]
         return pd.DataFrame({"url": df["url"], "morton": df["morton"],
                              "rank": base + local})
 

@@ -13,8 +13,9 @@ Semantics re-expressed from ``reference/vyperdatum/raster.py``:
   kernel computes it (``DatumTransformer.separation`` at z = 0, one call
   per candidate over the whole batch), so the pipeline parse, grid-key
   resolution, hop and uncertainty live in ``stages/transform.py`` only,
-* regional seps are stacked in ascending global valid-count order so
-  the region with the most valid cells wins overlaps
+* regional seps are stacked in ascending global valid-count order,
+  counted under the job's datum pair, so the region with the most valid
+  cells wins overlaps
   (``raster.py:229-233``); ``region_index`` = position in the
   candidate list (NOT the stack order),
 * ``apply_sep``: flip = +1 when in/out share the height convention
@@ -108,8 +109,11 @@ def _job(sf_dir: str, catalog: Catalog, from_datum: str, to_datum: str):
             _shard_kwargs(catalog, from_datum=from_datum, to_datum=to_datum))
 
 
-def _valid_counts(sf_dir: str, catalog: Catalog) -> ray.data.Dataset:
-    meta, cands, kw = _job(sf_dir, catalog, "ellipse", "mllw")
+def _valid_counts(sf_dir: str, catalog: Catalog, from_datum: str,
+                  to_datum: str) -> ray.data.Dataset:
+    """Per candidate region, the raster cells where its
+    ``from_datum -> to_datum`` separation is finite."""
+    meta, cands, kw = _job(sf_dir, catalog, from_datum, to_datum)
     names = [catalog.regions[i].name for i in cands]
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -129,16 +133,19 @@ def _valid_counts(sf_dir: str, catalog: Catalog) -> ray.data.Dataset:
 
 def q_raster_valid_counts(sf_dir: str) -> ray.data.Dataset:
     """Per-region valid-cell counts (A2): per-batch partials -> tiny
-    groupby-sum. This is pass 1 of the raster transform."""
-    return _valid_counts(sf_dir, load_catalog(sf_dir))
+    groupby-sum, under ellipse -> mllw. Pass 1 of a raster transform
+    counts under the job's own datum pair."""
+    return _valid_counts(sf_dir, load_catalog(sf_dir), "ellipse", "mllw")
 
 
 def _stack_order(sf_dir: str, from_datum: str, to_datum: str,
                  catalog: Catalog | None = None) -> list[int]:
-    """Ascending-valid-count candidate positions (J3). Stable ties keep
-    catalog order, so on equal counts the later catalog region wins."""
+    """Ascending-valid-count candidate positions (J3), counted under the
+    job's own datum pair (``raster.py:229-233`` stacks by the job's
+    separations). Stable ties keep catalog order, so on equal counts the
+    later catalog region wins."""
     catalog = catalog or load_catalog(sf_dir)
-    counts_df = _valid_counts(sf_dir, catalog).to_pandas()
+    counts_df = _valid_counts(sf_dir, catalog, from_datum, to_datum).to_pandas()
     cands = _candidates(catalog, raster_meta(sf_dir))
     steps = DatumTransformer(catalog, from_datum, to_datum).region_steps
     by_name = dict(zip(counts_df["region"], counts_df["n_valid"]))

@@ -30,7 +30,8 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from vyperdatum_ray.core.nputil import isin_sorted
-from vyperdatum_ray.pipelines.exchange import collect, exchange, footer_stats, read
+from vyperdatum_ray.pipelines.exchange import (collect, exchange, footer_stats, from_arrow,
+                                             read)
 
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
@@ -591,11 +592,11 @@ SELECT p.user_id, p.purchase_ts, c.click_ts
 FROM p ASOF JOIN c ON p.user_id = c.user_id AND p.purchase_ts >= c.click_ts"""
 
 
-def _median_partial(batch: pa.Table) -> pa.Table:
-    """``q_region_median``'s per-batch (region_index, zmm, p_n)
-    histogram. Without the ``pandas`` schema metadata: Ray fails to
-    hash a schema carrying it and logs so for every block."""
-    t = batch.filter(pc.greater_equal(batch.column("region_index"), 0))
+def _median_partial(path: str, t: pa.Table) -> pa.Table:
+    """``q_region_median``'s per-shard (region_index, zmm, p_n)
+    histogram, computed in the shard task. Without the ``pandas``
+    schema metadata, like every partial the driver folds."""
+    t = t.filter(pc.greater_equal(t.column("region_index"), 0))
     r = t.column("region_index").to_numpy(zero_copy_only=False).astype(np.int64)
     zmm = np.round(t.column("z_out").to_numpy(zero_copy_only=False) * 1000.0).astype(np.int64)
     df = pd.DataFrame({"region_index": r, "zmm": zmm})
@@ -606,37 +607,28 @@ def _median_partial(batch: pa.Table) -> pa.Table:
 
 def q_region_median(sf_dir: str) -> ray.data.Dataset:
     """Exact per-region median of the transformed depth via bounded
-    histogram partials: z is a 3-decimal quantity, so per-batch
-    bincounts over integer millimetre bins make the median EXACT while
-    the shuffle carries only (region, bin, count) rows — never the data
-    (the scalable exact-quantile trick for fixed-precision values)."""
-    from vyperdatum_ray.pipelines.flagship import flagship_fused
+    histogram partials: z is a 3-decimal quantity, so per-shard counts
+    over integer millimetre bins make the median EXACT while the driver
+    receives only (region, bin, count) rows — never the data (the
+    scalable exact-quantile trick for fixed-precision values). The
+    driver merges the histograms and reads each region's two middle
+    bins off its cumulative counts."""
+    from vyperdatum_ray.pipelines.flagship import shard_partials
 
-    # text-free flagship consumer -> the fused stage (one task per
-    # shard, no staged-chain object-store hops)
-    ds = flagship_fused(sf_dir).map_batches(_median_partial, batch_format="pyarrow")
-
-    # ONE exchange, not two: the per-batch partials go straight to a
-    # bounded groupby(region) whose group merges its (zmm, count) rows
-    # vectorized — the old groupby(region, zmm).aggregate before it
-    # added a second all-to-all whose fixed sort-shuffle cost dwarfed
-    # the few thousand partial rows it merged.
-    def median_of_region(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("zmm")["p_n"].sum().sort_index()
-        n = int(g.sum())
-        cum = g.cumsum().to_numpy()
-        zv = g.index.to_numpy() / 1000.0
-        lo_pos = (n - 1) // 2
-        hi_pos = n // 2
-        lo = zv[np.searchsorted(cum, lo_pos + 1)]
-        hi = zv[np.searchsorted(cum, hi_pos + 1)]
-        return pd.DataFrame({
-            "region_index": [int(df["region_index"].iloc[0])],
-            "n_points": [n],
-            "median_z": [(lo + hi) / 2],
-        })
-
-    return ds.groupby("region_index").map_groups(median_of_region, batch_format="pandas")
+    h = shard_partials(sf_dir, _median_partial, ["region_index", "zmm"],
+                       {"region_index": np.int64, "zmm": np.int64, "p_n": np.int64})
+    by_region = h.groupby("region_index")["p_n"]
+    n = by_region.transform("sum")
+    cum = by_region.cumsum()
+    zv = h["zmm"] / 1000.0
+    # the first bin (ascending) whose cumulative count passes a position
+    lo = zv.where(cum > (n - 1) // 2).groupby(h["region_index"]).min()
+    hi = zv.where(cum > n // 2).groupby(h["region_index"]).min()
+    return from_arrow(pa.table({
+        "region_index": pa.array(lo.index, pa.int64()),
+        "n_points": pa.array(by_region.sum(), pa.int64()),
+        "median_z": pa.array((lo + hi) / 2, pa.float64()),
+    }))
 
 
 ORACLES_MEDIAN_NOTE = "region_median oracle lives in oracle.py (needs the transform CTEs)"

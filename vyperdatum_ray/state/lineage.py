@@ -11,13 +11,14 @@ records
 (reference analogue: the transform-version fingerprint cache,
 core.py:766-792/1063-1147 — extended to per-partition provenance).
 
-The sink is the fused flagship run as one plain Ray task per pending
-shard (``_sink_shard``, a ``ray.remote`` function, not a Dataset
-stage: the result is files plus one summary per shard, so nothing needs
-a streaming executor). Each task reads, transforms and writes the
-shard's single output file ``shard=<id>/part-0.parquet``
-(``write_partition``) and returns the shard's lineage record, computed
-from the very table it wrote, drop counters included. The driver
+The sink is the flagship's own shard task (``flagship._fused_shard``,
+a plain ``ray.remote`` function, not a Dataset stage: the result is
+files plus one summary per shard, so nothing needs a streaming
+executor), one per pending shard, with ``_write_shard`` as its
+in-task ``post``. Each task reads and transforms the shard, writes its
+single output file ``shard=<id>/part-0.parquet`` (``write_partition``)
+and returns the shard's lineage record, computed from the very table it
+wrote, drop counters included. The driver
 commits each record atomically (``write_json_atomic``) as it arrives
 (``as_completed``) — always after the shard's file is in place — so a
 run that dies part-way keeps every shard that finished. The corpus run
@@ -210,15 +211,12 @@ OUTPUT_COLUMNS = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
 DROP_COUNTERS = ("n_no_geocode", "n_no_region", "n_no_coverage")
 
 
-@ray.remote(num_cpus=1)
-def _sink_shard(path: str, catalog: list, catalog_key: str, params: dict,
-                out_dir: str) -> dict:
-    """One input shard end to end, in one task: the worker's cached
-    fused flagship, then ``shard=<id>/part-0.parquet``, then the shard's
-    lineage record (``write_partition``: a zero-row shard writes no
-    file). ``catalog`` wraps the catalog's ref so the task gets the ref,
-    not a Catalog unpickled per task: ``_cached_state`` fetches it once
-    per worker process.
+def _write_shard(out_dir: str, path: str, full: pa.Table) -> dict:
+    """The sink's ``post`` on the shard task (``flagship._fused_shard``):
+    the shard's fused output ``full`` to ``shard=<id>/part-0.parquet``
+    (``write_partition``: a zero-row shard writes no file), then the
+    shard's lineage record. A module-level function, so the task's
+    ``functools.partial`` over ``out_dir`` pickles by name.
 
     The drop counters: ``n_no_geocode`` rows did not geocode (the fused
     output keeps every geocoded row), ``n_no_region`` geocoded outside
@@ -227,10 +225,6 @@ def _sink_shard(path: str, catalog: list, catalog_key: str, params: dict,
     import numpy as np
     import pyarrow.parquet as pq
 
-    from vyperdatum_ray.pipelines.flagship import (FusedReadTransform,
-                                                   _cached_state)
-
-    full = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
     pip = full.column("pip_region_index").to_numpy()
     region = full.column("region_index").to_numpy()
     out = full.select(OUTPUT_COLUMNS)
@@ -265,13 +259,12 @@ def run_flagship_checkpointed(
     Call again after a failure (or after new input shards appear) and it
     processes only the pending shards.
     """
-    from vyperdatum_ray.pipelines.flagship import (FUSED_DEFAULTS,
-                                                   _shard_kwargs, load_catalog)
     from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.pipelines import flagship
 
     t0 = time.perf_counter()
     if catalog is None:
-        catalog = load_catalog(sf_dir)
+        catalog = flagship.load_catalog(sf_dir)
     version = catalog.version
 
     all_paths = sorted(pages_paths(sf_dir))
@@ -299,20 +292,17 @@ def run_flagship_checkpointed(
         shutil.rmtree(os.path.join(out_dir, f"shard={_shard_of(p)}"),
                       ignore_errors=True)
 
-    # One task per pending shard on warm workers (catalog state cached
-    # per worker process, keyed by catalog content) reads, transforms
-    # and writes its shard and returns the shard's lineage record;
-    # nothing else leaves the task. Each record is committed as it
-    # arrives — always after its partition is complete — so a run that
-    # dies part-way keeps every finished shard.
+    # One shard task per pending shard on warm workers (catalog state
+    # cached per worker process, keyed by catalog content) reads,
+    # transforms and writes its shard and returns the shard's lineage
+    # record; nothing else leaves the task. Each record is committed as
+    # it arrives — always after its partition is complete — so a run
+    # that dies part-way keeps every finished shard.
     if pending:
-        kw = _shard_kwargs(catalog, **FUSED_DEFAULTS)
         rows_in = rows_out = 0
         drops = dict.fromkeys(DROP_COUNTERS, 0)
-        for rec in as_completed(
-                partial(_sink_shard.remote, p, [kw["catalog_ref"]],
-                        kw["catalog_key"], kw["params"], out_dir)
-                for p in pending):
+        for rec in as_completed(flagship.shard_tasks(
+                sf_dir, catalog, pending, partial(_write_shard, out_dir))):
             _commit_record(out_dir, {"schema_version": SCHEMA_VERSION, **rec,
                                      "transform_version": version})
             rows_in += rec["n_rows_in"]
