@@ -191,7 +191,7 @@ def run_once(num_cpus: int, queries: list[str]) -> dict:
 
 
 SCALING_REPEAT = int(os.environ.get("GRAFT_SCALING_REPEAT", "256"))
-# Shard tasks per CPU in one scaling window (see scaling_one).
+# Paths per CPU in one scaling window (see scaling_one).
 SCALING_WINDOW_ROUNDS = 8
 # N and 4N parallelism levels for the scaling criterion. 4 -> 16 by
 # default: this container's memory bandwidth saturates near ~16-20
@@ -234,11 +234,11 @@ def scaling_one(num_cpus: int, repeat: int) -> dict:
     paths = sorted(pages_paths(SF_DIR)) * max(1, repeat // inner)
     # flagship_fused holds its output in the object store until the
     # Dataset is dropped (48.4 MB per sf0.1 pass, ~12 GB for the whole
-    # repeat), so the paths run in windows of 8 rounds of the cluster's
-    # CPUs, each counted and dropped before the next. Both levels then
-    # pay the same tail share. count() reads block metadata: no
-    # driver-side batch pull (the 100 TB pattern is a distributed sink,
-    # never iter_batches to one process)
+    # repeat), so the paths run in windows of 8 paths per CPU (one work
+    # unit of 8 paths per CPU, flagship.work_units), each counted and
+    # dropped before the next. Both levels then pay the same tail share.
+    # count() reads block metadata: no driver-side batch pull (the 100 TB
+    # pattern is a distributed sink, never iter_batches to one process)
     window = SCALING_WINDOW_ROUNDS * num_cpus
     n = sum(flagship_fused(SF_DIR, catalog=catalog, paths=paths[i:i + window],
                            inner=inner).count()

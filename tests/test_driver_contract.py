@@ -88,9 +88,9 @@ def test_checkpointed_writers_dispatch_plain_tasks():
 
 
 def test_flagship_family_dispatches_plain_tasks():
-    """``flagship_fused`` submits one ``ray.remote`` task per shard and
-    wraps their refs in a materialized Dataset: ``pipelines/flagship.py``
-    builds no per-job streaming pipeline."""
+    """``flagship_fused`` submits one ``ray.remote`` task per work unit
+    of shards and wraps their refs in a materialized Dataset:
+    ``pipelines/flagship.py`` builds no per-job streaming pipeline."""
     out = subprocess.run(
         ["grep", "-nF", "-e", "from_items", "-e", "_per_shard", "-e", ".map_batches(",
          os.path.join(ROOT, "vyperdatum_ray", "pipelines", "flagship.py")],

@@ -301,7 +301,8 @@ def test_target_datums_do_not_share_state(ray_session):
 
 
 def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, monkeypatch):
-    """One block per shard, in sorted path order whatever order
+    """One block per unit, and with one path a unit (3 shards on 4
+    CPUs) one block per shard, in sorted path order whatever order
     ``paths`` lists them in: block k is the k-th sorted path's own
     output (``paths=[p]``); ``paths=[]`` means no shard, not every
     shard: zero rows and no task submitted."""
@@ -331,6 +332,72 @@ def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, mon
 
     monkeypatch.setattr(flagship, "_fused_shard", NoTask())
     assert flagship.flagship_fused(SF, paths=[]).count() == 0
+
+
+def _units_of_two(paths):
+    """``flagship.work_units`` forced to two consecutive paths a unit."""
+    return [paths[i:i + 2] for i in range(0, len(paths), 2)]
+
+
+def test_work_units_are_runs_sized_from_cpus_and_bytes(ray_session, tmp_path, monkeypatch):
+    """``work_units`` cuts the paths into non-empty runs of consecutive
+    paths, in their order, of ``max(1, min(ceil(n / CPUs),
+    target_max_block_size // file_bytes))`` paths (the last may hold
+    fewer); no path gives no unit; repeated paths, as ``bench.py
+    --scaling`` lists them, keep their order; and a file larger than
+    ``target_max_block_size`` runs alone whatever its neighbours."""
+    import ray
+    import ray.data
+    from vyperdatum_ray.pipelines.flagship import work_units
+
+    def write(name, nbytes):
+        path = tmp_path / name
+        path.write_bytes(b"x" * nbytes)
+        return str(path)
+
+    files = [write(f"part-{i:04d}.parquet", 100) for i in range(10)]
+    cpus = int(ray.cluster_resources()["CPU"])
+    ctx = ray.data.DataContext.get_current()
+    assert work_units([]) == []
+    for cap in (ctx.target_max_block_size, 250):
+        monkeypatch.setattr(ctx, "target_max_block_size", cap)
+        for n in (1, cpus - 1, cpus, cpus + 1, 10):
+            paths = files[:n]
+            per = max(1, min(-(-n // cpus), cap // 100))
+            units = work_units(paths)
+            assert [p for u in units for p in u] == paths
+            assert [len(u) for u in units] == [per] * (n // per) + [n % per] * (n % per > 0)
+    repeated = files[:3] * 4
+    assert [p for u in work_units(repeated) for p in u] == repeated
+
+    big = write("part-big.parquet", 251)
+    mixed = files[:3] + [big] + files[3:6]
+    units = work_units(mixed)
+    assert [big] in units and [p for u in units for p in u] == mixed
+    monkeypatch.setattr(ctx, "target_max_block_size", 99)
+    assert work_units(files) == [[p] for p in files]
+
+
+def test_two_shard_units_give_their_shards_blocks_in_sorted_order(ray_session, monkeypatch):
+    """With two paths a unit, a block is its unit's paths' own outputs
+    (``paths=[p]``), concatenated in sorted path order, whatever order
+    ``paths`` lists them in."""
+    import ray
+    from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
+    from vyperdatum_ray.pipelines import flagship
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")  # 3 shards: units of 2 and 1
+    ensure_fixtures(sf)
+    paths = sorted(pages_paths(sf))
+    monkeypatch.setattr(flagship, "work_units", _units_of_two)
+    ds = flagship.flagship_fused(sf, paths=paths[::-1])
+    assert ds.num_blocks() == 2
+    for block, unit in zip(ray.get(ds.to_arrow_refs()), [paths[:2], paths[2:]]):
+        own = [ray.get(flagship.flagship_fused(sf, paths=[p]).to_arrow_refs())[0]
+               for p in unit]
+        assert all(t.num_rows > 0 for t in own)
+        assert block.schema == own[0].schema
+        pd.testing.assert_frame_equal(block.to_pandas(), pa.concat_tables(own).to_pandas())
 
 
 def test_region_median_partials_carry_no_pandas_schema_metadata(ray_session):
@@ -394,3 +461,31 @@ def test_empty_shard_beside_a_full_one_merges(ray_session, tmp_path, monkeypatch
     assert len(want) > 0
     got = collect(q(_private_sf(tmp_path / "both", monkeypatch, [full.schema.empty_table(), full])))
     pd.testing.assert_frame_equal(got, want)
+
+
+@pytest.mark.parametrize("name", _SHARD_AGGREGATES + ["flagship_fused", "datum_transform"])
+def test_empty_shard_in_a_two_shard_unit(ray_session, tmp_path, monkeypatch, name):
+    """A zero-row pages shard in one unit with a covered shard: the
+    unit's result equals the covered shard's alone (``pa.concat_tables``
+    needs the empty shard's table typed as the full one's). Two empty
+    shards in one unit give an aggregate zero typed rows."""
+    from test_textops import _private_sf
+
+    import __ray_entry__ as E
+    from vyperdatum_ray import fixtures
+    from vyperdatum_ray.pipelines import flagship
+    from vyperdatum_ray.pipelines.exchange import collect
+
+    (path,) = fixtures.pages_paths(SF)
+    full = pq.read_table(path)
+    empty = full.schema.empty_table()
+    q = E.queries()[name]
+    monkeypatch.setattr(flagship, "work_units", _units_of_two)
+    want = collect(q(_private_sf(tmp_path / "full", monkeypatch, [full])))
+    assert len(want) > 0
+    got = collect(q(_private_sf(tmp_path / "both", monkeypatch, [empty, full])))
+    pd.testing.assert_frame_equal(got, want)
+    if name in _SHARD_AGGREGATES:
+        none = collect(q(_private_sf(tmp_path / "none", monkeypatch, [empty, empty])))
+        assert len(none) == 0
+        assert dict(none.dtypes) == dict(want.dtypes)

@@ -278,6 +278,26 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
     the other 3 are committed, each record describes a complete
     partition, and no partition lacks its record. The resume runs only
     the broken shard into output identical to a clean run."""
+    _crash_and_resume(tmp_path, monkeypatch, {"part-0000", "part-0002", "part-0003"})
+
+
+def test_crash_in_a_two_shard_unit_fails_the_unit_whole(ray_session, tmp_path, monkeypatch):
+    """As above with two shards a unit: the corrupt shard fails its
+    whole unit, also the shard before it that the task had already
+    written, so only the other unit's 2 shards are committed, and the
+    resume runs exactly the failed unit's 2 shards."""
+    from test_flagship_semantics import _units_of_two
+
+    from vyperdatum_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "work_units", _units_of_two)
+    _crash_and_resume(tmp_path, monkeypatch, {"part-0002", "part-0003"})
+
+
+def _crash_and_resume(tmp_path, monkeypatch, want_committed: set) -> None:
+    """Corrupt the second of 4 shards, run the sink, check that exactly
+    ``want_committed`` is committed with whole partitions and nothing
+    else, then mend the shard and check the resume."""
     from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.state.lineage import (completed_shards,
                                               run_flagship_checkpointed)
@@ -297,7 +317,7 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
         run_flagship_checkpointed(sf, out)
 
     committed = completed_shards(out, version)
-    assert set(committed) == {"part-0000", "part-0002", "part-0003"}
+    assert set(committed) == want_committed
     assert sorted(d for d in os.listdir(out) if d.startswith("shard=")) == [
         f"shard={s}" for s in sorted(committed)]
     before = {}
@@ -309,7 +329,8 @@ def test_crash_mid_run_keeps_finished_shards_and_resumes(
     with open(victim, "wb") as f:
         f.write(data)
     m = run_flagship_checkpointed(sf, out)
-    assert (m["n_shards_skipped"], m["n_shards_run"]) == (3, 1)
+    n = len(want_committed)
+    assert (m["n_shards_skipped"], m["n_shards_run"]) == (n, 4 - n)
     for shard, mtime in before.items():  # finished shards were not rewritten
         part = os.path.join(out, f"shard={shard}", "part-0.parquet")
         assert os.stat(part).st_mtime_ns == mtime

@@ -5,7 +5,9 @@ under the checkpointed sink, which runs the same task with its write as
 the task's ``post``; Ray re-executes the lost task on another worker,
 whose cached catalog state is rebuilt from the broadcast ref when it
 has none, and the result is identical to a clean run — the at-least-once + deterministic-output contract the resumable
-sink and lineage layer rely on."""
+sink and lineage layer rely on. With two shards a work unit, the lost
+task's whole unit re-runs, and each of its records is still committed
+once."""
 
 import os
 
@@ -17,6 +19,21 @@ def test_flagship_worker_death_recovers(ray_session, tmp_path, monkeypatch):
     ``flagship_fused`` still completes, under the task's own retry
     policy, and returns a frame identical to a clean run, rows in the
     same order."""
+    _flagship_worker_death(tmp_path, monkeypatch)
+
+
+def test_flagship_worker_death_in_a_two_shard_unit(ray_session, tmp_path, monkeypatch):
+    """As above, with two shards a unit: the retry re-runs the whole
+    unit."""
+    from test_flagship_semantics import _units_of_two
+
+    from vyperdatum_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "work_units", _units_of_two)
+    _flagship_worker_death(tmp_path, monkeypatch)
+
+
+def _flagship_worker_death(tmp_path, monkeypatch):
     import pandas as pd
 
     import ray
@@ -54,6 +71,21 @@ def test_sink_worker_death_recovers(ray_session, tmp_path, monkeypatch):
     kills its worker process; the run still completes, commits every
     shard's record exactly once and writes output frame-identical to a
     clean run."""
+    _sink_worker_death(tmp_path, monkeypatch)
+
+
+def test_sink_worker_death_in_a_two_shard_unit(ray_session, tmp_path, monkeypatch):
+    """As above, with two shards a unit: the lost task's unit re-runs
+    whole, and each of its shards' records is committed exactly once."""
+    from test_flagship_semantics import _units_of_two
+
+    from vyperdatum_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "work_units", _units_of_two)
+    _sink_worker_death(tmp_path, monkeypatch)
+
+
+def _sink_worker_death(tmp_path, monkeypatch):
     from collections import Counter
 
     import pandas as pd

@@ -2,32 +2,36 @@
 
 ``read_parquet(pages, columns pruned) -> geocode -> filter -> cell index
 -> RegionJoiner (PIP) -> DatumTransformer (grid interpolation)``,
-run as ONE plain Ray task per input shard on warm workers
-(``_fused_shard``), with the catalog state (``FusedReadTransform``)
-cached per worker process, keyed by catalog content. ``_fused_shard`` is
-the only task body that runs it; every consumer passes its own per-shard
-work as ``post(path, table)``, run on the shard's table inside the task:
+run as plain Ray tasks on warm workers (``_fused_shard``), one per work
+unit: a run of consecutive sorted input shards (``work_units``), each
+shard transformed by its own call. The catalog state
+(``FusedReadTransform``) is cached per worker process, keyed by catalog
+content. ``_fused_shard`` is the only task body that runs it; every
+consumer passes its own per-shard work as ``post(path, table)``, run on
+each shard's table inside the task:
 
 * the checkpointed sink (state/lineage.py) writes the shard's partition
   and returns its lineage record;
 * a row-level query filters and projects the shard's rows;
 * an aggregate query returns the shard's partial, and the driver folds
-  each partial into one row per key as its task finishes
+  each unit's partials into one row per key as its task finishes
   (``shard_partials``).
 
-``flagship_fused`` returns a materialized Dataset: one block per shard,
-in path order, held in the object store until the Dataset is dropped
-(48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no ``post``). No
-streaming pipeline is built per job: one costs about 0.12 CPU s on 4
-CPUs, as much as a small job's own work. A run too large to hold goes
-through the checkpointed sink, which writes each shard from its task.
-The ``html`` binary column is pruned at the read (at 10^12-doc scale the
-pipeline lives or dies on that) unless a stage needs it.
+``flagship_fused`` returns a materialized Dataset: one block per unit,
+its shards' rows in path order, held in the object store until the
+Dataset is dropped (48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no
+``post``). No streaming pipeline is built per job: one costs about 0.12
+CPU s on 4 CPUs, as much as a small job's own work. A run too large to
+hold goes through the checkpointed sink, which writes each shard from
+its task. The ``html`` binary column is pruned at the read (at
+10^12-doc scale the pipeline lives or dies on that) unless a stage
+needs it.
 """
 
 from __future__ import annotations
 
 import inspect
+import os
 from collections import OrderedDict
 from functools import partial
 
@@ -51,8 +55,8 @@ PAGE_COLUMNS = ["url", "warc_ts", "text", "lang"]  # html pruned at the read
 def _pool_size() -> int:
     """The size a fixed actor pool would take on this cluster: ~90% of
     the CPUs (headroom for read/write tasks). No engine stage uses an
-    actor pool any more (the flagship family runs one task per shard
-    on warm workers, catalog state cached per worker process); the
+    actor pool any more (the flagship family runs plain tasks on warm
+    workers, catalog state cached per worker process); the
     benchmark's do-nothing actor-stage probe still sizes its pool
     with it."""
     try:
@@ -171,7 +175,8 @@ class FusedReadTransform:
     -> transform-stage shape ships between its stages. One instance per
     worker process and catalog content holds the prepared catalog
     state (``_cached_state``); ``_fused_shard`` calls it once per shard,
-    with the shard's path. A shard is one file,
+    with the shard's path, also when its unit holds several. A shard is
+    one file,
     read with ``pq.ParquetFile(path).read``: the
     table ``pq.read_table(path)`` gives, without its dataset discovery
     (and, like it, without hive-inferred columns).
@@ -261,19 +266,33 @@ class FusedReadTransform:
 
 
 @ray.remote(num_cpus=1)
-def _fused_shard(path: str, catalog: list, catalog_key: str, params: dict,
+def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict,
                  post=None):
-    """One shard through this worker's cached ``FusedReadTransform``,
-    then ``post(path, table)`` on its table (``None``: the table
-    itself). ``catalog`` wraps the catalog's ref so the task gets the
-    ref, and ``_cached_state`` fetches it once per worker process.
+    """A work unit's shards (``work_units``) through this worker's
+    cached ``FusedReadTransform``, one call per shard, each followed by
+    ``post(path, table)`` (``None``: the table itself). Tables come back
+    concatenated in path order, one block per unit, so a zero-row
+    shard's table must carry the columns and types of a full one's.
+    Anything else ``post`` returns (the sink's lineage records) comes
+    back as a list in path order. ``catalog`` wraps the catalog's ref
+    so the task gets the ref, and ``_cached_state`` fetches it once per
+    worker process.
+
+    A unit's inputs are never concatenated before the transform: in one
+    process, per-shard calls took 0.138-0.142 CPU s per ``geo_text`` job
+    against 0.141-0.147 for 2-shard tables and 0.147-0.185 for one
+    6-shard table, and on ``geo_dense`` no table size won (CLAUDE.md).
 
     Retry policy: Ray's task default. A task whose worker process dies
-    is re-run up to 3 times (``max_retries=3``); an exception raised by
-    the shard's own code is not retried. The output is deterministic,
-    so a re-run shard returns the same result."""
-    table = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)(path)
-    return table if post is None else post(path, table)
+    is re-run up to 3 times (``max_retries=3``), and a retry re-runs
+    the whole unit; an exception raised by a shard's own code fails the
+    whole unit and is not retried. The output is deterministic, so a
+    re-run unit returns the same result."""
+    fused = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)
+    outs = [fused(p) if post is None else post(p, fused(p)) for p in paths]
+    if not isinstance(outs[0], pa.Table):
+        return outs
+    return pa.concat_tables(outs)
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
@@ -304,16 +323,17 @@ def flagship_fused(
     with_cells: bool = True,
     carry_text: bool = False,
 ) -> ray.data.MaterializedDataset:
-    """Flagship as one fused task per shard path — see
-    FusedReadTransform — returned as a materialized Dataset of each
-    shard's ``post(path, table)`` (``post=None``: the table).
+    """Flagship as one fused task per work unit of sorted shard paths —
+    see FusedReadTransform and ``work_units`` — returned as a
+    materialized Dataset of each shard's ``post(path, table)``
+    (``post=None``: the table).
 
-    One block per shard, in path order: ``shard_tasks``, each submitted,
-    with the blocks wrapped by ``ray.data.from_arrow_refs``. The output
-    stays in the object store until the Dataset is dropped: 48.4 MB at
-    sf0.1, 96.9 MB with ``carry_text`` and no ``post``. Every registry
-    query collects it anyway, and the count-only consumers drop it at
-    once. A corpus too large to hold runs through the checkpointed sink
+    One block per unit, its shards' rows in path order: ``shard_tasks``,
+    each submitted, with the blocks wrapped by ``ray.data.from_arrow_refs``.
+    The output stays in the object store until the Dataset is dropped:
+    48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no ``post``. Every
+    registry query collects it anyway, and the count-only consumers drop
+    it at once. A corpus too large to hold runs through the checkpointed sink
     (``lineage.run_flagship_checkpointed``), or in windows of paths."""
     params = {k: v for k, v in locals().items()
               if k not in ("sf_dir", "catalog", "paths", "post")}
@@ -321,34 +341,68 @@ def flagship_fused(
         [submit() for submit in shard_tasks(sf_dir, catalog, paths, post, **params)])
 
 
+def work_units(paths: list[str]) -> list[list[str]]:
+    """``paths`` cut into runs of consecutive paths, in their order
+    (repeats kept), one shard task each.
+
+    A run holds at most ``ceil(len(paths) / CPUs)`` paths: that is how
+    many waves one-path tasks need anyway, so the wall time holds while
+    the number of tasks falls. A run also closes before a path that
+    would take its input bytes (``os.stat``, no footer read) past Ray
+    Data's ``DataContext.target_max_block_size``, so a file larger than
+    that runs alone. For files of one size ``b`` that is
+    ``max(1, min(ceil(n / CPUs), target_max_block_size // b))`` paths
+    a run. On 4 CPUs sf0.1's 24 files run as 4 units of 6 and 4 files
+    as 4 units of 1.
+
+    Each task costs about 10 ms of CPU in Ray whatever its size (the
+    task, plus the metadata task ``from_arrow_refs`` runs per block),
+    against about 7 ms of the transform's own work per ``geo_dense``
+    file."""
+    if not paths:
+        return []
+    per = -(-len(paths) // max(1, int(ray.cluster_resources().get("CPU", 1))))
+    cap = ray.data.DataContext.get_current().target_max_block_size or float("inf")
+    units, size = [], 0
+    for p in paths:
+        nbytes = os.stat(p).st_size
+        if units and len(units[-1]) < per and size + nbytes <= cap:
+            units[-1].append(p)
+            size += nbytes
+        else:
+            units.append([p])
+            size = nbytes
+    return units
+
+
 def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
                 paths: list[str] | None = None, post=None, **params) -> list:
-    """One zero-argument submitter per shard, in sorted path order:
-    each submits the shard's ``_fused_shard`` task and returns the ref
-    to its ``post(path, table)``. The tasks run on warm, reused workers
-    that build the catalog state once per catalog content and parameter
-    set (``params``: ``flagship_fused``'s, defaults in
-    ``FUSED_DEFAULTS``). ``paths`` defaults to every pages shard of
-    ``sf_dir``; an empty list gives no submitter. ``post`` must be
-    picklable: a module-level function (or a ``functools.partial`` of
-    one) travels by name. The task is looked up at call time, so a
-    patched ``_fused_shard`` takes."""
+    """One zero-argument submitter per work unit (``work_units``) of
+    the sorted paths: each submits the unit's ``_fused_shard`` task and
+    returns the ref to its shards' ``post(path, table)`` results. The
+    tasks run on warm, reused workers that build the catalog state once
+    per catalog content and parameter set (``params``:
+    ``flagship_fused``'s, defaults in ``FUSED_DEFAULTS``). ``paths``
+    defaults to every pages shard of ``sf_dir``; an empty list gives no
+    submitter. ``post`` must be picklable: a module-level function (or
+    a ``functools.partial`` of one) travels by name. The task and
+    ``work_units`` are looked up at call time, so patched ones take."""
     kw = _shard_kwargs(catalog or load_catalog(sf_dir), **{**FUSED_DEFAULTS, **params})
     paths = sorted(pages_paths(sf_dir) if paths is None else paths)
-    return [partial(_fused_shard.remote, p, [kw["catalog_ref"]], kw["catalog_key"],
+    return [partial(_fused_shard.remote, unit, [kw["catalog_ref"]], kw["catalog_key"],
                     kw["params"], post)
-            for p in paths]
+            for unit in work_units(paths)]
 
 
 def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
                    **params) -> pd.DataFrame:
     """An aggregate query's per-shard partials, summed per key on the
-    driver. ``post(path, table)`` returns, inside each shard task, a
+    driver. ``post(path, table)`` returns, inside the shard's task, a
     table of ``dtypes``' columns (column -> numpy dtype) with one row
     per key in ``keys``; every other column is summed.
 
-    The driver folds each partial into the running sums as its task
-    finishes (``lineage.as_completed``, at most twice the cluster's CPUs
+    The driver folds each unit's partials into the running sums as its
+    task finishes (``lineage.as_completed``, at most twice the cluster's CPUs
     in flight), so it holds the running sums, one row per key, plus the
     partials of the tasks in flight, whatever the number of shards. A
     hot key adds one partial row per shard, so no reducer can be skewed

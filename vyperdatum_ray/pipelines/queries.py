@@ -219,7 +219,7 @@ def _transform_roundtrip(sf_dir: str, fwd, inv, code: int) -> ray.data.Dataset:
     goldens do — inverse-projects with ``inv``, then runs the normal
     PIP + datum transform. Used by the UTM path and every registered
     state-plane roundtrip zone. Runs on the fused flagship stage (one
-    task per shard) with the projection as an in-call hook —
+    task per work unit of shards) with the projection as an in-call hook —
     fwd/inv are picklable module-level kernels; cell indexing is
     skipped (the roundtrip output never carries cells)."""
     return _covered_rows(

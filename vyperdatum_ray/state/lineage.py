@@ -14,16 +14,20 @@ core.py:766-792/1063-1147 — extended to per-partition provenance).
 The sink is the flagship's own shard task (``flagship._fused_shard``,
 a plain ``ray.remote`` function, not a Dataset stage: the result is
 files plus one summary per shard, so nothing needs a streaming
-executor), one per pending shard, with ``_write_shard`` as its
-in-task ``post``. Each task reads and transforms the shard, writes its
-single output file ``shard=<id>/part-0.parquet`` (``write_partition``)
-and returns the shard's lineage record, computed from the very table it
-wrote, drop counters included. The driver
-commits each record atomically (``write_json_atomic``) as it arrives
-(``as_completed``) — always after the shard's file is in place — so a
-run that dies part-way keeps every shard that finished. The corpus run
-(state/corpus_lineage.py) follows the same protocol through the same
-helpers.
+executor), one per work unit of pending shards (``flagship.work_units``:
+a run of consecutive shards), with ``_write_shard`` as its in-task
+``post``. For each of its shards the task reads and transforms the
+shard, writes its single output file ``shard=<id>/part-0.parquet``
+(``write_partition``) and makes the shard's lineage record, computed
+from the very table it wrote, drop counters included; it returns the
+unit's records. The driver commits each record atomically
+(``write_json_atomic``) as its unit arrives (``as_completed``) — always
+after the shard's file is in place — so a run that dies part-way keeps
+every unit that finished. A shard that raises fails its whole unit: no
+record of that unit is committed, the partitions it wrote are cleared,
+and a resume re-runs exactly the shards left without a record. The
+corpus run (state/corpus_lineage.py) follows the same protocol through
+the same helpers.
 
 Resume semantics (scalable at 10^12 docs): completed shards are pruned
 AT THE READ — the resumed run simply never reads finished input
@@ -288,33 +292,48 @@ def run_flagship_checkpointed(
 
     # Clear partitions of pending shards (idempotent re-run; a crashed
     # attempt may have left partial files without a lineage record).
-    for p in pending:
-        shutil.rmtree(os.path.join(out_dir, f"shard={_shard_of(p)}"),
-                      ignore_errors=True)
+    _clear_partitions(out_dir, pending)
 
-    # One shard task per pending shard on warm workers (catalog state
-    # cached per worker process, keyed by catalog content) reads,
-    # transforms and writes its shard and returns the shard's lineage
-    # record; nothing else leaves the task. Each record is committed as
-    # it arrives — always after its partition is complete — so a run
-    # that dies part-way keeps every finished shard.
+    # One shard task per work unit of pending shards on warm workers
+    # (catalog state cached per worker process, keyed by catalog
+    # content) reads, transforms and writes each of its shards and
+    # returns their lineage records; nothing else leaves the task. Each
+    # unit's records are committed as it arrives — always after its
+    # partitions are complete — so a run that dies part-way keeps every
+    # finished unit.
     if pending:
         rows_in = rows_out = 0
         drops = dict.fromkeys(DROP_COUNTERS, 0)
-        for rec in as_completed(flagship.shard_tasks(
-                sf_dir, catalog, pending, partial(_write_shard, out_dir))):
-            _commit_record(out_dir, {"schema_version": SCHEMA_VERSION, **rec,
-                                     "transform_version": version})
-            rows_in += rec["n_rows_in"]
-            rows_out += rec["n_rows_out"]
-            for k in drops:
-                drops[k] += rec[k]
+        committed = set()
+        try:
+            for recs in as_completed(flagship.shard_tasks(
+                    sf_dir, catalog, pending, partial(_write_shard, out_dir))):
+                for rec in recs:
+                    _commit_record(out_dir, {"schema_version": SCHEMA_VERSION, **rec,
+                                             "transform_version": version})
+                    committed.add(rec["shard"])
+                    rows_in += rec["n_rows_in"]
+                    rows_out += rec["n_rows_out"]
+                    for k in drops:
+                        drops[k] += rec[k]
+        except ray.exceptions.RayError:
+            # The failed unit may have written shards before the one that
+            # raised; ``as_completed`` has drained every task, so clear
+            # the partitions left without a record.
+            _clear_partitions(out_dir, [p for p in pending
+                                        if _shard_of(p) not in committed])
+            raise
         metrics.update(rows_in=rows_in, rows_out=rows_out, **drops)
 
     write_catalog_manifest(out_dir, catalog)
     metrics["elapsed_s"] = round(time.perf_counter() - t0, 3)
     _write_metrics(out_dir, metrics)
     return metrics
+
+
+def _clear_partitions(out_dir: str, paths: list[str]) -> None:
+    for p in paths:
+        shutil.rmtree(os.path.join(out_dir, f"shard={_shard_of(p)}"), ignore_errors=True)
 
 
 def _write_metrics(out_dir: str, metrics: dict) -> None:
