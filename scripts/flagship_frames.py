@@ -6,7 +6,9 @@
 ``dump`` starts a local 4-CPU Ray session and writes one parquet file per
 output into ``--out``: ``flagship_fused`` under each parameter set of
 ``PARAMS``, ``flagship_pipeline``, every ``shard=*/part-0.parquet`` of the
-checkpointed sink (``run_flagship_checkpointed``), the raster path
+checkpointed sink (``run_flagship_checkpointed``) and its lineage files
+(``sink_records``: every shard record, the catalog manifest and the
+metrics line, less the run's timings ``elapsed_s`` and ``ts``), the raster path
 (``raster_transform`` with and without the outside-coverage fallback,
 ``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``), the
 registry queries of ``QUERY_KEYS`` (the flagship family's row-level
@@ -19,13 +21,15 @@ another commit (``git archive``, not a worktree) gives that commit's
 outputs. ``compare`` checks that both dumps hold the same files and that
 each pair is frame-identical (same columns, types and exact values,
 in the same row order); it prints one line per file and exits non-zero on
-any difference.
+any difference. It compares values, not bytes: the same values may be
+written with other parquet encodings.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import json
 import os
 import shutil
 import sys
@@ -101,6 +105,26 @@ def points(catalog):
             np.concatenate([z, [1.0, 2.0, 3.0]]))
 
 
+def sink_records(sink: str):
+    """The sink's lineage files under ``sink/_lineage`` as one table, a
+    row per JSON object (a ``.jsonl`` file holds one a line) in file
+    name order, each object as sorted-key JSON without ``elapsed_s`` and
+    ``ts``, which differ from run to run."""
+    import pyarrow as pa
+
+    ldir = os.path.join(sink, "_lineage")
+    files, records = [], []
+    for name in sorted(os.listdir(ldir)):
+        with open(os.path.join(ldir, name)) as f:
+            objs = ([json.loads(line) for line in f] if name.endswith(".jsonl")
+                    else [json.load(f)])
+        for obj in objs:
+            files.append(name)
+            records.append(json.dumps({k: v for k, v in obj.items()
+                                       if k not in ("elapsed_s", "ts")}, sort_keys=True))
+    return pa.table({"file": files, "record": records})
+
+
 def dump(sf_dir: str, out: str) -> None:
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -116,6 +140,10 @@ def dump(sf_dir: str, out: str) -> None:
 
     ensure_fixtures(sf_dir)
     os.makedirs(out, exist_ok=True)
+    # Ray puts the driver's working directory on its workers' sys.path
+    # ahead of PYTHONPATH: started from another checkout, the tasks
+    # would run that checkout's engine.
+    os.chdir(ROOT)
     pythonpath = os.pathsep.join(filter(None, [ROOT, os.environ.get("PYTHONPATH")]))
     ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR",
              runtime_env={"env_vars": {"PYTHONPATH": pythonpath}})
@@ -131,6 +159,7 @@ def dump(sf_dir: str, out: str) -> None:
             for part in sorted(glob.glob(os.path.join(sink, "shard=*", "part-0.parquet"))):
                 shard = os.path.basename(os.path.dirname(part))
                 shutil.copy(part, os.path.join(out, f"sink_{shard}.parquet"))
+            pq.write_table(sink_records(sink), os.path.join(out, "sink_records.parquet"))
         finally:
             shutil.rmtree(sink, ignore_errors=True)
         frames = {
@@ -194,7 +223,7 @@ def main() -> None:
     c.add_argument("b")
     args = ap.parse_args()
     if args.cmd == "dump":
-        dump(args.sf_dir, args.out)
+        dump(os.path.abspath(args.sf_dir), os.path.abspath(args.out))
     else:
         sys.exit(1 if compare(args.a, args.b) else 0)
 

@@ -120,7 +120,7 @@ def test_tif_fallback_active_in_transformer():
     cat = Catalog.from_dir(ensure_fixtures(SF)["catalog_dir"])
     grids2 = dict(cat.grids)
     grids2["SYNcoastA_8301/tss.tif"] = grids2.pop("SYNcoastA_8301/tss")
-    cat2 = dataclasses.replace(cat, grids=grids2, _tree=None)
+    cat2 = dataclasses.replace(cat, grids=grids2)
     dt = DatumTransformer(catalog_ref=cat2)
     assert dt.region_steps[0] is not None  # resolved via the .tif fallback
     dt_orig = DatumTransformer(catalog_ref=cat)
@@ -271,7 +271,7 @@ def test_same_version_grid_swap_never_served_stale(ray_session):
     key = f"{region}/tss"
     grids = dict(cat.grids)
     grids[key] = dataclasses.replace(grids[key], values=grids[key].values + 1.0)
-    cat2 = dataclasses.replace(cat, grids=grids, _tree=None)
+    cat2 = dataclasses.replace(cat, grids=grids)
     assert cat2.version == cat.version
     assert cat2.content_key() != cat.content_key()
 
@@ -334,7 +334,7 @@ def test_blocks_follow_sorted_paths_and_empty_paths_run_nothing(ray_session, mon
     assert flagship.flagship_fused(SF, paths=[]).count() == 0
 
 
-def _units_of_two(paths):
+def _units_of_two(paths, cpus=None):
     """``flagship.work_units`` forced to two consecutive paths a unit."""
     return [paths[i:i + 2] for i in range(0, len(paths), 2)]
 

@@ -57,7 +57,8 @@ def test_sink_partitions_match_fused_flagship(first_run):
 
     import ray
     from vyperdatum_ray.pipelines.flagship import flagship_fused
-    from vyperdatum_ray.state.lineage import _shard_of, completed_shards
+    from vyperdatum_ray.state.lineage import (DICTIONARY_COLUMNS, _shard_of,
+                                              completed_shards)
 
     cols = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
             "region_index", "z_out", "unc"]
@@ -78,6 +79,48 @@ def test_sink_partitions_match_fused_flagship(first_run):
         assert rec["n_rows_out"] == part.num_rows
         assert rec["cell_set"] == sorted(pc.unique(part["tile_id"]).to_pylist())
         assert rec["region_set"] == sorted(pc.unique(part["region"]).to_pylist())
+        # dictionary-encoded: exactly the sink's low-cardinality columns
+        meta = pq.ParquetFile(os.path.join(out, f"shard={shard}", "part-0.parquet")).metadata
+        for i in range(meta.num_row_groups):
+            chunks = [meta.row_group(i).column(j) for j in range(meta.num_columns)]
+            encoded = {c.path_in_schema for c in chunks
+                       if {"RLE_DICTIONARY", "PLAIN_DICTIONARY"} & set(c.encodings)}
+            assert encoded == set(DICTIONARY_COLUMNS)
+
+
+def test_sink_and_fused_jobs_hash_one_catalog_once(ray_session, tmp_path, monkeypatch):
+    """Two sink runs (the second a no-op resume that reads the manifest)
+    and two ``flagship_fused`` jobs on one catalog hash its grids once
+    in total: its keys are memoized, not recomputed per job."""
+    from vyperdatum_ray import catalog as catalog_mod
+    from vyperdatum_ray.pipelines.flagship import flagship_fused, load_catalog
+    from vyperdatum_ray.state.lineage import run_flagship_checkpointed
+
+    hashed = []
+    build = catalog_mod._grid_fingerprint
+    monkeypatch.setattr(catalog_mod, "_grid_fingerprint",
+                        lambda g: hashed.append(g) or build(g))
+    cat = load_catalog(SF)
+    out = str(tmp_path / "out")
+    assert run_flagship_checkpointed(SF, out, catalog=cat)["n_shards_run"] > 0
+    assert run_flagship_checkpointed(SF, out, catalog=cat)["n_shards_run"] == 0
+    assert flagship_fused(SF, catalog=cat).count() == flagship_fused(SF, catalog=cat).count()
+    assert len(hashed) == len(cat.grids)
+
+
+def test_sink_run_reads_the_cluster_cpus_once(ray_session, tmp_path, monkeypatch):
+    """One sink run asks Ray's control store for the cluster's resources
+    once, for both its work units and its window of tasks in flight."""
+    import ray
+    from vyperdatum_ray.pipelines.flagship import load_catalog
+    from vyperdatum_ray.state.lineage import run_flagship_checkpointed
+
+    reads = []
+    read = ray.cluster_resources
+    monkeypatch.setattr(ray, "cluster_resources", lambda: reads.append(1) or read())
+    m = run_flagship_checkpointed(SF, str(tmp_path / "out"), catalog=load_catalog(SF))
+    assert m["n_shards_run"] == m["n_shards_total"] > 1
+    assert len(reads) == 1
 
 
 def test_noop_resume_skips_everything(first_run):
@@ -181,7 +224,7 @@ def test_manifest_written_and_grid_change_invalidates_exactly(first_run):
     committed with the run; a VALUE change in one region's grid marks
     stale exactly the shards whose region_set touches that region,
     while a STRUCTURE change (region renamed) invalidates everything."""
-    import copy
+    import dataclasses
 
     from vyperdatum_ray.catalog import Catalog
     from vyperdatum_ray.fixtures import ensure_fixtures
@@ -215,9 +258,9 @@ def test_manifest_written_and_grid_change_invalidates_exactly(first_run):
 
     # perturb ONE region's grid values -> a new catalog "version"
     victim = "SYNcoastB_8301"
-    cat2 = copy.deepcopy(cat)
-    cat2.grids[f"{victim}/mllw"].values += 0.01
-    cat2.version = "vNext"
+    key = f"{victim}/mllw"
+    cat2 = dataclasses.replace(cat, version="vNext", grids={
+        **cat.grids, key: dataclasses.replace(cat.grids[key], values=cat.grids[key].values + 0.01)})
 
     done2 = completed_shards(out, cat2.version, catalog=cat2)
     expect_done = {s for s, r in recs.items() if victim not in r["region_set"]}
@@ -244,11 +287,8 @@ def test_manifest_written_and_grid_change_invalidates_exactly(first_run):
     os.remove(os.path.join(out, "_lineage", "part-9999.json"))
 
     # STRUCTURE change: renaming a region invalidates ALL records
-    import dataclasses
-
-    cat3 = copy.deepcopy(cat2)
-    cat3.regions[0] = dataclasses.replace(cat3.regions[0], name="RENAMED")
-    cat3.version = "vNext2"
+    cat3 = dataclasses.replace(cat2, version="vNext2", regions=[
+        dataclasses.replace(cat2.regions[0], name="RENAMED"), *cat2.regions[1:]])
     assert completed_shards(out, cat3.version, catalog=cat3) == {}
 
 
@@ -338,17 +378,18 @@ def _crash_and_resume(tmp_path, monkeypatch, want_committed: set) -> None:
 
 
 def _blank_first_region(catalog):
-    """A copy of ``catalog`` whose first region's grids hold no value
-    anywhere: every point that region wins falls in a coverage hole."""
-    import copy
+    """A new catalog like ``catalog`` whose first region's grids hold no
+    value anywhere: every point that region wins falls in a coverage
+    hole."""
+    import dataclasses
 
     import numpy as np
 
-    blanked = copy.deepcopy(catalog)
-    for key, grid in blanked.grids.items():
-        if key.startswith(f"{blanked.regions[0].name}/"):
-            grid.values[:] = np.nan
-    return blanked
+    prefix = f"{catalog.regions[0].name}/"
+    return dataclasses.replace(catalog, grids={
+        key: dataclasses.replace(grid, values=np.full_like(grid.values, np.nan))
+        if key.startswith(prefix) else grid
+        for key, grid in catalog.grids.items()})
 
 
 def test_drop_counters_match_a_driver_replay(ray_session, tmp_path):

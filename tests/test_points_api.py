@@ -126,7 +126,7 @@ def test_same_version_grid_swap_not_served_stale(catalog):
     key = f"{region}/tss"
     grids = dict(catalog.grids)
     grids[key] = dataclasses.replace(grids[key], values=grids[key].values + 1.0)
-    swapped = dataclasses.replace(catalog, grids=grids, _tree=None)
+    swapped = dataclasses.replace(catalog, grids=grids)
     assert swapped.version == catalog.version
 
     rng = np.random.default_rng(7)
@@ -143,3 +143,32 @@ def test_same_version_grid_swap_not_served_stale(catalog):
         np.testing.assert_array_equal(z2[~moved], z1[~moved])
         np.testing.assert_array_equal(z3, z1)
         np.testing.assert_array_equal(r3, r1)
+
+
+def test_state_is_built_once_per_catalog_content_and_parameters(catalog, monkeypatch):
+    """Repeated calls on one catalog, on an equal copy of it, or on the
+    sampled path reuse one ``JoinTransform``; new parameters build
+    another."""
+    import copy
+    from collections import OrderedDict
+
+    from vyperdatum_ray.pipelines import flagship
+    from vyperdatum_ray.points import transform_points
+
+    builds = []
+
+    class Counting(flagship.JoinTransform):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(flagship, "JoinTransform", Counting)
+    monkeypatch.setattr(flagship, "_state_cache", OrderedDict())
+    x, y = np.array([-75.2, -75.25]), np.array([35.0, 35.01])
+    first = transform_points(catalog, x, y)
+    np.testing.assert_array_equal(transform_points(catalog, x, y)[2], first[2])
+    np.testing.assert_array_equal(transform_points(copy.deepcopy(catalog), x, y)[2], first[2])
+    transform_points(catalog, x, y, sample_distance=0.01)
+    assert len(builds) == 1
+    transform_points(catalog, x, y, to_datum="mhw")
+    assert len(builds) == 2

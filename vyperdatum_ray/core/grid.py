@@ -34,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparationGrid:
     """A regular separation grid.
 
     ``values[iy, ix]`` is the node at
     ``(origin_x + ix * dx, origin_y + iy * dy)``; ``dx, dy > 0``;
-    NaN nodes are nodata.
+    NaN nodes are nodata. A ``Catalog`` makes the ``values`` of its
+    grids read-only (see catalog.py); a grid of its own stays writable.
     """
 
     origin_x: float

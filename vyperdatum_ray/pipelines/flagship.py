@@ -48,6 +48,7 @@ from vyperdatum_ray.stages.cellindex import cell_index_batch
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 from vyperdatum_ray.stages.region_join import RegionJoiner
 from vyperdatum_ray.stages.transform import DatumTransformer
+from vyperdatum_ray.state.lineage import as_completed, cluster_cpus
 
 PAGE_COLUMNS = ["url", "warc_ts", "text", "lang"]  # html pruned at the read
 
@@ -100,7 +101,9 @@ def _shard_kwargs(catalog: Catalog, **params) -> dict:
     The catalog is put once per Ray session and content key. The key is
     the catalog's content, never its version alone: same-version
     catalogs with different grids exist (``register_external_region``
-    only suffixes the version, tests swap grids under one version)."""
+    only suffixes the version, tests swap grids under one version).
+    The key is memoized on the catalog, so only a catalog's first job
+    hashes its grids."""
     key = catalog.content_key()
     session = None  # before ray.init: the put below auto-initializes
     if ray.is_initialized():
@@ -117,7 +120,9 @@ def _cached_state(cls, catalog_ref, catalog_key: str, params: dict):
     """This worker process's ``cls(catalog_ref, **params)``, built (one
     ``ray.get`` of the catalog, one region-membership index, one grid
     stack) on the first task that needs it and reused by every later
-    task with the same catalog content and parameters."""
+    task with the same catalog content and parameters. The driver's
+    points API (``points.transform_points``) keeps its state here too,
+    with the catalog itself as ``catalog_ref``."""
     return _lru(_state_cache, (cls, catalog_key, tuple(sorted(params.items()))),
                 lambda: cls(catalog_ref, **params), _STATE_CACHE_MAX)
 
@@ -341,12 +346,13 @@ def flagship_fused(
         [submit() for submit in shard_tasks(sf_dir, catalog, paths, post, **params)])
 
 
-def work_units(paths: list[str]) -> list[list[str]]:
+def work_units(paths: list[str], cpus: int | None = None) -> list[list[str]]:
     """``paths`` cut into runs of consecutive paths, in their order
     (repeats kept), one shard task each.
 
-    A run holds at most ``ceil(len(paths) / CPUs)`` paths: that is how
-    many waves one-path tasks need anyway, so the wall time holds while
+    A run holds at most ``ceil(len(paths) / CPUs)`` paths (CPUs:
+    ``cpus``, or the cluster's when None): that is how many waves
+    one-path tasks need anyway, so the wall time holds while
     the number of tasks falls. A run also closes before a path that
     would take its input bytes (``os.stat``, no footer read) past Ray
     Data's ``DataContext.target_max_block_size``, so a file larger than
@@ -361,7 +367,7 @@ def work_units(paths: list[str]) -> list[list[str]]:
     file."""
     if not paths:
         return []
-    per = -(-len(paths) // max(1, int(ray.cluster_resources().get("CPU", 1))))
+    per = -(-len(paths) // (cpus or cluster_cpus()))
     cap = ray.data.DataContext.get_current().target_max_block_size or float("inf")
     units, size = [], 0
     for p in paths:
@@ -376,11 +382,13 @@ def work_units(paths: list[str]) -> list[list[str]]:
 
 
 def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
-                paths: list[str] | None = None, post=None, **params) -> list:
-    """One zero-argument submitter per work unit (``work_units``) of
-    the sorted paths: each submits the unit's ``_fused_shard`` task and
-    returns the ref to its shards' ``post(path, table)`` results. The
-    tasks run on warm, reused workers that build the catalog state once
+                paths: list[str] | None = None, post=None, cpus: int | None = None,
+                **params) -> list:
+    """One zero-argument submitter per work unit (``work_units``, sized
+    by ``cpus``) of the sorted paths: each submits the unit's
+    ``_fused_shard`` task and returns the ref to its shards'
+    ``post(path, table)`` results. The tasks run on warm, reused
+    workers that build the catalog state once
     per catalog content and parameter set (``params``:
     ``flagship_fused``'s, defaults in ``FUSED_DEFAULTS``). ``paths``
     defaults to every pages shard of ``sf_dir``; an empty list gives no
@@ -391,7 +399,7 @@ def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
     paths = sorted(pages_paths(sf_dir) if paths is None else paths)
     return [partial(_fused_shard.remote, unit, [kw["catalog_ref"]], kw["catalog_key"],
                     kw["params"], post)
-            for unit in work_units(paths)]
+            for unit in work_units(paths, cpus)]
 
 
 def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
@@ -411,10 +419,9 @@ def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
     quantities that the queries round to 3 decimals, so the finishing
     order does not change the result. One row per key, ascending; with
     no covered row, zero rows of ``dtypes``."""
-    from vyperdatum_ray.state.lineage import as_completed
-
     acc = pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
-    for part in as_completed(shard_tasks(sf_dir, post=post, **params)):
+    cpus = cluster_cpus()
+    for part in as_completed(shard_tasks(sf_dir, post=post, cpus=cpus, **params), cpus):
         if part.num_rows:
             part = part.to_pandas()
             acc = pd.concat([acc, part], ignore_index=True) if len(acc) else part

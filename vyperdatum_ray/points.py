@@ -12,8 +12,12 @@ Semantics:
   (core.py:462) and region_index int8 with -1 outside coverage.
 
 The arrays run in-process through the flagship's own region join and
-datum transform (``flagship.JoinTransform``, built per call); no Ray
-session is needed.
+datum transform (``flagship.JoinTransform``); no Ray session is needed.
+The state is built once per catalog content and parameter set and kept
+in the process's bounded ``flagship._cached_state`` cache: the catalog
+is immutable and its content key memoized, so the key costs nothing
+after the first call and a changed catalog, a new value, gets its own
+state.
 """
 
 from __future__ import annotations
@@ -104,12 +108,11 @@ def _transform_arrays(catalog, x, y, z, from_datum, to_datum,
                       in_is_height, out_is_height):
     import pyarrow as pa
 
-    from vyperdatum_ray.pipelines.flagship import JoinTransform
+    from vyperdatum_ray.pipelines.flagship import JoinTransform, _cached_state
 
-    out = JoinTransform(
-        catalog, from_datum=from_datum, to_datum=to_datum, in_is_height=in_is_height,
-        out_is_height=out_is_height, z_col="z_in",
-    )(pa.table({
+    params = dict(from_datum=from_datum, to_datum=to_datum, in_is_height=in_is_height,
+                  out_is_height=out_is_height, z_col="z_in")
+    out = _cached_state(JoinTransform, catalog, catalog.content_key(), params)(pa.table({
         "lon": pa.array(x, pa.float64()),
         "lat": pa.array(y, pa.float64()),
         "z_in": pa.array(z, pa.float64()),

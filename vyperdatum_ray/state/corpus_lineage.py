@@ -181,7 +181,7 @@ def _dedup_bucket(b: int, files: list[str], bucket_dir: str) -> tuple[int, int, 
     draw = (_hash32(ids, SPLIT_MULT) % np.uint64(1000)).astype(np.int64)
     g["split"] = np.where(draw < 980, "train", np.where(draw < 990, "val", "test"))
     write_partition(bucket_dir, pa.Table.from_pandas(
-        g[["doc_id", "n_tok", "split"]], preserve_index=False))
+        g[["doc_id", "n_tok", "split"]], preserve_index=False), dictionary=["split"])
     return b, len(df), len(g)
 
 

@@ -18,7 +18,8 @@ executor), one per work unit of pending shards (``flagship.work_units``:
 a run of consecutive shards), with ``_write_shard`` as its in-task
 ``post``. For each of its shards the task reads and transforms the
 shard, writes its single output file ``shard=<id>/part-0.parquet``
-(``write_partition``) and makes the shard's lineage record, computed
+(``write_partition``, dictionary-encoding only ``DICTIONARY_COLUMNS``)
+and makes the shard's lineage record, computed
 from the very table it wrote, drop counters included; it returns the
 unit's records. The driver commits each record atomically
 (``write_json_atomic``) as its unit arrives (``as_completed``) — always
@@ -48,6 +49,7 @@ import os
 import shutil
 import time
 import uuid
+from collections.abc import Sequence
 from functools import partial
 
 import pyarrow as pa
@@ -66,7 +68,9 @@ def write_catalog_manifest(out_dir: str, catalog) -> dict:
     atomically next to the lineage records after a successful run.
     Enables MIXED-VERSION resume: on the next run, a changed grid
     invalidates exactly the shards whose recorded ``region_set``
-    touches it (see ``completed_shards``)."""
+    touches it (see ``completed_shards``). The fingerprints are the
+    catalog's memoized ones: no grid is hashed here after the catalog's
+    first use."""
     man = {
         "schema_version": SCHEMA_VERSION,
         "catalog_version": catalog.version,
@@ -111,32 +115,48 @@ def read_records(ldir: str) -> list[dict]:
     return [r for r in recs if r is not None]
 
 
-def write_partition(part_dir: str, table: pa.Table) -> None:
+def write_partition(part_dir: str, table: pa.Table,
+                    dictionary: Sequence[str] = ()) -> None:
     """``part_dir/part-0.parquet``, written under a ``_``-prefixed name
     unique to this attempt (readers skip ``_`` names) and renamed into
     place, so a re-executed task (Ray tasks are at-least-once) replaces
-    its own file whole. A zero-row table writes nothing."""
+    its own file whole. A zero-row table writes nothing.
+
+    Only the ``dictionary`` columns are dictionary-encoded: the caller
+    names its low-cardinality ones. Arrow's default encodes every
+    column, which costs time and bytes on nearly unique ones (a url, a
+    coordinate): the sink's 4 partitions per ``geo_sink`` job took
+    10.9-13.8 ms and 822 KB that way, against 7.8-9.8 ms and 749-766 KB
+    with only its 4 low-cardinality columns encoded, in one process.
+    The values read back are the same either way."""
     import pyarrow.parquet as pq
 
     if not table.num_rows:
         return
     os.makedirs(part_dir, exist_ok=True)
     tmp = os.path.join(part_dir, f"_part-0.{uuid.uuid4().hex}.tmp")
-    pq.write_table(table, tmp)
+    pq.write_table(table, tmp, use_dictionary=list(dictionary))
     os.replace(tmp, os.path.join(part_dir, "part-0.parquet"))
 
 
-def as_completed(submits):
+def cluster_cpus() -> int:
+    """The cluster's CPU count (at least 1). Each call is a round trip
+    to Ray's control store, so a job reads it once and passes it on."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def as_completed(submits, cpus: int | None = None):
     """Run zero-argument task submitters (each returns one ObjectRef)
     and yield each result as its task finishes, in finishing order.
 
-    At most twice the cluster's CPUs are in flight, so the driver's
-    pending task specs stay bounded however many partitions a run has.
+    At most twice the cluster's CPUs (``cpus``, read from the cluster
+    when None) are in flight, so the driver's pending task specs stay
+    bounded however many partitions a run has.
     When a task raises, no further task starts: the ones in flight are
     drained and their results still yielded (the caller commits every
     partition that finished, and no task of the failed run writes after
     it returns), then the first error is raised."""
-    window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    window = 2 * (cpus or cluster_cpus())
     submits = iter(submits)
     in_flight, error = [], None
     while True:
@@ -211,6 +231,11 @@ def _commit_record(out_dir: str, rec: dict) -> None:
 # The sink's output schema; ``shard`` is the hive directory, not a column.
 OUTPUT_COLUMNS = ["url", "lat", "lon", "h3_9", "s2_13", "tile_id", "region",
                   "region_index", "z_out", "unc"]
+# Its low-cardinality columns, the only ones its partitions
+# dictionary-encode (``write_partition``). In one 3,671-row shard they
+# hold 291, 5, 5 and 5 distinct values (``unc`` is one value per region
+# and datum pair); url, lat, lon and h3_9 are nearly unique.
+DICTIONARY_COLUMNS = ("tile_id", "region", "region_index", "unc")
 # A record's dropped-row counts, which a run's metrics line sums.
 DROP_COUNTERS = ("n_no_geocode", "n_no_region", "n_no_coverage")
 
@@ -233,7 +258,7 @@ def _write_shard(out_dir: str, path: str, full: pa.Table) -> dict:
     region = full.column("region_index").to_numpy()
     out = full.select(OUTPUT_COLUMNS)
     shard = _shard_of(path)
-    write_partition(os.path.join(out_dir, f"shard={shard}"), out)
+    write_partition(os.path.join(out_dir, f"shard={shard}"), out, DICTIONARY_COLUMNS)
 
     def distinct(name: str) -> list:
         return sorted(pc.unique(out.column(name)).to_pylist())
@@ -305,9 +330,11 @@ def run_flagship_checkpointed(
         rows_in = rows_out = 0
         drops = dict.fromkeys(DROP_COUNTERS, 0)
         committed = set()
+        cpus = cluster_cpus()  # sizes both the work units and the window
         try:
             for recs in as_completed(flagship.shard_tasks(
-                    sf_dir, catalog, pending, partial(_write_shard, out_dir))):
+                    sf_dir, catalog, pending, partial(_write_shard, out_dir), cpus=cpus),
+                    cpus=cpus):
                 for rec in recs:
                     _commit_record(out_dir, {"schema_version": SCHEMA_VERSION, **rec,
                                              "transform_version": version})
