@@ -9,7 +9,9 @@ datum transform (``flagship.flagship_fused`` or ``join_transform_batch``);
 ``@exchange`` names every relational query on the salted exchange
 (``pipelines/exchange.exchange``); ``@text`` names the text, corpus,
 image and embedding queries on it; ``@raster`` names the raster-path
-queries (``pipelines/raster.py``).
+queries (``pipelines/raster.py``); ``@aggregate`` names the keyed and
+global aggregates merged by ``exchange.fold`` and the two events
+windows reduced on ``exchange.exchange``.
 """
 
 from __future__ import annotations
@@ -42,12 +44,19 @@ NAMED_SETS = {
         tpch_q15 tpch_q16 tpch_q17 tpch_q18 tpch_q19 tpch_q20 tpch_q21 tpch_q22
         semi_anti_join bloom_semi_join min_cost_supplier running_total
         full_outer_join event_lag_delta funnel_conversion gap_fill_resample
-        repeat_buyers lapsed_buyers price_band_join""".split(),
+        repeat_buyers lapsed_buyers price_band_join events_window
+        events_sliding""".split(),
     "text": """dedup_exact dedup_normalized line_dedup url_dedup minhash_pairs
         simhash_neardup neardup_jaccard neardup_clusters_text corpus_pipeline
         seq_pack image_neardup neardup_embedding_lsh""".split(),
     "raster": """raster_valid_counts raster_sep raster_transform raster_tile_manifest
         raster_coverage zonal_stats""".split(),
+    "aggregate": """tpch_q1 orders_customer_join tpch_q6 tpch_q14 tpch_q22 tpch_q15
+        tpch_q11 bloom_semi_join extent sampled_transform csv_roundtrip
+        raster_valid_counts raster_tile_manifest zonal_stats token_percentiles
+        lang_token_stats approx_distinct_hosts jsonl_roundtrip lang_source_pivot
+        lang_source_rollup lang_source_cube source_corr embedding_centroid
+        events_window events_sliding""".split(),
 }
 
 

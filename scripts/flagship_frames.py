@@ -12,10 +12,12 @@ metrics line, less the run's timings ``elapsed_s`` and ``ts``), the raster path
 (``raster_transform`` with and without the outside-coverage fallback,
 ``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``), the
 registry queries of ``QUERY_KEYS`` (the flagship family's row-level
-filters and its per-shard aggregates) and the points API
-(``transform_points`` exact and sampled, on ``points()``). The raster
-and query outputs are sorted by their key columns (``RASTER_KEYS``,
-``QUERY_KEYS``); the points keep their input order. It imports the
+filters and its per-shard aggregates) and ``AGGREGATE_KEYS`` (the
+aggregates merged on the driver by ``exchange.fold``, and the events
+windows) and the points API (``transform_points`` exact and sampled, on
+``points()``). The raster and query outputs are sorted by their key
+columns (``RASTER_KEYS``, ``QUERY_KEYS``, ``AGGREGATE_KEYS``); the
+points keep their input order. It imports the
 engine of the tree the script sits in, so a dump from a checkout of
 another commit (``git archive``, not a worktree) gives that commit's
 outputs. ``compare`` checks that both dumps hold the same files and that
@@ -84,6 +86,33 @@ QUERY_KEYS = {
     "region_median": ["region_index"],
 }
 
+# the aggregates merged by exchange.fold (and the two events windows on
+# exchange.exchange) and their key columns; a global row has none
+AGGREGATE_KEYS = {
+    "tpch_q1": ["l_returnflag", "l_linestatus"],
+    "orders_customer_join": ["c_mktsegment"],
+    "tpch_q6": [],
+    "tpch_q14": [],
+    "tpch_q22": ["c_mktsegment"],
+    "tpch_q15": ["s_suppkey"],
+    "tpch_q11": ["p_partkey"],
+    "bloom_semi_join": [],
+    "extent": [],
+    "sampled_transform": ["url"],
+    "raster_tile_manifest": ["tile_id"],
+    "token_percentiles": ["pct"],
+    "lang_token_stats": ["lang_pred"],
+    "approx_distinct_hosts": [],
+    "jsonl_roundtrip": ["lang"],
+    "lang_source_pivot": ["source"],
+    "lang_source_rollup": ["lang", "source"],
+    "lang_source_cube": ["lang", "source"],
+    "source_corr": ["source"],
+    "embedding_centroid": ["label", "dim"],
+    "events_window": ["user_id", "hour", "event_type"],
+    "events_sliding": ["window_start", "event_type"],
+}
+
 
 def points(catalog):
     """A fixed point set for the points API: 20,000 seeded uniform
@@ -126,6 +155,7 @@ def sink_records(sink: str):
 
 
 def dump(sf_dir: str, out: str) -> None:
+    import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
@@ -170,10 +200,11 @@ def dump(sf_dir: str, out: str) -> None:
             "raster_valid_counts": raster.q_raster_valid_counts(sf_dir),
         }
         queries = __ray_entry__.queries()
-        keys = {**RASTER_KEYS, **QUERY_KEYS}
-        frames.update((name, queries[name](sf_dir)) for name in QUERY_KEYS)
+        keys = {**RASTER_KEYS, **QUERY_KEYS, **AGGREGATE_KEYS}
+        frames.update((name, queries[name](sf_dir)) for name in {**QUERY_KEYS, **AGGREGATE_KEYS})
         for name, ds in frames.items():
-            df = ds.to_pandas().sort_values(keys[name], kind="stable")
+            df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
+            df = df.sort_values(keys[name], kind="stable").reset_index(drop=True)
             pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                            os.path.join(out, f"{name}.parquet"))
         catalog = load_catalog(sf_dir)

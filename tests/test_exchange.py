@@ -1,6 +1,10 @@
-"""The salted-exchange primitive (pipelines/exchange.py): one read block
-per row group, the width from the legs' blocks, leg tagging and per-leg
-frames, zero-row legs, chaining, and width independence."""
+"""The two merges of pipelines/exchange.py. The salted exchange: one
+read block per row group, the width from the legs' blocks, leg tagging
+and per-leg frames, zero-row legs, chaining, and width independence.
+The driver fold: sum/min/max per key and globally, typed zero rows, and
+block-count independence of every folded query."""
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -248,8 +252,8 @@ def test_width_stops_at_the_cap(ray_session, tmp_path, monkeypatch):
 
 
 def test_exchange_set_names_registry_queries():
-    """``check_correctness.py @exchange`` and ``@text`` name real
-    queries()."""
+    """``check_correctness.py @exchange``, ``@text`` and ``@aggregate``
+    name real queries()."""
     import __ray_entry__ as E
     from scripts.check_correctness import expand
 
@@ -258,3 +262,107 @@ def test_exchange_set_names_registry_queries():
     assert names <= set(E.queries())
     text = expand(["@text"])
     assert len(text) == 12 and "seq_pack" in text and text <= set(E.queries())
+    folded = expand(["@aggregate"])
+    assert {"tpch_q1", "extent", "zonal_stats", "embedding_centroid",
+            "events_window"} <= folded <= set(E.queries())
+
+
+_HOW = {"n": "sum", "lo": "min", "hi": "max"}
+
+
+def _partial(k, n, lo, hi):
+    return pa.table({"k": pa.array(k, pa.string()), "n": pa.array(n, pa.int64()),
+                     "lo": pa.array(lo, pa.float64()), "hi": pa.array(hi, pa.float64())})
+
+
+_EMPTY = _partial([], [], [], [])
+
+
+def test_fold_sums_mins_and_maxes_per_key_ascending():
+    """A key in only some partials keeps its own values; zero-row
+    partials add nothing; keys come back ascending, columns typed."""
+    from vyperdatum_ray.pipelines.exchange import fold
+
+    parts = [_partial(["c", "a"], [1, 2], [0.5, 2.0], [0.5, 2.0]), _EMPTY,
+             _partial(["b", "c"], [4, 8], [3.0, -1.0], [3.0, 9.0])]
+    got = fold(iter(parts), ["k"], _HOW, _EMPTY)
+    want = pd.DataFrame({"k": ["a", "b", "c"], "n": [2, 4, 9],
+                         "lo": [2.0, 3.0, -1.0], "hi": [2.0, 3.0, 9.0]})
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_fold_without_keys_gives_the_global_row():
+    from vyperdatum_ray.pipelines.exchange import fold
+
+    parts = [_partial(["c", "a"], [1, 2], [0.5, 2.0], [0.5, 2.0]), _EMPTY,
+             _partial(["b"], [4], [-3.0], [3.0])]
+    got = fold(iter(parts), [], _HOW, _EMPTY)
+    pd.testing.assert_frame_equal(got, pd.DataFrame({"n": [7], "lo": [-3.0], "hi": [3.0]}))
+
+
+@pytest.mark.parametrize("keys", [["k"], []])
+@pytest.mark.parametrize("parts", [[], [_EMPTY, _EMPTY]])
+def test_fold_of_no_rows_is_typed(keys, parts):
+    """No partial at all, or only zero-row partials: zero rows with the
+    partials' columns and types, with keys and without."""
+    from vyperdatum_ray.pipelines.exchange import fold
+
+    got = fold(iter(parts), keys, _HOW, _EMPTY)
+    want = _EMPTY.select(keys + list(_HOW)).to_pandas()
+    assert len(got) == 0 and list(got.columns) == keys + list(_HOW)
+    assert dict(got.dtypes) == dict(want.dtypes)
+
+
+def test_fold_over_dataset_blocks(ray_session, tmp_path):
+    """Over ``map_typed(read, partial)`` the partial runs once per read
+    block (one per row group) and the fold equals the whole table's
+    groupby; a zero-row read folds to typed zero rows."""
+    from vyperdatum_ray.pipelines.exchange import fold, map_typed, read
+
+    rng = np.random.default_rng(7)
+    t = pa.table({"k": pa.array(rng.integers(0, 5, 300), pa.int64()),
+                  "v": pa.array(rng.integers(-50, 50, 300), pa.int64())})
+    path = str(tmp_path / "t.parquet")
+    pq.write_table(t, path, row_group_size=100)
+
+    def partial(b: pa.Table) -> pa.Table:
+        g = b.group_by("k").aggregate([("v", "sum"), ("v", "min"), ("v", "count")])
+        return pa.table({"k": g.column("k"), "s": g.column("v_sum"),
+                         "lo": g.column("v_min"), "blocks": pa.array(
+                             np.ones(g.num_rows, np.int64))})
+
+    how = {"s": "sum", "lo": "min", "blocks": "sum"}
+    got = fold(map_typed(read(path), partial), ["k"], how)
+    df = t.to_pandas()
+    want = df.groupby("k", as_index=False).agg(s=("v", "sum"), lo=("v", "min"))
+    pd.testing.assert_frame_equal(got[["k", "s", "lo"]], want)
+    assert (got["blocks"] == 3).all()
+
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(t.schema.empty_table(), empty)
+    got = fold(map_typed(read(empty), partial), ["k"], how)
+    assert len(got) == 0 and list(got.columns) == ["k", "s", "lo", "blocks"]
+    assert set(got.dtypes) == {np.dtype(np.int64)}
+
+
+def test_folded_queries_are_independent_of_block_count(ray_session, monkeypatch):
+    """Every ``@aggregate`` query at sf0.01 gives the same frame and
+    dtypes with its reads forced to 1 and to 4 blocks as at their own
+    row-group counts: partial sums change order with block boundaries,
+    and the folds' results must not."""
+    import __ray_entry__ as E
+    from scripts.check_correctness import expand, normalize, to_pandas
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    queries = E.queries()
+    names = sorted(expand(["@aggregate"]))
+
+    def run():
+        return {n: normalize(to_pandas(queries[n](sf))) for n in names}
+
+    own = run()
+    for blocks in (1, 4):
+        monkeypatch.setattr(ex, "row_groups", lambda paths, b=blocks: b)
+        for name, df in run().items():
+            pd.testing.assert_frame_equal(df, own[name], check_exact=True, obj=name)

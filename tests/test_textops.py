@@ -486,7 +486,9 @@ def test_line_dedup_all_boilerplate_corpus(ray_session, tmp_path, monkeypatch):
 
 _EMPTY_CORPUS_QUERIES = ["line_dedup", "neardup_jaccard", "corpus_pipeline",
                          "seq_pack", "dedup_exact", "dedup_normalized",
-                         "url_dedup", "minhash_pairs", "simhash_neardup"]
+                         "url_dedup", "minhash_pairs", "simhash_neardup",
+                         "token_percentiles", "lang_token_stats", "jsonl_roundtrip",
+                         "lang_source_pivot", "source_corr"]
 
 
 @pytest.mark.parametrize("name", _EMPTY_CORPUS_QUERIES)
@@ -498,14 +500,17 @@ def test_empty_corpus_output_is_typed(ray_session, tmp_path, monkeypatch, name):
     from vyperdatum_ray import fixtures
     from vyperdatum_ray.pipelines.exchange import collect
 
+    def frame(res):  # a Dataset, or a driver-built DataFrame
+        return res if isinstance(res, pd.DataFrame) else collect(res)
+
     small = os.path.join(os.path.dirname(SF), "sf0.001")
-    want = collect(E.queries()[name](small))
+    want = frame(E.queries()[name](small))
     assert len(want) > 0
     page_schema = pq.read_schema(fixtures.pages_paths(small)[0])
     doc_schema = pq.read_schema(f"{small}/documents.parquet")
     sf = _private_sf(tmp_path, monkeypatch, [page_schema.empty_table()],
                      docs=doc_schema.empty_table())
-    got = collect(E.queries()[name](sf))
+    got = frame(E.queries()[name](sf))
     assert len(got) == 0
     assert dict(got.dtypes) == dict(want.dtypes)
 

@@ -867,8 +867,8 @@ CENTROID_SCALE = 2.0 ** 40
 def q_embedding_centroid(sf_dir: str) -> ray.data.Dataset:
     """Per-label element-wise embedding centroid (vector-column
     aggregation): each batch reduces to (label, dim, scaled-int sum,
-    count) partials — the exchange carries labels x dims rows per
-    block, never vectors — and one bounded groupby merges them. Output
+    count) partials — labels x dims rows per block, never vectors —
+    folded per (label, dim) on the driver. Output
     is LONG format (label, dim, centroid, n_vecs) so the SQL mirror
     can express the same element-wise mean with a range cross-join."""
     import pyarrow.parquet as pq
@@ -898,24 +898,14 @@ def q_embedding_centroid(sf_dir: str) -> ray.data.Dataset:
             "p_n": pa.array(np.repeat(counts, dim), pa.int64()),
         })
 
-    from ray.data.aggregate import Sum
-
-    out = _emb(sf_dir).map_batches(partial, batch_format="pyarrow").groupby(
-        ["label", "dim"]).aggregate(Sum("p_sum", alias_name="s"),
-                                    Sum("p_n", alias_name="n"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        s = batch.column("s").to_numpy(zero_copy_only=False).astype(np.float64)
-        n = batch.column("n").to_numpy(zero_copy_only=False)
-        lbl = batch.column("label").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "label": pa.array(lbl.astype(np.int64), pa.int64()),
-            "dim": batch.column("dim"),
-            "centroid": pa.array(s / (n * CENTROID_SCALE), pa.float64()),
-            "n_vecs": pa.array(n.astype(np.int64), pa.int64()),
-        })
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = exchange.fold(exchange.map_typed(_emb(sf_dir), partial), ["label", "dim"],
+                      {"p_sum": "sum", "p_n": "sum"})
+    return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "label": g["label"],
+        "dim": g["dim"],
+        "centroid": g["p_sum"].to_numpy(np.float64) / (g["p_n"].to_numpy() * CENTROID_SCALE),
+        "n_vecs": g["p_n"],
+    }), preserve_index=False))
 
 
 def embedding_centroid_oracle_sql(sf_dir: str) -> str:

@@ -1,5 +1,18 @@
-"""Salted repartition exchanges: the one shuffle shape behind every
-multi-join reshape and high-cardinality per-key reduce.
+"""The engine's two merges of keyed partials. ``fold`` merges an
+aggregate whose keys are bounded before the run (a schema's or a
+catalog's values, a raster's cells) or global: each task's partial rows
+are folded into one row per key on the driver as they arrive.
+``exchange`` is the salted repartition behind every multi-join reshape
+and every per-key reduce whose keys grow with the input.
+
+A fold is FP-Hadoop's intermediate reduce (VLDB 2015): the partial runs
+in the producing task, so a hot key adds one row per task and cannot
+skew a reducer, and the driver holds one row per key plus the block in
+hand. Ray's native ``groupby(key).aggregate`` over the same partials is
+a partial map and an all-to-all sort (``Dataset.aggregate`` is
+``groupby(None)``, a full shuffle too): on ``gridded_points``' partials
+at sf0.1 on 4 CPUs it took 7.5-14.2 s against 0.57-0.81 s for one driver
+merge.
 
 Native ``Dataset.join`` spawns a per-join aggregator-actor pool, and two
 of them in one DAG deadlock at small CPU counts (see CLAUDE.md). A
@@ -223,6 +236,42 @@ def exchange(legs, reduce) -> ray.data.Dataset:
     return out
 
 
+def fold(parts, keys: list[str], how: dict[str, str],
+         empty: pa.Table | None = None) -> pd.DataFrame:
+    """Partial tables folded into one row per ``keys`` value as they
+    arrive: each column of ``how`` is merged by its ``"sum"``, ``"min"``
+    or ``"max"``, and the keys come back ascending (a null key is a
+    group of its own). ``keys=[]`` gives the one global row.
+
+    ``parts`` is a Dataset whose blocks are the partials (``map_typed(ds,
+    partial)``, so the partial runs in the producing task), read one
+    block at a time, or an iterable of tables (``as_completed`` over
+    shard tasks whose ``post`` is the partial). ``empty`` gives the
+    columns' types: the Dataset's own zero rows by default, required for
+    an iterable. With no partial row the result is those columns'
+    typed zero rows, for ``keys=[]`` too: SQL's one row over empty input
+    is the caller's to build.
+
+    Only a bounded key set belongs here: the driver holds every key's
+    row. Keys that grow with the input go through ``exchange``."""
+    if isinstance(parts, ray.data.Dataset):
+        empty = _zero_rows(parts) if empty is None else empty
+        parts = parts.iter_batches(batch_size=None, batch_format="pyarrow")
+    cols = keys + list(how)
+    acc = _schema(empty.select(cols)).empty_table().to_pandas()
+    for part in parts:
+        if not part.num_rows:
+            continue
+        df = part.select(cols).to_pandas()
+        df = pd.concat([acc, df], ignore_index=True) if len(acc) else df
+        if keys:
+            acc = df.groupby(keys, as_index=False, dropna=False).agg(how)
+        else:
+            acc = pd.DataFrame({c: pd.Series([df[c].agg(f)], dtype=df[c].dtype)
+                                for c, f in how.items()})
+    return acc
+
+
 def collect(ds: ray.data.Dataset) -> pd.DataFrame:
     """``ds.to_pandas()`` that keeps an exchange output's columns and
     dtypes when no group produced a row (a groupby with no groups
@@ -254,7 +303,9 @@ def materialize(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 def from_arrow(t: pa.Table) -> ray.data.Dataset:
     """``ray.data.from_arrow(t)`` that collects typed when ``t`` has no
-    rows."""
+    rows; a column of no type (a zero-row pandas text column) becomes
+    text, and the ``pandas`` schema metadata goes."""
+    t = t.cast(_schema(t))
     out = ray.data.from_arrow(t)
     _META[out] = (t.schema.empty_table(), 1)
     return out

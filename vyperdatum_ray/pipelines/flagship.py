@@ -15,7 +15,7 @@ each shard's table inside the task:
 * a row-level query filters and projects the shard's rows;
 * an aggregate query returns the shard's partial, and the driver folds
   each unit's partials into one row per key as its task finishes
-  (``shard_partials``).
+  (``shard_partials``, a call of ``exchange.fold``).
 
 ``flagship_fused`` returns a materialized Dataset: one block per unit,
 its shards' rows in path order, held in the object store until the
@@ -44,6 +44,7 @@ import ray.data
 
 from vyperdatum_ray.catalog import Catalog
 from vyperdatum_ray.fixtures import catalog_dir, pages_paths
+from vyperdatum_ray.pipelines.exchange import fold
 from vyperdatum_ray.stages.cellindex import cell_index_batch
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 from vyperdatum_ray.stages.region_join import RegionJoiner
@@ -405,28 +406,24 @@ def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
 def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
                    **params) -> pd.DataFrame:
     """An aggregate query's per-shard partials, summed per key on the
-    driver. ``post(path, table)`` returns, inside the shard's task, a
-    table of ``dtypes``' columns (column -> numpy dtype) with one row
-    per key in ``keys``; every other column is summed.
+    driver by ``exchange.fold``. ``post(path, table)`` returns, inside
+    the shard's task, a table of ``dtypes``' columns (column -> numpy
+    dtype) with one row per key in ``keys``; every other column is
+    summed.
 
-    The driver folds each unit's partials into the running sums as its
-    task finishes (``lineage.as_completed``, at most twice the cluster's CPUs
-    in flight), so it holds the running sums, one row per key, plus the
-    partials of the tasks in flight, whatever the number of shards. A
-    hot key adds one partial row per shard, so no reducer can be skewed
-    (FP-Hadoop's intermediate reduce). Nothing bounds the number of keys
-    (ROADMAP item 2). The summed columns are counts or 3-decimal
-    quantities that the queries round to 3 decimals, so the finishing
-    order does not change the result. One row per key, ascending; with
-    no covered row, zero rows of ``dtypes``."""
-    acc = pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+    The fold takes each unit's partials as its task finishes
+    (``lineage.as_completed``, at most twice the cluster's CPUs in
+    flight), so the driver holds one row per key plus the partials of
+    the tasks in flight, whatever the number of shards. The summed
+    columns are counts or 3-decimal quantities that the queries round to
+    3 decimals, so the finishing order does not change the result. One
+    row per key, ascending; with no covered row, zero rows of
+    ``dtypes``."""
+    empty = pa.Table.from_pandas(pd.DataFrame({c: pd.Series(dtype=t)
+                                               for c, t in dtypes.items()}))
     cpus = cluster_cpus()
-    for part in as_completed(shard_tasks(sf_dir, post=post, cpus=cpus, **params), cpus):
-        if part.num_rows:
-            part = part.to_pandas()
-            acc = pd.concat([acc, part], ignore_index=True) if len(acc) else part
-            acc = acc.groupby(keys, as_index=False).sum()
-    return acc
+    parts = as_completed(shard_tasks(sf_dir, post=post, cpus=cpus, **params), cpus)
+    return fold(parts, keys, {c: "sum" for c in dtypes if c not in keys}, empty)
 
 
 # ``flagship_fused``'s FusedReadTransform parameters at their defaults.

@@ -7,8 +7,11 @@ A query on the flagship does its own work inside the flagship's shard
 task (``flagship.flagship_fused``'s ``post``): a row-level query filters
 and projects each shard's rows there, and an aggregate query computes
 each shard's partial there and the driver folds the partials per key
-(``flagship.shard_partials``). Neither builds a second pipeline over
-the flagship's output.
+(``flagship.shard_partials``, a call of ``exchange.fold``). Neither
+builds a second pipeline over the flagship's output. The other bounded
+and global aggregates (``extent``, ``sampled_transform``'s distinct
+cells, ``csv_roundtrip``) fold their per-block partials on the driver
+the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Max, Min, Sum
 
 from vyperdatum_ray.core.cells import sample_cell_centers, sample_cells
 from vyperdatum_ray.pipelines import exchange
@@ -45,13 +47,12 @@ def _geo(sf_dir: str, project: list[str] | None = None) -> ray.data.Dataset:
     (prune-early, SURVEY.md §4.2)."""
     from vyperdatum_ray.fixtures import pages_paths
 
+    def geocoded(t: pa.Table) -> pa.Table:
+        t = keep_geocoded(geocode_batch(t))
+        return t if project is None else t.select(project)
+
     read_cols = ["url", "warc_ts", "text", "lang"]
-    ds = exchange.read(pages_paths(sf_dir), read_cols)
-    ds = ds.map_batches(geocode_batch, batch_format="pyarrow")
-    ds = ds.map_batches(keep_geocoded, batch_format="pyarrow")
-    if project is not None:
-        ds = ds.select_columns(project)
-    return ds
+    return exchange.map_typed(exchange.read(pages_paths(sf_dir), read_cols), geocoded)
 
 
 GEO_SLIM = ["url", "lat", "lon"]  # geometry-only downstreams
@@ -123,19 +124,20 @@ def q_tile_counts(sf_dir: str) -> ray.data.Dataset:
     return _tile_table(_tile_rows(sf_dir))
 
 
+def _extent_partial(t: pa.Table) -> pa.Table:
+    """A block's (min_x, min_y, max_x, max_y) row; none for no rows."""
+    lon, lat = pc.min_max(t.column("lon")), pc.min_max(t.column("lat"))
+    row = {"min_x": lon["min"], "min_y": lat["min"], "max_x": lon["max"], "max_y": lat["max"]}
+    return pa.table({c: pa.array([v.as_py()], pa.float64())
+                     for c, v in row.items()}).slice(0, min(t.num_rows, 1))
+
+
 def q_extent(sf_dir: str) -> pd.DataFrame:
-    """Global extent (A1) via distributed tree-aggregate."""
-    res = _geo(sf_dir, GEO_SLIM).aggregate(Min("lon"), Min("lat"), Max("lon"), Max("lat"))
-    return pd.DataFrame(
-        [
-            {
-                "min_x": res["min(lon)"],
-                "min_y": res["min(lat)"],
-                "max_x": res["max(lon)"],
-                "max_y": res["max(lat)"],
-            }
-        ]
-    )
+    """Global extent (A1): per-block bounds folded on the driver; no
+    geocoded row gives SQL's one row of NULLs."""
+    g = exchange.fold(exchange.map_typed(_geo(sf_dir, GEO_SLIM), _extent_partial), [],
+                      {"min_x": "min", "min_y": "min", "max_x": "max", "max_y": "max"})
+    return g if len(g) else pd.DataFrame({c: [np.nan] for c in g.columns})
 
 
 def _pip_names(sf_dir: str) -> np.ndarray:
@@ -457,8 +459,8 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     instead of transforming every point, transform each occupied coarse
     cell's CENTER once, then assign every point its cell's result.
 
-    Distributed shape: distinct-cell extraction is a groupby over
-    (cx, cy) partials (bounded by area/d^2, not by row count); centers
+    Distributed shape: distinct-cell extraction is a driver fold of
+    per-block cell partials (bounded by area/d^2, not by row count); centers
     run driver-side through the same PIP+transform kernels; the tiny result is
     broadcast (ray.put) and joined back to the stream with a vectorized
     searchsorted — no second shuffle. Cells are an absolute lattice
@@ -469,32 +471,20 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     catalog = load_catalog(sf_dir)
 
     def to_cells(batch: pa.Table) -> pa.Table:
-        key = np.unique(sample_cells(batch.column("lon").to_numpy(zero_copy_only=False),
-                                     batch.column("lat").to_numpy(zero_copy_only=False), d)[2])
-        return pa.table({"cell_key": pa.array(key, pa.int64())})
+        key, n = np.unique(sample_cells(batch.column("lon").to_numpy(zero_copy_only=False),
+                                        batch.column("lat").to_numpy(zero_copy_only=False),
+                                        d)[2], return_counts=True)
+        return pa.table({"cell_key": pa.array(key, pa.int64()), "n": pa.array(n, pa.int64())})
 
     geo = _geo(sf_dir, GEO_SLIM)
-    cells = geo.map_batches(to_cells, batch_format="pyarrow")
-    cells = cells.groupby("cell_key").count()
-
-    def add_centers(batch: pa.Table) -> pa.Table:
-        cx, cy, lon, lat = sample_cell_centers(batch.column("cell_key").to_numpy(), d)
-        return pa.table(
-            {
-                "cell_key": batch.column("cell_key"),
-                "cx": pa.array(cx, pa.int64()),
-                "cy": pa.array(cy, pa.int64()),
-                "lon": pa.array(lon, pa.float64()),
-                "lat": pa.array(lat, pa.float64()),
-            }
-        )
-
-    cells = cells.map_batches(add_centers, batch_format="pyarrow")
-    # bounded small result (<= area/d^2 cells): collect the distinct
-    # centers and transform them DRIVER-SIDE through the same kernels —
+    # bounded small result (<= area/d^2 cells): fold the distinct cells
+    # and transform their centers DRIVER-SIDE through the same kernels —
     # spinning an actor pool for a few thousand rows costs more than
     # the compute
-    centers = cells.to_pandas().sort_values("cell_key")
+    keys = exchange.fold(exchange.map_typed(geo, to_cells), ["cell_key"],
+                         {"n": "sum"})["cell_key"].to_numpy(np.int64)
+    cx, cy, lon, lat = sample_cell_centers(keys, d)
+    centers = pd.DataFrame({"cell_key": keys, "cx": cx, "cy": cy, "lon": lon, "lat": lat})
     jt = JoinTransform(
         catalog_ref=catalog, from_datum="ellipse", to_datum="mllw",
         in_is_height=True, out_is_height=False,
@@ -600,18 +590,13 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
             p_n=("z_out", "size"), p_z=("z_out", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
 
-    out = ds.map_batches(region_sums, batch_format="pyarrow").groupby(
-        "region_index").aggregate(
-        Sum("p_n", alias_name="n_points"), Sum("p_z", alias_name="r_z"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "region_index": batch.column("region_index"),
-            "n_points": batch.column("n_points"),
-            "sum_z": np.round(batch.column("r_z").to_numpy(), 3),
-        })
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = exchange.fold(exchange.map_typed(ds, region_sums), ["region_index"],
+                      {"p_n": "sum", "p_z": "sum"})
+    return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "region_index": g["region_index"],
+        "n_points": g["p_n"],
+        "sum_z": np.round(g["p_z"], 3),
+    }), preserve_index=False))
 
 
 def q_knn_grid_nodes(sf_dir: str, k: int = 4) -> ray.data.Dataset:
@@ -770,6 +755,8 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
             t.column("shard").to_numpy(zero_copy_only=False), return_counts=True)
         return pa.table({"shard": pa.array(us, pa.int64()),
                          "p_n": pa.array(cnt.astype(np.int64), pa.int64())})
+
+    from ray.data.aggregate import Sum
 
     totals = (prepped.map_batches(shard_partial, batch_format="pyarrow")
               .groupby("shard").aggregate(Sum("p_n", alias_name="n"))

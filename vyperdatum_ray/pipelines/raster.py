@@ -26,8 +26,8 @@ Semantics re-expressed from ``reference/vyperdatum/raster.py``:
 * final z / uncertainty rounded to 3 decimals (``raster.py:466``),
 * output = per-tile parquet with a row-count manifest (O5).
 
-Distribution shape: pass 1 is a cheap streaming aggregate (per-batch
-partial valid counts -> tiny groupby) that fixes the global stack
+Distribution shape: pass 1 is a cheap streaming aggregate (per-block
+partial valid counts folded on the driver) that fixes the global stack
 order; pass 2 is a stateless-task ``map_batches`` carrying the stack
 order. Both passes read the worker's cached ``DatumTransformer``
 (``flagship._cached_state``, one per catalog content and datum pair,
@@ -47,7 +47,6 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from vyperdatum_ray.catalog import Catalog
 from vyperdatum_ray.fixtures import catalog_dir, ensure_fixtures
@@ -110,9 +109,10 @@ def _job(sf_dir: str, catalog: Catalog, from_datum: str, to_datum: str):
 
 
 def _valid_counts(sf_dir: str, catalog: Catalog, from_datum: str,
-                  to_datum: str) -> ray.data.Dataset:
+                  to_datum: str) -> pd.DataFrame:
     """Per candidate region, the raster cells where its
-    ``from_datum -> to_datum`` separation is finite."""
+    ``from_datum -> to_datum`` separation is finite: (region, n_valid),
+    per-block counts folded on the driver."""
     meta, cands, kw = _job(sf_dir, catalog, from_datum, to_datum)
     names = [catalog.regions[i].name for i in cands]
 
@@ -127,15 +127,17 @@ def _valid_counts(sf_dir: str, catalog: Catalog, from_datum: str,
         return pa.table({"region": pa.array(regions, pa.string()),
                          "partial_n": pa.array(counts, pa.int64())})
 
-    ds = raster_cells(sf_dir, ["row", "col"]).map_batches(partial, batch_format="pyarrow")
-    return ds.groupby("region").aggregate(Sum("partial_n", alias_name="n_valid"))
+    ds = exchange.map_typed(raster_cells(sf_dir, ["row", "col"]), partial)
+    return exchange.fold(ds, ["region"], {"partial_n": "sum"}).rename(
+        columns={"partial_n": "n_valid"})
 
 
 def q_raster_valid_counts(sf_dir: str) -> ray.data.Dataset:
-    """Per-region valid-cell counts (A2): per-batch partials -> tiny
-    groupby-sum, under ellipse -> mllw. Pass 1 of a raster transform
+    """Per-region valid-cell counts (A2): per-block partials folded on
+    the driver, under ellipse -> mllw. Pass 1 of a raster transform
     counts under the job's own datum pair."""
-    return _valid_counts(sf_dir, load_catalog(sf_dir), "ellipse", "mllw")
+    return exchange.from_arrow(pa.Table.from_pandas(
+        _valid_counts(sf_dir, load_catalog(sf_dir), "ellipse", "mllw"), preserve_index=False))
 
 
 def _stack_order(sf_dir: str, from_datum: str, to_datum: str,
@@ -145,7 +147,7 @@ def _stack_order(sf_dir: str, from_datum: str, to_datum: str,
     separations). Stable ties keep catalog order, so on equal counts the
     later catalog region wins."""
     catalog = catalog or load_catalog(sf_dir)
-    counts_df = _valid_counts(sf_dir, catalog, from_datum, to_datum).to_pandas()
+    counts_df = _valid_counts(sf_dir, catalog, from_datum, to_datum)
     cands = _candidates(catalog, raster_meta(sf_dir))
     steps = DatumTransformer(catalog, from_datum, to_datum).region_steps
     by_name = dict(zip(counts_df["region"], counts_df["n_valid"]))
@@ -291,31 +293,26 @@ def q_raster_transform(sf_dir: str) -> ray.data.Dataset:
 
 
 def q_raster_tile_manifest(sf_dir: str) -> ray.data.Dataset:
-    """Per-tile output row counts (O5): partial counts inside the batch,
-    tiny groupby-sum."""
+    """Per-tile output row counts (O5): partial counts inside the block,
+    folded per tile on the driver (the tiles are bounded by the raster's
+    metadata)."""
     # tile assignment is pure row/col arithmetic — no reason to run the
     # two-pass transform just to count rows per tile
     ensure_fixtures(sf_dir)
     tile = raster_meta(sf_dir)["tile"]
 
-    def assign(batch: pa.Table) -> pa.Table:
-        row = batch.column("row").to_numpy().astype(np.int64)
-        col = batch.column("col").to_numpy().astype(np.int64)
-        return pa.table({"tile_id": pa.array((row // tile) * 4096 + col // tile,
-                                             pa.int64())})
-
-    ds = raster_cells(sf_dir, ["row", "col"]).map_batches(assign, batch_format="pyarrow")
-
     def partial(batch: pa.Table) -> pa.Table:
         # every written cell counts, incl. elevation-nodata cells (the
         # tile file carries them as NaN, like GeoTIFF nodata)
-        tid, cnt = np.unique(batch.column("tile_id").to_numpy(), return_counts=True)
+        row = batch.column("row").to_numpy().astype(np.int64)
+        col = batch.column("col").to_numpy().astype(np.int64)
+        tid, cnt = np.unique((row // tile) * 4096 + col // tile, return_counts=True)
         return pa.table({"tile_id": pa.array(tid, pa.int64()),
-                         "partial_n": pa.array(cnt, pa.int64())})
+                         "n_rows": pa.array(cnt, pa.int64())})
 
-    return ds.map_batches(partial, batch_format="pyarrow").groupby("tile_id").aggregate(
-        Sum("partial_n", alias_name="n_rows")
-    )
+    ds = exchange.map_typed(raster_cells(sf_dir, ["row", "col"]), partial)
+    return exchange.from_arrow(pa.Table.from_pandas(
+        exchange.fold(ds, ["tile_id"], {"n_rows": "sum"}), preserve_index=False))
 
 
 def write_raster_tiles(sf_dir: str, out_dir: str, allow_outside: bool = True) -> dict:
@@ -384,27 +381,19 @@ def _zonal_partial(batch: pa.Table) -> pa.Table:
 def q_zonal_stats(sf_dir: str) -> ray.data.Dataset:
     """Zonal statistics: per-region n / min / max / sum of transformed
     depth over the raster (covered cells). Two-phase: vectorized
-    per-batch partials, tiny groupby merge — min/max/sum are all
-    associative so the merge is exact."""
-    from ray.data.aggregate import Max, Min
-
+    per-block partials folded per region on the driver — min/max/sum
+    are all associative so the merge is exact."""
     ds = raster_transform(sf_dir, allow_outside=False)
-    out = ds.map_batches(_zonal_partial, batch_format="pyarrow").groupby("region_index").aggregate(
-        Sum("p_n", alias_name="n_cells"),
-        Min("p_min", alias_name="min_z"),
-        Max("p_max", alias_name="max_z"),
-        Sum("p_sum", alias_name="r_sum"),
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "region_index": batch.column("region_index"),
-                "n_cells": batch.column("n_cells"),
-                "min_z": batch.column("min_z"),
-                "max_z": batch.column("max_z"),
-                "sum_z": pa.array(np.round(batch.column("r_sum").to_numpy(), 3)),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    # the transform's map is not typed: the partial's types come from
+    # its own zero rows
+    empty = _zonal_partial(pa.table({"region_index": pa.array([], pa.int32()),
+                                     "z": pa.array([], pa.float64())}))
+    g = exchange.fold(ds.map_batches(_zonal_partial, batch_format="pyarrow"), ["region_index"],
+                      {"p_n": "sum", "p_min": "min", "p_max": "max", "p_sum": "sum"}, empty)
+    return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "region_index": g["region_index"],
+        "n_cells": g["p_n"],
+        "min_z": g["p_min"],
+        "max_z": g["p_max"],
+        "sum_z": np.round(g["p_sum"], 3),
+    }), preserve_index=False))

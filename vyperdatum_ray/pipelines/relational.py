@@ -27,11 +27,10 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from vyperdatum_ray.core.nputil import isin_sorted
-from vyperdatum_ray.pipelines.exchange import (collect, exchange, footer_stats, from_arrow,
-                                             read)
+from vyperdatum_ray.pipelines.exchange import (collect, exchange, fold, footer_stats,
+                                             from_arrow, map_typed, materialize, read)
 
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
@@ -55,8 +54,9 @@ def _rev(t: pa.Table, keep=slice(None)) -> np.ndarray:
 
 
 def q_tpch_q1(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q1-style pricing summary: filter -> per-batch partial
-    aggregation (combiner) -> small groupby-sum -> rounding."""
+    """TPC-H Q1-style pricing summary: filter -> per-block partial
+    aggregation (combiner) -> driver fold per (flag, status) ->
+    scaling."""
     cutoff = pa.scalar(datetime.datetime(1998, 9, 2), type=pa.timestamp("us"))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -88,28 +88,16 @@ def q_tpch_q1(sf_dir: str) -> ray.data.Dataset:
     ds = _t(sf_dir, "lineitem",
             ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
              "l_discount", "l_shipdate"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["l_returnflag", "l_linestatus"]
-    ).aggregate(
-        Sum("p_qty", alias_name="r_qty"),
-        Sum("p_price", alias_name="r_price"),
-        Sum("p_disc", alias_name="r_disc"),
-        Sum("p_n", alias_name="count_order"),
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_returnflag": batch.column("l_returnflag"),
-                "l_linestatus": batch.column("l_linestatus"),
-                "sum_qty": batch.column("r_qty").to_numpy() / 100.0,
-                "sum_base_price": batch.column("r_price").to_numpy() / 100.0,
-                "sum_disc_price": batch.column("r_disc").to_numpy() / 10000.0,
-                "count_order": batch.column("count_order"),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = fold(map_typed(ds, partial), ["l_returnflag", "l_linestatus"],
+             {"p_qty": "sum", "p_price": "sum", "p_disc": "sum", "p_n": "sum"})
+    return from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "l_returnflag": g["l_returnflag"],
+        "l_linestatus": g["l_linestatus"],
+        "sum_qty": g["p_qty"] / 100.0,
+        "sum_base_price": g["p_price"] / 100.0,
+        "sum_disc_price": g["p_disc"] / 10000.0,
+        "count_order": g["p_n"],
+    }), preserve_index=False))
 
 
 def q_orders_customer_join(sf_dir: str) -> ray.data.Dataset:
@@ -142,22 +130,12 @@ def q_orders_customer_join(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    out = ds.map_batches(
-        join_segment, batch_format="pyarrow",
-    ).groupby("c_mktsegment").aggregate(
-        Sum("p_n", alias_name="n_orders"), Sum("p_sum", alias_name="r_sum")
-    )
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": batch.column("c_mktsegment"),
-                "n_orders": batch.column("n_orders"),
-                "sum_totalprice": np.round(batch.column("r_sum").to_numpy(), 2),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = fold(map_typed(ds, join_segment), ["c_mktsegment"], {"p_n": "sum", "p_sum": "sum"})
+    return from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "c_mktsegment": g["c_mktsegment"],
+        "n_orders": g["p_n"],
+        "sum_totalprice": np.round(g["p_sum"], 2),
+    }), preserve_index=False))
 
 
 def q_top_orders(sf_dir: str) -> ray.data.Dataset:
@@ -166,10 +144,20 @@ def q_top_orders(sf_dir: str) -> ray.data.Dataset:
     return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(100)
 
 
+def _window_sums(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
+    """The events windows' reduce: per-block (p_n, p_sum) partials of
+    one salt group summed per ``keys``, the value sum rounded to
+    cents."""
+    g = df.groupby(keys, as_index=False).agg(n_events=("p_n", "sum"), r_sum=("p_sum", "sum"))
+    return g.assign(sum_value=np.round(g.pop("r_sum"), 2))
+
+
 def q_events_window(sf_dir: str) -> ray.data.Dataset:
     """Tumbling event-time window (1h) per user and event type —
     Ray Data has no watermarks; batch semantics over the full log
-    (SURVEY.md §2.8): floor ts to the window, two-phase aggregate."""
+    (SURVEY.md §2.8): floor ts to the window, per-block partials, and
+    a sum reduce on the exchange keyed by user (the window keys grow
+    with the log)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch.column("ts"), unit="hour")
@@ -186,23 +174,13 @@ def q_events_window(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
+    def leg(batch: pa.Table) -> pa.Table:
+        t = partial(batch)
+        return t.append_column("k", t.column("user_id"))
+
     ds = _t(sf_dir, "events", ["ts", "user_id", "event_type", "value"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["user_id", "hour", "event_type"]
-    ).aggregate(Sum("p_n", alias_name="n_events"), Sum("p_sum", alias_name="r_sum"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "hour": batch.column("hour"),
-                "event_type": batch.column("event_type"),
-                "n_events": batch.column("n_events"),
-                "sum_value": np.round(batch.column("r_sum").to_numpy(), 2),
-            }
-        )
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return exchange([(ds, leg)],
+                    lambda df: _window_sums(df, ["user_id", "hour", "event_type"]))
 
 
 WINDOW_US = 3600 * 1_000_000  # 1h sliding window
@@ -214,8 +192,9 @@ def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
     each event contributes to WINDOW/HOP = 4 overlapping windows.
     Batch-semantics composition of the streaming op: per-batch explode
     (np.repeat over the 4 hop offsets) + per-batch partial aggregation,
-    then a small groupby-sum — the shuffle carries (window, type)
-    partials, never the 4x event explosion."""
+    then a sum reduce on the exchange keyed by window start — the
+    shuffle carries (window, type) partials, never the 4x event
+    explosion."""
     n_hops = WINDOW_US // HOP_US
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -235,20 +214,18 @@ def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
             p_n=("value", "size"), p_sum=("value", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
+    def leg(batch: pa.Table) -> pa.Table:
+        t = partial(batch)
+        return t.append_column("k", t.column("window_start_us"))
+
+    def reduce(df: pd.DataFrame) -> pd.DataFrame:
+        g = _window_sums(df, ["window_start_us", "event_type"])
+        start = g.pop("window_start_us").to_numpy(np.int64).astype("datetime64[us]")
+        return g.assign(window_start=start)[
+            ["window_start", "event_type", "n_events", "sum_value"]]
+
     ds = _t(sf_dir, "events", ["ts", "event_type", "value"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby(
-        ["window_start_us", "event_type"]
-    ).aggregate(Sum("p_n", alias_name="n_events"), Sum("p_sum", alias_name="r_sum"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "window_start": batch.column("window_start_us").cast(pa.timestamp("us")),
-            "event_type": batch.column("event_type"),
-            "n_events": batch.column("n_events"),
-            "sum_value": np.round(batch.column("r_sum").to_numpy(), 2),
-        })
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    return exchange([(ds, leg)], reduce)
 
 
 def _events_sliding_oracle() -> str:
@@ -445,8 +422,8 @@ ORDER BY revenue DESC, l_orderkey LIMIT 10"""
 def q_tpch_q6(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q6-style forecasting-revenue query: the pure
     filter-and-global-sum shape. Only the four predicate/measure
-    columns leave storage (column-pruned read); each batch reduces to a
-    single partial row so the final exchange carries one row per block.
+    columns leave storage (column-pruned read); each block reduces to a
+    single partial row, folded on the driver.
     Discount is compared in integer cents (idisc BETWEEN 2 AND 4) so
     the float predicate cannot straddle a representation boundary, and
     revenue is summed in scaled int64 (cents x cents) for
@@ -476,15 +453,13 @@ def q_tpch_q6(sf_dir: str) -> pd.DataFrame:
 
     ds = _t(sf_dir, "lineitem",
             ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"])
-    # aggregate() is a bounded collect of exactly one row
-    agg = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("p_rev", alias_name="rev"), Sum("p_n", alias_name="n"))
-    n = int(agg["n"])
+    g = fold(map_typed(ds, partial), [], {"p_rev": "sum", "p_n": "sum"})
+    n = int(g["p_n"].sum())
     # SQL parity on an all-empty match: sum() over zero rows is NULL,
     # which DuckDB surfaces as float64 NaN — np.nan keeps the column
     # float64 (None would make it object and fail the dtype-kind gate)
     return pd.DataFrame({
-        "revenue": [agg["rev"] / 10000.0 if n else np.nan],
+        "revenue": [int(g["p_rev"].sum()) / 10000.0 if n else np.nan],
         "n_items": [n],
     })
 
@@ -957,13 +932,12 @@ def q_tpch_q14(sf_dir: str) -> pd.DataFrame:
 
     ds = _t(sf_dir, "lineitem",
             ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
-    agg = ds.map_batches(partial, batch_format="pyarrow").aggregate(
-        Sum("p_promo", alias_name="promo"), Sum("p_total", alias_name="total"))
-    total = int(agg["total"])
+    g = fold(map_typed(ds, partial), [], {"p_promo": "sum", "p_total": "sum"})
+    total = int(g["p_total"].sum())
     # np.nan (not None) on an empty match: keeps the column float64
     # like DuckDB's NULL-as-NaN, so the dtype-kind gate still matches
     return pd.DataFrame({"promo_revenue": [
-        100.0 * float(agg["promo"]) / float(total) if total else np.nan]})
+        100.0 * float(g["p_promo"].sum()) / float(total) if total else np.nan]})
 
 
 ORACLES["tpch_q14"] = """
@@ -1198,10 +1172,8 @@ def _build_bloom(sf_dir: str, table: str, columns, keys_fn,
             return pa.table({"p_n": pa.array([len(keys_fn(batch))],
                                              pa.int64())})
 
-        agg = _t(sf_dir, table, columns).map_batches(
-            key_count, batch_format="pyarrow").aggregate(
-            Sum("p_n", alias_name="n"))
-        n_keys = int(agg["n"] or 0)
+        n_keys = int(fold(map_typed(_t(sf_dir, table, columns), key_count),
+                          [], {"p_n": "sum"})["p_n"].sum())
         m_bits = 1 << int(np.clip(np.ceil(np.log2(max(n_keys, 1) * 16)),
                                   16, np.log2(BLOOM_MAX_BITS)))
     shard_bits = min(m_bits, 1 << 24)
@@ -1440,11 +1412,10 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
         return pa.table({"p_n": [int(pos.sum())], "p_cents": [int(cents[pos].sum())]})
 
     cust_cols = ["c_custkey", "c_mktsegment", "c_acctbal"]
-    stats = _t(sf_dir, "customer", ["c_acctbal"]).map_batches(
-        bal_partial, batch_format="pyarrow").aggregate(
-        Sum("p_n", alias_name="n_pos"), Sum("p_cents", alias_name="cents"))
-    n_pos = int(stats["n_pos"] or 0)
-    total_cents = int(stats["cents"] or 0)
+    stats = fold(map_typed(_t(sf_dir, "customer", ["c_acctbal"]), bal_partial),
+                 [], {"p_n": "sum", "p_cents": "sum"})
+    n_pos = int(stats["p_n"].sum())
+    total_cents = int(stats["p_cents"].sum())
 
     def cust_leg(batch: pa.Table) -> pa.Table:
         cents = _cents(_np(batch, "c_acctbal"))
@@ -1767,14 +1738,15 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
         return g.astype({"k": np.int64, "r": np.int64})
 
     cols = ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals).materialize()
-    from ray.data.aggregate import Max
-    mx = tot.aggregate(Max("r", alias_name="mx"))["mx"]
-    if mx is None:
+    tot = materialize(exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals))
+    # each block's top row, folded into the global max on the driver
+    mx = fold(map_typed(tot, lambda b: b.select(["r"]).sort_by([("r", "descending")])
+                        .slice(0, 1)), [], {"r": "max"})
+    if mx.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object),
                              "total_revenue": pd.Series([], dtype=np.float64)})
-    winners = tot.filter(expr=f"r == {int(mx)}").to_pandas()
+    winners = tot.filter(expr=f"r == {int(mx['r'].iloc[0])}").to_pandas()
 
     supp = _dim_pandas(sf_dir, "supplier", ["s_suppkey", "s_name"])
     out = winners.merge(supp, left_on="k", right_on="s_suppkey")
@@ -2173,16 +2145,16 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
         return g.astype({"k": np.int64, "v": np.int64})
 
     cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    tot = exchange([(_t(sf_dir, "lineitem", cols), partial)], totals).materialize()
-    total = tot.aggregate(Sum("v", alias_name="t"))["t"]
-    if total is None:
-        return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
-                             "value": pd.Series([], dtype=np.float64)})
+    tot = materialize(exchange([(_t(sf_dir, "lineitem", cols), partial)], totals))
+    # each block's sum, folded into the global total on the driver
+    total = int(fold(map_typed(tot, lambda b: pa.table({"v": pa.array(
+        [pc.sum(b.column("v"), min_count=0).as_py()], pa.int64())})),
+        [], {"v": "sum"})["v"].sum())
     # v*1e6 > total*ppm  <=>  v > floor(total*ppm / 1e6) for integer v
     # (Ray's filter expr grammar takes `col > literal`, not arithmetic)
-    thresh = (int(total) * fraction_ppm) // 1_000_000
+    thresh = (total * fraction_ppm) // 1_000_000
     keep = tot.filter(expr=f"v > {thresh}").to_pandas()
-    if keep.empty:        # no part over the threshold -> typed empty
+    if keep.empty:        # no part (or none over the threshold) -> typed empty
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
                              "value": pd.Series([], dtype=np.float64)})
     keep = keep.sort_values(["v", "k"], ascending=[False, True]

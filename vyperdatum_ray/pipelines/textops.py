@@ -465,7 +465,7 @@ PCTS = (25, 50, 75, 90, 99)
 def q_token_percentiles(sf_dir: str) -> pd.DataFrame:
     """EXACT corpus token-count percentiles via bounded histogram
     partials (the region_median trick): token counts are small ints, so
-    per-batch bincounts + a tiny groupby-sum move (value, count) rows
+    per-block bincounts folded on the driver move (value, count) rows
     only — never the data; order statistics come off the cumulative
     histogram. Midpoint convention: average of the floor/ceil rank
     values (same expression in the SQL oracle)."""
@@ -477,22 +477,20 @@ def q_token_percentiles(sf_dir: str) -> pd.DataFrame:
         return pa.table({"val": pa.array(vals, pa.int64()),
                          "p_n": pa.array(cnts.astype(np.int64), pa.int64())})
 
-    hist = (
-        _docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow")
-        .groupby("val").aggregate(Sum("p_n", alias_name="n"))
-        .to_pandas().sort_values("val")
-    )
+    hist = exchange.fold(exchange.map_typed(_docs(sf_dir, ["text"]), partial),
+                         ["val"], {"p_n": "sum"})
     vals = hist["val"].to_numpy()
-    cum = hist["n"].to_numpy().cumsum()
+    cum = hist["p_n"].to_numpy().cumsum()
     n = int(cum[-1]) if len(cum) else 0
     rows = []
-    for p in PCTS:
+    for p in PCTS if n else ():  # no document: no row, as in the SQL
         lo = int(np.floor(p / 100.0 * (n - 1)))
         hi = int(np.ceil(p / 100.0 * (n - 1)))
         vlo = vals[np.searchsorted(cum, lo + 1)]
         vhi = vals[np.searchsorted(cum, hi + 1)]
         rows.append({"pct": p, "value": (vlo + vhi) / 2.0})
-    return pd.DataFrame(rows)
+    return pd.DataFrame(rows, columns=["pct", "value"]).astype(
+        {"pct": np.int64, "value": np.float64})
 
 
 TOKEN_PERCENTILES_ORACLE = r"""
@@ -514,9 +512,10 @@ FROM ranked CROSS JOIN ps GROUP BY pct"""
 
 def q_lang_token_stats(sf_dir: str) -> ray.data.Dataset:
     """Composition op: corpus token volume per PREDICTED language (the
-    shape of a per-language training-data budget report). One fused
-    actor-pool pass computes langid + token count per batch and emits
-    per-language partials; the shuffle carries only (lang, n, tokens)."""
+    shape of a per-language training-data budget report). One pass
+    computes langid + token count per block and emits per-language
+    partials, folded on the driver: only (lang, n, tokens) rows leave
+    the tasks."""
 
     class LangTok(LangId):
         def __call__(self, batch: pa.Table) -> pa.Table:
@@ -531,10 +530,10 @@ def q_lang_token_stats(sf_dir: str) -> ray.data.Dataset:
                 p_docs=("n", "size"), p_tokens=("n", "sum"))
             return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda t: LangTok()(t), batch_format="pyarrow")
-    return ds.groupby("lang_pred").aggregate(
-        Sum("p_docs", alias_name="n_docs"), Sum("p_tokens", alias_name="sum_tokens"))
+    ds = exchange.map_typed(_docs(sf_dir, ["doc_id", "text"]), lambda t: LangTok()(t))
+    g = exchange.fold(ds, ["lang_pred"], {"p_docs": "sum", "p_tokens": "sum"})
+    return exchange.from_arrow(pa.Table.from_pandas(g.rename(
+        columns={"p_docs": "n_docs", "p_tokens": "sum_tokens"}), preserve_index=False))
 
 
 def lang_token_stats_oracle_sql() -> str:
@@ -1186,8 +1185,8 @@ HLL_P = 12  # 4096 registers
 def q_approx_distinct_hosts(sf_dir: str) -> pd.DataFrame:
     """HyperLogLog distinct-host estimate: per-batch register partials
     (register = top-p hash bits, value = leading-zero rank of the
-    rest), merged with a max-groupby — the shuffle moves at most 4096
-    rows per batch regardless of input size. Rows-only check; accuracy
+    rest), folded with a max on the driver — at most 4096 rows per
+    block (2^p registers) regardless of input size. Rows-only check; accuracy
     vs exact asserted in tests (~1.04/sqrt(2^p) ~ 1.6% sigma)."""
     from vyperdatum_ray.fixtures import pages_paths
 
@@ -1210,17 +1209,10 @@ def q_approx_distinct_hosts(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("register", as_index=False).agg(p_rank=("p_rank", "max"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ray.data.aggregate import Max
-
-    ds = exchange.read(pages_paths(sf_dir), ["url"])
-    regs = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("register")
-        .aggregate(Max("p_rank", alias_name="rank"))
-        .to_pandas()
-    )
+    ds = exchange.map_typed(exchange.read(pages_paths(sf_dir), ["url"]), partial)
+    regs = exchange.fold(ds, ["register"], {"p_rank": "max"})
     M = np.zeros(int(m), dtype=np.float64)
-    M[regs["register"].to_numpy()] = regs["rank"].to_numpy()
+    M[regs["register"].to_numpy()] = regs["p_rank"].to_numpy()
     alpha = 0.7213 / (1 + 1.079 / float(m))
     est = alpha * float(m) ** 2 / np.sum(2.0 ** -M)
     zeros = float(np.count_nonzero(M == 0))
@@ -1537,8 +1529,6 @@ def q_tfidf_terms(sf_dir: str, k: int = TFIDF_K,
     (``floor(ln(N/df) * 1e6 + 0.5)``, identical expression in the SQL
     mirror), so scores are exact int64 products and the (score desc,
     term asc) ranking is deterministic on both sides."""
-    from ray.data.aggregate import Sum
-
     docs = _docs(sf_dir, ["doc_id", "text"])
     n_docs = docs.count()  # parquet metadata only
 
@@ -1641,8 +1631,6 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
     (``floor(s * 1e6 + 0.5)``, identical in the SQL mirror) BEFORE
     summing, so the per-doc mean is exact. Docs with < 2 tokens score
     0 with n_bigrams 0."""
-    from ray.data.aggregate import Sum
-
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def freq_partial(t: pa.Table) -> pa.Table:
@@ -1776,7 +1764,6 @@ def q_jsonl_roundtrip(sf_dir: str) -> ray.data.Dataset:
     aggregates, so the comparison is bit-exact."""
     import shutil
 
-    from ray.data.aggregate import Sum
     from vyperdatum_ray.fixtures import sf_name_of
 
     import os
@@ -1787,8 +1774,10 @@ def q_jsonl_roundtrip(sf_dir: str) -> ray.data.Dataset:
     # read_json was still consuming)
     out_dir = f"/tmp/vdr_jsonl/{sf_name_of(sf_dir)}_{os.getpid()}_{uuid.uuid4().hex[:8]}"
     shutil.rmtree(out_dir, ignore_errors=True)
-    _docs(sf_dir, ["doc_id", "lang", "n_chars"]).write_json(out_dir)
-    ds = ray.data.read_json(out_dir)
+    docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs.write_json(out_dir)
+    # no row writes no file: there is nothing to read back
+    ds = ray.data.read_json(out_dir) if os.path.isdir(out_dir) else docs
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1801,19 +1790,10 @@ def q_jsonl_roundtrip(sf_dir: str) -> ray.data.Dataset:
             p_ids=("doc_id", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby("lang").aggregate(
-        Sum("p_n", alias_name="n_docs"), Sum("p_chars", alias_name="sum_chars"),
-        Sum("p_ids", alias_name="id_checksum"))
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "lang": batch.column("lang"),
-            "n_docs": pc.cast(batch.column("n_docs"), pa.int64()),
-            "sum_chars": pc.cast(batch.column("sum_chars"), pa.int64()),
-            "id_checksum": pc.cast(batch.column("id_checksum"), pa.int64()),
-        })
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = exchange.fold(exchange.map_typed(ds, partial), ["lang"],
+                      {"p_n": "sum", "p_chars": "sum", "p_ids": "sum"})
+    return exchange.from_arrow(pa.Table.from_pandas(g.rename(columns={
+        "p_n": "n_docs", "p_chars": "sum_chars", "p_ids": "id_checksum"}), preserve_index=False))
 
 
 JSONL_ROUNDTRIP_ORACLE = """
@@ -1830,10 +1810,9 @@ def q_lang_source_pivot(sf_dir: str) -> ray.data.Dataset:
     """Pivot (long -> wide): per-source document counts with one column
     per language label — the reshape every corpus dashboard wants. The
     language set is a FIXED schema (pivoting on unbounded values can't
-    stream); each batch emits a per-source crosstab partial and a
-    bounded groupby-sum merges them, so the shuffle carries only
-    (source x lang) count rows."""
-    from ray.data.aggregate import Sum
+    stream); each block emits a per-source crosstab partial and the
+    driver folds them, so only (source x lang) count rows leave the
+    tasks."""
 
     def partial(t: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1847,18 +1826,9 @@ def q_lang_source_pivot(sf_dir: str) -> ray.data.Dataset:
             out[f"n_{lg}"] = col.astype(np.int64)
         return pa.Table.from_pydict(out)
 
-    aggs = [Sum(f"n_{lg}", alias_name=f"s_{lg}") for lg in _PIVOT_LANGS]
-    out = (_docs(sf_dir, ["source", "lang"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("source").aggregate(*aggs))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        cols = {"source": t.column("source")}
-        for lg in _PIVOT_LANGS:
-            cols[f"n_{lg}"] = pc.cast(t.column(f"s_{lg}"), pa.int64())
-        return pa.table(cols)
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    g = exchange.fold(exchange.map_typed(_docs(sf_dir, ["source", "lang"]), partial),
+                      ["source"], {f"n_{lg}": "sum" for lg in _PIVOT_LANGS})
+    return exchange.from_arrow(pa.Table.from_pandas(g, preserve_index=False))
 
 
 LANG_SOURCE_PIVOT_ORACLE = """
@@ -1873,14 +1843,12 @@ FROM documents GROUP BY source"""
 
 def q_lang_source_rollup(sf_dir: str) -> pd.DataFrame:
     """Multi-level (ROLLUP) aggregate: doc counts and char sums per
-    (lang, source), per lang, and the grand total, in ONE exchange —
+    (lang, source), per lang, and the grand total, from ONE fold —
     the subtotal levels are derived from the finest-level aggregate on
     the driver (a bounded |langs x sources| collect), never from a
     second scan. Subtotal positions use the '(all)' sentinel on both
     sides so the rollup NULLs never meet the comparator's object/NaN
     ambiguity."""
-    from ray.data.aggregate import Sum
-
     def partial(t: pa.Table) -> pa.Table:
         g = pd.DataFrame({
             "lang": t.column("lang").to_numpy(zero_copy_only=False),
@@ -1890,11 +1858,10 @@ def q_lang_source_rollup(sf_dir: str) -> pd.DataFrame:
             p_n=("chars", "size"), p_chars=("chars", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    fine = (_docs(sf_dir, ["lang", "source", "n_chars"])
-            .map_batches(partial, batch_format="pyarrow")
-            .groupby(["lang", "source"]).aggregate(
-                Sum("p_n", alias_name="n_docs"),
-                Sum("p_chars", alias_name="sum_chars"))).to_pandas()
+    fine = exchange.fold(
+        exchange.map_typed(_docs(sf_dir, ["lang", "source", "n_chars"]), partial),
+        ["lang", "source"], {"p_n": "sum", "p_chars": "sum"}).rename(
+        columns={"p_n": "n_docs", "p_chars": "sum_chars"})
     fine = fine.astype({"n_docs": np.int64, "sum_chars": np.int64})
 
     by_lang = fine.groupby("lang", as_index=False).agg(
@@ -1951,13 +1918,12 @@ def q_source_corr(sf_dir: str) -> ray.data.Dataset:
     """Per-source Pearson correlation between document char and token
     counts — the distributed-statistics shape: per-batch INTEGER power
     sums (n, Σx, Σy, Σxy, Σx², Σy² — exact, order-independent), a
-    bounded groupby-sum, and one driver-free finalize evaluating the
+    driver fold per source, and one finalize evaluating the
     correlation from the merged sums. Float parity: the final formula
     is spelled identically in the SQL mirror (same parenthesization,
     numerator / sqrt(vx * vy)) and both sides quantize with the
     np.round/sql_rn(6) pair, so the only float math happens ONCE on
     identical integer inputs."""
-    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
         x = pc.cast(pc.utf8_length(pc.coalesce(t.column("text"), "")), pa.int64()) \
@@ -1973,30 +1939,19 @@ def q_source_corr(sf_dir: str) -> ray.data.Dataset:
         g = df.groupby("source", as_index=False).sum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    out = (_docs(sf_dir, ["source", "text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("source").aggregate(
-               *[Sum(c, alias_name=f"t_{c}") for c in
-                 ("n", "sx", "sy", "sxy", "sxx", "syy")]))
-
-    def finalize(t: pa.Table) -> pa.Table:
-        n = t.column("t_n").to_numpy().astype(np.float64)
-        sx = t.column("t_sx").to_numpy().astype(np.float64)
-        sy = t.column("t_sy").to_numpy().astype(np.float64)
-        sxy = t.column("t_sxy").to_numpy().astype(np.float64)
-        sxx = t.column("t_sxx").to_numpy().astype(np.float64)
-        syy = t.column("t_syy").to_numpy().astype(np.float64)
-        num = n * sxy - sx * sy
-        vx = n * sxx - sx * sx
-        vy = n * syy - sy * sy
-        corr = num / np.sqrt(vx * vy)
-        return pa.table({
-            "source": t.column("source"),
-            "n_docs": pc.cast(t.column("t_n"), pa.int64()),
-            "corr_chars_tokens": pa.array(np.round(corr, 6), pa.float64()),
-        })
-
-    return out.map_batches(finalize, batch_format="pyarrow")
+    sums = ("n", "sx", "sy", "sxy", "sxx", "syy")
+    g = exchange.fold(exchange.map_typed(_docs(sf_dir, ["source", "text"]), partial),
+                      ["source"], {c: "sum" for c in sums})
+    n, sx, sy, sxy, sxx, syy = (g[c].to_numpy(np.float64) for c in sums)
+    num = n * sxy - sx * sy
+    vx = n * sxx - sx * sx
+    vy = n * syy - sy * sy
+    corr = num / np.sqrt(vx * vy)
+    return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
+        "source": g["source"],
+        "n_docs": g["n"].astype(np.int64),
+        "corr_chars_tokens": np.round(corr, 6),
+    }), preserve_index=False))
 
 
 SOURCE_CORR_ORACLE = (
