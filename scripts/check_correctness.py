@@ -11,7 +11,10 @@ datum transform (``flagship.flagship_fused`` or ``join_transform_batch``);
 image and embedding queries on it; ``@raster`` names the raster-path
 queries (``pipelines/raster.py``); ``@aggregate`` names the keyed and
 global aggregates merged by ``exchange.fold`` and the two events
-windows reduced on ``exchange.exchange``.
+windows reduced on ``exchange.exchange``; ``@keyed`` names the queries
+whose per-key reduce over keys that grow with the input (hosts, tokens,
+shards, segments, graph nodes) runs on ``exchange.aggregate`` or
+``exchange.exchange``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ NAMED_SETS = {
         lang_token_stats approx_distinct_hosts jsonl_roundtrip lang_source_pivot
         lang_source_rollup lang_source_cube source_corr embedding_centroid
         events_window events_sliding""".split(),
+    "keyed": """distinct_hosts top_hosts top_hosts_sketch unigram_logprob token_freq
+        tfidf_terms bigram_logprob domain_quality spatial_order seq_pack
+        top_orders_per_segment bloom_semi_join supplier_list_agg tpch_q4
+        dedup_clusters_embedding neardup_clusters_text""".split(),
 }
 
 

@@ -12,11 +12,13 @@ metrics line, less the run's timings ``elapsed_s`` and ``ts``), the raster path
 (``raster_transform`` with and without the outside-coverage fallback,
 ``q_raster_sep``, ``q_zonal_stats``, ``q_raster_valid_counts``), the
 registry queries of ``QUERY_KEYS`` (the flagship family's row-level
-filters and its per-shard aggregates) and ``AGGREGATE_KEYS`` (the
+filters and its per-shard aggregates), ``AGGREGATE_KEYS`` (the
 aggregates merged on the driver by ``exchange.fold``, and the events
-windows) and the points API (``transform_points`` exact and sampled, on
+windows) and ``KEYED_KEYS`` (the ``@keyed`` reduces on
+``exchange.aggregate`` and ``exchange.exchange``) and the points API (``transform_points`` exact and sampled, on
 ``points()``). The raster and query outputs are sorted by their key
-columns (``RASTER_KEYS``, ``QUERY_KEYS``, ``AGGREGATE_KEYS``); the
+columns (``RASTER_KEYS``, ``QUERY_KEYS``, ``AGGREGATE_KEYS``,
+``KEYED_KEYS``); the
 points keep their input order. It imports the
 engine of the tree the script sits in, so a dump from a checkout of
 another commit (``git archive``, not a worktree) gives that commit's
@@ -113,6 +115,26 @@ AGGREGATE_KEYS = {
     "events_sliding": ["window_start", "event_type"],
 }
 
+# the keyed reduces whose keys grow with the input (``@keyed`` less
+# bloom_semi_join, already above) and their key columns
+KEYED_KEYS = {
+    "distinct_hosts": [],
+    "top_hosts": ["host"],
+    "top_hosts_sketch": ["host"],
+    "unigram_logprob": ["doc_id"],
+    "token_freq": ["token"],
+    "tfidf_terms": ["doc_id", "rank"],
+    "bigram_logprob": ["doc_id"],
+    "domain_quality": ["host"],
+    "spatial_order": ["rank"],
+    "seq_pack": ["doc_id"],
+    "top_orders_per_segment": ["c_mktsegment", "rank"],
+    "supplier_list_agg": ["s_nationkey"],
+    "tpch_q4": ["o_orderpriority"],
+    "dedup_clusters_embedding": ["vec_id"],
+    "neardup_clusters_text": ["doc_id"],
+}
+
 
 def points(catalog):
     """A fixed point set for the points API: 20,000 seeded uniform
@@ -200,8 +222,9 @@ def dump(sf_dir: str, out: str) -> None:
             "raster_valid_counts": raster.q_raster_valid_counts(sf_dir),
         }
         queries = __ray_entry__.queries()
-        keys = {**RASTER_KEYS, **QUERY_KEYS, **AGGREGATE_KEYS}
-        frames.update((name, queries[name](sf_dir)) for name in {**QUERY_KEYS, **AGGREGATE_KEYS})
+        keys = {**RASTER_KEYS, **QUERY_KEYS, **AGGREGATE_KEYS, **KEYED_KEYS}
+        frames.update((name, queries[name](sf_dir))
+                      for name in {**QUERY_KEYS, **AGGREGATE_KEYS, **KEYED_KEYS})
         for name, ds in frames.items():
             df = ds if isinstance(ds, pd.DataFrame) else ds.to_pandas()
             df = df.sort_values(keys[name], kind="stable").reset_index(drop=True)

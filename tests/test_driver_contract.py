@@ -73,6 +73,19 @@ def test_reads_go_through_the_exchange_helper():
     assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found
 
 
+def test_keyed_reduces_go_through_the_exchange_module():
+    """Rows of one key meet only in ``pipelines/exchange.py``: every
+    keyed reduce is an ``exchange.fold`` or an exchange there, so no
+    other module calls ``map_groups`` or Ray's native aggregates."""
+    out = subprocess.run(
+        ["grep", "-rlnF", "--include=*.py", "-e", "map_groups(", "-e", "ray.data.aggregate",
+         os.path.join(ROOT, "vyperdatum_ray")],
+        capture_output=True, text=True,
+    )
+    found = {os.path.relpath(p, ROOT) for p in out.stdout.split()}
+    assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found
+
+
 def test_checkpointed_writers_dispatch_plain_tasks():
     """Both checkpointed writers (the flagship sink and the corpus run)
     return metrics plus files, so they dispatch ``ray.remote`` tasks:

@@ -1,8 +1,9 @@
 """The two merges of pipelines/exchange.py. The salted exchange: one
 read block per row group, the width from the legs' blocks, leg tagging
 and per-leg frames, zero-row legs, chaining, and width independence.
-The driver fold: sum/min/max per key and globally, typed zero rows, and
-block-count independence of every folded query."""
+The driver fold: sum/min/max per key and globally, distinct keys, typed
+zero rows, and block-count independence of every folded query. The
+keyed reduces: width and block-count independence of every one."""
 
 import os
 
@@ -252,8 +253,8 @@ def test_width_stops_at_the_cap(ray_session, tmp_path, monkeypatch):
 
 
 def test_exchange_set_names_registry_queries():
-    """``check_correctness.py @exchange``, ``@text`` and ``@aggregate``
-    name real queries()."""
+    """``check_correctness.py @exchange``, ``@text``, ``@aggregate`` and
+    ``@keyed`` name real queries()."""
     import __ray_entry__ as E
     from scripts.check_correctness import expand
 
@@ -265,6 +266,9 @@ def test_exchange_set_names_registry_queries():
     folded = expand(["@aggregate"])
     assert {"tpch_q1", "extent", "zonal_stats", "embedding_centroid",
             "events_window"} <= folded <= set(E.queries())
+    keyed = expand(["@keyed"])
+    assert {"top_hosts", "spatial_order", "seq_pack", "supplier_list_agg",
+            "dedup_clusters_embedding"} <= keyed <= set(E.queries())
 
 
 _HOW = {"n": "sum", "lo": "min", "hi": "max"}
@@ -311,6 +315,38 @@ def test_fold_of_no_rows_is_typed(keys, parts):
     want = _EMPTY.select(keys + list(_HOW)).to_pandas()
     assert len(got) == 0 and list(got.columns) == keys + list(_HOW)
     assert dict(got.dtypes) == dict(want.dtypes)
+
+
+@pytest.mark.parametrize("parts,want", [
+    ([_partial(["c", "a"], [1, 2], [0.5, 2.0], [0.5, 2.0]), _EMPTY,
+      _partial(["b", "c", "a"], [4, 8, 1], [3.0, -1.0, 0.0], [3.0, 9.0, 0.0])],
+     ["a", "b", "c"]),
+    ([], []),
+    ([_EMPTY, _EMPTY], []),
+], ids=["keyed", "no_partial", "zero_row_partials"])
+def test_fold_without_columns_gives_the_distinct_keys(parts, want):
+    """``how={}`` folds to the distinct keys, ascending and typed, with
+    no partial and with zero-row partials too."""
+    from vyperdatum_ray.pipelines.exchange import fold
+
+    got = fold(iter(parts), ["k"], {}, _EMPTY)
+    pd.testing.assert_frame_equal(
+        got, pd.DataFrame({"k": pd.Series(want, dtype=object)}))
+
+
+def test_map_typed_blocks_carry_no_pandas_metadata(ray_session):
+    """A ``map_typed`` fn that builds its output with ``from_pandas``
+    gives blocks without the ``pandas`` schema key."""
+    from vyperdatum_ray.pipelines.exchange import from_arrow, map_typed
+
+    def fn(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(t.to_pandas().assign(m=lambda d: d["v"] * 2),
+                                    preserve_index=False)
+
+    assert b"pandas" in fn(pa.table({"v": [1]})).schema.metadata
+    ds = map_typed(from_arrow(pa.table({"v": pa.array([1, 2, 3], pa.int64())})), fn)
+    blocks = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    assert blocks and all(not b.schema.metadata for b in blocks)
 
 
 def test_fold_over_dataset_blocks(ray_session, tmp_path):
@@ -366,3 +402,46 @@ def test_folded_queries_are_independent_of_block_count(ray_session, monkeypatch)
         monkeypatch.setattr(ex, "row_groups", lambda paths, b=blocks: b)
         for name, df in run().items():
             pd.testing.assert_frame_equal(df, own[name], check_exact=True, obj=name)
+
+
+def test_keyed_queries_are_independent_of_width_and_block_count(ray_session, monkeypatch):
+    """Every ``@keyed`` query at sf0.01 gives the same frame and dtypes
+    at two exchange floors (2 and 256 groups at least) and with its
+    reads forced to one block as at its own: the per-group top-k ties, the label
+    propagation (its distributed path forced) and ``spatial_order``'s
+    ranks (a narrow shard width too) must not depend on where the group
+    or block boundaries fall."""
+    import functools
+
+    import __ray_entry__ as E
+    from scripts.check_correctness import expand, normalize, to_pandas
+    from vyperdatum_ray.pipelines import exchange as ex
+    from vyperdatum_ray.pipelines.ann import _emb, clusters_from_pairs, q_neardup_embedding
+    from vyperdatum_ray.pipelines.queries import q_spatial_order
+    from vyperdatum_ray.pipelines.training import q_seq_pack
+
+    def distributed_clusters(sf):
+        # the label propagation (pair_cap=0) over 3 pair blocks, not
+        # the default 36: each round's two sorts scale with blocks^2
+        return clusters_from_pairs(q_neardup_embedding(sf, n_blocks=2), _emb(sf),
+                                   "vec_id_a", "vec_id_b", "vec_id", 0)
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    queries = {n: E.queries()[n] for n in sorted(expand(["@keyed"]))}
+    queries["dedup_clusters_embedding-distributed"] = distributed_clusters
+    queries["seq_pack-two_level"] = functools.partial(
+        q_seq_pack, shard_bits=2, max_driver_shards=0)
+    queries["spatial_order-shift_16"] = functools.partial(q_spatial_order, shard_shift=16)
+
+    def run():
+        return {n: normalize(to_pandas(fn(sf))) for n, fn in queries.items()}
+
+    own = run()
+    for attr, value in (("JOIN_FLOOR", 1), ("JOIN_FLOOR", 8),
+                        ("row_groups", lambda paths: 1)):
+        with monkeypatch.context() as m:
+            m.setattr(ex, attr, value)
+            for name, df in run().items():
+                pd.testing.assert_frame_equal(df, own[name], check_exact=True,
+                                              obj=f"{name} {attr}")
+    assert all(len(df) for df in own.values())

@@ -488,16 +488,52 @@ _EMPTY_CORPUS_QUERIES = ["line_dedup", "neardup_jaccard", "corpus_pipeline",
                          "seq_pack", "dedup_exact", "dedup_normalized",
                          "url_dedup", "minhash_pairs", "simhash_neardup",
                          "token_percentiles", "lang_token_stats", "jsonl_roundtrip",
-                         "lang_source_pivot", "source_corr"]
+                         "lang_source_pivot", "source_corr",
+                         # the keyed reduces on exchange.aggregate
+                         "top_hosts", "top_hosts_sketch", "token_freq",
+                         "domain_quality", "unigram_logprob", "bigram_logprob",
+                         "tfidf_terms"]
+
+
+def _empty_corpus(tmp_path, monkeypatch) -> str:
+    """A private sf dir of a zero-row documents table and one zero-row
+    pages shard."""
+    from vyperdatum_ray import fixtures
+
+    small = os.path.join(os.path.dirname(SF), "sf0.001")
+    page_schema = pq.read_schema(fixtures.pages_paths(small)[0])
+    doc_schema = pq.read_schema(f"{small}/documents.parquet")
+    return _private_sf(tmp_path, monkeypatch, [page_schema.empty_table()],
+                       docs=doc_schema.empty_table())
+
+
+def _duckdb_answer(monkeypatch, sf: str, name: str):
+    """``name``'s SQL oracle over ``sf``'s documents and pages, or None
+    when it has none."""
+    import shutil
+
+    import duckdb
+
+    import __ray_entry__ as E
+
+    shutil.copy(f"{SF}/embeddings.parquet", sf)  # an oracle reads its width
+    monkeypatch.setattr(E, "_SF001", sf)
+    sql = E.oracle_sql().get(name)
+    if sql is None:
+        return None
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')")
+    return con.execute(sql).df()
 
 
 @pytest.mark.parametrize("name", _EMPTY_CORPUS_QUERIES)
 def test_empty_corpus_output_is_typed(ray_session, tmp_path, monkeypatch, name):
     """A zero-row documents table and a zero-row pages shard give zero
     rows with the columns and dtypes of the query's output on a real
-    corpus, neither a crash nor a columnless frame."""
+    corpus, neither a crash nor a columnless frame, and DuckDB's answer
+    where the query has an oracle."""
     import __ray_entry__ as E
-    from vyperdatum_ray import fixtures
+    from scripts.check_correctness import compare
     from vyperdatum_ray.pipelines.exchange import collect
 
     def frame(res):  # a Dataset, or a driver-built DataFrame
@@ -506,13 +542,29 @@ def test_empty_corpus_output_is_typed(ray_session, tmp_path, monkeypatch, name):
     small = os.path.join(os.path.dirname(SF), "sf0.001")
     want = frame(E.queries()[name](small))
     assert len(want) > 0
-    page_schema = pq.read_schema(fixtures.pages_paths(small)[0])
-    doc_schema = pq.read_schema(f"{small}/documents.parquet")
-    sf = _private_sf(tmp_path, monkeypatch, [page_schema.empty_table()],
-                     docs=doc_schema.empty_table())
+    sf = _empty_corpus(tmp_path, monkeypatch)
     got = frame(E.queries()[name](sf))
     assert len(got) == 0
     assert dict(got.dtypes) == dict(want.dtypes)
+    theirs = _duckdb_answer(monkeypatch, sf, name)
+    assert theirs is None or compare(name, got, theirs) == []
+
+
+@pytest.mark.parametrize("name,rows", [("distinct_hosts", 1), ("lang_source_rollup", 1),
+                                       ("lang_source_cube", 1)])
+def test_empty_corpus_global_rows_match_duckdb(ray_session, tmp_path, monkeypatch,
+                                               name, rows):
+    """Over a zero-row corpus the queries whose SQL keeps a global row
+    give DuckDB's answer: ``distinct_hosts`` a zero count, and the
+    ROLLUP and CUBE grand total a zero count and a NULL char sum."""
+    import __ray_entry__ as E
+    from scripts.check_correctness import compare
+
+    sf = _empty_corpus(tmp_path, monkeypatch)
+    got = E.queries()[name](sf)
+    theirs = _duckdb_answer(monkeypatch, sf, name)
+    assert len(theirs) == rows
+    assert compare(name, got, theirs) == []
 
 
 def test_contamination_flags_probe_docs_and_true_overlaps(ray_session):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -274,14 +275,7 @@ def q_neardup_embedding(sf_dir: str, tau: float = 0.4,
 
 
 DEDUP_PAIR_DRIVER_CAP = 2_000_000  # edges the driver union-find may hold
-LP_SALT_GROUPS = np.uint64(1024)   # bounded exchange groups per LP round
 LP_MAX_ROUNDS = 64                 # >= component diameter; dup graphs are shallow
-LP_SALT_MULT = np.uint64(2654435761)
-
-
-def _lp_salt_of(nodes: np.ndarray) -> pa.Array:
-    u = nodes.astype(np.uint64)
-    return pa.array((u * LP_SALT_MULT) % LP_SALT_GROUPS, pa.uint64())
 
 
 def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -289,147 +283,96 @@ def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
     (min vec_id per component) for every node touched by an edge,
     without ever collecting the edge list to the driver.
 
-    Join-free: each round is two bounded-salt exchanges (the repo's
-    union + salted groupby repartition-join shape — ``Dataset.join`` is
-    avoided per the two-joins-deadlock pitfall). Round = (1) co-group
-    each node's current label with its outgoing edges by a 1024-way
-    salt of the SOURCE id and emit (dst, label_of_src) messages; (2)
-    co-group messages with current labels by a salt of the receiving
-    node and take the per-node min, carrying the old label so the
-    round's change count is a cheap Sum. Labels shrink monotonically to
-    the component min, so the fixed point (0 changes) is exact; rounds
-    ~ component diameter (near-dup graphs are near-cliques, so a
-    handful). All state stays in the object store as (node, label)
-    rows — nothing is O(edges) or O(nodes) on the driver."""
+    Join-free: each round is two exchanges (``Dataset.join`` is avoided
+    per the two-joins-deadlock pitfall). Round = (1) an exchange keyed
+    by the SOURCE id whose legs are the edges and the current labels
+    (each with its label shortcut), emitting (dst, label_of_src)
+    messages; (2) an exchange keyed by the receiving node that takes
+    the per-node min of the messages and its current label, carrying
+    the old label so the round's change count is a folded sum. Labels
+    shrink monotonically to the component min, so the fixed point (0
+    changes) is exact; rounds ~ log of the component diameter. All
+    state stays in the object store as (node, label) rows — nothing is
+    O(edges) or O(nodes) on the driver."""
 
     def symmetrize(t: pa.Table) -> pa.Table:
         a = t.column("vec_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
         b = t.column("vec_id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        src = np.concatenate([a, b])
-        dst = np.concatenate([b, a])
-        return pa.table({
-            "key": pa.array(src, pa.int64()),
-            "val": pa.array(dst, pa.int64()),
-            "kind": pa.array(np.ones(len(src), np.int8), pa.int8()),
-            "salt": _lp_salt_of(src),
-        })
+        return pa.table({"k": pa.array(np.concatenate([a, b]), pa.int64()),
+                         "dst": pa.array(np.concatenate([b, a]), pa.int64())})
 
     edges = pairs_ds.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
     def init_labels(t: pa.Table) -> pa.Table:
-        # per-batch distinct endpoints; cross-batch dups collapse in the
-        # first round's groupby-min (labels start as the node id, so
-        # duplicates are identical rows)
-        a = t.column("vec_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t.column("vec_id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = np.unique(np.concatenate([a, b]))
-        return pa.table({
-            "node": pa.array(n, pa.int64()),
-            "label": pa.array(n, pa.int64()),
-        })
+        # per-block distinct endpoints (every endpoint is a source of
+        # the symmetrized edges); labels start as the node id
+        n = pa.array(np.unique(t.column("k").to_numpy(zero_copy_only=False)), pa.int64())
+        return pa.table({"k": n, "node": n, "label": n})
 
-    def reduce_labels(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False)["label"].min()
-        return g
-
-    def label_salt(t: pa.Table) -> pa.Table:
+    def label_rows(t: pa.Table) -> pa.Table:
+        # each (node, label) row keyed by its node and, where they
+        # differ, by its label too: a hash-to-min SHORTCUT edge from
+        # the label to the node, so the node learns its label's label
+        # (labels double as links, and convergence is O(log diameter)
+        # rounds instead of O(diameter): a 64-round cap would otherwise
+        # crash on 65+-link template-drift chains, the exact regime this
+        # past-the-cap path exists for). Label and node are always in
+        # the same component, so the shortcuts never merge separate
+        # components; the reverse edge would only send a label its own
+        # id, which no label is below.
         n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("nsalt", _lp_salt_of(n))
+        lab = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
+        short = lab != n
+        return pa.table({"k": pa.array(np.concatenate([n, lab[short]]), pa.int64()),
+                         "node": pa.array(np.concatenate([n, n[short]]), pa.int64()),
+                         "label": pa.array(np.concatenate([lab, lab[short]]), pa.int64())})
 
-    # Block-count discipline: groupby/Sort preserve their input block
-    # count and map_groups can emit near-empty blocks, so an unbounded
-    # loop INFLATES block counts round over round (observed: a 49-row
-    # label table shattered into ~1800 one-row blocks, turning each
-    # round into ~1800 scheduler round-trips). Repartition the label
-    # table back to the edge dataset's block count after every round.
-    n_parts = max(8, edges.num_blocks())
-    labels = (
-        pairs_ds.map_batches(init_labels, batch_format="pyarrow")
-        .map_batches(label_salt, batch_format="pyarrow")
-        .groupby("nsalt").map_groups(reduce_labels, batch_format="pandas")
-        .repartition(n_parts)
-        .materialize()
-    )
+    def send_messages(e: pd.DataFrame, lab: pd.DataFrame) -> pd.DataFrame:
+        # a group holds each of its nodes' label row (keyed by the node)
+        # with the node's outgoing edges and shortcuts
+        own = lab["node"] == lab["k"]
+        dst = pd.concat([e, lab.loc[~own, ["k", "node"]].rename(columns={"node": "dst"})],
+                        ignore_index=True)
+        m = dst.merge(lab.loc[own, ["k", "label"]], on="k")
+        node = m["dst"].to_numpy(np.int64)
+        return pd.DataFrame({"k": node, "node": node,
+                             "label": m["label"].to_numpy(np.int64),
+                             "old": np.full(len(m), np.iinfo(np.int64).max)})
 
-    def send_messages(df: pd.DataFrame) -> pd.DataFrame:
-        # one salt group: kind-0 rows are (key=node, val=label), kind-1
-        # rows are edges (key=src, val=dst); every node's label row
-        # shares the group with its outgoing edges (salt keys on src)
-        lab = df[df["kind"] == 0][["key", "val"]].rename(columns={"val": "label"})
-        e = df[df["kind"] == 1].merge(lab, on="key")
-        return pd.DataFrame({"node": e["val"].to_numpy(np.int64),
-                             "label": e["label"].to_numpy(np.int64)})
+    def self_rows(t: pa.Table) -> pa.Table:
+        # the node's current label as `old`; messages carry
+        # old=INT64_MAX, so min(old) is the true previous label (every
+        # touched node has exactly one self row)
+        return pa.table({"k": t.column("node"), "node": t.column("node"),
+                         "label": t.column("label"), "old": t.column("label")})
 
-    def min_with_old(df: pd.DataFrame) -> pd.DataFrame:
-        # self rows carry the node's current label as `old`; message
-        # rows carry old=INT64_MAX, so min(old) is the true previous
-        # label (every touched node has exactly one self row)
-        g = df.groupby("node", as_index=False).agg(
-            label=("label", "min"), old=("old", "min"))
+    def changed(g: pd.DataFrame) -> pd.DataFrame:
         g["changed"] = (g["label"] != g["old"]).astype(np.int64)
         return g[["node", "label", "changed"]]
 
+    # Block-count discipline: a sort-based exchange keeps its input
+    # block count and its groups can emit near-empty blocks, so an
+    # unbounded loop INFLATES block counts round over round (observed: a
+    # 49-row label table shattered into ~1800 one-row blocks, turning
+    # each round into ~1800 scheduler round-trips). Repartition the
+    # label table back to the edge dataset's block count after every
+    # round; the next round's exchange sizes itself from those blocks.
+    n_parts = max(8, edges.num_blocks())
+    labels = (exchange.aggregate([(edges, init_labels)], ["node"], {"label": "min"})
+              .repartition(n_parts).materialize())
     for _round in range(LP_MAX_ROUNDS):
-        def tag_label_rows(t: pa.Table) -> pa.Table:
-            n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-            lab = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
-            # kind-0: the node's current label (for message lookup).
-            # kind-1 pairs node<->label where they differ: hash-to-min
-            # SHORTCUT edges — labels double as links, so label
-            # information hops along them and convergence is
-            # O(log diameter) rounds instead of O(diameter) (a 64-round
-            # cap would otherwise crash on 65+-link template-drift
-            # chains, the exact regime this past-the-cap path exists
-            # for). Label and node are always in the same component, so
-            # the shortcuts never merge separate components.
-            nz = lab != n
-            sn, sl = n[nz], lab[nz]
-            key = np.concatenate([n, sn, sl])
-            val = np.concatenate([lab, sl, sn])
-            kind = np.concatenate([
-                np.zeros(len(n), np.int8), np.ones(2 * len(sn), np.int8)])
-            return pa.table({
-                "key": pa.array(key, pa.int64()),
-                "val": pa.array(val, pa.int64()),
-                "kind": pa.array(kind, pa.int8()),
-                "salt": _lp_salt_of(key),
-            })
-
-        u = edges.union(labels.map_batches(tag_label_rows, batch_format="pyarrow"))
-        msgs = u.groupby("salt").map_groups(send_messages, batch_format="pandas")
-
-        def msg_rows(t: pa.Table) -> pa.Table:
-            n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-            lab = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "node": t.column("node"), "label": t.column("label"),
-                "old": pa.array(np.full(len(n), np.iinfo(np.int64).max), pa.int64()),
-                "nsalt": _lp_salt_of(n),
-            })
-
-        def self_rows(t: pa.Table) -> pa.Table:
-            n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "node": t.column("node"), "label": t.column("label"),
-                "old": t.column("label"), "nsalt": _lp_salt_of(n),
-            })
-
-        nxt = (
-            msgs.map_batches(msg_rows, batch_format="pyarrow")
-            .union(labels.map_batches(self_rows, batch_format="pyarrow"))
-            .groupby("nsalt").map_groups(min_with_old, batch_format="pandas")
-            .repartition(n_parts)
-            .materialize()
-        )
-        n_changed = int(nxt.sum("changed") or 0)
-        # cheap map over the materialized nxt — no extra copy
-        labels = nxt.drop_columns(["changed"])
+        msgs = exchange.exchange([(edges, None), (labels, label_rows)], send_messages)
+        nxt = (exchange.aggregate([(msgs, None), (labels, self_rows)], ["node"],
+                                  {"label": "min", "old": "min"}, post=changed)
+               .repartition(n_parts).materialize())
+        n_changed = exchange.total(nxt, "changed")
+        labels = nxt
         # break the finished executors' reference cycles NOW so their
         # resources release before the next round (see CLAUDE.md)
         import gc
         gc.collect()
         if n_changed == 0:
-            return labels
+            return labels.drop_columns(["changed"]).materialize()
     raise RuntimeError(
         f"label propagation did not converge in {LP_MAX_ROUNDS} rounds")
 
@@ -438,41 +381,27 @@ def _clusters_distributed(pairs_ds: ray.data.Dataset,
                           ids_ds: ray.data.Dataset,
                           id_col: str) -> ray.data.Dataset:
     """Past-the-cap path: component labels via distributed label
-    propagation, then cluster assignment as one bounded-salt
-    repartition join (corpus rows probe the label map inside salted
-    groups) — neither the edge list nor the label map ever sits on the
-    driver or broadcasts whole. Generic over the id stream
-    (``ids_ds[id_col]``); pairs must carry vec_id_a/vec_id_b."""
+    propagation, then cluster assignment as one two-leg exchange keyed
+    by id (corpus rows probe the label map inside each group) — neither
+    the edge list nor the label map ever sits on the driver or
+    broadcasts whole. Generic over the id stream (``ids_ds[id_col]``);
+    pairs must carry vec_id_a/vec_id_b."""
     labels = _lp_components(pairs_ds)
 
     def label_side(t: pa.Table) -> pa.Table:
-        n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "key": pa.array(n, pa.int64()),
-            "val": t.column("label"),
-            "kind": pa.array(np.zeros(len(n), np.int8), pa.int8()),
-            "salt": _lp_salt_of(n),
-        })
+        return pa.table({"k": t.column("node"), "label": t.column("label")})
 
     def probe_side(t: pa.Table) -> pa.Table:
-        ids = t.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "key": pa.array(ids, pa.int64()),
-            "val": pa.array(ids, pa.int64()),  # default: own cluster
-            "kind": pa.array(np.ones(len(ids), np.int8), pa.int8()),
-            "salt": _lp_salt_of(ids),
-        })
+        return pa.table({"k": pc.cast(t.column(id_col), pa.int64())})
 
-    def assign(df: pd.DataFrame) -> pd.DataFrame:
+    def assign(lab: pd.DataFrame, probe: pd.DataFrame) -> pd.DataFrame:
         # int-exact searchsorted lookup (a pandas left-merge would float
         # the root column on misses and lose exactness past 2^53)
-        lab = df[df["kind"] == 0]
-        keys = lab["key"].to_numpy(np.int64)
-        roots = lab["val"].to_numpy(np.int64)
-        o = np.argsort(keys)
-        keys, roots = keys[o], roots[o]
-        ids = df[df["kind"] == 1]["key"].to_numpy(np.int64)
-        cluster = ids.copy()
+        lab = lab.sort_values("k")
+        keys = lab["k"].to_numpy(np.int64)
+        roots = lab["label"].to_numpy(np.int64)
+        ids = probe["k"].to_numpy(np.int64)
+        cluster = ids.copy()  # default: own cluster
         if len(keys):
             pos = np.minimum(np.searchsorted(keys, ids), len(keys) - 1)
             hit = keys[pos] == ids
@@ -483,9 +412,7 @@ def _clusters_distributed(pairs_ds: ray.data.Dataset,
             "is_canonical": (ids == cluster).astype(np.int64),
         })
 
-    u = labels.map_batches(label_side, batch_format="pyarrow").union(
-        ids_ds.map_batches(probe_side, batch_format="pyarrow"))
-    return u.groupby("salt").map_groups(assign, batch_format="pandas")
+    return exchange.exchange([(labels, label_side), (ids_ds, probe_side)], assign)
 
 
 def clusters_from_pairs(pairs_ds: ray.data.Dataset,
@@ -559,9 +486,9 @@ def q_dedup_clusters_embedding(sf_dir: str, tau: float = 0.4,
     the corpus STREAMS through a vectorized searchsorted lookup. Past
     the cap (template-spam corpora with dense dup graphs) the driver
     never sees the edges: ``_lp_components`` runs distributed min-label
-    propagation (iterated salted groupby-min) to the exact fixed point,
-    and cluster assignment happens through one more bounded-salt
-    repartition join instead of a broadcast. Both paths live in the
+    propagation (iterated exchanges taking per-node mins) to the exact
+    fixed point, and cluster assignment happens through one more
+    exchange (a repartition join) instead of a broadcast. Both paths live in the
     generic ``clusters_from_pairs`` (shared with the text near-dup
     clusters, textops.q_neardup_clusters_text)."""
     return clusters_from_pairs(q_neardup_embedding(sf_dir, tau=tau),

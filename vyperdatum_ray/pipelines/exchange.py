@@ -40,10 +40,10 @@ map_groups Python call (dedup_exact took 1.7–2.1 s at a 1024-way width
 and 0.3–0.8 s at 16 groups). Correctness is width-independent: every
 copy of a key shares its salt at any width.
 
-One family stays off this primitive: ann's label propagation and
-cluster assignment (``_lp_components``, ``_clusters_distributed``). Their
-legs are per-round (node, label) state derived from other datasets, so
-there is no read to size them from; they keep a fixed 1024-way salt.
+No other module groups rows by key across blocks: every keyed reduce,
+joins and per-key sums alike, is a ``fold`` or an ``exchange`` here.
+``fold`` and ``aggregate`` (an exchange whose groups merge per key) merge
+a frame's rows with one ``groupby(keys).agg(how)``.
 """
 
 from __future__ import annotations
@@ -236,6 +236,35 @@ def exchange(legs, reduce) -> ray.data.Dataset:
     return out
 
 
+def _merge(df: pd.DataFrame, keys: list[str], how: dict[str, str]) -> pd.DataFrame:
+    """``df``'s rows merged into one row per ``keys`` value, each column
+    of ``how`` by its ``"sum"``, ``"min"`` or ``"max"``, keys ascending
+    (a null key is a group of its own): the one merge of ``fold`` and
+    ``aggregate``. ``keys=[]`` gives the one global row, ``how={}`` the
+    distinct keys."""
+    if not keys:
+        return pd.DataFrame({c: pd.Series([df[c].agg(f)], dtype=df[c].dtype)
+                             for c, f in how.items()})
+    if not how:
+        return df[keys].drop_duplicates().sort_values(keys).reset_index(drop=True)
+    return df.groupby(keys, as_index=False, dropna=False).agg(how)
+
+
+def aggregate(legs, keys: list[str], how: dict[str, str], post=None) -> ray.data.Dataset:
+    """``exchange(legs, reduce)`` for a per-key reduce whose keys grow
+    with the input: each group's rows, from every leg, are merged per
+    ``keys`` as ``fold`` merges them, and ``post(frame)`` (a per-group
+    top-k, a count, a finalize) runs on the merged frame. Every copy of
+    a key is in one group, so the merge is exact; the legs' ``k`` must
+    be a function of ``keys``."""
+    def reduce(*frames: pd.DataFrame) -> pd.DataFrame:
+        rows = [f for f in frames if len(f)]
+        df = _merge(pd.concat(rows, ignore_index=True) if rows else frames[0], keys, how)
+        return df if post is None else post(df)
+
+    return exchange(legs, reduce)
+
+
 def fold(parts, keys: list[str], how: dict[str, str],
          empty: pa.Table | None = None) -> pd.DataFrame:
     """Partial tables folded into one row per ``keys`` value as they
@@ -252,8 +281,9 @@ def fold(parts, keys: list[str], how: dict[str, str],
     typed zero rows, for ``keys=[]`` too: SQL's one row over empty input
     is the caller's to build.
 
-    Only a bounded key set belongs here: the driver holds every key's
-    row. Keys that grow with the input go through ``exchange``."""
+    ``how={}`` gives the distinct keys. Only a bounded key set belongs
+    here: the driver holds every key's row. Keys that grow with the
+    input go through ``aggregate``."""
     if isinstance(parts, ray.data.Dataset):
         empty = _zero_rows(parts) if empty is None else empty
         parts = parts.iter_batches(batch_size=None, batch_format="pyarrow")
@@ -263,13 +293,18 @@ def fold(parts, keys: list[str], how: dict[str, str],
         if not part.num_rows:
             continue
         df = part.select(cols).to_pandas()
-        df = pd.concat([acc, df], ignore_index=True) if len(acc) else df
-        if keys:
-            acc = df.groupby(keys, as_index=False, dropna=False).agg(how)
-        else:
-            acc = pd.DataFrame({c: pd.Series([df[c].agg(f)], dtype=df[c].dtype)
-                                for c, f in how.items()})
+        acc = _merge(pd.concat([acc, df], ignore_index=True) if len(acc) else df,
+                     keys, how)
     return acc
+
+
+def total(ds: ray.data.Dataset, col: str) -> int:
+    """The sum of ``ds``'s integer ``col``: one partial row per block,
+    folded on the driver (0 over no rows)."""
+    def partial(t: pa.Table) -> pa.Table:
+        return pa.table({col: pa.array([pc.sum(t.column(col)).as_py() or 0], pa.int64())})
+
+    return int(fold(map_typed(ds, partial), [], {col: "sum"})[col].sum())
 
 
 def collect(ds: ray.data.Dataset) -> pd.DataFrame:
@@ -286,9 +321,14 @@ def map_typed(ds: ray.data.Dataset, fn) -> ray.data.Dataset:
     """``ds.map_batches(fn)`` over Arrow batches that stays typed like an
     exchange output: ``fn`` runs once on ``ds``'s zero rows in the
     driver, so ``collect`` keeps the columns when no block has a row (a
-    map over an empty read yields no blocks at all)."""
-    out = ds.map_batches(fn, batch_format="pyarrow")
-    _META[out] = (_schema(fn(_zero_rows(ds))).empty_table(), _blocks(ds))
+    map over an empty read yields no blocks at all). The ``pandas``
+    schema metadata of a ``from_pandas`` output goes: Ray fails to hash
+    a schema carrying it and logs so for every block."""
+    def run(batch: pa.Table) -> pa.Table:
+        return fn(batch).replace_schema_metadata()
+
+    out = ds.map_batches(run, batch_format="pyarrow")
+    _META[out] = (_schema(run(_zero_rows(ds))).empty_table(), _blocks(ds))
     return out
 
 
@@ -298,6 +338,16 @@ def materialize(ds: ray.data.Dataset) -> ray.data.Dataset:
     out = ds.materialize()
     if ds in _META:
         _META[out] = _META[ds]
+    return out
+
+
+def sort_limit(ds: ray.data.Dataset, by: list[str], descending: list[bool],
+               k: int) -> ray.data.Dataset:
+    """``ds.sort(by, descending).limit(k)`` that stays typed like ``ds``:
+    the head of an exchange output collects typed when it has no rows."""
+    out = ds.sort(by, descending=descending).limit(k)
+    if ds in _META:
+        _META[out] = (_META[ds][0], 1)
     return out
 
 

@@ -588,7 +588,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
         })
         g = df.groupby("region_index", as_index=False).agg(
             p_n=("z_out", "size"), p_z=("z_out", "sum"))
-        return pa.Table.from_pandas(g, preserve_index=False).replace_schema_metadata()
+        return pa.Table.from_pandas(g, preserve_index=False)
 
     g = exchange.fold(exchange.map_typed(ds, region_sums), ["region_index"],
                       {"p_n": "sum", "p_z": "sum"})
@@ -711,12 +711,13 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     Distributed order-index assignment without materializing a global
     sort result: (1) per-batch partial counts per morton-prefix shard
     (shard width auto-scaled from the footer row count — see
-    ``_morton_shard_shift``), groupby-sum, driver cumsum of the
-    bounded offset table; (2) docs stream through a bounded-salt
-    groupby (shard), each group sorts its own rows by (morton, url)
-    and adds its shard's global base — shard boundaries align with the
-    code prefix, so local order + base = exact global rank. Ranks are
-    shift-invariant (tests force other widths)."""
+    ``_morton_shard_shift``), folded on the driver into the bounded
+    offset table (<= 2^20 shards) and cumsummed; (2) docs stream
+    through an exchange keyed by shard, each group sorts its own rows
+    (several shards) by (morton, url) and adds each shard's global base
+    — shard boundaries align with the code prefix, so local order +
+    base = exact global rank. Ranks are shift-invariant (tests force
+    other widths and exchange widths)."""
     from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 
@@ -727,6 +728,7 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     shift = int(shard_shift)
 
     def prep(t: pa.Table) -> pa.Table:
+        # the exchange key ``k`` is the row's shard
         g = keep_geocoded(geocode_batch(t))
         lon = g.column("lon").to_numpy(zero_copy_only=False)
         lat = g.column("lat").to_numpy(zero_copy_only=False)
@@ -734,10 +736,10 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
         return pa.table({
             "url": g.column("url"),
             "morton": pa.array(code, pa.int64()),
-            "shard": pa.array(code >> shift, pa.int64()),
+            "k": pa.array(code >> shift, pa.int64()),
         })
 
-    prepped = ds.map_batches(prep, batch_format="pyarrow")
+    prepped = exchange.map_typed(ds, prep)
 
     # the totals pass and the rank pass would each re-execute the
     # read+geocode chain (lazy plans re-run); cache the SLIM
@@ -748,19 +750,16 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
 
     url_bytes, n_rows = exchange.footer_stats(pages_paths(sf_dir), ["url"])
     if url_bytes + 24 * n_rows <= ITER_CACHE_BYTES:
-        prepped = prepped.materialize()
+        prepped = exchange.materialize(prepped)
 
     def shard_partial(t: pa.Table) -> pa.Table:
         us, cnt = np.unique(
-            t.column("shard").to_numpy(zero_copy_only=False), return_counts=True)
+            t.column("k").to_numpy(zero_copy_only=False), return_counts=True)
         return pa.table({"shard": pa.array(us, pa.int64()),
-                         "p_n": pa.array(cnt.astype(np.int64), pa.int64())})
+                         "n": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    totals = (prepped.map_batches(shard_partial, batch_format="pyarrow")
-              .groupby("shard").aggregate(Sum("p_n", alias_name="n"))
-              .to_pandas().sort_values("shard"))
+    totals = exchange.fold(exchange.map_typed(prepped, shard_partial),
+                           ["shard"], {"n": "sum"})
     shards = totals["shard"].to_numpy()
     offs = np.concatenate([[0], np.cumsum(totals["n"].to_numpy())[:-1]]) \
         .astype(np.int64)
@@ -769,7 +768,7 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     # so it rides in the closure: no object-store fetch per group
     def rank_group(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["morton", "url"]).reset_index(drop=True)
-        sh = df["shard"].to_numpy()
+        sh = df["k"].to_numpy()
         # shard is nondecreasing after the morton sort (it is a prefix)
         starts = np.concatenate([[0], np.flatnonzero(np.diff(sh) != 0) + 1])
         seg_len = np.diff(np.concatenate([starts, [len(sh)]]))
@@ -778,4 +777,4 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
         return pd.DataFrame({"url": df["url"], "morton": df["morton"],
                              "rank": base + local})
 
-    return prepped.groupby("shard").map_groups(rank_group, batch_format="pandas")
+    return exchange.exchange([(prepped, None)], rank_group)

@@ -29,8 +29,10 @@ import ray
 import ray.data
 
 from vyperdatum_ray.core.nputil import isin_sorted
-from vyperdatum_ray.pipelines.exchange import (collect, exchange, fold, footer_stats,
-                                             from_arrow, map_typed, materialize, read)
+from vyperdatum_ray.pipelines.exchange import (aggregate, collect, exchange, fold,
+                                             footer_stats, from_arrow, map_typed,
+                                             materialize, read, total)
+from vyperdatum_ray.pipelines.textops import _hash_key
 
 
 def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
@@ -478,7 +480,8 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
 def q_top_orders_per_segment(sf_dir: str, k: int = 3) -> ray.data.Dataset:
     """Per-group top-k: highest-value orders per market segment.
     Per-batch local top-k (a combiner — each batch forwards at most
-    k rows per segment) then an exact per-group final top-k."""
+    k rows per segment) then an exchange keyed by the segment's hash,
+    whose groups take each segment's exact final top-k."""
     cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
     seg_ref = ray.put(
         pd.Series(cust["c_mktsegment"].to_numpy(), index=cust["c_custkey"].to_numpy())
@@ -500,22 +503,20 @@ def q_top_orders_per_segment(sf_dir: str, k: int = 3) -> ray.data.Dataset:
                 }
             )
             df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-            return pa.Table.from_pandas(
-                df.groupby("c_mktsegment", as_index=False).head(self.k),
-                preserve_index=False,
-            )
+            t = pa.Table.from_pandas(df.groupby("c_mktsegment").head(self.k),
+                                     preserve_index=False)
+            seg = t.column("c_mktsegment").cast(pa.string())
+            return t.set_column(0, "c_mktsegment", seg).append_column("k", _hash_key(seg))
 
     def final_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True]).head(k)
-        df = df.copy()
-        df["rank"] = np.arange(1, len(df) + 1)
+        df = df.sort_values(["c_mktsegment", "o_totalprice", "o_orderkey"],
+                            ascending=[True, False, True])
+        df = df.groupby("c_mktsegment").head(k).copy()
+        df["rank"] = df.groupby("c_mktsegment").cumcount() + 1
         return df[["c_mktsegment", "rank", "o_orderkey", "o_totalprice"]]
 
     ds = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    cand = ds.map_batches(
-        lambda t: LocalTopK(seg_ref, k)(t), batch_format="pyarrow",
-    )
-    return cand.groupby("c_mktsegment").map_groups(final_topk, batch_format="pandas")
+    return exchange([(ds, lambda t: LocalTopK(seg_ref, k)(t))], final_topk)
 
 
 ORACLES["top_orders_per_segment"] = """
@@ -1159,10 +1160,10 @@ def _build_bloom(sf_dir: str, table: str, columns, keys_fn,
     """Distributed Bloom build over ``keys_fn(batch) -> int keys`` of
     one table; returns ``(bloom_ref, m_bits)`` with the merged filter
     in plasma. The build side's keys never collect to the driver —
-    each block ships its deduped set-bit POSITIONS, one bounded
-    groupby densifies each <=2^24-bit position range, and the driver
-    assembles exactly the filter's m/8 bytes regardless of block
-    count (a dense filter-sized partial per block would make the
+    each block ships its deduped set-bit POSITIONS, an exchange
+    keyed by the <=2^24-bit position range densifies each range, and
+    the driver assembles exactly the filter's m/8 bytes regardless of
+    block count (a dense filter-sized partial per block would make the
     reduce payload grow with block count: 10^6 blocks x 16 MiB =
     16 TB of partials at corpus scale). Filter size derives from a
     distributed count of the INSERTED keys (~16 bits/key, 2 probes =>
@@ -1184,22 +1185,26 @@ def _build_bloom(sf_dir: str, table: str, columns, keys_fn,
         pos = np.unique(np.concatenate([h1, h2])) if len(keys) else \
             np.empty(0, np.uint64)
         return pa.table({
-            "shard": pa.array((pos // np.uint64(shard_bits)).astype(np.int64),
-                              pa.int64()),
+            "k": pa.array((pos // np.uint64(shard_bits)).astype(np.int64),
+                          pa.int64()),
             "pos": pa.array(pos, pa.uint64()),
         })
 
     def shard_dense(df: pd.DataFrame) -> pd.DataFrame:
-        sid = int(df["shard"].iloc[0])
-        rel = df["pos"].to_numpy(np.uint64) - np.uint64(sid * shard_bits)
-        words = np.zeros(shard_bits // 64, np.uint64)
-        _bloom_scatter(words, rel)
-        return pd.DataFrame({"shard": [sid], "words": [words.tobytes()]})
+        # a group holds every position of its shards (k = shard)
+        shards = np.unique(df["k"].to_numpy(np.int64))
+        dense = []
+        for sid in shards:
+            rel = (df["pos"].to_numpy(np.uint64)[df["k"].to_numpy() == sid]
+                   - np.uint64(sid * shard_bits))
+            words = np.zeros(shard_bits // 64, np.uint64)
+            _bloom_scatter(words, rel)
+            dense.append(words.tobytes())
+        return pd.DataFrame({"shard": shards, "words": pd.Series(
+            dense, dtype=pd.ArrowDtype(pa.binary()))})
 
-    parts = (_t(sf_dir, table, columns)
-             .map_batches(bloom_positions, batch_format="pyarrow")
-             .groupby("shard").map_groups(shard_dense, batch_format="pandas")
-             ).to_pandas()
+    parts = collect(exchange([(_t(sf_dir, table, columns), bloom_positions)],
+                             shard_dense))
     bloom = np.zeros(m_bits // 64, np.uint64)
     wps = shard_bits // 64
     for sid, b in zip(parts["shard"], parts["words"]):
@@ -1211,10 +1216,10 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None) -> pd.DataFrame:
     """Semi-join pushdown via a DISTRIBUTED-built Bloom filter:
     revenue and count of lineitems belonging to high-priority 1996
     orders. The build side's orderkeys never collect to the driver —
-    each orders block ships its deduped set-bit POSITIONS, one bounded
-    groupby densifies each <=2^24-bit position range, and the driver
-    assembles exactly the filter's m/8 bytes regardless of block
-    count. The merged filter broadcasts once; lineitem probes it per
+    each orders block ships its deduped set-bit POSITIONS, an exchange
+    keyed by the <=2^24-bit position range densifies each range, and
+    the driver assembles exactly the filter's m/8 bytes regardless of
+    block count. The merged filter broadcasts once; lineitem probes it per
     batch, and only the survivors (true matches + ~2% false positives)
     enter the exact salted verify exchange, where the orders leg's
     true keys eliminate the FPs. Exact by construction — the bloom
@@ -1573,27 +1578,24 @@ FROM orders ORDER BY o_custkey, o_orderkey"""
 
 def q_supplier_list_agg(sf_dir: str) -> pd.DataFrame:
     """Grouped ORDERED list-collect (string_agg): per nation key, the
-    comma-joined sorted supplier names plus the count. The group key
-    domain is bounded (nation cardinality), so a direct
-    groupby.map_groups is the right exchange; the concat itself is the
-    operator's contract — a group's list is inherently group-sized, so
-    this is the one operator family whose output row grows with the
-    corpus (callers wanting bounded rows use the counting/top-k
-    aggregates instead)."""
+    comma-joined sorted supplier names plus the count, from an exchange
+    keyed by the nation key. The concat itself is the operator's
+    contract — a group's list is inherently group-sized, so this is the
+    one operator family whose output row grows with the corpus (callers
+    wanting bounded rows use the counting/top-k aggregates instead)."""
+
+    def leg(t: pa.Table) -> pa.Table:
+        nation = pc.cast(t.column("s_nationkey"), pa.int64())
+        return pa.table({"k": nation, "s_nationkey": nation, "s_name": t.column("s_name")})
 
     def agg_group(df: pd.DataFrame) -> pd.DataFrame:
-        names = np.sort(df["s_name"].to_numpy(object))
-        return pd.DataFrame({
-            "s_nationkey": np.array([df["s_nationkey"].iloc[0]], np.int64),
-            "supplier_list": [",".join(names)],
-            "n_suppliers": np.array([len(names)], np.int64),
-        })
+        return df.sort_values(["s_nationkey", "s_name"]).groupby(
+            "s_nationkey", as_index=False).agg(
+            supplier_list=("s_name", ",".join), n_suppliers=("s_name", "size"))
 
-    out = _t(sf_dir, "supplier", ["s_nationkey", "s_name"]).groupby(
-        "s_nationkey").map_groups(
-        agg_group, batch_format="pandas").to_pandas()
-    return out.sort_values("s_nationkey").reset_index(drop=True).astype(
-        {"s_nationkey": np.int64, "n_suppliers": np.int64})
+    out = collect(exchange([(_t(sf_dir, "supplier", ["s_nationkey", "s_name"]), leg)],
+                           agg_group))
+    return out.sort_values("s_nationkey").reset_index(drop=True)
 
 
 ORACLES["supplier_list_agg"] = """
@@ -1918,13 +1920,12 @@ def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
         return pd.DataFrame({"o_orderpriority": pd.Series([], dtype=object),
                              "order_count": pd.Series([], dtype=np.int64)})
     agg = parts.groupby("code", as_index=False).agg(n=("n", "sum"))
-    # bounded distinct scan (<=5 strings) for the code -> name map;
-    # per-block distinct FIRST so the unique() exchange carries a few
-    # strings per block, not the whole column
-    pri = _t(sf_dir, "orders", ["o_orderpriority"]).map_batches(
-        lambda t: pa.table({"o_orderpriority": pc.unique(
-            t.column("o_orderpriority"))}),
-        batch_format="pyarrow").unique("o_orderpriority")
+    # bounded distinct scan (<=5 strings) for the code -> name map:
+    # per-block distinct values folded into the distinct keys
+    pri = fold(map_typed(_t(sf_dir, "orders", ["o_orderpriority"]),
+                         lambda t: pa.table({"o_orderpriority": pc.unique(
+                             t.column("o_orderpriority"))})),
+               ["o_orderpriority"], {})["o_orderpriority"]
     pmap = {int(p[0]): p for p in pri}
     out = pd.DataFrame({
         "o_orderpriority": np.array(
@@ -2140,19 +2141,11 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
             "k", as_index=False).agg(v=("v", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    def totals(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("k", as_index=False).agg(v=("v", "sum"))
-        return g.astype({"k": np.int64, "v": np.int64})
-
     cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    tot = materialize(exchange([(_t(sf_dir, "lineitem", cols), partial)], totals))
-    # each block's sum, folded into the global total on the driver
-    total = int(fold(map_typed(tot, lambda b: pa.table({"v": pa.array(
-        [pc.sum(b.column("v"), min_count=0).as_py()], pa.int64())})),
-        [], {"v": "sum"})["v"].sum())
+    tot = materialize(aggregate([(_t(sf_dir, "lineitem", cols), partial)], ["k"], {"v": "sum"}))
     # v*1e6 > total*ppm  <=>  v > floor(total*ppm / 1e6) for integer v
     # (Ray's filter expr grammar takes `col > literal`, not arithmetic)
-    thresh = (total * fraction_ppm) // 1_000_000
+    thresh = (total(tot, "v") * fraction_ppm) // 1_000_000
     keep = tot.filter(expr=f"v > {thresh}").to_pandas()
     if keep.empty:        # no part (or none over the threshold) -> typed empty
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),

@@ -23,7 +23,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from vyperdatum_ray.core.helmert import sql_rn
 from vyperdatum_ray.pipelines import exchange
@@ -49,6 +48,33 @@ def _hash_utf8_fast(arr) -> np.ndarray:
 def _hash_key(arr) -> pa.Array:
     """The int64 exchange key of a text column: its 64-bit hash."""
     return pa.array(_hash_utf8_fast(arr).view(np.int64))
+
+
+def _counts(values, name: str, col: str) -> pa.Table:
+    """A leg's per-batch partial counts of a text array: one row per
+    distinct value (``name``), its count (``col``) and its hash ``k``."""
+    vc = values.value_counts()
+    if isinstance(vc, pa.ChunkedArray):
+        vc = vc.combine_chunks()
+    return pa.table({"k": _hash_key(vc.field("values")), name: vc.field("values"),
+                     col: pc.cast(vc.field("counts"), pa.int64())})
+
+
+def _top(k: int, count: str, key: str):
+    """A reduce's ``post``: its group's first ``k`` rows under
+    (``count`` desc, ``key`` asc). Every copy of a key is in one group,
+    so the groups' heads hold the global top-k, and the query's own
+    sort + limit over them is exact."""
+    def top(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values([count, key], ascending=[False, True]).head(k)
+    return top
+
+
+def _tokens(batch: pa.Table) -> pa.Array:
+    """The non-empty whitespace tokens of a batch's text, flattened."""
+    toks = pc.list_flatten(
+        pc.split_pattern_regex(pc.coalesce(batch.column("text"), ""), r"\s+"))
+    return pc.filter(toks, pc.greater(pc.utf8_length(toks), 0))
 
 
 def q_dedup_exact(sf_dir: str) -> ray.data.Dataset:
@@ -1167,16 +1193,19 @@ def _host_of(url_col) -> pa.Array:
 
 def q_distinct_hosts(sf_dir: str) -> pd.DataFrame:
     """Exact distinct-host count over pages urls: per-batch local
-    uniques (combiner), hash groupby, count."""
+    uniques (combiner), an exchange keyed by the host hash whose groups
+    count their distinct hosts, and a driver fold of the counts."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hosts = _host_of(batch.column("url"))
-        return pa.table({"host": pc.unique(hosts)})
+    def leg(batch: pa.Table) -> pa.Table:
+        hosts = pc.unique(_host_of(batch.column("url")))
+        return pa.table({"k": _hash_key(hosts), "host": hosts})
 
-    ds = exchange.read(pages_paths(sf_dir), ["url"])
-    n = ds.map_batches(partial, batch_format="pyarrow").groupby("host").count().count()
-    return pd.DataFrame([{"n_hosts": n}])
+    per_group = exchange.aggregate(
+        [(exchange.read(pages_paths(sf_dir), ["url"]), leg)], ["host"], {},
+        post=lambda df: pd.DataFrame({"n_hosts": np.array([len(df)], np.int64)}))
+    n = exchange.fold(per_group, [], {"n_hosts": "sum"})["n_hosts"].sum()
+    return pd.DataFrame([{"n_hosts": int(n)}])
 
 
 HLL_P = 12  # 4096 registers
@@ -1224,21 +1253,15 @@ def q_approx_distinct_hosts(sf_dir: str) -> pd.DataFrame:
 def q_top_hosts(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     """Exact heavy hitters: page count per url host, top-k with a
     deterministic (count desc, host) tie-break. Per-batch partial
-    counts -> small groupby-sum -> sort + limit."""
+    counts -> an exchange keyed by the host hash that sums them and
+    keeps each group's top-k -> sort + limit over the groups' heads."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hosts = _host_of(batch.column("url"))
-        vc = hosts.value_counts()
-        if isinstance(vc, pa.ChunkedArray):
-            vc = vc.combine_chunks()
-        return pa.table({"host": vc.field("values"),
-                         "p_n": pc.cast(vc.field("counts"), pa.int64())})
-
-    ds = exchange.read(pages_paths(sf_dir), ["url"])
-    out = ds.map_batches(partial, batch_format="pyarrow").groupby("host").aggregate(
-        Sum("p_n", alias_name="n_pages"))
-    return out.sort(["n_pages", "host"], descending=[True, False]).limit(k)
+    out = exchange.aggregate(
+        [(exchange.read(pages_paths(sf_dir), ["url"]),
+          lambda t: _counts(_host_of(t.column("url")), "host", "n_pages"))],
+        ["host"], {"n_pages": "sum"}, post=_top(k, "n_pages", "host"))
+    return exchange.sort_limit(out, ["n_pages", "host"], [True, False], k)
 
 
 CM_DEPTH = 4
@@ -1249,11 +1272,11 @@ def q_top_hosts_sketch(sf_dir: str, k: int = 20) -> pd.DataFrame:
     """Count-min-sketch heavy hitters: each batch emits (a) sketch-cell
     partials — CM_DEPTH x CM_WIDTH bounded rows regardless of input
     size — and (b) its local top-k candidate hosts. Cells AND candidates
-    merge with a distributed ``groupby(cell, host).sum()`` (the same
-    shape as the HLL register merge in q_approx_distinct_hosts), so the
-    driver collects only the <= DEPTH*WIDTH merged cells plus the
-    deduped candidate hosts — never the O(n_batches * cells) partial
-    stream. Final estimates = min over the candidate's CM_DEPTH cells.
+    merge in one exchange summing per (cell, host), keyed by the cell
+    for sketch rows and by the host hash for candidates, so the driver
+    collects only the <= DEPTH*WIDTH merged cells plus the deduped
+    candidate hosts — never the O(n_batches * cells) partial stream.
+    Final estimates = min over the candidate's CM_DEPTH cells.
     Overestimates only (CM guarantee); rows-only check, accuracy
     asserted in tests vs the exact op."""
     from vyperdatum_ray.fixtures import pages_paths
@@ -1264,35 +1287,29 @@ def q_top_hosts_sketch(sf_dir: str, k: int = 20) -> pd.DataFrame:
     seeds = (rng.integers(1, 1 << 62, CM_DEPTH, dtype=np.int64).astype(np.uint64)
              << np.uint64(1)) | np.uint64(1)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hosts = _host_of(batch.column("url"))
-        vc = hosts.value_counts()
-        if isinstance(vc, pa.ChunkedArray):
-            vc = vc.combine_chunks()
-        names = vc.field("values")
-        cnts = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = _hash_utf8_fast(names)
+    def leg(batch: pa.Table) -> pa.Table:
+        c = _counts(_host_of(batch.column("url")), "host", "n")
+        cnts = c.column("n").to_numpy()
+        h = c.column("k").to_numpy().view(np.uint64)
         rows = []
         for d in range(CM_DEPTH):
             col = ((h * seeds[d]) >> np.uint64(64 - 11)) % np.uint64(CM_WIDTH)
-            df = pd.DataFrame({"cell": d * CM_WIDTH + col.astype(np.int64), "p_n": cnts})
-            rows.append(df.groupby("cell", as_index=False).agg(p_n=("p_n", "sum")))
+            df = pd.DataFrame({"cell": d * CM_WIDTH + col.astype(np.int64), "n": cnts})
+            rows.append(df.groupby("cell", as_index=False).agg(n=("n", "sum")))
         cells = pd.concat(rows)
         cells["host"] = ""
+        cells["k"] = cells["cell"]
         # local candidate top-k rides along with cell = -1
         order = np.argsort(-cnts, kind="stable")[:k]
         cand = pd.DataFrame({"cell": np.full(len(order), -1, np.int64),
-                             "p_n": cnts[order],
-                             "host": np.asarray(names)[order]})
+                             "n": cnts[order],
+                             "host": c.column("host").to_numpy()[order],
+                             "k": h[order].view(np.int64)})
         return pa.Table.from_pandas(pd.concat([cells, cand]), preserve_index=False)
 
-    ds = exchange.read(pages_paths(sf_dir), ["url"])
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["cell", "host"])
-        .aggregate(Sum("p_n", alias_name="n"))
-        .to_pandas()
-    )
+    merged = exchange.collect(exchange.aggregate(
+        [(exchange.read(pages_paths(sf_dir), ["url"]), leg)],
+        ["cell", "host"], {"n": "sum"}))
     cells = merged[merged["cell"] >= 0]
     sketch = np.zeros(CM_DEPTH * CM_WIDTH, dtype=np.int64)
     sketch[cells["cell"].to_numpy()] = cells["n"].to_numpy()
@@ -1348,8 +1365,8 @@ def q_unigram_logprob(sf_dir: str, vocab_cap: int = VOCAB_CAP) -> ray.data.Datas
     """Model-based quality scoring: per-document mean unigram surprisal
     under the corpus's own unigram distribution (the perplexity-proxy
     filter of web-text pipelines). Two passes: (1) corpus token
-    frequencies via per-batch combiners + a bounded groupby-sum; the
-    top ``vocab_cap`` tokens by (count desc, token) form the vocabulary
+    frequencies via per-batch combiners + an exchange summing per token;
+    the top ``vocab_cap`` tokens by (count desc, token) form the vocabulary
     and the tail pools into one OOV bucket; (2) the (vocab, logp)
     table broadcasts once and documents stream through a vectorized
     lookup + per-doc mean.
@@ -1361,31 +1378,20 @@ def q_unigram_logprob(sf_dir: str, vocab_cap: int = VOCAB_CAP) -> ray.data.Datas
     absorbed by the quantization. The final mean divides the exact
     integer sum once and rounds with the np.round/sql_rn pair."""
 
-    def freq_partial(batch: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(pc.coalesce(batch.column("text"), ""), r"\s+"))
-        toks = pc.filter(toks, pc.greater(pc.utf8_length(toks), 0))
-        vc = toks.value_counts()
-        if isinstance(vc, pa.ChunkedArray):
-            vc = vc.combine_chunks()
-        return pa.table({"token": vc.field("values"),
-                         "p_n": pc.cast(vc.field("counts"), pa.int64())})
-
     # The distinct-token table NEVER reaches the driver: it is grouped
     # distributed, materialized once in the object store (bounded
     # per-block, spillable — at web scale this is billions of rows, far
-    # too big for driver pandas), then consumed twice — a Sum for the
-    # grand total and a distributed sort+limit for the top-vocab_cap
-    # head (the only part that is driver-sized, <= vocab_cap rows).
-    # OOV mass is derived as total - sum(kept), bit-identical to the
-    # old full-table tail sum because counts are exact int64.
-    freq_ds = (
-        _docs(sf_dir, ["text"]).map_batches(freq_partial, batch_format="pyarrow")
-        .groupby("token").aggregate(Sum("p_n", alias_name="n")).materialize()
-    )
-    total_i = int(freq_ds.sum("n") or 0)
-    kept = (freq_ds.sort(["n", "token"], descending=[True, False])
-            .limit(vocab_cap).to_pandas())
+    # too big for driver pandas), then consumed twice — a folded total
+    # and a distributed sort+limit for the top-vocab_cap head (the only
+    # part that is driver-sized, <= vocab_cap rows). OOV mass is
+    # derived as total - sum(kept), bit-identical to the old full-table
+    # tail sum because counts are exact int64.
+    freq_ds = exchange.materialize(exchange.aggregate(
+        [(_docs(sf_dir, ["text"]), lambda t: _counts(_tokens(t), "token", "n"))],
+        ["token"], {"n": "sum"}))
+    total_i = exchange.total(freq_ds, "n")
+    kept = exchange.collect(
+        exchange.sort_limit(freq_ds, ["n", "token"], [True, False], vocab_cap))
     # exact arbitrary-precision subtraction BEFORE the float cast, so
     # the OOV mass equals the oracle's exact tail sum even past 2^53
     oov_total = float(total_i - int(kept["n"].sum()))
@@ -1435,9 +1441,8 @@ def q_unigram_logprob(sf_dir: str, vocab_cap: int = VOCAB_CAP) -> ray.data.Datas
 
     # stateless tasks: the actor "state" was just the broadcast LUT,
     # which ray.get returns plasma-cached per worker
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda t: Score(lut_ref)(t), batch_format="pyarrow",
-    )
+    return exchange.map_typed(_docs(sf_dir, ["doc_id", "text"]),
+                              lambda t: Score(lut_ref)(t))
 
 
 UNIGRAM_LOGPROB_ORACLE = r"""
@@ -1470,25 +1475,13 @@ FROM documents d LEFT JOIN agg a USING (doc_id)"""
 def q_token_freq(sf_dir: str, k: int = 50) -> ray.data.Dataset:
     """Corpus token frequency, top-k: per-batch vectorized token counts
     (the combiner — the shuffle moves (token, count) partials, never
-    token streams), groupby-sum, deterministic (count desc, token) sort
-    + limit."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(
-            pc.split_pattern_regex(pc.coalesce(batch.column("text"), ""), r"\s+")
-        )
-        toks = pc.filter(toks, pc.greater(pc.utf8_length(toks), 0))
-        vc = toks.value_counts()
-        if isinstance(vc, pa.ChunkedArray):
-            vc = vc.combine_chunks()
-        return pa.table({
-            "token": vc.field("values"),
-            "p_n": pc.cast(vc.field("counts"), pa.int64()),
-        })
-
-    ds = _docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow")
-    out = ds.groupby("token").aggregate(Sum("p_n", alias_name="n"))
-    return out.sort(["n", "token"], descending=[True, False]).limit(k)
+    token streams), an exchange keyed by the token hash that sums them
+    and keeps each group's top-k, deterministic (count desc, token)
+    sort + limit."""
+    out = exchange.aggregate(
+        [(_docs(sf_dir, ["text"]), lambda t: _counts(_tokens(t), "token", "n"))],
+        ["token"], {"n": "sum"}, post=_top(k, "n", "token"))
+    return exchange.sort_limit(out, ["n", "token"], [True, False], k)
 
 
 def q_quality_filter(sf_dir: str) -> ray.data.Dataset:
@@ -1520,7 +1513,7 @@ def q_tfidf_terms(sf_dir: str, k: int = TFIDF_K,
                   vocab_cap: int = TFIDF_VOCAB_CAP) -> ray.data.Dataset:
     """Per-document top-k TF-IDF terms (the classic keyword extractor).
     Two passes, both streaming: (1) document frequencies via per-batch
-    (doc, token)-deduped partials + a bounded groupby-sum; the top
+    (doc, token)-deduped partials + an exchange summing per token; the top
     ``vocab_cap`` tokens by (df desc, token) form the vocabulary
     (bounded driver state, same cap discipline as the unigram model);
     (2) the (vocab, idf) table broadcasts once and each doc scores
@@ -1544,19 +1537,20 @@ def q_tfidf_terms(sf_dir: str, k: int = TFIDF_K,
         mask = flat != ""
         return flat[mask], doc_of[mask]
 
-    def df_partial(t: pa.Table) -> pa.Table:
+    def df_leg(t: pa.Table) -> pa.Table:
         flat, doc_of = _flat_tokens(t)
         uniq = pd.DataFrame({"d": doc_of, "t": flat}).drop_duplicates()
-        g = uniq.groupby("t", as_index=False).agg(p_df=("d", "size"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        g = uniq.groupby("t", as_index=False).agg(df=("d", "size"))
+        terms = pa.array(g["t"].to_numpy(), pa.string())
+        return pa.table({"k": _hash_key(terms), "t": terms,
+                         "df": pa.array(g["df"].to_numpy(), pa.int64())})
 
     # distributed sort + limit — only the vocab_cap head ever reaches
     # the driver (the full distinct-token df table would be billions of
     # rows at web scale)
-    dftab = (docs.map_batches(df_partial, batch_format="pyarrow")
-             .groupby("t").aggregate(Sum("p_df", alias_name="df"))
-             .sort(["df", "t"], descending=[True, False])
-             .limit(vocab_cap).to_pandas())
+    dftab = exchange.collect(exchange.sort_limit(
+        exchange.aggregate([(docs, df_leg)], ["t"], {"df": "sum"}),
+        ["df", "t"], [True, False], vocab_cap))
     idf_q = np.floor(np.log(float(n_docs) / dftab["df"].to_numpy())
                      * 1e6 + 0.5).astype(np.int64)
     # broadcast as an Arrow array + numpy ints: ray.get is zero-copy
@@ -1587,7 +1581,7 @@ def q_tfidf_terms(sf_dir: str, k: int = TFIDF_K,
             "score": pa.array(out["score"].to_numpy().astype(np.int64), pa.int64()),
         })
 
-    return docs.map_batches(score, batch_format="pyarrow")
+    return exchange.map_typed(docs, score)
 
 
 TFIDF_ORACLE = r"""
@@ -1622,8 +1616,8 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
     ``-ln(c(bigram) / total_bigrams)`` under the corpus's own bigram
     distribution. Same two-pass shape and the same float-parity
     discipline as ``q_unigram_logprob``: (1) per-batch bigram-string
-    partials (``_ngram_strings`` with n=2) merged by a bounded
-    groupby-sum; the top ``vocab_cap`` bigrams by (count desc, gram)
+    partials (``_ngram_strings`` with n=2) summed per bigram in an
+    exchange; the top ``vocab_cap`` bigrams by (count desc, gram)
     form the vocabulary, the tail pools into one OOV bucket; (2) the
     (vocab, s_int) table broadcasts once as Arrow (zero-copy per
     worker) and documents stream through one ``pc.index_in`` lookup.
@@ -1633,24 +1627,17 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
     0 with n_bigrams 0."""
     docs = _docs(sf_dir, ["doc_id", "text"])
 
-    def freq_partial(t: pa.Table) -> pa.Table:
-        grams, _doc_of, _ = _ngram_strings(t.column("text"), n=2)
-        vc = grams.value_counts()  # stays in Arrow, like the unigram pass
-        if isinstance(vc, pa.ChunkedArray):
-            vc = vc.combine_chunks()
-        return pa.table({"g": vc.field("values"),
-                         "p_n": pc.cast(vc.field("counts"), pa.int64())})
-
     # distinct-bigram table stays distributed (materialized once in the
-    # object store, consumed by a Sum total + a sort/limit head) — the
-    # same no-driver-materialization discipline as q_unigram_logprob;
-    # at web scale the bigram vocabulary is billions of rows
-    freq_ds = (docs.map_batches(freq_partial, batch_format="pyarrow")
-               .groupby("g").aggregate(Sum("p_n", alias_name="n"))
-               .materialize())
-    total_i = int(freq_ds.sum("n") or 0)
-    head = (freq_ds.sort(["n", "g"], descending=[True, False])
-            .limit(vocab_cap).to_pandas())
+    # object store, consumed by a folded total + a sort/limit head) —
+    # the same no-driver-materialization discipline as
+    # q_unigram_logprob; at web scale the bigram vocabulary is billions
+    # of rows
+    freq_ds = exchange.materialize(exchange.aggregate(
+        [(docs, lambda t: _counts(_ngram_strings(t.column("text"), n=2)[0], "g", "n"))],
+        ["g"], {"n": "sum"}))
+    total_i = exchange.total(freq_ds, "n")
+    head = exchange.collect(
+        exchange.sort_limit(freq_ds, ["n", "g"], [True, False], vocab_cap))
     oov_count = float(total_i - int(head["n"].sum()))
     total = float(total_i)
     s_int = np.floor(-np.log(head["n"].to_numpy() / total) * 1e6 + 0.5) \
@@ -1677,7 +1664,7 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
             "mean_surprisal": pa.array(np.round(mean, 6), pa.float64()),
         })
 
-    return docs.map_batches(score, batch_format="pyarrow")
+    return exchange.map_typed(docs, score)
 
 
 BIGRAM_LOGPROB_ORACLE = r"""
@@ -1870,14 +1857,14 @@ def q_lang_source_rollup(sf_dir: str) -> pd.DataFrame:
     total = pd.DataFrame({
         "lang": ["(all)"], "source": ["(all)"],
         "n_docs": np.array([fine["n_docs"].sum()], np.int64),
-        "sum_chars": np.array([fine["sum_chars"].sum()], np.int64),
+        # SQL's sum over no rows is NULL (a float64 NaN, as DuckDB gives)
+        "sum_chars": [fine["sum_chars"].sum() if len(fine) else np.nan],
     })
     out = pd.concat(
         [fine, by_lang[["lang", "source", "n_docs", "sum_chars"]], total],
         ignore_index=True)
     out = out[["lang", "source", "n_docs", "sum_chars"]]
-    return out.sort_values(["lang", "source"]).reset_index(drop=True).astype(
-        {"n_docs": np.int64, "sum_chars": np.int64})
+    return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
 
 def q_lang_source_cube(sf_dir: str) -> pd.DataFrame:
@@ -1894,8 +1881,7 @@ def q_lang_source_cube(sf_dir: str) -> pd.DataFrame:
     out = pd.concat(
         [fine, by_source[["lang", "source", "n_docs", "sum_chars"]]],
         ignore_index=True)
-    return out.sort_values(["lang", "source"]).reset_index(drop=True).astype(
-        {"n_docs": np.int64, "sum_chars": np.int64})
+    return out.sort_values(["lang", "source"]).reset_index(drop=True)
 
 
 LANG_SOURCE_CUBE_ORACLE = """
@@ -2208,39 +2194,36 @@ def q_domain_quality(sf_dir: str, k: int = 20) -> ray.data.Dataset:
     and the mean quality weight in integer permille (floor of
     sum_weight / n, exact). Per-batch partials carry (host, n, sum_w)
     only — the shuffle never moves text — and the host table reduces
-    through one bounded groupby + distributed sort/limit."""
+    through one exchange keyed by the host hash, whose groups sum, keep
+    their top-k and finalize, then a distributed sort/limit."""
     from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.pipelines.training import _quality_weight
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def leg(batch: pa.Table) -> pa.Table:
         hosts = _host_of(batch.column("url"))
         w = _quality_weight(batch.column("text"))
         df = pd.DataFrame({"host": hosts.to_numpy(zero_copy_only=False),
                            "w": w})
-        g = df.groupby("host", as_index=False).agg(p_n=("w", "size"),
-                                                   p_w=("w", "sum"))
+        g = df.groupby("host", as_index=False).agg(n_pages=("w", "size"),
+                                                   sum_w=("w", "sum"))
+        host = pa.array(g["host"].to_numpy(), pa.string())
         return pa.table({
-            "host": pa.array(g["host"].to_numpy(), pa.string()),
-            "p_n": pa.array(g["p_n"].to_numpy().astype(np.int64), pa.int64()),
-            "p_w": pa.array(g["p_w"].to_numpy().astype(np.int64), pa.int64()),
+            "k": _hash_key(host), "host": host,
+            "n_pages": pa.array(g["n_pages"].to_numpy().astype(np.int64), pa.int64()),
+            "sum_w": pa.array(g["sum_w"].to_numpy().astype(np.int64), pa.int64()),
         })
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        n = batch.column("n_pages").to_numpy(zero_copy_only=False)
-        w = batch.column("sum_w").to_numpy(zero_copy_only=False)
-        return pa.table({
-            "host": batch.column("host"),
-            "n_pages": batch.column("n_pages"),
-            "mean_quality_permille": pa.array(w // np.maximum(n, 1), pa.int64()),
+    def finalize(df: pd.DataFrame) -> pd.DataFrame:
+        df = _top(k, "n_pages", "host")(df)
+        return pd.DataFrame({
+            "host": df["host"], "n_pages": df["n_pages"],
+            "mean_quality_permille": df["sum_w"] // np.maximum(df["n_pages"], 1),
         })
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("host")
-           .aggregate(Sum("p_n", alias_name="n_pages"),
-                      Sum("p_w", alias_name="sum_w"))
-           .sort(["n_pages", "host"], descending=[True, False]).limit(k))
-    return out.map_batches(finalize, batch_format="pyarrow")
+    out = exchange.aggregate(
+        [(exchange.read(pages_paths(sf_dir), ["url", "text"]), leg)],
+        ["host"], {"n_pages": "sum", "sum_w": "sum"}, post=finalize)
+    return exchange.sort_limit(out, ["n_pages", "host"], [True, False], k)
 
 
 def domain_quality_oracle_sql(fx: str, k: int = 20) -> str:

@@ -121,16 +121,16 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
     1. per-shard token totals (shard = doc_id >> bits, bits auto-scaled
        from the parquet metadata row count so dense corpora keep <=
        ``max_driver_shards`` shards): a per-batch combiner emits
-       (shard, partial_sum) rows and a bounded groupby-sum merges them
-       — materialized distributed, never collected whole.
+       (shard, partial_sum) rows and an exchange keyed by shard sums
+       them — materialized distributed, never collected whole.
     2. prefix offsets per shard. If the MEASURED distinct-shard count
        fits ``max_driver_shards`` the driver cumsums the shard table
        and broadcasts it (one ray.put). Otherwise (sparse id spaces,
        or corpora past 2^20 x 2^bits docs) a SECOND prefix level runs:
-       super-shard totals (shard >> 10) cumsum on the driver — 1024x
-       smaller — and each super's shards get their offsets vectorized
-       in an exchange keyed by super; the per-shard offset table then
-       never exists in one place.
+       super-shard totals (shard >> 10) are folded and cumsummed on the
+       driver — 1024x smaller — and each super's shards get their
+       offsets vectorized in an exchange keyed by super; the per-shard
+       offset table then never exists in one place.
     3. docs stream through an exchange keyed by shard, where each group
        sorts by doc_id and computes its shards' local cumsums
        vectorized; in the two-level path the shard offsets are the
@@ -139,8 +139,6 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
 
     The shuffles carry only (shard, doc_id, n_tok) int rows, one per
     document — text never leaves the fused read tasks."""
-    from ray.data.aggregate import Sum
-
     docs = _docs(sf_dir, ["doc_id", "text"])
     if shard_bits is None:
         shard_bits = _pack_shard_bits(docs.count())  # metadata-only count
@@ -151,14 +149,12 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         shard = ids >> shard_bits
         us, inv = np.unique(shard, return_inverse=True)
         sums = np.bincount(inv, weights=ntok).astype(np.int64)
-        return pa.table({"shard": pa.array(us, pa.int64()),
-                         "p_tok": pa.array(sums, pa.int64())})
+        return pa.table({"k": pa.array(us, pa.int64()),
+                         "shard": pa.array(us, pa.int64()),
+                         "tok": pa.array(sums, pa.int64())})
 
-    totals_ds = (
-        docs.map_batches(shard_partial, batch_format="pyarrow")
-        .groupby("shard").aggregate(Sum("p_tok", alias_name="tok"))
-        .materialize()
-    )
+    totals_ds = exchange.materialize(exchange.aggregate(
+        [(docs, shard_partial)], ["shard"], {"tok": "sum"}))
     n_shards = totals_ds.count()
 
     def prep(t: pa.Table) -> pa.Table:
@@ -191,10 +187,8 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         })
 
     if n_shards <= max_driver_shards:
-        # one-level: driver cumsum + one broadcast (the common case);
-        # an empty corpus has no totals and collects columnless
-        totals = totals_ds.to_pandas().reindex(columns=["shard", "tok"]) \
-            .sort_values("shard")
+        # one-level: driver cumsum + one broadcast (the common case)
+        totals = exchange.collect(totals_ds).sort_values("shard")
         shards = totals["shard"].to_numpy(np.int64)
         tok = totals["tok"].to_numpy(np.int64)
         offs = np.concatenate([[0], np.cumsum(tok)[:-1]]).astype(np.int64)
@@ -216,11 +210,10 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         us, inv = np.unique(sup, return_inverse=True)
         sums = np.bincount(inv, weights=tk).astype(np.int64)
         return pa.table({"super": pa.array(us, pa.int64()),
-                         "s_tok": pa.array(sums, pa.int64())})
+                         "tok": pa.array(sums, pa.int64())})
 
-    sup = (totals_ds.map_batches(super_partial, batch_format="pyarrow")
-           .groupby("super").aggregate(Sum("s_tok", alias_name="tok"))
-           .to_pandas().sort_values("super"))
+    sup = exchange.fold(exchange.map_typed(totals_ds, super_partial),
+                        ["super"], {"tok": "sum"})
     sup_keys = sup["super"].to_numpy()
     sup_offs = np.concatenate([[0], np.cumsum(sup["tok"].to_numpy())[:-1]]) \
         .astype(np.int64)
