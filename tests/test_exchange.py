@@ -82,8 +82,9 @@ def test_zero_row_leg(ray_session, tmp_path):
 
 def test_chained_exchange_stays_arrow(ray_session, tmp_path):
     """An exchange's output is a leg of the next: its blocks are Arrow
-    (a pandas/arrow block mix breaks Ray's sort sampler), and the
-    second exchange sees the first one's rows re-keyed."""
+    (``to_arrow_refs`` hands them to the next split tasks as they are,
+    where any other block format costs one conversion task a block),
+    and the second exchange sees the first one's rows re-keyed."""
     from vyperdatum_ray.pipelines.exchange import collect, exchange
 
     legs, path = _legs(tmp_path, [1, 2, 3], [2, 3, 4])
@@ -421,9 +422,8 @@ def test_keyed_queries_are_independent_of_width_and_block_count(ray_session, mon
     from vyperdatum_ray.pipelines.training import q_seq_pack
 
     def distributed_clusters(sf):
-        # the label propagation (pair_cap=0) over 3 pair blocks, not
-        # the default 36: each round's two sorts scale with blocks^2
-        return clusters_from_pairs(q_neardup_embedding(sf, n_blocks=2), _emb(sf),
+        # the label propagation (pair_cap=0) over the default 36 pair blocks
+        return clusters_from_pairs(q_neardup_embedding(sf), _emb(sf),
                                    "vec_id_a", "vec_id_b", "vec_id", 0)
 
     sf = os.path.join(os.path.dirname(SF), "sf0.01")

@@ -7,7 +7,7 @@ whose cached catalog state is rebuilt from the broadcast ref when it
 has none, and the result is identical to a clean run — the at-least-once + deterministic-output contract the resumable
 sink and lineage layer rely on. With two shards a work unit, the lost
 task's whole unit re-runs, and each of its records is still committed
-once."""
+once. The exchange's split and reduce tasks recover the same way."""
 
 import os
 
@@ -134,3 +134,55 @@ def _sink_worker_death(tmp_path, monkeypatch):
         return pq.read_table(d).to_pandas().sort_values("url").reset_index(drop=True)
 
     pd.testing.assert_frame_equal(frame(out), frame(clean_out))
+
+
+def test_exchange_worker_death_recovers(ray_session, tmp_path):
+    """A two-leg exchange whose leg fn, and then whose reduce, kills its
+    worker on its first call with rows still completes, under the
+    tasks' own retry policy, and equals a clean run. Only a call with
+    rows may exit: the driver runs both on zero rows for the schemas."""
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    paths = {}
+    for col, keys in (("a", range(0, 300, 2)), ("b", range(0, 300, 3))):
+        paths[col] = str(tmp_path / f"{col}.parquet")
+        pq.write_table(pa.table({"k": pa.array(keys, pa.int64()),
+                                 col: pa.array([3 * x for x in keys], pa.int64())}),
+                       paths[col], row_group_size=50)
+
+    def run(where=None):
+        marker = str(tmp_path / f"died_in_{where}")
+
+        def maybe_exit(here, n_rows):
+            if here == where and n_rows:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                    os._exit(1)  # simulated node/process loss
+                except FileExistsError:
+                    pass
+
+        def leg(col):
+            def fn(t):
+                maybe_exit("leg", t.num_rows)
+                return t.select(["k", col])
+            return fn
+
+        def join(a, b):
+            maybe_exit("reduce", len(a) + len(b))
+            m = a.merge(b, on="k", how="outer").fillna(-1)
+            return m.astype({"k": "int64", "a": "int64", "b": "int64"})
+
+        out = ex.collect(ex.exchange([(ex.read(paths[c]), leg(c)) for c in "ab"], join))
+        return out.sort_values("k").reset_index(drop=True)
+
+    clean = run()
+    assert len(clean) == 200
+    for where in ("leg", "reduce"):
+        flaky = run(where)
+        assert os.path.exists(tmp_path / f"died_in_{where}"), \
+            f"the failure injection never fired in the {where}"
+        pd.testing.assert_frame_equal(flaky, clean)

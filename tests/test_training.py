@@ -161,3 +161,30 @@ def test_null_text_parity_with_oracles(ray_session, tmp_path):
     sp = q_seq_pack(sf).to_pandas().set_index("doc_id")
     assert sp.loc[1, "n_tok"] == 0 and sp.loc[5, "n_tok"] == 0
     assert sp.loc[2, "n_tok"] == 0
+
+
+def test_ascii_letter_count_matches_the_regex():
+    """The byte-level letter count equals the ``[A-Za-z]`` regex count
+    on NULL, empty, multi-byte and emoji text, the bytes either side of
+    the letter ranges (``@[`{``), a sliced array, a multi-chunk array
+    and every row of one sf0.1 pages shard."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from vyperdatum_ray.fixtures import pages_paths
+    from vyperdatum_ray.pipelines.training import _ascii_letters
+
+    def regex(t):
+        return pc.count_substring_regex(pc.coalesce(t, ""), "[A-Za-z]") \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+
+    arr = pa.array([None, "", "é", "ß", "\U0001f600", "@", "[", "`", "{",
+                    "AZaz", "Zebra éß \U0001f600 @[`{ q", None, "x"], pa.string())
+    shard = pq.read_table(pages_paths(SF.replace("sf0.01", "sf0.1"))[0],
+                          columns=["text"]).column("text")
+    assert len(shard) > 0
+    for t in (arr, arr.slice(3, 8), shard,
+              pa.chunked_array([arr.slice(1, 4), pa.array([], pa.string()), arr.slice(5)])):
+        got = _ascii_letters(pc.coalesce(t, ""))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, regex(t))

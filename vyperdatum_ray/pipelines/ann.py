@@ -293,7 +293,9 @@ def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
     shrink monotonically to the component min, so the fixed point (0
     changes) is exact; rounds ~ log of the component diameter. All
     state stays in the object store as (node, label) rows — nothing is
-    O(edges) or O(nodes) on the driver."""
+    O(edges) or O(nodes) on the driver. An exchange's output counts its
+    largest leg's blocks, so the label table keeps the edge dataset's
+    block count round over round."""
 
     def symmetrize(t: pa.Table) -> pa.Table:
         a = t.column("vec_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -350,28 +352,12 @@ def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
         g["changed"] = (g["label"] != g["old"]).astype(np.int64)
         return g[["node", "label", "changed"]]
 
-    # Block-count discipline: a sort-based exchange keeps its input
-    # block count and its groups can emit near-empty blocks, so an
-    # unbounded loop INFLATES block counts round over round (observed: a
-    # 49-row label table shattered into ~1800 one-row blocks, turning
-    # each round into ~1800 scheduler round-trips). Repartition the
-    # label table back to the edge dataset's block count after every
-    # round; the next round's exchange sizes itself from those blocks.
-    n_parts = max(8, edges.num_blocks())
-    labels = (exchange.aggregate([(edges, init_labels)], ["node"], {"label": "min"})
-              .repartition(n_parts).materialize())
+    labels = exchange.aggregate([(edges, init_labels)], ["node"], {"label": "min"})
     for _round in range(LP_MAX_ROUNDS):
         msgs = exchange.exchange([(edges, None), (labels, label_rows)], send_messages)
-        nxt = (exchange.aggregate([(msgs, None), (labels, self_rows)], ["node"],
-                                  {"label": "min", "old": "min"}, post=changed)
-               .repartition(n_parts).materialize())
-        n_changed = exchange.total(nxt, "changed")
-        labels = nxt
-        # break the finished executors' reference cycles NOW so their
-        # resources release before the next round (see CLAUDE.md)
-        import gc
-        gc.collect()
-        if n_changed == 0:
+        labels = exchange.aggregate([(msgs, None), (labels, self_rows)], ["node"],
+                                    {"label": "min", "old": "min"}, post=changed)
+        if exchange.total(labels, "changed") == 0:
             return labels.drop_columns(["changed"]).materialize()
     raise RuntimeError(
         f"label propagation did not converge in {LP_MAX_ROUNDS} rounds")

@@ -16,29 +16,36 @@ merge.
 
 Native ``Dataset.join`` spawns a per-join aggregator-actor pool, and two
 of them in one DAG deadlock at small CPU counts (see CLAUDE.md). A
-multi-join is instead a UNION of legs plus one bounded-salt groupby (the
+multi-join is instead a UNION of legs plus one bounded-salt exchange (the
 join over UNION ALL of Teradata, SIGMOD 2018): every leg emits rows keyed
 by an int64 ``k``, ``salt = k mod 2^bits`` puts every copy of a key in
 one group, and a vectorized pandas reduce inside each group performs the
-join. Legs pre-reduce inside their own map task, so the shuffle carries
-int partials, never text.
+join. Legs pre-reduce inside their own split task, so the shuffle
+carries int partials, never text.
+
+The exchange runs on plain Ray tasks: one split task per leg block
+runs the leg fn and cuts its rows into R pieces by ``salt mod R``, and
+R reduce tasks each take their piece from every split task and call the
+reduce once per salt present. Ray Data's sort-based groupby on the salt
+kept its input's block count and emitted columnless blocks for the
+partitions with no salt, so chained exchanges (the label propagation)
+had to repartition every round to stop their block counts inflating.
 
 Partitions are sized from the data (FP-Hadoop, VLDB 2015), by one
 decision. Every engine read goes through ``read``, which asks Ray for
 one block per parquet row group, counted from the footers; Ray's
-default split cut each one-row-group pages file into 6 blocks, and a
-sort-based groupby keeps its input's block count, so each exchange over
-24 pages files sorted 144 map x 144 reduce partitions. An exchange then
-takes its salt width from its legs' blocks, ``ceil(log2(sum of leg
-blocks))`` clamped to [``JOIN_FLOOR``, ``SALT_BITS_CAP``], so salt
-groups and the sort's reduce partitions are one count. A byte target
-per block was measured and dropped: at sf0.1 on 4 CPUs it put all
-~120 MiB of pages in one block and url_dedup took 32 s, against 13 s at
-one block per row group. The floor keeps 16 groups at least; wider
-salts than the blocks only add near-empty groups, each one more
-map_groups Python call (dedup_exact took 1.7–2.1 s at a 1024-way width
-and 0.3–0.8 s at 16 groups). Correctness is width-independent: every
-copy of a key shares its salt at any width.
+default split cut each one-row-group pages file into 6 blocks (24 pages
+files, 144 blocks). An exchange takes its salt width from its legs'
+blocks, ``ceil(log2(sum of leg blocks))`` clamped to [``JOIN_FLOOR``,
+``SALT_BITS_CAP``], and its R from the largest leg's real block count,
+at most 2^width, so an exchange over exchange outputs keeps R where its
+legs have it. A byte target per block was measured and dropped: at
+sf0.1 on 4 CPUs it put all ~120 MiB of pages in one block and url_dedup
+took 32 s, against 13 s at one block per row group. The floor keeps 16
+groups at least; wider salts than the blocks only add near-empty
+groups, each one more Python reduce call (dedup_exact took 1.7–2.1 s at
+a 1024-way width and 0.3–0.8 s at 16 groups). Correctness is
+width-independent: every copy of a key shares its salt at any width.
 
 No other module groups rows by key across blocks: every keyed reduce,
 joins and per-key sums alike, is a ``fold`` or an ``exchange`` here.
@@ -175,24 +182,36 @@ def _schema(t: pa.Table) -> pa.Schema:
 def exchange(legs, reduce) -> ray.data.Dataset:
     """Salted repartition exchange over ``legs``, a list of
     ``(dataset, fn)`` pairs: ``fn(batch) -> pa.Table`` (or ``None`` for
-    the identity) runs in the leg's own map task and returns rows with
-    an int64 key ``k``. Rows of one ``k`` from every leg meet in one
-    group, where ``reduce(frame_0, frame_1, ...)`` gets one pandas frame
-    per leg (that leg's columns only, possibly empty) and returns a
-    DataFrame. The salt width is ``ceil(log2(sum of leg blocks))``,
-    clamped to [``JOIN_FLOOR``, ``SALT_BITS_CAP``]; the output counts the
-    same blocks, since the sort keeps its input's block count.
+    the identity) runs in the leg's split tasks and returns rows with an
+    int64 key ``k``. Rows of one ``k`` from every leg meet in one group,
+    where ``reduce(frame_0, frame_1, ...)`` gets one pandas frame per leg
+    (that leg's columns only, possibly empty) and returns a DataFrame.
+    The salt width is ``ceil(log2(sum of leg blocks))``, clamped to
+    [``JOIN_FLOOR``, ``SALT_BITS_CAP``].
+
+    One split task per leg block runs ``fn`` once per record batch of
+    the block (the batches a fused ``map_batches`` would get; a
+    zero-row block is skipped), tags ``salt`` and ``side`` and cuts the
+    rows into R pieces by ``salt mod R``, where R is the largest leg's
+    real block count, at most 2^width; R reduce tasks each call
+    ``reduce`` once per salt present in their pieces. The output counts
+    R blocks, so chained exchanges keep their legs' block count.
+
+    Costs: the exchange is eager (its legs' blocks and its output sit in
+    the object store when it returns), M leg blocks make M x R pieces,
+    and a retried split task re-runs its leg fn. Past some M x R a merge
+    stage would pay (Exoshuffle, SIGCOMM 2023); no input here comes
+    near it.
 
     Each leg's schema is learned by running ``fn`` on zero rows in the
     driver, and the reduce's by running it on those empties, so both
-    must accept empty input. Every leg block is padded to one union
-    schema (no mixed-schema blocks in the shuffle), a group missing a
-    leg still hands ``reduce`` that leg's typed empty frame, and the
-    output is Arrow blocks of one schema, fit to be a leg of the next
-    exchange."""
-    blocks = sum(_blocks(ds) for ds, _ in legs)
-    bits = min(max((blocks - 1).bit_length(), JOIN_FLOOR), SALT_BITS_CAP)
-    mask = pa.scalar((1 << bits) - 1, pa.int64())
+    must accept empty input. Every leg piece is padded to one union
+    schema, a group missing a leg still hands ``reduce`` that leg's
+    typed empty frame, and the output is Arrow blocks of one schema
+    (typed zero rows from a reduce task with no salt), fit to be a leg
+    of the next exchange."""
+    bits = min(max((sum(_blocks(ds) for ds, _ in legs) - 1).bit_length(), JOIN_FLOOR),
+               SALT_BITS_CAP)
     empties = [_zero_rows(ds) if fn is None else fn(_zero_rows(ds))
                for ds, fn in legs]
     fields: dict[str, pa.DataType] = {}
@@ -216,7 +235,7 @@ def exchange(legs, reduce) -> ray.data.Dataset:
             n = t.num_rows
             cols = [t.column(f.name).cast(f.type) if f.name in t.column_names
                     else pa.nulls(n, f.type) for f in payload]
-            cols += [pc.bit_wise_and(t.column("k"), mask),
+            cols += [pc.bit_wise_and(t.column("k"), (1 << bits) - 1),
                      pa.array(np.full(n, side, np.int8))]
             return pa.Table.from_arrays(cols, schema=union)
         return run
@@ -228,12 +247,41 @@ def exchange(legs, reduce) -> ray.data.Dataset:
         return pa.Table.from_pandas(reduce(*frames), schema=out_schema,
                                     preserve_index=False).replace_schema_metadata()
 
-    tagged = [ds.map_batches(tag(fn, i), batch_format="pyarrow")
-              for i, (ds, fn) in enumerate(legs)]
-    out = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    out = out.groupby("salt").map_groups(group, batch_format="pyarrow")
-    _META[out] = (out_schema.empty_table(), blocks)
+    refs = [ds.to_arrow_refs() for ds, _ in legs]
+    r = max(1, min(1 << bits, max(map(len, refs))))
+    runs = [ray.put(tag(fn, side)) for side, (_, fn) in enumerate(legs)]
+    pieces = [_split.options(num_returns=r).remote(ref, run, union, r)
+              for run, leg in zip(runs, refs) for ref in leg]
+    group = ray.put(group)
+    # num_returns=1 gives one ref per split task, not a list of one
+    out = ray.data.from_arrow_refs([_reduce.remote(group, union, out_schema, *p)
+                                    for p in (zip(*pieces) if r > 1 else [pieces])])
+    _META[out] = (out_schema.empty_table(), r)
     return out
+
+
+@ray.remote
+def _split(block: pa.Table, run, union: pa.Schema, r: int):
+    """One leg block tagged by ``run`` once per non-empty record batch
+    (upstream zero-row blocks may have no columns) and cut into ``r``
+    pieces by ``salt mod r``, each piece's rows in block order."""
+    t = pa.concat_tables([union.empty_table()] + [
+        run(pa.Table.from_batches([b])) for b in block.to_batches() if b.num_rows])
+    part = t.column("salt").to_numpy() % r
+    order = np.argsort(part, kind="stable")
+    out = [t.take(i) for i in np.split(order, np.cumsum(np.bincount(part, minlength=r))[:-1])]
+    return out if r > 1 else out[0]
+
+
+@ray.remote
+def _reduce(group, union: pa.Schema, out: pa.Schema, *pieces: pa.Table) -> pa.Table:
+    """``group`` once per salt present in ``pieces``, each salt's rows in
+    piece order, concatenated; ``out``'s zero rows when there is no
+    salt."""
+    t = pa.concat_tables([union.empty_table(), *pieces]).sort_by("salt")
+    lo = np.unique(t.column("salt").to_numpy(), return_index=True)[1]
+    outs = [group(t.slice(a, b - a)) for a, b in zip(lo, np.r_[lo[1:], t.num_rows])]
+    return pa.concat_tables(outs).combine_chunks() if outs else out.empty_table()
 
 
 def _merge(df: pd.DataFrame, keys: list[str], how: dict[str, str]) -> pd.DataFrame:
@@ -309,8 +357,8 @@ def total(ds: ray.data.Dataset, col: str) -> int:
 
 def collect(ds: ray.data.Dataset) -> pd.DataFrame:
     """``ds.to_pandas()`` that keeps an exchange output's columns and
-    dtypes when no group produced a row (a groupby with no groups
-    yields no blocks, which collect as a columnless frame)."""
+    dtypes when no group produced a row (Ray 2.49's ``to_pandas`` over
+    typed zero-row blocks, or over none, gives a columnless frame)."""
     df = ds.to_pandas()
     if len(df.columns) == 0 and ds in _META:
         return _META[ds][0].to_pandas()

@@ -245,7 +245,7 @@ _BAND_COMBOS = [(i, j) for i in range(8) for j in range(i + 1, 8)]
 def q_image_neardup(sf_dir: str, max_hamming: int = 6) -> ray.data.Dataset:
     """Perceptual image near-duplicate detection over REAL pixels: the
     P6 PPM payloads decode with the from-scratch numpy decoder, hash to
-    64-bit dHashes in the exchange leg's stateless map tasks (no
+    64-bit dHashes in the exchange's split tasks (no
     per-call actor pool, see CLAUDE.md), and pair up through a banded
     exact-match exchange: each hash emits its 28 two-byte band combos,
     an exchange keyed by the packed (combo, value) forms candidate

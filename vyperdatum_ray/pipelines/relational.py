@@ -31,7 +31,7 @@ import ray.data
 from vyperdatum_ray.core.nputil import isin_sorted
 from vyperdatum_ray.pipelines.exchange import (aggregate, collect, exchange, fold,
                                              footer_stats, from_arrow, map_typed,
-                                             materialize, read, total)
+                                             read, total)
 from vyperdatum_ray.pipelines.textops import _hash_key
 
 
@@ -276,7 +276,7 @@ def _per_user(sf_dir: str, columns, fn, keep=None) -> ray.data.Dataset:
     every row of a user lands in one group, and ``fn`` handles the
     group's many users fully vectorized (never one Python call per
     user, the high-cardinality map_groups anti-pattern). ``keep`` is an
-    optional row filter applied in the leg's map task."""
+    optional row filter applied in the leg's split task."""
     def leg(t: pa.Table) -> pa.Table:
         if keep is not None:
             t = t.filter(keep(t))
@@ -1289,9 +1289,9 @@ def q_tpch_q13(sf_dir: str) -> pd.DataFrame:
     left-merges counts onto the full customer slice with NaN->0. Each
     group emits a PARTIAL histogram (c_count, p_dist), so what leaves
     the exchange is bounded by groups x |distinct counts| tiny int rows
-    — summed on the driver (a Ray aggregate here would Sort the
-    map_groups' near-empty blocks for more than the rest of the query
-    costs; see the Q16 lesson in BASELINE.md)."""
+    — summed on the driver (a Ray aggregate here would add an
+    all-to-all Sort costing more than the rest of the query; see the
+    Q16 lesson in BASELINE.md)."""
     def orders_leg(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.starts_with(batch.column("o_orderpriority"), "1"))
         keys, counts = np.unique(_np(batch, "o_custkey"), return_counts=True)
@@ -1343,8 +1343,7 @@ def q_tpch_q16(sf_dir: str) -> pd.DataFrame:
     (deterministic fixed-key siphash) — every copy of a quad lands in
     the same group, where one vectorized dedup + size() emits the
     FINAL per-attribute supplier count directly (no third string-key
-    aggregate: its Sort over the map_groups' many tiny blocks cost
-    more than both exchanges combined). Per-group payload stays
+    aggregate: its Sort cost more than both exchanges combined). Per-group payload stays
     bounded: quads per attribute triple cap at supplier cardinality,
     and the hash spreads triples across the salted width."""
     sizes = np.array(Q16_SIZES, np.int64)
@@ -1440,8 +1439,8 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
 
     # per-group partials are (segment, count, cents) — groups x the tiny
     # segment domain — so the final sum is a driver-side pandas groupby,
-    # not a Ray aggregate over the map_groups' near-empty blocks (the
-    # Q16 lesson in BASELINE.md)
+    # not a Ray aggregate's all-to-all Sort (the Q16 lesson in
+    # BASELINE.md)
     parts = collect(exchange(
         [(_t(sf_dir, "customer", cust_cols), cust_leg),
          (_t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]), orders_leg)],
@@ -1740,7 +1739,7 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
         return g.astype({"k": np.int64, "r": np.int64})
 
     cols = ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
-    tot = materialize(exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals))
+    tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals)
     # each block's top row, folded into the global max on the driver
     mx = fold(map_typed(tot, lambda b: b.select(["r"]).sort_by([("r", "descending")])
                         .slice(0, 1)), [], {"r": "max"})
@@ -2142,7 +2141,7 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
         return pa.Table.from_pandas(g, preserve_index=False)
 
     cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    tot = materialize(aggregate([(_t(sf_dir, "lineitem", cols), partial)], ["k"], {"v": "sum"}))
+    tot = aggregate([(_t(sf_dir, "lineitem", cols), partial)], ["k"], {"v": "sum"})
     # v*1e6 > total*ppm  <=>  v > floor(total*ppm / 1e6) for integer v
     # (Ray's filter expr grammar takes `col > literal`, not arithmetic)
     thresh = (total(tot, "v") * fraction_ppm) // 1_000_000

@@ -5,7 +5,7 @@ rolling-hash fingerprints, token counting, quality scoring, language ID.
 Vectorized per batch. Every shuffle (the dedups, the LSH bucket and
 pair-dedup stages, neardup_jaccard's text fetch) is one
 ``exchange.exchange``: each leg keys its rows by an int64 ``k`` (a text
-hash, a (band, value) bucket, a mixed id pair) in its own map task, and
+hash, a (band, value) bucket, a mixed id pair) in its own split task, and
 the reduce compares the real values inside each salt group, so key
 collisions cannot merge distinct texts or buckets. Every read goes
 through ``exchange.read`` (one block per row group), and each exchange
@@ -997,7 +997,7 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
     # bounded candidate pairs, still one-row-per-band-collision: the
     # fast path dedups them driver-side on the collected list (saves a
     # full Ray sort); the exchange path dedups distributed below
-    raw = exchange.materialize(_minhash_candidates_raw(sf_dir))
+    raw = _minhash_candidates_raw(sf_dir)
     docs = _docs(sf_dir, ["doc_id", "text"])
 
     def id_partial(t: pa.Table) -> pa.Table:
@@ -1386,9 +1386,9 @@ def q_unigram_logprob(sf_dir: str, vocab_cap: int = VOCAB_CAP) -> ray.data.Datas
     # part that is driver-sized, <= vocab_cap rows). OOV mass is
     # derived as total - sum(kept), bit-identical to the old full-table
     # tail sum because counts are exact int64.
-    freq_ds = exchange.materialize(exchange.aggregate(
+    freq_ds = exchange.aggregate(
         [(_docs(sf_dir, ["text"]), lambda t: _counts(_tokens(t), "token", "n"))],
-        ["token"], {"n": "sum"}))
+        ["token"], {"n": "sum"})
     total_i = exchange.total(freq_ds, "n")
     kept = exchange.collect(
         exchange.sort_limit(freq_ds, ["n", "token"], [True, False], vocab_cap))
@@ -1632,9 +1632,9 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
     # the same no-driver-materialization discipline as
     # q_unigram_logprob; at web scale the bigram vocabulary is billions
     # of rows
-    freq_ds = exchange.materialize(exchange.aggregate(
+    freq_ds = exchange.aggregate(
         [(docs, lambda t: _counts(_ngram_strings(t.column("text"), n=2)[0], "g", "n"))],
-        ["g"], {"n": "sum"}))
+        ["g"], {"n": "sum"})
     total_i = exchange.total(freq_ds, "n")
     head = exchange.collect(
         exchange.sort_limit(freq_ds, ["n", "g"], [True, False], vocab_cap))

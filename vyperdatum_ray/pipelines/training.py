@@ -97,11 +97,24 @@ def _quality_weight(text_col) -> np.ndarray:
     formula shared by q_quality_resample and CurateStage (SQL mirror:
     ``_QUALITY_WEIGHT_SQL``). NULL text weighs 0 and is dropped by
     every gate that uses it."""
-    text = pc.coalesce(text_col, "")
+    text = pc.coalesce(text_col, "").cast(pa.string())
     n_chars = pc.utf8_length(text).to_numpy(zero_copy_only=False).astype(np.int64)
-    n_alpha = pc.count_substring_regex(text, r"[A-Za-z]") \
-        .to_numpy(zero_copy_only=False).astype(np.int64)
-    return np.minimum(1000, (n_alpha * 1250) // np.maximum(n_chars, 1))
+    return np.minimum(1000, (_ascii_letters(text) * 1250) // np.maximum(n_chars, 1))
+
+
+def _ascii_letters(text) -> np.ndarray:
+    """Per-row count of ``[A-Za-z]`` in a non-null string column, from
+    its UTF-8 bytes: a letter is a byte whose lower-cased value is in
+    a..z (every byte of a multi-byte character is 0x80 or above), summed
+    per row as a cumulative sum differenced at the offsets. A regex
+    count matched once per character and took 0.31 CPU s of 0.32 on one
+    25,000-page shard."""
+    a = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
+    _, offsets, data = a.buffers()
+    offs = np.frombuffer(offsets, np.int32)[a.offset:a.offset + len(a) + 1]
+    b = np.frombuffer(data, np.uint8)[offs[0]:offs[-1]]
+    cum = np.concatenate([[0], np.cumsum(((b | 0x20) - ord("a")) < 26)])
+    return np.diff(cum[offs - offs[0]]).astype(np.int64)
 
 
 _QUALITY_WEIGHT_SQL = (
@@ -153,8 +166,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
                          "shard": pa.array(us, pa.int64()),
                          "tok": pa.array(sums, pa.int64())})
 
-    totals_ds = exchange.materialize(exchange.aggregate(
-        [(docs, shard_partial)], ["shard"], {"tok": "sum"}))
+    totals_ds = exchange.aggregate([(docs, shard_partial)], ["shard"], {"tok": "sum"})
     n_shards = totals_ds.count()
 
     def prep(t: pa.Table) -> pa.Table:
