@@ -295,8 +295,9 @@ def run_scaling() -> dict:
 def _emit(record: dict, mode: str = "bench") -> None:
     """Print the one-line JSON contract AND persist the complete record
     to bench_results/latest_<mode>_full.json (per-mode file so a
-    --scaling run cannot overwrite the full record an earlier bench
-    stdout line still points at). The driver snapshots only the last
+    --scaling run or a ``--one`` subset, written to
+    latest_one_full.json, cannot overwrite the full record an earlier
+    bench stdout line still points at). The driver snapshots only the last
     ~2 KB of stdout into BENCH_r{N}.json, so the stdout line keeps the
     medians but moves the bulky per-run lists / row counts to the file
     (pointed at by ``full_record``) — the round-4 records' parsed field
@@ -320,7 +321,7 @@ def main() -> None:
     elif args and args[0] == "--scale-one":
         print(json.dumps(scaling_one(int(args[1]), int(args[2]))))
     elif args and args[0] == "--one":
-        _emit(run_once(NUM_CPUS, args[1:] or BENCH_QUERIES))
+        _emit(run_once(NUM_CPUS, args[1:] or BENCH_QUERIES), mode="one")
     else:
         _emit(run_once(NUM_CPUS, BENCH_QUERIES))
 

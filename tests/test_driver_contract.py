@@ -87,6 +87,21 @@ def test_keyed_reduces_go_through_the_exchange_module():
     assert not found, found
 
 
+def test_task_built_datasets_go_through_the_exchange_module():
+    """Blocks built by the engine's own tasks become Datasets only
+    through ``exchange.from_blocks``, whose tasks return each block's
+    metadata (no metadata task per block, and a plan already executed),
+    so no module calls ``from_arrow_refs``, and that helper is the only
+    code importing Ray Data's internals."""
+    out = subprocess.run(
+        ["grep", "-rlnF", "--include=*.py", "-e", "from_arrow_refs", "-e", "ray.data._internal",
+         os.path.join(ROOT, "vyperdatum_ray")],
+        capture_output=True, text=True,
+    )
+    found = {os.path.relpath(p, ROOT) for p in out.stdout.split()}
+    assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found
+
+
 def test_checkpointed_writers_dispatch_plain_tasks():
     """Both checkpointed writers (the flagship sink and the corpus run)
     return metrics plus files, so they dispatch ``ray.remote`` tasks:

@@ -26,7 +26,11 @@ carries int partials, never text.
 The exchange runs on plain Ray tasks: one split task per leg block
 runs the leg fn and cuts its rows into R pieces by ``salt mod R``, and
 R reduce tasks each take their piece from every split task and call the
-reduce once per salt present. Ray Data's sort-based groupby on the salt
+reduce once per salt present; each reduce task returns its block with
+the block's metadata, and ``from_blocks`` makes the output an
+already-executed Dataset (no metadata task per block, and iterating or
+collecting it, or reading it as the next exchange's leg, starts no Ray
+Data executor). Ray Data's sort-based groupby on the salt
 kept its input's block count and emitted columnless blocks for the
 partitions with no salt, so chained exchanges (the label propagation)
 had to repartition every round to stop their block counts inflating.
@@ -65,6 +69,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
+from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 from ray.data.dataset import MaterializedDataset
 
 JOIN_FLOOR = 4                    # the narrowest salt: 16 groups
@@ -254,8 +259,8 @@ def exchange(legs, reduce) -> ray.data.Dataset:
               for run, leg in zip(runs, refs) for ref in leg]
     group = ray.put(group)
     # num_returns=1 gives one ref per split task, not a list of one
-    out = ray.data.from_arrow_refs([_reduce.remote(group, union, out_schema, *p)
-                                    for p in (zip(*pieces) if r > 1 else [pieces])])
+    out = from_blocks([_reduce.remote(group, union, out_schema, *p)
+                       for p in (zip(*pieces) if r > 1 else [pieces])])
     _META[out] = (out_schema.empty_table(), r)
     return out
 
@@ -273,15 +278,52 @@ def _split(block: pa.Table, run, union: pa.Schema, r: int):
     return out if r > 1 else out[0]
 
 
-@ray.remote
-def _reduce(group, union: pa.Schema, out: pa.Schema, *pieces: pa.Table) -> pa.Table:
+@ray.remote(num_returns=2)
+def _reduce(group, union: pa.Schema, out: pa.Schema, *pieces: pa.Table):
     """``group`` once per salt present in ``pieces``, each salt's rows in
-    piece order, concatenated; ``out``'s zero rows when there is no
-    salt."""
+    piece order, concatenated (``out``'s zero rows when there is no
+    salt), with its block metadata (``with_meta``)."""
     t = pa.concat_tables([union.empty_table(), *pieces]).sort_by("salt")
     lo = np.unique(t.column("salt").to_numpy(), return_index=True)[1]
     outs = [group(t.slice(a, b - a)) for a, b in zip(lo, np.r_[lo[1:], t.num_rows])]
-    return pa.concat_tables(outs).combine_chunks() if outs else out.empty_table()
+    return with_meta(pa.concat_tables(outs).combine_chunks() if outs else out.empty_table())
+
+
+def with_meta(t: pa.Table) -> tuple[pa.Table, BlockMetadataWithSchema]:
+    """``t`` and its block metadata, for a task that returns both
+    (``num_returns=2``) and whose refs go to ``from_blocks``: the call
+    ``ray.data.from_arrow_refs``' metadata task makes on each block, made
+    on the table as the task holds it, as Ray Data's own map tasks
+    measure their blocks. So ``size_bytes`` still counts the validity
+    bitmap of each column with no null, which Ray's Arrow serializer
+    drops from the stored block (0.4% of a flagship block)."""
+    return t, BlockMetadataWithSchema.from_block(t, stats=BlockExecStats.builder().build())
+
+
+def from_blocks(pairs) -> MaterializedDataset:
+    """A Dataset of the blocks behind ``pairs``, (block ref, metadata
+    ref) as a ``with_meta`` task returns them, in order: the plan
+    ``ray.data.from_arrow_refs`` builds, with no metadata task, and
+    already executed. For a source that holds its output that execution
+    runs nothing and sets the plan's snapshot, so ``iter_batches``,
+    ``to_pandas``, ``to_arrow_refs``, ``count`` and ``fold`` over the
+    Dataset start no Ray Data executor (``from_arrow_refs`` leaves the
+    plan unexecuted, and every iteration built a streaming executor
+    over the blocks it already had). The engine's one use of
+    ``ray.data._internal``."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+
+    pairs = list(pairs)
+    blocks = [b for b, _ in pairs]
+    metas = ray.get([m for _, m in pairs])
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None),
+                         ray.data.DataContext.get_current().copy())
+    ds = MaterializedDataset(plan, LogicalPlan(FromArrow(blocks, metas), plan._context))
+    plan.execute()
+    return ds
 
 
 def _merge(df: pd.DataFrame, keys: list[str], how: dict[str, str]) -> pd.DataFrame:
@@ -400,10 +442,11 @@ def sort_limit(ds: ray.data.Dataset, by: list[str], descending: list[bool],
 
 
 def from_arrow(t: pa.Table) -> ray.data.Dataset:
-    """``ray.data.from_arrow(t)`` that collects typed when ``t`` has no
-    rows; a column of no type (a zero-row pandas text column) becomes
-    text, and the ``pandas`` schema metadata goes."""
-    t = t.cast(_schema(t))
-    out = ray.data.from_arrow(t)
-    _META[out] = (t.schema.empty_table(), 1)
+    """``ray.data.from_arrow(t)``, built by ``from_blocks``, that
+    collects typed when ``t`` has no rows; a column of no type (a
+    zero-row pandas text column) becomes text, and the ``pandas``
+    schema metadata goes."""
+    block, meta = with_meta(t.cast(_schema(t)))
+    out = from_blocks([(ray.put(block), ray.put(meta))])
+    _META[out] = (block.schema.empty_table(), 1)
     return out

@@ -21,11 +21,15 @@ each shard's table inside the task:
 its shards' rows in path order, held in the object store until the
 Dataset is dropped (48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no
 ``post``). No streaming pipeline is built per job: one costs about 0.12
-CPU s on 4 CPUs, as much as a small job's own work. A run too large to
-hold goes through the checkpointed sink, which writes each shard from
-its task. The ``html`` binary column is pruned at the read (at
-10^12-doc scale the pipeline lives or dies on that) unless a stage
-needs it.
+CPU s on 4 CPUs, as much as a small job's own work. Each shard task
+returns its block's metadata with the block, and
+``exchange.from_blocks`` builds the Dataset already executed, so no
+metadata task runs per block and a consumer that iterates the Dataset
+(``iter_batches``, ``to_pandas``, a fold) starts no executor either.
+A run too large to hold goes through the checkpointed sink, which
+writes each shard from its task. The ``html`` binary column is pruned
+at the read (at 10^12-doc scale the pipeline lives or dies on that)
+unless a stage needs it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import ray.data
 
 from vyperdatum_ray.catalog import Catalog
 from vyperdatum_ray.fixtures import catalog_dir, pages_paths
-from vyperdatum_ray.pipelines.exchange import fold
+from vyperdatum_ray.pipelines.exchange import fold, from_blocks, with_meta
 from vyperdatum_ray.stages.cellindex import cell_index_batch
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 from vyperdatum_ray.stages.region_join import RegionJoiner
@@ -271,18 +275,20 @@ class FusedReadTransform:
             for _ in range(self.inner)])
 
 
-@ray.remote(num_cpus=1)
+@ray.remote(num_cpus=1, num_returns=2)
 def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict,
                  post=None):
     """A work unit's shards (``work_units``) through this worker's
     cached ``FusedReadTransform``, one call per shard, each followed by
     ``post(path, table)`` (``None``: the table itself). Tables come back
-    concatenated in path order, one block per unit, so a zero-row
-    shard's table must carry the columns and types of a full one's.
-    Anything else ``post`` returns (the sink's lineage records) comes
-    back as a list in path order. ``catalog`` wraps the catalog's ref
-    so the task gets the ref, and ``_cached_state`` fetches it once per
-    worker process.
+    concatenated in path order, one block per unit, with the block's
+    metadata (``exchange.with_meta``), so ``flagship_fused`` needs no
+    metadata task; a zero-row shard's table must carry the columns and
+    types of a full one's. Anything else ``post`` returns (the sink's
+    lineage records) comes back as a list in path order, with ``None``
+    for the metadata. ``catalog`` wraps the catalog's ref so the task
+    gets the ref, and ``_cached_state`` fetches it once per worker
+    process.
 
     A unit's inputs are never concatenated before the transform: in one
     process, per-shard calls took 0.138-0.142 CPU s per ``geo_text`` job
@@ -297,8 +303,8 @@ def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict
     fused = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)
     outs = [fused(p) if post is None else post(p, fused(p)) for p in paths]
     if not isinstance(outs[0], pa.Table):
-        return outs
-    return pa.concat_tables(outs)
+        return outs, None
+    return with_meta(pa.concat_tables(outs))
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,
@@ -334,8 +340,11 @@ def flagship_fused(
     materialized Dataset of each shard's ``post(path, table)``
     (``post=None``: the table).
 
-    One block per unit, its shards' rows in path order: ``shard_tasks``,
-    each submitted, with the blocks wrapped by ``ray.data.from_arrow_refs``.
+    One block per unit, its shards' rows in path order: one
+    ``_fused_shard`` task per unit, each returning its block and the
+    block's metadata, wrapped by ``exchange.from_blocks``. The Dataset
+    is already executed, so iterating it, counting it or collecting it
+    runs no Ray Data executor.
     The output stays in the object store until the Dataset is dropped:
     48.4 MB at sf0.1, 96.9 MB with ``carry_text`` and no ``post``. Every
     registry query collects it anyway, and the count-only consumers drop
@@ -343,8 +352,8 @@ def flagship_fused(
     (``lineage.run_flagship_checkpointed``), or in windows of paths."""
     params = {k: v for k, v in locals().items()
               if k not in ("sf_dir", "catalog", "paths", "post")}
-    return ray.data.from_arrow_refs(
-        [submit() for submit in shard_tasks(sf_dir, catalog, paths, post, **params)])
+    return from_blocks(submit() for submit in _unit_tasks(sf_dir, catalog, paths, post,
+                                                           **params))
 
 
 def work_units(paths: list[str], cpus: int | None = None) -> list[list[str]]:
@@ -362,10 +371,10 @@ def work_units(paths: list[str], cpus: int | None = None) -> list[list[str]]:
     a run. On 4 CPUs sf0.1's 24 files run as 4 units of 6 and 4 files
     as 4 units of 1.
 
-    Each task costs about 10 ms of CPU in Ray whatever its size (the
-    task, plus the metadata task ``from_arrow_refs`` runs per block),
-    against about 7 ms of the transform's own work per ``geo_dense``
-    file."""
+    Each task costs CPU in Ray whatever its size, against about 7 ms of
+    the transform's own work per ``geo_dense`` file: about 10 ms a block
+    when each block also took a metadata task of its own, which the
+    shard task now saves by returning its block's metadata itself."""
     if not paths:
         return []
     per = -(-len(paths) // (cpus or cluster_cpus()))
@@ -385,10 +394,25 @@ def work_units(paths: list[str], cpus: int | None = None) -> list[list[str]]:
 def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
                 paths: list[str] | None = None, post=None, cpus: int | None = None,
                 **params) -> list:
+    """``_unit_tasks``' submitters, each returning only the ref to its
+    unit's ``post(path, table)`` results (the metadata ref dropped), as
+    ``lineage.as_completed`` takes them."""
+    return [partial(_results, submit)
+            for submit in _unit_tasks(sf_dir, catalog, paths, post, cpus, **params)]
+
+
+def _results(submit):
+    return submit()[0]
+
+
+def _unit_tasks(sf_dir: str, catalog: Catalog | None = None,
+                paths: list[str] | None = None, post=None, cpus: int | None = None,
+                **params) -> list:
     """One zero-argument submitter per work unit (``work_units``, sized
     by ``cpus``) of the sorted paths: each submits the unit's
-    ``_fused_shard`` task and returns the ref to its shards'
-    ``post(path, table)`` results. The tasks run on warm, reused
+    ``_fused_shard`` task and returns its two refs, the shards'
+    ``post(path, table)`` results and their block metadata (``None``
+    unless they are a table). The tasks run on warm, reused
     workers that build the catalog state once
     per catalog content and parameter set (``params``:
     ``flagship_fused``'s, defaults in ``FUSED_DEFAULTS``). ``paths``
