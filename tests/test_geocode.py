@@ -89,3 +89,22 @@ def test_near_miss_q_geocode_matches_oracle(ray_session, tmp_path, monkeypatch):
 
     sf = _pages(tmp_path, monkeypatch)
     pd.testing.assert_frame_equal(_sorted(q_geocode(sf).to_pandas()), _oracle(sf))
+
+
+def test_geocode_runs_no_regex_kernel(tmp_path, monkeypatch):
+    """The geocoder is a byte scan: with Arrow's regex and substring
+    kernels made to raise, geocode_batch still geocodes a shard, and
+    equals the oracle."""
+    import pyarrow.compute as pc
+
+    sf = _pages(tmp_path, monkeypatch)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a regex kernel ran")
+
+    table = pq.read_table(fixtures.pages_paths(sf)[0])
+    with monkeypatch.context() as m:
+        for name in ("extract_regex", "match_substring_regex", "match_substring"):
+            m.setattr(pc, name, boom)
+        got = keep_geocoded(geocode_batch(table))
+    pd.testing.assert_frame_equal(_sorted(got.to_pandas()), _oracle(sf))

@@ -123,22 +123,28 @@ def test_dhash_brightness_invariance_and_hamming_axioms(seed, shift):
 
 
 # Geocoder inputs: pattern-shaped pieces whose numbers may be near
-# misses (integers, bare or signed fractions, empty), mixed with the
-# patterns' literal fragments, words and NULL.
+# misses (integers, bare or signed fractions, empty, digit runs of 20 or
+# more, a fullwidth digit), mixed with the patterns' literal fragments,
+# repeated fragments, fragments cut short (so that a pattern may span
+# two rows of the value buffer), multi-byte characters, words and NULL.
+_digits = st.builds("{}{}".format, st.sampled_from(["", "0"]), st.integers(10**19, 10**40))
 _num = st.one_of(
     st.builds("{}.{}".format, st.integers(0, 999), st.integers(0, 99999)),
     st.builds("-{}.{}".format, st.integers(0, 999), st.integers(0, 99999)),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), _digits, _digits),
     st.integers(-99, 99).map(str),
-    st.sampled_from(["", ".5", "7.", "-"]),
+    st.sampled_from(["", ".5", "7.", "-", "\uff11.5", "1.\uff15", "--1.5", "1.2.3"]),
 )
 _geo_piece = st.one_of(
     st.sampled_from(["lat=", "&lon=", "?", "/@", ",", " N, ", " S, ", " E", " W",
-                     "0", "42", ".", "-", "harbor ", "site", " ", "\n"]),
+                     "0", "42", ".", "-", "harbor ", "site", " ", "\n", "\u00e9",
+                     "\uff11", "\u00a0", "lat=lat=", "/@/@", "1.2.3", "--1.5",
+                     " N, N, ", "?lat", "/", "@", " N", ", "]),
     _num,
     st.builds("{}lat={}&lon={}".format, st.sampled_from(["?", "&", "/", ""]), _num, _num),
     st.builds("/@{},{}".format, _num, _num),
-    st.builds("{} {}, {} {}".format, _num, st.sampled_from("NSE"), _num,
-              st.sampled_from("EWS")),
+    st.builds("{}{}{}, {} {}".format, _num, st.sampled_from([" ", "\u00a0"]),
+              st.sampled_from("NSE"), _num, st.sampled_from("EWS")),
 )
 _geo_cell = st.one_of(st.none(), st.lists(_geo_piece, max_size=8).map("".join))
 
@@ -167,24 +173,50 @@ def _geocode_without_prefilter(url, text):
     return lat, lon, src
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_geo_cell, _geo_cell), min_size=1, max_size=24))
-def test_geocode_prefilter_is_lossless(rows):
-    """The prefilters (url substrings, one text regex) never drop a row
-    the full patterns would geocode, and a candidate the pattern rejects
-    falls through: geocode_arrays equals the prefilter-free reference
-    bit for bit."""
+def _layouts(cells, cut):
+    """One column's values in every Arrow layout the geocoder reads in
+    place or must see through: plain ``string``, ``large_string``, a
+    slice of a longer array, a multi-chunk ``ChunkedArray`` (one empty
+    chunk) and a ``from_buffers`` array whose NULL slots span bytes that
+    would geocode."""
+    import pyarrow as pa
+
+    plain = pa.array(cells, pa.string())
+    pad = ["?lat=1.5&lon=2.5 /@3.5,4.5 5.5 N, 6.5 E"]
+    spanning = pa.array([pad[0] if c is None else c for c in cells], pa.string())
+    valid = np.array([c is not None for c in cells])
+    bitmap = pa.py_buffer(np.packbits(valid, bitorder="little"))
+    return [
+        plain,
+        pa.array(cells, pa.large_string()),
+        pa.array(pad + cells + pad, pa.string()).slice(1, len(cells)),
+        pa.array(pad * 2 + cells, pa.large_string()).slice(2),
+        pa.chunked_array([plain.slice(0, cut), pa.array([], pa.string()), plain.slice(cut)]),
+        pa.StringArray.from_buffers(len(cells), spanning.buffers()[1], spanning.buffers()[2],
+                                    bitmap, int((~valid).sum())),
+    ]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.tuples(_geo_cell, _geo_cell), min_size=1, max_size=24), st.integers(0, 24))
+def test_geocode_prefilter_is_lossless(rows, cut):
+    """The byte scanner's anchor prefilter never drops a row the full
+    patterns would geocode, and a candidate the patterns reject falls
+    through: in every layout, geocode_arrays equals the prefilter-free
+    regex reference bit for bit."""
     import pyarrow as pa
 
     from vyperdatum_ray.core.geocode import geocode_arrays
 
-    url = pa.array([u for u, _ in rows], pa.string())
-    text = pa.array([t for _, t in rows], pa.string())
-    lat, lon, src = geocode_arrays(url, text)
-    rlat, rlon, rsrc = _geocode_without_prefilter(url, text)
-    assert lat.tobytes() == rlat.tobytes()
-    assert lon.tobytes() == rlon.tobytes()
-    assert src.to_pylist() == rsrc
+    urls, texts = [u for u, _ in rows], [t for _, t in rows]
+    rlat, rlon, rsrc = _geocode_without_prefilter(pa.array(urls, pa.string()),
+                                                  pa.array(texts, pa.string()))
+    cut = min(cut, len(rows))
+    for url, text in zip(_layouts(urls, cut), _layouts(texts, len(rows) - cut)):
+        lat, lon, src = geocode_arrays(url, text)
+        assert lat.tobytes() == rlat.tobytes()
+        assert lon.tobytes() == rlon.tobytes()
+        assert src.to_pylist() == rsrc
 
 
 # ------------------------------------------------ region join + transform

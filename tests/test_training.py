@@ -188,3 +188,8 @@ def test_ascii_letter_count_matches_the_regex():
         got = _ascii_letters(pc.coalesce(t, ""))
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, regex(t))
+    # large_string offsets are int64: sliced and multi-chunk ones too
+    big = pa.array(["ab", "c", "", "\u00e9Z", "xyz"], pa.large_string())
+    np.testing.assert_array_equal(_ascii_letters(big.slice(0, 2)), [2, 1])
+    for t in (big, big.slice(1, 3), pa.chunked_array([big.slice(0, 2), big.slice(2)])):
+        np.testing.assert_array_equal(_ascii_letters(t), regex(t))

@@ -258,9 +258,13 @@ class FusedReadTransform:
         import pyarrow.parquet as pq
 
         cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
-        base = keep_geocoded(geocode_batch(pq.ParquetFile(path).read(columns=cols)))
+        base = geocode_batch(pq.ParquetFile(path).read(columns=cols))
         if not self.carry_text:
+            # drop text before the filter, which would copy it for every kept row
+            base = keep_geocoded(base.select(["url", "lat", "lon", "geocode_src"]))
             base = base.select(["url", "lat", "lon"])
+        else:
+            base = keep_geocoded(base)
         if self.synth_z:
             base = synth_z_batch(base)
         if self.project_fwd is not None:

@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from vyperdatum_ray.core.nputil import utf8_buffers
 from vyperdatum_ray.pipelines import exchange
 from vyperdatum_ray.pipelines.textops import SAMPLE_MOD, _docs, _hash_key
 
@@ -106,13 +107,13 @@ def _ascii_letters(text) -> np.ndarray:
     """Per-row count of ``[A-Za-z]`` in a non-null string column, from
     its UTF-8 bytes: a letter is a byte whose lower-cased value is in
     a..z (every byte of a multi-byte character is 0x80 or above), summed
-    per row as a cumulative sum differenced at the offsets. A regex
+    per row as a cumulative sum differenced at the offsets
+    (``nputil.utf8_buffers``: ``string`` or ``large_string``, read in
+    place). A regex
     count matched once per character and took 0.31 CPU s of 0.32 on one
     25,000-page shard."""
-    a = text.combine_chunks() if isinstance(text, pa.ChunkedArray) else text
-    _, offsets, data = a.buffers()
-    offs = np.frombuffer(offsets, np.int32)[a.offset:a.offset + len(a) + 1]
-    b = np.frombuffer(data, np.uint8)[offs[0]:offs[-1]]
+    offs, data, _ = utf8_buffers(text)
+    b = data[offs[0]:offs[-1]]
     cum = np.concatenate([[0], np.cumsum(((b | 0x20) - ord("a")) < 26)])
     return np.diff(cum[offs - offs[0]]).astype(np.int64)
 
