@@ -108,6 +108,34 @@ def test_sink_and_fused_jobs_hash_one_catalog_once(ray_session, tmp_path, monkey
     assert len(hashed) == len(cat.grids)
 
 
+def test_sink_shard_opens_its_input_once(ray_session, tmp_path, monkeypatch):
+    """One sink shard, run in process through the shard task's body,
+    opens its input file once: the lineage record's ``n_rows_in`` is the
+    row count of the task's own read, not a second footer read."""
+    from functools import partial
+
+    from vyperdatum_ray.fixtures import ensure_fixtures, pages_paths
+    from vyperdatum_ray.pipelines import flagship
+    from vyperdatum_ray.state.lineage import _write_shard
+
+    ensure_fixtures(SF)
+    path = sorted(pages_paths(SF))[0]
+    kw = flagship._shard_kwargs(flagship.load_catalog(SF), **flagship.FUSED_DEFAULTS)
+    opened = []
+    init = pq.ParquetFile.__init__
+    monkeypatch.setattr(pq.ParquetFile, "__init__",
+                        lambda self, source, *a, **k: opened.append(source)
+                        or init(self, source, *a, **k))
+    (rec,), meta = flagship._fused_shard._function(
+        [path], [kw["catalog_ref"]], kw["catalog_key"], kw["params"],
+        partial(_write_shard, str(tmp_path / "out")))
+    monkeypatch.undo()
+    assert opened == [path]
+    assert meta is None
+    assert rec["n_rows_in"] == pq.ParquetFile(path).metadata.num_rows == rec["row_range"][1]
+    assert rec["n_no_geocode"] == rec["n_rows_in"] - rec["n_rows_out"] > 0
+
+
 def test_sink_run_reads_the_cluster_cpus_once(ray_session, tmp_path, monkeypatch):
     """One sink run asks Ray's control store for the cluster's resources
     once, for both its work units and its window of tasks in flight."""

@@ -219,6 +219,30 @@ def test_geocode_prefilter_is_lossless(rows, cut):
         assert src.to_pylist() == rsrc
 
 
+def test_geocode_long_digit_runs():
+    """Digit runs of 10^5 bytes at every number of all three patterns, on
+    both sides of the text leg's comma: the scanner equals the regex
+    reference, and its windowed walks stay far below the 10^5 numpy
+    passes (seconds) that a byte-at-a-time walk would take."""
+    import time
+
+    import pyarrow as pa
+
+    from vyperdatum_ray.core.geocode import geocode_arrays
+
+    d = "7" * 100_000
+    url = pa.array([f"http://x/?lat={d}.{d}&lon=-{d}.5", f"http://x/@{d}.1,2.{d}",
+                    f"http://x/?lat={d}", f"http://x/?lat=1.{d}5&lon=", None])
+    text = pa.array(["", "", f"at {d}.{d} N, 1.{d} W and 3.5 N, ", f"{d} N, {d}.5 E",
+                     f"{d}.{d} S, {d}.{d} E"])
+    t0 = time.process_time()
+    lat, lon, src = geocode_arrays(url, text)
+    assert time.process_time() - t0 < 2.0
+    rlat, rlon, rsrc = _geocode_without_prefilter(url, text)
+    assert lat.tobytes() == rlat.tobytes() and lon.tobytes() == rlon.tobytes()
+    assert src.to_pylist() == rsrc == ["url_query", "url_path", "text", None, "text"]
+
+
 # ------------------------------------------------ region join + transform
 # The vectorized RegionJoiner / DatumTransformer against the per-region
 # loops they replaced, bit for bit, on random catalogs.

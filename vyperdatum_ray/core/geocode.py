@@ -21,7 +21,9 @@ J. 2019): find the structural bytes, then validate only those. Per leg:
   compares of each anchor's neighbour bytes, inside its own row;
 - *numbers*: vectorized digit-run walks parse ``-?\d+\.\d+`` forward
   (the text leg's latitude backward from its comma), bounded by the
-  row's end;
+  row: byte steps over all candidates, then windows that double for
+  any run still going, so an ``n``-digit run costs ``O(log n)`` numpy
+  passes, never one interpreter step a byte;
 - *values*: a row's leftmost valid anchor wins; its lat/lon are Arrow's
   string -> float64 cast of the exact matched substrings, gathered
   into one string array a leg.
@@ -67,6 +69,9 @@ _TEXT_NAMED = r"(?P<lat>\d+\.\d+) (?P<ns>[NS]), (?P<lon>\d+\.\d+) (?P<ew>[EW])"
 _SRC_NAMES = pa.array([None, "url_query", "url_path", "text"], pa.string())
 
 _ZERO = np.uint8(ord("0"))
+# Byte steps a digit-run walk takes over all its candidates before it
+# switches to doubling windows for the runs still going.
+_STEPS = 16
 
 
 def _at(b, i, lo, hi, chars: bytes) -> np.ndarray:
@@ -78,28 +83,52 @@ def _at(b, i, lo, hi, chars: bytes) -> np.ndarray:
     return hit & (i >= lo) & (i < hi)
 
 
+def _is_digit(b, idx) -> np.ndarray:
+    return b[np.clip(idx, 0, len(b) - 1)] - _ZERO < 10
+
+
 def _run_end(b, pos, hi) -> np.ndarray:
     """End (exclusive) of the ASCII digit run starting at each ``pos``,
-    stopped at its row's end ``hi``: one vectorized step a byte, over
-    the candidates whose run is still going."""
+    stopped at its row's end ``hi``. ``_STEPS`` byte steps over every
+    candidate cover the pages' numbers; a run still going after them
+    is walked in windows that double each pass, so a run of ``n``
+    digits costs ``O(log n)`` passes and ``O(n)`` bytes."""
     end = pos.copy()
     live = end < hi
-    while live.any():
+    for _ in range(_STEPS):
+        if not live.any():
+            return end
         live &= b[np.minimum(end, len(b) - 1)] - _ZERO < 10
         end += live
         live &= end < hi
+    live, w = np.flatnonzero(live), _STEPS
+    while len(live):
+        idx = end[live, None] + np.arange(w)
+        stop = ~_is_digit(b, idx) | (idx >= hi[live, None])
+        found = stop.any(axis=1)
+        end[live] += np.where(found, stop.argmax(axis=1), w)
+        live, w = live[~found], 2 * w
     return end
 
 
 def _run_start(b, pos, lo) -> np.ndarray:
     """Start of the ASCII digit run ending just before each ``pos``,
-    stopped at its row's start ``lo``."""
+    stopped at its row's start ``lo``: ``_run_end``'s walk, backward."""
     start = pos.copy()
     live = start > lo
-    while live.any():
+    for _ in range(_STEPS):
+        if not live.any():
+            return start
         live &= b[np.maximum(start - 1, 0)] - _ZERO < 10
         start -= live
         live &= start > lo
+    live, w = np.flatnonzero(live), _STEPS
+    while len(live):
+        idx = start[live, None] - 1 - np.arange(w)
+        stop = ~_is_digit(b, idx) | (idx < lo[live, None])
+        found = stop.any(axis=1)
+        start[live] -= np.where(found, stop.argmax(axis=1), w)
+        live, w = live[~found], 2 * w
     return start
 
 

@@ -25,14 +25,14 @@ def utf8_buffers(col) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     at ``offsets[0]``, not at 0); ``valid`` is ``None`` when no row is
     NULL. A NULL row's offsets may span bytes, so byte kernels mask it
     with ``valid``. A one-chunk ``ChunkedArray`` is read in place:
-    ``combine_chunks`` copies even a single chunk. Other types are cast
-    to ``string`` first."""
+    ``combine_chunks`` copies even a single chunk. Any other type
+    raises ``TypeError``."""
     import pyarrow as pa
 
     if isinstance(col, pa.ChunkedArray):
         col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
     if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
-        col = col.cast(pa.string())
+        raise TypeError(f"utf8_buffers reads string or large_string, not {col.type}")
     _, offsets, data = col.buffers()
     width = np.int64 if pa.types.is_large_string(col.type) else np.int32
     offs = np.frombuffer(offsets, width)[col.offset:col.offset + len(col) + 1]

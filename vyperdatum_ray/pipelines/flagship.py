@@ -7,8 +7,9 @@ unit: a run of consecutive sorted input shards (``work_units``), each
 shard transformed by its own call. The catalog state
 (``FusedReadTransform``) is cached per worker process, keyed by catalog
 content. ``_fused_shard`` is the only task body that runs it; every
-consumer passes its own per-shard work as ``post(path, table)``, run on
-each shard's table inside the task:
+consumer passes its own per-shard work as ``post(shard, table)``, run on
+each shard's table inside the task (``shard``: a ``ShardRead``, the
+shard's path and the row count of its read):
 
 * the checkpointed sink (state/lineage.py) writes the shard's partition
   and returns its lineage record;
@@ -38,6 +39,7 @@ import inspect
 import os
 from collections import OrderedDict
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -178,17 +180,16 @@ def synth_z_batch(batch: pa.Table) -> pa.Table:
 
 
 class FusedReadTransform:
-    """The WHOLE flagship per input shard in ONE call: parquet read ->
+    """The WHOLE flagship per input shard in ONE task: parquet read ->
     geocode -> cell index -> PIP join -> datum transform, emitting only
     the transformed stream. NOTHING crosses the object store between
     stages — not even the (url, lat, lon) slim stream that a read-task
     -> transform-stage shape ships between its stages. One instance per
     worker process and catalog content holds the prepared catalog
-    state (``_cached_state``); ``_fused_shard`` calls it once per shard,
-    with the shard's path, also when its unit holds several. A shard is
-    one file,
-    read with ``pq.ParquetFile(path).read``: the
-    table ``pq.read_table(path)`` gives, without its dataset discovery
+    state (``_cached_state``); ``_fused_shard`` calls its ``read`` and
+    then its ``transform`` once per shard, also when its unit holds
+    several. A shard is one file, read with ``pq.ParquetFile(path).read``:
+    the table ``pq.read_table(path)`` gives, without its dataset discovery
     (and, like it, without hive-inferred columns).
 
     Measured on this box (BASELINE.md round 4): vs the read-task ->
@@ -254,11 +255,17 @@ class FusedReadTransform:
                 out = out.append_column(name, base.column(name))
         return out
 
-    def __call__(self, path: str) -> pa.Table:
+    def read(self, path: str) -> pa.Table:
+        """The shard's columns this transform needs, as read."""
         import pyarrow.parquet as pq
 
         cols = PAGE_COLUMNS if self.carry_text else ["url", "text"]
-        base = geocode_batch(pq.ParquetFile(path).read(columns=cols))
+        return pq.ParquetFile(path).read(columns=cols)
+
+    def transform(self, table: pa.Table) -> pa.Table:
+        """One shard's ``read`` through geocode and the rest of the
+        flagship."""
+        base = geocode_batch(table)
         if not self.carry_text:
             # drop text before the filter, which would copy it for every kept row
             base = keep_geocoded(base.select(["url", "lat", "lon", "geocode_src"]))
@@ -279,12 +286,22 @@ class FusedReadTransform:
             for _ in range(self.inner)])
 
 
+class ShardRead(NamedTuple):
+    """The shard a shard task's ``post`` runs on: its input ``path`` and
+    the number of rows its read returned, so no ``post`` re-opens the
+    file for it (the sink's lineage record takes ``n_rows_in``)."""
+
+    path: str
+    n_rows_in: int
+
+
 @ray.remote(num_cpus=1, num_returns=2)
 def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict,
                  post=None):
     """A work unit's shards (``work_units``) through this worker's
-    cached ``FusedReadTransform``, one call per shard, each followed by
-    ``post(path, table)`` (``None``: the table itself). Tables come back
+    cached ``FusedReadTransform``, one read and transform per shard,
+    each followed by ``post(ShardRead(path, rows read), table)``
+    (``None``: the table itself). Tables come back
     concatenated in path order, one block per unit, with the block's
     metadata (``exchange.with_meta``), so ``flagship_fused`` needs no
     metadata task; a zero-row shard's table must carry the columns and
@@ -305,7 +322,13 @@ def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict
     whole unit and is not retried. The output is deterministic, so a
     re-run unit returns the same result."""
     fused = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)
-    outs = [fused(p) if post is None else post(p, fused(p)) for p in paths]
+
+    def run(path: str):
+        read = fused.read(path)
+        out = fused.transform(read)
+        return out if post is None else post(ShardRead(path, read.num_rows), out)
+
+    outs = [run(p) for p in paths]
     if not isinstance(outs[0], pa.Table):
         return outs, None
     return with_meta(pa.concat_tables(outs))
@@ -341,7 +364,7 @@ def flagship_fused(
 ) -> ray.data.MaterializedDataset:
     """Flagship as one fused task per work unit of sorted shard paths —
     see FusedReadTransform and ``work_units`` — returned as a
-    materialized Dataset of each shard's ``post(path, table)``
+    materialized Dataset of each shard's ``post(shard, table)``
     (``post=None``: the table).
 
     One block per unit, its shards' rows in path order: one
@@ -399,7 +422,7 @@ def shard_tasks(sf_dir: str, catalog: Catalog | None = None,
                 paths: list[str] | None = None, post=None, cpus: int | None = None,
                 **params) -> list:
     """``_unit_tasks``' submitters, each returning only the ref to its
-    unit's ``post(path, table)`` results (the metadata ref dropped), as
+    unit's ``post(shard, table)`` results (the metadata ref dropped), as
     ``lineage.as_completed`` takes them."""
     return [partial(_results, submit)
             for submit in _unit_tasks(sf_dir, catalog, paths, post, cpus, **params)]
@@ -415,7 +438,7 @@ def _unit_tasks(sf_dir: str, catalog: Catalog | None = None,
     """One zero-argument submitter per work unit (``work_units``, sized
     by ``cpus``) of the sorted paths: each submits the unit's
     ``_fused_shard`` task and returns its two refs, the shards'
-    ``post(path, table)`` results and their block metadata (``None``
+    ``post(shard, table)`` results and their block metadata (``None``
     unless they are a table). The tasks run on warm, reused
     workers that build the catalog state once
     per catalog content and parameter set (``params``:
@@ -434,7 +457,7 @@ def _unit_tasks(sf_dir: str, catalog: Catalog | None = None,
 def shard_partials(sf_dir: str, post, keys: list[str], dtypes: dict,
                    **params) -> pd.DataFrame:
     """An aggregate query's per-shard partials, summed per key on the
-    driver by ``exchange.fold``. ``post(path, table)`` returns, inside
+    driver by ``exchange.fold``. ``post(shard, table)`` returns, inside
     the shard's task, a table of ``dtypes``' columns (column -> numpy
     dtype) with one row per key in ``keys``; every other column is
     summed.

@@ -84,7 +84,7 @@ def q_cell_index(sf_dir: str) -> ray.data.Dataset:
     return ds.select_columns(["url", "h3_9", "s2_13", "tile_id"])
 
 
-def _covered(path: str, t: pa.Table, columns: list[str]) -> pa.Table:
+def _covered(shard, t: pa.Table, columns: list[str]) -> pa.Table:
     """A row-level query's ``post``: the shard's rows that the transform
     placed in a region (``region_index >= 0``), projected to
     ``columns``."""
@@ -95,7 +95,7 @@ def _covered_rows(sf_dir: str, columns: list[str], **params) -> ray.data.Dataset
     return flagship_fused(sf_dir, post=partial(_covered, columns=columns), **params)
 
 
-def _tile_partial(path: str, t: pa.Table) -> pa.Table:
+def _tile_partial(shard, t: pa.Table) -> pa.Table:
     """Rows per tile of one shard (``tile_counts``/``hot_tiles``)."""
     tid, cnt = np.unique(t.column("tile_id").to_numpy(), return_counts=True)
     return pa.table({"tile_id": pa.array(tid, pa.int64()),
@@ -149,7 +149,7 @@ def _pip_names(sf_dir: str) -> np.ndarray:
     return np.array([""] + load_catalog(sf_dir).region_names, dtype=object)
 
 
-def _pip_named(path: str, t: pa.Table, names: np.ndarray) -> pa.Table:
+def _pip_named(shard, t: pa.Table, names: np.ndarray) -> pa.Table:
     idx = t.column("pip_region_index")
     named = names[idx.to_numpy(zero_copy_only=False).astype(np.int64) + 1]
     return pa.table({"url": t.column("url"), "region": pa.array(named, pa.string()),
@@ -162,7 +162,7 @@ def q_region_join(sf_dir: str) -> ray.data.Dataset:
                           with_cells=False)
 
 
-def _pip_partial(path: str, t: pa.Table) -> pa.Table:
+def _pip_partial(shard, t: pa.Table) -> pa.Table:
     """Rows per PIP region of one shard, outside every region dropped."""
     idx = t.column("pip_region_index").to_numpy(zero_copy_only=False)
     reg, cnt = np.unique(idx[idx >= 0], return_counts=True)
@@ -366,7 +366,7 @@ def q_flagship(sf_dir: str) -> ray.data.Dataset:
     return flagship_pipeline(sf_dir)
 
 
-def _region_sums(path: str, t: pa.Table) -> pa.Table:
+def _region_sums(shard, t: pa.Table) -> pa.Table:
     """One shard's per-region count, z_out sum and unc sum over the
     rows the transform placed in a region."""
     t = t.filter(pc.greater_equal(t.column("region_index"), 0))
@@ -631,7 +631,7 @@ def q_knn_grid_nodes(sf_dir: str, k: int = 4) -> ray.data.Dataset:
     )
 
 
-def _grid_partial(path: str, t: pa.Table, meta: dict) -> pa.Table:
+def _grid_partial(shard, t: pa.Table, meta: dict) -> pa.Table:
     """One shard's per-cell count and z sum on the raster lattice
     ``meta``, over covered points inside it."""
     t = t.filter(pc.greater_equal(t.column("region_index"), 0))

@@ -243,11 +243,13 @@ DICTIONARY_COLUMNS = ("tile_id", "region", "region_index", "unc")
 DROP_COUNTERS = ("n_no_geocode", "n_no_region", "n_no_coverage")
 
 
-def _write_shard(out_dir: str, path: str, full: pa.Table) -> dict:
+def _write_shard(out_dir: str, read, full: pa.Table) -> dict:
     """The sink's ``post`` on the shard task (``flagship._fused_shard``):
     the shard's fused output ``full`` to ``shard=<id>/part-0.parquet``
     (``write_partition``: a zero-row shard writes no file), then the
-    shard's lineage record. A module-level function, so the task's
+    shard's lineage record. ``read`` (a ``flagship.ShardRead``) gives
+    the input path and the row count of the task's own read, so the
+    input is opened once. A module-level function, so the task's
     ``functools.partial`` over ``out_dir`` pickles by name.
 
     The drop counters: ``n_no_geocode`` rows did not geocode (the fused
@@ -255,21 +257,20 @@ def _write_shard(out_dir: str, path: str, full: pa.Table) -> dict:
     every region polygon, and ``n_no_coverage`` fell inside a region
     but no grid had a value there."""
     import numpy as np
-    import pyarrow.parquet as pq
 
     pip = full.column("pip_region_index").to_numpy()
     region = full.column("region_index").to_numpy()
     out = full.select(OUTPUT_COLUMNS)
-    shard = _shard_of(path)
+    shard = _shard_of(read.path)
     write_partition(os.path.join(out_dir, f"shard={shard}"), out, DICTIONARY_COLUMNS)
 
     def distinct(name: str) -> list:
         return sorted(pc.unique(out.column(name)).to_pylist())
 
-    n_in = pq.ParquetFile(path).metadata.num_rows
+    n_in = read.n_rows_in
     return {
         "shard": shard,
-        "input_file": path,
+        "input_file": read.path,
         "row_range": [0, n_in],
         "n_rows_in": n_in,
         "n_rows_out": out.num_rows,
