@@ -2,8 +2,12 @@
 (default /root/testdata/sf0.1) and prints ONE JSON line.
 
     python bench.py               # per-query seconds + flagship rows/s
-    python bench.py --scaling     # same flagship job at 8 and 32 CPUs in
-                                  # fresh processes -> scaling efficiency
+    python bench.py --scaling     # same flagship job at N // 4 and N CPUs
+                                  # in fresh processes -> scaling efficiency
+
+N (``RAY_GRAFT_CPUS``) defaults to the CPUs this process may run on
+(``os.sched_getaffinity``), so Ray is never asked for more CPUs than
+the box has.
 
 The driver records the JSON as BENCH_r{N}.json. ``value`` is the
 flagship end-to-end wall seconds (geocode -> cell index -> PIP join ->
@@ -21,7 +25,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 # Headline pipelines benchmarked per round (a representative slice of
 # queries(): the flagship geospatial path, a shuffle-heavy relational
@@ -193,13 +197,12 @@ def run_once(num_cpus: int, queries: list[str]) -> dict:
 SCALING_REPEAT = int(os.environ.get("GRAFT_SCALING_REPEAT", "256"))
 # Paths per CPU in one scaling window (see scaling_one).
 SCALING_WINDOW_ROUNDS = 8
-# N and 4N parallelism levels for the scaling criterion. 4 -> 16 by
-# default: this container's memory bandwidth saturates near ~16-20
-# cores for the string-heavy geocode stage, so 8 -> 32 conflates Ray
-# scaling with hardware saturation (on a real multi-node cluster each
-# node brings its own memory bandwidth). Override with VDR_SCALE_LO/HI.
-SCALE_LO = int(os.environ.get("VDR_SCALE_LO", "4"))
-SCALE_HI = int(os.environ.get("VDR_SCALE_HI", "16"))
+# N and 4N parallelism levels for the scaling criterion: the high level
+# is every CPU of the run (NUM_CPUS), the low a quarter of it (1 -> 4 on
+# a 4-CPU box). A level past the box's real CPUs would measure
+# oversubscription, not Ray's scaling.
+SCALE_HI = NUM_CPUS
+SCALE_LO = max(1, SCALE_HI // 4)
 
 
 def scaling_one(num_cpus: int, repeat: int) -> dict:

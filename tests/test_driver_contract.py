@@ -62,15 +62,28 @@ def test_join_transform_starts_no_ray():
 
 
 def test_reads_go_through_the_exchange_helper():
-    """Every engine read is ``exchange.read``, which sizes its blocks
-    (one per row group) and records what the exchange sizes from."""
+    """Every engine read is ``exchange.read``, a source of one unit per
+    row group that the substrate's own tasks read: no module, the
+    substrate included, builds a Ray Data parquet read."""
     out = subprocess.run(
         ["grep", "-rlnF", "--include=*.py", "ray.data.read_parquet(",
          os.path.join(ROOT, "vyperdatum_ray")],
         capture_output=True, text=True,
     )
     found = {os.path.relpath(p, ROOT) for p in out.stdout.split()}
-    assert found == {os.path.join("vyperdatum_ray", "pipelines", "exchange.py")}, found
+    assert not found, found
+
+
+def test_maps_run_on_the_substrate():
+    """Every map is ``exchange.map`` (or a fold's, an exchange's or a
+    shard task's own step): no module builds a Ray Data map or an actor
+    pool, and the helpers of the streaming-map path are gone."""
+    out = subprocess.run(
+        ["grep", "-rnF", "--include=*.py", "-e", ".map_batches(", "-e", "concurrency=",
+         "-e", "map_typed", "-e", "_META", os.path.join(ROOT, "vyperdatum_ray")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 1 and not out.stdout, out.stdout
 
 
 def test_keyed_reduces_go_through_the_exchange_module():

@@ -1,6 +1,8 @@
-"""The two merges of pipelines/exchange.py. The salted exchange: one
-read block per row group, the width from the legs' blocks, leg tagging
-and per-leg frames, zero-row legs, chaining, and width independence.
+"""The substrate and the two merges of pipelines/exchange.py. Reads:
+one unit per row group, typed zero rows, maps that keep their input's
+block count. The salted exchange: the width from the legs' blocks, leg
+tagging and per-leg frames, zero-row legs, chaining, and width
+independence.
 The driver fold: sum/min/max per key and globally, distinct keys, typed
 zero rows, and block-count independence of every folded query. The
 keyed reduces: width and block-count independence of every one."""
@@ -22,16 +24,17 @@ def _write(d, name, **cols):
 
 
 def _legs(d, a_keys, b_keys):
-    """Leg A: (k, a); leg B: (k, b) — disjoint payload columns."""
-    import ray.data
+    """Leg A: (k, a); leg B: (k, b) — disjoint payload columns, each a
+    read."""
+    from vyperdatum_ray.pipelines.exchange import read
 
     pa_ = _write(d, "a", ka=pa.array(a_keys, pa.int64()),
                  a=pa.array([10 * x for x in a_keys], pa.int64()))
     pb = _write(d, "b", kb=pa.array(b_keys, pa.int64()),
                 b=pa.array([f"b{x}" for x in b_keys], pa.string()))
-    return [(ray.data.read_parquet(pa_),
+    return [(read(pa_),
              lambda t: pa.table({"k": t.column("ka"), "a": t.column("a")})),
-            (ray.data.read_parquet(pb),
+            (read(pb),
              lambda t: pa.table({"k": t.column("kb"), "b": t.column("b")}))], pa_
 
 
@@ -103,9 +106,9 @@ def test_chained_exchange_stays_arrow(ray_session, tmp_path):
         return pd.DataFrame({"k": rekeyed["k"], "src": rekeyed["src"],
                              "n_other": np.full(len(rekeyed), len(other), np.int64)})
 
-    import ray.data
+    from vyperdatum_ray.pipelines.exchange import read
 
-    other = ray.data.read_parquet(path)
+    other = read(path)
     second = collect(exchange(
         [(first, None), (other, lambda t: pa.table({"k": t.column("a")}))],
         count))
@@ -147,8 +150,9 @@ def _row_group_files(d, n_files, n_groups, keys=(0,)):
 
 
 def test_read_takes_one_block_per_row_group(ray_session, tmp_path):
-    """3 files x 4 row groups read as 12 blocks, recorded and real; a
-    zero-row file (no row group) still reads as one block."""
+    """3 files x 4 row groups read as 12 units, and a map over them
+    gives 12 blocks; a zero-row file (no row group) still reads as one
+    unit that yields typed zero rows."""
     from vyperdatum_ray.pipelines import exchange as ex
 
     paths = _row_group_files(tmp_path, 3, 4, keys=(1, 2))
@@ -156,8 +160,8 @@ def test_read_takes_one_block_per_row_group(ray_session, tmp_path):
     nbytes, rows = ex.footer_stats(paths)
     assert rows == 24 and nbytes > 0
     ds = ex.read(paths)
-    assert ex._blocks(ds) == 12
-    assert ex.materialize(ds).num_blocks() == 12
+    assert ex._blocks(ds) == 12 and ds.count() == 24
+    assert ex.map(ds).num_blocks() == 12
 
     empty = str(tmp_path / "empty.parquet")
     pq.ParquetWriter(empty, pa.schema([("ka", pa.int64())])).close()
@@ -165,6 +169,25 @@ def test_read_takes_one_block_per_row_group(ray_session, tmp_path):
     assert ex.row_groups([empty]) == 1
     ds = ex.read(empty)
     assert ex._blocks(ds) == 1 and ex.collect(ds).columns.tolist() == ["ka"]
+    assert ex.map(ds).num_blocks() == 1
+
+
+def test_a_forced_unit_count_cuts_the_rows_in_order(ray_session, tmp_path, monkeypatch):
+    """With ``row_groups`` patched, as the block-count differentials
+    force it, a read of 2 files x 3 row groups is cut into that many
+    contiguous units: every row once, in file order, and past the row
+    count the extra units yield typed zero rows."""
+    from vyperdatum_ray.pipelines import exchange as ex
+
+    paths = _row_group_files(tmp_path, 2, 3, keys=(1, 2, 3))
+    whole = ex.collect(ex.read(paths))
+    assert len(whole) == 18
+    for n in (1, 4, 8, 25):
+        monkeypatch.setattr(ex, "row_groups", lambda p, n=n: n)
+        src = ex.read(paths)
+        assert ex._blocks(src) == n == ex.map(src).num_blocks()
+        assert src.count() == 18
+        pd.testing.assert_frame_equal(ex.collect(src), whole)
 
 
 def test_row_groups_extrapolate_past_the_footer_sample(tmp_path):
@@ -186,8 +209,8 @@ def test_row_groups_extrapolate_past_the_footer_sample(tmp_path):
 def test_read_schema_drops_pandas_metadata(ray_session):
     """The helper's read schema is the footer's projected to the read
     columns, without the ``pandas`` key (which makes Ray log a failed
-    schema hash per block); the recorded zero-row table is the
-    dataset's own schema."""
+    schema hash per block); the source's zero-row table is the schema
+    of a map over it."""
     from vyperdatum_ray.pipelines import exchange as ex
 
     path = f"{SF}/lineitem.parquet"
@@ -196,8 +219,9 @@ def test_read_schema_drops_pandas_metadata(ray_session):
     ds = ex.read(path, cols)
     zero = ex._zero_rows(ds)
     assert zero.column_names == cols and not zero.schema.metadata
-    assert ds.schema().base_schema == zero.schema
-    assert not (ds.schema().base_schema.metadata or {}).get(b"pandas")
+    mapped = ex.map(ds).schema().base_schema
+    assert mapped == zero.schema
+    assert not (mapped.metadata or {}).get(b"pandas")
     assert ex.collect(ds).shape[1] == 3
 
 
@@ -219,8 +243,7 @@ def _width(legs) -> int:
 def test_width_from_leg_blocks(ray_session, tmp_path, monkeypatch):
     """width = clamp(ceil(log2(sum of leg blocks)), JOIN_FLOOR,
     SALT_BITS_CAP): a read counts its row groups, an exchange output
-    the sum over its legs, a ``materialize``d leg its input's, a lazy
-    map one."""
+    the sum over its legs, a map its input's."""
     from vyperdatum_ray.pipelines import exchange as ex
 
     (tmp_path / "a").mkdir()
@@ -236,10 +259,10 @@ def test_width_from_leg_blocks(ray_session, tmp_path, monkeypatch):
     first = ex.exchange([(twelve, key)], lambda d: d)
     assert ex._blocks(first) == 12
     assert _width([(first, None), (five, key)]) == 5        # 12 + 5
-    assert _width([(ex.materialize(first), None)]) == 4
-    lazy = twelve.map_batches(key, batch_format="pyarrow")
-    assert ex._blocks(lazy) == 1
-    assert _width([(lazy, None)]) == 1
+    assert _width([(ex.map(first), None)]) == 4
+    mapped = ex.map(twelve, key)
+    assert ex._blocks(mapped) == mapped.num_blocks() == 12
+    assert _width([(mapped, None)]) == 4
 
 
 def test_width_stops_at_the_cap(ray_session, tmp_path, monkeypatch):
@@ -335,26 +358,26 @@ def test_fold_without_columns_gives_the_distinct_keys(parts, want):
         got, pd.DataFrame({"k": pd.Series(want, dtype=object)}))
 
 
-def test_map_typed_blocks_carry_no_pandas_metadata(ray_session):
-    """A ``map_typed`` fn that builds its output with ``from_pandas``
-    gives blocks without the ``pandas`` schema key."""
-    from vyperdatum_ray.pipelines.exchange import from_arrow, map_typed
+def test_map_blocks_carry_no_pandas_metadata(ray_session):
+    """An ``exchange.map`` fn that builds its output with
+    ``from_pandas`` gives blocks without the ``pandas`` schema key."""
+    from vyperdatum_ray.pipelines.exchange import from_arrow, map
 
     def fn(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(t.to_pandas().assign(m=lambda d: d["v"] * 2),
                                     preserve_index=False)
 
     assert b"pandas" in fn(pa.table({"v": [1]})).schema.metadata
-    ds = map_typed(from_arrow(pa.table({"v": pa.array([1, 2, 3], pa.int64())})), fn)
+    ds = map(from_arrow(pa.table({"v": pa.array([1, 2, 3], pa.int64())})), fn)
     blocks = list(ds.iter_batches(batch_size=None, batch_format="pyarrow"))
     assert blocks and all(not b.schema.metadata for b in blocks)
 
 
 def test_fold_over_dataset_blocks(ray_session, tmp_path):
-    """Over ``map_typed(read, partial)`` the partial runs once per read
-    block (one per row group) and the fold equals the whole table's
+    """Over a read with ``fn=partial`` the partial runs once per read
+    unit (one per row group) and the fold equals the whole table's
     groupby; a zero-row read folds to typed zero rows."""
-    from vyperdatum_ray.pipelines.exchange import fold, map_typed, read
+    from vyperdatum_ray.pipelines.exchange import fold, read
 
     rng = np.random.default_rng(7)
     t = pa.table({"k": pa.array(rng.integers(0, 5, 300), pa.int64()),
@@ -369,7 +392,7 @@ def test_fold_over_dataset_blocks(ray_session, tmp_path):
                              np.ones(g.num_rows, np.int64))})
 
     how = {"s": "sum", "lo": "min", "blocks": "sum"}
-    got = fold(map_typed(read(path), partial), ["k"], how)
+    got = fold(read(path), ["k"], how, fn=partial)
     df = t.to_pandas()
     want = df.groupby("k", as_index=False).agg(s=("v", "sum"), lo=("v", "min"))
     pd.testing.assert_frame_equal(got[["k", "s", "lo"]], want)
@@ -377,7 +400,7 @@ def test_fold_over_dataset_blocks(ray_session, tmp_path):
 
     empty = str(tmp_path / "empty.parquet")
     pq.write_table(t.schema.empty_table(), empty)
-    got = fold(map_typed(read(empty), partial), ["k"], how)
+    got = fold(read(empty), ["k"], how, fn=partial)
     assert len(got) == 0 and list(got.columns) == ["k", "s", "lo", "blocks"]
     assert set(got.dtypes) == {np.dtype(np.int64)}
 

@@ -1,9 +1,10 @@
 """Task-built blocks as already-executed Datasets
-(``exchange.from_blocks``): the flagship's shard task and the
-exchange's reduce task return each block with its metadata, so
-building the Dataset submits no metadata task and iterating it starts
-no Ray Data executor, and the Dataset answers as
-``ray.data.from_arrow_refs`` over the same blocks does."""
+(``exchange.from_blocks``): the flagship's shard task, the substrate's
+map task and the exchange's reduce task return each block with its
+metadata, so building the Dataset submits no metadata task and
+iterating it starts no Ray Data executor, and the Dataset answers as
+``ray.data.from_arrow_refs`` over the same blocks does. A query over
+reads starts no executor at all."""
 
 import numpy as np
 import pandas as pd
@@ -99,6 +100,22 @@ def test_answers_as_from_arrow_refs_does(ray_session, build):
     pd.testing.assert_frame_equal(ds.to_pandas(), ref.to_pandas())
     bitmaps = sum(t.num_columns * -(-t.num_rows // 8) for t in ray.get(refs))
     assert 0 <= ds.size_bytes() - ref.size_bytes() <= bitmaps
+
+
+@pytest.mark.parametrize("name", ["geocode", "tpch_q3", "shuffle_join"])
+def test_queries_over_reads_start_no_executor(ray_session, counts, name):
+    """A map query (``geocode``), an exchange over reads (``tpch_q3``'s
+    lineitem leg, behind two maps over reads) and a two-leg exchange
+    over reads (``shuffle_join``) run their reads, maps and exchange
+    legs as plain tasks: no Ray Data executor starts, from the call to
+    the collected frame."""
+    import __ray_entry__ as E
+    from scripts.check_correctness import to_pandas
+    from vyperdatum_ray.fixtures import ensure_fixtures
+
+    ensure_fixtures(SF)
+    assert len(to_pandas(E.queries()[name](SF))) > 0
+    assert counts == {"executors": 0, "metadata_tasks": 0}
 
 
 def test_zero_row_shard_keeps_its_typed_schema(ray_session, tmp_path):

@@ -100,10 +100,11 @@ def test_nodata_cells_dropped_everything_else_kept(transformed, cells):
 def test_covered_cells_z_matches_sep(ray_session, transformed):
     """Covered cells: z == round(-(elev + sep), 3) using q_raster_sep's
     independent sep computation."""
+    from vyperdatum_ray.pipelines.exchange import collect
     from vyperdatum_ray.pipelines.raster import q_raster_sep, raster_cells
 
     sep = q_raster_sep(SF).to_pandas().set_index(["row", "col"])
-    cells_df = raster_cells(SF).to_pandas().set_index(["row", "col"])
+    cells_df = collect(raster_cells(SF)).set_index(["row", "col"])
     cov = transformed[transformed["region_index"] >= 0].set_index(["row", "col"])
     joined = cov.join(sep, rsuffix="_s").join(cells_df, rsuffix="_c")
     ok = np.isfinite(joined["elevation"])

@@ -104,7 +104,7 @@ def test_corpus_pipeline_every_gate_fires(ray_session):
     }
     t = pa.table({"doc_id": pa.array(list(rows), pa.int64()),
                   "text": pa.array(list(rows.values()), pa.string())})
-    # a lazy input_ds counts as one block: the dedup exchange runs at the floor
+    # an input_ds of one block: the dedup exchange runs at the floor
     out = q_corpus_pipeline(SF, input_ds=ray.data.from_arrow(t)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     assert out["doc_id"].tolist() == [1, 2]

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from operator import methodcaller
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -27,8 +29,17 @@ K = 10
 N_QUERIES = 10
 
 
-def _emb(sf_dir: str) -> ray.data.Dataset:
+def _emb(sf_dir: str) -> exchange.Source:
     return exchange.read(f"{sf_dir}/embeddings.parquet")
+
+
+def _sample(sf_dir: str, n: int) -> pd.DataFrame:
+    """The first ``n`` vectors in file order: only the leading units
+    that hold them are read, never the whole table."""
+    emb = _emb(sf_dir)
+    rows = np.cumsum([b - a for u in emb.units for *_, a, b in u.slices])
+    head = emb._replace(units=emb.units[:int(np.searchsorted(rows, n)) + 1])
+    return exchange.collect(head).head(n)
 
 
 def _query_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
@@ -95,12 +106,9 @@ def q_ann_topk(sf_dir: str) -> pd.DataFrame:
     # stateless tasks (the "state" is broadcast refs, plasma-cached per
     # worker; the 10x64 query matrix's norms rebuild in µs) — an
     # autoscaling actor pool's startup dominated this whole query
-    cand = _emb(sf_dir).map_batches(
-        lambda t: TopKScorer(**refs)(t), batch_format="pyarrow",
-        batch_size=4096,
-    )
+    cand = exchange.map(_emb(sf_dir), lambda t: TopKScorer(**refs)(t))
     # final reduce: O(queries * k * n_blocks) rows — tiny
-    df = cand.to_pandas()
+    df = exchange.collect(cand)
     df = df.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
     top = df.groupby("query_id", as_index=False).head(K).copy()
     top["rank"] = top.groupby("query_id").cumcount() + 1
@@ -145,8 +153,9 @@ class IVFScorer:
 TRAIN_SAMPLE = 65536  # IVF centroid-training sample cap
 
 # Iterative algorithms (k-means) re-scan their input every pass; inputs
-# whose footer-estimated bytes fit this budget are materialized once so
-# passes scan object-store blocks instead of re-reading parquet. Sized
+# whose footer-estimated bytes fit this budget are held once (a map's
+# output) so passes scan object-store blocks instead of re-reading
+# parquet; past it each pass reads the source again. Sized
 # well under a single worker's share of this box's object store; a
 # cluster deployment would set it from per-node store capacity.
 ITER_CACHE_BYTES = 2 << 30
@@ -154,11 +163,11 @@ ITER_CACHE_BYTES = 2 << 30
 
 def _train_centroids(sf_dir: str, nlist: int, sample_cap: int = TRAIN_SAMPLE) -> np.ndarray:
     """k-means-lite centroids trained on a BOUNDED sample (the first
-    ``sample_cap`` vectors via a streamed ``Dataset.limit`` — only the
-    needed leading blocks are read, never the full table; at 100 TB the
-    sample is a fixed-size driver array while the corpus streams).
+    ``sample_cap`` vectors, ``_sample`` — only the needed leading units
+    are read, never the full table; at 100 TB the sample is a
+    fixed-size driver array while the corpus streams).
     Deterministic: fixed seed, fixed sample order."""
-    sample = _emb(sf_dir).limit(sample_cap).to_pandas()
+    sample = _sample(sf_dir, sample_cap)
     emb = np.stack(sample["embedding"].to_numpy()).astype(np.float64)
     rng = np.random.default_rng(11)
     cents = emb[rng.choice(len(emb), size=min(nlist, len(emb)), replace=False)]
@@ -186,11 +195,7 @@ def q_ann_ivf(sf_dir: str, nlist: int = 16, nprobe: int = 4) -> pd.DataFrame:
         "cents_ref": ray.put(cents),
         "nprobe": nprobe,
     }
-    cand = _emb(sf_dir).map_batches(
-        lambda t: IVFScorer(**refs)(t), batch_format="pyarrow",
-        batch_size=4096,
-    )
-    df = cand.to_pandas()
+    df = exchange.collect(exchange.map(_emb(sf_dir), lambda t: IVFScorer(**refs)(t)))
     df = df.sort_values(["query_id", "sim", "neighbor_id"], ascending=[True, False, True])
     top = df.groupby("query_id", as_index=False).head(K).copy()
     top["rank"] = top.groupby("query_id").cumcount() + 1
@@ -202,8 +207,8 @@ class BlockPairScorer:
     self-join: fetches the two normalized blocks zero-copy from the
     object store (no task ever sees more than two blocks — the full
     matrix is NEVER broadcast), does one matmul, emits (a < b, cosine
-    >= tau) pairs. A tiny per-actor block cache avoids refetching the
-    hot diagonal block."""
+    >= tau) pairs. A tiny per-call block cache avoids refetching the
+    diagonal block."""
 
     def __init__(self, refs, tau: float):
         self.refs = refs  # list[ObjectRef[pa.Table]] — refs only, not data
@@ -212,7 +217,7 @@ class BlockPairScorer:
 
     def _block(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         if k not in self.cache:
-            if len(self.cache) >= 4:  # bound per-actor memory
+            if len(self.cache) >= 4:  # bound per-call memory
                 self.cache.pop(next(iter(self.cache)))
             t = ray.get(self.refs[k])
             ids, mat = _batch_to_matrix(t)
@@ -260,18 +265,14 @@ def q_neardup_embedding(sf_dir: str, tau: float = 0.4,
     ``q_neardup_embedding_lsh``)."""
     emb = _emb(sf_dir)
     if n_blocks is None:
-        # Dataset.count() on a parquet read is metadata-only
+        # the source's row count comes from the footers
         n_blocks = max(8, -(-emb.count() // BLOCK_ROWS))
-    blocks = emb.repartition(n_blocks).materialize()
-    refs = blocks.to_arrow_refs()
+    refs = exchange.map(emb).repartition(n_blocks).materialize().to_arrow_refs()
     pairs = [{"bi": i, "bj": j} for i in range(len(refs)) for j in range(i, len(refs))]
-    # stateless per-pair tasks: block fetches are zero-copy plasma gets
-    # cached per worker, so the per-actor block cache bought nothing an
-    # actor pool's startup didn't cost back
-    return ray.data.from_items(pairs).map_batches(
-        lambda t: BlockPairScorer(refs=refs, tau=tau)(t),
-        batch_format="pyarrow", batch_size=1,
-    )
+    # one plain task per block pair: block fetches are zero-copy plasma
+    # gets cached per worker
+    return exchange.map(ray.data.from_items(pairs, override_num_blocks=len(pairs)),
+                        lambda t: BlockPairScorer(refs=refs, tau=tau)(t))
 
 
 DEDUP_PAIR_DRIVER_CAP = 2_000_000  # edges the driver union-find may hold
@@ -303,7 +304,7 @@ def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
         return pa.table({"k": pa.array(np.concatenate([a, b]), pa.int64()),
                          "dst": pa.array(np.concatenate([b, a]), pa.int64())})
 
-    edges = pairs_ds.map_batches(symmetrize, batch_format="pyarrow").materialize()
+    edges = exchange.map(pairs_ds, symmetrize)
 
     def init_labels(t: pa.Table) -> pa.Table:
         # per-block distinct endpoints (every endpoint is a source of
@@ -358,7 +359,7 @@ def _lp_components(pairs_ds: ray.data.Dataset) -> ray.data.Dataset:
         labels = exchange.aggregate([(msgs, None), (labels, self_rows)], ["node"],
                                     {"label": "min", "old": "min"}, post=changed)
         if exchange.total(labels, "changed") == 0:
-            return labels.drop_columns(["changed"]).materialize()
+            return exchange.map(labels, methodcaller("drop_columns", ["changed"]))
     raise RuntimeError(
         f"label propagation did not converge in {LP_MAX_ROUNDS} rounds")
 
@@ -411,16 +412,13 @@ def clusters_from_pairs(pairs_ds: ray.data.Dataset,
     measured pair count exactly as q_dedup_clusters_embedding
     describes: driver union-find + broadcast root map under
     ``pair_cap`` edges, distributed min-label propagation past it."""
-    pairs_ds = pairs_ds.materialize()
     n_pairs = pairs_ds.count()
     if n_pairs > pair_cap:
         if a_col != "vec_id_a":  # _lp_components' expected edge schema
-            pairs_ds = pairs_ds.map_batches(
-                lambda t, _a=a_col, _b=b_col: pa.table(
-                    {"vec_id_a": t.column(_a), "vec_id_b": t.column(_b)}),
-                batch_format="pyarrow")
+            pairs_ds = exchange.map(pairs_ds, lambda t: pa.table(
+                {"vec_id_a": t.column(a_col), "vec_id_b": t.column(b_col)}))
         return _clusters_distributed(pairs_ds, ids_ds, id_col)
-    pairs = pairs_ds.to_pandas()
+    pairs = exchange.collect(pairs_ds)
     a = pairs[a_col].to_numpy(np.int64)
     b = pairs[b_col].to_numpy(np.int64)
     parent: dict[int, int] = {}
@@ -456,7 +454,7 @@ def clusters_from_pairs(pairs_ds: ray.data.Dataset,
             "is_canonical": pa.array((ids == cluster).astype(np.int64), pa.int64()),
         })
 
-    return ids_ds.map_batches(assign, batch_format="pyarrow")
+    return exchange.map(ids_ds, assign)
 
 
 def q_dedup_clusters_embedding(sf_dir: str, tau: float = 0.4,
@@ -583,11 +581,8 @@ def q_neardup_embedding_lsh(sf_dir: str, tau: float = 0.4) -> ray.data.Dataset:
     cand = exchange.exchange(
         [(_emb(sf_dir), lambda t: _band_key(CodeStage(planes_ref)(t), "bucket"))],
         score_group)
-    out = _dedup_pair_ds(cand)
-    return out.map_batches(
-        lambda t: pa.table({"vec_id_a": t.column("id_a"), "vec_id_b": t.column("id_b")}),
-        batch_format="pyarrow",
-    )
+    return exchange.map(_dedup_pair_ds(cand), lambda t: pa.table(
+        {"vec_id_a": t.column("id_a"), "vec_id_b": t.column("id_b")}))
 
 
 def q_kmeans_embeddings(sf_dir: str, k: int = 16,
@@ -610,23 +605,23 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 16,
     tests assert determinism, non-increasing inertia per iteration, and
     that every row's cluster is the true argmin of the final centroids.
     """
-    sample = _emb(sf_dir).limit(4096).to_pandas()
+    sample = _sample(sf_dir, 4096)
     emb0 = np.stack(sample["embedding"].to_numpy()).astype(np.float64)
     rng = np.random.default_rng(7)
     cents = emb0[rng.choice(len(emb0), size=min(k, len(emb0)), replace=False)]
     dim = cents.shape[1]
     width = k * (dim + 1)
 
-    # iters+1 passes re-execute the same read plan; when the table fits
-    # a bounded object-store budget, materialize ONCE so every pass
-    # scans in-memory blocks instead of re-reading parquet. Past the
-    # budget (the 100-TB case) it falls through to the streaming
-    # re-scan — the memory-safe shape — so this is a bounded cache,
-    # not a corpus materialization.
+    # iters+1 passes each read the source again; when the table fits a
+    # bounded object-store budget, hold it ONCE (a map's output) so
+    # every pass scans in-memory blocks instead of re-reading parquet.
+    # Past the budget (the 100-TB case) each pass re-reads the source —
+    # the memory-safe shape — so this is a bounded cache, not a corpus
+    # materialization.
     emb_bytes, _ = exchange.footer_stats(f"{sf_dir}/embeddings.parquet")
     ds_emb = _emb(sf_dir)
     if emb_bytes <= ITER_CACHE_BYTES:
-        ds_emb = ds_emb.materialize()
+        ds_emb = exchange.map(ds_emb)
 
     @ray.remote
     def _merge(*tabs):
@@ -658,8 +653,7 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 16,
             flat = np.concatenate([sums.ravel(), n.astype(np.float64)])
             return pa.table({"m": pa.array(flat, pa.float64())})
 
-        refs = list(ds_emb.map_batches(partial, batch_format="pyarrow")
-                    .to_arrow_refs())
+        refs = exchange.map(ds_emb, partial).to_arrow_refs()
         while len(refs) > 1:
             refs = [_merge.remote(*refs[i:i + 8])
                     for i in range(0, len(refs), 8)]
@@ -685,7 +679,7 @@ def q_kmeans_embeddings(sf_dir: str, k: int = 16,
             "dist2": pa.array(d2[np.arange(len(a)), a], pa.float64()),
         })
 
-    return ds_emb.map_batches(assign_final, batch_format="pyarrow")
+    return exchange.map(ds_emb, assign_final)
 
 
 PCA_K = 4
@@ -706,7 +700,7 @@ def q_pca_embeddings(sf_dir: str, k: int = PCA_K) -> ray.data.Dataset:
     exact agreement with single-process numpy PCA."""
     import numpy.linalg as la
 
-    sample = _emb(sf_dir).limit(4).to_pandas()
+    sample = _sample(sf_dir, 4)
     if len(sample) == 0:
         # empty corpus: a typed empty projection, not an IndexError in
         # the dim sniff / merge tree / n=0 mean. Caveat: with zero rows
@@ -714,7 +708,7 @@ def q_pca_embeddings(sf_dir: str, k: int = PCA_K) -> ray.data.Dataset:
         # exactly k pc columns while a non-empty corpus emits
         # min(k, dim) — callers asking k > dim see a wider (still
         # empty) schema in the degenerate case.
-        return ray.data.from_arrow(pa.table(
+        return exchange.from_arrow(pa.table(
             {"vec_id": pa.array([], pa.int64()),
              **{f"pc{j}": pa.array([], pa.float64()) for j in range(k)}}))
     dim = len(sample["embedding"].iloc[0])
@@ -736,8 +730,7 @@ def q_pca_embeddings(sf_dir: str, k: int = PCA_K) -> ray.data.Dataset:
         ])
         return pa.table({"m": pa.array(flat, pa.float64())})
 
-    refs = list(_emb(sf_dir).map_batches(partial, batch_format="pyarrow")
-                .to_arrow_refs())
+    refs = exchange.map(_emb(sf_dir), partial).to_arrow_refs()
     while len(refs) > 1:
         refs = [_merge.remote(*refs[i:i + 8]) for i in range(0, len(refs), 8)]
     stats = ray.get(refs[0]).column("m").to_numpy(zero_copy_only=False)
@@ -765,7 +758,7 @@ def q_pca_embeddings(sf_dir: str, k: int = PCA_K) -> ray.data.Dataset:
             cols[f"pc{j}"] = pa.array(proj[:, j], pa.float64())
         return pa.table(cols)
 
-    return _emb(sf_dir).map_batches(project, batch_format="pyarrow")
+    return exchange.map(_emb(sf_dir), project)
 
 
 # exact power-of-two scale for the centroid's order-independent sums:
@@ -811,8 +804,8 @@ def q_embedding_centroid(sf_dir: str) -> ray.data.Dataset:
             "p_n": pa.array(np.repeat(counts, dim), pa.int64()),
         })
 
-    g = exchange.fold(exchange.map_typed(_emb(sf_dir), partial), ["label", "dim"],
-                      {"p_sum": "sum", "p_n": "sum"})
+    g = exchange.fold(_emb(sf_dir), ["label", "dim"],
+                      {"p_sum": "sum", "p_n": "sum"}, fn=partial)
     return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
         "label": g["label"],
         "dim": g["dim"],

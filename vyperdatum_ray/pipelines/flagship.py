@@ -50,7 +50,7 @@ import ray.data
 
 from vyperdatum_ray.catalog import Catalog
 from vyperdatum_ray.fixtures import catalog_dir, pages_paths
-from vyperdatum_ray.pipelines.exchange import fold, from_blocks, with_meta
+from vyperdatum_ray.pipelines.exchange import fold, from_blocks, run
 from vyperdatum_ray.stages.cellindex import cell_index_batch
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 from vyperdatum_ray.stages.region_join import RegionJoiner
@@ -101,7 +101,7 @@ def _lru(cache: OrderedDict, key, build, cap: int):
 
 
 def _shard_kwargs(catalog: Catalog, **params) -> dict:
-    """``fn_kwargs`` for a cached-state map function
+    """The keyword arguments of a cached-state map function
     (``join_transform_batch``, the raster path's ``DatumTransformer``
     maps) and the arguments of the shard task (``_fused_shard``): the
     broadcast catalog, its content key and the state's constructor parameters.
@@ -301,13 +301,13 @@ def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict
     """A work unit's shards (``work_units``) through this worker's
     cached ``FusedReadTransform``, one read and transform per shard,
     each followed by ``post(ShardRead(path, rows read), table)``
-    (``None``: the table itself). Tables come back
+    (``None``: the table itself): the substrate's task body
+    (``exchange.run``) over the unit's paths. Tables come back
     concatenated in path order, one block per unit, with the block's
-    metadata (``exchange.with_meta``), so ``flagship_fused`` needs no
-    metadata task; a zero-row shard's table must carry the columns and
-    types of a full one's. Anything else ``post`` returns (the sink's
-    lineage records) comes back as a list in path order, with ``None``
-    for the metadata. ``catalog`` wraps the catalog's ref so the task
+    metadata, so ``flagship_fused`` needs no metadata task; a zero-row
+    shard's table must carry the columns and types of a full one's.
+    Anything else ``post`` returns (the sink's lineage records) comes
+    back as a list in path order, with ``None`` for the metadata. ``catalog`` wraps the catalog's ref so the task
     gets the ref, and ``_cached_state`` fetches it once per worker
     process.
 
@@ -323,15 +323,12 @@ def _fused_shard(paths: list[str], catalog: list, catalog_key: str, params: dict
     re-run unit returns the same result."""
     fused = _cached_state(FusedReadTransform, catalog[0], catalog_key, params)
 
-    def run(path: str):
+    def shard(path: str):
         read = fused.read(path)
         out = fused.transform(read)
         return out if post is None else post(ShardRead(path, read.num_rows), out)
 
-    outs = [run(p) for p in paths]
-    if not isinstance(outs[0], pa.Table):
-        return outs, None
-    return with_meta(pa.concat_tables(outs))
+    return run(paths, shard)
 
 
 def join_transform_batch(batch: pa.Table, catalog_ref, catalog_key: str,

@@ -1,12 +1,11 @@
 """Multimodal column plumbing: treat ``html`` (and by extension image /
-audio / video payloads) as opaque binary columns processed by actor-pool
-``map_batches`` stages.
+audio / video payloads) as opaque binary columns processed by plain
+map tasks (``exchange.map``, one task per row group).
 
 The compressed-format decoders (PIL / libsndfile / ffmpeg) are NOT in
 this container, so those kernels are clearly-marked deterministic fakes
-(``FakeDecoder.decode``) — the Ray-side plumbing (schema, small batch
-size for wide binary rows, actor signature, fixed-width feature output
-layout) is real and tested. ``decode_ppm`` / ``resize_bilinear`` below
+(``FakeDecoder.decode``) — the Ray-side plumbing (schema, one task per
+row group, fixed-width feature output layout) is real and tested. ``decode_ppm`` / ``resize_bilinear`` below
 ARE real: a from-scratch binary P6 PPM decoder and resampler in pure
 numpy, so uncompressed-image payloads take a genuine decode path.
 """
@@ -84,7 +83,7 @@ def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class FakeDecoder:
-    """Actor-pool 'decode + featurize' stage over a binary column.
+    """'decode + featurize' step over a binary column.
 
     decode(): deterministic stand-in — an 8-bin byte histogram (density
     per bin) standing in for decoded-image features. Raises
@@ -132,24 +131,16 @@ class FakeDecoder:
 
 def q_multimodal_decode(sf_dir: str) -> ray.data.Dataset:
     """Binary decode/featurize pipeline (rows-only check: the fake
-    features are engine-defined). Small batch_size: binary payload rows
-    are wide, so batch x concurrency must fit worker heaps."""
+    features are engine-defined), one plain task per row group."""
     from vyperdatum_ray.fixtures import pages_paths
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
-    return ds.map_batches(
-        FakeDecoder,
-        batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 4),
-        num_cpus=1,
-    )
+    return exchange.map(exchange.read(pages_paths(sf_dir), ["url", "html"]), FakeDecoder())
 
 
 def q_html_extract(sf_dir: str) -> ray.data.Dataset:
     """Real (non-stub) html -> text extraction: strip tags with a
-    vectorized Arrow regex over the binary column. The heavy-payload
-    pattern: small batches, html pruned everywhere else."""
+    vectorized Arrow regex over the binary column, one task per row
+    group (the heavy-payload pattern: html pruned everywhere else)."""
     import pyarrow.compute as pc
 
     from vyperdatum_ray.fixtures import pages_paths
@@ -159,8 +150,7 @@ def q_html_extract(sf_dir: str) -> ray.data.Dataset:
         text = pc.replace_substring_regex(html, "<[^>]*>", "")
         return pa.table({"url": batch.column("url"), "extracted": text})
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
-    return ds.map_batches(extract, batch_format="pyarrow", batch_size=2048)
+    return exchange.map(exchange.read(pages_paths(sf_dir), ["url", "html"]), extract)
 
 
 N_FRAMES = 4
@@ -201,11 +191,7 @@ class FrameSampler:
 def q_frame_sample(sf_dir: str) -> ray.data.Dataset:
     from vyperdatum_ray.fixtures import pages_paths
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
-    return ds.map_batches(
-        FrameSampler, batch_format="pyarrow", batch_size=1024,
-        concurrency=(1, 4), num_cpus=1,
-    )
+    return exchange.map(exchange.read(pages_paths(sf_dir), ["url", "html"]), FrameSampler())
 
 
 # ------------------------------------------------ image near-dup ---

@@ -17,6 +17,7 @@ the same way.
 from __future__ import annotations
 
 from functools import partial
+from operator import methodcaller
 
 import numpy as np
 import pandas as pd
@@ -37,22 +38,25 @@ from vyperdatum_ray.pipelines.flagship import (
 from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 
 
-def _geo(sf_dir: str, project: list[str] | None = None) -> ray.data.Dataset:
-    """pages -> geocode -> filter (no cell index; cheapest SQL-checkable
-    prefix).
-
-    ``project`` drops columns immediately after the geocode filter —
-    queries that never touch ``text``/``warc_ts`` should not drag the
-    wide string columns through every downstream stage and shuffle
-    (prune-early, SURVEY.md §4.2)."""
+def _pages(sf_dir: str) -> exchange.Source:
     from vyperdatum_ray.fixtures import pages_paths
 
-    def geocoded(t: pa.Table) -> pa.Table:
-        t = keep_geocoded(geocode_batch(t))
-        return t if project is None else t.select(project)
+    return exchange.read(pages_paths(sf_dir), ["url", "warc_ts", "text", "lang"])
 
-    read_cols = ["url", "warc_ts", "text", "lang"]
-    return exchange.map_typed(exchange.read(pages_paths(sf_dir), read_cols), geocoded)
+
+def _geocoded(t: pa.Table, project: list[str] | None = None) -> pa.Table:
+    """pages -> geocode -> filter (no cell index; cheapest SQL-checkable
+    prefix). ``project`` drops columns immediately after the geocode
+    filter — queries that never touch ``text``/``warc_ts`` should not
+    drag the wide string columns through every downstream step and
+    shuffle (prune-early, SURVEY.md §4.2)."""
+    t = keep_geocoded(geocode_batch(t))
+    return t if project is None else t.select(project)
+
+
+def _geo(sf_dir: str, project: list[str] | None = None, *fns) -> ray.data.Dataset:
+    """``_geocoded`` then ``fns``, in one task per pages row group."""
+    return exchange.map(_pages(sf_dir), partial(_geocoded, project=project), *fns)
 
 
 GEO_SLIM = ["url", "lat", "lon"]  # geometry-only downstreams
@@ -65,14 +69,13 @@ def q_geocode(sf_dir: str) -> ray.data.Dataset:
 def q_text_passthrough(sf_dir: str) -> ray.data.Dataset:
     """Byte-identical text per url through the pipeline (input_hint
     invariant)."""
-    return _geo(sf_dir).select_columns(["url", "text", "lang"])
+    return _geo(sf_dir, ["url", "text", "lang"])
 
 
 def q_tile_assign(sf_dir: str) -> ray.data.Dataset:
     from vyperdatum_ray.stages.cellindex import cell_index_batch
 
-    ds = _geo(sf_dir, GEO_SLIM).map_batches(cell_index_batch, batch_format="pyarrow")
-    return ds.select_columns(["url", "tile_id"])
+    return _geo(sf_dir, GEO_SLIM, cell_index_batch, methodcaller("select", ["url", "tile_id"]))
 
 
 def q_cell_index(sf_dir: str) -> ray.data.Dataset:
@@ -80,8 +83,8 @@ def q_cell_index(sf_dir: str) -> ray.data.Dataset:
     in ANSI SQL)."""
     from vyperdatum_ray.stages.cellindex import cell_index_batch
 
-    ds = _geo(sf_dir, GEO_SLIM).map_batches(cell_index_batch, batch_format="pyarrow")
-    return ds.select_columns(["url", "h3_9", "s2_13", "tile_id"])
+    return _geo(sf_dir, GEO_SLIM, cell_index_batch,
+                methodcaller("select", ["url", "h3_9", "s2_13", "tile_id"]))
 
 
 def _covered(shard, t: pa.Table, columns: list[str]) -> pa.Table:
@@ -125,7 +128,9 @@ def q_tile_counts(sf_dir: str) -> ray.data.Dataset:
 
 
 def _extent_partial(t: pa.Table) -> pa.Table:
-    """A block's (min_x, min_y, max_x, max_y) row; none for no rows."""
+    """A row group's geocoded (min_x, min_y, max_x, max_y) row; none
+    for no rows."""
+    t = _geocoded(t, GEO_SLIM)
     lon, lat = pc.min_max(t.column("lon")), pc.min_max(t.column("lat"))
     row = {"min_x": lon["min"], "min_y": lat["min"], "max_x": lon["max"], "max_y": lat["max"]}
     return pa.table({c: pa.array([v.as_py()], pa.float64())
@@ -133,10 +138,11 @@ def _extent_partial(t: pa.Table) -> pa.Table:
 
 
 def q_extent(sf_dir: str) -> pd.DataFrame:
-    """Global extent (A1): per-block bounds folded on the driver; no
+    """Global extent (A1): per-row-group bounds folded on the driver; no
     geocoded row gives SQL's one row of NULLs."""
-    g = exchange.fold(exchange.map_typed(_geo(sf_dir, GEO_SLIM), _extent_partial), [],
-                      {"min_x": "min", "min_y": "min", "max_x": "max", "max_y": "max"})
+    g = exchange.fold(_pages(sf_dir), [],
+                      {"min_x": "min", "min_y": "min", "max_x": "max", "max_y": "max"},
+                      fn=_extent_partial)
     return g if len(g) else pd.DataFrame({c: [np.nan] for c in g.columns})
 
 
@@ -284,23 +290,12 @@ def _transform_stateplane_input(sf_dir: str, in_dir: str, epsg: int) -> ray.data
             "lat": pa.array(rlat, pa.float64()),
         })
 
-    ds = exchange.read(in_dir)
-    ds = ds.map_batches(unproject, batch_format="pyarrow")
-    ds = ds.map_batches(
-        join_transform_batch,
-        fn_kwargs=_shard_kwargs(
-            load_catalog(sf_dir), from_datum="ellipse", to_datum="mllw",
-            in_is_height=True, out_is_height=False,
-        ),
-        batch_format="pyarrow", num_cpus=1,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("region_index"), 0)),
-        batch_format="pyarrow",
-    )
-    return ds.select_columns(
-        ["url", "easting", "northing", "lon", "lat", "region", "region_index",
-         "z_out", "unc"])
+    kw = _shard_kwargs(load_catalog(sf_dir), from_datum="ellipse", to_datum="mllw",
+                       in_is_height=True, out_is_height=False)
+    return exchange.map(
+        exchange.read(in_dir), unproject, partial(join_transform_batch, **kw),
+        partial(_covered, None, columns=["url", "easting", "northing", "lon", "lat",
+                                         "region", "region_index", "z_out", "unc"]))
 
 
 def _transform_stateplane_roundtrip(sf_dir: str, epsg: int) -> ray.data.Dataset:
@@ -460,9 +455,9 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     cell's CENTER once, then assign every point its cell's result.
 
     Distributed shape: distinct-cell extraction is a driver fold of
-    per-block cell partials (bounded by area/d^2, not by row count); centers
-    run driver-side through the same PIP+transform kernels; the tiny result is
-    broadcast (ray.put) and joined back to the stream with a vectorized
+    per-row-group cell partials (bounded by area/d^2, not by row count); centers
+    run driver-side through the same PIP+transform kernels; the tiny result
+    rides in the second map's step and is joined back with a vectorized
     searchsorted — no second shuffle. Cells are an absolute lattice
     (floor(coord/d)) rather than the reference's extent-relative bins —
     deterministic without a global extent pass."""
@@ -471,18 +466,17 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     catalog = load_catalog(sf_dir)
 
     def to_cells(batch: pa.Table) -> pa.Table:
+        batch = _geocoded(batch, GEO_SLIM)
         key, n = np.unique(sample_cells(batch.column("lon").to_numpy(zero_copy_only=False),
                                         batch.column("lat").to_numpy(zero_copy_only=False),
                                         d)[2], return_counts=True)
         return pa.table({"cell_key": pa.array(key, pa.int64()), "n": pa.array(n, pa.int64())})
 
-    geo = _geo(sf_dir, GEO_SLIM)
     # bounded small result (<= area/d^2 cells): fold the distinct cells
     # and transform their centers DRIVER-SIDE through the same kernels —
-    # spinning an actor pool for a few thousand rows costs more than
-    # the compute
-    keys = exchange.fold(exchange.map_typed(geo, to_cells), ["cell_key"],
-                         {"n": "sum"})["cell_key"].to_numpy(np.int64)
+    # a task per center batch costs more than the compute
+    keys = exchange.fold(_pages(sf_dir), ["cell_key"], {"n": "sum"},
+                         fn=to_cells)["cell_key"].to_numpy(np.int64)
     cx, cy, lon, lat = sample_cell_centers(keys, d)
     centers = pd.DataFrame({"cell_key": keys, "cx": cx, "cy": cy, "lon": lon, "lat": lat})
     jt = JoinTransform(
@@ -491,69 +485,42 @@ def q_sampled_transform(sf_dir: str, d: float = SAMPLE_D) -> ray.data.Dataset:
     )
     out_t = jt(pa.Table.from_pandas(centers, preserve_index=False))
     small = out_t.select(["cell_key", "z_out", "unc", "region_index"]).to_pandas()
-    lut_ref = ray.put(
-        (
-            small["cell_key"].to_numpy(),
-            small["z_out"].to_numpy(),
-            small["unc"].to_numpy(),
-            small["region_index"].to_numpy().astype(np.int32),
-        )
-    )
+    # the lookup table rides in the map's step, put once for every task
+    lut_keys, lut_z = small["cell_key"].to_numpy(), small["z_out"].to_numpy()
+    lut_unc = small["unc"].to_numpy()
+    lut_ridx = small["region_index"].to_numpy().astype(np.int32)
 
-    class CellLookup:
-        def __init__(self, lut_ref):
-            self.keys, self.z, self.unc, self.ridx = (
-                ray.get(lut_ref) if isinstance(lut_ref, ray.ObjectRef) else lut_ref
-            )
+    def cell_lookup(batch: pa.Table) -> pa.Table:
+        lon = batch.column("lon").to_numpy(zero_copy_only=False)
+        lat = batch.column("lat").to_numpy(zero_copy_only=False)
+        cx, cy, key = sample_cells(lon, lat, d)
+        pos = np.clip(np.searchsorted(lut_keys, key), 0, len(lut_keys) - 1)
+        t = pa.table({
+            "url": batch.column("url"),
+            "cx": pa.array(cx, pa.int64()),
+            "cy": pa.array(cy, pa.int64()),
+            "z_samp": pa.array(lut_z[pos], pa.float64()),
+            "unc_samp": pa.array(lut_unc[pos], pa.float64()),
+            "region_index": pa.array(lut_ridx[pos], pa.int32()),
+        })
+        return t.filter(pc.greater_equal(t.column("region_index"), 0))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lon = batch.column("lon").to_numpy(zero_copy_only=False)
-            lat = batch.column("lat").to_numpy(zero_copy_only=False)
-            cx, cy, key = sample_cells(lon, lat, d)
-            pos = np.searchsorted(self.keys, key)
-            pos = np.clip(pos, 0, len(self.keys) - 1)
-            t = pa.table(
-                {
-                    "url": batch.column("url"),
-                    "cx": pa.array(cx, pa.int64()),
-                    "cy": pa.array(cy, pa.int64()),
-                    "z_samp": pa.array(self.z[pos], pa.float64()),
-                    "unc_samp": pa.array(self.unc[pos], pa.float64()),
-                    "region_index": pa.array(self.ridx[pos], pa.int32()),
-                }
-            )
-            return t.filter(pc.greater_equal(t.column("region_index"), 0))
-
-    return geo.map_batches(
-        lambda t: CellLookup(lut_ref)(t), batch_format="pyarrow",
-    )
+    return _geo(sf_dir, GEO_SLIM, cell_lookup)
 
 
 def q_knn_grid_node(sf_dir: str) -> ray.data.Dataset:
     """Nearest geoid-grid node per point (J5, k=1)."""
-    catalog = load_catalog(sf_dir)
-    grid = catalog.grids["sgeoid12x"]
-    gref = ray.put(grid)
+    grid = load_catalog(sf_dir).grids["sgeoid12x"]
 
-    class NearestNode:
-        def __init__(self, gref):
-            self.grid = ray.get(gref) if isinstance(gref, ray.ObjectRef) else gref
+    def nearest_node(batch: pa.Table) -> pa.Table:
+        lon = batch.column("lon").to_numpy(zero_copy_only=False)
+        lat = batch.column("lat").to_numpy(zero_copy_only=False)
+        ix, iy = grid.nearest_node(lon, lat)
+        return pa.table({"url": batch.column("url"),
+                         "node_ix": pa.array(ix, pa.int64()),
+                         "node_iy": pa.array(iy, pa.int64())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lon = batch.column("lon").to_numpy(zero_copy_only=False)
-            lat = batch.column("lat").to_numpy(zero_copy_only=False)
-            ix, iy = self.grid.nearest_node(lon, lat)
-            return pa.table(
-                {
-                    "url": batch.column("url"),
-                    "node_ix": pa.array(ix, pa.int64()),
-                    "node_iy": pa.array(iy, pa.int64()),
-                }
-            )
-
-    return _geo(sf_dir, GEO_SLIM).map_batches(
-        lambda t: NearestNode(gref)(t), batch_format="pyarrow",
-    )
+    return _geo(sf_dir, GEO_SLIM, nearest_node)
 
 
 def export_points_csv(sf_dir: str, out_dir: str) -> str:
@@ -577,7 +544,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
     out_dir = f"/tmp/vdr_csv/{sf_name_of(sf_dir)}"
     shutil.rmtree(out_dir, ignore_errors=True)
     export_points_csv(sf_dir, out_dir)
-    ds = ray.data.read_csv(out_dir)
+    ds = ray.data.read_csv(out_dir).materialize()
 
     def region_sums(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -590,8 +557,7 @@ def q_csv_roundtrip(sf_dir: str) -> ray.data.Dataset:
             p_n=("z_out", "size"), p_z=("z_out", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    g = exchange.fold(exchange.map_typed(ds, region_sums), ["region_index"],
-                      {"p_n": "sum", "p_z": "sum"})
+    g = exchange.fold(ds, ["region_index"], {"p_n": "sum", "p_z": "sum"}, fn=region_sums)
     return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
         "region_index": g["region_index"],
         "n_points": g["p_n"],
@@ -603,32 +569,20 @@ def q_knn_grid_nodes(sf_dir: str, k: int = 4) -> ray.data.Dataset:
     """J5 kNN grid-node lookup, k=4: the containing cell's sorted
     neighbor candidate list (grid.py knn_nodes), one output row per
     (point, rank)."""
-    catalog = load_catalog(sf_dir)
-    gref = ray.put(catalog.grids["sgeoid12x"])
+    grid = load_catalog(sf_dir).grids["sgeoid12x"]
 
-    class KnnNodes:
-        def __init__(self, gref, k):
-            self.grid = ray.get(gref) if isinstance(gref, ray.ObjectRef) else gref
-            self.k = k
+    def knn_nodes(batch: pa.Table) -> pa.Table:
+        lon = batch.column("lon").to_numpy(zero_copy_only=False)
+        lat = batch.column("lat").to_numpy(zero_copy_only=False)
+        ix, iy, _d2 = grid.knn_nodes(lon, lat, k)
+        n = len(lon)
+        url = batch.column("url").take(pa.array(np.repeat(np.arange(n), k)))
+        return pa.table({"url": url,
+                         "rank": pa.array(np.tile(np.arange(1, k + 1), n), pa.int64()),
+                         "node_ix": pa.array(ix.reshape(-1), pa.int64()),
+                         "node_iy": pa.array(iy.reshape(-1), pa.int64())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lon = batch.column("lon").to_numpy(zero_copy_only=False)
-            lat = batch.column("lat").to_numpy(zero_copy_only=False)
-            ix, iy, _d2 = self.grid.knn_nodes(lon, lat, self.k)
-            n = len(lon)
-            url = batch.column("url").take(pa.array(np.repeat(np.arange(n), self.k)))
-            return pa.table(
-                {
-                    "url": url,
-                    "rank": pa.array(np.tile(np.arange(1, self.k + 1), n), pa.int64()),
-                    "node_ix": pa.array(ix.reshape(-1), pa.int64()),
-                    "node_iy": pa.array(iy.reshape(-1), pa.int64()),
-                }
-            )
-
-    return _geo(sf_dir, GEO_SLIM).map_batches(
-        lambda t: KnnNodes(gref, k)(t), batch_format="pyarrow",
-    )
+    return _geo(sf_dir, GEO_SLIM, knn_nodes)
 
 
 def _grid_partial(shard, t: pa.Table, meta: dict) -> pa.Table:
@@ -721,10 +675,10 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
     from vyperdatum_ray.fixtures import pages_paths
     from vyperdatum_ray.stages.geocode import geocode_batch, keep_geocoded
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
+    src = exchange.read(pages_paths(sf_dir), ["url", "text"])
     if shard_shift is None:
         # footer row count upper-bounds the geocoded subset
-        shard_shift = _morton_shard_shift(ds.count())
+        shard_shift = _morton_shard_shift(src.count())
     shift = int(shard_shift)
 
     def prep(t: pa.Table) -> pa.Table:
@@ -739,27 +693,26 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
             "k": pa.array(code >> shift, pa.int64()),
         })
 
-    prepped = exchange.map_typed(ds, prep)
-
-    # the totals pass and the rank pass would each re-execute the
-    # read+geocode chain (lazy plans re-run); cache the SLIM
-    # (url, morton, shard) stream once when its footer-estimated bytes
-    # fit the bounded iterative-cache budget, else stream twice (the
-    # memory-safe 100-TB shape)
+    # the totals pass and the rank pass each read the source again;
+    # hold the SLIM (url, morton, shard) map output once when its
+    # footer-estimated bytes fit the bounded iterative-cache budget,
+    # else read and geocode twice (the memory-safe 100-TB shape)
     from vyperdatum_ray.pipelines.ann import ITER_CACHE_BYTES
 
     url_bytes, n_rows = exchange.footer_stats(pages_paths(sf_dir), ["url"])
     if url_bytes + 24 * n_rows <= ITER_CACHE_BYTES:
-        prepped = exchange.materialize(prepped)
+        prepped, leg = exchange.map(src, prep), None
+    else:
+        prepped, leg = src, prep
 
     def shard_partial(t: pa.Table) -> pa.Table:
+        t = t if leg is None else leg(t)
         us, cnt = np.unique(
             t.column("k").to_numpy(zero_copy_only=False), return_counts=True)
         return pa.table({"shard": pa.array(us, pa.int64()),
                          "n": pa.array(cnt.astype(np.int64), pa.int64())})
 
-    totals = exchange.fold(exchange.map_typed(prepped, shard_partial),
-                           ["shard"], {"n": "sum"})
+    totals = exchange.fold(prepped, ["shard"], {"n": "sum"}, fn=shard_partial)
     shards = totals["shard"].to_numpy()
     offs = np.concatenate([[0], np.cumsum(totals["n"].to_numpy())[:-1]]) \
         .astype(np.int64)
@@ -777,4 +730,4 @@ def q_spatial_order(sf_dir: str, shard_shift: int | None = None) -> ray.data.Dat
         return pd.DataFrame({"url": df["url"], "morton": df["morton"],
                              "rank": base + local})
 
-    return exchange.exchange([(prepped, None)], rank_group)
+    return exchange.exchange([(prepped, leg)], rank_group)

@@ -28,8 +28,8 @@ Semantics re-expressed from ``reference/vyperdatum/raster.py``:
 
 Distribution shape: pass 1 is a cheap streaming aggregate (per-block
 partial valid counts folded on the driver) that fixes the global stack
-order; pass 2 is a stateless-task ``map_batches`` carrying the stack
-order. Both passes read the worker's cached ``DatumTransformer``
+order; pass 2 is a plain map task per row group (``exchange.map``)
+carrying the stack order. Both passes read the worker's cached ``DatumTransformer``
 (``flagship._cached_state``, one per catalog content and datum pair,
 from the catalog the driver puts once per Ray session); the driver
 loads the catalog once per job. Both passes stream; nothing
@@ -61,7 +61,7 @@ def raster_meta(sf_dir: str) -> dict:
         return json.load(f)
 
 
-def raster_cells(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
+def raster_cells(sf_dir: str, columns: list[str] | None = None) -> exchange.Source:
     fx = catalog_dir(sf_dir)
     return exchange.read(os.path.join(fx, "raster_cells.parquet"), columns)
 
@@ -127,8 +127,8 @@ def _valid_counts(sf_dir: str, catalog: Catalog, from_datum: str,
         return pa.table({"region": pa.array(regions, pa.string()),
                          "partial_n": pa.array(counts, pa.int64())})
 
-    ds = exchange.map_typed(raster_cells(sf_dir, ["row", "col"]), partial)
-    return exchange.fold(ds, ["region"], {"partial_n": "sum"}).rename(
+    return exchange.fold(raster_cells(sf_dir, ["row", "col"]), ["region"],
+                         {"partial_n": "sum"}, fn=partial).rename(
         columns={"partial_n": "n_valid"})
 
 
@@ -233,6 +233,13 @@ class RasterSepApply:
 
 def raster_transform(sf_dir: str, allow_outside: bool = False,
                      from_datum: str = "ellipse", to_datum: str = "mllw") -> ray.data.Dataset:
+    return exchange.map(raster_cells(sf_dir),
+                        _sep_apply(sf_dir, allow_outside, from_datum, to_datum))
+
+
+def _sep_apply(sf_dir: str, allow_outside: bool, from_datum: str, to_datum: str):
+    """The raster transform's per-batch step (pass 2), its stack order
+    counted on the driver (pass 1)."""
     ensure_fixtures(sf_dir)
     catalog = load_catalog(sf_dir)
     meta, cands, kw = _job(sf_dir, catalog, from_datum, to_datum)
@@ -242,10 +249,7 @@ def raster_transform(sf_dir: str, allow_outside: bool = False,
     args = dict(kw=kw, meta=meta, cands=cands, stack_order=order,
                 allow_outside=allow_outside, in_is_height=bool(meta["in_is_height"]),
                 out_is_height=bool(meta["out_is_height"]))
-    return raster_cells(sf_dir).map_batches(
-        lambda t: RasterSepApply(**args)(t),
-        batch_format="pyarrow", batch_size=65536,
-    )
+    return lambda t: RasterSepApply(**args)(t)
 
 
 def q_raster_sep(sf_dir: str) -> ray.data.Dataset:
@@ -274,10 +278,8 @@ def q_raster_sep(sf_dir: str) -> ray.data.Dataset:
 
             return t.filter(pc.greater_equal(t.column("region_index"), 0))
 
-    return raster_cells(sf_dir, ["row", "col"]).map_batches(
-        lambda t: SepOnly(kw, meta, cands, order)(t),
-        batch_format="pyarrow", batch_size=65536,
-    )
+    return exchange.map(raster_cells(sf_dir, ["row", "col"]),
+                        lambda t: SepOnly(kw, meta, cands, order)(t))
 
 
 def q_raster_transform(sf_dir: str) -> ray.data.Dataset:
@@ -286,10 +288,12 @@ def q_raster_transform(sf_dir: str) -> ray.data.Dataset:
     SQL-stable hash); columns match the oracle name-for-name."""
     import pyarrow.compute as pc
 
-    ds = raster_transform(sf_dir, allow_outside=True)
-    return ds.map_batches(
-        lambda t: t.filter(pc.is_finite(t.column("z"))), batch_format="pyarrow"
-    ).select_columns(["row", "col", "tile_id", "z", "unc", "contributor", "region_index"])
+    def finite(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_finite(t.column("z"))).select(
+            ["row", "col", "tile_id", "z", "unc", "contributor", "region_index"])
+
+    return exchange.map(raster_cells(sf_dir),
+                        _sep_apply(sf_dir, True, "ellipse", "mllw"), finite)
 
 
 def q_raster_tile_manifest(sf_dir: str) -> ray.data.Dataset:
@@ -310,9 +314,9 @@ def q_raster_tile_manifest(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"tile_id": pa.array(tid, pa.int64()),
                          "n_rows": pa.array(cnt, pa.int64())})
 
-    ds = exchange.map_typed(raster_cells(sf_dir, ["row", "col"]), partial)
     return exchange.from_arrow(pa.Table.from_pandas(
-        exchange.fold(ds, ["tile_id"], {"n_rows": "sum"}), preserve_index=False))
+        exchange.fold(raster_cells(sf_dir, ["row", "col"]), ["tile_id"], {"n_rows": "sum"},
+                      fn=partial), preserve_index=False))
 
 
 def write_raster_tiles(sf_dir: str, out_dir: str, allow_outside: bool = True) -> dict:
@@ -383,13 +387,10 @@ def q_zonal_stats(sf_dir: str) -> ray.data.Dataset:
     depth over the raster (covered cells). Two-phase: vectorized
     per-block partials folded per region on the driver — min/max/sum
     are all associative so the merge is exact."""
-    ds = raster_transform(sf_dir, allow_outside=False)
-    # the transform's map is not typed: the partial's types come from
-    # its own zero rows
-    empty = _zonal_partial(pa.table({"region_index": pa.array([], pa.int32()),
-                                     "z": pa.array([], pa.float64())}))
-    g = exchange.fold(ds.map_batches(_zonal_partial, batch_format="pyarrow"), ["region_index"],
-                      {"p_n": "sum", "p_min": "min", "p_max": "max", "p_sum": "sum"}, empty)
+    apply = _sep_apply(sf_dir, False, "ellipse", "mllw")
+    g = exchange.fold(raster_cells(sf_dir), ["region_index"],
+                      {"p_n": "sum", "p_min": "min", "p_max": "max", "p_sum": "sum"},
+                      fn=lambda t: _zonal_partial(apply(t)))
     return exchange.from_arrow(pa.Table.from_pandas(pd.DataFrame({
         "region_index": g["region_index"],
         "n_cells": g["p_n"],

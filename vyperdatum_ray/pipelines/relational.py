@@ -29,13 +29,13 @@ import ray
 import ray.data
 
 from vyperdatum_ray.core.nputil import isin_sorted
-from vyperdatum_ray.pipelines.exchange import (aggregate, collect, exchange, fold,
-                                             footer_stats, from_arrow, map_typed,
-                                             read, total)
+from vyperdatum_ray.pipelines.exchange import (Source, aggregate, collect, exchange, fold,
+                                             footer_stats, from_arrow, map, read,
+                                             sort_limit, total)
 from vyperdatum_ray.pipelines.textops import _hash_key
 
 
-def _t(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
+def _t(sf_dir: str, name: str, columns=None) -> Source:
     return read(f"{sf_dir}/{name}.parquet", columns)
 
 
@@ -90,8 +90,8 @@ def q_tpch_q1(sf_dir: str) -> ray.data.Dataset:
     ds = _t(sf_dir, "lineitem",
             ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
              "l_discount", "l_shipdate"])
-    g = fold(map_typed(ds, partial), ["l_returnflag", "l_linestatus"],
-             {"p_qty": "sum", "p_price": "sum", "p_disc": "sum", "p_n": "sum"})
+    g = fold(ds, ["l_returnflag", "l_linestatus"],
+             {"p_qty": "sum", "p_price": "sum", "p_disc": "sum", "p_n": "sum"}, fn=partial)
     return from_arrow(pa.Table.from_pandas(pd.DataFrame({
         "l_returnflag": g["l_returnflag"],
         "l_linestatus": g["l_linestatus"],
@@ -105,7 +105,7 @@ def q_tpch_q1(sf_dir: str) -> ray.data.Dataset:
 def q_orders_customer_join(sf_dir: str) -> ray.data.Dataset:
     """Broadcast hash join: customer (small side) is ray.put once and
     looked up per batch — no shuffle (SURVEY.md §2.4 pattern)."""
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = collect(_t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
     cust = cust.sort_values("c_custkey")
     seg_cat = cust["c_mktsegment"].astype("category")
     # broadcast NUMPY arrays (sorted keys + small int codes): ray.get of
@@ -132,7 +132,7 @@ def q_orders_customer_join(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ds = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    g = fold(map_typed(ds, join_segment), ["c_mktsegment"], {"p_n": "sum", "p_sum": "sum"})
+    g = fold(ds, ["c_mktsegment"], {"p_n": "sum", "p_sum": "sum"}, fn=join_segment)
     return from_arrow(pa.Table.from_pandas(pd.DataFrame({
         "c_mktsegment": g["c_mktsegment"],
         "n_orders": g["p_n"],
@@ -143,7 +143,7 @@ def q_orders_customer_join(sf_dir: str) -> ray.data.Dataset:
 def q_top_orders(sf_dir: str) -> ray.data.Dataset:
     """Distributed sort + limit with a deterministic tie-break."""
     ds = _t(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(100)
+    return sort_limit(ds, ["o_totalprice", "o_orderkey"], [True, False], 100)
 
 
 def _window_sums(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
@@ -348,14 +348,13 @@ FROM sess GROUP BY user_id, session_id"""
 def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3 shape: 3-way join (customer |> orders |> lineitem) via
     chained broadcast lookups. The BUILDING custkey set is broadcast
-    once; ORDERS STREAMS through a map_batches filter (never
-    materialized on the driver) and only the filtered orderkey set — the
-    small surviving side — is collected and broadcast; lineitem streams
-    against it. (The no-small-side alternative is a two-leg salted
+    once; ORDERS runs through a filter in its read tasks and only the
+    filtered orderkey set — the small surviving side — is collected and
+    broadcast; lineitem streams against it. (The no-small-side alternative is a two-leg salted
     exchange, the ``shuffle_join`` shape.)"""
     cutoff = datetime.datetime(1995, 3, 15)
 
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = collect(_t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
     building = np.sort(cust.loc[cust["c_mktsegment"] == "BUILDING", "c_custkey"].to_numpy())
     building_ref = ray.put(building)
     cutoff_scalar = pa.scalar(cutoff, type=pa.timestamp("us"))
@@ -369,16 +368,9 @@ def q_tpch_q3(sf_dir: str) -> pd.DataFrame:
         keep = isin_sorted(_np(batch, "o_custkey"), ray.get(building_ref))
         return pa.table({"o_orderkey": pa.array(_np(batch, "o_orderkey")[keep])})
 
-    odf = (
-        _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(filter_orders, batch_format="pyarrow")
-        .to_pandas()
-    )
-    # all-empty block sets can surface as a COLUMNLESS frame (empty
-    # blocks may drop their schema on collect) — guard it
-    okeys = (odf["o_orderkey"].to_numpy() if "o_orderkey" in odf.columns
-             else np.empty(0, np.int64))
-    okeys_ref = ray.put(np.sort(okeys))
+    odf = collect(map(_t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+                      filter_orders))
+    okeys_ref = ray.put(np.sort(odf["o_orderkey"].to_numpy()))
 
     def revenue_partial(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.greater(batch.column("l_shipdate"), cutoff_scalar))
@@ -455,7 +447,7 @@ def q_tpch_q6(sf_dir: str) -> pd.DataFrame:
 
     ds = _t(sf_dir, "lineitem",
             ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"])
-    g = fold(map_typed(ds, partial), [], {"p_rev": "sum", "p_n": "sum"})
+    g = fold(ds, [], {"p_rev": "sum", "p_n": "sum"}, fn=partial)
     n = int(g["p_n"].sum())
     # SQL parity on an all-empty match: sum() over zero rows is NULL,
     # which DuckDB surfaces as float64 NaN — np.nan keeps the column
@@ -482,7 +474,7 @@ def q_top_orders_per_segment(sf_dir: str, k: int = 3) -> ray.data.Dataset:
     Per-batch local top-k (a combiner — each batch forwards at most
     k rows per segment) then an exchange keyed by the segment's hash,
     whose groups take each segment's exact final top-k."""
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = collect(_t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
     seg_ref = ray.put(
         pd.Series(cust["c_mktsegment"].to_numpy(), index=cust["c_custkey"].to_numpy())
     )
@@ -933,7 +925,7 @@ def q_tpch_q14(sf_dir: str) -> pd.DataFrame:
 
     ds = _t(sf_dir, "lineitem",
             ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"])
-    g = fold(map_typed(ds, partial), [], {"p_promo": "sum", "p_total": "sum"})
+    g = fold(ds, [], {"p_promo": "sum", "p_total": "sum"}, fn=partial)
     total = int(g["p_total"].sum())
     # np.nan (not None) on an empty match: keeps the column float64
     # like DuckDB's NULL-as-NaN, so the dtype-kind gate still matches
@@ -1072,9 +1064,9 @@ def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0) -> pd.DataFrame:
                             ascending=[False, True]).head(100)
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    cand = (_t(sf_dir, "orders",
-               ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
-            .map_batches(orders_top, batch_format="pyarrow")).to_pandas()
+    cand = collect(map(_t(sf_dir, "orders",
+                          ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
+                       orders_top))
 
     # name the CANDIDATES (<=100 x blocks custkeys, still tiny), and
     # enrich BEFORE the final limit: the oracle's join runs pre-LIMIT,
@@ -1087,8 +1079,7 @@ def q_tpch_q18(sf_dir: str, threshold_qty: float = 200.0) -> pd.DataFrame:
         keep = isin_sorted(_np(batch, "c_custkey"), ray.get(wanted_ref))
         return batch.filter(pa.array(keep))
 
-    names = (_t(sf_dir, "customer", ["c_custkey", "c_name"])
-             .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
+    names = collect(map(_t(sf_dir, "customer", ["c_custkey", "c_name"]), name_filter))
     out = cand.merge(names, left_on="o_custkey", right_on="c_custkey")
     out = out.sort_values(["o_totalprice", "o_orderkey"],
                           ascending=[False, True]).head(100)
@@ -1173,8 +1164,8 @@ def _build_bloom(sf_dir: str, table: str, columns, keys_fn,
             return pa.table({"p_n": pa.array([len(keys_fn(batch))],
                                              pa.int64())})
 
-        n_keys = int(fold(map_typed(_t(sf_dir, table, columns), key_count),
-                          [], {"p_n": "sum"})["p_n"].sum())
+        n_keys = int(fold(_t(sf_dir, table, columns),
+                          [], {"p_n": "sum"}, fn=key_count)["p_n"].sum())
         m_bits = 1 << int(np.clip(np.ceil(np.log2(max(n_keys, 1) * 16)),
                                   16, np.log2(BLOOM_MAX_BITS)))
     shard_bits = min(m_bits, 1 << 24)
@@ -1416,8 +1407,8 @@ def q_tpch_q22(sf_dir: str) -> pd.DataFrame:
         return pa.table({"p_n": [int(pos.sum())], "p_cents": [int(cents[pos].sum())]})
 
     cust_cols = ["c_custkey", "c_mktsegment", "c_acctbal"]
-    stats = fold(map_typed(_t(sf_dir, "customer", ["c_acctbal"]), bal_partial),
-                 [], {"p_n": "sum", "p_cents": "sum"})
+    stats = fold(_t(sf_dir, "customer", ["c_acctbal"]),
+                 [], {"p_n": "sum", "p_cents": "sum"}, fn=bal_partial)
     n_pos = int(stats["p_n"].sum())
     total_cents = int(stats["p_cents"].sum())
 
@@ -1717,10 +1708,10 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
     window, then the suppliers whose revenue EQUALS the global max —
     the HAVING-=-scalar-max shape. Per-block (suppkey, cents-revenue)
     partials reduce to exact per-supplier totals inside bounded salt
-    groups; the totals stream (supplier-dimension cardinality, never
-    the driver) materializes ONCE so the global-max aggregate and the
-    equality filter don't re-run the lineitem scan (the lazy-plan
-    re-execution rule in CLAUDE.md); the max compare is int64 cents so
+    groups; the totals (supplier-dimension cardinality, never the
+    driver) are the exchange's held output, so the global-max fold and
+    the equality filter don't re-run the lineitem scan; the max
+    compare is int64 cents so
     ties are exact, and only the winners collect for the broadcast
     name enrich."""
     lo = pa.scalar(datetime.datetime(1996, 1, 1), type=pa.timestamp("us"))
@@ -1741,13 +1732,14 @@ def q_tpch_q15(sf_dir: str) -> pd.DataFrame:
     cols = ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"]
     tot = exchange([(_t(sf_dir, "lineitem", cols), rev_partial)], totals)
     # each block's top row, folded into the global max on the driver
-    mx = fold(map_typed(tot, lambda b: b.select(["r"]).sort_by([("r", "descending")])
-                        .slice(0, 1)), [], {"r": "max"})
+    mx = fold(tot, [], {"r": "max"},
+              fn=lambda b: b.select(["r"]).sort_by([("r", "descending")]).slice(0, 1))
     if mx.empty:
         return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
                              "s_name": pd.Series([], dtype=object),
                              "total_revenue": pd.Series([], dtype=np.float64)})
-    winners = tot.filter(expr=f"r == {int(mx['r'].iloc[0])}").to_pandas()
+    r_max = int(mx["r"].iloc[0])
+    winners = collect(map(tot, lambda t: t.filter(pc.equal(t.column("r"), r_max))))
 
     supp = _dim_pandas(sf_dir, "supplier", ["s_suppkey", "s_name"])
     out = winners.merge(supp, left_on="k", right_on="s_suppkey")
@@ -1844,8 +1836,8 @@ def q_tpch_q10(sf_dir: str, k: int = 20) -> pd.DataFrame:
         return batch.filter(pa.array(isin_sorted(_np(batch, "c_custkey"),
                                                  ray.get(wanted_ref))))
 
-    names = (_t(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
-             .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
+    names = collect(map(_t(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"]),
+                        name_filter))
     nation = _dim_pandas(sf_dir, "nation", ["n_nationkey", "n_name"])
     out = cand.merge(names, left_on="k", right_on="c_custkey").merge(
         nation, left_on="c_nationkey", right_on="n_nationkey")
@@ -1921,10 +1913,9 @@ def q_tpch_q4(sf_dir: str) -> pd.DataFrame:
     agg = parts.groupby("code", as_index=False).agg(n=("n", "sum"))
     # bounded distinct scan (<=5 strings) for the code -> name map:
     # per-block distinct values folded into the distinct keys
-    pri = fold(map_typed(_t(sf_dir, "orders", ["o_orderpriority"]),
-                         lambda t: pa.table({"o_orderpriority": pc.unique(
-                             t.column("o_orderpriority"))})),
-               ["o_orderpriority"], {})["o_orderpriority"]
+    pri = fold(_t(sf_dir, "orders", ["o_orderpriority"]), ["o_orderpriority"], {},
+               fn=lambda t: pa.table({"o_orderpriority": pc.unique(
+                   t.column("o_orderpriority"))}))["o_orderpriority"]
     pmap = {int(p[0]): p for p in pri}
     out = pd.DataFrame({
         "o_orderpriority": np.array(
@@ -2120,10 +2111,9 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
     """TPC-H Q11 (important stock; adapted — part "value" is its
     shipped line revenue from one nation's suppliers, the fixtures
     lack partsupp). The GROUP BY + global-scalar-threshold shape:
-    per-part totals reduce in a bounded salt exchange and the stream
-    MATERIALIZES ONCE (CLAUDE.md's lazy-plan rule) so the global-sum
-    aggregate and the threshold filter don't re-run the lineitem
-    scan. The HAVING compare runs in int64 on both sides —
+    per-part totals reduce in a bounded salt exchange, whose output is
+    held, so the global-sum fold and the threshold filter don't re-run
+    the lineitem scan. The HAVING compare runs in int64 on both sides —
     ``value_cents * 1_000_000 > total_cents * fraction_ppm`` — so no
     float division can disagree at a tie. Supplier is the tiny
     broadcast side (sorted keys of the chosen nation)."""
@@ -2143,9 +2133,8 @@ def q_tpch_q11(sf_dir: str, nation_name: str = "NATION_3",
     cols = ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"]
     tot = aggregate([(_t(sf_dir, "lineitem", cols), partial)], ["k"], {"v": "sum"})
     # v*1e6 > total*ppm  <=>  v > floor(total*ppm / 1e6) for integer v
-    # (Ray's filter expr grammar takes `col > literal`, not arithmetic)
     thresh = (total(tot, "v") * fraction_ppm) // 1_000_000
-    keep = tot.filter(expr=f"v > {thresh}").to_pandas()
+    keep = collect(map(tot, lambda t: t.filter(pc.greater(t.column("v"), thresh))))
     if keep.empty:        # no part (or none over the threshold) -> typed empty
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
                              "value": pd.Series([], dtype=np.float64)})
@@ -2236,8 +2225,7 @@ def q_tpch_q21(sf_dir: str, k: int = 100) -> pd.DataFrame:
         return batch.filter(pa.array(isin_sorted(_np(batch, "s_suppkey"),
                                                  ray.get(wanted_ref))))
 
-    names = (_t(sf_dir, "supplier", ["s_suppkey", "s_name"])
-             .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
+    names = collect(map(_t(sf_dir, "supplier", ["s_suppkey", "s_name"]), name_filter))
     out = cand.merge(names, left_on="k", right_on="s_suppkey")
     out = out.sort_values(["w", "k"], ascending=[False, True])
     return pd.DataFrame({
@@ -2712,8 +2700,7 @@ def q_tpch_q20(sf_dir: str, name_like: str = "widget",
         return batch.filter(pa.array(isin_sorted(_np(batch, "s_suppkey"),
                                                  ray.get(wanted_ref))))
 
-    names = (_t(sf_dir, "supplier", ["s_suppkey", "s_name"])
-             .map_batches(name_filter, batch_format="pyarrow")).to_pandas()
+    names = collect(map(_t(sf_dir, "supplier", ["s_suppkey", "s_name"]), name_filter))
     names = names.sort_values("s_suppkey").reset_index(drop=True)
     return pd.DataFrame({
         "s_suppkey": names["s_suppkey"].astype(np.int64).to_numpy(),
@@ -2833,8 +2820,7 @@ def q_top_price_orders_ties(sf_dir: str, k: int = 3) -> pd.DataFrame:
             "c": pa.array(g["c"].to_numpy(np.int64), pa.int64()),
         })
 
-    parts = _t(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]
-               ).map_batches(local_topk, batch_format="pyarrow").to_pandas()
+    parts = collect(map(_t(sf_dir, "orders", ["o_orderpriority", "o_totalprice"]), local_topk))
     if parts.empty:
         return pd.DataFrame({"o_orderkey": pd.Series([], dtype=np.int64),
                              "o_orderpriority": pd.Series([], dtype=object),
@@ -2863,9 +2849,8 @@ def q_top_price_orders_ties(sf_dir: str, k: int = 3) -> pd.DataFrame:
         return batch.append_column(
             "price_rank", pa.array(rank[keep], pa.int64()))
 
-    out = (_t(sf_dir, "orders",
-              ["o_orderkey", "o_orderpriority", "o_totalprice"])
-           .map_batches(attach, batch_format="pyarrow")).to_pandas()
+    out = collect(map(_t(sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"]),
+                      attach))
     if out.empty:
         return pd.DataFrame({"o_orderkey": pd.Series([], dtype=np.int64),
                              "o_orderpriority": pd.Series([], dtype=object),
@@ -2989,8 +2974,8 @@ def q_pareto_parts(sf_dir: str) -> pd.DataFrame:
             "cents": pa.array(fcents, pa.int64()),
         })
 
-    parts = _t(sf_dir, "part", ["p_partkey", "p_size", "p_retailprice"]
-               ).map_batches(local_front, batch_format="pyarrow").to_pandas()
+    parts = collect(map(_t(sf_dir, "part", ["p_partkey", "p_size", "p_retailprice"]),
+                        local_front))
     if parts.empty:
         return pd.DataFrame({"p_partkey": pd.Series([], dtype=np.int64),
                              "p_size": pd.Series([], dtype=np.int64),

@@ -164,7 +164,7 @@ def contam_probe_ref(sf_dir: str, input_ds: ray.data.Dataset | None = None):
         return pa.table({"g": pc.unique(grams)})
 
     ds = input_ds if input_ds is not None else _docs(sf_dir, ["doc_id", "text"])
-    grams = exchange.collect(exchange.map_typed(ds, probe_partial))["g"]
+    grams = exchange.collect(exchange.map(ds, probe_partial))["g"]
     return ray.put(pc.unique(pa.array(grams, pa.string())))
 
 
@@ -188,8 +188,7 @@ def q_contamination_check(sf_dir: str) -> ray.data.Dataset:
             "contaminated": pa.array((n > 0).astype(np.int64), pa.int64()),
         })
 
-    return (_docs(sf_dir, ["doc_id", "text"])
-            .map_batches(scan, batch_format="pyarrow", batch_size=None))
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), scan)
 
 
 CONTAMINATION_ORACLE = r"""
@@ -232,8 +231,7 @@ def q_pii_redact(sf_dir: str) -> ray.data.Dataset:
             "redacted": red,
         })
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "text"])
-    return ds.map_batches(f, batch_format="pyarrow", batch_size=None)
+    return exchange.map(exchange.read(pages_paths(sf_dir), ["url", "text"]), f)
 
 
 def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
@@ -304,8 +302,7 @@ def q_line_dedup(sf_dir: str, min_count: int = 3) -> ray.data.Dataset:
             "n_removed": pa.array(n_tot - n_kept, pa.int64()),
         })
 
-    return exchange.map_typed(
-        exchange.read(paths, ["url", "text"]), clean)
+    return exchange.map(exchange.read(paths, ["url", "text"]), clean)
 
 
 NEARDUP_CLUSTER_PAIR_CAP = 2_000_000  # driver union-find edge budget
@@ -337,7 +334,7 @@ def q_token_count(sf_dir: str) -> ray.data.Dataset:
         n = pc.cast(pc.count_substring_regex(batch.column("text"), r"\S+"), pa.int64())
         return pa.table({"doc_id": batch.column("doc_id"), "n_tokens": n})
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 def q_quality_score(sf_dir: str) -> ray.data.Dataset:
@@ -355,7 +352,7 @@ def q_quality_score(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 # --------------------------------------------------------- language ID ---
@@ -418,9 +415,7 @@ def q_langid(sf_dir: str) -> ray.data.Dataset:
     # (~µs to build), far cheaper than an actor pool's startup — and an
     # autoscaling (1, N) pool often never ramps past 1 actor on a short
     # job, serializing the whole scan
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda t: LangId()(t), batch_format="pyarrow"
-    )
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), lambda t: LangId()(t))
 
 
 def q_token_dedup_stats(sf_dir: str) -> ray.data.Dataset:
@@ -462,8 +457,7 @@ def q_token_dedup_stats(sf_dir: str) -> ray.data.Dataset:
             "max_count": pa.array(max_count, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 TOKEN_DEDUP_ORACLE = r"""
@@ -503,8 +497,8 @@ def q_token_percentiles(sf_dir: str) -> pd.DataFrame:
         return pa.table({"val": pa.array(vals, pa.int64()),
                          "p_n": pa.array(cnts.astype(np.int64), pa.int64())})
 
-    hist = exchange.fold(exchange.map_typed(_docs(sf_dir, ["text"]), partial),
-                         ["val"], {"p_n": "sum"})
+    hist = exchange.fold(_docs(sf_dir, ["text"]),
+                         ["val"], {"p_n": "sum"}, fn=partial)
     vals = hist["val"].to_numpy()
     cum = hist["p_n"].to_numpy().cumsum()
     n = int(cum[-1]) if len(cum) else 0
@@ -556,8 +550,8 @@ def q_lang_token_stats(sf_dir: str) -> ray.data.Dataset:
                 p_docs=("n", "size"), p_tokens=("n", "sum"))
             return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = exchange.map_typed(_docs(sf_dir, ["doc_id", "text"]), lambda t: LangTok()(t))
-    g = exchange.fold(ds, ["lang_pred"], {"p_docs": "sum", "p_tokens": "sum"})
+    g = exchange.fold(_docs(sf_dir, ["doc_id", "text"]), ["lang_pred"],
+                      {"p_docs": "sum", "p_tokens": "sum"}, fn=lambda t: LangTok()(t))
     return exchange.from_arrow(pa.Table.from_pandas(g.rename(
         columns={"p_docs": "n_docs", "p_tokens": "sum_tokens"}), preserve_index=False))
 
@@ -800,10 +794,10 @@ class MinHashStage:
 def _minhash_stage_cached(num_perm: int, bands: int, id_col: str,
                           text_col: str) -> "MinHashStage":
     """One MinHashStage per worker process (lru_cache is per-process):
-    lets the band explode run as stateless TASKS — one per input block,
-    parallel across every CPU — instead of a small actor pool whose
-    ``batch_size`` bundles blocks into a handful of giant tasks (the
-    CLAUDE.md block-bundling trap; measured 3 tasks / 4s UDF at sf0.1)."""
+    lets the band explode run as stateless TASKS — one per input unit,
+    parallel across every CPU — instead of a small actor pool that
+    bundled blocks into a handful of giant tasks (measured 3 tasks / 4s
+    UDF at sf0.1)."""
     return MinHashStage(num_perm=num_perm, bands=bands,
                         id_col=id_col, text_col=text_col)
 
@@ -877,10 +871,7 @@ def _simhash_stage_cached() -> "SimHashStage":
 
 
 def q_simhash(sf_dir: str) -> ray.data.Dataset:
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        lambda b: _simhash_stage_cached()(b),
-        batch_format="pyarrow", batch_size=None,
-    )
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), lambda b: _simhash_stage_cached()(b))
 
 
 def q_fingerprint(sf_dir: str) -> ray.data.Dataset:
@@ -899,9 +890,7 @@ def q_fingerprint(sf_dir: str) -> ray.data.Dataset:
              "n_shingles": pa.array(cnt, pa.int64())}
         )
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        fingerprint, batch_format="pyarrow", batch_size=None
-    )
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), fingerprint)
 
 
 def q_html_stats(sf_dir: str) -> ray.data.Dataset:
@@ -917,8 +906,7 @@ def q_html_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    ds = exchange.read(pages_paths(sf_dir), ["url", "html"])
-    return ds.map_batches(f, batch_format="pyarrow")
+    return exchange.map(exchange.read(pages_paths(sf_dir), ["url", "html"]), f)
 
 
 def _jaccard_from_sorted(a: np.ndarray, b: np.ndarray) -> float:
@@ -1006,7 +994,7 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
 
     # collect ONLY the candidate id set (bounded by LSH output) and
     # broadcast it to pre-filter the doc stream
-    cand_ids = np.unique(exchange.collect(exchange.map_typed(raw, id_partial))["id"]
+    cand_ids = np.unique(exchange.collect(exchange.map(raw, id_partial))["id"]
                          .to_numpy(np.int64))
     cand_ids_ref = ray.put(cand_ids)
 
@@ -1045,7 +1033,7 @@ def q_neardup_jaccard(sf_dir: str, tau: float = 0.5,
 
         import polars as pl
 
-        sh = pl.from_pandas(exchange.collect(exchange.map_typed(docs, shingle_partial)))
+        sh = pl.from_pandas(exchange.collect(exchange.map(docs, shingle_partial)))
         pairs_pd = exchange.collect(raw)
         a = pairs_pd["id_a"].to_numpy(np.int64)
         b = pairs_pd["id_b"].to_numpy(np.int64)
@@ -1194,7 +1182,7 @@ def _host_of(url_col) -> pa.Array:
 def q_distinct_hosts(sf_dir: str) -> pd.DataFrame:
     """Exact distinct-host count over pages urls: per-batch local
     uniques (combiner), an exchange keyed by the host hash whose groups
-    count their distinct hosts, and a driver fold of the counts."""
+    count their distinct hosts, and a driver sum of the counts."""
     from vyperdatum_ray.fixtures import pages_paths
 
     def leg(batch: pa.Table) -> pa.Table:
@@ -1204,7 +1192,8 @@ def q_distinct_hosts(sf_dir: str) -> pd.DataFrame:
     per_group = exchange.aggregate(
         [(exchange.read(pages_paths(sf_dir), ["url"]), leg)], ["host"], {},
         post=lambda df: pd.DataFrame({"n_hosts": np.array([len(df)], np.int64)}))
-    n = exchange.fold(per_group, [], {"n_hosts": "sum"})["n_hosts"].sum()
+    # one row per salt group: the driver sums them
+    n = exchange.collect(per_group)["n_hosts"].sum()
     return pd.DataFrame([{"n_hosts": int(n)}])
 
 
@@ -1238,8 +1227,8 @@ def q_approx_distinct_hosts(sf_dir: str) -> pd.DataFrame:
         g = df.groupby("register", as_index=False).agg(p_rank=("p_rank", "max"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    ds = exchange.map_typed(exchange.read(pages_paths(sf_dir), ["url"]), partial)
-    regs = exchange.fold(ds, ["register"], {"p_rank": "max"})
+    regs = exchange.fold(exchange.read(pages_paths(sf_dir), ["url"]), ["register"],
+                         {"p_rank": "max"}, fn=partial)
     M = np.zeros(int(m), dtype=np.float64)
     M[regs["register"].to_numpy()] = regs["p_rank"].to_numpy()
     alpha = 0.7213 / (1 + 1.079 / float(m))
@@ -1348,7 +1337,7 @@ def q_sample_documents(sf_dir: str, pct: int = 5) -> ray.data.Dataset:
         n_tok = pc.cast(pc.count_substring_regex(t.column("text"), r"\S+"), pa.int64())
         return pa.table({"doc_id": t.column("doc_id"), "n_tokens": n_tok})
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 SAMPLE_DOCUMENTS_ORACLE = r"""
@@ -1441,8 +1430,7 @@ def q_unigram_logprob(sf_dir: str, vocab_cap: int = VOCAB_CAP) -> ray.data.Datas
 
     # stateless tasks: the actor "state" was just the broadcast LUT,
     # which ray.get returns plasma-cached per worker
-    return exchange.map_typed(_docs(sf_dir, ["doc_id", "text"]),
-                              lambda t: Score(lut_ref)(t))
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), lambda t: Score(lut_ref)(t))
 
 
 UNIGRAM_LOGPROB_ORACLE = r"""
@@ -1502,7 +1490,7 @@ def q_quality_filter(sf_dir: str) -> ray.data.Dataset:
             "keep": pc.cast(keep, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 TFIDF_VOCAB_CAP = 65536
@@ -1581,7 +1569,7 @@ def q_tfidf_terms(sf_dir: str, k: int = TFIDF_K,
             "score": pa.array(out["score"].to_numpy().astype(np.int64), pa.int64()),
         })
 
-    return exchange.map_typed(docs, score)
+    return exchange.map(docs, score)
 
 
 TFIDF_ORACLE = r"""
@@ -1664,7 +1652,7 @@ def q_bigram_logprob(sf_dir: str, vocab_cap: int = BIGRAM_VOCAB_CAP) -> ray.data
             "mean_surprisal": pa.array(np.round(mean, 6), pa.float64()),
         })
 
-    return exchange.map_typed(docs, score)
+    return exchange.map(docs, score)
 
 
 BIGRAM_LOGPROB_ORACLE = r"""
@@ -1727,7 +1715,7 @@ def q_stratified_sample(sf_dir: str) -> ray.data.Dataset:
             "draw": pa.array(draw[keep], pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "lang"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "lang"]), f)
 
 
 STRATIFIED_SAMPLE_ORACLE = """
@@ -1762,9 +1750,9 @@ def q_jsonl_roundtrip(sf_dir: str) -> ray.data.Dataset:
     out_dir = f"/tmp/vdr_jsonl/{sf_name_of(sf_dir)}_{os.getpid()}_{uuid.uuid4().hex[:8]}"
     shutil.rmtree(out_dir, ignore_errors=True)
     docs = _docs(sf_dir, ["doc_id", "lang", "n_chars"])
-    docs.write_json(out_dir)
+    exchange.map(docs).write_json(out_dir)
     # no row writes no file: there is nothing to read back
-    ds = ray.data.read_json(out_dir) if os.path.isdir(out_dir) else docs
+    ds = ray.data.read_json(out_dir).materialize() if os.path.isdir(out_dir) else docs
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame({
@@ -1777,8 +1765,8 @@ def q_jsonl_roundtrip(sf_dir: str) -> ray.data.Dataset:
             p_ids=("doc_id", "sum"))
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    g = exchange.fold(exchange.map_typed(ds, partial), ["lang"],
-                      {"p_n": "sum", "p_chars": "sum", "p_ids": "sum"})
+    g = exchange.fold(ds, ["lang"],
+                      {"p_n": "sum", "p_chars": "sum", "p_ids": "sum"}, fn=partial)
     return exchange.from_arrow(pa.Table.from_pandas(g.rename(columns={
         "p_n": "n_docs", "p_chars": "sum_chars", "p_ids": "id_checksum"}), preserve_index=False))
 
@@ -1813,8 +1801,8 @@ def q_lang_source_pivot(sf_dir: str) -> ray.data.Dataset:
             out[f"n_{lg}"] = col.astype(np.int64)
         return pa.Table.from_pydict(out)
 
-    g = exchange.fold(exchange.map_typed(_docs(sf_dir, ["source", "lang"]), partial),
-                      ["source"], {f"n_{lg}": "sum" for lg in _PIVOT_LANGS})
+    g = exchange.fold(_docs(sf_dir, ["source", "lang"]),
+                      ["source"], {f"n_{lg}": "sum" for lg in _PIVOT_LANGS}, fn=partial)
     return exchange.from_arrow(pa.Table.from_pandas(g, preserve_index=False))
 
 
@@ -1846,8 +1834,8 @@ def q_lang_source_rollup(sf_dir: str) -> pd.DataFrame:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     fine = exchange.fold(
-        exchange.map_typed(_docs(sf_dir, ["lang", "source", "n_chars"]), partial),
-        ["lang", "source"], {"p_n": "sum", "p_chars": "sum"}).rename(
+        _docs(sf_dir, ["lang", "source", "n_chars"]),
+        ["lang", "source"], {"p_n": "sum", "p_chars": "sum"}, fn=partial).rename(
         columns={"p_n": "n_docs", "p_chars": "sum_chars"})
     fine = fine.astype({"n_docs": np.int64, "sum_chars": np.int64})
 
@@ -1926,8 +1914,8 @@ def q_source_corr(sf_dir: str) -> ray.data.Dataset:
         return pa.Table.from_pandas(g, preserve_index=False)
 
     sums = ("n", "sx", "sy", "sxy", "sxx", "syy")
-    g = exchange.fold(exchange.map_typed(_docs(sf_dir, ["source", "text"]), partial),
-                      ["source"], {c: "sum" for c in sums})
+    g = exchange.fold(_docs(sf_dir, ["source", "text"]),
+                      ["source"], {c: "sum" for c in sums}, fn=partial)
     n, sx, sy, sxy, sxx, syy = (g[c].to_numpy(np.float64) for c in sums)
     num = n * sxy - sx * sy
     vx = n * sxx - sx * sx
@@ -1984,7 +1972,7 @@ def q_lang_source_unpivot(sf_dir: str) -> ray.data.Dataset:
                                    for c in counts]),
         })
 
-    return q_lang_source_pivot(sf_dir).map_batches(melt, batch_format="pyarrow")
+    return exchange.map(q_lang_source_pivot(sf_dir), melt)
 
 
 LANG_SOURCE_UNPIVOT_ORACLE = """
@@ -2061,7 +2049,7 @@ def q_repetition_stats(sf_dir: str) -> ray.data.Dataset:
             "dup_char_permille": pa.array(permille, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 REPETITION_STATS_ORACLE = r"""
@@ -2118,7 +2106,7 @@ def q_gopher_quality(sf_dir: str) -> ray.data.Dataset:
             "n_stopwords": pc.cast(n_stop, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 GOPHER_QUALITY_ORACLE = r"""
@@ -2167,7 +2155,7 @@ def q_seq_chunk(sf_dir: str, chunk_len: int = CHUNK_LEN) -> ray.data.Dataset:
             "chunk_tokens": pa.array(chunk_tokens, pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 def seq_chunk_oracle_sql(chunk_len: int = CHUNK_LEN) -> str:
@@ -2313,7 +2301,7 @@ def q_token_count_bpe(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"doc_id": batch.column("doc_id"),
                          "n_tokens_ws": ws, "n_tokens_bpe": bpe})
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 TOKEN_COUNT_BPE_ORACLE = (

@@ -69,7 +69,7 @@ def q_train_split(sf_dir: str) -> ray.data.Dataset:
             "split": pa.array(split, pa.string()),
         })
 
-    return _docs(sf_dir, ["doc_id"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id"]), f)
 
 
 TRAIN_SPLIT_ORACLE = """
@@ -155,7 +155,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
     document — text never leaves the fused read tasks."""
     docs = _docs(sf_dir, ["doc_id", "text"])
     if shard_bits is None:
-        shard_bits = _pack_shard_bits(docs.count())  # metadata-only count
+        shard_bits = _pack_shard_bits(docs.count())  # footer count
 
     def shard_partial(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -225,8 +225,7 @@ def q_seq_pack(sf_dir: str, shard_bits: int | None = None,
         return pa.table({"super": pa.array(us, pa.int64()),
                          "tok": pa.array(sums, pa.int64())})
 
-    sup = exchange.fold(exchange.map_typed(totals_ds, super_partial),
-                        ["super"], {"tok": "sum"})
+    sup = exchange.fold(totals_ds, ["super"], {"tok": "sum"}, fn=super_partial)
     sup_keys = sup["super"].to_numpy()
     sup_offs = np.concatenate([[0], np.cumsum(sup["tok"].to_numpy())[:-1]]) \
         .astype(np.int64)
@@ -303,7 +302,7 @@ def q_quality_resample(sf_dir: str) -> ray.data.Dataset:
             "draw": pa.array(draw[keep], pa.int64()),
         })
 
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(f, batch_format="pyarrow")
+    return exchange.map(_docs(sf_dir, ["doc_id", "text"]), f)
 
 
 QUALITY_RESAMPLE_ORACLE = f"""
@@ -377,8 +376,8 @@ def q_corpus_pipeline(sf_dir: str,
     vocabulary), one stateless-task scan fused into the read, and one
     exchange keyed by the text hash for the dedup (the only all-to-all;
     it carries surviving text once). Its salt width comes from the
-    read's blocks; a caller's lazy ``input_ds`` counts as one block, so the
-    exchange runs at the floor width."""
+    read's row groups, or from a caller's executed ``input_ds``'s
+    blocks."""
     from vyperdatum_ray.pipelines.textops import contam_probe_ref
 
     probe_ref = contam_probe_ref(sf_dir, input_ds=input_ds)

@@ -1,7 +1,7 @@
 """Stateless geocode + filter stages (SURVEY.md M10).
 
-Plain functions for ``map_batches(fn, batch_format="pyarrow")`` — no
-per-worker state, so these run as elastic Ray tasks, not actors. The
+Plain per-batch functions on Arrow tables, run in the substrate's tasks
+(``exchange.map``, the flagship's shard task) — no per-worker state. The
 ``text``/``url`` columns pass through as zero-copy Arrow slices
 (input_hint: byte-identical text per url).
 """
@@ -27,5 +27,5 @@ def geocode_batch(batch: pa.Table) -> pa.Table:
 
 def keep_geocoded(batch: pa.Table) -> pa.Table:
     """Drop rows without coordinates (NaN lat) — vectorized filter inside
-    map_batches (cheaper than ds.filter(row_fn))."""
+    the batch's task (cheaper than ds.filter(row_fn))."""
     return batch.filter(pc.is_valid(batch.column("geocode_src")))
